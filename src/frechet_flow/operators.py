@@ -62,7 +62,8 @@ class MultiplierOperator:
         self.polynomial: Optional[PolynomialSymbol] = poly
         self.values = values
         self.label = label
-        self._seminorms: dict[int, float] = {}
+        self._seminorm_profile = None
+        self._real_part_range = None
 
     @classmethod
     def from_values(cls, grid: FrequencyGrid, values, label: str | None = None):
@@ -76,7 +77,8 @@ class MultiplierOperator:
         op.polynomial = None
         op.values = values
         op.label = label
-        op._seminorms = {}
+        op._seminorm_profile = None
+        op._real_part_range = None
         return op
 
     def apply(self, u: SpectralField) -> SpectralField:
@@ -87,11 +89,25 @@ class MultiplierOperator:
     def seminorm(self, j: int) -> float:
         """Exact discrete operator seminorm: node maximum of |a| on ball j."""
         j = self.grid.check_ball_index(j)
-        cached = self._seminorms.get(j)
-        if cached is None:
-            cached = float(np.max(np.abs(self.values[self.grid.ball_mask(j)])))
-            self._seminorms[j] = cached
-        return cached
+        return float(self._profile()[j - 1])
+
+    def _profile(self) -> np.ndarray:
+        """All ball seminorms ``(p_1^X, ..., p_J^X)``, computed once (read-only)."""
+        if self._seminorm_profile is None:
+            peaks = self.grid.shells().reduce(np.maximum, np.abs(self.values))
+            self._seminorm_profile = _frozen(np.maximum.accumulate(peaks))
+        return self._seminorm_profile
+
+    def real_part_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per ball j, the node minimum and maximum of ``Re a``, computed once."""
+        if self._real_part_range is None:
+            shells = self.grid.shells()
+            real = self.values.real
+            self._real_part_range = (
+                _frozen(np.minimum.accumulate(shells.reduce(np.minimum, real))),
+                _frozen(np.maximum.accumulate(shells.reduce(np.maximum, real))),
+            )
+        return self._real_part_range
 
     def seminorm_argmax(self, j: int) -> tuple[int, ...]:
         """Index of a node attaining the ball-j operator seminorm."""
@@ -112,13 +128,17 @@ class MultiplierOperator:
         return f"MultiplierOperator({self.label or self.symbol!r}, {self.grid!r})"
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
 def _expr_on_grid(expr: SymbolExpr, grid: FrequencyGrid) -> np.ndarray:
     if grid.n == 1:
-        points = grid.axis.astype(complex)
-        return np.asarray(_eval_node(expr.root, [points]), dtype=np.complex128)
-    x1 = grid.axis[:, None].astype(complex)
-    x2 = grid.axis[None, :].astype(complex)
-    out = _eval_node(expr.root, [x1, x2])
+        axes = [grid.axis.astype(complex)]
+    else:
+        axes = [grid.axis[:, None].astype(complex), grid.axis[None, :].astype(complex)]
+    out = _eval_node(expr.root, axes)
     return np.broadcast_to(np.asarray(out, dtype=np.complex128), grid.shape).copy()
 
 

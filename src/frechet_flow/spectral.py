@@ -10,12 +10,18 @@ tail is below ``2^-J``).
 
 Ball membership is decided in exact integer arithmetic on the node indices,
 so boundary nodes with ``|xi| = j`` are always included and restriction maps
-copy samples bitwise.
+copy samples bitwise.  Every node carries its shell number, the smallest j
+with ``|xi| <= j``, so ball j is the union of shells 1..j.  The grid's
+`ShellIndex` (built on first use, shared by equal grids) lists the nodes of
+ball J sorted by shell; every per-ball quantity is then one gathered pass
+over the nodes with one reduction per shell, followed by a scan over the J
+shells (running maxima, or for the seminorms the scaled sums of squares of
+LAPACK ``dlassq`` combined shell by shell).
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,25 +34,13 @@ NODE_BUDGET = 1 << 22
 OVERFLOW_EXPONENT = 709.0
 OVERFLOW_LIMIT = float(np.exp(OVERFLOW_EXPONENT))
 
+# Smallest power-of-two exponent used to scale a sum of squares; 2^1021 is
+# still finite, so shells of subnormal samples scale up exactly.
+_MIN_SCALE_EXPONENT = -1021
+
 
 class GridError(ValueError):
     """Invalid grid parameters or incompatible grids."""
-
-
-# Test hook: multiplies the quadrature weight used by `seminorm`.  Verify
-# runs use it to prove the harness detects an injected fault.
-_QUADRATURE_FAULT = 1.0
-
-
-@contextlib.contextmanager
-def quadrature_fault(factor: float):
-    global _QUADRATURE_FAULT
-    old = _QUADRATURE_FAULT
-    _QUADRATURE_FAULT = float(factor)
-    try:
-        yield
-    finally:
-        _QUADRATURE_FAULT = old
 
 
 class FrequencyGrid:
@@ -80,7 +74,6 @@ class FrequencyGrid:
             self._radius2_index = (
                 self.axis_index[:, None] ** 2 + self.axis_index[None, :] ** 2
             )
-        self._ball_masks: dict[int, np.ndarray] = {}
 
     @property
     def h(self) -> float:
@@ -115,15 +108,14 @@ class FrequencyGrid:
             raise GridError(f"ball index must satisfy 1 <= j <= {self.J}, got {j!r}")
         return int(j)
 
+    def shells(self) -> "ShellIndex":
+        """The shell index of this grid, built on first use and shared by equal grids."""
+        return _shell_index(self.n, self.J, self.inv_h)
+
     def ball_mask(self, j: int) -> np.ndarray:
         """Boolean mask of nodes with Euclidean norm <= j (ties included)."""
         j = self.check_ball_index(j)
-        mask = self._ball_masks.get(j)
-        if mask is None:
-            mask = self._radius2_index <= (j * self.inv_h) ** 2
-            mask.setflags(write=False)
-            self._ball_masks[j] = mask
-        return mask
+        return self.shells().shell <= j
 
     def node_points(self) -> np.ndarray:
         """Node coordinates in row-major order, shape (node_count, n)."""
@@ -156,6 +148,51 @@ def make_grid(n: int, J: int, h: float) -> FrequencyGrid:
     if not (h > 0 and abs(inv - round(inv)) <= 1e-9 * max(1.0, inv)):
         raise GridError(f"spacing h must satisfy 1/h integer, got h={h!r}")
     return FrequencyGrid(n, J, int(round(inv)))
+
+
+@dataclass(frozen=True, eq=False)
+class ShellIndex:
+    """Nodes of a grid grouped by shell ``j - 1 < |xi| <= j`` (shell 1 holds ``xi = 0``).
+
+    ``shell`` is the grid-shaped shell number of every node (J + 1 outside
+    ball J), ``order`` the flat indices of the nodes of ball J sorted by
+    shell and row-major within a shell, and shell j is
+    ``order[offsets[j - 1]:offsets[j]]``.  No shell 1..J is empty: the axis
+    node at ``|xi| = j`` lies in shell j.
+    """
+
+    shell: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
+
+    def gather(self, values, j: int) -> np.ndarray:
+        """Samples of ball j as a flat array grouped by shell."""
+        return np.ravel(values)[self.order[: self.offsets[j]]]
+
+    def reduce(self, ufunc, values) -> np.ndarray:
+        """``ufunc`` reduction of ``values`` over each of the shells 1..J."""
+        return ufunc.reduceat(self.gather(values, self.offsets.size - 1), self.offsets[:-1])
+
+
+@functools.lru_cache(maxsize=4)
+def _shell_index(n: int, J: int, inv_h: int) -> ShellIndex:
+    # Keyed by the grid parameters, so no grid instance is kept alive; an
+    # entry holds one byte per node (shell) and four per node of ball J
+    # (order), about 20 MB at the node budget.
+    # shell = smallest j with r2 <= (j inv_h)^2, i.e. max(1, ceil(|k| / inv_h)),
+    # found by an exact integer search over the J squared radii
+    grid = FrequencyGrid(n, J, inv_h)
+    radii2 = (np.arange(1, J + 1, dtype=np.int64) * inv_h) ** 2
+    shell = np.searchsorted(radii2, grid._radius2_index) + 1
+    shell = shell.astype(np.min_scalar_type(J + 1))
+    shell.setflags(write=False)
+    counts = np.bincount(shell.ravel(), minlength=J + 1)
+    offsets = np.cumsum(counts[: J + 1])
+    # NODE_BUDGET is 2^22, so every flat index fits in int32
+    order = np.argsort(shell.ravel(), kind="stable")[: offsets[-1]].astype(np.int32)
+    offsets.setflags(write=False)
+    order.setflags(write=False)
+    return ShellIndex(shell=shell, order=order, offsets=offsets)
 
 
 class SpectralField:
@@ -245,25 +282,53 @@ def seminorm(u: SpectralField, j: int) -> float:
     Midpoint quadrature: ``sqrt(h^n * sum_{|xi| <= j} |u(xi)|^2)``, boundary
     nodes included.  For the constant-one field in 1-D the square equals
     ``2 j + h``, so the quadrature gap to the exact integral is exactly h.
+    The value is entry j of `seminorm_profile`.
     """
-    mask = u.grid.ball_mask(j)
-    weight = u.grid.cell_volume * _QUADRATURE_FAULT
-    magnitudes = np.abs(u.values[mask])
-    peak = float(np.max(magnitudes)) if magnitudes.size else 0.0
-    if peak == 0.0:
-        return 0.0
-    if not np.isfinite(peak):
-        return math.inf
-    # rescale by the peak so squares of near-saturation samples cannot
-    # overflow; the seminorm of a saturated field may itself be inf
-    total = np.sum((magnitudes / peak) ** 2)
-    with np.errstate(over="ignore"):
-        return float(peak * np.sqrt(weight * total))
+    j = u.grid.check_ball_index(j)
+    return _ball_seminorms(u, j)[-1]
 
 
 def seminorm_profile(u: SpectralField) -> np.ndarray:
     """All ball seminorms ``(p_1, ..., p_J)``; nondecreasing in j."""
-    return np.array([seminorm(u, j) for j in range(1, u.grid.J + 1)])
+    return np.array(_ball_seminorms(u, u.grid.J))
+
+
+def _ball_seminorms(u: SpectralField, j: int) -> list:
+    """``[p_1(u), ..., p_j(u)]`` from one pass over the nodes of ball j.
+
+    A scaled sum of squares as in LAPACK ``dlassq``: each shell is summed in
+    units of ``4^e`` with ``2^e`` at or above its peak, and the shells are
+    combined in order, the running total kept in units of the largest such
+    scale so far.  Every scale is a power of two, so scaling and rescaling
+    are exact.  Hence no square exceeds 1, a huge sample far out cannot
+    underflow an inner ball, rounding is monotone from one ball to the next
+    (the profile is nondecreasing by construction), and an inf or NaN sample
+    makes its ball and every larger one infinite.
+    """
+    index = u.grid.shells()
+    starts = index.offsets[:j]
+    magnitudes = index.gather(np.abs(u.values), j)
+    peaks = np.maximum.reduceat(magnitudes, starts)
+    exponents = np.clip(np.frexp(peaks)[1], _MIN_SCALE_EXPONENT, None)
+    magnitudes *= np.repeat(np.ldexp(1.0, -exponents), np.diff(index.offsets[: j + 1]))
+    sums = np.add.reduceat(np.square(magnitudes, out=magnitudes), starts)
+    weight = u.grid.cell_volume
+    profile = []
+    top, total = _MIN_SCALE_EXPONENT, 0.0
+    for peak, exponent, shell_total in zip(peaks.tolist(), exponents.tolist(), sums.tolist()):
+        if not peak < math.inf:
+            break
+        if peak > 0.0:
+            if exponent > top:
+                total = math.ldexp(total, 2 * (top - exponent)) + shell_total
+                top = exponent
+            else:
+                total += math.ldexp(shell_total, 2 * (exponent - top))
+        try:
+            profile.append(math.ldexp(math.sqrt(weight * total), top))
+        except OverflowError:  # the seminorm of a saturated field may be inf
+            profile.append(math.inf)
+    return profile + [math.inf] * (j - len(profile))
 
 
 def metric(u: SpectralField, v: SpectralField) -> float:
@@ -329,7 +394,7 @@ def restrict(q: QuotientElement, j: int) -> QuotientElement:
         raise GridError(f"restriction needs 1 <= j <= {q.j}, got {j}")
     inside = np.sum(q.coords**2, axis=1) <= (j * q.inv_h) ** 2
     values = q.values[inside].copy()
-    weight = (1.0 / q.inv_h) ** q.n * _QUADRATURE_FAULT
+    weight = (1.0 / q.inv_h) ** q.n
     norm = float(np.sqrt(weight * np.sum(np.abs(values) ** 2)))
     return QuotientElement(
         n=q.n, inv_h=q.inv_h, j=int(j), coords=q.coords[inside].copy(),
@@ -363,9 +428,17 @@ def saturated_product(log_magnitude, phase, u: SpectralField):
     and its magnitude clamped at ``exp(709)``; such nodes flag the result.
     Because the clamped value depends only on the product's log magnitude
     and phase, any two evolution paths that agree on those agree exactly on
-    saturated nodes.
+    saturated nodes.  When every node is representable, which one bound on
+    the largest factor and the largest sample decides (with a margin of 1
+    for the rounding of the logarithms), the plain product is all there is.
     """
     u_magnitude = np.abs(u.values)
+    factor_log = np.max(log_magnitude)
+    with np.errstate(divide="ignore"):
+        product_log = factor_log + np.log(np.max(u_magnitude))
+    if factor_log <= OVERFLOW_EXPONENT and product_log <= OVERFLOW_EXPONENT - 1.0:
+        values = (np.exp(log_magnitude) * phase) * u.values
+        return SpectralField(u.grid, values, u.overflow), False
     with np.errstate(divide="ignore"):
         log_u = np.where(u_magnitude > 0.0, np.log(u_magnitude), -np.inf)
     total_log = log_magnitude + log_u

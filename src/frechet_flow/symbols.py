@@ -448,7 +448,8 @@ def _eval_node(node: Node, point) -> complex:
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
-        return complex(point[node.axis])
+        value = point[node.axis]
+        return value if isinstance(value, np.ndarray) else complex(value)
     if isinstance(node, Neg):
         return -_eval_node(node.arg, point)
     if isinstance(node, Pow):
@@ -461,7 +462,7 @@ def _eval_node(node: Node, point) -> complex:
         return left - right
     if node.op == "*":
         return left * right
-    if right == 0:
+    if np.any(right == 0):
         raise SymbolError("division by zero")
     return left / right
 

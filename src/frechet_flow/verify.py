@@ -4,8 +4,9 @@ Each suite re-checks the load-bearing identities and inequalities of one
 module on deterministic random data and returns a list of failure
 descriptions (empty means green).  The umbrella runner times the suites,
 honours the FRECHET_FLOW_THREADS cap for concurrent execution, and is the
-surface the injected-fault self-test drives: perturbing the quadrature
-weight must turn the spectral suite red.
+surface the injected-fault self-test drives: a quadrature weight factor
+other than one, passed to the spectral suite's seminorms, must turn that
+suite red.
 """
 
 from __future__ import annotations
@@ -30,8 +31,13 @@ def _grid() -> FrequencyGrid:
     return FrequencyGrid(1, 8, 32)
 
 
-def suite_spectral(rng) -> list[str]:
+def suite_spectral(rng, weight_factor: float = 1.0) -> list[str]:
     failures = []
+
+    def seminorm(u, j):
+        # scaling the quadrature weight by f scales the seminorm by sqrt(f)
+        return math.sqrt(weight_factor) * spectral.seminorm(u, j)
+
     counts = [
         (spectral.make_grid(1, 2, 0.5).node_count, 9),
         (spectral.make_grid(1, 8, 1.0 / 32).node_count, 513),
@@ -385,8 +391,12 @@ def thread_cap() -> int:
         return 1
 
 
-def run_verify(scopes=None, seed: int = DEFAULT_SEED) -> VerifyReport:
-    """Run the selected suites (all by default) and collect results."""
+def run_verify(scopes=None, seed: int = DEFAULT_SEED, weight_factor: float = 1.0) -> VerifyReport:
+    """Run the selected suites (all by default) and collect results.
+
+    ``weight_factor`` multiplies the quadrature weight of the spectral
+    suite's seminorms; any value other than one is an injected fault.
+    """
     names = list(SUITES) if not scopes else list(scopes)
     for name in names:
         if name not in SUITES:
@@ -395,8 +405,9 @@ def run_verify(scopes=None, seed: int = DEFAULT_SEED) -> VerifyReport:
     def run_one(name: str) -> SuiteResult:
         rng = np.random.default_rng(seed)
         start = time.perf_counter()
+        args = (rng, weight_factor) if name == "spectral" else (rng,)
         try:
-            failures = tuple(SUITES[name](rng))
+            failures = tuple(SUITES[name](*args))
         except Exception as error:  # a crash is a failure, not an abort
             failures = (f"exception: {error!r}",)
         return SuiteResult(

@@ -362,6 +362,18 @@ def test_cli_verify_injected_fault_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_weight_factor_reaches_only_its_own_run():
+    from frechet_flow.spectral import ones, seminorm
+    from frechet_flow.verify import run_verify
+
+    grid = FrequencyGrid(1, 8, 32)
+    clean = seminorm(ones(grid), 2)
+    faulted = run_verify(["spectral", "symbols"], weight_factor=1.001)
+    assert [r.passed for r in faulted.results] == [False, True]
+    assert seminorm(ones(grid), 2) == clean
+    assert run_verify(["spectral"]).passed
+
+
 def test_run_config_symbol_spec_label():
     config = RunConfig(symbol_text="xi")
     assert config.symbol_spec() == "xi"

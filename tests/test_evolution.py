@@ -16,6 +16,7 @@ from frechet_flow import (
     generator_residual_bound,
     heat_symbol,
     ones,
+    parse_symbol,
     random_field,
     seminorm,
     seminorm_profile,
@@ -315,3 +316,32 @@ def test_evolve_both_methods_agree(grid, rng):
     for k in range(2):
         residual = seminorm_profile(trajectory.fields[k] - closed.fields[k])
         assert np.all(residual <= diags[k].bounds())
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_times_are_rejected(grid, rng, t):
+    u = random_field(grid, rng)
+    op = MultiplierOperator(heat_symbol(), grid)
+    with pytest.raises(ValueError, match="finite"):
+        exp_multiplier(op, t, u)
+    with pytest.raises(ValueError, match="finite"):
+        exp_series(op, t, u)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(op, [0.5, t], u)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(op, [0.5, t], u, method="series")
+    with pytest.raises(ValueError, match="finite"):
+        generator_residual(op, t, u, 1)
+
+
+@pytest.mark.parametrize("n, text", [(1, "2*pi*i*xi"), (2, "-(1+4*pi^2*(xi1^2+xi2^2))")])
+def test_flows_accept_symbol_text(n, text, rng):
+    grid = FrequencyGrid(n, 3, 4)
+    u = random_field(grid, rng)
+    op = MultiplierOperator(text, grid)
+    polynomial = MultiplierOperator(to_polynomial(parse_symbol(text, n)), grid)
+    closed = exp_multiplier(text, 0.25, u).values
+    assert np.array_equal(closed, exp_multiplier(op, 0.25, u).values)
+    assert np.allclose(closed, exp_multiplier(polynomial, 0.25, u).values, rtol=1e-12, atol=0)
+    series, _ = exp_series(text, 0.25, u)
+    assert np.array_equal(series.values, exp_series(op, 0.25, u)[0].values)

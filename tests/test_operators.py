@@ -12,6 +12,7 @@ from frechet_flow import (
     heat_symbol,
     ones,
     operator_seminorm,
+    parse_symbol,
     random_field,
     seminorm,
     to_polynomial,
@@ -217,3 +218,17 @@ def test_two_dimensional_multiplier(rng):
     for j in (1, 2):
         lhs = seminorm(op.apply(u), j)
         assert lhs <= op.seminorm(j) * seminorm(u, j) * (1 + REL)
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [(1, "2*pi*i*xi"), (1, "-(1+4*pi^2*xi^2)"), (1, "3"), (1, "(xi+1)*(xi-1)/2"),
+     (2, "2*pi*i*xi1"), (2, "-(1+4*pi^2*(xi1^2+xi2^2))"), (2, "3"), (2, "xi1*xi2^3")],
+)
+def test_text_and_expression_symbols_match_the_polynomial_path(n, text):
+    grid = FrequencyGrid(n, 4, 4)
+    expected = MultiplierOperator(to_polynomial(parse_symbol(text, n)), grid).values
+    for symbol in (text, parse_symbol(text, n)):
+        values = MultiplierOperator(symbol, grid).values
+        assert values.shape == grid.shape
+        assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))

@@ -22,7 +22,6 @@ from frechet_flow.spectral import (
     SpectralField,
     embed,
     mask_outside,
-    quadrature_fault,
     zero,
 )
 
@@ -209,8 +208,10 @@ def test_separating_family_at_grid_resolution(grid, rng):
 
 
 def test_quadrature_fault_hook_changes_the_seminorm(grid):
+    from frechet_flow.verify import suite_spectral
+
     clean = seminorm(ones(grid), 2)
-    with quadrature_fault(1.001):
-        dirty = seminorm(ones(grid), 2)
-    assert dirty != clean
+    assert suite_spectral(np.random.default_rng(0)) == []
+    failures = suite_spectral(np.random.default_rng(0), weight_factor=1.001)
+    assert any("quadrature of the unit field" in f for f in failures)
     assert seminorm(ones(grid), 2) == clean
