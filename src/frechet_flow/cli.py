@@ -176,17 +176,26 @@ def _function_from_name(name: str):
     raise ConfigError(f"unknown function {name!r}; use gaussian, cubic or poly:c0,c1,...")
 
 
+def _check_finite(value: float, flag: str) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value!r}")
+
+
 def _parse_samples(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise ConfigError(f"samples must look like start:stop:step, got {spec!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"--samples bounds and step must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"bad sample range {spec!r}")
     return np.arange(start, stop + 0.5 * step, step)
 
 
 def cmd_translate(args) -> int:
+    _check_finite(args.t, "--t")
+    _check_finite(args.tol, "--tol")
     phi = _function_from_name(args.function)
     samples = _parse_samples(args.samples)
     out_dir = _ensure_out(args)

@@ -294,41 +294,47 @@ def seminorm_profile(u: SpectralField) -> np.ndarray:
 
 
 def _ball_seminorms(u: SpectralField, j: int) -> list:
-    """``[p_1(u), ..., p_j(u)]`` from one pass over the nodes of ball j.
-
-    A scaled sum of squares as in LAPACK ``dlassq``: each shell is summed in
-    units of ``4^e`` with ``2^e`` at or above its peak, and the shells are
-    combined in order, the running total kept in units of the largest such
-    scale so far.  Every scale is a power of two, so scaling and rescaling
-    are exact.  Hence no square exceeds 1, a huge sample far out cannot
-    underflow an inner ball, rounding is monotone from one ball to the next
-    (the profile is nondecreasing by construction), and an inf or NaN sample
-    makes its ball and every larger one infinite.
-    """
+    """``[p_1(u), ..., p_j(u)]`` from one pass over the nodes of ball j."""
     index = u.grid.shells()
-    starts = index.offsets[:j]
     magnitudes = index.gather(np.abs(u.values), j)
+    return _cumulative_norms(magnitudes, index.offsets[: j + 1], u.grid.cell_volume)
+
+
+def _cumulative_norms(magnitudes: np.ndarray, offsets: np.ndarray, weight: float) -> list:
+    """``sqrt(weight * sum of squares)`` over the first 1, 2, ... groups.
+
+    Group g is ``magnitudes[offsets[g]:offsets[g + 1]]`` and must not be
+    empty; ``magnitudes`` is overwritten.  A scaled sum of squares as in
+    LAPACK ``dlassq``: each group is summed in units of ``4^e`` with ``2^e``
+    at or above its peak, and the groups are combined in order, the running
+    total kept in units of the largest such scale so far.  Every scale is a
+    power of two, so scaling and rescaling are exact.  Hence no square
+    exceeds 1, a huge sample in a later group cannot underflow an earlier
+    one, rounding is monotone from one group to the next (the norms are
+    nondecreasing by construction), and an inf or NaN sample makes its
+    group's norm and every later one infinite.
+    """
+    starts = offsets[:-1]
     peaks = np.maximum.reduceat(magnitudes, starts)
     exponents = np.clip(np.frexp(peaks)[1], _MIN_SCALE_EXPONENT, None)
-    magnitudes *= np.repeat(np.ldexp(1.0, -exponents), np.diff(index.offsets[: j + 1]))
+    magnitudes *= np.repeat(np.ldexp(1.0, -exponents), np.diff(offsets))
     sums = np.add.reduceat(np.square(magnitudes, out=magnitudes), starts)
-    weight = u.grid.cell_volume
-    profile = []
+    norms = []
     top, total = _MIN_SCALE_EXPONENT, 0.0
-    for peak, exponent, shell_total in zip(peaks.tolist(), exponents.tolist(), sums.tolist()):
+    for peak, exponent, group_total in zip(peaks.tolist(), exponents.tolist(), sums.tolist()):
         if not peak < math.inf:
             break
         if peak > 0.0:
             if exponent > top:
-                total = math.ldexp(total, 2 * (top - exponent)) + shell_total
+                total = math.ldexp(total, 2 * (top - exponent)) + group_total
                 top = exponent
             else:
-                total += math.ldexp(shell_total, 2 * (exponent - top))
+                total += math.ldexp(group_total, 2 * (exponent - top))
         try:
-            profile.append(math.ldexp(math.sqrt(weight * total), top))
+            norms.append(math.ldexp(math.sqrt(weight * total), top))
         except OverflowError:  # the seminorm of a saturated field may be inf
-            profile.append(math.inf)
-    return profile + [math.inf] * (j - len(profile))
+            norms.append(math.inf)
+    return norms + [math.inf] * (starts.size - len(norms))
 
 
 def metric(u: SpectralField, v: SpectralField) -> float:
@@ -388,14 +394,17 @@ def restrict(q: QuotientElement, j: int) -> QuotientElement:
     """Restriction map from the ball-``q.j`` quotient to ball j <= q.j.
 
     Samples are copied bitwise, so restriction composes exactly with
-    projection: ``restrict(project(u, j+1), j) == project(u, j)``.
+    projection: ``restrict(project(u, j+1), j) == project(u, j)``.  The
+    norm is a power-of-two-scaled sum of squares, finite wherever the
+    seminorm is, and within a few ulp of ``project(u, j).norm`` (the sum
+    runs in node order rather than shell by shell).
     """
     if not 1 <= j <= q.j:
         raise GridError(f"restriction needs 1 <= j <= {q.j}, got {j}")
     inside = np.sum(q.coords**2, axis=1) <= (j * q.inv_h) ** 2
     values = q.values[inside].copy()
     weight = (1.0 / q.inv_h) ** q.n
-    norm = float(np.sqrt(weight * np.sum(np.abs(values) ** 2)))
+    norm = _cumulative_norms(np.abs(values), np.array([0, values.size]), weight)[0]
     return QuotientElement(
         n=q.n, inv_h=q.inv_h, j=int(j), coords=q.coords[inside].copy(),
         values=values, norm=norm,
@@ -447,7 +456,8 @@ def saturated_product(log_magnitude, phase, u: SpectralField):
     u_phase = np.where(u_magnitude > 0.0, np.exp(1j * np.angle(u.values)), 0.0)
     values = np.exp(np.minimum(total_log, OVERFLOW_EXPONENT)) * phase * u_phase
     factor = np.exp(np.where(direct_ok, log_magnitude, 0.0)) * phase
-    values[direct_ok] = (factor * u.values)[direct_ok]
+    with np.errstate(invalid="ignore"):  # inf samples off direct_ok give NaN
+        values[direct_ok] = (factor * u.values)[direct_ok]
     saturated = total_log > OVERFLOW_EXPONENT
     flagged = bool(np.any(saturated))
     return SpectralField(u.grid, values, u.overflow or flagged), flagged

@@ -335,6 +335,28 @@ def test_cli_translate(tmp_path, capsys):
     assert max(errors) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--t", "inf"], "--t"),
+        (["--t", "nan"], "--t"),
+        (["--t=-inf"], "--t"),
+        (["--t", "0.5", "--tol", "inf"], "--tol"),
+        (["--t", "0.5", "--tol", "nan"], "--tol"),
+        (["--t", "0.5", "--tol=-inf"], "--tol"),
+        (["--t", "0.5", "--samples=0:nan:0.5"], "--samples"),
+        (["--t", "0.5", "--samples=-inf:1:0.5"], "--samples"),
+        (["--t", "0.5", "--samples=0:inf:0.5"], "--samples"),
+        (["--t", "0.5", "--samples=0:1:inf"], "--samples"),
+    ],
+)
+def test_cli_translate_rejects_non_finite_input(tmp_path, capsys, extra, flag):
+    assert main(["translate", *extra, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert flag in err[0] and "finite" in err[0]
+
+
 def test_cli_seminorms(tmp_path, capsys):
     code = main(
         ["seminorms", "--n", "1", "--J", "4", "--inv-h", "8",

@@ -144,6 +144,23 @@ def test_restriction_of_projection_is_bitwise_in_2d(rng):
         assert direct.norm == seminorm(u, j)
 
 
+def test_restriction_norm_matches_the_projection_norm(rng):
+    # one 1e200 sample at |xi| = 1.5: an unscaled sum of squares overflows
+    grid = FrequencyGrid(1, 4, 4)
+    values = np.ones(grid.shape, dtype=complex)
+    values[grid.nearest_node(1.5)] = 1e200
+    fields = [SpectralField(grid, values)]
+    for g in (FrequencyGrid(1, 8, 3), FrequencyGrid(2, 5, 3)):
+        fields += [random_field(g, rng), SpectralField(g, 1e180 * random_field(g, rng).values)]
+    for u in fields:
+        for j in range(1, u.grid.J):
+            direct = project(u, j).norm
+            via = restrict(project(u, j + 1), j).norm
+            assert math.isfinite(via)
+            assert abs(via - direct) <= 4 * math.ulp(direct)
+    assert restrict(project(fields[0], 3), 2).norm == pytest.approx(5e199, rel=1e-15)
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=repr)
 def test_operator_profile_and_stage_growth_equal_the_masked_max(grid):
     if grid.n == 1:

@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from frechet_flow import (
@@ -12,6 +13,7 @@ from frechet_flow import (
     translate_detailed,
 )
 from frechet_flow.translation import (
+    TABLE_BLOCK_ENTRIES,
     CertificateError,
     fast_growth,
     poly_times_gaussian,
@@ -19,6 +21,35 @@ from frechet_flow.translation import (
 )
 
 CUBIC = [0.0, 0.0, 0.0, 1.0]
+EPS = np.finfo(float).eps
+
+
+def lacunary_terms(max_order):
+    """The frequencies k and weights ``W[n, k] = e^-k k^{4n}`` (0 past e^700)."""
+    ks = np.arange(1.0, max(64.0, 8.0 * (max_order + 1)))
+    log_terms = -ks + 4.0 * np.arange(max_order + 1)[:, None] * np.log(ks)
+    return ks, np.exp(np.where(log_terms <= 700.0, log_terms, -np.inf))
+
+
+def lacunary_loop_table(x, max_order):
+    """Reference: one ``np.cos`` per (order, frequency) pair, summed in k order."""
+    out = np.zeros((max_order + 1, x.size))
+    ks = np.arange(1.0, max(64.0, 8.0 * (max_order + 1)))
+    log_k = np.log(ks)
+    for n in range(max_order + 1):
+        log_terms = -ks + 4.0 * n * log_k
+        keep = log_terms <= 700.0
+        for k, lt in zip(ks[keep], log_terms[keep]):
+            out[n] += math.exp(lt) * np.cos(k**4 * x + n * math.pi / 2.0)
+    return out
+
+
+def argument_rounding_scale(x, max_order):
+    """``sum_k W[n, k] (k^4 |x| + n pi/2 + 1)``: eps times this bounds the
+    rounding of each table entry, dominated by that of the argument k^4 x."""
+    ks, weights = lacunary_terms(max_order)
+    offsets = np.arange(max_order + 1) * math.pi / 2.0 + 1.0
+    return weights @ np.multiply.outer(ks**4, np.abs(x)) + (weights.sum(axis=1) * offsets)[:, None]
 
 
 def hermite_sups_oracle(m, j, max_order, points=801):
@@ -98,6 +129,58 @@ def test_fast_growth_certificate_fails():
     assert cert.failed
     with pytest.raises(CertificateError):
         translate(fast_growth(), 0.5, 0.0)
+
+
+def test_fast_growth_table_matches_the_per_term_loop():
+    x = np.random.default_rng(2024).uniform(-2.0, 2.0, 64)
+    new = fast_growth().table(x, 40)
+    ref = lacunary_loop_table(x, 40)
+    assert np.all(np.abs(new - ref) <= 2 * EPS * argument_rounding_scale(x, 40))
+
+
+def test_fast_growth_table_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.array([-1.9, -0.37, 0.0, 0.5, 1.25, 25.0])  # 25: past 2^35 turns
+    orders = [0, 1, 5, 17, 40]
+    table = fast_growth().table(x, 40)
+    scale = argument_rounding_scale(x, 40)
+    ks, weights = lacunary_terms(40)
+    with mpmath.workdps(60):
+        half_pi = mpmath.pi / 2
+        for n in orders:
+            kept = [int(k) for k, w in zip(ks, weights[n]) if w > 0.0]
+            for col, point in enumerate(x):
+                xp = mpmath.mpf(float(point))  # the double itself, exactly
+                exact = mpmath.fsum(
+                    mpmath.exp(-k + 4 * n * mpmath.log(k)) * mpmath.cos(k**4 * xp + n * half_pi)
+                    for k in kept
+                )
+                assert abs(table[n, col] - float(exact)) <= 2 * EPS * scale[n, col]
+
+
+def test_fast_growth_table_is_independent_of_the_column_blocks():
+    ks, weights = lacunary_terms(40)
+    width = TABLE_BLOCK_ENTRIES // ks.size
+    x = np.random.default_rng(7).uniform(-2.0, 2.0, 3 * width + 5)
+    whole = fast_growth().table(x, 40)
+    tolerance = 8 * EPS * weights.sum(axis=1)[:, None]
+    for size in (1, width, width + 1):
+        part = fast_growth().table(x[:size], 40)
+        assert np.all(np.abs(part - whole[:, :size]) <= tolerance)
+
+
+@pytest.mark.parametrize(
+    "j, conventional_m, reference_ratio",
+    # the per-term loop (`lacunary_loop_table`) gives these ratios, and
+    # minimal_m None; rerunning it takes several seconds
+    [(1, 2, 2.710543175913211e272), (2, 4, 2.4652246574196475e260)],
+)
+def test_fast_growth_certificate_matches_the_loop(j, conventional_m, reference_ratio):
+    cert = certify_membership(fast_growth(), 0, j, 40)
+    assert cert.failed
+    assert cert.conventional_m == conventional_m
+    assert not cert.conventional_passes
+    assert cert.conventional_ratio == pytest.approx(reference_ratio, rel=1e-6)
 
 
 def test_translate_time_zero_is_one_term():
