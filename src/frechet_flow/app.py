@@ -50,8 +50,11 @@ def heat_scan(ts, Ms, Rs, quad_step: float = 1.0 / 64.0) -> list[HeatScanRow]:
     Midpoint quadrature with a fixed global step, so rows at increasing R
     are nested and the values are nondecreasing in R.  Rows whose integrand
     exceeds the overflow limit anywhere saturate at that limit and are
-    flagged rather than returned as infinities.
+    flagged rather than returned as infinities.  Times must be finite.
     """
+    ts = [float(t) for t in ts]
+    if not all(map(math.isfinite, ts)):
+        raise ValueError(f"times must be finite, got {ts!r}")
     Rs = sorted(float(R) for R in Rs)
     if not Rs:
         raise ValueError("at least one truncation radius is required")
@@ -141,35 +144,36 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
     times = tuple(sorted(set(float(t) for t in config.times)))
 
     methods = ("multiplier", "series") if config.method == "both" else (config.method,)
+    # Each time's fields are dropped once its profiles are taken, unless a
+    # field output needs them (the last method's field, written below).
+    keep_fields = out_dir is not None and bool(
+        {"fl2l", "field-csv"} & set(config.formats)
+    )
     profiles: dict = {name: [] for name in methods}
-    fields: dict = {name: [] for name in methods}
+    kept_fields: list = []
     diagnostics: list = []
+    residual_profiles = [] if config.method == "both" else None
+    residuals_certified = True
     overflow = False
     for t in times:
+        evolved = {}
         if "multiplier" in methods:
-            evolved = exp_multiplier(op, t, u0)
-            fields["multiplier"].append(evolved)
-            profiles["multiplier"].append(seminorm_profile(evolved))
-            overflow = overflow or evolved.overflow
+            evolved["multiplier"] = exp_multiplier(op, t, u0)
         if "series" in methods:
-            evolved, diag = exp_series(op, t, u0, config.tol)
-            fields["series"].append(evolved)
-            profiles["series"].append(seminorm_profile(evolved))
+            evolved["series"], diag = exp_series(op, t, u0, config.tol)
             diagnostics.append(diag)
-            overflow = overflow or evolved.overflow
+        for name, field in evolved.items():
+            profiles[name].append(seminorm_profile(field))
+            overflow = overflow or field.overflow
+        if residual_profiles is not None:
+            residual = seminorm_profile(evolved["series"] - evolved["multiplier"])
+            residual_profiles.append(residual)
+            if not np.all(residual <= diag.bounds()):
+                residuals_certified = False
+        if keep_fields:
+            kept_fields.append(evolved[methods[-1]])
     if "series" not in methods:
         diagnostics = [None] * len(times)
-
-    residual_profiles = None
-    residuals_certified = True
-    if config.method == "both":
-        residual_profiles = []
-        for k, t in enumerate(times):
-            residual = seminorm_profile(fields["series"][k] - fields["multiplier"][k])
-            residual_profiles.append(residual)
-            bounds = diagnostics[k].bounds()
-            if not np.all(residual <= bounds):
-                residuals_certified = False
 
     initial_profile = seminorm_profile(u0)
     backward_gain_ok = True
@@ -216,18 +220,16 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
                              f"{bounds[j - 1]:.17g}"]
                         )
             files.append(residual_path)
-        if "fl2l" in config.formats or "field-csv" in config.formats:
-            method = methods[-1]
-            for k, t in enumerate(times):
-                stem = f"field_t{k:03d}"
-                if "fl2l" in config.formats:
-                    path = os.path.join(out_dir, stem + ".fl2l")
-                    write_field(path, fields[method][k])
-                    files.append(path)
-                if "field-csv" in config.formats:
-                    path = os.path.join(out_dir, stem + ".csv")
-                    field_to_csv(path, fields[method][k])
-                    files.append(path)
+        for k, field in enumerate(kept_fields):
+            stem = f"field_t{k:03d}"
+            if "fl2l" in config.formats:
+                path = os.path.join(out_dir, stem + ".fl2l")
+                write_field(path, field)
+                files.append(path)
+            if "field-csv" in config.formats:
+                path = os.path.join(out_dir, stem + ".csv")
+                field_to_csv(path, field)
+                files.append(path)
         metadata_path = os.path.join(out_dir, "run_metadata.txt")
         with open(metadata_path, "w") as handle:
             handle.write(format_metadata(config, times, diagnostics, overflow,

@@ -81,6 +81,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_heat_demo(args) -> int:
+    for t in args.t:
+        _check_finite(t, "--t")
     out_dir = _ensure_out(args)
     rows = app.heat_scan(args.t, args.M, args.R)
     csv_path = os.path.join(out_dir, "heat_scan.csv")
@@ -143,6 +145,7 @@ def cmd_check_eprime(args) -> int:
 
 
 def cmd_check_l2(args) -> int:
+    _check_finite(args.t, "--t")
     poly = _symbol_from_args(args)
     decision = invariance.decide_l2(poly, args.t)
     out_dir = _ensure_out(args)

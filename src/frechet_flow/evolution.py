@@ -23,6 +23,13 @@ Two independent constructions are provided and cross-checked everywhere:
   neutral evolution the bound stays below the requested tolerance; for
   expanding evolution it carries the genuine exponential amplification (and
   may be infinite), which is reported honestly rather than hidden.
+
+Both flow factors are functions of the symbol value alone, so both kernels
+run once per distinct symbol value (the operator's level table,
+`MultiplierOperator.levels`), not once per grid node; `saturated_product`
+gathers the factors onto the nodes.  Each value is the same elementwise
+operation on the same input bits, so the results are bitwise those of a
+per-node evaluation.
 """
 
 from __future__ import annotations
@@ -115,9 +122,13 @@ def exp_multiplier(symbol, t: float, u: SpectralField) -> SpectralField:
     op = as_multiplier(symbol, u.grid)
     if t == 0.0:
         return SpectralField(u.grid, u.values, u.overflow)
-    z = t * op.values
-    result, _ = saturated_product(z.real, np.exp(1j * z.imag), u)
-    factor_blown = bool(np.any((z.real > OVERFLOW_EXPONENT) & (np.abs(u.values) > 0)))
+    levels, inverse = op.levels()
+    z = t * levels
+    result, _ = saturated_product(z.real, np.exp(1j * z.imag), u, inverse)
+    blown = z.real > OVERFLOW_EXPONENT
+    factor_blown = bool(np.any(blown)) and bool(
+        np.any(blown[inverse] & (np.abs(u.values) > 0))
+    )
     if factor_blown and not result.overflow:
         result = SpectralField(u.grid, result.values, True)
     return result
@@ -224,8 +235,11 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
 
     # One truncated Taylor stage at t/stages, evaluated by Horner.  For a
     # multiplier the iterated application u_n = (t'/n) A u_{n-1} acts
-    # nodewise, so the stage is the scalar polynomial of t' a(xi).
-    x = (t / stages) * op.values
+    # nodewise, so the stage is the scalar polynomial of t' a(xi): it is
+    # evaluated once per distinct symbol value and gathered onto the nodes
+    # by `saturated_product`.
+    levels, inverse = op.levels()
+    x = (t / stages) * levels
     acc = np.ones_like(x)
     for n in range(terms, 0, -1):
         acc = 1.0 + acc * (x / n)
@@ -239,7 +253,7 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
     phase = np.where(magnitude > 0.0, acc / np.where(magnitude > 0.0, magnitude, 1.0), 1.0)
     for _ in range(s):
         phase = phase * phase
-    result, _ = saturated_product(log_magnitude * stages, phase, u)
+    result, _ = saturated_product(log_magnitude * stages, phase, u, inverse)
     overflow = result.overflow
 
     growths = _stage_growth(op, t / stages)

@@ -211,6 +211,8 @@ def decide_l2(symbol, t: float = 1.0, method: str = "auto") -> L2Decision:
     dimension, sampled on dyadic spheres otherwise (``method="sampled"``
     forces the probe path in one dimension too, for cross-validation).
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("the invariance criterion is stated for t >= 0")
     poly = _as_poly(symbol)

@@ -30,7 +30,8 @@ class MultiplierOperator:
     """Action of a symbol ``a`` as nodewise multiplication on fields.
 
     Symbol values are evaluated once per grid and cached; the operator is
-    immutable afterwards.
+    immutable afterwards.  Per-ball quantities and the level table of
+    distinct values (`levels`) are built on first use, never here.
     """
 
     def __init__(self, symbol, grid: FrequencyGrid, label: str | None = None):
@@ -64,6 +65,7 @@ class MultiplierOperator:
         self.label = label
         self._seminorm_profile = None
         self._real_part_range = None
+        self._levels = None
 
     @classmethod
     def from_values(cls, grid: FrequencyGrid, values, label: str | None = None):
@@ -79,6 +81,7 @@ class MultiplierOperator:
         op.label = label
         op._seminorm_profile = None
         op._real_part_range = None
+        op._levels = None
         return op
 
     def apply(self, u: SpectralField) -> SpectralField:
@@ -109,6 +112,22 @@ class MultiplierOperator:
             )
         return self._real_part_range
 
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bitwise-distinct symbol values and each node's index into them.
+
+        Returns ``(levels, inverse)``, computed once (read-only): ``levels``
+        holds the distinct values in order of first appearance in row-major
+        node order (a hash collision may list one twice, never merge two),
+        and the grid-shaped int32 ``inverse`` satisfies
+        ``levels[inverse] == values`` bitwise.  A function of the symbol
+        value alone, such as the flow factor ``e^{t a}``, can then be
+        evaluated once per level and gathered.  The table costs 4 bytes per
+        node plus 16 per level.
+        """
+        if self._levels is None:
+            self._levels = _level_table(self.values)
+        return self._levels
+
     def seminorm_argmax(self, j: int) -> tuple[int, ...]:
         """Index of a node attaining the ball-j operator seminorm."""
         mask = self.grid.ball_mask(j)
@@ -131,6 +150,44 @@ class MultiplierOperator:
 def _frozen(values: np.ndarray) -> np.ndarray:
     values.setflags(write=False)
     return values
+
+
+# Odd, so multiplication by it permutes uint64.  The key
+# ``real ^ rotate(imag * _KEY_MULTIPLIER, 32)`` is therefore injective
+# whenever either part of the symbol is constant (a real or an imaginary
+# symbol); the rotation keeps ``a`` and ``-a`` apart (without it their sign
+# bits cancel).
+_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_HALF_WORD = np.uint64(32)
+
+
+def _level_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(levels, inverse)`` of `MultiplierOperator.levels`.
+
+    One uint64 key mixed from the real and imaginary bit patterns is sorted;
+    adjacent entries then form one level when all their bits agree.  The
+    grouping compares bits, never keys, so a key collision can only split a
+    level (every part carries the same value) and never merges two values;
+    +0.0 and -0.0 stay apart.
+    """
+    bits = values.reshape(-1).view(np.uint64).reshape(-1, 2)
+    real_bits, imag_bits = bits[:, 0], bits[:, 1]
+    mixed = imag_bits * _KEY_MULTIPLIER
+    mixed = (mixed << _HALF_WORD) | (mixed >> _HALF_WORD)
+    order = np.argsort(real_bits ^ mixed)
+    real_bits, imag_bits = real_bits[order], imag_bits[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (real_bits[1:] != real_bits[:-1]) | (imag_bits[1:] != imag_bits[:-1])
+    # every node of a level gets the level's label; the labels count the
+    # levels in order of their first node
+    group = np.cumsum(starts, dtype=np.int32) - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    rank = np.argsort(first)
+    label = np.empty(rank.size, dtype=np.int32)
+    label[rank] = np.arange(rank.size, dtype=np.int32)
+    inverse = np.empty(order.size, dtype=np.int32)
+    inverse[order] = label[group]
+    return _frozen(values.reshape(-1)[first[rank]]), _frozen(inverse.reshape(values.shape))
 
 
 def _expr_on_grid(expr: SymbolExpr, grid: FrequencyGrid) -> np.ndarray:

@@ -428,12 +428,17 @@ def mask_outside(u: SpectralField, j: int) -> SpectralField:
     return SpectralField(u.grid, np.where(mask, 0.0, u.values), u.overflow)
 
 
-def saturated_product(log_magnitude, phase, u: SpectralField):
+def saturated_product(log_magnitude, phase, u: SpectralField, inverse):
     """Multiply ``exp(log_magnitude) * phase`` onto a field, saturating.
 
-    Wherever the factor and product magnitudes are both representable the
-    plain product is used (so a factor of exactly one is the identity,
-    bitwise).  Elsewhere the value is assembled in log-magnitude/phase form
+    The evolution kernels run once per distinct symbol value, so the factor
+    arrives per level: ``log_magnitude`` and ``phase`` are flat arrays over
+    the levels, and the grid-shaped ``inverse`` names each node's level (see
+    `MultiplierOperator.levels`); node k takes the factor of level
+    ``inverse[k]``, gathered here.  Wherever the factor and product
+    magnitudes are both representable the plain product is used (so a
+    factor of exactly one is the identity, bitwise), its factor formed once
+    per level.  Elsewhere the value is assembled in log-magnitude/phase form
     and its magnitude clamped at ``exp(709)``; such nodes flag the result.
     Because the clamped value depends only on the product's log magnitude
     and phase, any two evolution paths that agree on those agree exactly on
@@ -446,18 +451,20 @@ def saturated_product(log_magnitude, phase, u: SpectralField):
     with np.errstate(divide="ignore"):
         product_log = factor_log + np.log(np.max(u_magnitude))
     if factor_log <= OVERFLOW_EXPONENT and product_log <= OVERFLOW_EXPONENT - 1.0:
-        values = (np.exp(log_magnitude) * phase) * u.values
+        values = (np.exp(log_magnitude) * phase)[inverse] * u.values
         return SpectralField(u.grid, values, u.overflow), False
+    # levels whose factor overflows are used by no direct node
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(log_magnitude) * phase
+    log_magnitude = log_magnitude[inverse]
     with np.errstate(divide="ignore"):
         log_u = np.where(u_magnitude > 0.0, np.log(u_magnitude), -np.inf)
     total_log = log_magnitude + log_u
     direct_ok = (log_magnitude <= OVERFLOW_EXPONENT) & (total_log <= OVERFLOW_EXPONENT)
     # phase extraction via angle: robust down to subnormal samples
     u_phase = np.where(u_magnitude > 0.0, np.exp(1j * np.angle(u.values)), 0.0)
-    values = np.exp(np.minimum(total_log, OVERFLOW_EXPONENT)) * phase * u_phase
-    factor = np.exp(np.where(direct_ok, log_magnitude, 0.0)) * phase
-    with np.errstate(invalid="ignore"):  # inf samples off direct_ok give NaN
-        values[direct_ok] = (factor * u.values)[direct_ok]
+    values = np.exp(np.minimum(total_log, OVERFLOW_EXPONENT)) * phase[inverse] * u_phase
+    values[direct_ok] = factor[inverse[direct_ok]] * u.values[direct_ok]
     saturated = total_log > OVERFLOW_EXPONENT
     flagged = bool(np.any(saturated))
     return SpectralField(u.grid, values, u.overflow or flagged), flagged

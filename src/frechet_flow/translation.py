@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .evolution import scalar_tail_log
+from .spectral import NODE_BUDGET
 
 RATIO_CAP = 10.0
 LADDER_TOP = 1 << 20
@@ -227,11 +228,19 @@ def certify_membership(
     Computes ``s_n = sup_{|x|<=j} |f^(n+m)(x)|`` for n up to ``max_order``,
     then the smallest ladder value M with ``max_n s_n / M^n <= ratio_cap``,
     refined to the minimal integer.  The conventional Gaussian constant
-    ``M = 2j`` is evaluated and reported alongside.
+    ``M = 2j`` is evaluated and reported alongside.  A derivative table of
+    more than ``NODE_BUDGET`` entries (samples times orders) is refused
+    before anything is allocated.
     """
     if max_order < 1:
         raise ValueError("the audit needs max_order >= 1")
     count = max(2, int(round(2 * j / step)) + 1)
+    entries = count * (max_order + m + 1)
+    if entries > NODE_BUDGET:
+        raise ValueError(
+            f"the audit of [-{j}, {j}] at step {step:g} up to order {max_order + m} "
+            f"needs a table of {entries} entries, above the budget {NODE_BUDGET}"
+        )
     xs = np.linspace(-float(j), float(j), count)
     full = phi.table(xs, max_order + m)
     sups = np.max(np.abs(full[m : m + max_order + 1]), axis=1)

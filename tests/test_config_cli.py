@@ -245,6 +245,12 @@ def test_heat_scan_monotone_in_weight():
     assert values[0] < values[1] < values[2]
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_heat_scan_rejects_non_finite_times(t):
+    with pytest.raises(ValueError, match="finite"):
+        heat_scan([0.1, t], [0], [1, 2])
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -322,6 +328,16 @@ def test_cli_check_l2_flags_one_sided_discrepancy(tmp_path, capsys):
     assert "odd-degree" in out
 
 
+@pytest.mark.parametrize("command", [["check-l2", "--symbol=-(1+4*pi^2*xi^2)"], ["heat-demo"]])
+@pytest.mark.parametrize("t", ["inf", "nan", "-inf"])
+def test_cli_non_finite_time_exits_2(tmp_path, capsys, command, t):
+    assert main([*command, f"--t={t}", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "--t" in err[0] and "finite" in err[0]
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_translate(tmp_path, capsys):
     code = main(
         ["translate", "--function", "gaussian", "--t", "0.5",
@@ -355,6 +371,13 @@ def test_cli_translate_rejects_non_finite_input(tmp_path, capsys, extra, flag):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert flag in err[0] and "finite" in err[0]
+
+
+def test_cli_translate_refuses_an_oversized_sup_grid(tmp_path, capsys):
+    assert main(["translate", "--t", "1e4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "budget" in err[0]
 
 
 def test_cli_seminorms(tmp_path, capsys):

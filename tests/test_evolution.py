@@ -27,6 +27,7 @@ from frechet_flow import (
     verify_quotient_diagrams,
 )
 from frechet_flow.evolution import SeriesTruncationError, choose_terms, scalar_tail
+from frechet_flow.spectral import OVERFLOW_EXPONENT, saturated_product
 
 PI = math.pi
 
@@ -345,3 +346,70 @@ def test_flows_accept_symbol_text(n, text, rng):
     assert np.allclose(closed, exp_multiplier(polynomial, 0.25, u).values, rtol=1e-12, atol=0)
     series, _ = exp_series(text, 0.25, u)
     assert np.array_equal(series.values, exp_series(op, 0.25, u)[0].values)
+
+
+# ---------------------------------------------------------------------------
+# flow factors evaluated once per distinct symbol value
+
+
+def node_inverse(grid):
+    """Level index of a factor given node by node: node k is level k."""
+    return np.arange(grid.node_count).reshape(grid.shape)
+
+
+def exp_multiplier_on_nodes(op, t, u):
+    """Reference closed form: the factor formed at every grid node."""
+    z = (t * op.values).ravel()
+    result, _ = saturated_product(z.real, np.exp(1j * z.imag), u, node_inverse(u.grid))
+    blown = (z.real > OVERFLOW_EXPONENT).reshape(u.grid.shape) & (np.abs(u.values) > 0)
+    return result.values, result.overflow or bool(np.any(blown))
+
+
+def exp_series_on_nodes(op, t, u, stages, terms):
+    """Reference staged series: Horner, log/phase split and squarings at every node."""
+    x = ((t / stages) * op.values).ravel()
+    acc = np.ones_like(x)
+    for n in range(terms, 0, -1):
+        acc = 1.0 + acc * (x / n)
+    magnitude = np.abs(acc)
+    with np.errstate(divide="ignore"):
+        log_magnitude = np.where(magnitude > 0.0, np.log(magnitude), -np.inf)
+    phase = np.where(magnitude > 0.0, acc / np.where(magnitude > 0.0, magnitude, 1.0), 1.0)
+    for _ in range(stages.bit_length() - 1):
+        phase = phase * phase
+    result, _ = saturated_product(log_magnitude * stages, phase, u, node_inverse(u.grid))
+    return result.values, result.overflow
+
+
+FLOW_SYMBOLS = [
+    (1, "-(1+4*pi^2*xi^2)"),
+    (1, "2*pi*i*xi"),
+    (1, "-(1+xi^2) + i*(xi + 0.37*xi^3)"),
+    (2, "-(1+4*pi^2*(xi1^2+xi2^2))"),
+    (2, "2*pi*i*xi1"),
+    (2, "-(1+xi1^2+3*xi2^2) + i*(xi1 + 0.37*xi2^3)"),
+]
+
+
+@pytest.mark.parametrize("n, text", FLOW_SYMBOLS)
+@pytest.mark.parametrize("t", [0.05, 1.0, -0.01, -1.0])
+def test_level_kernels_match_the_per_node_reference_bitwise(n, text, t, rng):
+    grid = FrequencyGrid(n, 8, 8) if n == 1 else FrequencyGrid(2, 3, 8)
+    op = MultiplierOperator(to_polynomial(parse_symbol(text, n)), grid)
+    u = random_field(grid, rng)
+    closed = exp_multiplier(op, t, u)
+    expected, flagged = exp_multiplier_on_nodes(op, t, u)
+    assert np.array_equal(closed.values.view(np.uint64), expected.view(np.uint64))
+    assert closed.overflow == flagged
+    series, diagnostics = exp_series(op, t, u)
+    expected, flagged = exp_series_on_nodes(op, t, u, diagnostics.stages, diagnostics.terms)
+    assert np.array_equal(series.values.view(np.uint64), expected.view(np.uint64))
+    assert series.overflow == flagged
+
+
+def test_backward_heat_reference_case_saturates():
+    # the parametrised kernels above include saturating backward times
+    grid = FrequencyGrid(1, 8, 8)
+    op = MultiplierOperator(heat_symbol(), grid)
+    assert exp_multiplier(op, -1.0, ones(grid)).overflow
+    assert exp_series(op, -1.0, ones(grid))[0].overflow

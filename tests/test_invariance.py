@@ -141,6 +141,12 @@ def test_negative_time_rejected():
         decide_l2(heat_symbol(), -1.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_time_rejected(t):
+    with pytest.raises(ValueError, match="finite"):
+        decide_l2(heat_symbol(), t)
+
+
 def test_exact_agrees_with_sampled_on_random_corpus(rng):
     for _ in range(50):
         poly = random_polynomial_symbol(rng)

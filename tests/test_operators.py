@@ -232,3 +232,91 @@ def test_text_and_expression_symbols_match_the_polynomial_path(n, text):
         values = MultiplierOperator(symbol, grid).values
         assert values.shape == grid.shape
         assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+# ---------------------------------------------------------------------------
+# level table of distinct symbol values
+
+NO_REPEAT_2D = "-(1+xi1^2+3*xi2^2) + i*(xi1 + 0.37*xi2^3)"
+
+
+def bits(values):
+    """Bit patterns of complex samples, two uint64 words per value."""
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.uint64)
+
+
+def first_appearances(values):
+    """Reference level table: one pass in node order, keyed by bit pattern."""
+    flat = np.ravel(values)
+    pairs = bits(flat).reshape(-1, 2)
+    label = {}
+    inverse = [label.setdefault((int(re), int(im)), len(label)) for re, im in pairs]
+    firsts = {}
+    for node, level in enumerate(inverse):
+        firsts.setdefault(level, node)
+    return flat[[firsts[k] for k in range(len(label))]], np.reshape(inverse, np.shape(values))
+
+
+def test_levels_round_trip_by_bit_pattern_and_keep_signed_zeros_apart():
+    grid = FrequencyGrid(1, 3, 2)
+    zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
+    values = np.array(zeros + [1.5, 0.0, -0.0, 1.5, 2 - 1j] + zeros, dtype=complex)
+    op = MultiplierOperator.from_values(grid, values)
+    levels, inverse = op.levels()
+    assert inverse.dtype == np.int32 and inverse.shape == grid.shape
+    assert np.array_equal(bits(levels[inverse]), bits(values))
+    expected_levels, expected_inverse = first_appearances(values)
+    assert np.array_equal(bits(levels), bits(expected_levels))
+    assert np.array_equal(inverse, expected_inverse)
+    assert levels.size == 6  # four signed zeros, 1.5 and 2 - i
+
+
+@pytest.mark.parametrize("n, text", [(1, "-(1+4*pi^2*xi^2)"), (1, "2*pi*i*xi"),
+                                     (2, "-(1+4*pi^2*(xi1^2+xi2^2))"), (2, "2*pi*i*xi1")])
+def test_levels_match_the_reference_table(n, text):
+    grid = FrequencyGrid(n, 4, 8)
+    op = MultiplierOperator(to_polynomial(parse_symbol(text, n)), grid)
+    levels, inverse = op.levels()
+    expected_levels, expected_inverse = first_appearances(op.values)
+    assert np.array_equal(bits(levels), bits(expected_levels))
+    assert np.array_equal(inverse, expected_inverse)
+
+
+def test_levels_of_a_symbol_without_repeated_values():
+    grid = FrequencyGrid(2, 4, 8)
+    op = MultiplierOperator(NO_REPEAT_2D, grid)
+    levels, inverse = op.levels()
+    assert levels.size == grid.node_count
+    assert np.array_equal(inverse.ravel(), np.arange(grid.node_count))
+    assert np.array_equal(bits(levels), bits(op.values.ravel()))
+
+
+def test_key_collisions_split_levels_but_never_merge_values():
+    from frechet_flow.operators import _KEY_MULTIPLIER
+
+    def key(real_bits, imag_bits):
+        mixed = (imag_bits * int(_KEY_MULTIPLIER)) % 2**64
+        return real_bits ^ ((mixed << 32 | mixed >> 32) % 2**64)
+
+    # two different values with one key, interleaved over the nodes
+    first = complex(1.25, 3.0)
+    a_real, a_imag = (int(w) for w in bits(first))
+    b_imag = int(bits(complex(0.0, -7.5))[1])
+    b_real = key(a_real, a_imag) ^ key(0, b_imag)
+    second = np.array([b_real, b_imag], dtype=np.uint64).view(np.complex128)[0]
+    assert key(b_real, b_imag) == key(a_real, a_imag) and bits(second)[0] != a_real
+    grid = FrequencyGrid(1, 2, 2)
+    values = np.array([first, second] * 4 + [first], dtype=complex)
+    levels, inverse = MultiplierOperator.from_values(grid, values).levels()
+    assert np.array_equal(bits(levels[inverse]), bits(values))
+    assert levels.size >= 2
+
+
+def test_constructor_leaves_the_level_table_unbuilt(grid):
+    op = MultiplierOperator(heat_symbol(), grid)
+    assert op._levels is None
+    assert MultiplierOperator.from_values(grid, op.values)._levels is None
+    assert op.power(2)._levels is None
+    table = op.levels()
+    assert op.levels() is table
+    assert not table[0].flags.writeable and not table[1].flags.writeable

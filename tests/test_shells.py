@@ -180,6 +180,11 @@ def test_operator_profile_and_stage_growth_equal_the_masked_max(grid):
                 assert growth[j - 1] == (math.exp(peak) if peak <= 700.0 else math.inf)
 
 
+def identity_inverse(grid):
+    """Level index of a factor given node by node: node k is level k."""
+    return np.arange(grid.node_count).reshape(grid.shape)
+
+
 def full_path(log_magnitude, phase, u):
     """`saturated_product` on u, forced through its saturating path.
 
@@ -191,7 +196,10 @@ def full_path(log_magnitude, phase, u):
     log_magnitude[index] = 2 * OVERFLOW_EXPONENT
     values = np.array(u.values)
     values[index] = 1.0
-    result, _ = saturated_product(log_magnitude, phase, SpectralField(u.grid, values))
+    result, _ = saturated_product(
+        log_magnitude.ravel(), np.ravel(phase), SpectralField(u.grid, values),
+        identity_inverse(u.grid),
+    )
     others = np.ones(u.grid.shape, dtype=bool)
     others[index] = False
     return result.values, others
@@ -207,7 +215,9 @@ def test_direct_product_branch_matches_the_full_path_bitwise(n, rng):
         # put the largest total log magnitude at exactly `total`
         peak = np.unravel_index(np.argmax(np.abs(u.values)), grid.shape)
         log_magnitude[peak] = total - np.log(np.abs(u.values[peak]))
-        result, flagged = saturated_product(log_magnitude, phase, u)
+        result, flagged = saturated_product(
+            log_magnitude.ravel(), phase.ravel(), u, identity_inverse(grid)
+        )
         expected, others = full_path(log_magnitude, phase, u)
         assert np.array_equal(result.values[others], expected[others])
         total_log = log_magnitude + np.log(np.abs(u.values))
@@ -225,7 +235,9 @@ def test_unsaturated_product_skips_the_log_phase_passes(monkeypatch, rng):
         raise AssertionError("the direct branch extracts no phase")
 
     monkeypatch.setattr(np, "angle", no_angle)
-    result, flagged = saturated_product(log_magnitude, np.ones(grid.shape), u)
+    result, flagged = saturated_product(
+        log_magnitude.ravel(), np.ones(grid.node_count), u, identity_inverse(grid)
+    )
     assert not flagged
     assert np.array_equal(result.values[others], expected[others])
 
@@ -235,7 +247,10 @@ def test_direct_product_branch_guards_large_factors_on_small_data():
     values = np.zeros(grid.shape, dtype=complex)
     values[3] = 1e-320
     log_magnitude = np.full(grid.shape, 720.0)
-    result, flagged = saturated_product(log_magnitude, np.ones(grid.shape), SpectralField(grid, values))
+    result, flagged = saturated_product(
+        log_magnitude.ravel(), np.ones(grid.node_count), SpectralField(grid, values),
+        identity_inverse(grid),
+    )
     expected, others = full_path(log_magnitude, np.ones(grid.shape), SpectralField(grid, values))
     assert np.all(np.isfinite(result.values))
     assert np.array_equal(result.values[others], expected[others])
@@ -247,7 +262,8 @@ def test_nan_and_inf_samples_take_the_full_path():
     values = np.ones(grid.shape, dtype=complex)
     values[2] = np.inf
     result, flagged = saturated_product(
-        np.zeros(grid.shape), np.ones(grid.shape), SpectralField(grid, values, overflow=True)
+        np.zeros(grid.node_count), np.ones(grid.node_count),
+        SpectralField(grid, values, overflow=True), identity_inverse(grid),
     )
     assert flagged and result.overflow
     assert abs(result.values[2]) == pytest.approx(math.exp(OVERFLOW_EXPONENT), rel=1e-12)

@@ -15,6 +15,7 @@ from frechet_flow import (
 from frechet_flow.translation import (
     TABLE_BLOCK_ENTRIES,
     CertificateError,
+    SmoothExpFunction,
     fast_growth,
     poly_times_gaussian,
     shifted,
@@ -256,3 +257,16 @@ def test_poly_times_gaussian_leibniz_table():
 def test_translate_requires_positive_tolerance():
     with pytest.raises(ValueError):
         translate(gaussian(), 0.5, 0.0, 0.0)
+
+
+def test_certify_membership_refuses_an_oversized_table_before_evaluating():
+    def table(x, max_order):
+        raise AssertionError("the oracle must not run")
+
+    phi = SmoothExpFunction(label="unused", table=table)
+    # 2001 samples on [-1, 1]: orders 0..2096 make 4,196,097 entries, above
+    # the budget of 2^22 = 4,194,304; orders 0..2095 make 4,194,096
+    with pytest.raises(ValueError, match="budget"):
+        certify_membership(phi, 0, 1, 2096)
+    with pytest.raises(AssertionError, match="must not run"):
+        certify_membership(phi, 0, 1, 2095)
