@@ -121,16 +121,18 @@ def exp_multiplier(symbol, t: float, u: SpectralField) -> SpectralField:
     _check_time(t)
     op = as_multiplier(symbol, u.grid)
     if t == 0.0:
-        return SpectralField(u.grid, u.values, u.overflow)
+        return SpectralField._adopt(u.grid, u.values, u.overflow)
     levels, inverse = op.levels()
     z = t * levels
     result, _ = saturated_product(z.real, np.exp(1j * z.imag), u, inverse)
     blown = z.real > OVERFLOW_EXPONENT
+    # a blown factor sent saturated_product down its saturating path, which
+    # built the field's polar form: log |u| > -inf exactly where |u| > 0
     factor_blown = bool(np.any(blown)) and bool(
-        np.any(blown[inverse] & (np.abs(u.values) > 0))
+        np.any(blown[inverse] & (u.polar()[0] > -np.inf))
     )
     if factor_blown and not result.overflow:
-        result = SpectralField(u.grid, result.values, True)
+        result = SpectralField._adopt(u.grid, result.values, True)
     return result
 
 
@@ -222,7 +224,7 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
     grid = u.grid
     profile = seminorm_profile(u)
     if t == 0.0:
-        return SpectralField(grid, u.values, u.overflow), _zero_diagnostics(
+        return SpectralField._adopt(grid, u.values, u.overflow), _zero_diagnostics(
             t, tol, grid, profile
         )
 

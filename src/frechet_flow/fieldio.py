@@ -1,7 +1,9 @@
 """Binary and CSV serialisation of spectral fields.
 
 Binary layout: magic ``FL2L``, version u32 = 1, n u8, J u32, inv_h u32,
-then one little-endian f64 pair (re, im) per node in row-major order.
+then one little-endian f64 pair (re, im) per node in row-major order, that
+is one little-endian complex128 per node.  Reading back what was written
+gives the same bits, signed zeros and non-finite parts included.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .spectral import FrequencyGrid, SpectralField
 MAGIC = b"FL2L"
 VERSION = 1
 _HEADER = struct.Struct("<4sIBII")
+_SAMPLE_BYTES = 16
 
 
 class FieldFormatError(ValueError):
@@ -26,11 +29,7 @@ def write_field(path, field: SpectralField):
     grid = field.grid
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(MAGIC, VERSION, grid.n, grid.J, grid.inv_h))
-        flat = np.ascontiguousarray(field.values).ravel()
-        pairs = np.empty(2 * flat.size, dtype="<f8")
-        pairs[0::2] = flat.real
-        pairs[1::2] = flat.imag
-        handle.write(pairs.tobytes())
+        handle.write(field.values.astype("<c16", copy=False).tobytes())
 
 
 def read_field(path) -> SpectralField:
@@ -44,13 +43,15 @@ def read_field(path) -> SpectralField:
         if version != VERSION:
             raise FieldFormatError(f"unsupported version {version}")
         grid = FrequencyGrid(n, J, inv_h)
-        raw = np.frombuffer(handle.read(), dtype="<f8")
-        if raw.size != 2 * grid.node_count:
-            raise FieldFormatError(
-                f"expected {2 * grid.node_count} floats, found {raw.size}"
-            )
-        values = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
-        return SpectralField(grid, values)
+        body = handle.read()
+    expected = grid.node_count * _SAMPLE_BYTES
+    if len(body) != expected:
+        raise FieldFormatError(
+            f"expected a body of {expected} bytes ({grid.node_count} samples), "
+            f"found {len(body)} bytes"
+        )
+    values = np.frombuffer(body, dtype="<c16").astype(np.complex128, copy=False)
+    return SpectralField._adopt(grid, values.reshape(grid.shape))
 
 
 def field_to_csv(path, field: SpectralField):

@@ -87,7 +87,7 @@ class MultiplierOperator:
     def apply(self, u: SpectralField) -> SpectralField:
         if u.grid != self.grid:
             raise GridError(f"field grid {u.grid} does not match operator grid {self.grid}")
-        return SpectralField(self.grid, self.values * u.values, u.overflow)
+        return SpectralField._adopt(self.grid, self.values * u.values, u.overflow)
 
     def seminorm(self, j: int) -> float:
         """Exact discrete operator seminorm: node maximum of |a| on ball j."""
@@ -231,7 +231,7 @@ class ReflectionOperator:
                 u.values[np.ix_(self._gather, self._gather)],
                 0.0,
             )
-        return SpectralField(self.grid, values, u.overflow)
+        return SpectralField._adopt(self.grid, values, u.overflow)
 
     def __repr__(self):
         return f"ReflectionOperator({self.grid!r}, scale={self.scale})"
@@ -348,7 +348,7 @@ def compatibility_samples(
     values = np.zeros(grid.shape, dtype=np.complex128)
     for index in np.ndindex(grid.shape):
         values[index] = 1.0
-        fields.append(SpectralField(grid, values))
+        fields.append(SpectralField(grid, values))  # copies, so values is reused
         values[index] = 0.0
     from .spectral import random_field
 
@@ -428,4 +428,4 @@ def sharpness_field(op: MultiplierOperator, j: int) -> SpectralField:
     """Unit sample attaining ``p_j(Au) = p_j^X(A) p_j(u)`` exactly."""
     values = np.zeros(op.grid.shape, dtype=np.complex128)
     values[op.seminorm_argmax(j)] = 1.0
-    return SpectralField(op.grid, values)
+    return SpectralField._adopt(op.grid, values)

@@ -17,6 +17,13 @@ ball J sorted by shell; every per-ball quantity is then one gathered pass
 over the nodes with one reduction per shell, followed by a scan over the J
 shells (running maxima, or for the seminorms the scaled sums of squares of
 LAPACK ``dlassq`` combined shell by shell).
+
+A `SpectralField` is immutable, so three quantities of its samples are
+built on first use and kept with it: the peak ``max |u|`` (by the first
+`saturated_product`), the polar form ``(log |u|, unit phase)`` (by the
+first `saturated_product` that saturates; 24 bytes per node) and the ball
+profile (by the first `seminorm_profile`).  One initial field evolved to
+many times therefore pays for each once.
 """
 
 from __future__ import annotations
@@ -201,23 +208,80 @@ class SpectralField:
     Values are immutable after construction.  ``overflow`` marks fields
     produced by a saturated evolution; only then may samples sit at the
     saturation magnitude.
+
+    The public constructor copies ``values``, so a caller may reuse its
+    array.  Results built inside the package from fresh arrays take
+    ownership of them without a copy (`_adopt`); every construction checks
+    the samples for non-finite values.
+
+    Three read-only quantities depend only on the samples; each is built on
+    first use and kept with the field, never in the constructor:
+
+    * `peak` — ``max |u|``, read by `saturated_product` to decide whether
+      the plain product is all there is;
+    * `polar` — ``(log |u|, unit phase)``, 24 bytes per node, built by the
+      first `saturated_product` call that saturates (and read by
+      `exp_multiplier`'s blown-factor test, which only runs after one);
+    * the ball profile ``(p_1, ..., p_J)`` behind `seminorm_profile`, which
+      returns a fresh copy each time.
     """
 
-    __slots__ = ("grid", "values", "overflow")
+    __slots__ = ("grid", "values", "overflow", "_peak", "_polar", "_profile")
 
     def __init__(self, grid: FrequencyGrid, values, overflow: bool = False):
-        values = np.asarray(values, dtype=np.complex128)
+        self._own(grid, np.array(values, dtype=np.complex128, order="C"), overflow)
+
+    @classmethod
+    def _adopt(cls, grid: FrequencyGrid, values: np.ndarray, overflow: bool = False):
+        """A field owning ``values``, a complex128 array no one else writes to."""
+        field = cls.__new__(cls)
+        field._own(grid, values, overflow)
+        return field
+
+    def _own(self, grid: FrequencyGrid, values: np.ndarray, overflow: bool):
         if values.shape != grid.shape:
             raise GridError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
         if not overflow and not np.all(np.isfinite(values)):
             raise ValueError("non-finite samples in an unflagged field")
-        values = values.copy()
         values.setflags(write=False)
         self.grid = grid
         self.values = values
         self.overflow = bool(overflow)
+        self._peak = None
+        self._polar = None
+        self._profile = None
+
+    def peak(self) -> float:
+        """``max |u|`` over all nodes, computed once (NaN if a sample is NaN)."""
+        if self._peak is None:
+            self._peak = float(np.max(np.abs(self.values)))
+        return self._peak
+
+    def polar(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(log |u|, u / |u|)``, computed once (read-only).
+
+        Both are grid-shaped; where ``|u| = 0`` (or u is NaN) they are
+        ``-inf`` and 0.  The phase comes from ``angle``, so it stays exact
+        for subnormal samples.
+        """
+        if self._polar is None:
+            magnitude = np.abs(self.values)
+            nonzero = magnitude > 0.0
+            with np.errstate(divide="ignore"):
+                log_magnitude = np.where(nonzero, np.log(magnitude), -np.inf)
+            phase = np.where(nonzero, np.exp(1j * np.angle(self.values)), 0.0)
+            log_magnitude.setflags(write=False)
+            phase.setflags(write=False)
+            self._polar = (log_magnitude, phase)
+        return self._polar
+
+    def _ball_profile(self) -> tuple:
+        """``(p_1(u), ..., p_J(u))``, computed once (see `seminorm_profile`)."""
+        if self._profile is None:
+            self._profile = tuple(_ball_seminorms(self, self.grid.J))
+        return self._profile
 
     def _check_compatible(self, other: "SpectralField"):
         if self.grid != other.grid:
@@ -225,34 +289,34 @@ class SpectralField:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return SpectralField(
+        return SpectralField._adopt(
             self.grid, self.values + other.values, self.overflow or other.overflow
         )
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return SpectralField(
+        return SpectralField._adopt(
             self.grid, self.values - other.values, self.overflow or other.overflow
         )
 
     def __mul__(self, scalar):
-        return SpectralField(self.grid, self.values * complex(scalar), self.overflow)
+        return SpectralField._adopt(self.grid, self.values * complex(scalar), self.overflow)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpectralField(self.grid, -self.values, self.overflow)
+        return SpectralField._adopt(self.grid, -self.values, self.overflow)
 
     def __repr__(self):
         return f"SpectralField({self.grid!r}, overflow={self.overflow})"
 
 
 def ones(grid: FrequencyGrid) -> SpectralField:
-    return SpectralField(grid, np.ones(grid.shape, dtype=np.complex128))
+    return SpectralField._adopt(grid, np.ones(grid.shape, dtype=np.complex128))
 
 
 def zero(grid: FrequencyGrid) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+    return SpectralField._adopt(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
 def gaussian_hat(grid: FrequencyGrid) -> SpectralField:
@@ -260,20 +324,20 @@ def gaussian_hat(grid: FrequencyGrid) -> SpectralField:
         r2 = grid.axis**2
     else:
         r2 = grid.axis[:, None] ** 2 + grid.axis[None, :] ** 2
-    return SpectralField(grid, np.exp(-r2).astype(np.complex128))
+    return SpectralField._adopt(grid, np.exp(-r2).astype(np.complex128))
 
 
 def delta(grid: FrequencyGrid, at=0.0) -> SpectralField:
     """Unit sample at the node nearest to ``at``, zero elsewhere."""
     values = np.zeros(grid.shape, dtype=np.complex128)
     values[grid.nearest_node(at)] = 1.0
-    return SpectralField(grid, values)
+    return SpectralField._adopt(grid, values)
 
 
 def random_field(grid: FrequencyGrid, rng: np.random.Generator) -> SpectralField:
     re = rng.standard_normal(grid.shape)
     im = rng.standard_normal(grid.shape)
-    return SpectralField(grid, re + 1j * im)
+    return SpectralField._adopt(grid, re + 1j * im)
 
 
 def seminorm(u: SpectralField, j: int) -> float:
@@ -289,8 +353,12 @@ def seminorm(u: SpectralField, j: int) -> float:
 
 
 def seminorm_profile(u: SpectralField) -> np.ndarray:
-    """All ball seminorms ``(p_1, ..., p_J)``; nondecreasing in j."""
-    return np.array(_ball_seminorms(u, u.grid.J))
+    """All ball seminorms ``(p_1, ..., p_J)``; nondecreasing in j.
+
+    The profile is computed once per field and kept with it; each call
+    returns a fresh array.
+    """
+    return np.array(u._ball_profile())
 
 
 def _ball_seminorms(u: SpectralField, j: int) -> list:
@@ -419,13 +487,13 @@ def embed(q: QuotientElement, grid: FrequencyGrid) -> SpectralField:
     lim = grid.J * grid.inv_h
     pos = tuple((q.coords[:, k] + lim) for k in range(grid.n))
     values[pos] = q.values
-    return SpectralField(grid, values)
+    return SpectralField._adopt(grid, values)
 
 
 def mask_outside(u: SpectralField, j: int) -> SpectralField:
     """Zero the samples inside ball j; the result has ``seminorm(., j) == 0``."""
     mask = u.grid.ball_mask(j)
-    return SpectralField(u.grid, np.where(mask, 0.0, u.values), u.overflow)
+    return SpectralField._adopt(u.grid, np.where(mask, 0.0, u.values), u.overflow)
 
 
 def saturated_product(log_magnitude, phase, u: SpectralField, inverse):
@@ -442,29 +510,35 @@ def saturated_product(log_magnitude, phase, u: SpectralField, inverse):
     and its magnitude clamped at ``exp(709)``; such nodes flag the result.
     Because the clamped value depends only on the product's log magnitude
     and phase, any two evolution paths that agree on those agree exactly on
-    saturated nodes.  When every node is representable, which one bound on
-    the largest factor and the largest sample decides (with a margin of 1
+    saturated nodes.
+
+    When every node is representable, which one bound on the largest factor
+    and the field's cached `SpectralField.peak` decides (with a margin of 1
     for the rounding of the logarithms), the plain product is all there is.
+    Otherwise the plain product is formed on every node and the clamped
+    value recomputed on the nodes that are not representable, from the
+    field's `SpectralField.polar` form: built by the first saturating call
+    and reused by every later one on the same field.
     """
-    u_magnitude = np.abs(u.values)
     factor_log = np.max(log_magnitude)
     with np.errstate(divide="ignore"):
-        product_log = factor_log + np.log(np.max(u_magnitude))
-    if factor_log <= OVERFLOW_EXPONENT and product_log <= OVERFLOW_EXPONENT - 1.0:
-        values = (np.exp(log_magnitude) * phase)[inverse] * u.values
-        return SpectralField(u.grid, values, u.overflow), False
-    # levels whose factor overflows are used by no direct node
+        product_log = factor_log + np.log(u.peak())
+    representable = factor_log <= OVERFLOW_EXPONENT and product_log <= OVERFLOW_EXPONENT - 1.0
+    # otherwise overflowing factors and products are overwritten below
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.exp(log_magnitude) * phase
-    log_magnitude = log_magnitude[inverse]
-    with np.errstate(divide="ignore"):
-        log_u = np.where(u_magnitude > 0.0, np.log(u_magnitude), -np.inf)
-    total_log = log_magnitude + log_u
-    direct_ok = (log_magnitude <= OVERFLOW_EXPONENT) & (total_log <= OVERFLOW_EXPONENT)
-    # phase extraction via angle: robust down to subnormal samples
-    u_phase = np.where(u_magnitude > 0.0, np.exp(1j * np.angle(u.values)), 0.0)
-    values = np.exp(np.minimum(total_log, OVERFLOW_EXPONENT)) * phase[inverse] * u_phase
-    values[direct_ok] = factor[inverse[direct_ok]] * u.values[direct_ok]
-    saturated = total_log > OVERFLOW_EXPONENT
-    flagged = bool(np.any(saturated))
-    return SpectralField(u.grid, values, u.overflow or flagged), flagged
+        values = (np.exp(log_magnitude) * phase)[inverse] * u.values
+    if representable:
+        return SpectralField._adopt(u.grid, values, u.overflow), False
+    log_u, u_phase = u.polar()
+    node_log = log_magnitude[inverse]
+    total_log = node_log + log_u
+    direct_ok = (node_log <= OVERFLOW_EXPONENT) & (total_log <= OVERFLOW_EXPONENT)
+    clamped = np.flatnonzero(~direct_ok)
+    total_log = total_log.reshape(-1)[clamped]
+    values.reshape(-1)[clamped] = (
+        np.exp(np.minimum(total_log, OVERFLOW_EXPONENT))
+        * phase[inverse.reshape(-1)[clamped]]
+        * u_phase.reshape(-1)[clamped]
+    )
+    flagged = bool(np.any(total_log > OVERFLOW_EXPONENT))
+    return SpectralField._adopt(u.grid, values, u.overflow or flagged), flagged

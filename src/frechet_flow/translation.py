@@ -66,18 +66,34 @@ class SmoothExpFunction:
 
 
 def gaussian() -> SmoothExpFunction:
-    """``exp(-x^2)`` with its two-term derivative recurrence."""
+    """``exp(-x^2)`` with its two-term derivative recurrence.
+
+    The derivatives grow like ``sqrt(n!) 2^(n/2)``, so from some order on
+    (about 270 at x = 0) they leave the double range.  The first order that
+    is not finite at some point and every later one are returned as
+    ``inf``: a magnitude beyond the range, never a value to compute with.
+    """
 
     def table(x: np.ndarray, max_order: int) -> np.ndarray:
         out = np.empty((max_order + 1, x.size))
         out[0] = np.exp(-(x**2))
         if max_order >= 1:
             out[1] = -2.0 * x * out[0]
-        for n in range(1, max_order):
-            out[n + 1] = -2.0 * x * out[n] - 2.0 * n * out[n - 1]
-        return out
+        # orders past the range overflow here and are marked inf below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, max_order):
+                out[n + 1] = -2.0 * x * out[n] - 2.0 * n * out[n - 1]
+        return _inf_past_the_range(out)
 
     return SmoothExpFunction(label="gaussian", table=table)
+
+
+def _inf_past_the_range(table: np.ndarray) -> np.ndarray:
+    """Set the first order that is not finite at every point, and all later ones, to inf."""
+    finite = np.all(np.isfinite(table), axis=1)
+    if not np.all(finite):
+        table[np.argmin(finite):] = np.inf
+    return table
 
 
 def fast_growth() -> SmoothExpFunction:
@@ -151,7 +167,11 @@ def polynomial(coefficients) -> SmoothExpFunction:
 
 
 def poly_times_gaussian(coefficients) -> SmoothExpFunction:
-    """``p(x) exp(-x^2)`` via the Leibniz rule on the two exact tables."""
+    """``p(x) exp(-x^2)`` via the Leibniz rule on the two exact tables.
+
+    As for `gaussian`, the first order that is not finite at some point and
+    every later one are returned as ``inf``.
+    """
     poly = polynomial(coefficients)
     gauss = gaussian()
 
@@ -159,10 +179,12 @@ def poly_times_gaussian(coefficients) -> SmoothExpFunction:
         pt = poly.table(x, max_order)
         gt = gauss.table(x, max_order)
         out = np.zeros((max_order + 1, x.size))
-        for n in range(max_order + 1):
-            for k in range(n + 1):
-                out[n] += math.comb(n, k) * pt[k] * gt[n - k]
-        return out
+        # inf Gaussian orders and overflowing sums are marked inf below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(max_order + 1):
+                for k in range(n + 1):
+                    out[n] += math.comb(n, k) * pt[k] * gt[n - k]
+        return _inf_past_the_range(out)
 
     return SmoothExpFunction(label="poly*gaussian", table=table)
 
@@ -345,14 +367,16 @@ def translate_detailed(
             tail = _safe_exp(log_tail)
             if tail <= 0.5 * tol and abs(last_term) <= 0.5 * tol:
                 return TranslationResult(value=total, terms=n, tail_bound=tail)
-        if n > MAX_TERMS:
+        if n >= derivs.size:
+            block *= 2
+            derivs = phi.table(np.array([float(s)]), block)[:, 0]
+        # an order beyond the double range (inf in the table) cannot be
+        # summed, so neither this partial sum nor any later one converges
+        if n > MAX_TERMS or not math.isfinite(derivs[n]):
             raise CertificateError(
                 f"translation did not converge within {MAX_TERMS} terms "
                 f"(rate {rate:.3g})"
             )
-        if n >= derivs.size:
-            block *= 2
-            derivs = phi.table(np.array([float(s)]), block)[:, 0]
         last_term = coeff * derivs[n]
         total += last_term
         n += 1

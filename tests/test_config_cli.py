@@ -422,3 +422,60 @@ def test_verify_weight_factor_reaches_only_its_own_run():
 def test_run_config_symbol_spec_label():
     config = RunConfig(symbol_text="xi")
     assert config.symbol_spec() == "xi"
+
+
+# ---------------------------------------------------------------------------
+# whole processes: an error exits 2 with one line on stderr and nothing else
+# (the RuntimeWarning filter of the test session does not reach a child)
+
+
+def run_process(args, cwd):
+    import subprocess
+    import sys
+
+    import frechet_flow
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frechet_flow.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "frechet_flow", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def solve_with_init(tmp_path, body_edit):
+    grid = FrequencyGrid(1, 4, 8)
+    path = tmp_path / "init.fl2l"
+    write_field(path, random_field(grid, np.random.default_rng(3)))
+    path.write_bytes(body_edit(path.read_bytes()))
+    config = BASE_CONFIG.replace("field = ones", f"field = file:{path}")
+    (tmp_path / "run.cfg").write_text(config)
+    return ["solve", "--config", "run.cfg", "--out", str(tmp_path / "out")]
+
+
+def with_inf_sample(data):
+    raw = bytearray(data)
+    raw[-8:] = np.array([np.inf], dtype="<f8").tobytes()  # last imaginary part
+    return bytes(raw)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("translate", "translation did not converge within 500 terms"),
+        ("truncated", "expected a body of 1040 bytes (65 samples), found 1037 bytes"),
+        ("non-finite", "non-finite samples"),
+    ],
+)
+def test_cli_process_fails_cleanly(tmp_path, case, message):
+    if case == "translate":
+        args = ["translate", "--t", "40", "--out", str(tmp_path / "out")]
+    elif case == "truncated":
+        args = solve_with_init(tmp_path, lambda data: data[:-3])
+    else:
+        args = solve_with_init(tmp_path, with_inf_sample)
+    done = run_process(args, tmp_path)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]

@@ -23,7 +23,7 @@ from frechet_flow import (
     to_polynomial,
     transport_symbol,
 )
-from frechet_flow.evolution import _stage_growth
+from frechet_flow.evolution import _stage_growth, exp_multiplier, exp_series
 from frechet_flow.spectral import OVERFLOW_EXPONENT, SpectralField, saturated_product
 
 HEAT_2D = "-(1+4*pi^2*(xi1^2+xi2^2))"
@@ -267,3 +267,132 @@ def test_nan_and_inf_samples_take_the_full_path():
     )
     assert flagged and result.overflow
     assert abs(result.values[2]) == pytest.approx(math.exp(OVERFLOW_EXPONENT), rel=1e-12)
+
+
+def reference_saturated_product(log_magnitude, phase, u, inverse):
+    """The saturating path as it was before the field cached its polar form.
+
+    Kept as the bitwise reference of `saturated_product`'s saturating path:
+    every node is clamped in log-magnitude/phase form, and the direct nodes
+    are then overwritten with the plain product.
+    """
+    u_magnitude = np.abs(u.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(log_magnitude) * phase
+    log_magnitude = log_magnitude[inverse]
+    with np.errstate(divide="ignore"):
+        log_u = np.where(u_magnitude > 0.0, np.log(u_magnitude), -np.inf)
+    total_log = log_magnitude + log_u
+    direct_ok = (log_magnitude <= OVERFLOW_EXPONENT) & (total_log <= OVERFLOW_EXPONENT)
+    u_phase = np.where(u_magnitude > 0.0, np.exp(1j * np.angle(u.values)), 0.0)
+    values = np.exp(np.minimum(total_log, OVERFLOW_EXPONENT)) * phase[inverse] * u_phase
+    values[direct_ok] = factor[inverse[direct_ok]] * u.values[direct_ok]
+    flagged = bool(np.any(total_log > OVERFLOW_EXPONENT))
+    return values, flagged
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def saturating_case(grid, rng, levels=37):
+    """Per-level factors around the saturation edge and a shared level index."""
+    log_magnitude = rng.uniform(-5.0, 2.0 * OVERFLOW_EXPONENT, size=levels)
+    log_magnitude[:3] = [OVERFLOW_EXPONENT, OVERFLOW_EXPONENT + 1e-9, 2000.0]
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, size=levels))
+    phase[3] = 0.0  # an inf factor times a zero phase part
+    inverse = rng.integers(0, levels, size=grid.shape).astype(np.int32)
+    return log_magnitude, phase, inverse
+
+
+@pytest.mark.parametrize("grid", [FrequencyGrid(1, 8, 8), FrequencyGrid(2, 3, 4)], ids=repr)
+def test_saturating_path_equals_the_reference_bitwise(grid, rng):
+    for case in range(6):
+        log_magnitude, phase, inverse = saturating_case(grid, rng)
+        values = random_field(grid, rng).values * 10.0 ** rng.uniform(-300, 300, grid.shape)
+        flat = values.reshape(-1)
+        flat[:4] = [0.0, -0.0j, 5e-324, 3e-310 - 5e-324j]  # zeros and subnormals
+        overflow = case >= 3
+        if overflow:  # a flagged field may carry non-finite samples
+            flat[4:9] = [np.inf, -np.inf, complex(1.0, np.inf), np.nan, complex(np.nan, 1.0)]
+        u = SpectralField(grid, values, overflow=overflow)
+        expected, expected_flag = reference_saturated_product(log_magnitude, phase, u, inverse)
+        result, flagged = saturated_product(log_magnitude, phase, u, inverse)
+        assert flagged == expected_flag
+        assert result.overflow == (overflow or expected_flag)
+        assert same_bits(result.values, expected)
+        # the direct nodes and the clamped nodes both occur
+        total_log = log_magnitude[inverse] + np.log(np.abs(values) + 1e-320)
+        assert np.any(total_log > OVERFLOW_EXPONENT) and np.any(total_log < OVERFLOW_EXPONENT)
+
+
+def test_saturating_path_on_heat_levels_equals_the_reference_bitwise(rng):
+    grid = FrequencyGrid(2, 4, 8)
+    levels, inverse = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid).levels()
+    u = random_field(grid, rng)
+    for t in (-2.0, -1.0, -0.6):
+        z = t * levels
+        phase = np.exp(1j * z.imag)
+        expected, expected_flag = reference_saturated_product(z.real, phase, u, inverse)
+        result, flagged = saturated_product(z.real, phase, u, inverse)
+        assert flagged and expected_flag
+        assert same_bits(result.values, expected)
+
+
+def test_polar_form_is_built_once_per_field(monkeypatch, rng):
+    grid = FrequencyGrid(2, 3, 4)
+    u = random_field(grid, rng)
+    calls = []
+    angle = np.angle
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return angle(*args, **kwargs)
+
+    monkeypatch.setattr(np, "angle", counted)
+    log_magnitude, phase, inverse = saturating_case(grid, rng)
+    first, _ = saturated_product(log_magnitude, phase, u, inverse)
+    for _ in range(3):
+        again, flagged = saturated_product(log_magnitude, phase, u, inverse)
+        assert flagged and same_bits(again.values, first.values)
+    op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
+    exp_multiplier(op, -2.0, u)
+    assert len(calls) == 1
+    assert u.polar() is u.polar()
+
+
+def test_polar_form_marks_zero_and_nan_samples():
+    grid = FrequencyGrid(1, 1, 2)
+    values = np.array([0.0, -0.0, 5e-324j, np.nan, -2.0], dtype=complex)
+    u = SpectralField(grid, values, overflow=True)
+    assert math.isnan(u.peak())
+    assert SpectralField(grid, np.where(np.isnan(values), 0.0, values)).peak() == 2.0
+    log_u, phase = u.polar()
+    assert log_u[:2].tolist() == [-np.inf, -np.inf] and log_u[3] == -np.inf
+    assert phase[0] == phase[1] == phase[3] == 0.0
+    assert np.allclose(phase[[2, 4]], [1j, -1.0], rtol=0.0, atol=1e-15)
+    assert log_u[4] == math.log(2.0)
+    assert not log_u.flags.writeable and not phase.flags.writeable
+
+
+def test_exp_series_profiles_its_field_once(monkeypatch, rng):
+    import frechet_flow.spectral as spectral
+
+    grid = FrequencyGrid(2, 4, 8)
+    u = random_field(grid, rng)
+    op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
+    calls = []
+    reduce = spectral._ball_seminorms
+
+    def counted(field, j):
+        calls.append(field)
+        return reduce(field, j)
+
+    monkeypatch.setattr(spectral, "_ball_seminorms", counted)
+    for t in (0.0, 0.01, 0.1, -0.01, -1.0):
+        exp_series(op, t, u)
+    assert calls == [u]
+    profile = seminorm_profile(u)
+    profile[:] = 0.0  # a fresh array each time
+    assert np.all(seminorm_profile(u) > 0.0)
+    assert len(calls) == 1

@@ -215,3 +215,105 @@ def test_quadrature_fault_hook_changes_the_seminorm(grid):
     failures = suite_spectral(np.random.default_rng(0), weight_factor=1.001)
     assert any("quadrature of the unit field" in f for f in failures)
     assert seminorm(ones(grid), 2) == clean
+
+
+# ---------------------------------------------------------------------------
+# field storage: ownership, read-only results and the .fl2l round trip
+
+
+def test_constructor_copies_the_callers_array(grid, rng):
+    values = random_field(grid, rng).values.copy()
+    kept = values.copy()
+    u = SpectralField(grid, values)
+    values[:] = 7.0
+    assert np.array_equal(u.values, kept)
+    assert not u.values.flags.writeable
+
+
+def test_compatibility_samples_are_distinct_deltas(small_grid, rng):
+    from frechet_flow.operators import compatibility_samples
+
+    samples = compatibility_samples(small_grid, rng, extra=2)
+    deltas = samples[: small_grid.node_count]
+    for index, u in zip(np.ndindex(small_grid.shape), deltas):
+        assert np.count_nonzero(u.values) == 1 and u.values[index] == 1.0
+
+
+def test_internal_results_are_read_only(grid, rng, tmp_path):
+    from frechet_flow.evolution import exp_multiplier, exp_series
+    from frechet_flow.fieldio import read_field, write_field
+    from frechet_flow.operators import MultiplierOperator
+    from frechet_flow.spectral import saturated_product
+    from frechet_flow.symbols import heat_symbol
+
+    u, v = random_field(grid, rng), random_field(grid, rng)
+    op = MultiplierOperator(heat_symbol(), grid)
+    levels, inverse = op.levels()
+    path = tmp_path / "u.fl2l"
+    write_field(path, u)
+    results = [
+        u + v, u - v, 2.0 * u, u * 3j, -u, op.apply(u), mask_outside(u, 2),
+        embed(project(u, 3), grid), read_field(path),
+        exp_multiplier(op, 0.0, u), exp_series(op, 0.0, u)[0],
+        exp_multiplier(op, 0.1, u), exp_multiplier(op, -1.0, u),
+        saturated_product(np.zeros(levels.size), np.ones(levels.size), u, inverse)[0],
+        ones(grid), zero(grid), delta(grid), random_field(grid, rng),
+    ]
+    for field in results:
+        assert field.values.dtype == np.complex128
+        assert not field.values.flags.writeable
+        with pytest.raises(ValueError):
+            field.values[0] = 1.0
+
+
+def test_adopted_results_still_reject_non_finite_samples(grid):
+    huge = SpectralField(grid, np.full(grid.shape, 1e308, dtype=complex))
+    flagged = SpectralField(grid, huge.values, overflow=True)
+    with np.errstate(over="ignore"):  # the sum overflows; the check must see it
+        with pytest.raises(ValueError, match="non-finite"):
+            huge + huge
+        assert np.all(np.isinf((flagged + huge).values.real))
+
+
+def bits(values):
+    return np.asarray(values).view(np.uint64)
+
+
+def test_binary_round_trip_keeps_every_bit_pattern(tmp_path):
+    from frechet_flow.fieldio import read_field, write_field
+
+    grid = FrequencyGrid(1, 1, 2)
+    values = np.array(
+        [complex(1.0, -0.0), complex(-0.0, 2.0), complex(-0.0, -0.0), complex(0.0, -0.0),
+         complex(5e-324, -5e-324)],
+        dtype=complex,
+    )
+    first, second = tmp_path / "a.fl2l", tmp_path / "b.fl2l"
+    write_field(first, SpectralField(grid, values))
+    back = read_field(first)
+    assert np.array_equal(bits(back.values), bits(values))
+    write_field(second, back)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_binary_reader_names_the_body_sizes(tmp_path):
+    from frechet_flow.fieldio import FieldFormatError, read_field, write_field
+
+    grid = FrequencyGrid(1, 1, 2)
+    path = tmp_path / "short.fl2l"
+    write_field(path, ones(grid))
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(FieldFormatError, match="expected a body of 80 bytes .5 samples., found 77 bytes"):
+        read_field(path)
+
+
+def test_binary_reader_rejects_a_non_finite_sample_without_warnings(tmp_path):
+    from frechet_flow.fieldio import read_field, write_field
+
+    grid = FrequencyGrid(1, 1, 2)
+    values = np.ones(grid.shape, dtype=complex)
+    values[2] = complex(1.0, np.inf)
+    path = tmp_path / "inf.fl2l"
+    write_field(path, SpectralField(grid, values, overflow=True))
+    with pytest.raises(ValueError, match="non-finite samples"):
+        read_field(path)

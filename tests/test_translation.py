@@ -270,3 +270,34 @@ def test_certify_membership_refuses_an_oversized_table_before_evaluating():
         certify_membership(phi, 0, 1, 2096)
     with pytest.raises(AssertionError, match="must not run"):
         certify_membership(phi, 0, 1, 2095)
+
+
+def gaussian_recurrence(x, max_order):
+    """The derivative recurrence in Python floats, up to its first overflow."""
+    out = [math.exp(-x * x), -2.0 * x * math.exp(-x * x)]
+    for n in range(1, max_order):
+        value = -2.0 * x * out[n] - 2.0 * n * out[n - 1]
+        if not math.isfinite(value):
+            break
+        out.append(value)
+    return out
+
+
+def test_gaussian_orders_past_the_double_range_are_inf():
+    xs = np.array([0.0, 0.5, 3.0])
+    table = gaussian().table(xs, 400)
+    finite = np.all(np.isfinite(table), axis=1)
+    first = int(np.argmin(finite))
+    assert 250 < first < 400 and np.all(finite[:first])
+    assert np.all(table[first:] == np.inf)
+    for column, x in enumerate(xs):
+        reference = gaussian_recurrence(float(x), 400)
+        assert table[:first, column].tolist() == reference[:first]
+    assert not np.any(np.isnan(poly_times_gaussian([1.0, 2.0]).table(xs, 400)))
+
+
+def test_translation_stops_at_an_order_past_the_double_range():
+    # the rate 40 * 6 needs more terms than the Gaussian has finite orders
+    certificate = certify_membership(gaussian(), 0, 41, max_order=40)
+    with pytest.raises(CertificateError, match="did not converge within 500 terms"):
+        translate_detailed(gaussian(), 40.0, 0.0, certificate=certificate)
