@@ -44,7 +44,6 @@ from .operators import (
     verify_power_bound,
 )
 from .evolution import (
-    GroupTrajectory,
     SeriesDiagnostics,
     evolve,
     exp_multiplier,

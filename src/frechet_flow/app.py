@@ -3,10 +3,12 @@
 `run_solve` evolves a configured initial spectrum through the requested
 times with the closed-form multiplier, the certified series, or both (in
 which case the per-ball residual profile is checked against the series
-certificates).  `heat_scan` tabulates the weighted spectral integrals that
-make the forward/backward regularity contrast of the heat flow visible as
-data: for t > 0 the rows converge as the truncation radius grows, for
-t < 0 they blow up and saturate at the overflow limit, flagged.
+certificates).  It consumes `evolution.evolve`, the one evolution loop, and
+writes its files through the writers in `fieldio`.  `heat_scan` tabulates
+the weighted spectral integrals that make the forward/backward regularity
+contrast of the heat flow visible as data: for t > 0 the rows converge as
+the truncation radius grows, for t < 0 they blow up and saturate at the
+overflow limit, flagged.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig, format_config
-from .evolution import SeriesDiagnostics, exp_multiplier, exp_series
-from .fieldio import field_to_csv, read_field, write_field
+from .evolution import SeriesDiagnostics, evolve
+from .fieldio import field_to_csv, read_field, write_csv, write_field, write_metadata
 from .operators import MultiplierOperator
 from .spectral import (
     OVERFLOW_EXPONENT,
@@ -82,19 +84,6 @@ def heat_scan(ts, Ms, Rs, quad_step: float = 1.0 / 64.0) -> list[HeatScanRow]:
     return rows
 
 
-def heat_scan_csv(path, rows):
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "M", "R", "value", "overflow"])
-        for row in rows:
-            writer.writerow(
-                [f"{row.t:.17g}", row.M, f"{row.R:.17g}", f"{row.value:.17g}",
-                 int(row.overflow)]
-            )
-
-
 def build_symbol(config: RunConfig):
     if config.symbol_text is not None:
         return to_polynomial(parse_symbol(config.symbol_text, config.n))
@@ -143,27 +132,21 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
     u0 = build_initial_field(config, grid)
     times = tuple(sorted(set(float(t) for t in config.times)))
 
-    methods = ("multiplier", "series") if config.method == "both" else (config.method,)
     # Each time's fields are dropped once its profiles are taken, unless a
     # field output needs them (the last method's field, written below).
     keep_fields = out_dir is not None and bool(
         {"fl2l", "field-csv"} & set(config.formats)
     )
-    profiles: dict = {name: [] for name in methods}
+    profiles: dict = {}
     kept_fields: list = []
     diagnostics: list = []
     residual_profiles = [] if config.method == "both" else None
     residuals_certified = True
     overflow = False
-    for t in times:
-        evolved = {}
-        if "multiplier" in methods:
-            evolved["multiplier"] = exp_multiplier(op, t, u0)
-        if "series" in methods:
-            evolved["series"], diag = exp_series(op, t, u0, config.tol)
-            diagnostics.append(diag)
+    for _, evolved, diag in evolve(op, times, u0, config.method, config.tol):
+        diagnostics.append(diag)
         for name, field in evolved.items():
-            profiles[name].append(seminorm_profile(field))
+            profiles.setdefault(name, []).append(seminorm_profile(field))
             overflow = overflow or field.overflow
         if residual_profiles is not None:
             residual = seminorm_profile(evolved["series"] - evolved["multiplier"])
@@ -171,9 +154,11 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
             if not np.all(residual <= diag.bounds()):
                 residuals_certified = False
         if keep_fields:
-            kept_fields.append(evolved[methods[-1]])
-    if "series" not in methods:
-        diagnostics = [None] * len(times)
+            kept_fields.append(field)
+        # the generator builds the next time's fields while these names
+        # still hold this time's: release them first
+        del evolved, field
+    methods = tuple(profiles)
 
     initial_profile = seminorm_profile(u0)
     backward_gain_ok = True
@@ -192,33 +177,20 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
     files = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        import csv as _csv
-
         for name in methods:
             suffix = "" if len(methods) == 1 else f"_{name}"
             trajectory_path = os.path.join(out_dir, f"trajectory{suffix}.csv")
-            with open(trajectory_path, "w", newline="") as handle:
-                writer = _csv.writer(handle)
-                writer.writerow(["t", "j", "seminorm"])
-                for k, t in enumerate(times):
-                    for j in range(1, grid.J + 1):
-                        writer.writerow(
-                            [f"{t:.17g}", j, f"{profiles[name][k][j - 1]:.17g}"]
-                        )
+            write_csv(trajectory_path, ["t", "j", "seminorm"],
+                      ([t, j, value] for t, profile in zip(times, profiles[name])
+                       for j, value in enumerate(profile, start=1)))
             files.append(trajectory_path)
         if residual_profiles is not None:
             residual_path = os.path.join(out_dir, "residuals.csv")
-            with open(residual_path, "w", newline="") as handle:
-                writer = _csv.writer(handle)
-                writer.writerow(["t", "j", "residual", "certified_bound"])
-                for k, t in enumerate(times):
-                    bounds = diagnostics[k].bounds()
-                    for j in range(1, grid.J + 1):
-                        writer.writerow(
-                            [f"{t:.17g}", j,
-                             f"{residual_profiles[k][j - 1]:.17g}",
-                             f"{bounds[j - 1]:.17g}"]
-                        )
+            write_csv(residual_path, ["t", "j", "residual", "certified_bound"],
+                      ([t, j, residual, bound]
+                       for t, profile, diag in zip(times, residual_profiles, diagnostics)
+                       for j, (residual, bound) in enumerate(zip(profile, diag.bounds()),
+                                                             start=1)))
             files.append(residual_path)
         for k, field in enumerate(kept_fields):
             stem = f"field_t{k:03d}"
@@ -231,9 +203,8 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
                 field_to_csv(path, field)
                 files.append(path)
         metadata_path = os.path.join(out_dir, "run_metadata.txt")
-        with open(metadata_path, "w") as handle:
-            handle.write(format_metadata(config, times, diagnostics, overflow,
-                                         residuals_certified, backward_gain_ok))
+        write_metadata(metadata_path, metadata_lines(config, times, diagnostics, overflow,
+                                                     residuals_certified, backward_gain_ok))
         files.append(metadata_path)
 
     return SolveResult(
@@ -255,8 +226,8 @@ def _symbol_real_part_below(op: MultiplierOperator, level: float) -> bool:
     return bool(np.all(op.values.real <= level))
 
 
-def format_metadata(config, times, diagnostics, overflow, residuals_certified,
-                    backward_gain_ok) -> str:
+def metadata_lines(config, times, diagnostics, overflow, residuals_certified,
+                   backward_gain_ok) -> list:
     lines = ["# effective configuration", format_config(config).rstrip(), ""]
     lines.append("# run summary")
     lines.append(f"times = {', '.join(f'{t:.17g}' for t in times)}")
@@ -272,4 +243,4 @@ def format_metadata(config, times, diagnostics, overflow, residuals_certified,
             )
             bounds = ", ".join(f"{b:.3e}" for b in diag.bounds())
             lines.append(f"series[{k}] certified bounds per j: {bounds}")
-    return "\n".join(lines) + "\n"
+    return lines

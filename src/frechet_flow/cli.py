@@ -10,7 +10,6 @@ carried the overflow flag, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import app, invariance, translation
 from .config import ConfigError, apply_overrides, config_from_text
-from .fieldio import FieldFormatError
+from .fieldio import FieldFormatError, write_csv, write_metadata
 from .spectral import FrequencyGrid, GridError, seminorm_profile
 from .symbols import (
     SymbolError,
@@ -43,12 +42,7 @@ def _ensure_out(args) -> str:
 
 
 def _write_metadata(out_dir: str, command: str, lines):
-    path = os.path.join(out_dir, "metadata.txt")
-    with open(path, "w") as handle:
-        handle.write(f"command = {command}\n")
-        for line in lines:
-            handle.write(line + "\n")
-    return path
+    write_metadata(os.path.join(out_dir, "metadata.txt"), [f"command = {command}", *lines])
 
 
 def _symbol_from_args(args, n: int = 1):
@@ -85,8 +79,8 @@ def cmd_heat_demo(args) -> int:
         _check_finite(t, "--t")
     out_dir = _ensure_out(args)
     rows = app.heat_scan(args.t, args.M, args.R)
-    csv_path = os.path.join(out_dir, "heat_scan.csv")
-    app.heat_scan_csv(csv_path, rows)
+    write_csv(os.path.join(out_dir, "heat_scan.csv"), ["t", "M", "R", "value", "overflow"],
+              ([r.t, r.M, r.R, r.value, int(r.overflow)] for r in rows))
     lines = []
     for t in args.t:
         for M in args.M:
@@ -116,14 +110,8 @@ def cmd_check_eprime(args) -> int:
     decision = invariance.decide_eprime(poly)
     out_dir = _ensure_out(args)
     search = invariance.find_growth_witness(poly, args.witness_c, args.rmax)
-    csv_path = os.path.join(out_dir, "eprime_probes.csv")
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["re_z", "im_z", "re_a", "threshold"])
-        for z, value, threshold in search.probes:
-            writer.writerow(
-                [f"{z.real:.17g}", f"{z.imag:.17g}", f"{value:.17g}", f"{threshold:.17g}"]
-            )
+    write_csv(os.path.join(out_dir, "eprime_probes.csv"), ["re_z", "im_z", "re_a", "threshold"],
+              ([z.real, z.imag, value, threshold] for z, value, threshold in search.probes))
     lead = decision.leading
     summary = (
         f"compact-support verdict: {decision.verdict} "
@@ -150,12 +138,8 @@ def cmd_check_l2(args) -> int:
     decision = invariance.decide_l2(poly, args.t)
     out_dir = _ensure_out(args)
     maxima = invariance.sampled_sphere_maxima(poly)
-    csv_path = os.path.join(out_dir, "l2_probes.csv")
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "radius", "max_re_a"])
-        for k, value in enumerate(maxima):
-            writer.writerow([k, f"{2.0**k:.17g}", f"{value:.17g}"])
+    write_csv(os.path.join(out_dir, "l2_probes.csv"), ["k", "radius", "max_re_a"],
+              ([k, 2.0**k, value] for k, value in enumerate(maxima)))
     summary = (
         f"square-integrable verdict at t={args.t:g}: {decision.verdict} "
         f"(method {decision.method}, sup estimate {decision.sup_estimate:.6g})"
@@ -211,15 +195,8 @@ def cmd_translate(args) -> int:
         direct = float(phi(s + args.t))
         error = abs(detail.value - direct)
         worst = max(worst, error)
-        rows.append((float(s), detail.value, direct, error, detail.terms))
-    csv_path = os.path.join(out_dir, "translate.csv")
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["s", "series", "direct", "error"])
-        for s, series, direct, error, _ in rows:
-            writer.writerow(
-                [f"{s:.17g}", f"{series:.17g}", f"{direct:.17g}", f"{error:.17g}"]
-            )
+        rows.append((float(s), detail.value, direct, error))
+    write_csv(os.path.join(out_dir, "translate.csv"), ["s", "series", "direct", "error"], rows)
     lines = [
         f"function = {phi.label}",
         f"t = {args.t:.17g}",
@@ -246,12 +223,8 @@ def cmd_seminorms(args) -> int:
     field = app.build_initial_field(config, grid)
     profile = seminorm_profile(field)
     out_dir = _ensure_out(args)
-    csv_path = os.path.join(out_dir, "seminorms.csv")
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["j", "seminorm"])
-        for j, value in enumerate(profile, start=1):
-            writer.writerow([j, f"{value:.17g}"])
+    write_csv(os.path.join(out_dir, "seminorms.csv"), ["j", "seminorm"],
+              enumerate(profile, start=1))
     _write_metadata(
         out_dir,
         "seminorms",

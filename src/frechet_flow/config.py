@@ -172,11 +172,6 @@ def config_from_text(text: str) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
-    with open(path) as handle:
-        return config_from_text(handle.read())
-
-
 def apply_overrides(text: str, overrides) -> str:
     """Rewrite ``section.key=value`` entries in the raw config text."""
     for override in overrides:

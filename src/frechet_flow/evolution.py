@@ -30,6 +30,9 @@ run once per distinct symbol value (the operator's level table,
 gathers the factors onto the nodes.  Each value is the same elementwise
 operation on the same input bits, so the results are bitwise those of a
 per-node evaluation.
+
+`evolve` is the one evolution loop over times: it yields each time's fields
+in turn, and `app.run_solve` consumes it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import VALID_METHODS
 from .operators import MultiplierOperator
 from .spectral import (
     OVERFLOW_EXPONENT,
@@ -393,47 +397,31 @@ def verify_quotient_diagrams(op, u: SpectralField, j: int) -> DiagramCheck:
     )
 
 
-@dataclass(frozen=True)
-class GroupTrajectory:
-    """Fields of one evolution run at strictly increasing times."""
-
-    times: tuple
-    fields: tuple
-    method: str
-
-    def __post_init__(self):
-        if self.method not in ("series", "multiplier"):
-            raise ValueError(f"unknown method {self.method!r}")
-        times = tuple(float(t) for t in self.times)
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("times must be strictly increasing")
-        grids = {f.grid for f in self.fields}
-        if len(grids) > 1:
-            raise ValueError("trajectory fields live on different grids")
-        object.__setattr__(self, "times", times)
-
-    @property
-    def overflowed(self) -> bool:
-        return any(f.overflow for f in self.fields)
-
-
 def evolve(symbol, times, u0: SpectralField, method: str = "multiplier", tol: float = 1e-8):
-    """Evolve ``u0`` to each time; returns (trajectory, diagnostics list).
+    """Evolve ``u0`` to each time in turn: the trajectory ``t -> e^{tA} u0``.
 
-    Diagnostics are per-time `SeriesDiagnostics` for the series method and
-    ``None`` entries for the closed form.
+    ``method`` is ``"multiplier"``, ``"series"`` or ``"both"``.  Every time
+    must be finite; times and method are checked here, before any kernel
+    runs.  Returns a generator of ``(t, fields, diagnostics)``: ``fields``
+    maps each method name to the field at t (multiplier first), and
+    ``diagnostics`` is the series' `SeriesDiagnostics`, or ``None`` without
+    the series.  A time's fields are built only when the consumer asks for
+    it, so a consumer that drops them keeps one time in memory.
     """
-    op = as_multiplier(symbol, u0.grid)
-    fields = []
-    diagnostics = []
+    if method not in VALID_METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {VALID_METHODS}")
+    times = [float(t) for t in times]
     for t in times:
-        if method == "multiplier":
-            fields.append(exp_multiplier(op, float(t), u0))
-            diagnostics.append(None)
-        elif method == "series":
-            field, diag = exp_series(op, float(t), u0, tol)
-            fields.append(field)
-            diagnostics.append(diag)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return GroupTrajectory(times=tuple(times), fields=tuple(fields), method=method), diagnostics
+        _check_time(t)
+    return _trajectory(as_multiplier(symbol, u0.grid), times, u0, method, tol)
+
+
+def _trajectory(op, times, u0, method, tol):
+    for t in times:
+        fields = {}
+        diagnostics = None
+        if method != "series":
+            fields["multiplier"] = exp_multiplier(op, t, u0)
+        if method != "multiplier":
+            fields["series"], diagnostics = exp_series(op, t, u0, tol)
+        yield t, fields, diagnostics

@@ -1,9 +1,12 @@
-"""Binary and CSV serialisation of spectral fields.
+"""Output writers: binary and CSV fields, CSV tables, metadata sidecars.
 
-Binary layout: magic ``FL2L``, version u32 = 1, n u8, J u32, inv_h u32,
-then one little-endian f64 pair (re, im) per node in row-major order, that
-is one little-endian complex128 per node.  Reading back what was written
-gives the same bits, signed zeros and non-finite parts included.
+Every CSV file the package writes goes through `write_csv` and every
+plain-text sidecar through `write_metadata`.
+
+Binary field layout: magic ``FL2L``, version u32 = 1, n u8, J u32, inv_h
+u32, then one little-endian f64 pair (re, im) per node in row-major order,
+that is one little-endian complex128 per node.  Reading back what was
+written gives the same bits, signed zeros and non-finite parts included.
 """
 
 from __future__ import annotations
@@ -54,14 +57,33 @@ def read_field(path) -> SpectralField:
     return SpectralField._adopt(grid, values.reshape(grid.shape))
 
 
-def field_to_csv(path, field: SpectralField):
-    grid = field.grid
-    points = grid.node_points()
-    flat = field.values.ravel()
+def write_csv(path, header, rows):
+    """Write a header and rows as CSV (``\\r\\n`` line ends).
+
+    Float cells (``float`` and numpy floating scalars) are written as
+    ``%.17g``, which reads back to the same value; other cells as they are.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([f"xi_{k + 1}" for k in range(grid.n)] + ["re", "im"])
-        for point, value in zip(points, flat):
-            writer.writerow(
-                [f"{x:.17g}" for x in point] + [f"{value.real:.17g}", f"{value.imag:.17g}"]
-            )
+        writer.writerow(header)
+        writer.writerows(
+            ["%.17g" % cell if isinstance(cell, (float, np.floating)) else cell
+             for cell in row]
+            for row in rows
+        )
+
+
+def write_metadata(path, lines):
+    """Write a plain-text sidecar, one line per entry."""
+    with open(path, "w") as handle:
+        handle.writelines(line + "\n" for line in lines)
+
+
+def field_to_csv(path, field: SpectralField):
+    grid = field.grid
+    write_csv(
+        path,
+        [f"xi_{k + 1}" for k in range(grid.n)] + ["re", "im"],
+        ([*point, value.real, value.imag]
+         for point, value in zip(grid.node_points(), field.values.ravel())),
+    )

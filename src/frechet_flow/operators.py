@@ -15,13 +15,13 @@ samples rather than computed (see `check_strong_compatibility`).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .fieldio import write_csv
 from .spectral import FrequencyGrid, GridError, SpectralField, mask_outside, seminorm
 from .symbols import PolynomialSymbol, SymbolExpr, _eval_node, parse_symbol, to_polynomial
 
@@ -241,10 +241,6 @@ def identity_operator(grid: FrequencyGrid) -> MultiplierOperator:
     return MultiplierOperator.from_values(grid, np.ones(grid.shape), label="identity")
 
 
-def apply_operator(op, u: SpectralField) -> SpectralField:
-    return op.apply(u)
-
-
 def operator_seminorm(op, j: int) -> float:
     """Ball-j operator seminorm; exact only for multiplier operators."""
     if isinstance(op, MultiplierOperator):
@@ -326,18 +322,9 @@ class CompatibilityReport:
         return self.rows[j - 1]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["j", "pjX", "pass_kernel", "pass_bound"])
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.j,
-                        f"{row.operator_seminorm:.17g}",
-                        int(row.kernel_preserved),
-                        int(row.bound_holds),
-                    ]
-                )
+        write_csv(path, ["j", "pjX", "pass_kernel", "pass_bound"],
+                  ([row.j, row.operator_seminorm, int(row.kernel_preserved),
+                    int(row.bound_holds)] for row in self.rows))
 
 
 def compatibility_samples(

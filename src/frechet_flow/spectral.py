@@ -287,20 +287,24 @@ class SpectralField:
         if self.grid != other.grid:
             raise GridError(f"incompatible grids: {self.grid} vs {other.grid}")
 
+    # Overflow to inf or nan is not warned about: `_own` rejects the
+    # non-finite result of an unflagged field with a ValueError.
     def __add__(self, other):
         self._check_compatible(other)
-        return SpectralField._adopt(
-            self.grid, self.values + other.values, self.overflow or other.overflow
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.values + other.values
+        return SpectralField._adopt(self.grid, values, self.overflow or other.overflow)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return SpectralField._adopt(
-            self.grid, self.values - other.values, self.overflow or other.overflow
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.values - other.values
+        return SpectralField._adopt(self.grid, values, self.overflow or other.overflow)
 
     def __mul__(self, scalar):
-        return SpectralField._adopt(self.grid, self.values * complex(scalar), self.overflow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.values * complex(scalar)
+        return SpectralField._adopt(self.grid, values, self.overflow)
 
     __rmul__ = __mul__
 

@@ -2,11 +2,12 @@
 
 Each suite re-checks the load-bearing identities and inequalities of one
 module on deterministic random data and returns a list of failure
-descriptions (empty means green).  The umbrella runner times the suites,
-honours the FRECHET_FLOW_THREADS cap for concurrent execution, and is the
-surface the injected-fault self-test drives: a quadrature weight factor
-other than one, passed to the spectral suite's seminorms, must turn that
-suite red.
+descriptions (empty means green).  The umbrella runner runs and times the
+suites one after another, and is the surface the injected-fault self-test
+drives: a quadrature weight factor other than one, passed to the spectral
+suite's seminorms, must turn that suite red.  The config suite runs a
+small solve through `app.run_solve`, so it exercises `evolution.evolve`
+and the `fieldio` writers as the CLI does.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,14 +383,6 @@ class VerifyReport:
         return all(result.passed for result in self.results)
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("FRECHET_FLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_verify(scopes=None, seed: int = DEFAULT_SEED, weight_factor: float = 1.0) -> VerifyReport:
     """Run the selected suites (all by default) and collect results.
 
@@ -417,10 +409,4 @@ def run_verify(scopes=None, seed: int = DEFAULT_SEED, weight_factor: float = 1.0
             seconds=time.perf_counter() - start,
         )
 
-    cap = thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = tuple(pool.map(run_one, names))
-    else:
-        results = tuple(run_one(name) for name in names)
-    return VerifyReport(results=results)
+    return VerifyReport(results=tuple(run_one(name) for name in names))

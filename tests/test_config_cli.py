@@ -1,10 +1,12 @@
+import csv
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from frechet_flow import FrequencyGrid, random_field
+from frechet_flow import FrequencyGrid, evolution, random_field
 from frechet_flow.app import build_initial_field, heat_scan, run_solve
 from frechet_flow.cli import main
 from frechet_flow.config import (
@@ -14,7 +16,13 @@ from frechet_flow.config import (
     config_from_text,
     format_config,
 )
-from frechet_flow.fieldio import FieldFormatError, field_to_csv, read_field, write_field
+from frechet_flow.fieldio import (
+    FieldFormatError,
+    field_to_csv,
+    read_field,
+    write_csv,
+    write_field,
+)
 
 BASE_CONFIG = """\
 [grid]
@@ -129,6 +137,23 @@ def test_field_csv_export(tmp_path, rng):
     assert len(lines) == grid.node_count + 1
 
 
+def test_write_csv_matches_a_formatted_csv_writer(tmp_path):
+    floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 0.1,
+              np.float64(-1e300), np.float64(1 / 3)]
+    ints = [np.int64(-7), 0, 2**70]
+    write_csv(tmp_path / "new.csv", ["a", "b"], [floats, ints, ["text", 1.5]])
+    with open(tmp_path / "old.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["a", "b"])
+        writer.writerow([f"{x:.17g}" for x in floats])
+        writer.writerow(ints)
+        writer.writerow(["text", f"{1.5:.17g}"])
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == (tmp_path / "old.csv").read_bytes()
+    assert written.startswith(b"a,b\r\n-0,nan,inf,-inf,4.9406564584124654e-324,")
+    assert b"\r\n-7,0,1180591620717411303424\r\n" in written
+
+
 def test_init_field_from_file(tmp_path, rng):
     grid = FrequencyGrid(1, 4, 8)
     u = random_field(grid, rng)
@@ -183,6 +208,31 @@ def test_solve_both_methods_certify_residuals(tmp_path):
     result = run_solve(config, out_dir=str(tmp_path))
     assert result.residuals_certified
     assert os.path.exists(os.path.join(str(tmp_path), "residuals.csv"))
+
+
+def test_solve_releases_each_time_before_the_next(tmp_path, monkeypatch):
+    """While a time is evolved, no field of an earlier time is alive."""
+    alive = []  # (t, weak reference to the samples of a kernel's result)
+
+    def tracked(kernel):
+        def wrapped(symbol, t, u, *args):
+            assert all(ref() is None for when, ref in alive if when != t), (
+                f"a field of an earlier time is alive while t = {t} is evolved"
+            )
+            result = kernel(symbol, t, u, *args)
+            field = result[0] if isinstance(result, tuple) else result
+            alive.append((t, weakref.ref(field.values)))
+            return result
+
+        return wrapped
+
+    for name in ("exp_multiplier", "exp_series"):
+        monkeypatch.setattr(evolution, name, tracked(getattr(evolution, name)))
+    config = config_from_text(
+        apply_overrides(BASE_CONFIG, ["evolve.method=both", "evolve.times=0.1, 0.2, 0.3"])
+    )
+    result = run_solve(config, out_dir=str(tmp_path))
+    assert len(alive) == 6 and result.residuals_certified
 
 
 def test_solve_backward_heat_gains_without_saturation(tmp_path):

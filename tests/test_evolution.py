@@ -6,9 +6,9 @@ import pytest
 
 from frechet_flow import (
     FrequencyGrid,
-    GroupTrajectory,
     MultiplierOperator,
     ReflectionOperator,
+    evolution,
     evolve,
     exp_multiplier,
     exp_series,
@@ -302,21 +302,50 @@ def test_quotient_diagrams_reflection_fails_with_witness(grid, rng):
 # trajectories
 
 
-def test_trajectory_validation(grid, rng):
-    u = random_field(grid, rng)
-    with pytest.raises(ValueError):
-        GroupTrajectory(times=(0.2, 0.1), fields=(u, u), method="multiplier")
-    with pytest.raises(ValueError):
-        GroupTrajectory(times=(0.1,), fields=(u,), method="euler")
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Names of the flow kernels `evolve` calls, in call order."""
+    calls = []
+    for name in ("exp_multiplier", "exp_series"):
+        def counted(*args, _kernel=getattr(evolution, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, name, counted)
+    return calls
 
 
-def test_evolve_both_methods_agree(grid, rng):
+@pytest.mark.parametrize("times, method, message", [
+    ((0.5, math.inf), "multiplier", "finite"),
+    ((0.5, -math.inf), "series", "finite"),
+    ((0.5, math.nan), "both", "finite"),
+    ((0.1,), "euler", "unknown method"),
+])
+def test_evolve_rejects_bad_input_before_any_kernel(grid, rng, kernel_calls, times,
+                                                     method, message):
     u = random_field(grid, rng)
-    trajectory, diags = evolve(heat_symbol(), (0.1, 0.4), u, method="series")
-    closed, _ = evolve(heat_symbol(), (0.1, 0.4), u, method="multiplier")
-    for k in range(2):
-        residual = seminorm_profile(trajectory.fields[k] - closed.fields[k])
-        assert np.all(residual <= diags[k].bounds())
+    with pytest.raises(ValueError, match=message):
+        evolve(heat_symbol(), times, u, method=method)
+    assert kernel_calls == []
+
+
+def test_evolve_both_methods_agree(grid, rng, kernel_calls):
+    u = random_field(grid, rng)
+    op = MultiplierOperator(heat_symbol(), grid)
+    steps = evolve(op, (0.1, 0.4), u, method="both")
+    assert kernel_calls == []  # nothing runs until the first time is asked for
+    times = []
+    for t, fields, diag in steps:
+        times.append(t)
+        assert list(fields) == ["multiplier", "series"]
+        assert np.array_equal(fields["multiplier"].values, exp_multiplier(op, t, u).values)
+        residual = seminorm_profile(fields["series"] - fields["multiplier"])
+        assert np.all(residual <= diag.bounds())
+    assert times == [0.1, 0.4]
+    ((t, fields, diag),) = evolve(op, (0.1,), u)
+    assert list(fields) == ["multiplier"] and diag is None
+    ((t, fields, diag),) = evolve(op, (0.1,), u, method="series")
+    assert list(fields) == ["series"] and diag.t == 0.1
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])

@@ -269,10 +269,14 @@ def test_internal_results_are_read_only(grid, rng, tmp_path):
 def test_adopted_results_still_reject_non_finite_samples(grid):
     huge = SpectralField(grid, np.full(grid.shape, 1e308, dtype=complex))
     flagged = SpectralField(grid, huge.values, overflow=True)
-    with np.errstate(over="ignore"):  # the sum overflows; the check must see it
-        with pytest.raises(ValueError, match="non-finite"):
-            huge + huge
-        assert np.all(np.isinf((flagged + huge).values.real))
+    # the results overflow: the check must see it, with no RuntimeWarning
+    with pytest.raises(ValueError, match="non-finite"):
+        huge + huge
+    with pytest.raises(ValueError, match="non-finite"):
+        huge - (-1.0) * huge
+    with pytest.raises(ValueError, match="non-finite"):
+        huge * 1e10
+    assert np.all(np.isinf((flagged + huge).values.real))
 
 
 def bits(values):
