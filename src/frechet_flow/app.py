@@ -29,6 +29,7 @@ from .spectral import (
     OVERFLOW_LIMIT,
     FrequencyGrid,
     SpectralField,
+    _difference_profile,
     delta,
     gaussian_hat,
     ones,
@@ -149,7 +150,7 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
             profiles.setdefault(name, []).append(seminorm_profile(field))
             overflow = overflow or field.overflow
         if residual_profiles is not None:
-            residual = seminorm_profile(evolved["series"] - evolved["multiplier"])
+            residual = _difference_profile(evolved["series"], evolved["multiplier"])
             residual_profiles.append(residual)
             if not np.all(residual <= diag.bounds()):
                 residuals_certified = False
@@ -223,7 +224,7 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
 
 
 def _symbol_real_part_below(op: MultiplierOperator, level: float) -> bool:
-    return bool(np.all(op.values.real <= level))
+    return bool(np.all(op.levels()[0].real <= level))
 
 
 def metadata_lines(config, times, diagnostics, overflow, residuals_certified,

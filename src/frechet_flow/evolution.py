@@ -259,10 +259,11 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
     phase = np.where(magnitude > 0.0, acc / np.where(magnitude > 0.0, magnitude, 1.0), 1.0)
     for _ in range(s):
         phase = phase * phase
+    # the per-ball stage growths first, while no result field is held
+    growths = _stage_growth(op, t / stages)
     result, _ = saturated_product(log_magnitude * stages, phase, u, inverse)
     overflow = result.overflow
 
-    growths = _stage_growth(op, t / stages)
     levels = []
     for j in range(1, grid.J + 1):
         stage_rate = float(rates[j - 1]) / stages

@@ -12,6 +12,7 @@ written gives the same bits, signed zeros and non-finite parts included.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 
 import numpy as np
@@ -46,15 +47,17 @@ def read_field(path) -> SpectralField:
         if version != VERSION:
             raise FieldFormatError(f"unsupported version {version}")
         grid = FrequencyGrid(n, J, inv_h)
-        body = handle.read()
-    expected = grid.node_count * _SAMPLE_BYTES
-    if len(body) != expected:
+        expected = grid.node_count * _SAMPLE_BYTES
+        found = os.fstat(handle.fileno()).st_size - _HEADER.size
+        if found == expected:
+            values = np.empty(grid.shape, dtype="<c16")
+            found = handle.readinto(values.reshape(-1).view(np.uint8))
+    if found != expected:
         raise FieldFormatError(
             f"expected a body of {expected} bytes ({grid.node_count} samples), "
-            f"found {len(body)} bytes"
+            f"found {found} bytes"
         )
-    values = np.frombuffer(body, dtype="<c16").astype(np.complex128, copy=False)
-    return SpectralField._adopt(grid, values.reshape(grid.shape))
+    return SpectralField._adopt(grid, values.astype(np.complex128, copy=False))
 
 
 def write_csv(path, header, rows):

@@ -29,18 +29,27 @@ from .symbols import PolynomialSymbol, SymbolExpr, _eval_node, parse_symbol, to_
 class MultiplierOperator:
     """Action of a symbol ``a`` as nodewise multiplication on fields.
 
-    Symbol values are evaluated once per grid and cached; the operator is
-    immutable afterwards.  Per-ball quantities and the level table of
-    distinct values (`levels`) are built on first use, never here.
+    The operator is immutable.  Its one grid-sized table is `levels`: the
+    distinct symbol values and each node's index into them, built on first
+    use, never here.  An operator built from a `PolynomialSymbol` keeps
+    nothing else per node; where an axis enters the symbol through even
+    powers only, the table is built on the half (or quarter) grid up to
+    ``xi_k = 0`` and mirrored.  The per-ball quantities (`seminorm`,
+    `real_part_range`) and `apply` read the table.  ``values``, the symbol
+    on every node, is then gathered from it on each access.  Operators
+    built from an expression tree or by `from_values` keep their values
+    array: their per-ball quantities read it, and their table is built
+    from it.
     """
 
     def __init__(self, symbol, grid: FrequencyGrid, label: str | None = None):
         if isinstance(symbol, str):
             symbol = parse_symbol(symbol, grid.n)
+        values = None
         if isinstance(symbol, SymbolExpr):
             if symbol.n != grid.n:
                 raise GridError(f"symbol dimension {symbol.n} != grid dimension {grid.n}")
-            values = _expr_on_grid(symbol, grid)
+            values = _frozen(_expr_on_grid(symbol, grid))
             poly = None
             try:
                 poly = to_polynomial(symbol)
@@ -49,40 +58,37 @@ class MultiplierOperator:
         elif isinstance(symbol, PolynomialSymbol):
             if symbol.n != grid.n:
                 raise GridError(f"symbol dimension {symbol.n} != grid dimension {grid.n}")
-            if grid.n == 1:
-                values = symbol.eval_grid(grid.axis)
-            else:
-                values = symbol.eval_grid(grid.axis, grid.axis)
             poly = symbol
         else:
             raise TypeError(f"not a symbol: {symbol!r}")
+        self._init(grid, symbol, poly, values, label)
+
+    @classmethod
+    def from_values(cls, grid: FrequencyGrid, values, label: str | None = None):
         values = np.ascontiguousarray(values, dtype=np.complex128)
-        values.setflags(write=False)
+        if values.shape != grid.shape:
+            raise GridError("values shape does not match grid")
+        op = cls.__new__(cls)
+        op._init(grid, None, None, _frozen(values), label)
+        return op
+
+    def _init(self, grid, symbol, polynomial, values, label):
         self.grid = grid
         self.symbol = symbol
-        self.polynomial: Optional[PolynomialSymbol] = poly
-        self.values = values
+        self.polynomial: Optional[PolynomialSymbol] = polynomial
         self.label = label
+        self._values = values
         self._seminorm_profile = None
         self._real_part_range = None
         self._levels = None
 
-    @classmethod
-    def from_values(cls, grid: FrequencyGrid, values, label: str | None = None):
-        op = cls.__new__(cls)
-        values = np.ascontiguousarray(values, dtype=np.complex128)
-        if values.shape != grid.shape:
-            raise GridError("values shape does not match grid")
-        values.setflags(write=False)
-        op.grid = grid
-        op.symbol = None
-        op.polynomial = None
-        op.values = values
-        op.label = label
-        op._seminorm_profile = None
-        op._real_part_range = None
-        op._levels = None
-        return op
+    @property
+    def values(self) -> np.ndarray:
+        """The symbol on every node (read-only), gathered from `levels` unless kept."""
+        if self._values is not None:
+            return self._values
+        levels, inverse = self.levels()
+        return _frozen(levels[inverse])
 
     def apply(self, u: SpectralField) -> SpectralField:
         if u.grid != self.grid:
@@ -97,7 +103,7 @@ class MultiplierOperator:
     def _profile(self) -> np.ndarray:
         """All ball seminorms ``(p_1^X, ..., p_J^X)``, computed once (read-only)."""
         if self._seminorm_profile is None:
-            peaks = self.grid.shells().reduce(np.maximum, np.abs(self.values))
+            peaks = self.grid.shells().reduce(np.maximum, self._on_ball(np.abs))
             self._seminorm_profile = _frozen(np.maximum.accumulate(peaks))
         return self._seminorm_profile
 
@@ -105,12 +111,24 @@ class MultiplierOperator:
         """Per ball j, the node minimum and maximum of ``Re a``, computed once."""
         if self._real_part_range is None:
             shells = self.grid.shells()
-            real = self.values.real
+            real = self._on_ball(np.real)
             self._real_part_range = (
                 _frozen(np.minimum.accumulate(shells.reduce(np.minimum, real))),
                 _frozen(np.maximum.accumulate(shells.reduce(np.maximum, real))),
             )
         return self._real_part_range
+
+    def _on_ball(self, quantity) -> np.ndarray:
+        """``quantity`` of the symbol at the nodes of ball J, grouped by shell.
+
+        Taken per node from a kept values array, otherwise per level and
+        gathered through the table.
+        """
+        shells = self.grid.shells()
+        if self._values is not None:
+            return shells.gather(quantity(self._values), self.grid.J)
+        levels, inverse = self.levels()
+        return quantity(levels)[shells.gather(inverse, self.grid.J)]
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """The bitwise-distinct symbol values and each node's index into them.
@@ -125,7 +143,10 @@ class MultiplierOperator:
         node plus 16 per level.
         """
         if self._levels is None:
-            self._levels = _level_table(self.values)
+            if self._values is not None:
+                self._levels = _level_table(self._values)
+            else:
+                self._levels = _polynomial_levels(self.polynomial, self.grid)
         return self._levels
 
     def seminorm_argmax(self, j: int) -> tuple[int, ...]:
@@ -138,9 +159,10 @@ class MultiplierOperator:
         """The k-fold composition, computed by repeated nodewise products."""
         if k < 1:
             raise ValueError("power needs k >= 1")
-        values = self.values.copy()
+        base = self.values
+        values = base.copy()
         for _ in range(k - 1):
-            values = values * self.values
+            values = values * base
         return MultiplierOperator.from_values(self.grid, values, label=f"{self.label}^{k}")
 
     def __repr__(self):
@@ -188,6 +210,32 @@ def _level_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(order.size, dtype=np.int32)
     inverse[order] = label[group]
     return _frozen(values.reshape(-1)[first[rank]]), _frozen(inverse.reshape(values.shape))
+
+
+def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
+    """`_level_table` of a polynomial symbol, built on as few nodes as its parity allows.
+
+    `PolynomialSymbol.eval_grid` is bitwise even in ``xi_k`` when every
+    exponent of ``xi_k`` is even, and in 2-D at most 2: the 1-D Horner
+    scheme only multiplies and adds, which commute with negation, and the
+    2-D path forms ``x**2`` as ``x * x``.  (A higher power goes through
+    ``pow``, which is not bitwise sign-symmetric.)  Such an axis is evaluated
+    on its first ``J inv_h + 1`` nodes only, up to ``xi_k = 0``, and the
+    table's ``inverse`` is mirrored.  Every node's value also sits at a node
+    of that corner that comes no later in row-major order, so the corner's
+    first appearances are the full grid's and ``levels`` is unchanged.
+    """
+    lim = grid.J * grid.inv_h
+    top = poly.order if grid.n == 1 else 2
+    even = [all(alpha[k] % 2 == 0 and alpha[k] <= top for alpha in poly.coeffs)
+            for k in range(grid.n)]
+    axes = [grid.axis[: lim + 1] if mirrored else grid.axis for mirrored in even]
+    levels, inverse = _level_table(np.ascontiguousarray(poly.eval_grid(*axes)))
+    for k, mirrored in enumerate(even):
+        if mirrored:
+            tail = np.flip(inverse, axis=k)[(slice(None),) * k + (slice(1, None),)]
+            inverse = np.concatenate([inverse, tail], axis=k)
+    return levels, _frozen(inverse)
 
 
 def _expr_on_grid(expr: SymbolExpr, grid: FrequencyGrid) -> np.ndarray:

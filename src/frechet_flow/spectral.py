@@ -11,12 +11,16 @@ tail is below ``2^-J``).
 Ball membership is decided in exact integer arithmetic on the node indices,
 so boundary nodes with ``|xi| = j`` are always included and restriction maps
 copy samples bitwise.  Every node carries its shell number, the smallest j
-with ``|xi| <= j``, so ball j is the union of shells 1..j.  The grid's
-`ShellIndex` (built on first use, shared by equal grids) lists the nodes of
-ball J sorted by shell; every per-ball quantity is then one gathered pass
-over the nodes with one reduction per shell, followed by a scan over the J
-shells (running maxima, or for the seminorms the scaled sums of squares of
-LAPACK ``dlassq`` combined shell by shell).
+with ``|xi| <= j``, so ball j is the union of shells 1..j.  A grid holds no
+per-node array, only its axes.  Its `ShellIndex` (built on first use, shared
+by equal grids) finds each node's shell from the integer axis a block of
+rows at a time and lists the nodes of ball J sorted by shell.  Every
+per-ball quantity is then one gathered pass over the nodes with one
+reduction per shell, followed by a scan over the J shells (running maxima,
+or for the seminorms the scaled sums of squares of LAPACK ``dlassq``
+combined shell by shell).  The seminorms gather a block of whole shells at
+a time, so a profile never holds more than one block of samples beside the
+field.
 
 A `SpectralField` is immutable, so three quantities of its samples are
 built on first use and kept with it: the peak ``max |u|`` (by the first
@@ -44,6 +48,10 @@ OVERFLOW_LIMIT = float(np.exp(OVERFLOW_EXPONENT))
 # Smallest power-of-two exponent used to scale a sum of squares; 2^1021 is
 # still finite, so shells of subnormal samples scale up exactly.
 _MIN_SCALE_EXPONENT = -1021
+
+# Nodes a ball profile gathers at once: whole shells up to this many (a
+# larger shell is gathered alone), about 1.5 MB of samples and magnitudes.
+_BLOCK_NODES = 1 << 16
 
 
 class GridError(ValueError):
@@ -75,12 +83,6 @@ class FrequencyGrid:
         self.inv_h = int(inv_h)
         self.axis_index = np.arange(-J * inv_h, J * inv_h + 1, dtype=np.int64)
         self.axis = self.axis_index / float(inv_h)
-        if n == 1:
-            self._radius2_index = self.axis_index**2
-        else:
-            self._radius2_index = (
-                self.axis_index[:, None] ** 2 + self.axis_index[None, :] ** 2
-            )
 
     @property
     def h(self) -> float:
@@ -176,9 +178,27 @@ class ShellIndex:
         """Samples of ball j as a flat array grouped by shell."""
         return np.ravel(values)[self.order[: self.offsets[j]]]
 
-    def reduce(self, ufunc, values) -> np.ndarray:
-        """``ufunc`` reduction of ``values`` over each of the shells 1..J."""
-        return ufunc.reduceat(self.gather(values, self.offsets.size - 1), self.offsets[:-1])
+    def reduce(self, ufunc, ball) -> np.ndarray:
+        """``ufunc`` reduction over each of the shells 1..J of ``ball``.
+
+        ``ball`` holds one value per node of ball J, grouped by shell as
+        `gather` returns them.
+        """
+        return ufunc.reduceat(ball, self.offsets[:-1])
+
+    def blocks(self, j: int):
+        """Ranges ``(first, last)`` of whole shells ``first + 1 .. last`` covering ball j.
+
+        A block holds as many whole shells as fit in `_BLOCK_NODES` nodes,
+        and at least one; its nodes are ``order[offsets[first]:offsets[last]]``.
+        """
+        offsets = self.offsets[: j + 1]
+        first = 0
+        while first < j:
+            fit = int(np.searchsorted(offsets, offsets[first] + _BLOCK_NODES, side="right")) - 1
+            last = max(first + 1, fit)
+            yield first, last
+            first = last
 
 
 @functools.lru_cache(maxsize=4)
@@ -187,16 +207,39 @@ def _shell_index(n: int, J: int, inv_h: int) -> ShellIndex:
     # entry holds one byte per node (shell) and four per node of ball J
     # (order), about 20 MB at the node budget.
     # shell = smallest j with r2 <= (j inv_h)^2, i.e. max(1, ceil(|k| / inv_h)),
-    # found by an exact integer search over the J squared radii
-    grid = FrequencyGrid(n, J, inv_h)
+    # found by an exact integer search over the J squared radii.  Everything
+    # grid-sized is built a block of whole rows at a time, so no grid-sized
+    # int64 array is formed.
+    squares = np.arange(-J * inv_h, J * inv_h + 1, dtype=np.int64) ** 2
     radii2 = (np.arange(1, J + 1, dtype=np.int64) * inv_h) ** 2
-    shell = np.searchsorted(radii2, grid._radius2_index) + 1
-    shell = shell.astype(np.min_scalar_type(J + 1))
-    shell.setflags(write=False)
-    counts = np.bincount(shell.ravel(), minlength=J + 1)
+    side = squares.size
+    shell = np.empty((side,) * n, dtype=np.min_scalar_type(J + 1))
+    flat = shell.reshape(-1)
+    row_nodes = side ** (n - 1)
+    rows = max(1, _BLOCK_NODES // row_nodes)
+    blocks = [(start, min(start + rows, side)) for start in range(0, side, rows)]
+    counts = np.zeros(J + 2, dtype=np.int64)
+    for start, stop in blocks:
+        r2 = squares[start:stop, None] + squares[None, :] if n == 2 else squares[start:stop]
+        shell[start:stop] = np.searchsorted(radii2, r2) + 1
+        counts += np.bincount(shell[start:stop].reshape(-1), minlength=J + 2)
     offsets = np.cumsum(counts[: J + 1])
-    # NODE_BUDGET is 2^22, so every flat index fits in int32
-    order = np.argsort(shell.ravel(), kind="stable")[: offsets[-1]].astype(np.int32)
+    # A counting sort by shell: each block's nodes, stably sorted by shell,
+    # go to the next free places of their shells, so a shell stays in
+    # row-major order.  NODE_BUDGET is 2^22, so every flat index fits in int32.
+    order = np.empty(offsets[-1], dtype=np.int32)
+    free = np.concatenate(([0], offsets))  # next place of shell j is free[j]
+    for start, stop in blocks:
+        begin = start * row_nodes
+        block = flat[begin : stop * row_nodes]
+        block_counts = np.bincount(block, minlength=J + 2)
+        by_shell = np.argsort(block, kind="stable")
+        # the sorted block's entry i goes to free[j] + (i - first entry of shell j)
+        shift = np.repeat(free - (np.cumsum(block_counts) - block_counts), block_counts)
+        inside = by_shell.size - block_counts[J + 1]
+        order[np.arange(inside) + shift[:inside]] = by_shell[:inside] + begin
+        free += block_counts
+    shell.setflags(write=False)
     offsets.setflags(write=False)
     order.setflags(write=False)
     return ShellIndex(shell=shell, order=order, offsets=offsets)
@@ -328,7 +371,9 @@ def gaussian_hat(grid: FrequencyGrid) -> SpectralField:
         r2 = grid.axis**2
     else:
         r2 = grid.axis[:, None] ** 2 + grid.axis[None, :] ** 2
-    return SpectralField._adopt(grid, np.exp(-r2).astype(np.complex128))
+    values = np.zeros(grid.shape, dtype=np.complex128)
+    np.exp(np.negative(r2, out=r2), out=values.real)
+    return SpectralField._adopt(grid, values)
 
 
 def delta(grid: FrequencyGrid, at=0.0) -> SpectralField:
@@ -367,30 +412,74 @@ def seminorm_profile(u: SpectralField) -> np.ndarray:
 
 def _ball_seminorms(u: SpectralField, j: int) -> list:
     """``[p_1(u), ..., p_j(u)]`` from one pass over the nodes of ball j."""
-    index = u.grid.shells()
-    magnitudes = index.gather(np.abs(u.values), j)
-    return _cumulative_norms(magnitudes, index.offsets[: j + 1], u.grid.cell_volume)
+    samples = np.ravel(u.values)
+    return _shell_norms(u.grid, j, lambda nodes: np.abs(samples[nodes]))
 
 
-def _cumulative_norms(magnitudes: np.ndarray, offsets: np.ndarray, weight: float) -> list:
-    """``sqrt(weight * sum of squares)`` over the first 1, 2, ... groups.
+def _difference_profile(a: SpectralField, b: SpectralField) -> np.ndarray:
+    """``seminorm_profile(a - b)``, bitwise, without forming ``a - b``.
+
+    Each block of shells takes the difference of its own nodes only.  Nodes
+    outside ball J are never read, so unlike ``a - b`` this does not reject
+    a non-finite difference of unflagged fields; such a ball gets ``inf``.
+    """
+    a._check_compatible(b)
+    a_samples, b_samples = np.ravel(a.values), np.ravel(b.values)
+
+    def magnitudes(nodes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(a_samples[nodes] - b_samples[nodes])
+
+    return np.array(_shell_norms(a.grid, a.grid.J, magnitudes))
+
+
+def _shell_norms(grid: FrequencyGrid, j: int, magnitudes_of) -> list:
+    """``[p_1, ..., p_j]`` of the magnitudes ``magnitudes_of(nodes)`` returns.
+
+    The nodes of ball j are passed a block of whole shells at a time (see
+    `ShellIndex.blocks`); the fresh magnitudes of each block are reduced
+    shell by shell, on the same contiguous data as a whole-ball gather, and
+    the shells are then combined in order.
+    """
+    index = grid.shells()
+    parts = []
+    for first, last in index.blocks(j):
+        offsets = index.offsets[first : last + 1]
+        nodes = index.order[offsets[0] : offsets[-1]]
+        parts.append(_scaled_sums(magnitudes_of(nodes), offsets - offsets[0]))
+    if len(parts) > 1:
+        parts = [tuple(np.concatenate(columns) for columns in zip(*parts))]
+    return _combine_norms(*parts[0], grid.cell_volume)
+
+
+def _scaled_sums(magnitudes: np.ndarray, offsets: np.ndarray) -> tuple:
+    """Per group: its peak, the exponent e of its scale ``2^e``, and its scaled sum of squares.
 
     Group g is ``magnitudes[offsets[g]:offsets[g + 1]]`` and must not be
-    empty; ``magnitudes`` is overwritten.  A scaled sum of squares as in
-    LAPACK ``dlassq``: each group is summed in units of ``4^e`` with ``2^e``
-    at or above its peak, and the groups are combined in order, the running
-    total kept in units of the largest such scale so far.  Every scale is a
-    power of two, so scaling and rescaling are exact.  Hence no square
-    exceeds 1, a huge sample in a later group cannot underflow an earlier
-    one, rounding is monotone from one group to the next (the norms are
-    nondecreasing by construction), and an inf or NaN sample makes its
-    group's norm and every later one infinite.
+    empty; ``magnitudes`` is overwritten.  ``2^e`` is at or above the
+    group's peak, and the sum is taken in units of ``4^e``, as in LAPACK
+    ``dlassq``, so no square exceeds 1.  A group with an inf or NaN peak
+    keeps the scale 1, and its sum, which may overflow, is never read.
     """
     starts = offsets[:-1]
     peaks = np.maximum.reduceat(magnitudes, starts)
-    exponents = np.clip(np.frexp(peaks)[1], _MIN_SCALE_EXPONENT, None)
+    exponents = np.maximum(np.frexp(peaks)[1], _MIN_SCALE_EXPONENT)
     magnitudes *= np.repeat(np.ldexp(1.0, -exponents), np.diff(offsets))
-    sums = np.add.reduceat(np.square(magnitudes, out=magnitudes), starts)
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(np.square(magnitudes, out=magnitudes), starts)
+    return peaks, exponents, sums
+
+
+def _combine_norms(peaks, exponents, sums, weight: float) -> list:
+    """``sqrt(weight * sum of squares)`` over the first 1, 2, ... groups of `_scaled_sums`.
+
+    The groups are combined in order, the running total kept in units of
+    the largest scale so far.  Every scale is a power of two, so scaling
+    and rescaling are exact.  Hence a huge sample in a later group cannot
+    underflow an earlier one, rounding is monotone from one group to the
+    next (the norms are nondecreasing by construction), and an inf or NaN
+    sample makes its group's norm and every later one infinite.
+    """
     norms = []
     top, total = _MIN_SCALE_EXPONENT, 0.0
     for peak, exponent, group_total in zip(peaks.tolist(), exponents.tolist(), sums.tolist()):
@@ -406,7 +495,7 @@ def _cumulative_norms(magnitudes: np.ndarray, offsets: np.ndarray, weight: float
             norms.append(math.ldexp(math.sqrt(weight * total), top))
         except OverflowError:  # the seminorm of a saturated field may be inf
             norms.append(math.inf)
-    return norms + [math.inf] * (starts.size - len(norms))
+    return norms + [math.inf] * (peaks.size - len(norms))
 
 
 def metric(u: SpectralField, v: SpectralField) -> float:
@@ -476,7 +565,7 @@ def restrict(q: QuotientElement, j: int) -> QuotientElement:
     inside = np.sum(q.coords**2, axis=1) <= (j * q.inv_h) ** 2
     values = q.values[inside].copy()
     weight = (1.0 / q.inv_h) ** q.n
-    norm = _cumulative_norms(np.abs(values), np.array([0, values.size]), weight)[0]
+    norm = _combine_norms(*_scaled_sums(np.abs(values), np.array([0, values.size])), weight)[0]
     return QuotientElement(
         n=q.n, inv_h=q.inv_h, j=int(j), coords=q.coords[inside].copy(),
         values=values, norm=norm,
@@ -530,7 +619,9 @@ def saturated_product(log_magnitude, phase, u: SpectralField, inverse):
     representable = factor_log <= OVERFLOW_EXPONENT and product_log <= OVERFLOW_EXPONENT - 1.0
     # otherwise overflowing factors and products are overwritten below
     with np.errstate(over="ignore", invalid="ignore"):
-        values = (np.exp(log_magnitude) * phase)[inverse] * u.values
+        factor = (np.exp(log_magnitude) * phase).astype(np.complex128, copy=False)
+        values = factor[inverse]
+        np.multiply(values, u.values, out=values)
     if representable:
         return SpectralField._adopt(u.grid, values, u.overflow), False
     log_u, u_phase = u.polar()

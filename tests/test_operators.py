@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechet_flow import (
     FrequencyGrid,
@@ -24,6 +26,7 @@ from frechet_flow.operators import (
     identity_operator,
     sharpness_field,
 )
+from frechet_flow.symbols import PolynomialSymbol
 from frechet_flow.spectral import mask_outside
 
 PI = math.pi
@@ -320,3 +323,77 @@ def test_constructor_leaves_the_level_table_unbuilt(grid):
     table = op.levels()
     assert op.levels() is table
     assert not table[0].flags.writeable and not table[1].flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the table of a polynomial symbol, built on the corner of its even axes
+
+COMPONENT = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, -1.5]))
+
+
+@st.composite
+def polynomial_on_a_grid(draw):
+    """A grid and a polynomial whose axes each take even exponents only, or any."""
+    n = draw(st.sampled_from([1, 2]))
+    grid = FrequencyGrid(n, draw(st.integers(1, 3)), draw(st.integers(1, 6)))
+    exponents = [st.sampled_from([0, 2, 4, 6]) if draw(st.booleans()) else st.integers(0, 5)
+                 for _ in range(n)]
+    terms = draw(st.lists(st.tuples(*exponents), min_size=1, max_size=5))
+    coeffs = {alpha: complex(draw(COMPONENT), draw(COMPONENT)) for alpha in terms}
+    return grid, PolynomialSymbol(n, coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=polynomial_on_a_grid())
+def test_polynomial_levels_are_the_full_grid_evaluation_bitwise(case):
+    grid, poly = case
+    expected = poly.eval_grid(*(grid.axis,) * grid.n)
+    op = MultiplierOperator(poly, grid)
+    levels, inverse = op.levels()
+    assert inverse.shape == grid.shape and inverse.dtype == np.int32
+    assert np.array_equal(bits(levels[inverse]), bits(expected))
+    expected_levels, expected_inverse = first_appearances(expected)
+    assert np.array_equal(bits(levels), bits(expected_levels))
+    assert np.array_equal(inverse, expected_inverse)
+    assert np.array_equal(bits(op.values), bits(expected))
+
+
+@pytest.mark.parametrize("text, corner", [
+    ("-(1+4*pi^2*(xi1^2+xi2^2))", (True, True)),
+    ("2*pi*i*xi1", (False, True)),
+    ("1+xi1^2*xi2^3", (True, False)),
+    ("xi1^4+xi2^2", (False, True)),
+    ("-(1+4*pi^2*(xi1^2+xi2^2)) + 2*pi*i*(xi1+2*xi2)", (False, False)),
+])
+def test_even_axes_are_evaluated_up_to_zero_only(monkeypatch, text, corner):
+    grid = FrequencyGrid(2, 3, 4)
+    shapes = []
+    evaluate = PolynomialSymbol.eval_grid
+
+    def recorded(self, *axes):
+        shapes.append(tuple(axis.size for axis in axes))
+        return evaluate(self, *axes)
+
+    monkeypatch.setattr(PolynomialSymbol, "eval_grid", recorded)
+    MultiplierOperator(to_polynomial(parse_symbol(text, 2)), grid).levels()
+    side = grid.shape[0]
+    assert shapes == [tuple(side // 2 + 1 if half else side for half in corner)]
+
+
+def test_a_polynomial_operator_keeps_no_grid_sized_complex_array():
+    grid = FrequencyGrid(2, 8, 32)
+    op = MultiplierOperator(to_polynomial(parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", 2)), grid)
+    op.levels()
+    op.seminorm(grid.J)
+    op.real_part_range()
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    for name, value in vars(op).items():
+        for array in arrays(value):
+            assert not (np.iscomplexobj(array) and array.size >= grid.node_count), name

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechet_flow import (
     FrequencyGrid,
@@ -24,7 +26,12 @@ from frechet_flow import (
     transport_symbol,
 )
 from frechet_flow.evolution import _stage_growth, exp_multiplier, exp_series
-from frechet_flow.spectral import OVERFLOW_EXPONENT, SpectralField, saturated_product
+from frechet_flow.spectral import (
+    OVERFLOW_EXPONENT,
+    SpectralField,
+    _difference_profile,
+    saturated_product,
+)
 
 HEAT_2D = "-(1+4*pi^2*(xi1^2+xi2^2))"
 
@@ -40,8 +47,13 @@ GRIDS = [
 ]
 
 
+def radius2_index(grid):
+    """Squared integer node radius ``|k|^2``, grid-shaped."""
+    return sum(axis.astype(np.int64) ** 2 for axis in grid.index_arrays())
+
+
 def masked(grid, j):
-    return grid._radius2_index <= (j * grid.inv_h) ** 2
+    return radius2_index(grid) <= (j * grid.inv_h) ** 2
 
 
 def masked_seminorm(u, j):
@@ -97,7 +109,7 @@ def test_profile_matches_the_masked_formula_within_4_ulp(grid, rng):
 
 def test_profile_is_nondecreasing_across_magnitude_ranges(rng):
     grid = FrequencyGrid(2, 8, 8)
-    radius = np.sqrt(grid._radius2_index) / grid.inv_h
+    radius = np.sqrt(radius2_index(grid)) / grid.inv_h
     for _ in range(20):
         decay = rng.uniform(-60, 60)
         values = random_field(grid, rng).values * np.exp(decay * radius)
@@ -115,9 +127,10 @@ def test_huge_sample_outside_ball_1_leaves_p1_unchanged(rng):
     assert p[2] == pytest.approx(1e300 * grid.h, rel=1e-12)
 
 
-def test_inf_sample_in_a_flagged_field_leaves_inner_balls_finite(rng):
+@pytest.mark.parametrize("scale", [1.0, 1e300])  # 1e300: squares overflow beside the inf
+def test_inf_sample_in_a_flagged_field_leaves_inner_balls_finite(rng, scale):
     grid = FrequencyGrid(1, 8, 32)
-    u = random_field(grid, rng)
+    u = random_field(grid, rng) * scale
     values = np.array(u.values)
     values[grid.nearest_node(2.5)] = np.inf
     p = seminorm_profile(SpectralField(grid, values, overflow=True))
@@ -396,3 +409,34 @@ def test_exp_series_profiles_its_field_once(monkeypatch, rng):
     profile[:] = 0.0  # a fresh array each time
     assert np.all(seminorm_profile(u) > 0.0)
     assert len(calls) == 1
+
+
+def scaled_field(grid, rng, kind):
+    """A random field of one magnitude class; "flagged" holds infinite samples."""
+    values = random_field(grid, rng).values
+    if kind == "subnormal":
+        return SpectralField(grid, values * 1e-310)
+    if kind == "near-overflow":
+        # every sample at most exp(709), so a difference stays finite
+        return SpectralField(grid, values * (math.exp(OVERFLOW_EXPONENT) / np.max(np.abs(values))))
+    if kind == "flagged":
+        values = values * 1e300
+        chosen = rng.choice(grid.node_count, size=3, replace=False)
+        values.reshape(-1)[chosen] = [complex(np.inf, 0.0), complex(-np.inf, 1.0),
+                                      complex(2.0, np.inf)]
+        return SpectralField(grid, values, overflow=True)
+    return SpectralField(grid, values)
+
+
+KINDS = ["random", "subnormal", "near-overflow", "flagged"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from(GRIDS), seed=st.integers(0, 2**32 - 1),
+       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)))
+def test_difference_profile_is_the_profile_of_the_difference(grid, seed, kinds):
+    rng = np.random.default_rng(seed)
+    a, b = (scaled_field(grid, rng, kind) for kind in kinds)
+    profile = _difference_profile(a, b)
+    assert profile.tolist() == seminorm_profile(a - b).tolist()
+    assert _difference_profile(a, a).tolist() == seminorm_profile(a - a).tolist()

@@ -311,6 +311,17 @@ def test_binary_reader_names_the_body_sizes(tmp_path):
         read_field(path)
 
 
+def test_binary_reader_names_the_size_of_a_long_body(tmp_path):
+    from frechet_flow.fieldio import FieldFormatError, read_field, write_field
+
+    grid = FrequencyGrid(1, 1, 2)
+    path = tmp_path / "long.fl2l"
+    write_field(path, ones(grid))
+    path.write_bytes(path.read_bytes() + b"\0" * 7)
+    with pytest.raises(FieldFormatError, match="expected a body of 80 bytes .5 samples., found 87 bytes"):
+        read_field(path)
+
+
 def test_binary_reader_rejects_a_non_finite_sample_without_warnings(tmp_path):
     from frechet_flow.fieldio import read_field, write_field
 

@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Write the outputs of a fixed matrix of CLI runs, to check byte-identity.
+
+    python3 tools/golden_outputs.py OUT_DIR [--bench-seeds 1 2 3]
+
+Every run is a fresh ``python -m frechet_flow`` process on the ``src`` of
+the checkout this file sits in.  Each case gets its own directory under
+OUT_DIR with its inputs, the files the command wrote (under ``out/``), its
+standard output (``stdout.txt``, suite timings masked) and its exit code
+(``exit_code.txt``).  Run it on two checkouts and compare the two
+directories with ``diff -r``; a change that keeps every output shows no
+difference.
+
+The matrix covers all seven commands, and ``solve`` with every output
+format under symbols of each parity class, on 1-D and 2-D grids: even in
+every axis, even in one axis only, and even in none.  ``--bench-seeds``
+adds the solve workloads of ``bench/workloads.py`` at the given seeds,
+with their own inputs and grids (up to about a million nodes).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import struct
+import subprocess
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+HEAT_1D = "-(1+4*pi^2*xi^2)"
+HEAT_2D = "-(1+4*pi^2*(xi1^2+xi2^2))"
+
+# (name, n, J, inv_h, symbol, times, init); "file" is a seeded random field
+SOLVES = [
+    ("solve-1d-even", 1, 8, 32, HEAT_1D, "0.001, 0.1, 1, -0.05", "gaussian-hat"),
+    ("solve-1d-even-backward", 1, 4, 16, HEAT_1D, "-0.5, -3", "ones"),
+    ("solve-1d-odd", 1, 8, 32, "2*pi*i*xi", "0.25, -1", "delta@0.5"),
+    ("solve-1d-mixed", 1, 6, 16, HEAT_1D + "+2*pi*i*xi", "0.01, 0.3", "file"),
+    ("solve-2d-even", 2, 4, 16, HEAT_2D, "0.001, 0.1, 1, -0.01", "file"),
+    ("solve-2d-even-backward", 2, 3, 8, HEAT_2D, "-0.2, -2", "ones"),
+    ("solve-2d-half-even", 2, 4, 16, "2*pi*i*xi1", "0.5, -2", "gaussian-hat"),
+    ("solve-2d-mixed", 2, 3, 16, HEAT_2D + "+2*pi*i*(xi1+2*xi2)", "0.01, -0.01", "file"),
+]
+
+OTHERS = [
+    ("heat-demo", ["heat-demo", "--out", "out"]),
+    ("check-l2", ["check-l2", "--symbol=" + HEAT_1D, "--t", "1.0", "--out", "out"]),
+    ("check-eprime", ["check-eprime", "--diffop", "1:0,1", "--convention", "partial",
+                      "--out", "out"]),
+    ("translate", ["translate", "--function", "gaussian", "--t", "0.5",
+                   "--samples=-2:2:0.1", "--out", "out"]),
+    ("seminorms-1d", ["seminorms", "--n", "1", "--J", "8", "--inv-h", "32", "--init",
+                      "gaussian-hat", "--out", "out"]),
+    ("seminorms-2d", ["seminorms", "--n", "2", "--J", "4", "--inv-h", "16", "--init",
+                      "ones", "--out", "out"]),
+    ("verify", ["verify"]),
+]
+
+
+def write_random_field(path, n, J, inv_h, seed):
+    """A seeded random field in the ``.fl2l`` layout, written without the package."""
+    side = 2 * J * inv_h + 1
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((side,) * n) + 1j * rng.standard_normal((side,) * n)
+    with open(path, "wb") as handle:
+        handle.write(struct.pack("<4sIBII", b"FL2L", 1, n, J, inv_h))
+        handle.write(values.astype("<c16").tobytes())
+
+
+def run(case_dir, args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "frechet_flow", *args], cwd=case_dir,
+                          env=env, capture_output=True, text=True)
+    stdout = re.sub(r"\(\d+\.\d+ s\)", "(s)", proc.stdout)
+    with open(os.path.join(case_dir, "stdout.txt"), "w") as handle:
+        handle.write(stdout)
+    with open(os.path.join(case_dir, "exit_code.txt"), "w") as handle:
+        handle.write(f"{proc.returncode}\n")
+    print(f"{os.path.basename(case_dir)}: exit {proc.returncode}")
+
+
+def solve_config(n, J, inv_h, symbol, times, init) -> str:
+    return (
+        f"[grid]\nn = {n}\nJ = {J}\ninv_h = {inv_h}\n[symbol]\ntext = {symbol}\n"
+        f"[evolve]\ntimes = {times}\nmethod = both\ntol = 1e-8\n[init]\nfield = {init}\n"
+        "[output]\ndirectory = out\nformats = csv, fl2l, field-csv\n"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir")
+    parser.add_argument("--bench-seeds", type=int, nargs="*", default=[])
+    args = parser.parse_args(argv)
+    os.makedirs(args.out_dir, exist_ok=True)
+
+    for seed, (name, n, J, inv_h, symbol, times, init) in enumerate(SOLVES, start=1):
+        case_dir = os.path.join(args.out_dir, name)
+        os.makedirs(case_dir, exist_ok=True)
+        if init == "file":
+            write_random_field(os.path.join(case_dir, "init.fl2l"), n, J, inv_h, seed)
+            init = "file:init.fl2l"
+        with open(os.path.join(case_dir, "run.cfg"), "w") as handle:
+            handle.write(solve_config(n, J, inv_h, symbol, times, init))
+        run(case_dir, ["solve", "--config", "run.cfg"])
+
+    for name, command in OTHERS:
+        case_dir = os.path.join(args.out_dir, name)
+        os.makedirs(case_dir, exist_ok=True)
+        run(case_dir, command)
+
+    if args.bench_seeds:
+        sys.path[:0] = [SRC, os.path.join(ROOT, "bench")]
+        from workloads import WORKLOADS, prepare
+
+        for workload in WORKLOADS.values():
+            if workload.command != "solve":
+                continue
+            for seed in args.bench_seeds:
+                case_dir = os.path.join(args.out_dir, f"{workload.name}-seed{seed}")
+                prepared = prepare(workload, seed, case_dir)
+                run(case_dir, prepared.cli_args("out"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
