@@ -25,6 +25,7 @@ from .evolution import SeriesDiagnostics, evolve
 from .fieldio import field_to_csv, read_field, write_csv, write_field, write_metadata
 from .operators import MultiplierOperator
 from .spectral import (
+    NODE_BUDGET,
     OVERFLOW_EXPONENT,
     OVERFLOW_LIMIT,
     FrequencyGrid,
@@ -53,7 +54,8 @@ def heat_scan(ts, Ms, Rs, quad_step: float = 1.0 / 64.0) -> list[HeatScanRow]:
     Midpoint quadrature with a fixed global step, so rows at increasing R
     are nested and the values are nondecreasing in R.  Rows whose integrand
     exceeds the overflow limit anywhere saturate at that limit and are
-    flagged rather than returned as infinities.  Times must be finite.
+    flagged rather than returned as infinities.  Times must be finite, radii
+    finite and positive, and the quadrature nodes within ``NODE_BUDGET``.
     """
     ts = [float(t) for t in ts]
     if not all(map(math.isfinite, ts)):
@@ -61,8 +63,12 @@ def heat_scan(ts, Ms, Rs, quad_step: float = 1.0 / 64.0) -> list[HeatScanRow]:
     Rs = sorted(float(R) for R in Rs)
     if not Rs:
         raise ValueError("at least one truncation radius is required")
+    if not all(math.isfinite(R) and R > 0 for R in Rs):
+        raise ValueError(f"truncation radii must be finite and positive, got {Rs!r}")
     r_max = Rs[-1]
     count = int(math.ceil(2.0 * r_max / quad_step))
+    if count > NODE_BUDGET:
+        raise ValueError(f"radius {r_max:g} needs {count} quadrature nodes, above {NODE_BUDGET}")
     midpoints = -r_max + (np.arange(count) + 0.5) * quad_step
     abs_mid = np.abs(midpoints)
     rows = []

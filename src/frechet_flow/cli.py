@@ -17,17 +17,10 @@ import sys
 import numpy as np
 
 from . import app, invariance, translation
-from .config import ConfigError, apply_overrides, config_from_text
+from .config import ConfigError, RunConfig, apply_overrides, config_from_text
 from .fieldio import FieldFormatError, write_csv, write_metadata
 from .spectral import FrequencyGrid, GridError, seminorm_profile
-from .symbols import (
-    SymbolError,
-    SymbolSyntaxError,
-    diffop_to_symbol,
-    parse_diffop_coefficients,
-    parse_symbol,
-    to_polynomial,
-)
+from .symbols import SymbolError, SymbolSyntaxError
 from .verify import DEFAULT_SEED, SUITES, run_verify
 
 EXIT_OK = 0
@@ -45,13 +38,11 @@ def _write_metadata(out_dir: str, command: str, lines):
     write_metadata(os.path.join(out_dir, "metadata.txt"), [f"command = {command}", *lines])
 
 
-def _symbol_from_args(args, n: int = 1):
-    if getattr(args, "symbol", None):
-        return to_polynomial(parse_symbol(args.symbol, n))
-    if getattr(args, "diffop", None):
-        coeffs = parse_diffop_coefficients(args.diffop)
-        return diffop_to_symbol(coeffs, convention=args.convention, n=n)
-    raise ConfigError("one of --symbol or --diffop is required")
+def _symbol_from_args(args):
+    if not (args.symbol or args.diffop):
+        raise ConfigError("one of --symbol or --diffop is required")
+    return app.build_symbol(RunConfig(symbol_text=args.symbol or None, diffop=args.diffop,
+                                      convention=args.convention))
 
 
 def cmd_solve(args) -> int:
@@ -77,27 +68,12 @@ def cmd_solve(args) -> int:
 def cmd_heat_demo(args) -> int:
     for t in args.t:
         _check_finite(t, "--t")
-    out_dir = _ensure_out(args)
     rows = app.heat_scan(args.t, args.M, args.R)
+    out_dir = _ensure_out(args)
     write_csv(os.path.join(out_dir, "heat_scan.csv"), ["t", "M", "R", "value", "overflow"],
               ([r.t, r.M, r.R, r.value, int(r.overflow)] for r in rows))
-    lines = []
-    for t in args.t:
-        for M in args.M:
-            chunk = [r for r in rows if r.t == t and r.M == M]
-            first, last = chunk[0], chunk[-1]
-            if t > 0:
-                rel = abs(last.value - chunk[-2].value) / last.value
-                lines.append(
-                    f"t={t:g} M={M}: converged, relative change {rel:.3e} "
-                    f"over the last radius doubling"
-                )
-            else:
-                ratio = last.value / first.value
-                lines.append(
-                    f"t={t:g} M={M}: grows by factor {ratio:.3e} from R={first.R:g} "
-                    f"to R={last.R:g}" + (" (saturated)" if last.overflow else "")
-                )
+    lines = [_heat_summary(t, M, [r for r in rows if r.t == t and r.M == M])
+             for t in args.t for M in args.M]
     _write_metadata(out_dir, "heat-demo", lines)
     for line in lines:
         print(line)
@@ -105,11 +81,27 @@ def cmd_heat_demo(args) -> int:
     return EXIT_OVERFLOW if overflowed else EXIT_OK
 
 
+def _heat_summary(t: float, M: int, chunk) -> str:
+    """One line on how the scan rows of one (t, M) change as the radius grows."""
+    first, last = chunk[0], chunk[-1]
+    head = f"t={t:g} M={M}: "
+    if len(chunk) == 1:
+        return head + f"value {last.value:.6e} at the single radius R={last.R:g}"
+    if t > 0:
+        # every row is 0 when the integrand underflows everywhere
+        rel = abs(last.value - chunk[-2].value) / last.value if last.value > 0 else 0.0
+        return head + f"converged, relative change {rel:.3e} over the last radius doubling"
+    # 0 when no quadrature node lies within the smallest radius
+    ratio = last.value / first.value if first.value > 0 else math.inf
+    return (head + f"grows by factor {ratio:.3e} from R={first.R:g} to R={last.R:g}"
+            + (" (saturated)" if last.overflow else ""))
+
+
 def cmd_check_eprime(args) -> int:
     poly = _symbol_from_args(args)
     decision = invariance.decide_eprime(poly)
-    out_dir = _ensure_out(args)
     search = invariance.find_growth_witness(poly, args.witness_c, args.rmax)
+    out_dir = _ensure_out(args)
     write_csv(os.path.join(out_dir, "eprime_probes.csv"), ["re_z", "im_z", "re_a", "threshold"],
               ([z.real, z.imag, value, threshold] for z, value, threshold in search.probes))
     lead = decision.leading
@@ -216,8 +208,6 @@ def cmd_translate(args) -> int:
 
 def cmd_seminorms(args) -> int:
     grid = FrequencyGrid(args.n, args.J, args.inv_h)
-    from .config import RunConfig
-
     config = RunConfig(n=args.n, J=args.J, inv_h=args.inv_h, init=args.init,
                        symbol_text="0")
     field = app.build_initial_field(config, grid)

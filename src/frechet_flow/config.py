@@ -16,8 +16,10 @@ The format is deliberately plain so runs diff cleanly:
     field = ones
     [output]
     directory = out
+    formats = csv, fl2l
 
-``#`` starts a comment.  A symbol may instead be given as a derivative
+``#`` starts a comment.  Output formats are ``csv``, ``fl2l`` and
+``field-csv``.  A symbol may instead be given as a derivative
 coefficient list (``diffop = 2:-1;0:-1`` with ``convention = partial``).
 Init fields are ``ones``, ``gaussian-hat``, ``delta@<xi>`` or
 ``file:<path>`` pointing at a binary field dump.  One override flag,
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 VALID_METHODS = ("multiplier", "series", "both")
+VALID_FORMATS = ("csv", "fl2l", "field-csv")
 
 
 class ConfigError(ValueError):
@@ -161,8 +164,12 @@ def config_from_text(text: str) -> RunConfig:
             raise ConfigError(f"init file {init[5:]!r} does not exist", line)
 
     directory, _ = _get(sections, "output", "directory", "out")
-    formats_text, _ = _get(sections, "output", "formats", "csv")
+    formats_text, line = _get(sections, "output", "formats", "csv")
     formats = tuple(part.strip() for part in formats_text.split(",") if part.strip())
+    for name in formats:
+        if name not in VALID_FORMATS:
+            raise ConfigError(f"unknown output format {name!r}; use csv, fl2l or field-csv",
+                              line)
 
     return RunConfig(
         n=n, J=J, inv_h=inv_h,

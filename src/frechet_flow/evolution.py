@@ -317,12 +317,9 @@ def uniform_continuity_gap(symbol, t: float, j: int, grid: Optional[FrequencyGri
     and rhs the rate bound ``e^{t p_j^X(A)} - 1``; lhs never exceeds rhs."""
     if t < 0:
         raise ValueError("the continuity gap is stated for t >= 0")
-    if isinstance(symbol, MultiplierOperator):
-        op = symbol
-    else:
-        if grid is None:
-            raise ValueError("a grid is required when passing a bare symbol")
-        op = MultiplierOperator(symbol, grid)
+    if grid is None and not isinstance(symbol, MultiplierOperator):
+        raise ValueError("a grid is required when passing a bare symbol")
+    op = as_multiplier(symbol, symbol.grid if grid is None else grid)
     mask = op.grid.ball_mask(j)
     z = t * op.values[mask]
     factor = np.exp(np.minimum(z.real, OVERFLOW_EXPONENT) + 1j * z.imag)

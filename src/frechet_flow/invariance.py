@@ -39,10 +39,6 @@ NOT_INVARIANT = "NotInvariant"
 UNDETERMINED = "Undetermined"
 
 
-def _as_poly(symbol) -> PolynomialSymbol:
-    return symbol if isinstance(symbol, PolynomialSymbol) else to_polynomial(symbol)
-
-
 def real_part_coefficients(poly: PolynomialSymbol) -> np.ndarray:
     """Dense real coefficients of ``xi -> Re a(xi)`` for a 1-D symbol."""
     if poly.n != 1:
@@ -87,7 +83,7 @@ def decide_eprime(symbol) -> EprimeDecision:
     records that the implemented criterion is stricter than that
     observation.
     """
-    poly = _as_poly(symbol)
+    poly = to_polynomial(symbol)
     if poly.n != 1:
         raise ValueError("the compact-support criterion is stated for n = 1")
     caveats = []
@@ -215,7 +211,7 @@ def decide_l2(symbol, t: float = 1.0, method: str = "auto") -> L2Decision:
         raise ValueError(f"time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("the invariance criterion is stated for t >= 0")
-    poly = _as_poly(symbol)
+    poly = to_polynomial(symbol)
     if t == 0.0:
         return L2Decision(
             verdict=INVARIANT, method="exact-1d" if poly.n == 1 else "sampled",
@@ -270,9 +266,11 @@ def find_growth_witness(symbol, c: float, r_max: float = 1e4) -> WitnessSearch:
     but none once c clears that slope.  An empty search is consistency
     evidence, not a proof.
     """
-    if c <= 0:
-        raise ValueError("the threshold c must be positive")
-    poly = _as_poly(symbol)
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"the threshold c must be finite and positive, got {c!r}")
+    if not math.isfinite(r_max):
+        raise ValueError(f"the search radius r_max must be finite, got {r_max!r}")
+    poly = to_polynomial(symbol)
     if poly.n != 1:
         raise ValueError("witness search is implemented for n = 1")
     radii = np.geomspace(1.0, max(float(r_max), 2.0), 60)
@@ -343,7 +341,7 @@ def l2_blowup_construction(symbol, t: float, budget: int) -> BlowupConstruction:
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    poly = _as_poly(symbol)
+    poly = to_polynomial(symbol)
     if poly.n != 1:
         raise ValueError("the blow-up construction is implemented for n = 1")
     decision = decide_l2(poly, t)

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fieldio import write_csv
-from .spectral import FrequencyGrid, GridError, SpectralField, mask_outside, seminorm
-from .symbols import PolynomialSymbol, SymbolExpr, _eval_node, parse_symbol, to_polynomial
+from .spectral import FrequencyGrid, GridError, SpectralField, mask_outside, random_field, seminorm
+from .symbols import PolynomialSymbol, parse_symbol, to_polynomial
 
 
 class MultiplierOperator:
@@ -31,37 +31,23 @@ class MultiplierOperator:
 
     The operator is immutable.  Its one grid-sized table is `levels`: the
     distinct symbol values and each node's index into them, built on first
-    use, never here.  An operator built from a `PolynomialSymbol` keeps
-    nothing else per node; where an axis enters the symbol through even
-    powers only, the table is built on the half (or quarter) grid up to
-    ``xi_k = 0`` and mirrored.  The per-ball quantities (`seminorm`,
-    `real_part_range`) and `apply` read the table.  ``values``, the symbol
-    on every node, is then gathered from it on each access.  Operators
-    built from an expression tree or by `from_values` keep their values
-    array: their per-ball quantities read it, and their table is built
-    from it.
+    use, never here.  Every symbol, given as text (parsed at ``grid.n``), as
+    an expression tree or as a `PolynomialSymbol`, is expanded by
+    `to_polynomial`; where an axis enters it through even powers only, the
+    table is built on the half (or quarter) grid up to ``xi_k = 0`` and
+    mirrored.  An operator built by `from_values` keeps the given array,
+    which is read only when the table is built.  The per-ball quantities
+    (`seminorm`, `real_part_range`), `apply` and `power` read the table, and
+    ``values``, the symbol on every node, is gathered from it on each access.
     """
 
     def __init__(self, symbol, grid: FrequencyGrid, label: str | None = None):
         if isinstance(symbol, str):
             symbol = parse_symbol(symbol, grid.n)
-        values = None
-        if isinstance(symbol, SymbolExpr):
-            if symbol.n != grid.n:
-                raise GridError(f"symbol dimension {symbol.n} != grid dimension {grid.n}")
-            values = _frozen(_expr_on_grid(symbol, grid))
-            poly = None
-            try:
-                poly = to_polynomial(symbol)
-            except Exception:
-                pass
-        elif isinstance(symbol, PolynomialSymbol):
-            if symbol.n != grid.n:
-                raise GridError(f"symbol dimension {symbol.n} != grid dimension {grid.n}")
-            poly = symbol
-        else:
-            raise TypeError(f"not a symbol: {symbol!r}")
-        self._init(grid, symbol, poly, values, label)
+        poly = to_polynomial(symbol)
+        if poly.n != grid.n:
+            raise GridError(f"symbol dimension {poly.n} != grid dimension {grid.n}")
+        self._init(grid, symbol, poly, label)
 
     @classmethod
     def from_values(cls, grid: FrequencyGrid, values, label: str | None = None):
@@ -69,24 +55,21 @@ class MultiplierOperator:
         if values.shape != grid.shape:
             raise GridError("values shape does not match grid")
         op = cls.__new__(cls)
-        op._init(grid, None, None, _frozen(values), label)
+        op._init(grid, None, _frozen(values), label)
         return op
 
-    def _init(self, grid, symbol, polynomial, values, label):
+    def _init(self, grid, symbol, source, label):
         self.grid = grid
         self.symbol = symbol
-        self.polynomial: Optional[PolynomialSymbol] = polynomial
         self.label = label
-        self._values = values
+        self._source = source
         self._seminorm_profile = None
         self._real_part_range = None
         self._levels = None
 
     @property
     def values(self) -> np.ndarray:
-        """The symbol on every node (read-only), gathered from `levels` unless kept."""
-        if self._values is not None:
-            return self._values
+        """The symbol on every node (read-only), gathered from `levels`."""
         levels, inverse = self.levels()
         return _frozen(levels[inverse])
 
@@ -121,14 +104,10 @@ class MultiplierOperator:
     def _on_ball(self, quantity) -> np.ndarray:
         """``quantity`` of the symbol at the nodes of ball J, grouped by shell.
 
-        Taken per node from a kept values array, otherwise per level and
-        gathered through the table.
+        Taken once per level and gathered through the table.
         """
-        shells = self.grid.shells()
-        if self._values is not None:
-            return shells.gather(quantity(self._values), self.grid.J)
         levels, inverse = self.levels()
-        return quantity(levels)[shells.gather(inverse, self.grid.J)]
+        return quantity(levels)[self.grid.shells().gather(inverse, self.grid.J)]
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """The bitwise-distinct symbol values and each node's index into them.
@@ -143,10 +122,10 @@ class MultiplierOperator:
         node plus 16 per level.
         """
         if self._levels is None:
-            if self._values is not None:
-                self._levels = _level_table(self._values)
+            if isinstance(self._source, PolynomialSymbol):
+                self._levels = _polynomial_levels(self._source, self.grid)
             else:
-                self._levels = _polynomial_levels(self.polynomial, self.grid)
+                self._levels = _level_table(self._source)
         return self._levels
 
     def seminorm_argmax(self, j: int) -> tuple[int, ...]:
@@ -238,15 +217,6 @@ def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
     return levels, _frozen(inverse)
 
 
-def _expr_on_grid(expr: SymbolExpr, grid: FrequencyGrid) -> np.ndarray:
-    if grid.n == 1:
-        axes = [grid.axis.astype(complex)]
-    else:
-        axes = [grid.axis[:, None].astype(complex), grid.axis[None, :].astype(complex)]
-    out = _eval_node(expr.root, axes)
-    return np.broadcast_to(np.asarray(out, dtype=np.complex128), grid.shape).copy()
-
-
 class ReflectionOperator:
     """Synthetic non-local operator ``(Ru)(xi) = u(scale * xi)``.
 
@@ -311,7 +281,7 @@ def continuum_seminorm_bound(symbol, j: int, samples: int = 4096) -> float:
     search (roots of the derivative of a real polynomial); in two dimensions
     it is sampled on rings.  The discrete operator seminorm never exceeds it.
     """
-    poly = to_polynomial(symbol) if not isinstance(symbol, PolynomialSymbol) else symbol
+    poly = to_polynomial(symbol)
     if poly.n == 1:
         deg = max((a[0] for a in poly.coeffs), default=0)
         re = np.zeros(deg + 1)
@@ -385,8 +355,6 @@ def compatibility_samples(
         values[index] = 1.0
         fields.append(SpectralField(grid, values))  # copies, so values is reused
         values[index] = 0.0
-    from .spectral import random_field
-
     fields.extend(random_field(grid, rng) for _ in range(extra))
     return fields
 

@@ -448,8 +448,7 @@ def _eval_node(node: Node, point) -> complex:
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
-        value = point[node.axis]
-        return value if isinstance(value, np.ndarray) else complex(value)
+        return complex(point[node.axis])
     if isinstance(node, Neg):
         return -_eval_node(node.arg, point)
     if isinstance(node, Pow):
@@ -462,7 +461,7 @@ def _eval_node(node: Node, point) -> complex:
         return left - right
     if node.op == "*":
         return left * right
-    if np.any(right == 0):
+    if right == 0:
         raise SymbolError("division by zero")
     return left / right
 

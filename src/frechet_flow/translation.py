@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .evolution import scalar_tail_log
+from .evolution import _safe_exp, scalar_tail_log
 from .spectral import NODE_BUDGET
 
 RATIO_CAP = 10.0
@@ -306,13 +306,6 @@ def certify_membership(
         conventional_passes=conventional_log <= log_cap,
         vanishing_order=phi.vanishing_order,
     )
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)

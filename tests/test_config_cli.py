@@ -529,3 +529,66 @@ def test_cli_process_fails_cleanly(tmp_path, case, message):
     assert done.returncode == 2
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["heat-demo", "--R", "inf"], "truncation radii must be finite and positive"),
+        (["heat-demo", "--R", "nan"], "truncation radii must be finite and positive"),
+        (["heat-demo", "--R", "0"], "truncation radii must be finite and positive"),
+        (["heat-demo", "--R=-1"], "truncation radii must be finite and positive"),
+        (["heat-demo", "--R", "1e6"], "quadrature nodes, above 4194304"),
+        (["check-eprime", "--symbol", "xi^2", "--witness-c", "nan"],
+         "threshold c must be finite and positive"),
+        (["check-eprime", "--symbol", "xi^2", "--witness-c", "inf"],
+         "threshold c must be finite and positive"),
+        (["check-eprime", "--symbol", "xi^2", "--rmax", "nan"],
+         "search radius r_max must be finite"),
+    ],
+)
+def test_cli_process_rejects_bad_flags_in_one_line(tmp_path, args, message):
+    done = run_process([*args, "--out", "out"], tmp_path)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args, summary",
+    [
+        (["--R", "1"], "t=-0.1 M=1: value 1.663044e+03 at the single radius R=1"),
+        (["--R", "1e-9", "2", "--t", "0.1"],
+         "t=0.1 M=0: converged, relative change 1.000e+00 over the last radius doubling"),
+        (["--R", "1e-9", "2", "--t=-0.1"],
+         "t=-0.1 M=0: grows by factor inf from R=1e-09 to R=2"),
+        (["--R", "1", "2", "--t", "1000"],
+         "t=1000 M=1: converged, relative change 0.000e+00 over the last radius doubling"),
+    ],
+)
+def test_cli_process_heat_demo_summarises_one_radius_and_zero_rows(tmp_path, args, summary):
+    done = run_process(["heat-demo", *args, "--out", "out"], tmp_path)
+    assert done.returncode == 0 and done.stderr == ""
+    assert summary in done.stdout.splitlines()
+    assert summary in (tmp_path / "out" / "metadata.txt").read_text().splitlines()
+
+
+def test_config_rejects_an_unknown_output_format():
+    for formats in ("csv", "csv, fl2l", "fl2l, field-csv", ""):
+        text = BASE_CONFIG + f"formats = {formats}\n"
+        assert config_from_text(text).formats == tuple(filter(None, formats.split(", ")))
+    with pytest.raises(ConfigError) as err:
+        config_from_text(BASE_CONFIG + "formats = csv, fl2\n")
+    message = str(err.value)
+    assert message.startswith("line 15: ") and "'fl2'" in message
+    assert all(name in message for name in ("csv", "fl2l", "field-csv"))
+
+
+def test_cli_process_rejects_an_unknown_output_format(tmp_path):
+    (tmp_path / "run.cfg").write_text(BASE_CONFIG + "formats = csv, fl2\n")
+    done = run_process(["solve", "--config", "run.cfg", "--out", "out"], tmp_path)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line 15: ") and "fl2l" in lines[0]
+    assert not (tmp_path / "out").exists()

@@ -26,8 +26,8 @@ from frechet_flow.operators import (
     identity_operator,
     sharpness_field,
 )
-from frechet_flow.symbols import PolynomialSymbol
-from frechet_flow.spectral import mask_outside
+from frechet_flow.symbols import PolynomialSymbol, SymbolError
+from frechet_flow.spectral import SpectralField, mask_outside
 
 PI = math.pi
 REL = 1e-12
@@ -230,11 +230,63 @@ def test_two_dimensional_multiplier(rng):
 )
 def test_text_and_expression_symbols_match_the_polynomial_path(n, text):
     grid = FrequencyGrid(n, 4, 4)
-    expected = MultiplierOperator(to_polynomial(parse_symbol(text, n)), grid).values
+    expected = MultiplierOperator(to_polynomial(parse_symbol(text, n)), grid)
+    expected_levels, expected_inverse = expected.levels()
     for symbol in (text, parse_symbol(text, n)):
-        values = MultiplierOperator(symbol, grid).values
-        assert values.shape == grid.shape
-        assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+        op = MultiplierOperator(symbol, grid)
+        assert op.values.shape == grid.shape
+        assert np.array_equal(bits(op.values), bits(expected.values))
+        levels, inverse = op.levels()
+        assert np.array_equal(bits(levels), bits(expected_levels))
+        assert np.array_equal(inverse, expected_inverse)
+
+
+def test_an_expression_over_the_expansion_budget_is_refused():
+    from frechet_flow.symbols import _EXPANSION_TERM_BUDGET
+
+    # 151 * 151 terms in the product of the two expanded factors
+    expr = parse_symbol("(1+xi1)^150*(1+xi2)^150", 2)
+    assert 151 * 151 > _EXPANSION_TERM_BUDGET
+    with pytest.raises(SymbolError, match="term budget"):
+        MultiplierOperator(expr, FrequencyGrid(2, 1, 2))
+
+
+# a few values of every kind, so that arrays drawn from them repeat values
+EXTREME_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 1.5,
+                     1e300, -1e300, 8.9e307, -8.9e307]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def values_on_a_grid(draw):
+    n = draw(st.sampled_from([1, 2]))
+    grid = FrequencyGrid(n, draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    parts = st.tuples(EXTREME_COMPONENT, EXTREME_COMPONENT)
+    pairs = draw(st.lists(parts, min_size=grid.node_count, max_size=grid.node_count))
+    return grid, np.array([complex(*pair) for pair in pairs]).reshape(grid.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=values_on_a_grid(), seed=st.integers(0, 2**32 - 1))
+def test_an_operator_from_values_reads_its_one_table(case, seed):
+    grid, v = case
+    op = MultiplierOperator.from_values(grid, v)
+    assert np.array_equal(bits(op.values), bits(v))
+    # |u| < 0.7 per part keeps every product part below the largest double
+    u = np.random.default_rng(seed).uniform(-0.7, 0.7, grid.shape + (2,)).view(complex)[..., 0]
+    image = op.apply(SpectralField(grid, u))
+    assert np.array_equal(bits(image.values), bits(v * u))
+    lower, upper = op.real_part_range()
+    for j in range(1, grid.J + 1):
+        mask = grid.ball_mask(j)
+        assert op.seminorm(j) == np.max(np.abs(v[mask]))
+        assert lower[j - 1] == np.min(v.real[mask])
+        assert upper[j - 1] == np.max(v.real[mask])
+    # the cube of a large value overflows to inf or nan on both sides alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(bits(op.power(3).values), bits(v * v * v))
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +432,13 @@ def test_even_axes_are_evaluated_up_to_zero_only(monkeypatch, text, corner):
     assert shapes == [tuple(side // 2 + 1 if half else side for half in corner)]
 
 
-def test_a_polynomial_operator_keeps_no_grid_sized_complex_array():
+@pytest.mark.parametrize("source", ["polynomial", "text", "expression"])
+def test_a_polynomial_operator_keeps_no_grid_sized_complex_array(source):
     grid = FrequencyGrid(2, 8, 32)
-    op = MultiplierOperator(to_polynomial(parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", 2)), grid)
+    text = "-(1+4*pi^2*(xi1^2+xi2^2))"
+    symbol = {"polynomial": to_polynomial(parse_symbol(text, 2)), "text": text,
+              "expression": parse_symbol(text, 2)}[source]
+    op = MultiplierOperator(symbol, grid)
     op.levels()
     op.seminorm(grid.J)
     op.real_part_range()

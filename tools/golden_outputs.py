@@ -6,16 +6,18 @@
 Every run is a fresh ``python -m frechet_flow`` process on the ``src`` of
 the checkout this file sits in.  Each case gets its own directory under
 OUT_DIR with its inputs, the files the command wrote (under ``out/``), its
-standard output (``stdout.txt``, suite timings masked) and its exit code
-(``exit_code.txt``).  Run it on two checkouts and compare the two
-directories with ``diff -r``; a change that keeps every output shows no
-difference.
+standard output (``stdout.txt``, suite timings masked), its standard error
+(``stderr.txt``) and its exit code (``exit_code.txt``).  Run it on two
+checkouts and compare the two directories with ``diff -r``; a change that
+keeps every output, error text included, shows no difference.
 
 The matrix covers all seven commands, and ``solve`` with every output
 format under symbols of each parity class, on 1-D and 2-D grids: even in
-every axis, even in one axis only, and even in none.  ``--bench-seeds``
-adds the solve workloads of ``bench/workloads.py`` at the given seeds,
-with their own inputs and grids (up to about a million nodes).
+every axis, even in one axis only, and even in none; one solve and one
+``check-l2`` take their symbol as a derivative-coefficient list, and a few
+cases fail on a missing or malformed symbol.  ``--bench-seeds`` adds the
+solve workloads of ``bench/workloads.py`` at the given seeds, with their
+own inputs and grids (up to about a million nodes).
 """
 
 from __future__ import annotations
@@ -35,21 +37,33 @@ SRC = os.path.join(ROOT, "src")
 HEAT_1D = "-(1+4*pi^2*xi^2)"
 HEAT_2D = "-(1+4*pi^2*(xi1^2+xi2^2))"
 
-# (name, n, J, inv_h, symbol, times, init); "file" is a seeded random field
+# the heat symbol as a coefficient list against plain partial derivatives
+HEAT_DIFFOP = "2:1;0:-1"
+
+# (name, n, J, inv_h, [symbol] entries, times, init); "file" is a seeded
+# random field
 SOLVES = [
-    ("solve-1d-even", 1, 8, 32, HEAT_1D, "0.001, 0.1, 1, -0.05", "gaussian-hat"),
-    ("solve-1d-even-backward", 1, 4, 16, HEAT_1D, "-0.5, -3", "ones"),
-    ("solve-1d-odd", 1, 8, 32, "2*pi*i*xi", "0.25, -1", "delta@0.5"),
-    ("solve-1d-mixed", 1, 6, 16, HEAT_1D + "+2*pi*i*xi", "0.01, 0.3", "file"),
-    ("solve-2d-even", 2, 4, 16, HEAT_2D, "0.001, 0.1, 1, -0.01", "file"),
-    ("solve-2d-even-backward", 2, 3, 8, HEAT_2D, "-0.2, -2", "ones"),
-    ("solve-2d-half-even", 2, 4, 16, "2*pi*i*xi1", "0.5, -2", "gaussian-hat"),
-    ("solve-2d-mixed", 2, 3, 16, HEAT_2D + "+2*pi*i*(xi1+2*xi2)", "0.01, -0.01", "file"),
+    ("solve-1d-even", 1, 8, 32, "text = " + HEAT_1D, "0.001, 0.1, 1, -0.05", "gaussian-hat"),
+    ("solve-1d-even-backward", 1, 4, 16, "text = " + HEAT_1D, "-0.5, -3", "ones"),
+    ("solve-1d-odd", 1, 8, 32, "text = 2*pi*i*xi", "0.25, -1", "delta@0.5"),
+    ("solve-1d-mixed", 1, 6, 16, "text = " + HEAT_1D + "+2*pi*i*xi", "0.01, 0.3", "file"),
+    ("solve-2d-even", 2, 4, 16, "text = " + HEAT_2D, "0.001, 0.1, 1, -0.01", "file"),
+    ("solve-2d-even-backward", 2, 3, 8, "text = " + HEAT_2D, "-0.2, -2", "ones"),
+    ("solve-2d-half-even", 2, 4, 16, "text = 2*pi*i*xi1", "0.5, -2", "gaussian-hat"),
+    ("solve-2d-mixed", 2, 3, 16, "text = " + HEAT_2D + "+2*pi*i*(xi1+2*xi2)", "0.01, -0.01",
+     "file"),
+    ("solve-1d-diffop", 1, 6, 16, f"diffop = {HEAT_DIFFOP}\nconvention = partial",
+     "0.01, 0.2, -0.1", "gaussian-hat"),
 ]
 
 OTHERS = [
     ("heat-demo", ["heat-demo", "--out", "out"]),
     ("check-l2", ["check-l2", "--symbol=" + HEAT_1D, "--t", "1.0", "--out", "out"]),
+    ("check-l2-diffop", ["check-l2", "--diffop", HEAT_DIFFOP, "--convention", "partial",
+                         "--t", "1.0", "--out", "out"]),
+    ("check-l2-no-symbol", ["check-l2", "--out", "out"]),
+    ("check-eprime-bad-diffop", ["check-eprime", "--diffop", "2:x", "--out", "out"]),
+    ("check-eprime-bad-symbol", ["check-eprime", "--symbol", "xi^(1/2)", "--out", "out"]),
     ("check-eprime", ["check-eprime", "--diffop", "1:0,1", "--convention", "partial",
                       "--out", "out"]),
     ("translate", ["translate", "--function", "gaussian", "--t", "0.5",
@@ -80,6 +94,8 @@ def run(case_dir, args):
     stdout = re.sub(r"\(\d+\.\d+ s\)", "(s)", proc.stdout)
     with open(os.path.join(case_dir, "stdout.txt"), "w") as handle:
         handle.write(stdout)
+    with open(os.path.join(case_dir, "stderr.txt"), "w") as handle:
+        handle.write(proc.stderr)
     with open(os.path.join(case_dir, "exit_code.txt"), "w") as handle:
         handle.write(f"{proc.returncode}\n")
     print(f"{os.path.basename(case_dir)}: exit {proc.returncode}")
@@ -87,7 +103,7 @@ def run(case_dir, args):
 
 def solve_config(n, J, inv_h, symbol, times, init) -> str:
     return (
-        f"[grid]\nn = {n}\nJ = {J}\ninv_h = {inv_h}\n[symbol]\ntext = {symbol}\n"
+        f"[grid]\nn = {n}\nJ = {J}\ninv_h = {inv_h}\n[symbol]\n{symbol}\n"
         f"[evolve]\ntimes = {times}\nmethod = both\ntol = 1e-8\n[init]\nfield = {init}\n"
         "[output]\ndirectory = out\nformats = csv, fl2l, field-csv\n"
     )
