@@ -54,8 +54,9 @@ def heat_scan(ts, Ms, Rs, quad_step: float = 1.0 / 64.0) -> list[HeatScanRow]:
     Midpoint quadrature with a fixed global step, so rows at increasing R
     are nested and the values are nondecreasing in R.  Rows whose integrand
     exceeds the overflow limit anywhere saturate at that limit and are
-    flagged rather than returned as infinities.  Times must be finite, radii
-    finite and positive, and the quadrature nodes within ``NODE_BUDGET``.
+    flagged rather than returned as infinities.  Times must be finite, each
+    2M a finite float, radii finite and positive, and the quadrature nodes
+    within ``NODE_BUDGET``.
     """
     ts = [float(t) for t in ts]
     if not all(map(math.isfinite, ts)):
@@ -65,6 +66,15 @@ def heat_scan(ts, Ms, Rs, quad_step: float = 1.0 / 64.0) -> list[HeatScanRow]:
         raise ValueError("at least one truncation radius is required")
     if not all(math.isfinite(R) and R > 0 for R in Rs):
         raise ValueError(f"truncation radii must be finite and positive, got {Rs!r}")
+    Ms = [int(M) for M in Ms]
+    for M in Ms:
+        try:
+            finite = math.isfinite(2.0 * M)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"a weight exponent M of {len(str(abs(M)))} digits: "
+                             "2M is not a finite float")
     r_max = Rs[-1]
     count = int(math.ceil(2.0 * r_max / quad_step))
     if count > NODE_BUDGET:
@@ -75,18 +85,18 @@ def heat_scan(ts, Ms, Rs, quad_step: float = 1.0 / 64.0) -> list[HeatScanRow]:
     for t in ts:
         exponent = -2.0 * float(t) * (1.0 + 4.0 * math.pi**2 * midpoints**2)
         for M in Ms:
-            log_integrand = exponent + 2.0 * int(M) * np.log1p(abs_mid)
+            log_integrand = exponent + 2.0 * M * np.log1p(abs_mid)
             for R in Rs:
                 mask = abs_mid <= R
                 if np.any(log_integrand[mask] > OVERFLOW_EXPONENT):
                     rows.append(
-                        HeatScanRow(t=float(t), M=int(M), R=R, value=OVERFLOW_LIMIT,
+                        HeatScanRow(t=float(t), M=M, R=R, value=OVERFLOW_LIMIT,
                                     overflow=True)
                     )
                     continue
                 value = float(np.sum(np.exp(log_integrand[mask])) * quad_step)
                 rows.append(
-                    HeatScanRow(t=float(t), M=int(M), R=R, value=value, overflow=False)
+                    HeatScanRow(t=float(t), M=M, R=R, value=value, overflow=False)
                 )
     return rows
 

@@ -90,11 +90,12 @@ def _heat_summary(t: float, M: int, chunk) -> str:
     if t > 0:
         # every row is 0 when the integrand underflows everywhere
         rel = abs(last.value - chunk[-2].value) / last.value if last.value > 0 else 0.0
-        return head + f"converged, relative change {rel:.3e} over the last radius doubling"
-    # 0 when no quadrature node lies within the smallest radius
-    ratio = last.value / first.value if first.value > 0 else math.inf
-    return (head + f"grows by factor {ratio:.3e} from R={first.R:g} to R={last.R:g}"
-            + (" (saturated)" if last.overflow else ""))
+        text = f"converged, relative change {rel:.3e} over the last radius doubling"
+    else:
+        # 0 when no quadrature node lies within the smallest radius
+        ratio = last.value / first.value if first.value > 0 else math.inf
+        text = f"grows by factor {ratio:.3e} from R={first.R:g} to R={last.R:g}"
+    return head + text + (" (saturated)" if last.overflow else "")
 
 
 def cmd_check_eprime(args) -> int:

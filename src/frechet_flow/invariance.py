@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .spectral import OVERFLOW_EXPONENT
-from .symbols import PolynomialSymbol, to_polynomial
+from .symbols import PolynomialSymbol, horner, to_polynomial
 
 # |Re a_m| below this counts as zero in the order-1 branch; exact-zero
 # inputs (coefficients written as pure imaginary literals) bypass it.
@@ -40,23 +40,17 @@ UNDETERMINED = "Undetermined"
 
 
 def real_part_coefficients(poly: PolynomialSymbol) -> np.ndarray:
-    """Dense real coefficients of ``xi -> Re a(xi)`` for a 1-D symbol."""
+    """Dense real coefficients of ``xi -> Re a(xi)`` for a 1-D symbol.
+
+    Read from ``poly.dense`` without trailing zeros; `horner` evaluates them
+    in real arithmetic.
+    """
     if poly.n != 1:
         raise ValueError("real-part decomposition is implemented for n = 1")
-    deg = max((a[0] for a in poly.coeffs), default=0)
-    out = np.zeros(deg + 1)
-    for (a,), c in poly.coeffs.items():
-        out[a] = c.real
+    out = poly.dense.real
     while out.size > 1 and out[-1] == 0.0:
         out = out[:-1]
     return out
-
-
-def real_part_value(poly: PolynomialSymbol, xi: float) -> float:
-    acc = 0.0
-    for c in real_part_coefficients(poly)[::-1]:
-        acc = acc * xi + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +151,7 @@ def _decide_bounded_above_1d(poly: PolynomialSymbol) -> tuple[bool, float, tuple
     if bounded:
         roots = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(re))
         candidates = [0.0] + [float(r.real) for r in roots if abs(r.imag) < 1e-9]
-        sup = max(float(np.polynomial.polynomial.polyval(x, re)) for x in candidates)
+        sup = max(horner(re, [np.array(candidates)]).tolist())
         return True, sup, ()
     caveats = []
     if degree % 2 == 1:
@@ -170,18 +164,23 @@ def _decide_bounded_above_1d(poly: PolynomialSymbol) -> tuple[bool, float, tuple
 
 def sampled_sphere_maxima(poly: PolynomialSymbol, max_exponent: int = 20) -> np.ndarray:
     """Max of Re a over the sphere of radius 2^k, k = 0..max_exponent."""
-    out = []
-    for k in range(max_exponent + 1):
-        r = float(2**k)
-        if poly.n == 1:
-            vals = [real_part_value(poly, r), real_part_value(poly, -r)]
-        else:
-            angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-            vals = [
-                poly.eval([r * math.cos(a), r * math.sin(a)]).real for a in angles
-            ]
-        out.append(max(vals))
-    return np.array(out)
+    radii = np.ldexp(1.0, np.arange(max_exponent + 1))
+    if poly.n == 1:
+        # the real part in real arithmetic, which an overflow leaves at +-inf
+        # where the complex product would turn it into inf * 0 = nan
+        values = horner(real_part_coefficients(poly), [np.stack([radii, -radii])])
+    else:
+        angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)[:, None]
+        values = poly.eval([radii * np.cos(angles), radii * np.sin(angles)]).real
+    return _first_max(values)
+
+
+def _first_max(rows: np.ndarray) -> np.ndarray:
+    """Python's ``max`` down the rows: a later row wins only where it is greater."""
+    best = rows[0]
+    for row in rows[1:]:
+        best = np.where(row > best, row, best)
+    return best
 
 
 def _decide_sampled(poly: PolynomialSymbol) -> tuple[str, float, tuple]:
@@ -273,31 +272,27 @@ def find_growth_witness(symbol, c: float, r_max: float = 1e4) -> WitnessSearch:
     poly = to_polynomial(symbol)
     if poly.n != 1:
         raise ValueError("witness search is implemented for n = 1")
-    radii = np.geomspace(1.0, max(float(r_max), 2.0), 60)
+    radii = np.geomspace(1.0, max(float(r_max), 2.0), 60)[:, None]
     angles = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
-    probes = []
+    eta = radii * np.sin(angles)
+    z = np.empty(eta.shape, dtype=np.complex128)
+    z.real, z.imag = radii * np.cos(angles), eta
+    z = z[eta != 0.0]  # row-major: by radius, then by angle
+    values = poly.eval([z]).real
+    thresholds = c * np.abs(z.imag)
+    # a hit counts only if it survives doubling the point twice along its ray;
+    # a doubled point whose value overflows compares as inf or nan
+    hits = values > thresholds
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scale in (2, 4):
+            hits &= poly.eval([scale * z]).real > c * np.abs((scale * z).imag)
+    probes = tuple(zip(z.tolist(), values.tolist(), thresholds.tolist()))
     best = None
-
-    def exceeds(point: complex) -> bool:
-        return poly.eval([point]).real > c * abs(point.imag)
-
-    for r in radii:
-        for theta in angles:
-            eta = r * math.sin(theta)
-            if eta == 0.0:
-                continue
-            z = complex(r * math.cos(theta), eta)
-            value = poly.eval([z]).real
-            threshold = c * abs(eta)
-            probes.append((z, value, threshold))
-            if best is None and value > threshold and exceeds(2 * z) and exceeds(4 * z):
-                best = GrowthWitness(
-                    z=z,
-                    real_part=value,
-                    threshold=threshold,
-                    branch="upper" if eta > 0 else "lower",
-                )
-    return WitnessSearch(witness=best, probes=tuple(probes))
+    if hits.any():
+        point, value, threshold = probes[int(np.argmax(hits))]
+        best = GrowthWitness(z=point, real_part=value, threshold=threshold,
+                             branch="upper" if point.imag > 0 else "lower")
+    return WitnessSearch(witness=best, probes=probes)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +346,10 @@ def l2_blowup_construction(symbol, t: float, budget: int) -> BlowupConstruction:
         )
     direction = _growth_direction(poly)
 
-    def log_factor(xi: float) -> float:
-        return 2.0 * t * real_part_value(poly, xi)
+    re = real_part_coefficients(poly)
+
+    def log_factor(xi):
+        return 2.0 * t * horner(re, [xi])
 
     centers = []
     radii = []
@@ -384,7 +381,7 @@ def l2_blowup_construction(symbol, t: float, budget: int) -> BlowupConstruction:
         probe = np.linspace(-1.0, 1.0, 41)
         while True:
             points = direction * (center + radius * probe * direction)
-            values = 2.0 * t * np.array([real_part_value(poly, x) for x in points])
+            values = log_factor(points)
             if np.min(values) >= floor:
                 break
             radius *= 0.5
@@ -398,7 +395,7 @@ def l2_blowup_construction(symbol, t: float, budget: int) -> BlowupConstruction:
         quad = 400
         step = 2.0 * radius / quad
         xs = direction * center + (np.arange(quad) + 0.5) * step - radius
-        logs = 2.0 * t * np.array([real_part_value(poly, x) for x in xs])
+        logs = log_factor(xs)
         peak = min(float(np.max(logs)), OVERFLOW_EXPONENT)
         mean_factor = math.exp(peak) * float(np.mean(np.exp(np.minimum(logs, peak) - peak)))
         evolved.append((2.0**-N) * mean_factor)
@@ -450,7 +447,7 @@ def corpus_symbol(
     while True:
         poly = random_polynomial_symbol(rng, max_degree)
         re = real_part_coefficients(poly)
-        grid_max = float(np.max(np.polynomial.polynomial.polyval(xs, re)))
+        grid_max = float(np.max(horner(re, [xs])))
         verdict = decide_l2(poly, 1.0).verdict
         if verdict == INVARIANT and grid_max <= 5.0:
             return poly

@@ -33,9 +33,11 @@ class MultiplierOperator:
     distinct symbol values and each node's index into them, built on first
     use, never here.  Every symbol, given as text (parsed at ``grid.n``), as
     an expression tree or as a `PolynomialSymbol`, is expanded by
-    `to_polynomial`; where an axis enters it through even powers only, the
-    table is built on the half (or quarter) grid up to ``xi_k = 0`` and
-    mirrored.  An operator built by `from_values` keeps the given array,
+    `to_polynomial`, which refuses one past the dense-coefficient budget,
+    and evaluated by the polynomial's Horner routine (`eval_grid`); where
+    an axis enters it through even powers only, of any degree, the table is
+    built on the half (or quarter) grid up to ``xi_k = 0`` and mirrored.
+    An operator built by `from_values` keeps the given array,
     which is read only when the table is built.  The per-ball quantities
     (`seminorm`, `real_part_range`), `apply` and `power` read the table, and
     ``values``, the symbol on every node, is gathered from it on each access.
@@ -195,19 +197,15 @@ def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
     """`_level_table` of a polynomial symbol, built on as few nodes as its parity allows.
 
     `PolynomialSymbol.eval_grid` is bitwise even in ``xi_k`` when every
-    exponent of ``xi_k`` is even, and in 2-D at most 2: the 1-D Horner
-    scheme only multiplies and adds, which commute with negation, and the
-    2-D path forms ``x**2`` as ``x * x``.  (A higher power goes through
-    ``pow``, which is not bitwise sign-symmetric.)  Such an axis is evaluated
-    on its first ``J inv_h + 1`` nodes only, up to ``xi_k = 0``, and the
-    table's ``inverse`` is mirrored.  Every node's value also sits at a node
-    of that corner that comes no later in row-major order, so the corner's
-    first appearances are the full grid's and ``levels`` is unchanged.
+    exponent of ``xi_k`` is even: its Horner scheme only multiplies and
+    adds, which commute with negation.  Such an axis is evaluated on its
+    first ``J inv_h + 1`` nodes only, up to ``xi_k = 0``, and the table's
+    ``inverse`` is mirrored.  Every node's value also sits at a node of that
+    corner that comes no later in row-major order, so the corner's first
+    appearances are the full grid's and ``levels`` is unchanged.
     """
     lim = grid.J * grid.inv_h
-    top = poly.order if grid.n == 1 else 2
-    even = [all(alpha[k] % 2 == 0 and alpha[k] <= top for alpha in poly.coeffs)
-            for k in range(grid.n)]
+    even = [all(alpha[k] % 2 == 0 for alpha in poly.coeffs) for k in range(grid.n)]
     axes = [grid.axis[: lim + 1] if mirrored else grid.axis for mirrored in even]
     levels, inverse = _level_table(np.ascontiguousarray(poly.eval_grid(*axes)))
     for k, mirrored in enumerate(even):
@@ -283,12 +281,7 @@ def continuum_seminorm_bound(symbol, j: int, samples: int = 4096) -> float:
     """
     poly = to_polynomial(symbol)
     if poly.n == 1:
-        deg = max((a[0] for a in poly.coeffs), default=0)
-        re = np.zeros(deg + 1)
-        im = np.zeros(deg + 1)
-        for (a,), c in poly.coeffs.items():
-            re[a] = c.real
-            im[a] = c.imag
+        re, im = poly.dense.real, poly.dense.imag
         square = np.polynomial.polynomial.polymul(re, re)
         square = np.polynomial.polynomial.polyadd(
             square, np.polynomial.polynomial.polymul(im, im)
@@ -300,14 +293,12 @@ def continuum_seminorm_bound(symbol, j: int, samples: int = 4096) -> float:
             for r in roots:
                 if abs(r.imag) < 1e-9 and abs(r.real) <= j:
                     candidates.append(float(r.real))
-        return max(abs(poly.eval([x])) for x in candidates)
-    radii = np.linspace(0.0, float(j), 64)
-    angles = np.linspace(0.0, 2 * math.pi, samples // 64, endpoint=False)
-    best = 0.0
-    for r in radii:
-        for th in angles:
-            best = max(best, abs(poly.eval([r * math.cos(th), r * math.sin(th)])))
-    return best
+        values = poly.eval([np.array(candidates)])
+    else:
+        radii = np.linspace(0.0, float(j), 64)[:, None]
+        angles = np.linspace(0.0, 2 * math.pi, samples // 64, endpoint=False)
+        values = poly.eval([radii * np.cos(angles), radii * np.sin(angles)])
+    return float(np.fmax.reduce(np.abs(values), axis=None, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ lists written against plain partial derivatives are converted by the factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -202,7 +202,14 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             exp_node = self.unary()  # right-associative via recursion in unary
-            exponent = _constant_value(exp_node, offset)
+            if _contains_variable(exp_node):
+                raise SymbolSyntaxError("exponent must be a constant", offset)
+            try:
+                exponent = _eval_node(exp_node, ())
+            except SymbolError:
+                raise SymbolSyntaxError("division by zero in constant", offset)
+            except (ZeroDivisionError, OverflowError) as error:  # 0^-1, 10^400
+                raise SymbolSyntaxError(f"exponent out of range: {error}", offset)
             if exponent.imag != 0 or exponent.real != int(exponent.real):
                 raise SymbolSyntaxError("non-integer exponent", offset)
             return Pow(base, int(exponent.real))
@@ -247,31 +254,6 @@ def _contains_variable(node: Node) -> bool:
     if isinstance(node, BinOp):
         return _contains_variable(node.left) or _contains_variable(node.right)
     return False
-
-
-def _constant_value(node: Node, offset: int) -> complex:
-    """Fold a variable-free subtree to a complex number."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        raise SymbolSyntaxError("exponent must be a constant", offset)
-    if isinstance(node, Neg):
-        return -_constant_value(node.arg, offset)
-    if isinstance(node, Pow):
-        return _constant_value(node.base, offset) ** node.exponent
-    left = _constant_value(node.left, offset)
-    right = _constant_value(node.right, offset)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if right == 0:
-        raise SymbolSyntaxError("division by zero in constant", offset)
-    return left / right
 
 
 def parse_symbol(text: str, n: int = 1) -> SymbolExpr:
@@ -325,12 +307,56 @@ def _print_node(node: Node, parent_prec: int) -> str:
 # Polynomial form
 
 
+# Most terms an expansion may hold, and most entries of a dense coefficient array.
+_EXPANSION_TERM_BUDGET = 20000
+
+
+def horner(coefficients: np.ndarray, coords) -> np.ndarray:
+    """``sum_alpha coefficients[alpha] x^alpha`` at broadcastable coordinates.
+
+    Horner's rule in the last coordinate over rows that are themselves
+    Horner polynomials in the others; for two coordinates, Horner in
+    ``xi2`` over Horner-in-``xi1`` rows.  Only products and sums are
+    formed, so the result is bitwise even in a coordinate that enters
+    through even powers only, and per axis the rounding error is that of
+    Horner's rule, the ``gamma_2d`` bound for degree d (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, section 5.1).  Real
+    coefficients at real coordinates stay in real arithmetic.
+    """
+    *inner, last = coords
+    acc = coefficients.dtype.type(0)
+    for row in np.moveaxis(coefficients, -1, 0)[::-1]:
+        acc = acc * last + (horner(row, inner) if inner else row)
+    return acc
+
+
+def _check_degrees(degrees) -> tuple:
+    """The dense coefficient shape for these per-axis degrees, within the budget."""
+    shape = tuple(d + 1 for d in degrees)
+    if math.prod(shape) > _EXPANSION_TERM_BUDGET:
+        raise SymbolError(
+            f"degrees {tuple(degrees)} need {math.prod(shape)} dense "
+            f"coefficients, above the budget of {_EXPANSION_TERM_BUDGET}"
+        )
+    return shape
+
+
+def _degrees(alphas, n: int) -> list:
+    return [max((alpha[k] for alpha in alphas), default=0) for k in range(n)]
+
+
 @dataclass(frozen=True)
 class PolynomialSymbol:
-    """Coefficient map ``alpha -> a_alpha`` over multi-indices of length n."""
+    """Coefficient map ``alpha -> a_alpha`` over multi-indices of length n.
+
+    ``dense`` holds the same coefficients as a read-only complex array
+    indexed by ``alpha``; a symbol whose array would exceed
+    ``_EXPANSION_TERM_BUDGET`` entries is refused.
+    """
 
     n: int
     coeffs: dict
+    dense: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cleaned = {}
@@ -341,7 +367,13 @@ class PolynomialSymbol:
             c = complex(c)
             if c != 0:
                 cleaned[alpha] = cleaned.get(alpha, 0) + c
-        object.__setattr__(self, "coeffs", {a: c for a, c in cleaned.items() if c != 0})
+        coeffs = {a: c for a, c in cleaned.items() if c != 0}
+        dense = np.zeros(_check_degrees(_degrees(coeffs, self.n)), dtype=np.complex128)
+        for alpha, c in coeffs.items():
+            dense[alpha] = c
+        dense.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "dense", dense)
 
     @property
     def order(self) -> int:
@@ -380,54 +412,23 @@ class PolynomialSymbol:
                 out[tuple(shifted)] = c * factor
         return PolynomialSymbol(self.n, out)
 
-    def eval(self, point) -> complex:
-        """Exact polynomial evaluation, Horner per variable."""
-        point = np.atleast_1d(np.asarray(point, dtype=complex))
-        if point.size != self.n:
-            raise SymbolError(f"point dimension {point.size} != {self.n}")
-        if self.n == 1:
-            dense = self._dense_1d()
-            acc = 0j
-            for c in reversed(dense):
-                acc = acc * point[0] + c
-            return complex(acc)
-        # Horner in xi2 with coefficient polynomials in xi1.
-        by_deg2: dict[int, dict] = {}
-        for (a1, a2), c in self.coeffs.items():
-            by_deg2.setdefault(a2, {})[a1] = c
-        top = max(by_deg2) if by_deg2 else 0
-        acc = 0j
-        for k in range(top, -1, -1):
-            level = by_deg2.get(k, {})
-            inner = 0j
-            for d in range(max(level, default=0), -1, -1):
-                inner = inner * point[0] + level.get(d, 0j)
-            acc = acc * point[1] + inner
-        return complex(acc)
+    def eval(self, point):
+        """``a`` at a point by `horner`; its coordinates may be broadcastable arrays.
+
+        A point of scalars gives a complex, array coordinates a complex array.
+        """
+        coords = [np.asarray(x) for x in ((point,) if np.isscalar(point) else point)]
+        if len(coords) != self.n:
+            raise SymbolError(f"point dimension {len(coords)} != {self.n}")
+        value = horner(self.dense, coords)
+        return complex(value) if np.ndim(value) == 0 else value
 
     def eval_grid(self, *axes) -> np.ndarray:
-        """Vectorised evaluation on a product grid of coordinate arrays."""
+        """`eval` on the product grid of the coordinate arrays ``axes``."""
         if len(axes) != self.n:
             raise SymbolError(f"expected {self.n} coordinate arrays")
-        if self.n == 1:
-            xi = np.asarray(axes[0])
-            out = np.zeros(xi.shape, dtype=np.complex128)
-            for c in reversed(self._dense_1d()):
-                out = out * xi + c
-            return out
-        x1 = np.asarray(axes[0])[:, None]
-        x2 = np.asarray(axes[1])[None, :]
-        out = np.zeros((axes[0].size, axes[1].size), dtype=np.complex128)
-        for (a1, a2), c in self.coeffs.items():
-            out = out + c * x1**a1 * x2**a2
-        return out
-
-    def _dense_1d(self):
-        deg = max((a[0] for a in self.coeffs), default=0)
-        dense = [0j] * (deg + 1)
-        for (a,), c in self.coeffs.items():
-            dense[a] = c
-        return dense
+        return self.eval([np.asarray(axis).reshape((-1,) + (1,) * (self.n - 1 - k))
+                          for k, axis in enumerate(axes)])
 
 
 def evaluate(symbol, point) -> complex:
@@ -464,9 +465,6 @@ def _eval_node(node: Node, point) -> complex:
     if right == 0:
         raise SymbolError("division by zero")
     return left / right
-
-
-_EXPANSION_TERM_BUDGET = 20000
 
 
 def to_polynomial(symbol) -> PolynomialSymbol:
@@ -507,6 +505,7 @@ def _expand(node: Node, n: int) -> dict:
             return {zero_index: value**node.exponent}
         out = {zero_index: 1.0 + 0j}
         base = _expand(node.base, n)
+        _check_degrees([node.exponent * d for d in _degrees(base, n)])
         for _ in range(node.exponent):
             out = _poly_mul(out, base)
         return out
@@ -559,11 +558,14 @@ def diffop_to_symbol(coeffs: dict, convention: str = "d", n: int = 1) -> Polynom
     """
     if convention not in ("d", "partial"):
         raise SymbolError(f"convention must be 'd' or 'partial', got {convention!r}")
-    out = {}
-    for alpha, c in coeffs.items():
-        alpha = tuple(alpha) if isinstance(alpha, tuple) else (alpha,)
+    coeffs = {(alpha if isinstance(alpha, tuple) else (alpha,)): c
+              for alpha, c in coeffs.items()}
+    for alpha in coeffs:
         if len(alpha) != n:
             raise SymbolError(f"multi-index {alpha} does not match dimension {n}")
+    _check_degrees(_degrees(coeffs, n))
+    out = {}
+    for alpha, c in coeffs.items():
         factor = 1.0 + 0j
         if convention == "partial":
             # one multiplication per derivative order, so the factor is the
@@ -644,13 +646,9 @@ def default_audit_points(n: int, radius: float) -> np.ndarray:
 
 
 def _ratio_sup(poly: PolynomialSymbol, alpha, m: int, points: np.ndarray) -> float:
-    deriv = poly.derivative(alpha)
-    sup = 0.0
-    for point in points:
-        norm = float(np.linalg.norm(point))
-        ratio = abs(deriv.eval(point)) / (1.0 + norm) ** (m - sum(alpha))
-        sup = max(sup, ratio)
-    return sup
+    values = poly.derivative(alpha).eval(points.T)
+    weights = (1.0 + np.linalg.norm(points, axis=1)) ** (m - sum(alpha))
+    return float(np.fmax.reduce(np.abs(values) / weights, initial=0.0))
 
 
 def _multi_indices(n: int, up_to: int):

@@ -301,6 +301,12 @@ def test_heat_scan_rejects_non_finite_times(t):
         heat_scan([0.1, t], [0], [1, 2])
 
 
+@pytest.mark.parametrize("M", [10**400, 10**308, -(10**308)])
+def test_heat_scan_rejects_weights_whose_double_is_not_finite(M):
+    with pytest.raises(ValueError, match="2M is not a finite float"):
+        heat_scan([0.1], [0, M], [1, 2])
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -545,6 +551,12 @@ def test_cli_process_fails_cleanly(tmp_path, case, message):
          "threshold c must be finite and positive"),
         (["check-eprime", "--symbol", "xi^2", "--rmax", "nan"],
          "search radius r_max must be finite"),
+        (["heat-demo", "--M", "1" + "0" * 400], "2M is not a finite float"),
+        # a dense coefficient array of 10^9 + 1 entries is refused before it is built
+        (["check-l2", "--symbol", "xi^1000000000"], "above the budget of 20000"),
+        (["check-eprime", "--diffop", "1000000000:1"], "above the budget of 20000"),
+        (["check-eprime", "--diffop", "1000000000:1", "--convention", "partial"],
+         "above the budget of 20000"),
     ],
 )
 def test_cli_process_rejects_bad_flags_in_one_line(tmp_path, args, message):
@@ -572,6 +584,16 @@ def test_cli_process_heat_demo_summarises_one_radius_and_zero_rows(tmp_path, arg
     assert done.returncode == 0 and done.stderr == ""
     assert summary in done.stdout.splitlines()
     assert summary in (tmp_path / "out" / "metadata.txt").read_text().splitlines()
+
+
+def test_cli_process_heat_demo_marks_saturated_forward_rows(tmp_path):
+    done = run_process(["heat-demo", "--M", "1" + "0" * 300, "--out", "out"], tmp_path)
+    assert done.returncode == 3 and done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("t=0.1 M=1000")
+    assert lines[0].endswith(": converged, relative change 0.000e+00 over the last radius "
+                             "doubling (saturated)")
+    assert lines[1].endswith(": grows by factor 1.000e+00 from R=1 to R=64 (saturated)")
 
 
 def test_config_rejects_an_unknown_output_format():

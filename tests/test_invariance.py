@@ -23,8 +23,9 @@ from frechet_flow.invariance import (
     corpus_symbol,
     random_polynomial_symbol,
     real_part_coefficients,
+    sampled_sphere_maxima,
 )
-from frechet_flow.symbols import PolynomialSymbol
+from frechet_flow.symbols import PolynomialSymbol, parse_symbol
 
 PI = math.pi
 
@@ -192,6 +193,52 @@ def test_ddx_witness_exists_below_slope_two_pi():
     assert search.witness.branch == "lower"
     assert search.witness.holds(D_DX)
     assert not find_growth_witness(D_DX, 7.0).found
+
+
+@pytest.mark.parametrize("text", ["(1+2*i)*xi^5-3*xi^2+i*xi", "-xi^4+2*xi"])
+def test_witness_search_is_the_point_by_point_scan(text):
+    poly = to_polynomial(text)
+    c = 1.0
+    search = find_growth_witness(poly, c, r_max=100.0)
+    radii = np.geomspace(1.0, 100.0, 60)
+    angles = np.linspace(0.0, 2 * PI, 48, endpoint=False)
+    cos, sin = np.cos(angles), np.sin(angles)
+
+    def exceeds(z):
+        return poly.eval([z]).real > c * abs(z.imag)
+
+    probes, first = [], None
+    for r in radii:
+        for k in range(angles.size):
+            z = complex(r * cos[k], r * sin[k])
+            if z.imag == 0.0:
+                continue
+            probes.append((z, poly.eval([z]).real, c * abs(z.imag)))
+            if first is None and exceeds(z) and exceeds(2 * z) and exceeds(4 * z):
+                first = probes[-1]
+    assert search.probes == tuple(probes)
+    assert first is not None and search.witness.z == first[0]
+    assert (search.witness.real_part, search.witness.threshold) == first[1:]
+
+
+def test_sphere_maxima_are_the_point_by_point_scan():
+    poly = to_polynomial("(1+2*i)*xi^5-3*xi^2+i*xi")
+    re = real_part_coefficients(poly)
+
+    def real_part(x):  # the real-part Horner loop
+        acc = 0.0
+        for coefficient in re[::-1]:
+            acc = acc * x + coefficient
+        return acc
+
+    assert sampled_sphere_maxima(poly, 8).tolist() == [
+        max(real_part(2.0**k), real_part(-(2.0**k))) for k in range(9)]
+    poly = to_polynomial(parse_symbol("-(xi1^2+xi2^2)^2+3*xi1*xi2+i*xi2^3", 2))
+    angles = np.linspace(0.0, 2 * PI, 64, endpoint=False)
+    cos, sin = np.cos(angles), np.sin(angles)
+    assert sampled_sphere_maxima(poly, 8).tolist() == [
+        max(poly.eval([2.0**k * cos[a], 2.0**k * sin[a]]).real for a in range(64))
+        for k in range(9)]
 
 
 def test_zero_symbol_has_no_witness():

@@ -414,7 +414,8 @@ def test_polynomial_levels_are_the_full_grid_evaluation_bitwise(case):
     ("-(1+4*pi^2*(xi1^2+xi2^2))", (True, True)),
     ("2*pi*i*xi1", (False, True)),
     ("1+xi1^2*xi2^3", (True, False)),
-    ("xi1^4+xi2^2", (False, True)),
+    ("xi1^4+xi2^2", (True, True)),
+    ("xi1^4*xi2^6", (True, True)),
     ("-(1+4*pi^2*(xi1^2+xi2^2)) + 2*pi*i*(xi1+2*xi2)", (False, False)),
 ])
 def test_even_axes_are_evaluated_up_to_zero_only(monkeypatch, text, corner):

@@ -1,8 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechet_flow import (
+    FrequencyGrid,
     PolynomialSymbol,
     SymbolSyntaxError,
     audit_order,
@@ -14,7 +18,7 @@ from frechet_flow import (
     to_polynomial,
     transport_symbol,
 )
-from frechet_flow.symbols import SymbolError, parse_diffop_coefficients
+from frechet_flow.symbols import SymbolError, horner, parse_diffop_coefficients
 
 PI = math.pi
 
@@ -46,6 +50,25 @@ def test_parse_rejects_non_integer_exponent():
     assert err.value.offset == 2
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("xi^0.5")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("xi^xi", "exponent must be a constant"),
+    ("xi^(2+xi1)", "unknown identifier"),
+    ("xi^(1/(1-1))", "division by zero in constant"),
+    ("xi^(0^-1)", "exponent out of range"),
+    ("xi^(10^400)", "exponent out of range"),
+])
+def test_parse_rejects_bad_exponents_at_the_caret(text, message):
+    with pytest.raises(SymbolSyntaxError) as err:
+        parse_symbol(text)
+    assert message in str(err.value)
+    assert err.value.offset == (6 if message == "unknown identifier" else 2)
+
+
+def test_parse_folds_constant_exponents():
+    assert parse_symbol("xi^(2^2-1/2*2)").root.exponent == 3
+    assert parse_symbol("xi^-(-2)").root.exponent == 2
 
 
 def test_parse_rejects_unknown_identifier():
@@ -96,6 +119,66 @@ def test_eval_heat_symbol_values():
     assert poly.eval([0.0]) == -1.0
     assert poly.eval([1.0 / (2 * PI)]) == pytest.approx(-2.0, rel=1e-14)
     assert PolynomialSymbol(1, {}).eval([7.0]) == 0
+
+
+def test_eval_takes_scalar_or_array_coordinates():
+    poly = to_polynomial(parse_symbol("xi1^2*xi2 - i*xi2^3", 2))
+    value = poly.eval([1.5, -2.0])
+    assert type(value) is complex and value == pytest.approx(-4.5 + 8j)
+    x1, x2 = np.array([[1.5], [0.5]]), np.array([-2.0, 1.0, 3.0])
+    table = poly.eval([x1, x2])
+    assert table.shape == (2, 3) and table[0, 0] == value
+    assert np.array_equal(poly.eval_grid(x1.ravel(), x2), table)
+    assert heat_symbol().eval(0.0) == -1.0
+
+
+def test_horner_keeps_real_coefficients_in_real_arithmetic():
+    # 1 - 3 xi + 2 xi^2
+    values = horner(np.array([1.0, -3.0, 2.0]), [np.array([0.0, 1.0, 2.0, -1.0])])
+    assert values.dtype == np.float64
+    assert values.tolist() == [1.0, 0.0, 3.0, 6.0]
+
+
+COMPONENT = st.one_of(st.floats(-1e3, 1e3),
+                      st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.5]))
+
+
+@st.composite
+def symbol_on_a_grid(draw):
+    """A grid of a spacing 1/inv_h, often not a power of two, and a polynomial
+    whose axes each take even exponents only, or any."""
+    n = draw(st.sampled_from([1, 2]))
+    grid = FrequencyGrid(n, draw(st.integers(1, 2)), draw(st.sampled_from([1, 3, 4, 5, 6])))
+    exponents = [st.sampled_from([0, 2, 4, 6]) if draw(st.booleans()) else st.integers(0, 7)
+                 for _ in range(n)]
+    terms = draw(st.lists(st.tuples(*exponents), min_size=1, max_size=6))
+    coeffs = {alpha: complex(draw(COMPONENT), draw(COMPONENT)) for alpha in terms}
+    return grid, PolynomialSymbol(n, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=symbol_on_a_grid())
+def test_eval_at_each_node_is_eval_grid_bitwise(case):
+    grid, poly = case
+    # the grid's own axis plus signed zeros and subnormal coordinates
+    axis = np.concatenate([grid.axis, [-0.0, 5e-324, -5e-324]])
+    table = poly.eval_grid(*(axis,) * grid.n)
+    pointwise = np.array([poly.eval([axis[k] for k in index])
+                          for index in np.ndindex(table.shape)]).reshape(table.shape)
+    assert np.array_equal(table.view(np.uint64), pointwise.view(np.uint64))
+
+
+def test_polynomials_past_the_dense_budget_are_refused():
+    from frechet_flow.symbols import _EXPANSION_TERM_BUDGET
+
+    assert PolynomialSymbol(1, {(_EXPANSION_TERM_BUDGET - 1,): 1}).dense.size == 20000
+    for symbol in (lambda: PolynomialSymbol(1, {(_EXPANSION_TERM_BUDGET,): 1}),
+                   lambda: PolynomialSymbol(2, {(200, 99): 1}),  # 201 * 100 entries
+                   lambda: to_polynomial("xi^1000000000"),
+                   lambda: to_polynomial(parse_symbol("(xi1*xi2)^150", 2)),
+                   lambda: diffop_to_symbol({(10**9,): 1.0}, convention="partial")):
+        with pytest.raises(SymbolError, match="above the budget of 20000"):
+            symbol()
 
 
 def test_eval_dimension_mismatch():

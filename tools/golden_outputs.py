@@ -13,9 +13,11 @@ keeps every output, error text included, shows no difference.
 
 The matrix covers all seven commands, and ``solve`` with every output
 format under symbols of each parity class, on 1-D and 2-D grids: even in
-every axis, even in one axis only, and even in none; one solve and one
-``check-l2`` take their symbol as a derivative-coefficient list, and a few
-cases fail on a missing or malformed symbol.  ``--bench-seeds`` adds the
+every axis, even in one axis only (also through a quartic, beside an odd
+cubic), and even in none; one solve and one ``check-l2`` take their symbol
+as a derivative-coefficient list, ``check-l2`` and ``check-eprime`` also
+run on a complex symbol of degree 5, and a few cases fail on a missing or
+malformed symbol.  ``--bench-seeds`` adds the
 solve workloads of ``bench/workloads.py`` at the given seeds, with their
 own inputs and grids (up to about a million nodes).
 """
@@ -37,6 +39,11 @@ SRC = os.path.join(ROOT, "src")
 HEAT_1D = "-(1+4*pi^2*xi^2)"
 HEAT_2D = "-(1+4*pi^2*(xi1^2+xi2^2))"
 
+# even in xi1 through a quartic, odd in xi2 through a cubic
+QUARTIC_CUBIC_2D = "-(xi1^4+4*pi^2*xi2^2)+i*xi2^3"
+# complex coefficients of degree 5, so the witness probes are complex products
+QUINTIC = "(1+2*i)*xi^5-3*xi^2+i*xi"
+
 # the heat symbol as a coefficient list against plain partial derivatives
 HEAT_DIFFOP = "2:1;0:-1"
 
@@ -52,6 +59,8 @@ SOLVES = [
     ("solve-2d-half-even", 2, 4, 16, "text = 2*pi*i*xi1", "0.5, -2", "gaussian-hat"),
     ("solve-2d-mixed", 2, 3, 16, "text = " + HEAT_2D + "+2*pi*i*(xi1+2*xi2)", "0.01, -0.01",
      "file"),
+    ("solve-2d-quartic-cubic", 2, 3, 16, "text = " + QUARTIC_CUBIC_2D, "0.01, 0.1, -0.01",
+     "file"),
     ("solve-1d-diffop", 1, 6, 16, f"diffop = {HEAT_DIFFOP}\nconvention = partial",
      "0.01, 0.2, -0.1", "gaussian-hat"),
 ]
@@ -66,6 +75,8 @@ OTHERS = [
     ("check-eprime-bad-symbol", ["check-eprime", "--symbol", "xi^(1/2)", "--out", "out"]),
     ("check-eprime", ["check-eprime", "--diffop", "1:0,1", "--convention", "partial",
                       "--out", "out"]),
+    ("check-eprime-quintic", ["check-eprime", "--symbol", QUINTIC, "--out", "out"]),
+    ("check-l2-quintic", ["check-l2", "--symbol", QUINTIC, "--t", "1.0", "--out", "out"]),
     ("translate", ["translate", "--function", "gaussian", "--t", "0.5",
                    "--samples=-2:2:0.1", "--out", "out"]),
     ("seminorms-1d", ["seminorms", "--n", "1", "--J", "8", "--inv-h", "32", "--init",
