@@ -16,6 +16,7 @@ from .spectral import (
     project,
     random_field,
     restrict,
+    saturated_product,
     seminorm,
     seminorm_profile,
 )

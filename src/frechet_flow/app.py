@@ -30,10 +30,10 @@ from .spectral import (
     OVERFLOW_LIMIT,
     FrequencyGrid,
     SpectralField,
-    _difference_profile,
     delta,
     gaussian_hat,
     ones,
+    saturated_product,
     seminorm_profile,
 )
 from .symbols import diffop_to_symbol, parse_diffop_coefficients, parse_symbol, to_polynomial
@@ -142,87 +142,90 @@ class SolveResult:
 
 
 def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
-    """Execute a configured run and write its CSV and metadata files."""
+    """Execute a configured run and write its CSV and metadata files.
+
+    Each time is one `saturated_product` pass of its flow factors over the
+    initial field, which yields every profile the run reports.  A field
+    output (``fl2l``, ``field-csv``) of the last method's field is written
+    as soon as its time's pass completes, so one time's field is held at a
+    time.  Those files take their names when the run succeeds: a run that
+    raises removes them, and the directories it created for them.
+    """
     grid = FrequencyGrid(config.n, config.J, config.inv_h)
     symbol = build_symbol(config)
     op = MultiplierOperator(symbol, grid, label=config.symbol_spec())
     u0 = build_initial_field(config, grid)
     times = tuple(sorted(set(float(t) for t in config.times)))
 
-    # Each time's fields are dropped once its profiles are taken, unless a
-    # field output needs them (the last method's field, written below).
-    keep_fields = out_dir is not None and bool(
-        {"fl2l", "field-csv"} & set(config.formats)
-    )
+    inverse = op.levels()[1]
+    residual = ("series", "multiplier") if config.method == "both" else None
+    fields = _FieldFiles(out_dir, config.formats)
     profiles: dict = {}
-    kept_fields: list = []
     diagnostics: list = []
-    residual_profiles = [] if config.method == "both" else None
+    residual_profiles = [] if residual is not None else None
     residuals_certified = True
     overflow = False
-    for _, evolved, diag in evolve(op, times, u0, config.method, config.tol):
-        diagnostics.append(diag)
-        for name, field in evolved.items():
-            profiles.setdefault(name, []).append(seminorm_profile(field))
-            overflow = overflow or field.overflow
-        if residual_profiles is not None:
-            residual = _difference_profile(evolved["series"], evolved["multiplier"])
-            residual_profiles.append(residual)
-            if not np.all(residual <= diag.bounds()):
-                residuals_certified = False
-        if keep_fields:
-            kept_fields.append(field)
-        # the generator builds the next time's fields while these names
-        # still hold this time's: release them first
-        del evolved, field
-    methods = tuple(profiles)
+    try:
+        for k, (_, factors, diag) in enumerate(
+            evolve(op, times, u0, config.method, config.tol)
+        ):
+            keep = list(factors)[-1] if fields.formats else None
+            product, _ = saturated_product(factors, u0, inverse, keep=keep, residual=residual)
+            diagnostics.append(diag)
+            for name in factors:
+                profiles.setdefault(name, []).append(product.profiles[name])
+                overflow = overflow or product.overflow[name]
+            if residual is not None:
+                residual_profiles.append(product.residual)
+                if not np.all(product.residual <= diag.bounds()):
+                    residuals_certified = False
+            if keep is not None:
+                fields.write(k, product.field)
+            # the next pass forms the next time's field while this name still
+            # holds this time's: release it first
+            del product
+        methods = tuple(profiles)
 
-    initial_profile = seminorm_profile(u0)
-    backward_gain_ok = True
-    for k, t in enumerate(times):
-        if t < 0:
-            # every multiplier factor has magnitude at least e^{|t|} when the
-            # real symbol part is at most -1, so the top seminorm must gain
-            # at least that factor; recorded for backward runs
-            method = "multiplier" if "multiplier" in methods else "series"
-            gain_target = math.exp(abs(t))
-            if initial_profile[-1] > 0:
-                gain = profiles[method][k][-1] / initial_profile[-1]
-                if gain < gain_target and _symbol_real_part_below(op, -1.0):
-                    backward_gain_ok = False
+        initial_profile = seminorm_profile(u0)
+        backward_gain_ok = True
+        for k, t in enumerate(times):
+            if t < 0:
+                # every multiplier factor has magnitude at least e^{|t|} when the
+                # real symbol part is at most -1, so the top seminorm must gain
+                # at least that factor; recorded for backward runs
+                method = "multiplier" if "multiplier" in methods else "series"
+                gain_target = math.exp(abs(t))
+                if initial_profile[-1] > 0:
+                    gain = profiles[method][k][-1] / initial_profile[-1]
+                    if gain < gain_target and _symbol_real_part_below(op, -1.0):
+                        backward_gain_ok = False
 
-    files = []
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for name in methods:
-            suffix = "" if len(methods) == 1 else f"_{name}"
-            trajectory_path = os.path.join(out_dir, f"trajectory{suffix}.csv")
-            write_csv(trajectory_path, ["t", "j", "seminorm"],
-                      ([t, j, value] for t, profile in zip(times, profiles[name])
-                       for j, value in enumerate(profile, start=1)))
-            files.append(trajectory_path)
-        if residual_profiles is not None:
-            residual_path = os.path.join(out_dir, "residuals.csv")
-            write_csv(residual_path, ["t", "j", "residual", "certified_bound"],
-                      ([t, j, residual, bound]
-                       for t, profile, diag in zip(times, residual_profiles, diagnostics)
-                       for j, (residual, bound) in enumerate(zip(profile, diag.bounds()),
-                                                             start=1)))
-            files.append(residual_path)
-        for k, field in enumerate(kept_fields):
-            stem = f"field_t{k:03d}"
-            if "fl2l" in config.formats:
-                path = os.path.join(out_dir, stem + ".fl2l")
-                write_field(path, field)
-                files.append(path)
-            if "field-csv" in config.formats:
-                path = os.path.join(out_dir, stem + ".csv")
-                field_to_csv(path, field)
-                files.append(path)
-        metadata_path = os.path.join(out_dir, "run_metadata.txt")
-        write_metadata(metadata_path, metadata_lines(config, times, diagnostics, overflow,
-                                                     residuals_certified, backward_gain_ok))
-        files.append(metadata_path)
+        files = []
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            for name in methods:
+                suffix = "" if len(methods) == 1 else f"_{name}"
+                trajectory_path = os.path.join(out_dir, f"trajectory{suffix}.csv")
+                write_csv(trajectory_path, ["t", "j", "seminorm"],
+                          ([t, j, value] for t, profile in zip(times, profiles[name])
+                           for j, value in enumerate(profile, start=1)))
+                files.append(trajectory_path)
+            if residual_profiles is not None:
+                residual_path = os.path.join(out_dir, "residuals.csv")
+                write_csv(residual_path, ["t", "j", "residual", "certified_bound"],
+                          ([t, j, residual, bound]
+                           for t, profile, diag in zip(times, residual_profiles, diagnostics)
+                           for j, (residual, bound) in enumerate(zip(profile, diag.bounds()),
+                                                                 start=1)))
+                files.append(residual_path)
+            files += fields.commit()
+            metadata_path = os.path.join(out_dir, "run_metadata.txt")
+            write_metadata(metadata_path, metadata_lines(config, times, diagnostics, overflow,
+                                                         residuals_certified, backward_gain_ok))
+            files.append(metadata_path)
+    except BaseException:
+        fields.discard()
+        raise
 
     return SolveResult(
         config=config,
@@ -237,6 +240,56 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
         overflow=overflow,
         files=files,
     )
+
+
+# Suffix of a field file until its run succeeds.
+_PENDING = ".pending"
+
+
+class _FieldFiles:
+    """A solve's per-time field files: ``field_tKKK.fl2l`` and ``field_tKKK.csv``.
+
+    Each is written under its name plus `_PENDING` and takes its name in
+    `commit`; `discard` removes what was written and the directories made
+    for it, so a failed run leaves what it found.
+    """
+
+    def __init__(self, out_dir: Optional[str], formats):
+        self.out_dir = out_dir
+        self.formats = [] if out_dir is None else [
+            name for name in ("fl2l", "field-csv") if name in formats]
+        self.paths: list = []   # final names, in the order written
+        self.created: list = []  # directories made for them, deepest first
+
+    def write(self, k: int, field: SpectralField):
+        if not self.paths:
+            path = os.path.abspath(self.out_dir)
+            while not os.path.isdir(path):
+                self.created.append(path)
+                path = os.path.dirname(path)
+            os.makedirs(self.out_dir, exist_ok=True)
+        stem = os.path.join(self.out_dir, f"field_t{k:03d}")
+        if "fl2l" in self.formats:
+            write_field(self._pending(stem + ".fl2l"), field)
+        if "field-csv" in self.formats:
+            field_to_csv(self._pending(stem + ".csv"), field)
+
+    def _pending(self, path: str) -> str:
+        self.paths.append(path)
+        return path + _PENDING
+
+    def commit(self) -> list:
+        for path in self.paths:
+            os.replace(path + _PENDING, path)
+        return self.paths
+
+    def discard(self):
+        for path in self.paths:
+            if os.path.exists(path + _PENDING):
+                os.remove(path + _PENDING)
+        for directory in self.created:
+            if os.path.isdir(directory) and not os.listdir(directory):
+                os.rmdir(directory)
 
 
 def _symbol_real_part_below(op: MultiplierOperator, level: float) -> bool:

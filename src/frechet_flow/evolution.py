@@ -26,13 +26,17 @@ Two independent constructions are provided and cross-checked everywhere:
 
 Both flow factors are functions of the symbol value alone, so both kernels
 run once per distinct symbol value (the operator's level table,
-`MultiplierOperator.levels`), not once per grid node; `saturated_product`
-gathers the factors onto the nodes.  Each value is the same elementwise
-operation on the same input bits, so the results are bitwise those of a
-per-node evaluation.
+`MultiplierOperator.levels`), not once per grid node: `multiplier_factor`
+and `series_factor` build them as `LevelFactor`s, and `saturated_product`
+gathers them onto the nodes.  Each value is the same elementwise operation
+on the same input bits, so the results are bitwise those of a per-node
+evaluation.
 
-`evolve` is the one evolution loop over times: it yields each time's fields
-in turn, and `app.run_solve` consumes it.
+`evolve` is the one evolution loop over times: it yields each time's
+factors (and the series certificate) in turn, and `app.run_solve` forms
+each time's profiles, residual and written field from them in one
+`saturated_product` pass.  `exp_multiplier` and `exp_series` are the same
+factors applied to one field, for callers that keep it.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .operators import MultiplierOperator
 from .spectral import (
     OVERFLOW_EXPONENT,
     FrequencyGrid,
+    LevelFactor,
     SpectralField,
     embed,
     project,
@@ -126,18 +131,21 @@ def exp_multiplier(symbol, t: float, u: SpectralField) -> SpectralField:
     op = as_multiplier(symbol, u.grid)
     if t == 0.0:
         return SpectralField._adopt(u.grid, u.values, u.overflow)
-    levels, inverse = op.levels()
-    z = t * levels
-    result, _ = saturated_product(z.real, np.exp(1j * z.imag), u, inverse)
-    blown = z.real > OVERFLOW_EXPONENT
-    # a blown factor sent saturated_product down its saturating path, which
-    # built the field's polar form: log |u| > -inf exactly where |u| > 0
-    factor_blown = bool(np.any(blown)) and bool(
-        np.any(blown[inverse] & (u.polar()[0] > -np.inf))
-    )
-    if factor_blown and not result.overflow:
-        result = SpectralField._adopt(u.grid, result.values, True)
-    return result
+    return _evolved(multiplier_factor(op, t), u, op)
+
+
+def multiplier_factor(op: MultiplierOperator, t: float) -> Optional[LevelFactor]:
+    """The closed form's factor ``e^{t a}`` per level; None (the identity) at t = 0."""
+    if t == 0.0:
+        return None
+    z = t * op.levels()[0]
+    return LevelFactor(z.real, np.exp(1j * z.imag), flags_blown=True)
+
+
+def _evolved(factor: LevelFactor, u: SpectralField, op: MultiplierOperator) -> SpectralField:
+    """The field of one flow's factor on u."""
+    product, _ = saturated_product({"flow": factor}, u, op.levels()[1], keep="flow")
+    return product.field
 
 
 @dataclass(frozen=True)
@@ -171,7 +179,6 @@ class SeriesDiagnostics:
     stages: int
     terms: int
     levels: tuple
-    overflow: bool
 
     def bound(self, j: int) -> float:
         return self.levels[j - 1].bound
@@ -188,9 +195,7 @@ def _zero_diagnostics(t, tol, grid, profile) -> SeriesDiagnostics:
         )
         for j in range(1, grid.J + 1)
     )
-    return SeriesDiagnostics(
-        t=t, tol=tol, rate=0.0, stages=1, terms=0, levels=levels, overflow=False
-    )
+    return SeriesDiagnostics(t=t, tol=tol, rate=0.0, stages=1, terms=0, levels=levels)
 
 
 def _stage_growth(op: MultiplierOperator, t_stage: float) -> list:
@@ -222,15 +227,25 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
     matching the closed-form path.
     """
     _check_time(t)
+    op = as_multiplier(symbol, u.grid)
+    factor, diagnostics = series_factor(op, t, u, tol)
+    if factor is None:
+        return SpectralField._adopt(u.grid, u.values, u.overflow), diagnostics
+    return _evolved(factor, u, op), diagnostics
+
+
+def series_factor(op: MultiplierOperator, t: float, u: SpectralField, tol: float):
+    """The staged series' factor per level and its certificate, for `exp_series`.
+
+    Returns ``(factor, diagnostics)``; the factor is None (the identity) at
+    t = 0.  The certificate reads only u's ball profile.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    op = as_multiplier(symbol, u.grid)
     grid = u.grid
     profile = seminorm_profile(u)
     if t == 0.0:
-        return SpectralField._adopt(grid, u.values, u.overflow), _zero_diagnostics(
-            t, tol, grid, profile
-        )
+        return None, _zero_diagnostics(t, tol, grid, profile)
 
     rates = np.abs(t) * op._profile()
     worst = float(rates[-1])
@@ -244,8 +259,7 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
     # nodewise, so the stage is the scalar polynomial of t' a(xi): it is
     # evaluated once per distinct symbol value and gathered onto the nodes
     # by `saturated_product`.
-    levels, inverse = op.levels()
-    x = (t / stages) * levels
+    x = (t / stages) * op.levels()[0]
     acc = np.ones_like(x)
     for n in range(terms, 0, -1):
         acc = 1.0 + acc * (x / n)
@@ -259,10 +273,7 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
     phase = np.where(magnitude > 0.0, acc / np.where(magnitude > 0.0, magnitude, 1.0), 1.0)
     for _ in range(s):
         phase = phase * phase
-    # the per-ball stage growths first, while no result field is held
     growths = _stage_growth(op, t / stages)
-    result, _ = saturated_product(log_magnitude * stages, phase, u, inverse)
-    overflow = result.overflow
 
     levels = []
     for j in range(1, grid.J + 1):
@@ -299,9 +310,8 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
         stages=stages,
         terms=terms,
         levels=tuple(levels),
-        overflow=overflow,
     )
-    return result, diagnostics
+    return LevelFactor(log_magnitude * stages, phase), diagnostics
 
 
 def verify_group_law(symbol, s: float, t: float, u: SpectralField) -> np.ndarray:
@@ -396,15 +406,16 @@ def verify_quotient_diagrams(op, u: SpectralField, j: int) -> DiagramCheck:
 
 
 def evolve(symbol, times, u0: SpectralField, method: str = "multiplier", tol: float = 1e-8):
-    """Evolve ``u0`` to each time in turn: the trajectory ``t -> e^{tA} u0``.
+    """The flow factors of ``u0``'s trajectory ``t -> e^{tA} u0``, one time at a time.
 
     ``method`` is ``"multiplier"``, ``"series"`` or ``"both"``.  Every time
     must be finite; times and method are checked here, before any kernel
-    runs.  Returns a generator of ``(t, fields, diagnostics)``: ``fields``
-    maps each method name to the field at t (multiplier first), and
-    ``diagnostics`` is the series' `SeriesDiagnostics`, or ``None`` without
-    the series.  A time's fields are built only when the consumer asks for
-    it, so a consumer that drops them keeps one time in memory.
+    runs.  Returns a generator of ``(t, factors, diagnostics)``:
+    ``factors`` maps each method name to its `LevelFactor` at t
+    (multiplier first; None at t = 0), and ``diagnostics`` is the series'
+    `SeriesDiagnostics`, or ``None`` without the series.  The fields are
+    one `saturated_product` pass of the factors on ``u0`` (over the level
+    index ``op.levels()[1]``), so a consumer holds one time at a time.
     """
     if method not in VALID_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {VALID_METHODS}")
@@ -416,10 +427,10 @@ def evolve(symbol, times, u0: SpectralField, method: str = "multiplier", tol: fl
 
 def _trajectory(op, times, u0, method, tol):
     for t in times:
-        fields = {}
+        factors = {}
         diagnostics = None
         if method != "series":
-            fields["multiplier"] = exp_multiplier(op, t, u0)
+            factors["multiplier"] = multiplier_factor(op, t)
         if method != "multiplier":
-            fields["series"], diagnostics = exp_series(op, t, u0, tol)
-        yield t, fields, diagnostics
+            factors["series"], diagnostics = series_factor(op, t, u0, tol)
+        yield t, factors, diagnostics

@@ -165,13 +165,15 @@ def _decide_bounded_above_1d(poly: PolynomialSymbol) -> tuple[bool, float, tuple
 def sampled_sphere_maxima(poly: PolynomialSymbol, max_exponent: int = 20) -> np.ndarray:
     """Max of Re a over the sphere of radius 2^k, k = 0..max_exponent."""
     radii = np.ldexp(1.0, np.arange(max_exponent + 1))
-    if poly.n == 1:
-        # the real part in real arithmetic, which an overflow leaves at +-inf
-        # where the complex product would turn it into inf * 0 = nan
-        values = horner(real_part_coefficients(poly), [np.stack([radii, -radii])])
-    else:
-        angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)[:, None]
-        values = poly.eval([radii * np.cos(angles), radii * np.sin(angles)]).real
+    # a probe of a high degree may overflow to inf (or nan in 2-D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if poly.n == 1:
+            # the real part in real arithmetic, which an overflow leaves at +-inf
+            # where the complex product would turn it into inf * 0 = nan
+            values = horner(real_part_coefficients(poly), [np.stack([radii, -radii])])
+        else:
+            angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)[:, None]
+            values = poly.eval([radii * np.cos(angles), radii * np.sin(angles)]).real
     return _first_max(values)
 
 
@@ -278,12 +280,12 @@ def find_growth_witness(symbol, c: float, r_max: float = 1e4) -> WitnessSearch:
     z = np.empty(eta.shape, dtype=np.complex128)
     z.real, z.imag = radii * np.cos(angles), eta
     z = z[eta != 0.0]  # row-major: by radius, then by angle
-    values = poly.eval([z]).real
     thresholds = c * np.abs(z.imag)
-    # a hit counts only if it survives doubling the point twice along its ray;
-    # a doubled point whose value overflows compares as inf or nan
-    hits = values > thresholds
+    # a probe whose value overflows compares as inf or nan; a hit counts
+    # only if it survives doubling the point twice along its ray
     with np.errstate(over="ignore", invalid="ignore"):
+        values = poly.eval([z]).real
+        hits = values > thresholds
         for scale in (2, 4):
             hits &= poly.eval([scale * z]).real > c * np.abs((scale * z).imag)
     probes = tuple(zip(z.tolist(), values.tolist(), thresholds.tolist()))

@@ -28,6 +28,12 @@ built on first use and kept with it: the peak ``max |u|`` (by the first
 first `saturated_product` that saturates; 24 bytes per node) and the ball
 profile (by the first `seminorm_profile`).  One initial field evolved to
 many times therefore pays for each once.
+
+`saturated_product` forms one time of a flow, or of two flows side by
+side, in one streamed pass over the blocks of the shell index: it takes
+each flow's ball profile, and the profile of their difference, block by
+block, and holds a grid-sized result only for the flow whose field is
+kept.  The profile of a kept field comes with it.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -164,10 +171,10 @@ class ShellIndex:
     """Nodes of a grid grouped by shell ``j - 1 < |xi| <= j`` (shell 1 holds ``xi = 0``).
 
     ``shell`` is the grid-shaped shell number of every node (J + 1 outside
-    ball J), ``order`` the flat indices of the nodes of ball J sorted by
-    shell and row-major within a shell, and shell j is
-    ``order[offsets[j - 1]:offsets[j]]``.  No shell 1..J is empty: the axis
-    node at ``|xi| = j`` lies in shell j.
+    ball J), ``order`` the flat indices of all nodes sorted by shell and
+    row-major within a shell, so the nodes outside ball J come last, and
+    shell j is ``order[offsets[j - 1]:offsets[j]]``.  No shell 1..J is
+    empty: the axis node at ``|xi| = j`` lies in shell j.
     """
 
     shell: np.ndarray
@@ -186,19 +193,26 @@ class ShellIndex:
         """
         return ufunc.reduceat(ball, self.offsets[:-1])
 
-    def blocks(self, j: int):
-        """Ranges ``(first, last)`` of whole shells ``first + 1 .. last`` covering ball j.
+    def blocks(self, j: int, outside: bool = False):
+        """``(nodes, offsets)`` for blocks of whole shells covering ball j, in shell order.
 
         A block holds as many whole shells as fit in `_BLOCK_NODES` nodes,
-        and at least one; its nodes are ``order[offsets[first]:offsets[last]]``.
+        and at least one; ``nodes`` are its flat indices, grouped by shell
+        as `gather` returns them, and ``offsets`` the shell boundaries in
+        ``nodes``.  With ``outside`` the nodes outside ball J follow,
+        `_BLOCK_NODES` at a time, with ``offsets`` None.
         """
-        offsets = self.offsets[: j + 1]
+        ends = self.offsets[: j + 1]
         first = 0
         while first < j:
-            fit = int(np.searchsorted(offsets, offsets[first] + _BLOCK_NODES, side="right")) - 1
+            fit = int(np.searchsorted(ends, ends[first] + _BLOCK_NODES, side="right")) - 1
             last = max(first + 1, fit)
-            yield first, last
+            offsets = ends[first : last + 1]
+            yield self.order[offsets[0] : offsets[-1]], offsets - offsets[0]
             first = last
+        if outside:
+            for start in range(int(self.offsets[-1]), self.order.size, _BLOCK_NODES):
+                yield self.order[start : start + _BLOCK_NODES], None
 
 
 @functools.lru_cache(maxsize=4)
@@ -227,7 +241,7 @@ def _shell_index(n: int, J: int, inv_h: int) -> ShellIndex:
     # A counting sort by shell: each block's nodes, stably sorted by shell,
     # go to the next free places of their shells, so a shell stays in
     # row-major order.  NODE_BUDGET is 2^22, so every flat index fits in int32.
-    order = np.empty(offsets[-1], dtype=np.int32)
+    order = np.empty(flat.size, dtype=np.int32)
     free = np.concatenate(([0], offsets))  # next place of shell j is free[j]
     for start, stop in blocks:
         begin = start * row_nodes
@@ -236,8 +250,7 @@ def _shell_index(n: int, J: int, inv_h: int) -> ShellIndex:
         by_shell = np.argsort(block, kind="stable")
         # the sorted block's entry i goes to free[j] + (i - first entry of shell j)
         shift = np.repeat(free - (np.cumsum(block_counts) - block_counts), block_counts)
-        inside = by_shell.size - block_counts[J + 1]
-        order[np.arange(inside) + shift[:inside]] = by_shell[:inside] + begin
+        order[np.arange(by_shell.size) + shift] = by_shell + begin
         free += block_counts
     shell.setflags(write=False)
     offsets.setflags(write=False)
@@ -263,10 +276,11 @@ class SpectralField:
     * `peak` — ``max |u|``, read by `saturated_product` to decide whether
       the plain product is all there is;
     * `polar` — ``(log |u|, unit phase)``, 24 bytes per node, built by the
-      first `saturated_product` call that saturates (and read by
-      `exp_multiplier`'s blown-factor test, which only runs after one);
+      first `saturated_product` block that saturates (and read by the
+      closed form's blown-factor test, which runs on such blocks only);
     * the ball profile ``(p_1, ..., p_J)`` behind `seminorm_profile`, which
-      returns a fresh copy each time.
+      returns a fresh copy each time; a field kept by `saturated_product`
+      comes with it.
     """
 
     __slots__ = ("grid", "values", "overflow", "_peak", "_polar", "_profile")
@@ -307,14 +321,22 @@ class SpectralField:
 
         Both are grid-shaped; where ``|u| = 0`` (or u is NaN) they are
         ``-inf`` and 0.  The phase comes from ``angle``, so it stays exact
-        for subnormal samples.
+        for subnormal samples.  They are formed `_BLOCK_NODES` samples at a
+        time, so building them holds no grid-sized temporary.
         """
         if self._polar is None:
-            magnitude = np.abs(self.values)
-            nonzero = magnitude > 0.0
-            with np.errstate(divide="ignore"):
-                log_magnitude = np.where(nonzero, np.log(magnitude), -np.inf)
-            phase = np.where(nonzero, np.exp(1j * np.angle(self.values)), 0.0)
+            samples = np.ravel(self.values)
+            log_magnitude = np.empty(samples.size)
+            phase = np.empty(samples.size, dtype=np.complex128)
+            for start in range(0, samples.size, _BLOCK_NODES):
+                block = slice(start, start + _BLOCK_NODES)
+                magnitude = np.abs(samples[block])
+                nonzero = magnitude > 0.0
+                with np.errstate(divide="ignore"):
+                    log_magnitude[block] = np.where(nonzero, np.log(magnitude), -np.inf)
+                phase[block] = np.where(nonzero, np.exp(1j * np.angle(samples[block])), 0.0)
+            log_magnitude = log_magnitude.reshape(self.grid.shape)
+            phase = phase.reshape(self.grid.shape)
             log_magnitude.setflags(write=False)
             phase.setflags(write=False)
             self._polar = (log_magnitude, phase)
@@ -411,45 +433,24 @@ def seminorm_profile(u: SpectralField) -> np.ndarray:
 
 
 def _ball_seminorms(u: SpectralField, j: int) -> list:
-    """``[p_1(u), ..., p_j(u)]`` from one pass over the nodes of ball j."""
+    """``[p_1(u), ..., p_j(u)]`` from one pass over the nodes of ball j.
+
+    The nodes are gathered a block of whole shells at a time (see
+    `ShellIndex.blocks`); each block's magnitudes are reduced shell by
+    shell, on the same contiguous data as a whole-ball gather, and the
+    shells are then combined in order.
+    """
     samples = np.ravel(u.values)
-    return _shell_norms(u.grid, j, lambda nodes: np.abs(samples[nodes]))
+    parts = [_scaled_sums(np.abs(samples[nodes]), offsets)
+             for nodes, offsets in u.grid.shells().blocks(j)]
+    return _combine_parts(parts, u.grid.cell_volume)
 
 
-def _difference_profile(a: SpectralField, b: SpectralField) -> np.ndarray:
-    """``seminorm_profile(a - b)``, bitwise, without forming ``a - b``.
-
-    Each block of shells takes the difference of its own nodes only.  Nodes
-    outside ball J are never read, so unlike ``a - b`` this does not reject
-    a non-finite difference of unflagged fields; such a ball gets ``inf``.
-    """
-    a._check_compatible(b)
-    a_samples, b_samples = np.ravel(a.values), np.ravel(b.values)
-
-    def magnitudes(nodes):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.abs(a_samples[nodes] - b_samples[nodes])
-
-    return np.array(_shell_norms(a.grid, a.grid.J, magnitudes))
-
-
-def _shell_norms(grid: FrequencyGrid, j: int, magnitudes_of) -> list:
-    """``[p_1, ..., p_j]`` of the magnitudes ``magnitudes_of(nodes)`` returns.
-
-    The nodes of ball j are passed a block of whole shells at a time (see
-    `ShellIndex.blocks`); the fresh magnitudes of each block are reduced
-    shell by shell, on the same contiguous data as a whole-ball gather, and
-    the shells are then combined in order.
-    """
-    index = grid.shells()
-    parts = []
-    for first, last in index.blocks(j):
-        offsets = index.offsets[first : last + 1]
-        nodes = index.order[offsets[0] : offsets[-1]]
-        parts.append(_scaled_sums(magnitudes_of(nodes), offsets - offsets[0]))
+def _combine_parts(parts, weight: float) -> list:
+    """`_combine_norms` of the per-block `_scaled_sums` of consecutive shells."""
     if len(parts) > 1:
         parts = [tuple(np.concatenate(columns) for columns in zip(*parts))]
-    return _combine_norms(*parts[0], grid.cell_volume)
+    return _combine_norms(*parts[0], weight)
 
 
 def _scaled_sums(magnitudes: np.ndarray, offsets: np.ndarray) -> tuple:
@@ -589,51 +590,183 @@ def mask_outside(u: SpectralField, j: int) -> SpectralField:
     return SpectralField._adopt(u.grid, np.where(mask, 0.0, u.values), u.overflow)
 
 
-def saturated_product(log_magnitude, phase, u: SpectralField, inverse):
-    """Multiply ``exp(log_magnitude) * phase`` onto a field, saturating.
+@dataclass(frozen=True, eq=False)
+class LevelFactor:
+    """One flow's factor at one time, ``exp(log_magnitude) * phase`` per level.
 
-    The evolution kernels run once per distinct symbol value, so the factor
-    arrives per level: ``log_magnitude`` and ``phase`` are flat arrays over
-    the levels, and the grid-shaped ``inverse`` names each node's level (see
-    `MultiplierOperator.levels`); node k takes the factor of level
-    ``inverse[k]``, gathered here.  Wherever the factor and product
-    magnitudes are both representable the plain product is used (so a
-    factor of exactly one is the identity, bitwise), its factor formed once
-    per level.  Elsewhere the value is assembled in log-magnitude/phase form
-    and its magnitude clamped at ``exp(709)``; such nodes flag the result.
-    Because the clamped value depends only on the product's log magnitude
-    and phase, any two evolution paths that agree on those agree exactly on
-    saturated nodes.
-
-    When every node is representable, which one bound on the largest factor
-    and the field's cached `SpectralField.peak` decides (with a margin of 1
-    for the rounding of the logarithms), the plain product is all there is.
-    Otherwise the plain product is formed on every node and the clamped
-    value recomputed on the nodes that are not representable, from the
-    field's `SpectralField.polar` form: built by the first saturating call
-    and reused by every later one on the same field.
+    Level k is the operator's k-th distinct symbol value, and a node takes
+    the factor of its level (see `MultiplierOperator.levels`).  With
+    ``flags_blown``, a node carrying data whose bare factor exceeds
+    ``exp(709)`` flags the result even where its product is representable:
+    the closed form's policy.
     """
-    factor_log = np.max(log_magnitude)
+
+    log_magnitude: np.ndarray
+    phase: np.ndarray
+    flags_blown: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class Product:
+    """One `saturated_product` pass: per flow name, what a solve reads of a time."""
+
+    profiles: dict                  # name -> ball profile (p_1, ..., p_J)
+    overflow: dict                  # name -> whether the name's result is flagged
+    residual: Optional[np.ndarray]  # profile of the difference of the residual pair
+    field: Optional[SpectralField]  # the kept flow's result, or None
+
+
+def saturated_product(factors: dict, u: SpectralField, inverse, keep=None, residual=None):
+    """Multiply each flow's factor onto a field, saturating, in one streamed pass.
+
+    ``factors`` maps flow names to a `LevelFactor`, or to None for the
+    identity (t = 0, whose samples are ``u``'s, bitwise); the grid-shaped
+    ``inverse`` names each node's level.  Returns ``(product, flagged)``:
+    the `Product` holds each flow's ball profile and overflow flag, the
+    profile of ``residual[0] - residual[1]`` when a pair of names is given,
+    and the field of flow ``keep`` (its profile cached with it); ``flagged``
+    says whether a flow saturated a node.  No other grid-sized array is
+    formed.
+
+    The pass walks ball J a block of whole shells at a time and then the
+    nodes outside ball J (`ShellIndex.blocks`), gathering ``u`` and the
+    level index once per block.  Wherever the factor and product
+    magnitudes are both representable the plain product is used (so a
+    factor of exactly one is the identity, bitwise), its factor formed
+    once per level.  Elsewhere the value is assembled in log-magnitude/phase
+    form and its magnitude clamped at ``exp(709)``; such nodes flag the
+    flow.  Because the clamped value depends only on the product's log
+    magnitude and phase, any two evolution paths that agree on those agree
+    exactly on saturated nodes.
+
+    Whether a flow, or one block of it, can saturate at all is decided by
+    one bound on its largest factor and the field's cached
+    `SpectralField.peak` (with a margin of 1 for the rounding of the
+    logarithms).  A block that can saturate reads the field's
+    `SpectralField.polar` form, built by the first such block and reused by
+    every later pass on the same field.  An unflagged flow with a
+    non-finite sample is rejected with ``ValueError``, as `SpectralField`
+    rejects it.
+    """
+    index = u.grid.shells()
+    samples, node_levels = np.ravel(u.values), np.ravel(inverse)
     with np.errstate(divide="ignore"):
-        product_log = factor_log + np.log(u.peak())
-    representable = factor_log <= OVERFLOW_EXPONENT and product_log <= OVERFLOW_EXPONENT - 1.0
-    # otherwise overflowing factors and products are overwritten below
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor = (np.exp(log_magnitude) * phase).astype(np.complex128, copy=False)
-        values = factor[inverse]
-        np.multiply(values, u.values, out=values)
-    if representable:
-        return SpectralField._adopt(u.grid, values, u.overflow), False
-    log_u, u_phase = u.polar()
-    node_log = log_magnitude[inverse]
-    total_log = node_log + log_u
-    direct_ok = (node_log <= OVERFLOW_EXPONENT) & (total_log <= OVERFLOW_EXPONENT)
-    clamped = np.flatnonzero(~direct_ok)
-    total_log = total_log.reshape(-1)[clamped]
-    values.reshape(-1)[clamped] = (
-        np.exp(np.minimum(total_log, OVERFLOW_EXPONENT))
-        * phase[inverse.reshape(-1)[clamped]]
-        * u_phase.reshape(-1)[clamped]
+        log_peak = float(np.log(u.peak()))
+    flows = {name: _FlowPass(factor, log_peak, check=not u.overflow)
+             for name, factor in factors.items()}
+    kept = None
+    if keep is not None and factors[keep] is not None:
+        kept = np.empty(u.grid.node_count, dtype=np.complex128)
+    differences = []
+    for nodes, offsets in index.blocks(u.grid.J, outside=True):
+        block = _Block(u, nodes, samples[nodes], node_levels[nodes])
+        block_values = {}
+        for name, flow in flows.items():
+            block_values[name] = flow.apply(block)
+            if offsets is not None:
+                flow.parts.append(_scaled_sums(np.abs(block_values[name]), offsets))
+        if kept is not None:
+            kept[nodes] = block_values[keep]
+        if residual is not None and offsets is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                difference = np.abs(block_values[residual[0]] - block_values[residual[1]])
+            differences.append(_scaled_sums(difference, offsets))
+
+    weight = u.grid.cell_volume
+    profiles = {name: np.array(_combine_parts(flow.parts, weight)) for name, flow in flows.items()}
+    overflow = {name: flow.overflow(u) for name, flow in flows.items()}
+    field = None
+    if keep is not None:
+        values = u.values if kept is None else kept.reshape(u.grid.shape)
+        field = SpectralField._adopt(u.grid, values, overflow[keep])
+        field._profile = tuple(profiles[keep].tolist())
+    product = Product(
+        profiles=profiles,
+        overflow=overflow,
+        residual=np.array(_combine_parts(differences, weight)) if residual is not None else None,
+        field=field,
     )
-    flagged = bool(np.any(total_log > OVERFLOW_EXPONENT))
-    return SpectralField._adopt(u.grid, values, u.overflow or flagged), flagged
+    return product, any(flow.flagged for flow in flows.values())
+
+
+class _Block:
+    """One block of a `saturated_product` pass: its nodes, and u's samples and levels there."""
+
+    def __init__(self, u: SpectralField, nodes, samples, levels):
+        self.u = u
+        self.nodes = nodes
+        self.samples = samples
+        self.levels = levels
+        self._log_u = None
+
+    def log_u(self) -> np.ndarray:
+        """``log |u|`` on the block, gathered from u's polar form on first use."""
+        if self._log_u is None:
+            self._log_u = np.ravel(self.u.polar()[0])[self.nodes]
+        return self._log_u
+
+    def u_phase(self, where) -> np.ndarray:
+        """The unit phase of u at the block's nodes ``where``."""
+        return np.ravel(self.u.polar()[1])[self.nodes[where]]
+
+
+class _FlowPass:
+    """One flow's state through the blocks of a `saturated_product` pass."""
+
+    def __init__(self, factor: Optional[LevelFactor], log_peak: float, check: bool):
+        self.factor = factor
+        self.log_peak = log_peak
+        self.check = check and factor is not None  # look for non-finite samples
+        self.parts = []
+        self.flagged = self.blown = False
+        self.finite = True
+        if factor is not None:
+            self.representable = self._representable(np.max(factor.log_magnitude))
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.level_values = (np.exp(factor.log_magnitude) * factor.phase).astype(
+                    np.complex128, copy=False)
+
+    def _representable(self, factor_log) -> bool:
+        factor_log = float(factor_log)
+        return (factor_log <= OVERFLOW_EXPONENT
+                and factor_log + self.log_peak <= OVERFLOW_EXPONENT - 1.0)
+
+    def apply(self, block: _Block) -> np.ndarray:
+        """The flow's samples on a block."""
+        if self.factor is None:
+            return block.samples
+        # overflowing factors and products are overwritten by `_saturate`
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.level_values[block.levels]
+            np.multiply(values, block.samples, out=values)
+        if not self.representable:
+            self._saturate(values, block)
+        if self.check and self.finite and not self.flagged:
+            self.finite = bool(np.all(np.isfinite(values)))
+        return values
+
+    def _saturate(self, values, block: _Block):
+        """Assemble, in log-magnitude/phase form, the block's nodes that are not representable."""
+        node_log = self.factor.log_magnitude[block.levels]
+        if self._representable(np.max(node_log)):
+            return
+        log_u = block.log_u()
+        if self.factor.flags_blown and not self.blown:
+            # log |u| > -inf exactly where |u| > 0
+            self.blown = bool(np.any((node_log > OVERFLOW_EXPONENT) & (log_u > -np.inf)))
+        total_log = node_log + log_u
+        clamped = np.flatnonzero(
+            ~((node_log <= OVERFLOW_EXPONENT) & (total_log <= OVERFLOW_EXPONENT)))
+        # the clamped nodes' arrays are formed with the block's released
+        del node_log
+        total_log = total_log[clamped]
+        self.flagged = self.flagged or bool(np.any(total_log > OVERFLOW_EXPONENT))
+        assembled = np.exp(np.minimum(total_log, OVERFLOW_EXPONENT))
+        del total_log
+        assembled = assembled * self.factor.phase[block.levels[clamped]]
+        values[clamped] = assembled * block.u_phase(clamped)
+
+    def overflow(self, u: SpectralField) -> bool:
+        if not (u.overflow or self.flagged or self.finite):
+            raise ValueError("non-finite samples in an unflagged field")
+        return u.overflow or self.flagged or self.blown

@@ -12,6 +12,7 @@ lists written against plain partial derivatives are converted by the factor
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -310,6 +311,9 @@ def _print_node(node: Node, parent_prec: int) -> str:
 # Most terms an expansion may hold, and most entries of a dense coefficient array.
 _EXPANSION_TERM_BUDGET = 20000
 
+# A constant power up to this exponent is formed one product at a time.
+_STEPWISE_POWER_LIMIT = 100
+
 
 def horner(coefficients: np.ndarray, coords) -> np.ndarray:
     """``sum_alpha coefficients[alpha] x^alpha`` at broadcastable coordinates.
@@ -495,16 +499,13 @@ def _expand(node: Node, n: int) -> dict:
     if isinstance(node, Neg):
         return {a: -c for a, c in _expand(node.arg, n).items()}
     if isinstance(node, Pow):
-        if node.exponent < 0:
-            base = _expand(node.base, n)
-            if set(base) - {zero_index}:
-                raise SymbolError("negative exponent of a non-constant expression")
-            value = base.get(zero_index, 0j)
-            if value == 0:
-                raise SymbolError("zero raised to a negative exponent")
-            return {zero_index: value**node.exponent}
-        out = {zero_index: 1.0 + 0j}
         base = _expand(node.base, n)
+        if not set(base) - {zero_index}:  # a constant, zero included
+            power = _constant_power(base.get(zero_index, 0j), node.exponent)
+            return {zero_index: power} if power != 0 else {}
+        if node.exponent < 0:
+            raise SymbolError("negative exponent of a non-constant expression")
+        out = {zero_index: 1.0 + 0j}
         _check_degrees([node.exponent * d for d in _degrees(base, n)])
         for _ in range(node.exponent):
             out = _poly_mul(out, base)
@@ -523,6 +524,42 @@ def _expand(node: Node, n: int) -> dict:
     if value == 0:
         raise SymbolError("division by zero")
     return {a: c / value for a, c in left.items()}
+
+
+def _constant_power(value: complex, exponent: int) -> complex:
+    """``value ** exponent`` for a constant; `SymbolError` if it is not finite.
+
+    Up to `_STEPWISE_POWER_LIMIT` the product is formed one factor at a
+    time, as `_poly_mul` expands the power of a polynomial (and with the
+    same bits); a larger exponent goes by repeated squaring, so a power
+    costs at most about 2 log2(exponent) products and stays exact where
+    its factors are (``i``, ``-1``, powers of two).  A negative exponent
+    takes Python's complex power.
+    """
+    if exponent < 0:
+        if value == 0:
+            raise SymbolError("zero raised to a negative exponent")
+        try:
+            power = value**exponent
+        except OverflowError:
+            power = complex(math.inf)
+    elif exponent <= _STEPWISE_POWER_LIMIT:
+        power = 1.0 + 0j
+        for _ in range(exponent):
+            power = 0j + power * value
+            if power == 0:
+                break
+    else:
+        power, square = 1.0 + 0j, value
+        while exponent:
+            if exponent & 1:
+                power *= square
+            exponent >>= 1
+            if exponent:
+                square *= square
+    if not cmath.isfinite(power):
+        raise SymbolError("a constant power overflows")
+    return power
 
 
 def _poly_add(a: dict, b: dict, sign: int) -> dict:

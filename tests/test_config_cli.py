@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from frechet_flow import FrequencyGrid, evolution, random_field
+from frechet_flow import FrequencyGrid, app, random_field
 from frechet_flow.app import build_initial_field, heat_scan, run_solve
 from frechet_flow.cli import main
 from frechet_flow.config import (
@@ -23,6 +23,7 @@ from frechet_flow.fieldio import (
     write_csv,
     write_field,
 )
+from frechet_flow.spectral import saturated_product
 
 BASE_CONFIG = """\
 [grid]
@@ -212,27 +213,63 @@ def test_solve_both_methods_certify_residuals(tmp_path):
 
 def test_solve_releases_each_time_before_the_next(tmp_path, monkeypatch):
     """While a time is evolved, no field of an earlier time is alive."""
-    alive = []  # (t, weak reference to the samples of a kernel's result)
+    alive = []  # (t, weak reference to the samples of a pass's kept field)
+    times = iter([0.1, 0.2, 0.3])
 
-    def tracked(kernel):
-        def wrapped(symbol, t, u, *args):
-            assert all(ref() is None for when, ref in alive if when != t), (
-                f"a field of an earlier time is alive while t = {t} is evolved"
-            )
-            result = kernel(symbol, t, u, *args)
-            field = result[0] if isinstance(result, tuple) else result
-            alive.append((t, weakref.ref(field.values)))
-            return result
+    def tracked(factors, u, inverse, **kwargs):
+        t = next(times)
+        assert all(ref() is None for when, ref in alive), (
+            f"a field of an earlier time is alive while t = {t} is evolved"
+        )
+        product, flagged = saturated_product(factors, u, inverse, **kwargs)
+        alive.append((t, weakref.ref(product.field.values)))
+        return product, flagged
 
-        return wrapped
-
-    for name in ("exp_multiplier", "exp_series"):
-        monkeypatch.setattr(evolution, name, tracked(getattr(evolution, name)))
+    monkeypatch.setattr(app, "saturated_product", tracked)
     config = config_from_text(
-        apply_overrides(BASE_CONFIG, ["evolve.method=both", "evolve.times=0.1, 0.2, 0.3"])
+        apply_overrides(BASE_CONFIG, ["evolve.method=both", "evolve.times=0.1, 0.2, 0.3",
+                                      "output.formats=csv, fl2l"])
     )
     result = run_solve(config, out_dir=str(tmp_path))
-    assert len(alive) == 6 and result.residuals_certified
+    assert len(alive) == 3 and result.residuals_certified
+    assert sorted(os.listdir(tmp_path)) == [
+        "field_t000.fl2l", "field_t001.fl2l", "field_t002.fl2l", "residuals.csv",
+        "run_metadata.txt", "trajectory_multiplier.csv", "trajectory_series.csv",
+    ]
+
+
+def fail_at_the_second_time(monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("the second time fails")
+        return saturated_product(*args, **kwargs)
+
+    monkeypatch.setattr(app, "saturated_product", failing)
+
+
+FIELD_OUTPUTS = ["evolve.times=0.1, 0.2, 0.3", "output.formats=csv, fl2l, field-csv"]
+
+
+def test_failed_solve_removes_its_fields_and_the_directories_it_made(tmp_path, monkeypatch):
+    fail_at_the_second_time(monkeypatch)
+    config = config_from_text(apply_overrides(BASE_CONFIG, FIELD_OUTPUTS))
+    with pytest.raises(RuntimeError, match="second time"):
+        run_solve(config, out_dir=str(tmp_path / "made" / "out"))
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_solve_leaves_an_existing_directory_as_it_found_it(tmp_path, monkeypatch):
+    (tmp_path / "field_t000.fl2l").write_bytes(b"an earlier run")
+    (tmp_path / "notes.txt").write_text("kept")
+    fail_at_the_second_time(monkeypatch)
+    config = config_from_text(apply_overrides(BASE_CONFIG, FIELD_OUTPUTS))
+    with pytest.raises(RuntimeError, match="second time"):
+        run_solve(config, out_dir=str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["field_t000.fl2l", "notes.txt"]
+    assert (tmp_path / "field_t000.fl2l").read_bytes() == b"an earlier run"
 
 
 def test_solve_backward_heat_gains_without_saturation(tmp_path):
@@ -557,6 +594,9 @@ def test_cli_process_fails_cleanly(tmp_path, case, message):
         (["check-eprime", "--diffop", "1000000000:1"], "above the budget of 20000"),
         (["check-eprime", "--diffop", "1000000000:1", "--convention", "partial"],
          "above the budget of 20000"),
+        # constant powers are formed in about log2(exponent) products
+        (["check-l2", "--symbol", "2^100000000"], "a constant power overflows"),
+        (["check-l2", "--symbol=(1/2)^-2000*xi"], "a constant power overflows"),
     ],
 )
 def test_cli_process_rejects_bad_flags_in_one_line(tmp_path, args, message):
@@ -565,6 +605,27 @@ def test_cli_process_rejects_bad_flags_in_one_line(tmp_path, args, message):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args, lines",
+    [
+        # the sphere probes overflow at radius 2^20
+        (["check-l2", "--symbol=-xi^70"],
+         ["square-integrable verdict at t=1: Invariant (method exact-1d, sup estimate 0)"]),
+        # the witness probes overflow
+        (["check-eprime", "--symbol=(1+i)*xi^150-xi"],
+         ["compact-support verdict: NotInvariant (rule otherwise, m=150, a_m=1+1j)",
+          "growth witness at z=0.608761+0.793353j on the upper half-plane (threshold c=1)"]),
+        (["check-l2", "--symbol=(xi-xi)^100000000"],
+         ["square-integrable verdict at t=1: Invariant (method exact-1d, sup estimate 0)",
+          "caveat: constant real part"]),
+    ],
+)
+def test_cli_process_decides_high_degree_symbols_without_warnings(tmp_path, args, lines):
+    done = run_process([*args, "--out", "out"], tmp_path)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines() == lines
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from frechet_flow import (
     verify_quotient_diagrams,
 )
 from frechet_flow.evolution import SeriesTruncationError, choose_terms, scalar_tail
-from frechet_flow.spectral import OVERFLOW_EXPONENT, saturated_product
+from frechet_flow.spectral import OVERFLOW_EXPONENT, LevelFactor, saturated_product
 
 PI = math.pi
 
@@ -304,9 +304,9 @@ def test_quotient_diagrams_reflection_fails_with_witness(grid, rng):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Names of the flow kernels `evolve` calls, in call order."""
+    """Names of the flow factor builders `evolve` calls, in call order."""
     calls = []
-    for name in ("exp_multiplier", "exp_series"):
+    for name in ("multiplier_factor", "series_factor"):
         def counted(*args, _kernel=getattr(evolution, name), _name=name, **kwargs):
             calls.append(_name)
             return _kernel(*args, **kwargs)
@@ -335,17 +335,23 @@ def test_evolve_both_methods_agree(grid, rng, kernel_calls):
     steps = evolve(op, (0.1, 0.4), u, method="both")
     assert kernel_calls == []  # nothing runs until the first time is asked for
     times = []
-    for t, fields, diag in steps:
+    for t, factors, diag in steps:
         times.append(t)
-        assert list(fields) == ["multiplier", "series"]
-        assert np.array_equal(fields["multiplier"].values, exp_multiplier(op, t, u).values)
-        residual = seminorm_profile(fields["series"] - fields["multiplier"])
-        assert np.all(residual <= diag.bounds())
+        assert kernel_calls[-2:] == ["multiplier_factor", "series_factor"]
+        assert list(factors) == ["multiplier", "series"]
+        product, flagged = saturated_product(factors, u, op.levels()[1], keep="multiplier",
+                                             residual=("series", "multiplier"))
+        closed, (series, _) = exp_multiplier(op, t, u), exp_series(op, t, u)
+        assert np.array_equal(product.field.values, closed.values) and not flagged
+        assert product.residual.tolist() == seminorm_profile(series - closed).tolist()
+        assert np.all(product.residual <= diag.bounds())
     assert times == [0.1, 0.4]
-    ((t, fields, diag),) = evolve(op, (0.1,), u)
-    assert list(fields) == ["multiplier"] and diag is None
-    ((t, fields, diag),) = evolve(op, (0.1,), u, method="series")
-    assert list(fields) == ["series"] and diag.t == 0.1
+    ((t, factors, diag),) = evolve(op, (0.1,), u)
+    assert list(factors) == ["multiplier"] and diag is None
+    ((t, factors, diag),) = evolve(op, (0.1,), u, method="series")
+    assert list(factors) == ["series"] and diag.t == 0.1
+    ((t, factors, diag),) = evolve(op, (0.0,), u, method="both")
+    assert factors == {"multiplier": None, "series": None} and diag.bounds().tolist() == [0.0] * 8
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
@@ -386,10 +392,16 @@ def node_inverse(grid):
     return np.arange(grid.node_count).reshape(grid.shape)
 
 
+def one_flow(factor, u):
+    """The field of a factor given node by node."""
+    product, _ = saturated_product({"flow": factor}, u, node_inverse(u.grid), keep="flow")
+    return product.field
+
+
 def exp_multiplier_on_nodes(op, t, u):
     """Reference closed form: the factor formed at every grid node."""
     z = (t * op.values).ravel()
-    result, _ = saturated_product(z.real, np.exp(1j * z.imag), u, node_inverse(u.grid))
+    result = one_flow(LevelFactor(z.real, np.exp(1j * z.imag)), u)
     blown = (z.real > OVERFLOW_EXPONENT).reshape(u.grid.shape) & (np.abs(u.values) > 0)
     return result.values, result.overflow or bool(np.any(blown))
 
@@ -406,7 +418,7 @@ def exp_series_on_nodes(op, t, u, stages, terms):
     phase = np.where(magnitude > 0.0, acc / np.where(magnitude > 0.0, magnitude, 1.0), 1.0)
     for _ in range(stages.bit_length() - 1):
         phase = phase * phase
-    result, _ = saturated_product(log_magnitude * stages, phase, u, node_inverse(u.grid))
+    result = one_flow(LevelFactor(log_magnitude * stages, phase), u)
     return result.values, result.overflow
 
 

@@ -10,17 +10,21 @@ from frechet_flow.config import config_from_text
 from frechet_flow.fieldio import write_field
 from frechet_flow.spectral import _shell_index
 
+GRID = FrequencyGrid(2, 8, 32)
+FIELD_SIZE = 16 * GRID.node_count
 
-def test_solve_peaks_below_five_field_sizes(tmp_path):
-    grid = FrequencyGrid(2, 8, 32)
+
+def traced_solve(tmp_path, times, formats):
+    """``(result, traced peak in field sizes)`` of a heat solve on GRID from a fresh state."""
+    tmp_path.mkdir(exist_ok=True)
     init = tmp_path / "init.fl2l"
-    write_field(init, random_field(grid, np.random.default_rng(7)))
+    write_field(init, random_field(GRID, np.random.default_rng(7)))
     config = config_from_text(
         "[grid]\nn = 2\nJ = 8\ninv_h = 32\n"
         "[symbol]\ntext = -(1+4*pi^2*(xi1^2+xi2^2))\n"
-        "[evolve]\ntimes = 0.001, 0.01, 0.1, 1\nmethod = both\n"
+        f"[evolve]\ntimes = {times}\nmethod = both\n"
         f"[init]\nfield = file:{init}\n"
-        "[output]\nformats = csv\n"
+        f"[output]\nformats = {formats}\n"
     )
     _shell_index.cache_clear()  # the shell index is built inside the run, as in a fresh process
     tracemalloc.start()
@@ -29,5 +33,20 @@ def test_solve_peaks_below_five_field_sizes(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak / FIELD_SIZE
+
+
+def test_solve_peaks_below_four_field_sizes(tmp_path):
+    result, peak = traced_solve(tmp_path, "0.001, 0.01, 0.1, 1", "csv")
     assert result.residuals_certified
-    assert peak <= 5.0 * 16 * grid.node_count
+    assert peak <= 4.0
+
+
+def test_solve_writing_fields_holds_one_time_at_a_time(tmp_path):
+    """A saturating run that writes every time's field peaks as a one-time run does."""
+    one_time, one_peak = traced_solve(tmp_path / "one", "-2", "csv, fl2l")
+    times = "-2.0, -1.0, -0.75, -0.5, -0.4, -0.3, -0.2, -0.15"
+    eight_times, eight_peak = traced_solve(tmp_path / "eight", times, "csv, fl2l")
+    assert one_time.overflow and eight_times.overflow
+    assert len([path for path in eight_times.files if path.endswith(".fl2l")]) == 8
+    assert eight_peak <= one_peak + 0.25

@@ -28,8 +28,8 @@ from frechet_flow import (
 from frechet_flow.evolution import _stage_growth, exp_multiplier, exp_series
 from frechet_flow.spectral import (
     OVERFLOW_EXPONENT,
+    LevelFactor,
     SpectralField,
-    _difference_profile,
     saturated_product,
 )
 
@@ -198,6 +198,14 @@ def identity_inverse(grid):
     return np.arange(grid.node_count).reshape(grid.shape)
 
 
+def one_flow(log_magnitude, phase, u, inverse):
+    """`saturated_product` of one flow, keeping its field: ``(field, flagged)``."""
+    product, flagged = saturated_product(
+        {"flow": LevelFactor(log_magnitude, phase)}, u, inverse, keep="flow"
+    )
+    return product.field, flagged
+
+
 def full_path(log_magnitude, phase, u):
     """`saturated_product` on u, forced through its saturating path.
 
@@ -209,7 +217,7 @@ def full_path(log_magnitude, phase, u):
     log_magnitude[index] = 2 * OVERFLOW_EXPONENT
     values = np.array(u.values)
     values[index] = 1.0
-    result, _ = saturated_product(
+    result, _ = one_flow(
         log_magnitude.ravel(), np.ravel(phase), SpectralField(u.grid, values),
         identity_inverse(u.grid),
     )
@@ -228,7 +236,7 @@ def test_direct_product_branch_matches_the_full_path_bitwise(n, rng):
         # put the largest total log magnitude at exactly `total`
         peak = np.unravel_index(np.argmax(np.abs(u.values)), grid.shape)
         log_magnitude[peak] = total - np.log(np.abs(u.values[peak]))
-        result, flagged = saturated_product(
+        result, flagged = one_flow(
             log_magnitude.ravel(), phase.ravel(), u, identity_inverse(grid)
         )
         expected, others = full_path(log_magnitude, phase, u)
@@ -248,7 +256,7 @@ def test_unsaturated_product_skips_the_log_phase_passes(monkeypatch, rng):
         raise AssertionError("the direct branch extracts no phase")
 
     monkeypatch.setattr(np, "angle", no_angle)
-    result, flagged = saturated_product(
+    result, flagged = one_flow(
         log_magnitude.ravel(), np.ones(grid.node_count), u, identity_inverse(grid)
     )
     assert not flagged
@@ -260,7 +268,7 @@ def test_direct_product_branch_guards_large_factors_on_small_data():
     values = np.zeros(grid.shape, dtype=complex)
     values[3] = 1e-320
     log_magnitude = np.full(grid.shape, 720.0)
-    result, flagged = saturated_product(
+    result, flagged = one_flow(
         log_magnitude.ravel(), np.ones(grid.node_count), SpectralField(grid, values),
         identity_inverse(grid),
     )
@@ -274,7 +282,7 @@ def test_nan_and_inf_samples_take_the_full_path():
     grid = FrequencyGrid(1, 2, 4)
     values = np.ones(grid.shape, dtype=complex)
     values[2] = np.inf
-    result, flagged = saturated_product(
+    result, flagged = one_flow(
         np.zeros(grid.node_count), np.ones(grid.node_count),
         SpectralField(grid, values, overflow=True), identity_inverse(grid),
     )
@@ -330,7 +338,7 @@ def test_saturating_path_equals_the_reference_bitwise(grid, rng):
             flat[4:9] = [np.inf, -np.inf, complex(1.0, np.inf), np.nan, complex(np.nan, 1.0)]
         u = SpectralField(grid, values, overflow=overflow)
         expected, expected_flag = reference_saturated_product(log_magnitude, phase, u, inverse)
-        result, flagged = saturated_product(log_magnitude, phase, u, inverse)
+        result, flagged = one_flow(log_magnitude, phase, u, inverse)
         assert flagged == expected_flag
         assert result.overflow == (overflow or expected_flag)
         assert same_bits(result.values, expected)
@@ -347,7 +355,7 @@ def test_saturating_path_on_heat_levels_equals_the_reference_bitwise(rng):
         z = t * levels
         phase = np.exp(1j * z.imag)
         expected, expected_flag = reference_saturated_product(z.real, phase, u, inverse)
-        result, flagged = saturated_product(z.real, phase, u, inverse)
+        result, flagged = one_flow(z.real, phase, u, inverse)
         assert flagged and expected_flag
         assert same_bits(result.values, expected)
 
@@ -364,9 +372,9 @@ def test_polar_form_is_built_once_per_field(monkeypatch, rng):
 
     monkeypatch.setattr(np, "angle", counted)
     log_magnitude, phase, inverse = saturating_case(grid, rng)
-    first, _ = saturated_product(log_magnitude, phase, u, inverse)
+    first, _ = one_flow(log_magnitude, phase, u, inverse)
     for _ in range(3):
-        again, flagged = saturated_product(log_magnitude, phase, u, inverse)
+        again, flagged = one_flow(log_magnitude, phase, u, inverse)
         assert flagged and same_bits(again.values, first.values)
     op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
     exp_multiplier(op, -2.0, u)
@@ -431,12 +439,37 @@ def scaled_field(grid, rng, kind):
 KINDS = ["random", "subnormal", "near-overflow", "flagged"]
 
 
+def random_factor(rng, grid, kind):
+    """A factor given node by node: None (the identity), or log magnitudes that may saturate."""
+    if kind == "identity":
+        return None
+    top = {"moderate": 5.0, "saturating": 2.0 * OVERFLOW_EXPONENT}[kind]
+    log_magnitude = rng.uniform(-5.0, top, size=grid.node_count)
+    return LevelFactor(log_magnitude, np.exp(1j * rng.uniform(-np.pi, np.pi, grid.node_count)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(grid=st.sampled_from(GRIDS), seed=st.integers(0, 2**32 - 1),
-       kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)))
-def test_difference_profile_is_the_profile_of_the_difference(grid, seed, kinds):
+@given(grid=st.sampled_from(GRIDS), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS),
+       factor_kinds=st.tuples(*[st.sampled_from(["identity", "moderate", "saturating"])] * 2))
+def test_streamed_pass_reads_what_its_fields_give(grid, seed, kind, factor_kinds):
+    """Each flow's profile and overflow, the residual and the kept field are bitwise
+    those of the one-flow fields, a profile and a difference field."""
     rng = np.random.default_rng(seed)
-    a, b = (scaled_field(grid, rng, kind) for kind in kinds)
-    profile = _difference_profile(a, b)
-    assert profile.tolist() == seminorm_profile(a - b).tolist()
-    assert _difference_profile(a, a).tolist() == seminorm_profile(a - a).tolist()
+    u = scaled_field(grid, rng, kind)
+    factors = dict(zip(["a", "b"], (random_factor(rng, grid, k) for k in factor_kinds)))
+    inverse = identity_inverse(grid)
+    fields = {}
+    for name, factor in factors.items():
+        product, _ = saturated_product({name: factor}, u, inverse, keep=name)
+        fields[name] = product.field
+    product, flagged = saturated_product(factors, u, inverse, keep="b", residual=("a", "b"))
+    assert same_bits(product.field.values, fields["b"].values)
+    for name, field in fields.items():
+        assert product.profiles[name].tolist() == seminorm_profile(
+            SpectralField(grid, field.values, field.overflow)).tolist()
+        assert product.overflow[name] == field.overflow
+    assert product.residual.tolist() == seminorm_profile(fields["a"] - fields["b"]).tolist()
+    if factors["b"] is None:
+        assert product.field.values is u.values
+    assert flagged == any(
+        saturated_product({name: factor}, u, inverse)[1] for name, factor in factors.items())

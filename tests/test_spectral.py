@@ -243,7 +243,7 @@ def test_internal_results_are_read_only(grid, rng, tmp_path):
     from frechet_flow.evolution import exp_multiplier, exp_series
     from frechet_flow.fieldio import read_field, write_field
     from frechet_flow.operators import MultiplierOperator
-    from frechet_flow.spectral import saturated_product
+    from frechet_flow.spectral import LevelFactor, saturated_product
     from frechet_flow.symbols import heat_symbol
 
     u, v = random_field(grid, rng), random_field(grid, rng)
@@ -256,7 +256,8 @@ def test_internal_results_are_read_only(grid, rng, tmp_path):
         embed(project(u, 3), grid), read_field(path),
         exp_multiplier(op, 0.0, u), exp_series(op, 0.0, u)[0],
         exp_multiplier(op, 0.1, u), exp_multiplier(op, -1.0, u),
-        saturated_product(np.zeros(levels.size), np.ones(levels.size), u, inverse)[0],
+        saturated_product({"flow": LevelFactor(np.zeros(levels.size), np.ones(levels.size))},
+                          u, inverse, keep="flow")[0].field,
         ones(grid), zero(grid), delta(grid), random_field(grid, rng),
     ]
     for field in results:

@@ -71,6 +71,44 @@ def test_parse_folds_constant_exponents():
     assert parse_symbol("xi^-(-2)").root.exponent == 2
 
 
+def expand_stepwise(text):
+    """The coefficients of a constant power as `_poly_mul` forms them, one product at a time."""
+    base, exponent = text.rsplit("^", 1)
+    power = {(0,): 1.0 + 0j}
+    factor = to_polynomial(base).coeffs
+    for _ in range(int(exponent)):
+        power = {(0,): 0j + power[(0,)] * factor.get((0,), 0j)}
+        if power[(0,)] == 0:
+            return {}
+    return power
+
+
+@pytest.mark.parametrize("text", ["pi^2", "(1+2*i)^3", "(1/3)^7", "(-0.0*i+1)^2", "1.1^100",
+                                  "(0.5*i)^45", "0^3", "pi^0"])
+def test_constant_powers_up_to_the_step_limit_keep_the_product_bits(text):
+    coeffs = to_polynomial(text).coeffs
+    expected = expand_stepwise(text)
+    assert list(coeffs) == list(expected)
+    for alpha, c in coeffs.items():
+        assert np.array([c]).view(np.uint64).tolist() == \
+            np.array([expected[alpha]]).view(np.uint64).tolist()
+
+
+def test_large_constant_powers_take_log2_products():
+    assert to_polynomial("(xi-xi)^100000000").is_zero
+    assert to_polynomial("0^100000000*xi").is_zero
+    assert to_polynomial("i^100000001*xi").coeffs == {(1,): 1j}
+    assert to_polynomial("(-1)^100000001*xi").coeffs == {(1,): -1.0}
+    assert to_polynomial("2^1000*xi").coeffs == {(1,): complex(2.0**1000)}
+    assert to_polynomial("0.5^100000000*xi").is_zero
+    assert to_polynomial("(1/2)^-1000").coeffs == {(0,): complex(2.0**1000)}
+    for text in ("2^100000000", "2^1024", "(1/2)^-2000*xi", "(1+i)^2100"):
+        with pytest.raises(SymbolError, match="a constant power overflows"):
+            to_polynomial(text)
+    with pytest.raises(SymbolError, match="zero raised to a negative exponent"):
+        to_polynomial("(xi-xi)^-3")
+
+
 def test_parse_rejects_unknown_identifier():
     with pytest.raises(SymbolSyntaxError) as err:
         parse_symbol("1+zeta")
