@@ -148,8 +148,9 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
     initial field, which yields every profile the run reports.  A field
     output (``fl2l``, ``field-csv``) of the last method's field is written
     as soon as its time's pass completes, so one time's field is held at a
-    time.  Those files take their names when the run succeeds: a run that
-    raises removes them, and the directories it created for them.
+    time.  Those files take their names as the run's last step: a run that
+    raises removes them, and the directories it created for them that are
+    then empty.
     """
     grid = FrequencyGrid(config.n, config.J, config.inv_h)
     symbol = build_symbol(config)
@@ -158,11 +159,10 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
     times = tuple(sorted(set(float(t) for t in config.times)))
 
     inverse = op.levels()[1]
-    residual = ("series", "multiplier") if config.method == "both" else None
     fields = _FieldFiles(out_dir, config.formats)
     profiles: dict = {}
     diagnostics: list = []
-    residual_profiles = [] if residual is not None else None
+    residual_profiles = [] if config.method == "both" else None
     residuals_certified = True
     overflow = False
     try:
@@ -170,12 +170,12 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
             evolve(op, times, u0, config.method, config.tol)
         ):
             keep = list(factors)[-1] if fields.formats else None
-            product, _ = saturated_product(factors, u0, inverse, keep=keep, residual=residual)
+            product, _ = saturated_product(factors, u0, inverse, keep=keep)
             diagnostics.append(diag)
             for name in factors:
                 profiles.setdefault(name, []).append(product.profiles[name])
                 overflow = overflow or product.overflow[name]
-            if residual is not None:
+            if product.residual is not None:
                 residual_profiles.append(product.residual)
                 if not np.all(product.residual <= diag.bounds()):
                     residuals_certified = False
@@ -218,10 +218,11 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
                            for j, (residual, bound) in enumerate(zip(profile, diag.bounds()),
                                                                  start=1)))
                 files.append(residual_path)
-            files += fields.commit()
             metadata_path = os.path.join(out_dir, "run_metadata.txt")
             write_metadata(metadata_path, metadata_lines(config, times, diagnostics, overflow,
                                                          residuals_certified, backward_gain_ok))
+            # the field files take their names last, once nothing else can fail
+            files += fields.commit()
             files.append(metadata_path)
     except BaseException:
         fields.discard()

@@ -289,18 +289,24 @@ class SpectralField:
         self._own(grid, np.array(values, dtype=np.complex128, order="C"), overflow)
 
     @classmethod
-    def _adopt(cls, grid: FrequencyGrid, values: np.ndarray, overflow: bool = False):
-        """A field owning ``values``, a complex128 array no one else writes to."""
+    def _adopt(cls, grid: FrequencyGrid, values: np.ndarray, overflow: bool = False,
+               checked: bool = False):
+        """A field owning ``values``, a complex128 array no one else writes to.
+
+        With ``checked`` the caller has already found the samples finite (or
+        the field flagged), and they are not checked again.
+        """
         field = cls.__new__(cls)
-        field._own(grid, values, overflow)
+        field._own(grid, values, overflow, checked)
         return field
 
-    def _own(self, grid: FrequencyGrid, values: np.ndarray, overflow: bool):
+    def _own(self, grid: FrequencyGrid, values: np.ndarray, overflow: bool,
+             checked: bool = False):
         if values.shape != grid.shape:
             raise GridError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        if not overflow and not np.all(np.isfinite(values)):
+        if not (overflow or checked) and not np.all(np.isfinite(values)):
             raise ValueError("non-finite samples in an unflagged field")
         values.setflags(write=False)
         self.grid = grid
@@ -612,19 +618,19 @@ class Product:
 
     profiles: dict                  # name -> ball profile (p_1, ..., p_J)
     overflow: dict                  # name -> whether the name's result is flagged
-    residual: Optional[np.ndarray]  # profile of the difference of the residual pair
+    residual: Optional[np.ndarray]  # two flows: the profile of their difference
     field: Optional[SpectralField]  # the kept flow's result, or None
 
 
-def saturated_product(factors: dict, u: SpectralField, inverse, keep=None, residual=None):
+def saturated_product(factors: dict, u: SpectralField, inverse, keep=None):
     """Multiply each flow's factor onto a field, saturating, in one streamed pass.
 
     ``factors`` maps flow names to a `LevelFactor`, or to None for the
     identity (t = 0, whose samples are ``u``'s, bitwise); the grid-shaped
     ``inverse`` names each node's level.  Returns ``(product, flagged)``:
     the `Product` holds each flow's ball profile and overflow flag, the
-    profile of ``residual[0] - residual[1]`` when a pair of names is given,
-    and the field of flow ``keep`` (its profile cached with it); ``flagged``
+    profile of the two flows' difference when there are two, and the
+    field of flow ``keep`` (its profile cached with it); ``flagged``
     says whether a flow saturated a node.  No other grid-sized array is
     formed.
 
@@ -646,7 +652,7 @@ def saturated_product(factors: dict, u: SpectralField, inverse, keep=None, resid
     `SpectralField.polar` form, built by the first such block and reused by
     every later pass on the same field.  An unflagged flow with a
     non-finite sample is rejected with ``ValueError``, as `SpectralField`
-    rejects it.
+    rejects it; the blocks check it, so the kept field is not checked again.
     """
     index = u.grid.shells()
     samples, node_levels = np.ravel(u.values), np.ravel(inverse)
@@ -657,6 +663,7 @@ def saturated_product(factors: dict, u: SpectralField, inverse, keep=None, resid
     kept = None
     if keep is not None and factors[keep] is not None:
         kept = np.empty(u.grid.node_count, dtype=np.complex128)
+    two_flows = len(flows) == 2
     differences = []
     for nodes, offsets in index.blocks(u.grid.J, outside=True):
         block = _Block(u, nodes, samples[nodes], node_levels[nodes])
@@ -667,9 +674,9 @@ def saturated_product(factors: dict, u: SpectralField, inverse, keep=None, resid
                 flow.parts.append(_scaled_sums(np.abs(block_values[name]), offsets))
         if kept is not None:
             kept[nodes] = block_values[keep]
-        if residual is not None and offsets is not None:
+        if two_flows and offsets is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                difference = np.abs(block_values[residual[0]] - block_values[residual[1]])
+                difference = np.abs(np.subtract(*block_values.values()))
             differences.append(_scaled_sums(difference, offsets))
 
     weight = u.grid.cell_volume
@@ -678,12 +685,12 @@ def saturated_product(factors: dict, u: SpectralField, inverse, keep=None, resid
     field = None
     if keep is not None:
         values = u.values if kept is None else kept.reshape(u.grid.shape)
-        field = SpectralField._adopt(u.grid, values, overflow[keep])
+        field = SpectralField._adopt(u.grid, values, overflow[keep], checked=True)
         field._profile = tuple(profiles[keep].tolist())
     product = Product(
         profiles=profiles,
         overflow=overflow,
-        residual=np.array(_combine_parts(differences, weight)) if residual is not None else None,
+        residual=np.array(_combine_parts(differences, weight)) if two_flows else None,
         field=field,
     )
     return product, any(flow.flagged for flow in flows.values())

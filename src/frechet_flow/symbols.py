@@ -311,9 +311,6 @@ def _print_node(node: Node, parent_prec: int) -> str:
 # Most terms an expansion may hold, and most entries of a dense coefficient array.
 _EXPANSION_TERM_BUDGET = 20000
 
-# A constant power up to this exponent is formed one product at a time.
-_STEPWISE_POWER_LIMIT = 100
-
 
 def horner(coefficients: np.ndarray, coords) -> np.ndarray:
     """``sum_alpha coefficients[alpha] x^alpha`` at broadcastable coordinates.
@@ -529,12 +526,12 @@ def _expand(node: Node, n: int) -> dict:
 def _constant_power(value: complex, exponent: int) -> complex:
     """``value ** exponent`` for a constant; `SymbolError` if it is not finite.
 
-    Up to `_STEPWISE_POWER_LIMIT` the product is formed one factor at a
-    time, as `_poly_mul` expands the power of a polynomial (and with the
-    same bits); a larger exponent goes by repeated squaring, so a power
-    costs at most about 2 log2(exponent) products and stays exact where
-    its factors are (``i``, ``-1``, powers of two).  A negative exponent
-    takes Python's complex power.
+    A non-negative exponent goes by repeated squaring, so a power costs at
+    most about 2 log2(exponent) products and stays exact where its factors
+    are (``i``, ``-1``, powers of two).  Each product onto the power is
+    added to ``0j`` as `_poly_mul` adds it, so signed zeros come out as
+    they do there, and a square or cube has the bits of its stepwise
+    product.  A negative exponent takes Python's complex power.
     """
     if exponent < 0:
         if value == 0:
@@ -543,17 +540,11 @@ def _constant_power(value: complex, exponent: int) -> complex:
             power = value**exponent
         except OverflowError:
             power = complex(math.inf)
-    elif exponent <= _STEPWISE_POWER_LIMIT:
-        power = 1.0 + 0j
-        for _ in range(exponent):
-            power = 0j + power * value
-            if power == 0:
-                break
     else:
         power, square = 1.0 + 0j, value
         while exponent:
             if exponent & 1:
-                power *= square
+                power = 0j + power * square
             exponent >>= 1
             if exponent:
                 square *= square

@@ -238,37 +238,52 @@ def test_solve_releases_each_time_before_the_next(tmp_path, monkeypatch):
     ]
 
 
-def fail_at_the_second_time(monkeypatch):
+def fail_at(monkeypatch, step):
+    """Make a solve raise in its second time's pass, or when it writes its metadata."""
     calls = []
 
     def failing(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 2:
-            raise RuntimeError("the second time fails")
+        if step == "write_metadata" or len(calls) == 2:
+            raise RuntimeError(f"{step} fails")
         return saturated_product(*args, **kwargs)
 
-    monkeypatch.setattr(app, "saturated_product", failing)
+    monkeypatch.setattr(app, step, failing)
+
+
+def paths_under(root):
+    return sorted(os.path.relpath(os.path.join(directory, name), root)
+                  for directory, dirs, files in os.walk(root) for name in dirs + files)
 
 
 FIELD_OUTPUTS = ["evolve.times=0.1, 0.2, 0.3", "output.formats=csv, fl2l, field-csv"]
 
 
-def test_failed_solve_removes_its_fields_and_the_directories_it_made(tmp_path, monkeypatch):
-    fail_at_the_second_time(monkeypatch)
+# a failure at the metadata leaves the trajectory written before it, as it always has
+@pytest.mark.parametrize("step, left", [
+    ("saturated_product", []),
+    ("write_metadata", ["made", "made/out", "made/out/trajectory.csv"]),
+])
+def test_failed_solve_removes_its_fields_and_the_directories_it_made(
+        tmp_path, monkeypatch, step, left):
+    fail_at(monkeypatch, step)
     config = config_from_text(apply_overrides(BASE_CONFIG, FIELD_OUTPUTS))
-    with pytest.raises(RuntimeError, match="second time"):
+    with pytest.raises(RuntimeError, match=f"{step} fails"):
         run_solve(config, out_dir=str(tmp_path / "made" / "out"))
-    assert os.listdir(tmp_path) == []
+    assert paths_under(tmp_path) == left
 
 
-def test_failed_solve_leaves_an_existing_directory_as_it_found_it(tmp_path, monkeypatch):
+@pytest.mark.parametrize("step, left", [("saturated_product", []),
+                                        ("write_metadata", ["trajectory.csv"])])
+def test_failed_solve_leaves_an_existing_directory_as_it_found_it(
+        tmp_path, monkeypatch, step, left):
     (tmp_path / "field_t000.fl2l").write_bytes(b"an earlier run")
     (tmp_path / "notes.txt").write_text("kept")
-    fail_at_the_second_time(monkeypatch)
+    fail_at(monkeypatch, step)
     config = config_from_text(apply_overrides(BASE_CONFIG, FIELD_OUTPUTS))
-    with pytest.raises(RuntimeError, match="second time"):
+    with pytest.raises(RuntimeError, match=f"{step} fails"):
         run_solve(config, out_dir=str(tmp_path))
-    assert sorted(os.listdir(tmp_path)) == ["field_t000.fl2l", "notes.txt"]
+    assert paths_under(tmp_path) == sorted(["field_t000.fl2l", "notes.txt"] + left)
     assert (tmp_path / "field_t000.fl2l").read_bytes() == b"an earlier run"
 
 

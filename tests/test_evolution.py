@@ -339,8 +339,7 @@ def test_evolve_both_methods_agree(grid, rng, kernel_calls):
         times.append(t)
         assert kernel_calls[-2:] == ["multiplier_factor", "series_factor"]
         assert list(factors) == ["multiplier", "series"]
-        product, flagged = saturated_product(factors, u, op.levels()[1], keep="multiplier",
-                                             residual=("series", "multiplier"))
+        product, flagged = saturated_product(factors, u, op.levels()[1], keep="multiplier")
         closed, (series, _) = exp_multiplier(op, t, u), exp_series(op, t, u)
         assert np.array_equal(product.field.values, closed.values) and not flagged
         assert product.residual.tolist() == seminorm_profile(series - closed).tolist()

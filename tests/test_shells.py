@@ -461,8 +461,9 @@ def test_streamed_pass_reads_what_its_fields_give(grid, seed, kind, factor_kinds
     fields = {}
     for name, factor in factors.items():
         product, _ = saturated_product({name: factor}, u, inverse, keep=name)
+        assert product.residual is None
         fields[name] = product.field
-    product, flagged = saturated_product(factors, u, inverse, keep="b", residual=("a", "b"))
+    product, flagged = saturated_product(factors, u, inverse, keep="b")
     assert same_bits(product.field.values, fields["b"].values)
     for name, field in fields.items():
         assert product.profiles[name].tolist() == seminorm_profile(
