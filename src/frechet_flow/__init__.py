@@ -7,6 +7,7 @@ from .spectral import (
     FrequencyGrid,
     GridError,
     QuotientElement,
+    ShellField,
     SpectralField,
     delta,
     gaussian_hat,

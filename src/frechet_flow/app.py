@@ -29,6 +29,7 @@ from .spectral import (
     OVERFLOW_EXPONENT,
     OVERFLOW_LIMIT,
     FrequencyGrid,
+    ShellField,
     SpectralField,
     delta,
     gaussian_hat,
@@ -145,7 +146,9 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
     """Execute a configured run and write its CSV and metadata files.
 
     Each time is one `saturated_product` pass of its flow factors over the
-    initial field, which yields every profile the run reports.  A field
+    initial field, which yields every profile the run reports.  The passes
+    read the initial field in shell order (`ShellField`), built once; its
+    grid-ordered samples are released before the first pass.  A field
     output (``fl2l``, ``field-csv``) of the last method's field is written
     as soon as its time's pass completes, so one time's field is held at a
     time.  Those files take their names as the run's last step: a run that
@@ -155,10 +158,16 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
     grid = FrequencyGrid(config.n, config.J, config.inv_h)
     symbol = build_symbol(config)
     op = MultiplierOperator(symbol, grid, label=config.symbol_spec())
+    # the level table's temporaries are gone before the initial field and
+    # its shell-ordered copy are both alive
+    inverse = op.levels()[1]
     u0 = build_initial_field(config, grid)
     times = tuple(sorted(set(float(t) for t in config.times)))
+    steps = evolve(op, times, u0, config.method, config.tol)
+    initial_profile = seminorm_profile(u0)
+    source = ShellField(u0, inverse)
+    del u0  # the passes read the shell field only
 
-    inverse = op.levels()[1]
     fields = _FieldFiles(out_dir, config.formats)
     profiles: dict = {}
     diagnostics: list = []
@@ -166,11 +175,9 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
     residuals_certified = True
     overflow = False
     try:
-        for k, (_, factors, diag) in enumerate(
-            evolve(op, times, u0, config.method, config.tol)
-        ):
+        for k, (_, factors, diag) in enumerate(steps):
             keep = list(factors)[-1] if fields.formats else None
-            product, _ = saturated_product(factors, u0, inverse, keep=keep)
+            product, _ = saturated_product(factors, source, keep=keep)
             diagnostics.append(diag)
             for name in factors:
                 profiles.setdefault(name, []).append(product.profiles[name])
@@ -186,7 +193,6 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
             del product
         methods = tuple(profiles)
 
-        initial_profile = seminorm_profile(u0)
         backward_gain_ok = True
         for k, t in enumerate(times):
             if t < 0:

@@ -35,8 +35,10 @@ evaluation.
 `evolve` is the one evolution loop over times: it yields each time's
 factors (and the series certificate) in turn, and `app.run_solve` forms
 each time's profiles, residual and written field from them in one
-`saturated_product` pass.  `exp_multiplier` and `exp_series` are the same
-factors applied to one field, for callers that keep it.
+`saturated_product` pass over the initial field's `ShellField`.  The loop
+reads only the initial field's ball profile, so it holds no field.
+`exp_multiplier` and `exp_series` are the same factors applied to one
+field, for callers that keep it; each call builds its own shell field.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .spectral import (
     OVERFLOW_EXPONENT,
     FrequencyGrid,
     LevelFactor,
+    ShellField,
     SpectralField,
     embed,
     project,
@@ -144,7 +147,7 @@ def multiplier_factor(op: MultiplierOperator, t: float) -> Optional[LevelFactor]
 
 def _evolved(factor: LevelFactor, u: SpectralField, op: MultiplierOperator) -> SpectralField:
     """The field of one flow's factor on u."""
-    product, _ = saturated_product({"flow": factor}, u, op.levels()[1], keep="flow")
+    product, _ = saturated_product({"flow": factor}, ShellField(u, op.levels()[1]), keep="flow")
     return product.field
 
 
@@ -228,22 +231,22 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
     """
     _check_time(t)
     op = as_multiplier(symbol, u.grid)
-    factor, diagnostics = series_factor(op, t, u, tol)
+    factor, diagnostics = series_factor(op, t, seminorm_profile(u), tol)
     if factor is None:
         return SpectralField._adopt(u.grid, u.values, u.overflow), diagnostics
     return _evolved(factor, u, op), diagnostics
 
 
-def series_factor(op: MultiplierOperator, t: float, u: SpectralField, tol: float):
+def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
     """The staged series' factor per level and its certificate, for `exp_series`.
 
-    Returns ``(factor, diagnostics)``; the factor is None (the identity) at
-    t = 0.  The certificate reads only u's ball profile.
+    ``profile`` is the ball profile ``(p_1(u), ..., p_J(u))`` of the field
+    it is applied to, the only thing of u the certificate reads.  Returns
+    ``(factor, diagnostics)``; the factor is None (the identity) at t = 0.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    grid = u.grid
-    profile = seminorm_profile(u)
+    grid = op.grid
     if t == 0.0:
         return None, _zero_diagnostics(t, tol, grid, profile)
 
@@ -414,23 +417,26 @@ def evolve(symbol, times, u0: SpectralField, method: str = "multiplier", tol: fl
     ``factors`` maps each method name to its `LevelFactor` at t
     (multiplier first; None at t = 0), and ``diagnostics`` is the series'
     `SeriesDiagnostics`, or ``None`` without the series.  The fields are
-    one `saturated_product` pass of the factors on ``u0`` (over the level
-    index ``op.levels()[1]``), so a consumer holds one time at a time.
+    one `saturated_product` pass of the factors on ``u0``'s `ShellField`
+    (over the level index ``op.levels()[1]``), so a consumer holds one time
+    at a time.  ``u0``'s ball profile is read here, and the generator holds
+    it, not ``u0``.
     """
     if method not in VALID_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {VALID_METHODS}")
     times = [float(t) for t in times]
     for t in times:
         _check_time(t)
-    return _trajectory(as_multiplier(symbol, u0.grid), times, u0, method, tol)
+    op = as_multiplier(symbol, u0.grid)
+    return _trajectory(op, times, seminorm_profile(u0), method, tol)
 
 
-def _trajectory(op, times, u0, method, tol):
+def _trajectory(op, times, profile, method, tol):
     for t in times:
         factors = {}
         diagnostics = None
         if method != "series":
             factors["multiplier"] = multiplier_factor(op, t)
         if method != "multiplier":
-            factors["series"], diagnostics = series_factor(op, t, u0, tol)
+            factors["series"], diagnostics = series_factor(op, t, profile, tol)
         yield t, factors, diagnostics

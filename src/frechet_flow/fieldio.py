@@ -33,7 +33,8 @@ def write_field(path, field: SpectralField):
     grid = field.grid
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(MAGIC, VERSION, grid.n, grid.J, grid.inv_h))
-        handle.write(field.values.astype("<c16", copy=False).tobytes())
+        # the samples' own buffer, written without a copy on little-endian hosts
+        handle.write(memoryview(field.values.astype("<c16", copy=False).reshape(-1)))
 
 
 def read_field(path) -> SpectralField:

@@ -192,10 +192,14 @@ def _decide_sampled(poly: PolynomialSymbol) -> tuple[str, float, tuple]:
         # Nonpositive real part at all large sampled radii: the sufficient
         # large-|xi| sign condition holds on the probe set.
         return INVARIANT, float(np.max(maxima)), tuple(maxima)
-    spread = abs(tail[-1] - tail[0])
+    # probes that overflow to inf give inf - inf = NaN below, which fails
+    # every test and so leaves the verdict undetermined
+    with np.errstate(invalid="ignore"):
+        spread = abs(tail[-1] - tail[0])
+        rising = np.all(np.diff(tail) >= 0.0)
     if spread <= 1e-9 * (1.0 + abs(tail[-1])):
         return INVARIANT, float(np.max(maxima)), tuple(maxima)
-    if np.all(np.diff(tail) >= 0.0) and tail[-1] > max(4.0 * abs(tail[0]), 1.0):
+    if rising and tail[-1] > max(4.0 * abs(tail[0]), 1.0):
         return NOT_INVARIANT, math.inf, tuple(maxima)
     return UNDETERMINED, float(np.max(maxima)), tuple(maxima)
 

@@ -22,7 +22,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fieldio import write_csv
-from .spectral import FrequencyGrid, GridError, SpectralField, mask_outside, random_field, seminorm
+from .spectral import (
+    FrequencyGrid,
+    GridError,
+    SpectralField,
+    _frozen,
+    mask_outside,
+    random_field,
+    seminorm,
+)
 from .symbols import PolynomialSymbol, parse_symbol, to_polynomial
 
 
@@ -148,11 +156,6 @@ class MultiplierOperator:
 
     def __repr__(self):
         return f"MultiplierOperator({self.label or self.symbol!r}, {self.grid!r})"
-
-
-def _frozen(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
 
 
 # Odd, so multiplication by it permutes uint64.  The key

@@ -22,18 +22,19 @@ combined shell by shell).  The seminorms gather a block of whole shells at
 a time, so a profile never holds more than one block of samples beside the
 field.
 
-A `SpectralField` is immutable, so three quantities of its samples are
-built on first use and kept with it: the peak ``max |u|`` (by the first
-`saturated_product`), the polar form ``(log |u|, unit phase)`` (by the
-first `saturated_product` that saturates; 24 bytes per node) and the ball
-profile (by the first `seminorm_profile`).  One initial field evolved to
-many times therefore pays for each once.
+A `SpectralField` is immutable, so its ball profile is built by the first
+`seminorm_profile` and kept with it.
 
 `saturated_product` forms one time of a flow, or of two flows side by
 side, in one streamed pass over the blocks of the shell index: it takes
 each flow's ball profile, and the profile of their difference, block by
 block, and holds a grid-sized result only for the flow whose field is
-kept.  The profile of a kept field comes with it.
+kept.  The profile of a kept field comes with it.  The pass reads its
+input as a `ShellField`: the initial samples and their level index put in
+shell order once, with their peak ``max |u|`` and, built by the first
+block that can saturate, their polar form ``(log |u|, unit phase)``.  One
+initial field evolved to many times therefore gathers each once, and every
+pass reads contiguous slices of them.
 """
 
 from __future__ import annotations
@@ -194,13 +195,14 @@ class ShellIndex:
         return ufunc.reduceat(ball, self.offsets[:-1])
 
     def blocks(self, j: int, outside: bool = False):
-        """``(nodes, offsets)`` for blocks of whole shells covering ball j, in shell order.
+        """``(block, offsets)`` for blocks of whole shells covering ball j, in shell order.
 
         A block holds as many whole shells as fit in `_BLOCK_NODES` nodes,
-        and at least one; ``nodes`` are its flat indices, grouped by shell
-        as `gather` returns them, and ``offsets`` the shell boundaries in
-        ``nodes``.  With ``outside`` the nodes outside ball J follow,
-        `_BLOCK_NODES` at a time, with ``offsets`` None.
+        and at least one; ``block`` is its range of `order` as a slice (its
+        nodes are ``order[block]``, grouped by shell as `gather` returns
+        them), and ``offsets`` the shell boundaries in that range.  With
+        ``outside`` the nodes outside ball J follow, `_BLOCK_NODES` at a
+        time, with ``offsets`` None.
         """
         ends = self.offsets[: j + 1]
         first = 0
@@ -208,11 +210,11 @@ class ShellIndex:
             fit = int(np.searchsorted(ends, ends[first] + _BLOCK_NODES, side="right")) - 1
             last = max(first + 1, fit)
             offsets = ends[first : last + 1]
-            yield self.order[offsets[0] : offsets[-1]], offsets - offsets[0]
+            yield slice(int(offsets[0]), int(offsets[-1])), offsets - offsets[0]
             first = last
         if outside:
             for start in range(int(self.offsets[-1]), self.order.size, _BLOCK_NODES):
-                yield self.order[start : start + _BLOCK_NODES], None
+                yield slice(start, min(start + _BLOCK_NODES, self.order.size)), None
 
 
 @functools.lru_cache(maxsize=4)
@@ -270,20 +272,15 @@ class SpectralField:
     ownership of them without a copy (`_adopt`); every construction checks
     the samples for non-finite values.
 
-    Three read-only quantities depend only on the samples; each is built on
-    first use and kept with the field, never in the constructor:
-
-    * `peak` — ``max |u|``, read by `saturated_product` to decide whether
-      the plain product is all there is;
-    * `polar` — ``(log |u|, unit phase)``, 24 bytes per node, built by the
-      first `saturated_product` block that saturates (and read by the
-      closed form's blown-factor test, which runs on such blocks only);
-    * the ball profile ``(p_1, ..., p_J)`` behind `seminorm_profile`, which
-      returns a fresh copy each time; a field kept by `saturated_product`
-      comes with it.
+    The ball profile ``(p_1, ..., p_J)`` behind `seminorm_profile` depends
+    only on the samples; it is built on first use (never in the
+    constructor) and kept with the field, and `seminorm_profile` returns a
+    fresh copy each time.  A field kept by `saturated_product` comes with
+    it.  The peak and polar form that a pass reads live on the `ShellField`
+    built from the field.
     """
 
-    __slots__ = ("grid", "values", "overflow", "_peak", "_polar", "_profile")
+    __slots__ = ("grid", "values", "overflow", "_profile")
 
     def __init__(self, grid: FrequencyGrid, values, overflow: bool = False):
         self._own(grid, np.array(values, dtype=np.complex128, order="C"), overflow)
@@ -312,41 +309,7 @@ class SpectralField:
         self.grid = grid
         self.values = values
         self.overflow = bool(overflow)
-        self._peak = None
-        self._polar = None
         self._profile = None
-
-    def peak(self) -> float:
-        """``max |u|`` over all nodes, computed once (NaN if a sample is NaN)."""
-        if self._peak is None:
-            self._peak = float(np.max(np.abs(self.values)))
-        return self._peak
-
-    def polar(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(log |u|, u / |u|)``, computed once (read-only).
-
-        Both are grid-shaped; where ``|u| = 0`` (or u is NaN) they are
-        ``-inf`` and 0.  The phase comes from ``angle``, so it stays exact
-        for subnormal samples.  They are formed `_BLOCK_NODES` samples at a
-        time, so building them holds no grid-sized temporary.
-        """
-        if self._polar is None:
-            samples = np.ravel(self.values)
-            log_magnitude = np.empty(samples.size)
-            phase = np.empty(samples.size, dtype=np.complex128)
-            for start in range(0, samples.size, _BLOCK_NODES):
-                block = slice(start, start + _BLOCK_NODES)
-                magnitude = np.abs(samples[block])
-                nonzero = magnitude > 0.0
-                with np.errstate(divide="ignore"):
-                    log_magnitude[block] = np.where(nonzero, np.log(magnitude), -np.inf)
-                phase[block] = np.where(nonzero, np.exp(1j * np.angle(samples[block])), 0.0)
-            log_magnitude = log_magnitude.reshape(self.grid.shape)
-            phase = phase.reshape(self.grid.shape)
-            log_magnitude.setflags(write=False)
-            phase.setflags(write=False)
-            self._polar = (log_magnitude, phase)
-        return self._polar
 
     def _ball_profile(self) -> tuple:
         """``(p_1(u), ..., p_J(u))``, computed once (see `seminorm_profile`)."""
@@ -446,9 +409,9 @@ def _ball_seminorms(u: SpectralField, j: int) -> list:
     shell, on the same contiguous data as a whole-ball gather, and the
     shells are then combined in order.
     """
-    samples = np.ravel(u.values)
-    parts = [_scaled_sums(np.abs(samples[nodes]), offsets)
-             for nodes, offsets in u.grid.shells().blocks(j)]
+    samples, index = np.ravel(u.values), u.grid.shells()
+    parts = [_scaled_sums(np.abs(samples[index.order[block]]), offsets)
+             for block, offsets in index.blocks(j)]
     return _combine_parts(parts, u.grid.cell_volume)
 
 
@@ -622,70 +585,128 @@ class Product:
     field: Optional[SpectralField]  # the kept flow's result, or None
 
 
-def saturated_product(factors: dict, u: SpectralField, inverse, keep=None):
+class ShellField:
+    """A field's samples and level index in shell order: the input of `saturated_product`.
+
+    Built from ``(u, inverse)``, the grid-shaped ``inverse`` naming each
+    node's level, by one gather through `ShellIndex.order`: ball J shell by
+    shell, then the nodes outside ball J.  ``samples`` and ``levels`` are
+    flat and read-only, ``overflow`` is u's flag and ``peak`` is
+    ``max |u|`` (NaN if a sample is NaN).  Nothing refers to u's own
+    samples, so u may be released once this is built.
+
+    `polar` is built on first use and kept: the first pass block that can
+    saturate builds it, and every later pass on the same shell field reads
+    it.
+    """
+
+    __slots__ = ("grid", "samples", "levels", "overflow", "peak", "_polar")
+
+    def __init__(self, u: SpectralField, inverse):
+        order = u.grid.shells().order
+        self.grid = u.grid
+        self.samples = _frozen(np.ravel(u.values)[order])
+        self.levels = _frozen(np.ravel(inverse)[order])
+        self.overflow = u.overflow
+        self.peak = float(np.max([np.max(np.abs(self.samples[block]))
+                                  for block in _chunks(self.samples.size)]))
+        self._polar = None
+
+    def polar(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(log |u|, u / |u|)`` in shell order, computed once (read-only).
+
+        Where ``|u| = 0`` (or u is NaN) they are ``-inf`` and 0.  The phase
+        comes from ``angle``, so it stays exact for subnormal samples.  They
+        are formed `_BLOCK_NODES` samples at a time, so building them holds
+        no grid-sized temporary; 24 bytes per node.
+        """
+        if self._polar is None:
+            log_magnitude = np.empty(self.samples.size)
+            phase = np.empty(self.samples.size, dtype=np.complex128)
+            for block in _chunks(self.samples.size):
+                samples = self.samples[block]
+                magnitude = np.abs(samples)
+                nonzero = magnitude > 0.0
+                with np.errstate(divide="ignore"):
+                    log_magnitude[block] = np.where(nonzero, np.log(magnitude), -np.inf)
+                phase[block] = np.where(nonzero, np.exp(1j * np.angle(samples)), 0.0)
+            self._polar = (_frozen(log_magnitude), _frozen(phase))
+        return self._polar
+
+
+def _chunks(size: int):
+    """Slices of ``range(size)``, `_BLOCK_NODES` long but the last."""
+    return (slice(start, start + _BLOCK_NODES) for start in range(0, size, _BLOCK_NODES))
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def saturated_product(factors: dict, u: ShellField, keep=None):
     """Multiply each flow's factor onto a field, saturating, in one streamed pass.
 
     ``factors`` maps flow names to a `LevelFactor`, or to None for the
-    identity (t = 0, whose samples are ``u``'s, bitwise); the grid-shaped
-    ``inverse`` names each node's level.  Returns ``(product, flagged)``:
-    the `Product` holds each flow's ball profile and overflow flag, the
-    profile of the two flows' difference when there are two, and the
-    field of flow ``keep`` (its profile cached with it); ``flagged``
-    says whether a flow saturated a node.  No other grid-sized array is
-    formed.
+    identity (t = 0, whose samples are ``u``'s, bitwise); ``u`` is the
+    field in shell order with its level index (`ShellField`).  Returns
+    ``(product, flagged)``: the `Product` holds each flow's ball profile
+    and overflow flag, the profile of the two flows' difference when there
+    are two, and the field of flow ``keep`` (its profile cached with it);
+    ``flagged`` says whether a flow saturated a node.  No other grid-sized
+    array is formed.
 
-    The pass walks ball J a block of whole shells at a time and then the
-    nodes outside ball J (`ShellIndex.blocks`), gathering ``u`` and the
-    level index once per block.  Wherever the factor and product
-    magnitudes are both representable the plain product is used (so a
-    factor of exactly one is the identity, bitwise), its factor formed
-    once per level.  Elsewhere the value is assembled in log-magnitude/phase
-    form and its magnitude clamped at ``exp(709)``; such nodes flag the
-    flow.  Because the clamped value depends only on the product's log
-    magnitude and phase, any two evolution paths that agree on those agree
-    exactly on saturated nodes.
+    The pass walks ball J a block of whole shells at a time, each block a
+    contiguous range of ``u``'s samples and levels (`ShellIndex.blocks`),
+    and scatters only the kept flow into grid order.  Wherever the factor
+    and product magnitudes are both representable the plain product is
+    used (so a factor of exactly one is the identity, bitwise), its factor
+    formed once per level.  Elsewhere the value is assembled in
+    log-magnitude/phase form and its magnitude clamped at ``exp(709)``;
+    such nodes flag the flow.  Because the clamped value depends only on
+    the product's log magnitude and phase, any two evolution paths that
+    agree on those agree exactly on saturated nodes.
 
     Whether a flow, or one block of it, can saturate at all is decided by
-    one bound on its largest factor and the field's cached
-    `SpectralField.peak` (with a margin of 1 for the rounding of the
-    logarithms).  A block that can saturate reads the field's
-    `SpectralField.polar` form, built by the first such block and reused by
-    every later pass on the same field.  An unflagged flow with a
-    non-finite sample is rejected with ``ValueError``, as `SpectralField`
-    rejects it; the blocks check it, so the kept field is not checked again.
+    one bound on its largest factor and ``u.peak`` (with a margin of 1 for
+    the rounding of the logarithms).  The nodes outside ball J carry no
+    profile, so they are visited only when a flow is kept or can saturate.
+    A block that can saturate reads `ShellField.polar`.  An unflagged flow
+    with a non-finite sample is rejected with ``ValueError``, as
+    `SpectralField` rejects it, so the kept field is not checked again: a
+    flow that cannot saturate is checked once per level (a finite factor
+    times a finite sample is finite below the bound), one that can is
+    checked block by block.
     """
-    index = u.grid.shells()
-    samples, node_levels = np.ravel(u.values), np.ravel(inverse)
+    grid = u.grid
     with np.errstate(divide="ignore"):
-        log_peak = float(np.log(u.peak()))
+        log_peak = float(np.log(u.peak))
     flows = {name: _FlowPass(factor, log_peak, check=not u.overflow)
              for name, factor in factors.items()}
-    kept = None
-    if keep is not None and factors[keep] is not None:
-        kept = np.empty(u.grid.node_count, dtype=np.complex128)
+    kept = None if keep is None else np.empty(grid.node_count, dtype=np.complex128)
     two_flows = len(flows) == 2
     differences = []
-    for nodes, offsets in index.blocks(u.grid.J, outside=True):
-        block = _Block(u, nodes, samples[nodes], node_levels[nodes])
-        block_values = {}
-        for name, flow in flows.items():
-            block_values[name] = flow.apply(block)
-            if offsets is not None:
+    index = grid.shells()
+    for block, offsets in index.blocks(grid.J, outside=True):
+        # outside ball J a flow that is not kept matters only if it can flag
+        block_values = {name: flow.apply(u, block) for name, flow in flows.items()
+                        if offsets is not None or name == keep or not flow.representable}
+        if offsets is not None:
+            for name, flow in flows.items():
                 flow.parts.append(_scaled_sums(np.abs(block_values[name]), offsets))
         if kept is not None:
-            kept[nodes] = block_values[keep]
+            kept[index.order[block]] = block_values[keep]
         if two_flows and offsets is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 difference = np.abs(np.subtract(*block_values.values()))
             differences.append(_scaled_sums(difference, offsets))
 
-    weight = u.grid.cell_volume
+    weight = grid.cell_volume
     profiles = {name: np.array(_combine_parts(flow.parts, weight)) for name, flow in flows.items()}
     overflow = {name: flow.overflow(u) for name, flow in flows.items()}
     field = None
-    if keep is not None:
-        values = u.values if kept is None else kept.reshape(u.grid.shape)
-        field = SpectralField._adopt(u.grid, values, overflow[keep], checked=True)
+    if kept is not None:
+        field = SpectralField._adopt(grid, kept.reshape(grid.shape), overflow[keep], checked=True)
         field._profile = tuple(profiles[keep].tolist())
     product = Product(
         profiles=profiles,
@@ -696,84 +717,77 @@ def saturated_product(factors: dict, u: SpectralField, inverse, keep=None):
     return product, any(flow.flagged for flow in flows.values())
 
 
-class _Block:
-    """One block of a `saturated_product` pass: its nodes, and u's samples and levels there."""
-
-    def __init__(self, u: SpectralField, nodes, samples, levels):
-        self.u = u
-        self.nodes = nodes
-        self.samples = samples
-        self.levels = levels
-        self._log_u = None
-
-    def log_u(self) -> np.ndarray:
-        """``log |u|`` on the block, gathered from u's polar form on first use."""
-        if self._log_u is None:
-            self._log_u = np.ravel(self.u.polar()[0])[self.nodes]
-        return self._log_u
-
-    def u_phase(self, where) -> np.ndarray:
-        """The unit phase of u at the block's nodes ``where``."""
-        return np.ravel(self.u.polar()[1])[self.nodes[where]]
-
-
 class _FlowPass:
     """One flow's state through the blocks of a `saturated_product` pass."""
 
     def __init__(self, factor: Optional[LevelFactor], log_peak: float, check: bool):
         self.factor = factor
         self.log_peak = log_peak
-        self.check = check and factor is not None  # look for non-finite samples
         self.parts = []
         self.flagged = self.blown = False
+        self.representable = True
+        # whether the samples are finite: decided per level for a flow that
+        # cannot saturate, and looked for block by block (`check`) otherwise
         self.finite = True
+        self.check = False
         if factor is not None:
             self.representable = self._representable(np.max(factor.log_magnitude))
             with np.errstate(over="ignore", invalid="ignore"):
                 self.level_values = (np.exp(factor.log_magnitude) * factor.phase).astype(
                     np.complex128, copy=False)
+            if check and self.representable:
+                self.finite = bool(np.all(np.isfinite(self.level_values)))
+            self.check = check and not self.representable
 
     def _representable(self, factor_log) -> bool:
         factor_log = float(factor_log)
         return (factor_log <= OVERFLOW_EXPONENT
                 and factor_log + self.log_peak <= OVERFLOW_EXPONENT - 1.0)
 
-    def apply(self, block: _Block) -> np.ndarray:
-        """The flow's samples on a block."""
+    def apply(self, u: ShellField, block: slice) -> np.ndarray:
+        """The flow's samples on a block of ``u``."""
+        samples = u.samples[block]
         if self.factor is None:
-            return block.samples
+            return samples
+        levels = u.levels[block]
         # overflowing factors and products are overwritten by `_saturate`
         with np.errstate(over="ignore", invalid="ignore"):
-            values = self.level_values[block.levels]
-            np.multiply(values, block.samples, out=values)
+            values = self.level_values[levels]
+            np.multiply(values, samples, out=values)
         if not self.representable:
-            self._saturate(values, block)
+            self._saturate(values, u, block, levels)
         if self.check and self.finite and not self.flagged:
             self.finite = bool(np.all(np.isfinite(values)))
         return values
 
-    def _saturate(self, values, block: _Block):
+    def _saturate(self, values, u: ShellField, block: slice, levels):
         """Assemble, in log-magnitude/phase form, the block's nodes that are not representable."""
-        node_log = self.factor.log_magnitude[block.levels]
+        node_log = self.factor.log_magnitude[levels]
         if self._representable(np.max(node_log)):
             return
-        log_u = block.log_u()
+        log_u, u_phase = (part[block] for part in u.polar())
         if self.factor.flags_blown and not self.blown:
             # log |u| > -inf exactly where |u| > 0
             self.blown = bool(np.any((node_log > OVERFLOW_EXPONENT) & (log_u > -np.inf)))
-        total_log = node_log + log_u
-        clamped = np.flatnonzero(
-            ~((node_log <= OVERFLOW_EXPONENT) & (total_log <= OVERFLOW_EXPONENT)))
+        with np.errstate(invalid="ignore"):  # inf + -inf: a NaN log, clamped below
+            total_log = node_log + log_u
+        # NaN in either log is clamped, as `not (a <= 709 and b <= 709)` would
+        clamped = np.flatnonzero(~(np.maximum(node_log, total_log) <= OVERFLOW_EXPONENT))
         # the clamped nodes' arrays are formed with the block's released
         del node_log
         total_log = total_log[clamped]
-        self.flagged = self.flagged or bool(np.any(total_log > OVERFLOW_EXPONENT))
-        assembled = np.exp(np.minimum(total_log, OVERFLOW_EXPONENT))
-        del total_log
-        assembled = assembled * self.factor.phase[block.levels[clamped]]
-        values[clamped] = assembled * block.u_phase(clamped)
+        saturated = total_log > OVERFLOW_EXPONENT
+        self.flagged = self.flagged or bool(np.any(saturated))
+        # exp(709) is OVERFLOW_LIMIT bit for bit, so only the rest needs exp
+        # (a NaN log keeps exp's NaN)
+        assembled = np.full(total_log.size, OVERFLOW_LIMIT)
+        below = ~saturated
+        assembled[below] = np.exp(total_log[below])
+        del total_log, saturated, below
+        assembled = assembled * self.factor.phase[levels[clamped]]
+        values[clamped] = assembled * u_phase[clamped]
 
-    def overflow(self, u: SpectralField) -> bool:
+    def overflow(self, u: ShellField) -> bool:
         if not (u.overflow or self.flagged or self.finite):
             raise ValueError("non-finite samples in an unflagged field")
         return u.overflow or self.flagged or self.blown

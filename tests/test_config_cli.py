@@ -216,12 +216,12 @@ def test_solve_releases_each_time_before_the_next(tmp_path, monkeypatch):
     alive = []  # (t, weak reference to the samples of a pass's kept field)
     times = iter([0.1, 0.2, 0.3])
 
-    def tracked(factors, u, inverse, **kwargs):
+    def tracked(factors, u, **kwargs):
         t = next(times)
         assert all(ref() is None for when, ref in alive), (
             f"a field of an earlier time is alive while t = {t} is evolved"
         )
-        product, flagged = saturated_product(factors, u, inverse, **kwargs)
+        product, flagged = saturated_product(factors, u, **kwargs)
         alive.append((t, weakref.ref(product.field.values)))
         return product, flagged
 
@@ -236,6 +236,36 @@ def test_solve_releases_each_time_before_the_next(tmp_path, monkeypatch):
         "field_t000.fl2l", "field_t001.fl2l", "field_t002.fl2l", "residuals.csv",
         "run_metadata.txt", "trajectory_multiplier.csv", "trajectory_series.csv",
     ]
+
+
+@pytest.mark.parametrize("method", ["multiplier", "series", "both"])
+@pytest.mark.parametrize("init", ["ones", "file"])
+def test_solve_releases_the_grid_ordered_initial_field(tmp_path, monkeypatch, rng, method,
+                                                        init):
+    """The passes read the initial field in shell order; its grid-ordered samples are dead."""
+    if init == "file":
+        write_field(tmp_path / "init.fl2l", random_field(FrequencyGrid(1, 4, 8), rng))
+        init = f"file:{tmp_path / 'init.fl2l'}"
+    initial = []  # weak reference to the initial field's samples
+    passes = []
+
+    def built(config, grid):
+        field = build_initial_field(config, grid)
+        initial.append(weakref.ref(field.values))
+        return field
+
+    def tracked(*args, **kwargs):
+        assert initial[0]() is None, "the grid-ordered initial samples are alive in a pass"
+        passes.append(1)
+        return saturated_product(*args, **kwargs)
+
+    monkeypatch.setattr(app, "build_initial_field", built)
+    monkeypatch.setattr(app, "saturated_product", tracked)
+    config = config_from_text(apply_overrides(BASE_CONFIG, [
+        f"evolve.method={method}", "evolve.times=0, 0.1, -1", f"init.field={init}",
+        "output.formats=csv, fl2l"]))
+    result = run_solve(config, out_dir=str(tmp_path / "out"))
+    assert len(passes) == 3 and len(result.files) >= 5
 
 
 def fail_at(monkeypatch, step):

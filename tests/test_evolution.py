@@ -27,7 +27,7 @@ from frechet_flow import (
     verify_quotient_diagrams,
 )
 from frechet_flow.evolution import SeriesTruncationError, choose_terms, scalar_tail
-from frechet_flow.spectral import OVERFLOW_EXPONENT, LevelFactor, saturated_product
+from frechet_flow.spectral import OVERFLOW_EXPONENT, LevelFactor, ShellField, saturated_product
 
 PI = math.pi
 
@@ -339,7 +339,8 @@ def test_evolve_both_methods_agree(grid, rng, kernel_calls):
         times.append(t)
         assert kernel_calls[-2:] == ["multiplier_factor", "series_factor"]
         assert list(factors) == ["multiplier", "series"]
-        product, flagged = saturated_product(factors, u, op.levels()[1], keep="multiplier")
+        product, flagged = saturated_product(factors, ShellField(u, op.levels()[1]),
+                                             keep="multiplier")
         closed, (series, _) = exp_multiplier(op, t, u), exp_series(op, t, u)
         assert np.array_equal(product.field.values, closed.values) and not flagged
         assert product.residual.tolist() == seminorm_profile(series - closed).tolist()
@@ -393,7 +394,8 @@ def node_inverse(grid):
 
 def one_flow(factor, u):
     """The field of a factor given node by node."""
-    product, _ = saturated_product({"flow": factor}, u, node_inverse(u.grid), keep="flow")
+    product, _ = saturated_product({"flow": factor}, ShellField(u, node_inverse(u.grid)),
+                                   keep="flow")
     return product.field
 
 

@@ -137,6 +137,13 @@ def test_i_ddx_discrepancy_is_flagged():
     assert any("odd-degree" in c for c in decision.caveats)
 
 
+def test_sampled_decision_on_overflowing_probes_is_undetermined_without_warnings():
+    # xi^300 overflows to inf from the radius 2^4 probe on: inf - inf is NaN
+    decision = decide_l2(parse_symbol("xi^300", 1), method="sampled")
+    assert decision.verdict == UNDETERMINED
+    assert decision.sup_estimate == math.inf and math.isinf(decision.probes[-1])
+
+
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         decide_l2(heat_symbol(), -1.0)

@@ -28,7 +28,9 @@ from frechet_flow import (
 from frechet_flow.evolution import _stage_growth, exp_multiplier, exp_series
 from frechet_flow.spectral import (
     OVERFLOW_EXPONENT,
+    OVERFLOW_LIMIT,
     LevelFactor,
+    ShellField,
     SpectralField,
     saturated_product,
 )
@@ -198,10 +200,15 @@ def identity_inverse(grid):
     return np.arange(grid.node_count).reshape(grid.shape)
 
 
-def one_flow(log_magnitude, phase, u, inverse):
-    """`saturated_product` of one flow, keeping its field: ``(field, flagged)``."""
+def one_flow(log_magnitude, phase, u, inverse=None):
+    """`saturated_product` of one flow, keeping its field: ``(field, flagged)``.
+
+    ``u`` is a field and ``inverse`` its level index, or ``u`` is a
+    `ShellField` and ``inverse`` is omitted.
+    """
+    source = u if inverse is None else ShellField(u, inverse)
     product, flagged = saturated_product(
-        {"flow": LevelFactor(log_magnitude, phase)}, u, inverse, keep="flow"
+        {"flow": LevelFactor(log_magnitude, phase)}, source, keep="flow"
     )
     return product.field, flagged
 
@@ -372,28 +379,47 @@ def test_polar_form_is_built_once_per_field(monkeypatch, rng):
 
     monkeypatch.setattr(np, "angle", counted)
     log_magnitude, phase, inverse = saturating_case(grid, rng)
-    first, _ = one_flow(log_magnitude, phase, u, inverse)
+    source = ShellField(u, inverse)
+    first, _ = one_flow(log_magnitude, phase, source)
     for _ in range(3):
-        again, flagged = one_flow(log_magnitude, phase, u, inverse)
+        again, flagged = one_flow(log_magnitude, phase, source)
         assert flagged and same_bits(again.values, first.values)
+    assert len(calls) == 1
+    assert source.polar() is source.polar()
+    # each closed-form call puts its field in shell order anew, polar form included
     op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
     exp_multiplier(op, -2.0, u)
-    assert len(calls) == 1
-    assert u.polar() is u.polar()
+    assert len(calls) == 2
+
+
+def test_shell_field_is_the_gather_through_the_shell_order(rng):
+    grid = FrequencyGrid(2, 3, 4)
+    u = random_field(grid, rng)
+    inverse = rng.integers(0, 9, size=grid.shape).astype(np.int32)
+    source = ShellField(u, inverse)
+    order = grid.shells().order
+    assert same_bits(source.samples, u.values.ravel()[order])
+    assert np.array_equal(source.levels, inverse.ravel()[order])
+    assert source.peak == float(np.max(np.abs(u.values)))
+    assert source.grid == grid and not source.overflow
+    assert not source.samples.flags.writeable and not source.levels.flags.writeable
 
 
 def test_polar_form_marks_zero_and_nan_samples():
     grid = FrequencyGrid(1, 1, 2)
     values = np.array([0.0, -0.0, 5e-324j, np.nan, -2.0], dtype=complex)
-    u = SpectralField(grid, values, overflow=True)
-    assert math.isnan(u.peak())
-    assert SpectralField(grid, np.where(np.isnan(values), 0.0, values)).peak() == 2.0
-    log_u, phase = u.polar()
+    inverse = np.zeros(grid.shape, dtype=np.int32)
+    u = ShellField(SpectralField(grid, values, overflow=True), inverse)
+    assert math.isnan(u.peak) and u.overflow
+    assert ShellField(SpectralField(grid, np.where(np.isnan(values), 0.0, values)),
+                      inverse).peak == 2.0
+    # back to grid order
+    log_u, phase = (part[np.argsort(grid.shells().order)] for part in u.polar())
     assert log_u[:2].tolist() == [-np.inf, -np.inf] and log_u[3] == -np.inf
     assert phase[0] == phase[1] == phase[3] == 0.0
     assert np.allclose(phase[[2, 4]], [1j, -1.0], rtol=0.0, atol=1e-15)
     assert log_u[4] == math.log(2.0)
-    assert not log_u.flags.writeable and not phase.flags.writeable
+    assert not any(part.flags.writeable for part in u.polar())
 
 
 def test_exp_series_profiles_its_field_once(monkeypatch, rng):
@@ -459,11 +485,12 @@ def test_streamed_pass_reads_what_its_fields_give(grid, seed, kind, factor_kinds
     factors = dict(zip(["a", "b"], (random_factor(rng, grid, k) for k in factor_kinds)))
     inverse = identity_inverse(grid)
     fields = {}
+    source = ShellField(u, inverse)
     for name, factor in factors.items():
-        product, _ = saturated_product({name: factor}, u, inverse, keep=name)
+        product, _ = saturated_product({name: factor}, source, keep=name)
         assert product.residual is None
         fields[name] = product.field
-    product, flagged = saturated_product(factors, u, inverse, keep="b")
+    product, flagged = saturated_product(factors, source, keep="b")
     assert same_bits(product.field.values, fields["b"].values)
     for name, field in fields.items():
         assert product.profiles[name].tolist() == seminorm_profile(
@@ -471,6 +498,78 @@ def test_streamed_pass_reads_what_its_fields_give(grid, seed, kind, factor_kinds
         assert product.overflow[name] == field.overflow
     assert product.residual.tolist() == seminorm_profile(fields["a"] - fields["b"]).tolist()
     if factors["b"] is None:
-        assert product.field.values is u.values
+        assert same_bits(product.field.values, u.values)
     assert flagged == any(
-        saturated_product({name: factor}, u, inverse)[1] for name, factor in factors.items())
+        saturated_product({name: factor}, source)[1] for name, factor in factors.items())
+
+
+def test_representable_flow_with_a_nan_phase_level_is_rejected(rng):
+    grid = FrequencyGrid(2, 3, 4)
+    u = random_field(grid, rng)
+    levels, inverse = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid).levels()
+    phase = np.ones(levels.size, dtype=complex)
+    phase[levels.size // 2] = complex(np.nan, 0.0)
+    factor = LevelFactor(0.1 * levels.real, phase)
+    source = ShellField(u, inverse)
+    for keep in (None, "flow"):
+        with pytest.raises(ValueError, match="non-finite samples"):
+            saturated_product({"flow": factor}, source, keep=keep)
+    # a flagged field may carry the NaN
+    flagged = ShellField(SpectralField(grid, u.values, overflow=True), inverse)
+    product, _ = saturated_product({"flow": factor}, flagged, keep="flow")
+    assert np.isnan(product.field.values).any()
+
+
+def visited_ranges(monkeypatch):
+    """The slices of shell order that each `saturated_product` flow reads, in call order."""
+    import frechet_flow.spectral as spectral
+
+    visited = []
+    apply = spectral._FlowPass.apply
+
+    def recorded(self, u, block):
+        visited.append(block)
+        return apply(self, u, block)
+
+    monkeypatch.setattr(spectral._FlowPass, "apply", recorded)
+    return visited
+
+
+def test_pass_without_kept_or_saturating_flow_stays_in_ball_J(monkeypatch, rng):
+    grid = FrequencyGrid(2, 4, 8)
+    u = random_field(grid, rng)
+    levels, inverse = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid).levels()
+    source = ShellField(u, inverse)
+    ball_end = int(grid.shells().offsets[-1])
+    representable = {"a": LevelFactor(0.01 * levels.real, np.ones(levels.size)), "b": None}
+    visited = visited_ranges(monkeypatch)
+    product, flagged = saturated_product(representable, source)
+    assert visited and max(block.stop for block in visited) <= ball_end and not flagged
+    # the same pass keeping a flow, or with a flow that can saturate, covers every node
+    for factors, keep in ((representable, "a"), (representable, "b"),
+                          ({"a": LevelFactor(-10.0 * levels.real, np.ones(levels.size))}, None)):
+        visited.clear()
+        saturated_product(factors, source, keep=keep)
+        assert max(block.stop for block in visited) == grid.node_count
+        assert sum(block.stop - block.start for block in visited) >= grid.node_count
+
+
+@pytest.mark.parametrize("length", range(1, 65))
+def test_exp_of_the_overflow_exponent_is_the_limit_bit_for_bit(length):
+    assert same_bits(np.exp(np.full(length, OVERFLOW_EXPONENT)), np.full(length, OVERFLOW_LIMIT))
+
+
+def test_nan_and_infinite_total_logs_keep_the_reference_bits():
+    # +inf factors on zero samples give a NaN total log; -inf ones a zero factor
+    grid = FrequencyGrid(1, 2, 4)
+    log_magnitude = np.array([np.inf, -np.inf, 800.0, 0.0])
+    phase = np.exp(1j * np.array([0.3, -1.2, 2.0, 0.5]))
+    inverse = np.arange(grid.node_count, dtype=np.int32) % 4
+    values = np.zeros(grid.shape, dtype=complex)
+    values[1::3] = 1.5 - 0.5j
+    u = SpectralField(grid, values, overflow=True)
+    with np.errstate(invalid="ignore"):
+        expected, expected_flag = reference_saturated_product(log_magnitude, phase, u, inverse)
+    result, flagged = one_flow(log_magnitude, phase, u, inverse)
+    assert flagged == expected_flag and np.isnan(expected).any()
+    assert same_bits(result.values, expected)

@@ -243,7 +243,7 @@ def test_internal_results_are_read_only(grid, rng, tmp_path):
     from frechet_flow.evolution import exp_multiplier, exp_series
     from frechet_flow.fieldio import read_field, write_field
     from frechet_flow.operators import MultiplierOperator
-    from frechet_flow.spectral import LevelFactor, saturated_product
+    from frechet_flow.spectral import LevelFactor, ShellField, saturated_product
     from frechet_flow.symbols import heat_symbol
 
     u, v = random_field(grid, rng), random_field(grid, rng)
@@ -257,7 +257,7 @@ def test_internal_results_are_read_only(grid, rng, tmp_path):
         exp_multiplier(op, 0.0, u), exp_series(op, 0.0, u)[0],
         exp_multiplier(op, 0.1, u), exp_multiplier(op, -1.0, u),
         saturated_product({"flow": LevelFactor(np.zeros(levels.size), np.ones(levels.size))},
-                          u, inverse, keep="flow")[0].field,
+                          ShellField(u, inverse), keep="flow")[0].field,
         ones(grid), zero(grid), delta(grid), random_field(grid, rng),
     ]
     for field in results:
@@ -299,6 +299,25 @@ def test_binary_round_trip_keeps_every_bit_pattern(tmp_path):
     assert np.array_equal(bits(back.values), bits(values))
     write_field(second, back)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_binary_writer_writes_the_bytes_of_the_samples(tmp_path):
+    import struct
+
+    from frechet_flow.fieldio import write_field
+
+    grid = FrequencyGrid(1, 2, 2)
+    patterns = [0x8000000000000000, 0x0000000000000000, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                0x7FF8000000000123, 0x7FF0000000000001, 0xFFF4000000ABCDEF,
+                0x0000000000000001, 0x3FF0000000000000, 0xBFF0000000000000]
+    parts = np.array(patterns * 2, dtype=np.uint64)[: 2 * grid.node_count].view(np.float64)
+    u = SpectralField(grid, parts.view(np.complex128), overflow=True)
+    assert np.array_equal(bits(u.values).ravel(), parts.view(np.uint64))
+    path = tmp_path / "a.fl2l"
+    write_field(path, u)
+    header = struct.pack("<4sIBII", b"FL2L", 1, grid.n, grid.J, grid.inv_h)
+    assert path.read_bytes() == header + u.values.astype("<c16", copy=False).tobytes()
 
 
 def test_binary_reader_names_the_body_sizes(tmp_path):

@@ -15,7 +15,9 @@ The matrix covers all seven commands, and ``solve`` with every output
 format under symbols of each parity class, on 1-D and 2-D grids: even in
 every axis, even in one axis only (also through a quartic, beside an odd
 cubic), and even in none.  Solves run each method, and a few include the
-time 0; one solve and one ``check-l2`` take their symbol as a
+time 0 (one has no other time and writes its field).  Three solves, one
+per method, write no field and saturate only at nodes outside ball J.
+One solve and one ``check-l2`` take their symbol as a
 derivative-coefficient list, ``check-l2`` and ``check-eprime`` also run on
 a complex symbol of degree 5, and a few cases fail on a missing or
 malformed symbol.  ``--bench-seeds`` adds the solve workloads of
@@ -48,8 +50,9 @@ QUINTIC = "(1+2*i)*xi^5-3*xi^2+i*xi"
 # the heat symbol as a coefficient list against plain partial derivatives
 HEAT_DIFFOP = "2:1;0:-1"
 
-# (name, n, J, inv_h, [symbol] entries, times, init[, method]); "file" is a
-# seeded random field, and the method is "both" unless given
+# (name, n, J, inv_h, [symbol] entries, times, init[, method[, formats]]);
+# "file" is a seeded random field, the method is "both" and the formats
+# "csv, fl2l, field-csv" unless given
 SOLVES = [
     ("solve-1d-even", 1, 8, 32, "text = " + HEAT_1D, "0.001, 0.1, 1, -0.05", "gaussian-hat"),
     ("solve-1d-even-backward", 1, 4, 16, "text = " + HEAT_1D, "-0.5, -3", "ones"),
@@ -71,6 +74,11 @@ SOLVES = [
      "file", "series"),
     ("solve-1d-multiplier", 1, 4, 16, "text = " + HEAT_1D, "0, -3", "ones", "multiplier"),
     ("solve-1d-series", 1, 4, 16, "text = 2*pi*i*xi", "0, 0.25, -1", "delta@0.5", "series"),
+    # at t = -1 only the corners outside ball 4 saturate; no field is written
+    *((f"solve-2d-corners-saturate-{method}", 2, 4, 16, "text = " + HEAT_2D, "-1, -0.5",
+       "file", method, "csv") for method in ("multiplier", "series", "both")),
+    ("solve-2d-only-time-zero", 2, 4, 16, "text = " + HEAT_2D, "0", "file", "both",
+     "csv, fl2l"),
 ]
 
 OTHERS = [
@@ -120,12 +128,13 @@ def run(case_dir, args):
     print(f"{os.path.basename(case_dir)}: exit {proc.returncode}")
 
 
-def solve_config(n, J, inv_h, symbol, times, init, method="both") -> str:
+def solve_config(n, J, inv_h, symbol, times, init, method="both",
+                 formats="csv, fl2l, field-csv") -> str:
     return (
         f"[grid]\nn = {n}\nJ = {J}\ninv_h = {inv_h}\n[symbol]\n{symbol}\n"
         f"[evolve]\ntimes = {times}\nmethod = {method}\ntol = 1e-8\n"
         f"[init]\nfield = {init}\n"
-        "[output]\ndirectory = out\nformats = csv, fl2l, field-csv\n"
+        f"[output]\ndirectory = out\nformats = {formats}\n"
     )
 
 
@@ -136,14 +145,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    for seed, (name, n, J, inv_h, symbol, times, init, *method) in enumerate(SOLVES, start=1):
+    for seed, (name, n, J, inv_h, symbol, times, init, *options) in enumerate(SOLVES, start=1):
         case_dir = os.path.join(args.out_dir, name)
         os.makedirs(case_dir, exist_ok=True)
         if init == "file":
             write_random_field(os.path.join(case_dir, "init.fl2l"), n, J, inv_h, seed)
             init = "file:init.fl2l"
         with open(os.path.join(case_dir, "run.cfg"), "w") as handle:
-            handle.write(solve_config(n, J, inv_h, symbol, times, init, *method))
+            handle.write(solve_config(n, J, inv_h, symbol, times, init, *options))
         run(case_dir, ["solve", "--config", "run.cfg"])
 
     for name, command in OTHERS:
