@@ -203,7 +203,7 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
                 gain_target = math.exp(abs(t))
                 if initial_profile[-1] > 0:
                     gain = profiles[method][k][-1] / initial_profile[-1]
-                    if gain < gain_target and _symbol_real_part_below(op, -1.0):
+                    if gain < gain_target and np.all(op.levels()[0].real <= -1.0):
                         backward_gain_ok = False
 
         files = []
@@ -297,10 +297,6 @@ class _FieldFiles:
         for directory in self.created:
             if os.path.isdir(directory) and not os.listdir(directory):
                 os.rmdir(directory)
-
-
-def _symbol_real_part_below(op: MultiplierOperator, level: float) -> bool:
-    return bool(np.all(op.levels()[0].real <= level))
 
 
 def metadata_lines(config, times, diagnostics, overflow, residuals_certified,

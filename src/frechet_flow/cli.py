@@ -119,8 +119,7 @@ def cmd_check_eprime(args) -> int:
     )
     lines = [summary, witness_line] + [f"caveat: {c}" for c in decision.caveats]
     _write_metadata(out_dir, "check-eprime", lines)
-    print(summary)
-    for line in lines[1:]:
+    for line in lines:
         print(line)
     return EXIT_OK
 
@@ -139,8 +138,7 @@ def cmd_check_l2(args) -> int:
     )
     lines = [summary] + [f"caveat: {c}" for c in decision.caveats]
     _write_metadata(out_dir, "check-l2", lines)
-    print(summary)
-    for line in lines[1:]:
+    for line in lines:
         print(line)
     return EXIT_OK
 

@@ -63,6 +63,7 @@ from .spectral import (
     saturated_product,
     seminorm,
     seminorm_profile,
+    shell_reductions,
 )
 
 # Scale the time step until |t| p_J^X(A) / 2^s is at most this.
@@ -132,8 +133,6 @@ def exp_multiplier(symbol, t: float, u: SpectralField) -> SpectralField:
     """
     _check_time(t)
     op = as_multiplier(symbol, u.grid)
-    if t == 0.0:
-        return SpectralField._adopt(u.grid, u.values, u.overflow)
     return _evolved(multiplier_factor(op, t), u, op)
 
 
@@ -145,8 +144,11 @@ def multiplier_factor(op: MultiplierOperator, t: float) -> Optional[LevelFactor]
     return LevelFactor(z.real, np.exp(1j * z.imag), flags_blown=True)
 
 
-def _evolved(factor: LevelFactor, u: SpectralField, op: MultiplierOperator) -> SpectralField:
-    """The field of one flow's factor on u."""
+def _evolved(factor: Optional[LevelFactor], u: SpectralField,
+             op: MultiplierOperator) -> SpectralField:
+    """The field of one flow's factor on u; u's own samples for the identity (None)."""
+    if factor is None:
+        return SpectralField._adopt(u.grid, u.values, u.overflow)
     product, _ = saturated_product({"flow": factor}, ShellField(u, op.levels()[1]), keep="flow")
     return product.field
 
@@ -232,8 +234,6 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
     _check_time(t)
     op = as_multiplier(symbol, u.grid)
     factor, diagnostics = series_factor(op, t, seminorm_profile(u), tol)
-    if factor is None:
-        return SpectralField._adopt(u.grid, u.values, u.overflow), diagnostics
     return _evolved(factor, u, op), diagnostics
 
 
@@ -333,10 +333,14 @@ def uniform_continuity_gap(symbol, t: float, j: int, grid: Optional[FrequencyGri
     if grid is None and not isinstance(symbol, MultiplierOperator):
         raise ValueError("a grid is required when passing a bare symbol")
     op = as_multiplier(symbol, symbol.grid if grid is None else grid)
-    mask = op.grid.ball_mask(j)
-    z = t * op.values[mask]
-    factor = np.exp(np.minimum(z.real, OVERFLOW_EXPONENT) + 1j * z.imag)
-    lhs = float(np.max(np.abs(factor - 1.0)))
+    j = op.grid.check_ball_index(j)
+    levels, inverse = op.levels()
+    # per level, so levels only outside ball j are evaluated too
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = t * levels
+        gap = np.abs(np.exp(np.minimum(z.real, OVERFLOW_EXPONENT) + 1j * z.imag) - 1.0)
+    (peaks,) = shell_reductions(op.grid, inverse, [(np.maximum, gap)])
+    lhs = float(np.max(peaks[:j]))
     rhs = _safe_exp(t * op.seminorm(j)) - 1.0
     return lhs, rhs
 

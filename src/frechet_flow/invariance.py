@@ -165,15 +165,23 @@ def _decide_bounded_above_1d(poly: PolynomialSymbol) -> tuple[bool, float, tuple
 def sampled_sphere_maxima(poly: PolynomialSymbol, max_exponent: int = 20) -> np.ndarray:
     """Max of Re a over the sphere of radius 2^k, k = 0..max_exponent."""
     radii = np.ldexp(1.0, np.arange(max_exponent + 1))
-    # a probe of a high degree may overflow to inf (or nan in 2-D)
+    # a probe of a high degree may overflow to inf; the real part in real
+    # arithmetic stays at +-inf where the complex product gives inf * 0 = nan
     with np.errstate(over="ignore", invalid="ignore"):
         if poly.n == 1:
-            # the real part in real arithmetic, which an overflow leaves at +-inf
-            # where the complex product would turn it into inf * 0 = nan
             values = horner(real_part_coefficients(poly), [np.stack([radii, -radii])])
         else:
-            angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)[:, None]
-            values = poly.eval([radii * np.cos(angles), radii * np.sin(angles)]).real
+            angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+            cos, sin = np.cos(angles), np.sin(angles)
+            values = poly.eval([radii * cos[:, None], radii * sin[:, None]]).real
+            # a nan probe is evaluated again along its ray w: the coefficient of
+            # r^d is sum_{|alpha| = d} Re(a_alpha) w^alpha
+            ray, radius = np.nonzero(np.isnan(values))
+            coefficients = np.zeros((ray.size, sum(poly.dense.shape) - 1))
+            for a1, row in enumerate(poly.dense.real):
+                coefficients[:, a1 : a1 + row.size] += (
+                    cos[ray, None] ** a1 * row * sin[ray, None] ** np.arange(row.size))
+            values[ray, radius] = horner(coefficients, [radii[radius]])
     return _first_max(values)
 
 
@@ -192,14 +200,10 @@ def _decide_sampled(poly: PolynomialSymbol) -> tuple[str, float, tuple]:
         # Nonpositive real part at all large sampled radii: the sufficient
         # large-|xi| sign condition holds on the probe set.
         return INVARIANT, float(np.max(maxima)), tuple(maxima)
-    # probes that overflow to inf give inf - inf = NaN below, which fails
-    # every test and so leaves the verdict undetermined
-    with np.errstate(invalid="ignore"):
-        spread = abs(tail[-1] - tail[0])
-        rising = np.all(np.diff(tail) >= 0.0)
-    if spread <= 1e-9 * (1.0 + abs(tail[-1])):
+    # a probe that overflows reads inf, which no flat tail ends in
+    if math.isfinite(tail[-1]) and abs(tail[-1] - tail[0]) <= 1e-9 * (1.0 + abs(tail[-1])):
         return INVARIANT, float(np.max(maxima)), tuple(maxima)
-    if rising and tail[-1] > max(4.0 * abs(tail[0]), 1.0):
+    if np.all(tail[1:] >= tail[:-1]) and tail[-1] > max(4.0 * abs(tail[0]), 1.0):
         return NOT_INVARIANT, math.inf, tuple(maxima)
     return UNDETERMINED, float(np.max(maxima)), tuple(maxima)
 

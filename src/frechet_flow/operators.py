@@ -30,6 +30,7 @@ from .spectral import (
     mask_outside,
     random_field,
     seminorm,
+    shell_reductions,
 )
 from .symbols import PolynomialSymbol, parse_symbol, to_polynomial
 
@@ -46,8 +47,10 @@ class MultiplierOperator:
     an axis enters it through even powers only, of any degree, the table is
     built on the half (or quarter) grid up to ``xi_k = 0`` and mirrored.
     An operator built by `from_values` keeps the given array,
-    which is read only when the table is built.  The per-ball quantities
-    (`seminorm`, `real_part_range`), `apply` and `power` read the table, and
+    which is read only when the table is built.  The per-ball quantities,
+    max |a| (`seminorm`) and the range of ``Re a`` (`real_part_range`), come
+    from one pass over the shells that reads the table; it runs on first use
+    and its result is kept.  `apply` and `power` read the table too, and
     ``values``, the symbol on every node, is gathered from it on each access.
     """
 
@@ -73,8 +76,7 @@ class MultiplierOperator:
         self.symbol = symbol
         self.label = label
         self._source = source
-        self._seminorm_profile = None
-        self._real_part_range = None
+        self._extremes = None
         self._levels = None
 
     @property
@@ -95,29 +97,24 @@ class MultiplierOperator:
 
     def _profile(self) -> np.ndarray:
         """All ball seminorms ``(p_1^X, ..., p_J^X)``, computed once (read-only)."""
-        if self._seminorm_profile is None:
-            peaks = self.grid.shells().reduce(np.maximum, self._on_ball(np.abs))
-            self._seminorm_profile = _frozen(np.maximum.accumulate(peaks))
-        return self._seminorm_profile
+        return self._ball_extremes()[0]
 
     def real_part_range(self) -> tuple[np.ndarray, np.ndarray]:
         """Per ball j, the node minimum and maximum of ``Re a``, computed once."""
-        if self._real_part_range is None:
-            shells = self.grid.shells()
-            real = self._on_ball(np.real)
-            self._real_part_range = (
-                _frozen(np.minimum.accumulate(shells.reduce(np.minimum, real))),
-                _frozen(np.maximum.accumulate(shells.reduce(np.maximum, real))),
-            )
-        return self._real_part_range
+        return self._ball_extremes()[1:]
 
-    def _on_ball(self, quantity) -> np.ndarray:
-        """``quantity`` of the symbol at the nodes of ball J, grouped by shell.
-
-        Taken once per level and gathered through the table.
-        """
-        levels, inverse = self.levels()
-        return quantity(levels)[self.grid.shells().gather(inverse, self.grid.J)]
+    def _ball_extremes(self) -> tuple:
+        """Per ball j: max |a|, min Re a and max Re a, from one `shell_reductions` pass, once."""
+        if self._extremes is None:
+            levels, inverse = self.levels()
+            real = levels.real
+            peaks, lowest, highest = shell_reductions(
+                self.grid, inverse,
+                [(np.maximum, np.abs(levels)), (np.minimum, real), (np.maximum, real)])
+            self._extremes = (_frozen(np.maximum.accumulate(peaks)),
+                              _frozen(np.minimum.accumulate(lowest)),
+                              _frozen(np.maximum.accumulate(highest)))
+        return self._extremes
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """The bitwise-distinct symbol values and each node's index into them.

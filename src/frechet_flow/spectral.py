@@ -14,16 +14,18 @@ copy samples bitwise.  Every node carries its shell number, the smallest j
 with ``|xi| <= j``, so ball j is the union of shells 1..j.  A grid holds no
 per-node array, only its axes.  Its `ShellIndex` (built on first use, shared
 by equal grids) finds each node's shell from the integer axis a block of
-rows at a time and lists the nodes of ball J sorted by shell.  Every
-per-ball quantity is then one gathered pass over the nodes with one
-reduction per shell, followed by a scan over the J shells (running maxima,
-or for the seminorms the scaled sums of squares of LAPACK ``dlassq``
-combined shell by shell).  The seminorms gather a block of whole shells at
-a time, so a profile never holds more than one block of samples beside the
-field.
+rows at a time and lists the nodes of ball J sorted by shell.  Its `blocks`
+are the one traversal of the shells: every per-ball quantity is one pass
+over shells 1..J, a block of whole shells at a time, with one reduction per
+shell, followed by a scan over the J shells (running maxima, or for the
+seminorms the scaled sums of squares of LAPACK ``dlassq`` combined shell by
+shell).  A pass never holds more than one block of samples beside the
+field; `shell_reductions` runs one for values given per level of an
+operator's table.
 
-A `SpectralField` is immutable, so its ball profile is built by the first
-`seminorm_profile` and kept with it.
+Every per-ball quantity is computed once per object and kept with it: a
+`SpectralField` is immutable, so its ball profile is built by the first
+`seminorm` or `seminorm_profile` and every later call reads it.
 
 `saturated_product` forms one time of a flow, or of two flows side by
 side, in one streamed pass over the blocks of the shell index: it takes
@@ -57,8 +59,8 @@ OVERFLOW_LIMIT = float(np.exp(OVERFLOW_EXPONENT))
 # still finite, so shells of subnormal samples scale up exactly.
 _MIN_SCALE_EXPONENT = -1021
 
-# Nodes a ball profile gathers at once: whole shells up to this many (a
-# larger shell is gathered alone), about 1.5 MB of samples and magnitudes.
+# Nodes a block of `ShellIndex.blocks` holds: whole shells up to this many
+# (a larger shell is a block alone), about 1.5 MB of samples and magnitudes.
 _BLOCK_NODES = 1 << 16
 
 
@@ -182,31 +184,18 @@ class ShellIndex:
     order: np.ndarray
     offsets: np.ndarray
 
-    def gather(self, values, j: int) -> np.ndarray:
-        """Samples of ball j as a flat array grouped by shell."""
-        return np.ravel(values)[self.order[: self.offsets[j]]]
-
-    def reduce(self, ufunc, ball) -> np.ndarray:
-        """``ufunc`` reduction over each of the shells 1..J of ``ball``.
-
-        ``ball`` holds one value per node of ball J, grouped by shell as
-        `gather` returns them.
-        """
-        return ufunc.reduceat(ball, self.offsets[:-1])
-
-    def blocks(self, j: int, outside: bool = False):
-        """``(block, offsets)`` for blocks of whole shells covering ball j, in shell order.
+    def blocks(self, outside: bool = False):
+        """``(block, offsets)`` for blocks of whole shells covering shells 1..J, in order.
 
         A block holds as many whole shells as fit in `_BLOCK_NODES` nodes,
         and at least one; ``block`` is its range of `order` as a slice (its
-        nodes are ``order[block]``, grouped by shell as `gather` returns
-        them), and ``offsets`` the shell boundaries in that range.  With
-        ``outside`` the nodes outside ball J follow, `_BLOCK_NODES` at a
-        time, with ``offsets`` None.
+        nodes are ``order[block]``), and ``offsets`` the shell boundaries in
+        that range.  With ``outside`` the nodes outside ball J follow,
+        `_BLOCK_NODES` at a time, with ``offsets`` None.
         """
-        ends = self.offsets[: j + 1]
+        ends = self.offsets
         first = 0
-        while first < j:
+        while first < ends.size - 1:
             fit = int(np.searchsorted(ends, ends[first] + _BLOCK_NODES, side="right")) - 1
             last = max(first + 1, fit)
             offsets = ends[first : last + 1]
@@ -314,7 +303,7 @@ class SpectralField:
     def _ball_profile(self) -> tuple:
         """``(p_1(u), ..., p_J(u))``, computed once (see `seminorm_profile`)."""
         if self._profile is None:
-            self._profile = tuple(_ball_seminorms(self, self.grid.J))
+            self._profile = tuple(_ball_seminorms(self))
         return self._profile
 
     def _check_compatible(self, other: "SpectralField"):
@@ -386,10 +375,11 @@ def seminorm(u: SpectralField, j: int) -> float:
     Midpoint quadrature: ``sqrt(h^n * sum_{|xi| <= j} |u(xi)|^2)``, boundary
     nodes included.  For the constant-one field in 1-D the square equals
     ``2 j + h``, so the quadrature gap to the exact integral is exactly h.
-    The value is entry j of `seminorm_profile`.
+    The value is entry j of `seminorm_profile`: the first call on a field
+    computes its whole profile, and every later call reads it.
     """
     j = u.grid.check_ball_index(j)
-    return _ball_seminorms(u, j)[-1]
+    return u._ball_profile()[j - 1]
 
 
 def seminorm_profile(u: SpectralField) -> np.ndarray:
@@ -401,18 +391,33 @@ def seminorm_profile(u: SpectralField) -> np.ndarray:
     return np.array(u._ball_profile())
 
 
-def _ball_seminorms(u: SpectralField, j: int) -> list:
-    """``[p_1(u), ..., p_j(u)]`` from one pass over the nodes of ball j.
+def _ball_seminorms(u: SpectralField) -> list:
+    """``[p_1(u), ..., p_J(u)]`` from one pass over the nodes of ball J.
 
     The nodes are gathered a block of whole shells at a time (see
     `ShellIndex.blocks`); each block's magnitudes are reduced shell by
-    shell, on the same contiguous data as a whole-ball gather, and the
-    shells are then combined in order.
+    shell, and the shells are then combined in order.
     """
     samples, index = np.ravel(u.values), u.grid.shells()
     parts = [_scaled_sums(np.abs(samples[index.order[block]]), offsets)
-             for block, offsets in index.blocks(j)]
+             for block, offsets in index.blocks()]
     return _combine_parts(parts, u.grid.cell_volume)
+
+
+def shell_reductions(grid: FrequencyGrid, inverse, reductions) -> list:
+    """Per shell 1..J, each ``(ufunc, level_values)`` reduction over the shell's nodes.
+
+    Node k carries ``level_values[inverse[k]]`` (see `MultiplierOperator.levels`).
+    The index is read a block of `ShellIndex.blocks` at a time, once for all
+    the reductions.  Returns one array of J values per reduction.
+    """
+    index, flat = grid.shells(), np.ravel(inverse)
+    parts = []
+    for block, offsets in index.blocks():
+        levels = flat[index.order[block]]
+        parts.append([ufunc.reduceat(values[levels], offsets[:-1])
+                      for ufunc, values in reductions])
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _combine_parts(parts, weight: float) -> list:
@@ -609,7 +614,7 @@ class ShellField:
         self.levels = _frozen(np.ravel(inverse)[order])
         self.overflow = u.overflow
         self.peak = float(np.max([np.max(np.abs(self.samples[block]))
-                                  for block in _chunks(self.samples.size)]))
+                                  for block, _ in u.grid.shells().blocks(outside=True)]))
         self._polar = None
 
     def polar(self) -> tuple[np.ndarray, np.ndarray]:
@@ -617,13 +622,13 @@ class ShellField:
 
         Where ``|u| = 0`` (or u is NaN) they are ``-inf`` and 0.  The phase
         comes from ``angle``, so it stays exact for subnormal samples.  They
-        are formed `_BLOCK_NODES` samples at a time, so building them holds
-        no grid-sized temporary; 24 bytes per node.
+        are formed a block of `ShellIndex.blocks` at a time, so building them
+        holds no grid-sized temporary; 24 bytes per node.
         """
         if self._polar is None:
             log_magnitude = np.empty(self.samples.size)
             phase = np.empty(self.samples.size, dtype=np.complex128)
-            for block in _chunks(self.samples.size):
+            for block, _ in self.grid.shells().blocks(outside=True):
                 samples = self.samples[block]
                 magnitude = np.abs(samples)
                 nonzero = magnitude > 0.0
@@ -632,11 +637,6 @@ class ShellField:
                 phase[block] = np.where(nonzero, np.exp(1j * np.angle(samples)), 0.0)
             self._polar = (_frozen(log_magnitude), _frozen(phase))
         return self._polar
-
-
-def _chunks(size: int):
-    """Slices of ``range(size)``, `_BLOCK_NODES` long but the last."""
-    return (slice(start, start + _BLOCK_NODES) for start in range(0, size, _BLOCK_NODES))
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -687,7 +687,7 @@ def saturated_product(factors: dict, u: ShellField, keep=None):
     two_flows = len(flows) == 2
     differences = []
     index = grid.shells()
-    for block, offsets in index.blocks(grid.J, outside=True):
+    for block, offsets in index.blocks(outside=True):
         # outside ball J a flow that is not kept matters only if it can flag
         block_values = {name: flow.apply(u, block) for name, flow in flows.items()
                         if offsets is not None or name == keep or not flow.representable}

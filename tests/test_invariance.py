@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,26 @@ def test_sampled_decision_on_overflowing_probes_is_undetermined_without_warnings
     decision = decide_l2(parse_symbol("xi^300", 1), method="sampled")
     assert decision.verdict == UNDETERMINED
     assert decision.sup_estimate == math.inf and math.isinf(decision.probes[-1])
+
+
+def test_overflowing_2d_probes_read_the_real_part_along_their_ray():
+    # the complex Horner product turns these probes into inf * 0 = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        decision = decide_l2(parse_symbol("-xi1^70-xi2^70", 2))
+    assert math.isfinite(decision.sup_estimate)
+    assert not any(math.isnan(probe) for probe in decision.probes)
+    assert decision.probes[-1] == -math.inf
+    assert decision.verdict == INVARIANT
+
+
+@pytest.mark.parametrize("symbol, n, method", [
+    ("xi1^70-xi2^70", 2, "auto"), ("xi1^71", 2, "auto"), ("xi^70", 1, "sampled")])
+def test_probes_overflowing_to_inf_are_not_a_flat_tail(symbol, n, method):
+    # inf - x = inf passes the spread test against 1e-9 * (1 + inf)
+    decision = decide_l2(parse_symbol(symbol, n), method=method)
+    assert decision.verdict == NOT_INVARIANT
+    assert decision.probes[-1] == math.inf
 
 
 def test_negative_time_rejected():

@@ -24,6 +24,7 @@ from frechet_flow import (
     seminorm_profile,
     to_polynomial,
     transport_symbol,
+    uniform_continuity_gap,
 )
 from frechet_flow.evolution import _stage_growth, exp_multiplier, exp_series
 from frechet_flow.spectral import (
@@ -177,22 +178,107 @@ def test_restriction_norm_matches_the_projection_norm(rng):
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=repr)
-def test_operator_profile_and_stage_growth_equal_the_masked_max(grid):
+def test_blocks_cover_the_shells_in_order(grid):
+    index = grid.shells()
+    inside = list(index.blocks())
+    covered = np.concatenate([np.arange(block.start, block.stop) for block, _ in inside])
+    assert np.array_equal(covered, np.arange(index.offsets[-1]))
+    ends = np.concatenate([block.start + offsets[1:] for block, offsets in inside])
+    assert np.array_equal(ends, index.offsets[1:])
+    assert all(offsets[0] == 0 for _, offsets in inside)
+    outside = list(index.blocks(outside=True))[len(inside):]
+    assert all(offsets is None for _, offsets in outside)
+    assert sum(block.stop - block.start for block, _ in outside) == (
+        grid.node_count - index.offsets[-1])
+
+
+def signed_zero_nan_operator(grid, rng):
+    """A `from_values` operator whose levels include +0.0, -0.0 and a NaN in shell 3."""
+    values = np.array(random_field(grid, rng).values)
+    flat = values.reshape(-1)
+    order, offsets = grid.shells().order, grid.shells().offsets
+    # no zero is an extreme of a ball, where the sign of a tie would hang on the order
+    flat[order[0]], flat[order[2]] = complex(-1.0, 2.0), complex(1.0, -2.0)
+    flat[order[1]] = 0.0
+    flat[order[offsets[1] + 1]] = complex(-0.0, -0.0)
+    flat[order[offsets[1] + 2]] = complex(-0.0, 0.0)
+    flat[order[offsets[2]]] = complex(np.nan, 1.0)
+    return MultiplierOperator.from_values(grid, values)
+
+
+def traversal_operators(grid, rng):
     if grid.n == 1:
         symbols = [heat_symbol(), transport_symbol(), to_polynomial("1+xi^3")]
     else:
-        symbols = [parse_symbol(text, 2) for text in (HEAT_2D, "1+xi1^3*xi2")]
-    for symbol in symbols:
-        op = MultiplierOperator(symbol, grid)
-        expected = [float(np.max(np.abs(op.values[masked(grid, j)])))
-                    for j in range(1, grid.J + 1)]
-        assert operator_seminorm_profile(op).tolist() == expected
-        assert [op.seminorm(j) for j in range(1, grid.J + 1)] == expected
+        # even in both axes, in xi1 only, and in neither
+        symbols = [parse_symbol(text, 2) for text in (
+            HEAT_2D, "-(xi1^4+4*pi^2*xi2^2)+i*xi2^3", "1+xi1^3*xi2")]
+    ops = [MultiplierOperator(symbol, grid) for symbol in symbols]
+    return ops + [signed_zero_nan_operator(grid, rng)]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=repr)
+def test_operator_profile_and_stage_growth_equal_the_masked_max(grid, rng):
+    for op in traversal_operators(grid, rng):
+        values = op.values
+        lower, upper = op.real_part_range()
+        profile = operator_seminorm_profile(op)
+        for j in range(1, grid.J + 1):
+            mask = masked(grid, j)
+            assert same_bits(op.seminorm(j), np.max(np.abs(values)[mask]))
+            assert same_bits(profile[j - 1], op.seminorm(j))
+            assert same_bits(lower[j - 1], np.min(values.real[mask]))
+            assert same_bits(upper[j - 1], np.max(values.real[mask]))
+            for t in (0.0, 1e-3, 0.3, 5.0):
+                z = t * values[mask]
+                factor = np.exp(np.minimum(z.real, OVERFLOW_EXPONENT) + 1j * z.imag)
+                assert same_bits(uniform_continuity_gap(op, t, j)[0],
+                                 np.max(np.abs(factor - 1.0)))
         for t in (0.3, -0.3, 1e-3, -7.0):
             growth = _stage_growth(op, t)
             for j in range(1, grid.J + 1):
-                peak = float(np.max((t * op.values.real)[masked(grid, j)]))
+                peak = float(np.max((t * values.real)[masked(grid, j)]))
                 assert growth[j - 1] == (math.exp(peak) if peak <= 700.0 else math.inf)
+
+
+def test_per_ball_operator_quantities_come_from_one_pass(monkeypatch, rng):
+    import frechet_flow.operators as operators
+
+    grid = FrequencyGrid(2, 4, 8)
+    calls = []
+    reduce = operators.shell_reductions
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(operators, "shell_reductions", counted)
+    for op in traversal_operators(grid, rng):
+        calls.clear()
+        for j in range(1, grid.J + 1):
+            op.seminorm(j)
+        op.real_part_range()
+        operator_seminorm_profile(op)
+        _stage_growth(op, -0.5)
+        assert len(calls) == 1
+
+
+def test_seminorm_reads_the_profile_of_its_field(monkeypatch, rng):
+    import frechet_flow.spectral as spectral
+
+    grid = FrequencyGrid(2, 4, 8)
+    u = random_field(grid, rng)
+    calls = []
+    reduce = spectral._ball_seminorms
+
+    def counted(field):
+        calls.append(field)
+        return reduce(field)
+
+    monkeypatch.setattr(spectral, "_ball_seminorms", counted)
+    seminorms = [seminorm(u, j) for j in range(1, grid.J + 1)]
+    assert seminorm_profile(u).tolist() == seminorms
+    assert calls == [u]
 
 
 def identity_inverse(grid):
@@ -381,15 +467,18 @@ def test_polar_form_is_built_once_per_field(monkeypatch, rng):
     log_magnitude, phase, inverse = saturating_case(grid, rng)
     source = ShellField(u, inverse)
     first, _ = one_flow(log_magnitude, phase, source)
+    # one angle per block of the shell index builds the polar form
+    built = len(list(grid.shells().blocks(outside=True)))
+    assert len(calls) == built
     for _ in range(3):
         again, flagged = one_flow(log_magnitude, phase, source)
         assert flagged and same_bits(again.values, first.values)
-    assert len(calls) == 1
+    assert len(calls) == built
     assert source.polar() is source.polar()
     # each closed-form call puts its field in shell order anew, polar form included
     op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
     exp_multiplier(op, -2.0, u)
-    assert len(calls) == 2
+    assert len(calls) == 2 * built
 
 
 def test_shell_field_is_the_gather_through_the_shell_order(rng):
@@ -431,9 +520,9 @@ def test_exp_series_profiles_its_field_once(monkeypatch, rng):
     calls = []
     reduce = spectral._ball_seminorms
 
-    def counted(field, j):
+    def counted(field):
         calls.append(field)
-        return reduce(field, j)
+        return reduce(field)
 
     monkeypatch.setattr(spectral, "_ball_seminorms", counted)
     for t in (0.0, 0.01, 0.1, -0.01, -1.0):

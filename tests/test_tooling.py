@@ -1,8 +1,11 @@
-"""The names the benchmark harness in ``bench/`` reaches into the package by.
+"""The names the benchmark harness in ``bench/`` reaches into the package by,
+and the case matrix of ``tools/golden_outputs.py``.
 
 ``bench/spans.py`` skips a wrapped name that no longer exists, so a rename
 would read as 0 calls rather than fail; these tests make it fail here.
-The harness files are read, never edited.
+The harness files are read, never edited.  A golden case whose name is
+taken twice, whose config no longer parses or whose command is no longer a
+subcommand would drop out of a byte-identity check without notice.
 """
 
 import ast
@@ -14,16 +17,22 @@ from pathlib import Path
 
 import pytest
 
-from frechet_flow import app
+from frechet_flow import app, cli
+from frechet_flow.config import config_from_text
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
-def load_bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+def load_module(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_bench_module(name):
+    return load_module(BENCH / f"{name}.py", f"bench_{name}")
 
 
 def resolve(dotted):
@@ -59,3 +68,28 @@ def test_setup_probe_calls_bind_to_the_package():
     assert {"app.build_symbol", "app.build_initial_field"} <= calls
     assert list(inspect.signature(app.build_symbol).parameters) == ["config"]
     assert list(inspect.signature(app.build_initial_field).parameters) == ["config", "grid"]
+
+
+GOLDEN = load_module(ROOT / "tools" / "golden_outputs.py", "golden_outputs")
+
+
+def test_golden_case_names_are_unique():
+    names = [case[0] for case in GOLDEN.SOLVES] + [name for name, _ in GOLDEN.OTHERS]
+    assert len(names) == len(set(names))
+
+
+def test_every_golden_solve_config_parses(tmp_path):
+    for seed, (name, n, J, inv_h, symbol, times, init, *options) in enumerate(
+            GOLDEN.SOLVES, start=1):
+        if init == "file":
+            path = tmp_path / f"{name}.fl2l"
+            GOLDEN.write_random_field(path, n, J, inv_h, seed)
+            init = f"file:{path}"
+        config = config_from_text(
+            GOLDEN.solve_config(n, J, inv_h, symbol, times, init, *options))
+        assert (config.n, config.J, config.inv_h) == (n, J, inv_h), name
+
+
+@pytest.mark.parametrize("name, command", GOLDEN.OTHERS, ids=[name for name, _ in GOLDEN.OTHERS])
+def test_every_golden_command_is_a_subcommand(name, command):
+    assert cli.build_parser().parse_args(command).command == command[0]
