@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig, format_config
+from .config import RunConfig, format_config, parse_init
 from .evolution import SeriesDiagnostics, evolve
 from .fieldio import field_to_csv, read_field, write_csv, write_field, write_metadata
 from .operators import MultiplierOperator
@@ -110,21 +110,17 @@ def build_symbol(config: RunConfig):
 
 
 def build_initial_field(config: RunConfig, grid: FrequencyGrid) -> SpectralField:
-    spec = config.init
-    if spec == "ones":
-        return ones(grid)
-    if spec == "gaussian-hat":
-        return gaussian_hat(grid)
-    if spec.startswith("delta@"):
-        return delta(grid, float(spec[6:]))
-    if spec.startswith("file:"):
-        field = read_field(spec[5:])
+    kind, argument = parse_init(config.init)
+    if kind == "delta":
+        return delta(grid, argument)
+    if kind == "file":
+        field = read_field(argument)
         if field.grid != grid:
             raise ValueError(
                 f"field file grid {field.grid} does not match configured grid {grid}"
             )
         return field
-    raise ValueError(f"unknown init field {spec!r}")
+    return ones(grid) if kind == "ones" else gaussian_hat(grid)
 
 
 @dataclass
@@ -200,7 +196,10 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
                 # real symbol part is at most -1, so the top seminorm must gain
                 # at least that factor; recorded for backward runs
                 method = "multiplier" if "multiplier" in methods else "series"
-                gain_target = math.exp(abs(t))
+                try:
+                    gain_target = math.exp(abs(t))
+                except OverflowError:  # |t| past the float range of exp
+                    gain_target = math.inf
                 if initial_profile[-1] > 0:
                     gain = profiles[method][k][-1] / initial_profile[-1]
                     if gain < gain_target and np.all(op.levels()[0].real <= -1.0):

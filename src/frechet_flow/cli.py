@@ -17,10 +17,9 @@ import sys
 import numpy as np
 
 from . import app, invariance, translation
-from .config import ConfigError, RunConfig, apply_overrides, config_from_text
-from .fieldio import FieldFormatError, write_csv, write_metadata
-from .spectral import FrequencyGrid, GridError, seminorm_profile
-from .symbols import SymbolError, SymbolSyntaxError
+from .config import ConfigError, RunConfig, config_from_text
+from .fieldio import write_csv, write_metadata
+from .spectral import FrequencyGrid, seminorm_profile
 from .verify import DEFAULT_SEED, SUITES, run_verify
 
 EXIT_OK = 0
@@ -41,16 +40,15 @@ def _write_metadata(out_dir: str, command: str, lines):
 def _symbol_from_args(args):
     if not (args.symbol or args.diffop):
         raise ConfigError("one of --symbol or --diffop is required")
+    if args.symbol is not None and args.diffop is not None:
+        raise ConfigError("give one of --symbol or --diffop, not both")
     return app.build_symbol(RunConfig(symbol_text=args.symbol or None, diffop=args.diffop,
                                       convention=args.convention))
 
 
 def cmd_solve(args) -> int:
     with open(args.config) as handle:
-        text = handle.read()
-    if args.set:
-        text = apply_overrides(text, args.set)
-    config = config_from_text(text)
+        config = config_from_text(handle.read(), args.set)
     out_dir = args.out or config.output_directory
     result = app.run_solve(config, out_dir=out_dir)
     print(
@@ -303,17 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # ConfigError, SymbolError, GridError and FieldFormatError are ValueErrors too
     try:
         return args.handler(args)
-    except (
-        ConfigError,
-        SymbolSyntaxError,
-        SymbolError,
-        GridError,
-        FieldFormatError,
-        FileNotFoundError,
-        ValueError,
-    ) as error:
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -22,49 +22,30 @@ The format is deliberately plain so runs diff cleanly:
 ``field-csv``.  A symbol may instead be given as a derivative
 coefficient list (``diffop = 2:-1;0:-1`` with ``convention = partial``).
 Init fields are ``ones``, ``gaussian-hat``, ``delta@<xi>`` or
-``file:<path>`` pointing at a binary field dump.  One override flag,
-``--set section.key=value``, rewrites any entry.
+``file:<path>`` pointing at a binary field dump (grammar: `parse_init`).
+`KEYS` names each section and key, with its `RunConfig` field and parser:
+any other is an error, and a key left out keeps the `RunConfig` default.
+``--set section.key=value`` replaces or adds one parsed entry, its value
+verbatim (``#`` is no comment there).  An error names its file line or
+its override: ``--set grid.n=x: grid.n must be an integer, got 'x'``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 VALID_METHODS = ("multiplier", "series", "both")
 VALID_FORMATS = ("csv", "fl2l", "field-csv")
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; carries a line number when one applies."""
+    """Invalid configuration; ``where`` names its file line or override when one applies."""
 
-    def __init__(self, message: str, line: int | None = None):
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
-        self.line = line
-
-
-def parse_sections(text: str) -> dict:
-    """Raw parse into ``{section: {key: (value, line)}}`` with line numbers."""
-    sections: dict = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]") or len(line) < 3:
-                raise ConfigError(f"malformed section header {raw.strip()!r}", lineno)
-            current = line[1:-1].strip()
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected key = value, got {raw.strip()!r}", lineno)
-        if current is None:
-            raise ConfigError("entry before any [section] header", lineno)
-        key, value = line.split("=", 1)
-        sections[current][key.strip()] = (value.strip(), lineno)
-    return sections
+    def __init__(self, message: str, where: str | None = None):
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 @dataclass(frozen=True)
@@ -88,153 +69,170 @@ class RunConfig:
         return f"diffop {self.diffop} ({self.convention})"
 
 
-def _get(sections, section, key, default=None):
-    entry = sections.get(section, {}).get(key)
-    return entry if entry is not None else (default, None)
+def _verbatim(value, name):
+    return value
 
 
-def _parse_int(value, line, name):
+def _integer(value, name):
     try:
         return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}", line)
-
-
-def _parse_float(value, line, name):
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}", line)
-    if not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {value!r}", line)
-    return out
-
-
-def config_from_text(text: str) -> RunConfig:
-    sections = parse_sections(text)
-    known = {"grid", "symbol", "evolve", "init", "output"}
-    for name in sections:
-        if name not in known:
-            raise ConfigError(f"unknown section [{name}]")
-    n, line = _get(sections, "grid", "n", "1")
-    n = _parse_int(n, line, "grid.n")
-    J, line = _get(sections, "grid", "J", "8")
-    J = _parse_int(J, line, "grid.J")
-    inv_h, line = _get(sections, "grid", "inv_h", "32")
-    inv_h = _parse_int(inv_h, line, "grid.inv_h")
-
-    symbol_text, _ = _get(sections, "symbol", "text")
-    diffop, _ = _get(sections, "symbol", "diffop")
-    convention, line = _get(sections, "symbol", "convention", "d")
-    if convention not in ("d", "partial"):
-        raise ConfigError(f"convention must be d or partial, got {convention!r}", line)
-    if symbol_text is None and diffop is None:
-        raise ConfigError("section [symbol] needs either text or diffop")
-    if symbol_text is not None and diffop is not None:
-        raise ConfigError("section [symbol] accepts text or diffop, not both")
-
-    times_text, line = _get(sections, "evolve", "times", "0.1, 1.0")
-    try:
-        times = tuple(float(part) for part in times_text.split(",") if part.strip())
     except ValueError:
-        raise ConfigError(f"malformed times list {times_text!r}", line)
-    if not times or any(not math.isfinite(t) for t in times):
-        raise ConfigError(f"times must be a nonempty finite list, got {times_text!r}", line)
-    method, line = _get(sections, "evolve", "method", "multiplier")
-    if method not in VALID_METHODS:
-        raise ConfigError(f"method must be one of {VALID_METHODS}, got {method!r}", line)
-    tol_text, line = _get(sections, "evolve", "tol", "1e-8")
-    tol = _parse_float(tol_text, line, "evolve.tol")
-    if tol <= 0:
-        raise ConfigError(f"evolve.tol must be positive, got {tol}", line)
-
-    init, line = _get(sections, "init", "field", "ones")
-    if not (
-        init in ("ones", "gaussian-hat")
-        or init.startswith("delta@")
-        or init.startswith("file:")
-    ):
-        raise ConfigError(f"unknown init field {init!r}", line)
-    if init.startswith("delta@"):
-        _parse_float(init[6:], line, "init delta location")
-    if init.startswith("file:"):
-        import os
-
-        if not os.path.exists(init[5:]):
-            raise ConfigError(f"init file {init[5:]!r} does not exist", line)
-
-    directory, _ = _get(sections, "output", "directory", "out")
-    formats_text, line = _get(sections, "output", "formats", "csv")
-    formats = tuple(part.strip() for part in formats_text.split(",") if part.strip())
-    for name in formats:
-        if name not in VALID_FORMATS:
-            raise ConfigError(f"unknown output format {name!r}; use csv, fl2l or field-csv",
-                              line)
-
-    return RunConfig(
-        n=n, J=J, inv_h=inv_h,
-        symbol_text=symbol_text, diffop=diffop, convention=convention,
-        times=times, method=method, tol=tol,
-        init=init, output_directory=directory, formats=formats,
-    )
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def apply_overrides(text: str, overrides) -> str:
-    """Rewrite ``section.key=value`` entries in the raw config text."""
+def _finite(value, name, positive=False):
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if positive and number <= 0:
+        raise ConfigError(f"{name} must be positive, got {number}")
+    return number
+
+
+def _convention(value, name):
+    if value not in ("d", "partial"):
+        raise ConfigError(f"convention must be d or partial, got {value!r}")
+    return value
+
+
+def _times(value, name):
+    try:
+        times = tuple(float(part) for part in value.split(",") if part.strip())
+    except ValueError:
+        raise ConfigError(f"malformed times list {value!r}")
+    if not times or not all(map(math.isfinite, times)):
+        raise ConfigError(f"times must be a nonempty finite list, got {value!r}")
+    return times
+
+
+def _method(value, name):
+    if value not in VALID_METHODS:
+        raise ConfigError(f"method must be one of {VALID_METHODS}, got {value!r}")
+    return value
+
+
+def parse_init(spec: str) -> tuple:
+    """Split an init field into ``(kind, argument)``: None, a finite float or a path."""
+    if spec in ("ones", "gaussian-hat"):
+        return spec, None
+    if spec.startswith("delta@"):
+        return "delta", _finite(spec[6:], "init delta location")
+    if spec.startswith("file:"):
+        return "file", spec[5:]
+    raise ConfigError(f"unknown init field {spec!r}")
+
+
+def _init_field(value, name):
+    kind, argument = parse_init(value)
+    if kind == "file" and not os.path.exists(argument):
+        raise ConfigError(f"init file {argument!r} does not exist")
+    return value
+
+
+def _formats(value, name):
+    formats = tuple(part.strip() for part in value.split(",") if part.strip())
+    for fmt in formats:
+        if fmt not in VALID_FORMATS:
+            raise ConfigError(f"unknown output format {fmt!r}; use csv, fl2l or field-csv")
+    return formats
+
+
+# (section, key) -> (RunConfig field, parser of the value and "section.key")
+KEYS = {
+    ("grid", "n"): ("n", _integer),
+    ("grid", "J"): ("J", _integer),
+    ("grid", "inv_h"): ("inv_h", _integer),
+    ("symbol", "text"): ("symbol_text", _verbatim),
+    ("symbol", "diffop"): ("diffop", _verbatim),
+    ("symbol", "convention"): ("convention", _convention),
+    ("evolve", "times"): ("times", _times),
+    ("evolve", "method"): ("method", _method),
+    ("evolve", "tol"): ("tol", partial(_finite, positive=True)),
+    ("init", "field"): ("init", _init_field),
+    ("output", "directory"): ("output_directory", _verbatim),
+    ("output", "formats"): ("formats", _formats),
+}
+SECTIONS = {section for section, _ in KEYS}
+
+
+def parse_sections(text: str) -> dict:
+    """Parse into ``{section: {key: (value, "line N")}}``."""
+    sections: dict = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"line {lineno}"
+        if line.startswith("["):
+            if not line.endswith("]") or len(line) < 3:
+                raise ConfigError(f"malformed section header {raw.strip()!r}", where)
+            current = line[1:-1].strip()
+            if current not in SECTIONS:
+                raise ConfigError(f"unknown section [{current}]", where)
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected key = value, got {raw.strip()!r}", where)
+        if current is None:
+            raise ConfigError("entry before any [section] header", where)
+        key, value = line.split("=", 1)
+        sections.setdefault(current, {})[key.strip()] = (value.strip(), where)
+    return sections
+
+
+def config_from_text(text: str, overrides=()) -> RunConfig:
+    """Read a config file's text, each ``section.key=value`` override applied to it."""
+    sections = parse_sections(text)
     for override in overrides:
-        if "=" not in override or "." not in override.split("=", 1)[0]:
+        target, equals, value = override.partition("=")
+        section, dot, key = target.partition(".")
+        if not (equals and dot):
             raise ConfigError(f"override must look like section.key=value, got {override!r}")
-        target, value = override.split("=", 1)
-        section, key = target.split(".", 1)
-        lines = text.splitlines()
-        out = []
-        in_section = False
-        replaced = False
-        for line in lines:
-            stripped = line.split("#", 1)[0].strip()
-            if stripped.startswith("[") and stripped.endswith("]"):
-                if in_section and not replaced:
-                    out.append(f"{key} = {value}")
-                    replaced = True
-                in_section = stripped[1:-1].strip() == section
-            elif in_section and stripped.split("=", 1)[0].strip() == key and "=" in stripped:
-                out.append(f"{key} = {value}")
-                replaced = True
-                continue
-            out.append(line)
-        if not replaced:
-            if not in_section:
-                out.append(f"[{section}]")
-            out.append(f"{key} = {value}")
-        text = "\n".join(out)
-    return text
+        entry = (value.strip(), f"--set {override}")
+        sections.setdefault(section.strip(), {})[key.strip()] = entry
+    fields = {}
+    for section, entries in sections.items():
+        for key, (value, where) in entries.items():
+            if section not in SECTIONS:
+                raise ConfigError(f"unknown section [{section}]", where)
+            if (section, key) not in KEYS:
+                raise ConfigError(f"unknown key {key!r} in [{section}]", where)
+            field, parse = KEYS[section, key]
+            try:
+                fields[field] = parse(value, f"{section}.{key}")
+            except ConfigError as error:
+                raise ConfigError(str(error), where) from None
+    if "symbol_text" not in fields and "diffop" not in fields:
+        raise ConfigError("section [symbol] needs either text or diffop")
+    if "symbol_text" in fields and "diffop" in fields:
+        raise ConfigError("section [symbol] accepts text or diffop, not both")
+    return RunConfig(**fields)
 
 
 def format_config(config: RunConfig) -> str:
     """Render a config back to text; the result re-parses equivalently."""
+    if config.symbol_text is not None:
+        symbol = [f"text = {config.symbol_text}"]
+    else:
+        symbol = [f"diffop = {config.diffop}", f"convention = {config.convention}"]
     lines = [
         "[grid]",
         f"n = {config.n}",
         f"J = {config.J}",
         f"inv_h = {config.inv_h}",
         "[symbol]",
+        *symbol,
+        "[evolve]",
+        "times = " + ", ".join(f"{t:.17g}" for t in config.times),
+        f"method = {config.method}",
+        f"tol = {config.tol:.17g}",
+        "[init]",
+        f"field = {config.init}",
+        "[output]",
+        f"directory = {config.output_directory}",
+        "formats = " + ", ".join(config.formats),
     ]
-    if config.symbol_text is not None:
-        lines.append(f"text = {config.symbol_text}")
-    else:
-        lines.append(f"diffop = {config.diffop}")
-        lines.append(f"convention = {config.convention}")
-    lines.extend(
-        [
-            "[evolve]",
-            "times = " + ", ".join(f"{t:.17g}" for t in config.times),
-            f"method = {config.method}",
-            f"tol = {config.tol:.17g}",
-            "[init]",
-            f"field = {config.init}",
-            "[output]",
-            f"directory = {config.output_directory}",
-            "formats = " + ", ".join(config.formats),
-        ]
-    )
     return "\n".join(lines) + "\n"

@@ -203,7 +203,9 @@ def _decide_sampled(poly: PolynomialSymbol) -> tuple[str, float, tuple]:
     # a probe that overflows reads inf, which no flat tail ends in
     if math.isfinite(tail[-1]) and abs(tail[-1] - tail[0]) <= 1e-9 * (1.0 + abs(tail[-1])):
         return INVARIANT, float(np.max(maxima)), tuple(maxima)
-    if np.all(tail[1:] >= tail[:-1]) and tail[-1] > max(4.0 * abs(tail[0]), 1.0):
+    # a tail that overflows whole reads inf throughout, and inf > inf is false
+    if np.all(tail[1:] >= tail[:-1]) and (tail[-1] == math.inf
+                                          or tail[-1] > max(4.0 * abs(tail[0]), 1.0)):
         return NOT_INVARIANT, math.inf, tuple(maxima)
     return UNDETERMINED, float(np.max(maxima)), tuple(maxima)
 

@@ -156,8 +156,11 @@ class FrequencyGrid:
         point = np.atleast_1d(np.asarray(point, dtype=float))
         if point.size != self.n:
             raise GridError(f"point has dimension {point.size}, grid has {self.n}")
+        if not np.all(np.isfinite(point)):
+            raise GridError(f"point {point.tolist()} is not finite")
+        # clipped to the box first, so a far point neither overflows nor wraps
         lim = self.J * self.inv_h
-        idx = np.clip(np.rint(point * self.inv_h).astype(np.int64), -lim, lim)
+        idx = np.rint(np.clip(point, -self.J, self.J) * self.inv_h).astype(np.int64)
         return tuple(int(k) + lim for k in idx)
 
 
@@ -660,7 +663,8 @@ def saturated_product(factors: dict, u: ShellField, keep=None):
     contiguous range of ``u``'s samples and levels (`ShellIndex.blocks`),
     and scatters only the kept flow into grid order.  Wherever the factor
     and product magnitudes are both representable the plain product is
-    used (so a factor of exactly one is the identity, bitwise), its factor
+    used (a factor of exactly one keeps each value, though not always the
+    sign of a zero part: numpy gives (1+0j)(-0-1j) = +0-1j), its factor
     formed once per level.  Elsewhere the value is assembled in
     log-magnitude/phase form and its magnitude clamped at ``exp(709)``;
     such nodes flag the flow.  Because the clamped value depends only on

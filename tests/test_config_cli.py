@@ -12,7 +12,6 @@ from frechet_flow.cli import main
 from frechet_flow.config import (
     ConfigError,
     RunConfig,
-    apply_overrides,
     config_from_text,
     format_config,
 )
@@ -94,14 +93,30 @@ def test_config_round_trip():
 
 
 def test_overrides_rewrite_and_append():
-    text = apply_overrides(BASE_CONFIG, ["evolve.method=both", "grid.J=6"])
-    config = config_from_text(text)
+    config = config_from_text(BASE_CONFIG, ["evolve.method=both", "grid.J=6"])
     assert config.method == "both"
     assert config.J == 6
-    text = apply_overrides(BASE_CONFIG, ["evolve.tol=1e-6"])
-    assert config_from_text(text).tol == 1e-6
-    with pytest.raises(ConfigError):
-        apply_overrides(BASE_CONFIG, ["nonsense"])
+    assert config_from_text(BASE_CONFIG, ["evolve.tol=1e-6"]).tol == 1e-6
+    # a key the file leaves out, in a section it leaves out
+    config = config_from_text(BASE_CONFIG, ["output.formats=fl2l", "output.directory=o#1"])
+    assert config.formats == ("fl2l",) and config.output_directory == "o#1"
+    config = config_from_text(BASE_CONFIG.replace("[output]\ndirectory = out\n", ""),
+                              ["output.formats=fl2l"])
+    assert config.formats == ("fl2l",) and config.output_directory == "out"
+    with pytest.raises(ConfigError, match="override must look like section.key=value"):
+        config_from_text(BASE_CONFIG, ["nonsense"])
+
+
+@pytest.mark.parametrize("override, message", [
+    ("grid.n=x", "grid.n must be an integer, got 'x'"),
+    ("evolv.method=series", "unknown section [evolv]"),
+    ("evolve.tol=0", "evolve.tol must be positive, got 0.0"),
+    ("init.field=delta@nan", "init delta location must be finite, got 'nan'"),
+])
+def test_an_override_error_names_the_override(override, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_text(BASE_CONFIG, [override])
+    assert str(err.value) == f"--set {override}: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +218,7 @@ def test_solve_time_zero_returns_input(tmp_path):
 
 
 def test_solve_both_methods_certify_residuals(tmp_path):
-    config = config_from_text(
-        apply_overrides(BASE_CONFIG, ["evolve.method=both", "init.field=gaussian-hat"])
-    )
+    config = config_from_text(BASE_CONFIG, ["evolve.method=both", "init.field=gaussian-hat"])
     result = run_solve(config, out_dir=str(tmp_path))
     assert result.residuals_certified
     assert os.path.exists(os.path.join(str(tmp_path), "residuals.csv"))
@@ -226,10 +239,8 @@ def test_solve_releases_each_time_before_the_next(tmp_path, monkeypatch):
         return product, flagged
 
     monkeypatch.setattr(app, "saturated_product", tracked)
-    config = config_from_text(
-        apply_overrides(BASE_CONFIG, ["evolve.method=both", "evolve.times=0.1, 0.2, 0.3",
-                                      "output.formats=csv, fl2l"])
-    )
+    config = config_from_text(BASE_CONFIG, ["evolve.method=both", "evolve.times=0.1, 0.2, 0.3",
+                                            "output.formats=csv, fl2l"])
     result = run_solve(config, out_dir=str(tmp_path))
     assert len(alive) == 3 and result.residuals_certified
     assert sorted(os.listdir(tmp_path)) == [
@@ -261,9 +272,9 @@ def test_solve_releases_the_grid_ordered_initial_field(tmp_path, monkeypatch, rn
 
     monkeypatch.setattr(app, "build_initial_field", built)
     monkeypatch.setattr(app, "saturated_product", tracked)
-    config = config_from_text(apply_overrides(BASE_CONFIG, [
+    config = config_from_text(BASE_CONFIG, [
         f"evolve.method={method}", "evolve.times=0, 0.1, -1", f"init.field={init}",
-        "output.formats=csv, fl2l"]))
+        "output.formats=csv, fl2l"])
     result = run_solve(config, out_dir=str(tmp_path / "out"))
     assert len(passes) == 3 and len(result.files) >= 5
 
@@ -297,7 +308,7 @@ FIELD_OUTPUTS = ["evolve.times=0.1, 0.2, 0.3", "output.formats=csv, fl2l, field-
 def test_failed_solve_removes_its_fields_and_the_directories_it_made(
         tmp_path, monkeypatch, step, left):
     fail_at(monkeypatch, step)
-    config = config_from_text(apply_overrides(BASE_CONFIG, FIELD_OUTPUTS))
+    config = config_from_text(BASE_CONFIG, FIELD_OUTPUTS)
     with pytest.raises(RuntimeError, match=f"{step} fails"):
         run_solve(config, out_dir=str(tmp_path / "made" / "out"))
     assert paths_under(tmp_path) == left
@@ -310,7 +321,7 @@ def test_failed_solve_leaves_an_existing_directory_as_it_found_it(
     (tmp_path / "field_t000.fl2l").write_bytes(b"an earlier run")
     (tmp_path / "notes.txt").write_text("kept")
     fail_at(monkeypatch, step)
-    config = config_from_text(apply_overrides(BASE_CONFIG, FIELD_OUTPUTS))
+    config = config_from_text(BASE_CONFIG, FIELD_OUTPUTS)
     with pytest.raises(RuntimeError, match=f"{step} fails"):
         run_solve(config, out_dir=str(tmp_path))
     assert paths_under(tmp_path) == sorted(["field_t000.fl2l", "notes.txt"] + left)
@@ -419,6 +430,43 @@ def test_cli_solve_overflow_exits_3(tmp_path):
          "--out", str(tmp_path / "out")]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("edits, overrides, message", [
+    # [grid] loses its J, which the override adds back
+    ([("J = 4\n", ""), ("field = ones", "field = bogus")], ["grid.J=4"],
+     "line 11: unknown init field 'bogus'"),
+    ([("method = multiplier", "methd = series")], [], "line 9: unknown key 'methd' in [evolve]"),
+    ([], ["evolve.methd=series"], "--set evolve.methd=series: unknown key 'methd' in [evolve]"),
+    ([("directory = out\n", "directory = out\n[mystery]\n")], [],
+     "line 15: unknown section [mystery]"),
+])
+def test_cli_solve_reports_where_a_config_error_is(tmp_path, capsys, edits, overrides,
+                                                    message):
+    text = BASE_CONFIG
+    for old, new in edits:
+        text = text.replace(old, new)
+    path = write_config(tmp_path, text)
+    args = [arg for override in overrides for arg in ("--set", override)]
+    assert main(["solve", "--config", path, *args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# -xi^2 has real part 0 at xi = 0, so the gain check does not bind; the heat symbol's
+# does, and its saturated top seminorm overflows to inf, which meets e^|t| = inf
+@pytest.mark.parametrize("symbol", ["-xi^2", "-(1+4*pi^2*xi^2)"])
+@pytest.mark.parametrize("t", ["-1e300", "-800", "-709.7"])
+def test_cli_solve_backward_past_the_range_of_exp(tmp_path, capsys, symbol, t):
+    path = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", path, "--set", f"symbol.text={symbol}",
+                 "--set", f"evolve.times={t}", "--set", "evolve.method=both",
+                 "--out", str(out)])
+    assert code == 3 and capsys.readouterr().err == ""
+    metadata = (out / "run_metadata.txt").read_text().splitlines()
+    assert f"times = {float(t):.17g}" in metadata
+    assert "overflow_flagged = 1" in metadata and "backward_gain_ok = 1" in metadata
 
 
 def test_cli_heat_demo(tmp_path, capsys):
@@ -642,6 +690,14 @@ def test_cli_process_fails_cleanly(tmp_path, case, message):
         # constant powers are formed in about log2(exponent) products
         (["check-l2", "--symbol", "2^100000000"], "a constant power overflows"),
         (["check-l2", "--symbol=(1/2)^-2000*xi"], "a constant power overflows"),
+        (["check-l2", "--symbol=-xi^2", "--diffop", "2:1"],
+         "give one of --symbol or --diffop, not both"),
+        (["check-eprime", "--symbol=-xi^2", "--diffop", "2:1"],
+         "give one of --symbol or --diffop, not both"),
+        (["seminorms", "--init", "delta@nan"], "init delta location must be finite, got 'nan'"),
+        (["seminorms", "--init", "delta@1e400"],
+         "init delta location must be finite, got '1e400'"),
+        (["solve", "--config", "."], "Is a directory: '.'"),
     ],
 )
 def test_cli_process_rejects_bad_flags_in_one_line(tmp_path, args, message):

@@ -138,10 +138,11 @@ def test_i_ddx_discrepancy_is_flagged():
     assert any("odd-degree" in c for c in decision.caveats)
 
 
-def test_sampled_decision_on_overflowing_probes_is_undetermined_without_warnings():
+def test_sampled_decision_on_overflowing_probes_has_no_warnings():
     # xi^300 overflows to inf from the radius 2^4 probe on: inf - inf is NaN
-    decision = decide_l2(parse_symbol("xi^300", 1), method="sampled")
-    assert decision.verdict == UNDETERMINED
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decision = decide_l2(parse_symbol("xi^300", 1), method="sampled")
     assert decision.sup_estimate == math.inf and math.isinf(decision.probes[-1])
 
 
@@ -157,7 +158,8 @@ def test_overflowing_2d_probes_read_the_real_part_along_their_ray():
 
 
 @pytest.mark.parametrize("symbol, n, method", [
-    ("xi1^70-xi2^70", 2, "auto"), ("xi1^71", 2, "auto"), ("xi^70", 1, "sampled")])
+    ("xi1^70-xi2^70", 2, "auto"), ("xi1^71", 2, "auto"), ("xi^70", 1, "sampled"),
+    ("xi^300", 1, "sampled"), ("xi1^300", 2, "auto")])
 def test_probes_overflowing_to_inf_are_not_a_flat_tail(symbol, n, method):
     # inf - x = inf passes the spread test against 1e-9 * (1 + inf)
     decision = decide_l2(parse_symbol(symbol, n), method=method)

@@ -54,6 +54,18 @@ def test_make_grid_rejects_node_budget_overflow():
         make_grid(2, 1024, 1 / 1024)
 
 
+def test_nearest_node_clips_far_points_and_rejects_non_finite_ones():
+    grid = FrequencyGrid(2, 4, 8)  # 65 nodes per axis
+    assert grid.nearest_node([0.5, -0.26]) == (36, 30)
+    assert grid.nearest_node([1e300, -1e308]) == (64, 0)
+    assert grid.nearest_node([4.02, -4.02]) == (64, 0)
+    for point in ([math.nan, 0.0], [0.0, math.inf]):
+        with pytest.raises(GridError, match="not finite"):
+            grid.nearest_node(point)
+    with pytest.raises(GridError, match="not finite"):
+        delta(FrequencyGrid(1, 4, 8), math.nan)
+
+
 def test_ball_membership_includes_boundary():
     grid = make_grid(1, 2, 0.5)
     mask = grid.ball_mask(1)

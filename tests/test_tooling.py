@@ -4,8 +4,9 @@ and the case matrix of ``tools/golden_outputs.py``.
 ``bench/spans.py`` skips a wrapped name that no longer exists, so a rename
 would read as 0 calls rather than fail; these tests make it fail here.
 The harness files are read, never edited.  A golden case whose name is
-taken twice, whose config no longer parses or whose command is no longer a
-subcommand would drop out of a byte-identity check without notice.
+taken twice, whose config or overrides no longer parse or whose command is
+no longer a subcommand would drop out of a byte-identity check without
+notice.
 """
 
 import ast
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from frechet_flow import app, cli
-from frechet_flow.config import config_from_text
+from frechet_flow.config import KEYS, config_from_text
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -74,7 +75,8 @@ GOLDEN = load_module(ROOT / "tools" / "golden_outputs.py", "golden_outputs")
 
 
 def test_golden_case_names_are_unique():
-    names = [case[0] for case in GOLDEN.SOLVES] + [name for name, _ in GOLDEN.OTHERS]
+    names = ([case[0] for case in GOLDEN.SOLVES] + [case[0] for case in GOLDEN.SETS]
+             + [name for name, _ in GOLDEN.OTHERS])
     assert len(names) == len(set(names))
 
 
@@ -88,6 +90,21 @@ def test_every_golden_solve_config_parses(tmp_path):
         config = config_from_text(
             GOLDEN.solve_config(n, J, inv_h, symbol, times, init, *options))
         assert (config.n, config.J, config.inv_h) == (n, J, inv_h), name
+
+
+@pytest.mark.parametrize("name, base, left_out, overrides", GOLDEN.SETS,
+                         ids=[case[0] for case in GOLDEN.SETS])
+def test_every_golden_override_parses_and_applies(name, base, left_out, overrides):
+    full = GOLDEN.set_config(base, ())
+    text = GOLDEN.set_config(base, left_out)
+    # each left-out line was in the config, so the case adds what it says it adds
+    assert len(text.splitlines()) == len(full.splitlines()) - len(left_out)
+    config = config_from_text(text, overrides)
+    for override in overrides:
+        target, value = override.split("=", 1)
+        field, parse = KEYS[tuple(target.split("."))]
+        assert getattr(config, field) == parse(value, target), (name, override)
+        assert getattr(config_from_text(full), field) != getattr(config, field), override
 
 
 @pytest.mark.parametrize("name, command", GOLDEN.OTHERS, ids=[name for name, _ in GOLDEN.OTHERS])

@@ -17,7 +17,9 @@ every axis, even in one axis only (also through a quartic, beside an odd
 cubic), and even in none.  Solves run each method, and a few include the
 time 0 (one has no other time and writes its field).  Three solves, one
 per method, write no field and saturate only at nodes outside ball J.
-One solve and one ``check-l2`` take their symbol as a
+Three more solves take ``--set`` overrides that replace entries of
+their file, add keys its sections leave out and add sections it leaves
+out.  One solve and one ``check-l2`` take their symbol as a
 derivative-coefficient list, ``check-l2`` and ``check-eprime`` also run on
 a complex symbol of degree 5, and a few cases fail on a missing or
 malformed symbol.  ``--bench-seeds`` adds the solve workloads of
@@ -81,6 +83,21 @@ SOLVES = [
      "csv, fl2l"),
 ]
 
+# (name, SOLVES case without a "file" init, lines left out of its config, --set
+# overrides): the overrides replace entries of the file, add keys its sections
+# leave out, and add sections it leaves out
+SETS = [
+    ("solve-set-replaces", "solve-1d-even-backward", (),
+     ["evolve.method=series", "evolve.times=-0.5, 0.25", "init.field=gaussian-hat"]),
+    ("solve-set-adds-keys", "solve-1d-odd",
+     ("J = 8", "tol = 1e-8", "formats = csv, fl2l, field-csv"),
+     ["grid.J=4", "evolve.tol=1e-10", "output.formats=csv, fl2l"]),
+    ("solve-set-adds-sections", "solve-2d-half-even",
+     ("[init]", "field = gaussian-hat", "[output]", "directory = out",
+      "formats = csv, fl2l, field-csv"),
+     ["init.field=ones", "output.formats=csv, field-csv"]),
+]
+
 OTHERS = [
     ("heat-demo", ["heat-demo", "--out", "out"]),
     ("check-l2", ["check-l2", "--symbol=" + HEAT_1D, "--t", "1.0", "--out", "out"]),
@@ -138,6 +155,14 @@ def solve_config(n, J, inv_h, symbol, times, init, method="both",
     )
 
 
+def set_config(base, left_out) -> str:
+    """The config of SOLVES case ``base`` without the lines ``left_out``."""
+    _, n, J, inv_h, symbol, times, init, *options = next(
+        case for case in SOLVES if case[0] == base)
+    text = solve_config(n, J, inv_h, symbol, times, init, *options)
+    return "".join(line for line in text.splitlines(True) if line.strip() not in left_out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir")
@@ -154,6 +179,14 @@ def main(argv=None) -> int:
         with open(os.path.join(case_dir, "run.cfg"), "w") as handle:
             handle.write(solve_config(n, J, inv_h, symbol, times, init, *options))
         run(case_dir, ["solve", "--config", "run.cfg"])
+
+    for name, base, left_out, overrides in SETS:
+        case_dir = os.path.join(args.out_dir, name)
+        os.makedirs(case_dir, exist_ok=True)
+        with open(os.path.join(case_dir, "run.cfg"), "w") as handle:
+            handle.write(set_config(base, left_out))
+        run(case_dir, ["solve", "--config", "run.cfg",
+                       *(arg for override in overrides for arg in ("--set", override))])
 
     for name, command in OTHERS:
         case_dir = os.path.join(args.out_dir, name)
