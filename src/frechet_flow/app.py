@@ -49,15 +49,19 @@ class HeatScanRow:
     overflow: bool
 
 
-def heat_scan(ts, Ms, Rs, quad_step: float = 1.0 / 64.0) -> list[HeatScanRow]:
+# Step of `heat_scan`'s midpoint quadrature.
+HEAT_SCAN_STEP = 1.0 / 64.0
+
+
+def heat_scan(ts, Ms, Rs) -> list[HeatScanRow]:
     """Tabulate ``integral_{|xi| <= R} e^{-2t(1+4pi^2 xi^2)} (1+|xi|)^{2M} dxi``.
 
-    Midpoint quadrature with a fixed global step, so rows at increasing R
-    are nested and the values are nondecreasing in R.  Rows whose integrand
-    exceeds the overflow limit anywhere saturate at that limit and are
-    flagged rather than returned as infinities.  Times must be finite, each
-    2M a finite float, radii finite and positive, and the quadrature nodes
-    within ``NODE_BUDGET``.
+    Midpoint quadrature with the fixed global step ``HEAT_SCAN_STEP``, so
+    rows at increasing R are nested and the values are nondecreasing in R.
+    Rows whose integrand exceeds the overflow limit anywhere saturate at
+    that limit and are flagged rather than returned as infinities.  Times
+    must be finite, each 2M a finite float, radii finite and positive, and
+    the quadrature nodes within ``NODE_BUDGET``.
     """
     ts = [float(t) for t in ts]
     if not all(map(math.isfinite, ts)):
@@ -77,10 +81,10 @@ def heat_scan(ts, Ms, Rs, quad_step: float = 1.0 / 64.0) -> list[HeatScanRow]:
             raise ValueError(f"a weight exponent M of {len(str(abs(M)))} digits: "
                              "2M is not a finite float")
     r_max = Rs[-1]
-    count = int(math.ceil(2.0 * r_max / quad_step))
+    count = int(math.ceil(2.0 * r_max / HEAT_SCAN_STEP))
     if count > NODE_BUDGET:
         raise ValueError(f"radius {r_max:g} needs {count} quadrature nodes, above {NODE_BUDGET}")
-    midpoints = -r_max + (np.arange(count) + 0.5) * quad_step
+    midpoints = -r_max + (np.arange(count) + 0.5) * HEAT_SCAN_STEP
     abs_mid = np.abs(midpoints)
     rows = []
     for t in ts:
@@ -95,7 +99,7 @@ def heat_scan(ts, Ms, Rs, quad_step: float = 1.0 / 64.0) -> list[HeatScanRow]:
                                     overflow=True)
                     )
                     continue
-                value = float(np.sum(np.exp(log_integrand[mask])) * quad_step)
+                value = float(np.sum(np.exp(log_integrand[mask])) * HEAT_SCAN_STEP)
                 rows.append(
                     HeatScanRow(t=float(t), M=M, R=R, value=value, overflow=False)
                 )

@@ -19,7 +19,7 @@ import numpy as np
 from . import app, invariance, translation
 from .config import ConfigError, RunConfig, config_from_text
 from .fieldio import write_csv, write_metadata
-from .spectral import FrequencyGrid, seminorm_profile
+from .spectral import NODE_BUDGET, FrequencyGrid, seminorm_profile
 from .verify import DEFAULT_SEED, SUITES, run_verify
 
 EXIT_OK = 0
@@ -147,7 +147,13 @@ def _function_from_name(name: str):
     if name == "cubic":
         return translation.polynomial([0.0, 0.0, 0.0, 1.0])
     if name.startswith("poly:"):
-        coeffs = [float(part) for part in name[5:].split(",")]
+        try:
+            coeffs = [float(part) for part in name[5:].split(",")]
+        except ValueError:
+            coeffs = []
+        if not coeffs or not all(map(math.isfinite, coeffs)):
+            raise ConfigError(f"--function poly: coefficients must be finite numbers, "
+                              f"got {name!r}")
         return translation.polynomial(coeffs)
     raise ConfigError(f"unknown function {name!r}; use gaussian, cubic or poly:c0,c1,...")
 
@@ -166,6 +172,11 @@ def _parse_samples(spec: str) -> np.ndarray:
         raise ConfigError(f"--samples bounds and step must be finite, got {spec!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"bad sample range {spec!r}")
+    # a float count, so one that overflows to inf is refused too
+    count = (stop - start) / step + 1.0
+    if count > NODE_BUDGET:
+        raise ConfigError(f"--samples {spec!r} asks for {count:.6g} samples, "
+                          f"above the budget {NODE_BUDGET}")
     return np.arange(start, stop + 0.5 * step, step)
 
 

@@ -100,13 +100,13 @@ def scalar_tail(rate: float, terms: int) -> float:
         return math.inf
 
 
-def choose_terms(rate: float, log_threshold: float, cap: int = TERM_CAP) -> int:
-    """Smallest truncation order whose tail bound is below the threshold."""
-    for terms in range(cap + 1):
+def choose_terms(rate: float, log_threshold: float) -> int:
+    """Smallest truncation order, at most ``TERM_CAP``, whose tail bound is below the threshold."""
+    for terms in range(TERM_CAP + 1):
         if scalar_tail_log(rate, terms) <= log_threshold:
             return terms
     raise SeriesTruncationError(
-        f"rate {rate:.3g} needs more than {cap} terms to reach "
+        f"rate {rate:.3g} needs more than {TERM_CAP} terms to reach "
         f"log-threshold {log_threshold:.3g}"
     )
 
@@ -325,14 +325,11 @@ def verify_group_law(symbol, s: float, t: float, u: SpectralField) -> np.ndarray
     return seminorm_profile(composed - direct)
 
 
-def uniform_continuity_gap(symbol, t: float, j: int, grid: Optional[FrequencyGrid] = None):
+def uniform_continuity_gap(op: MultiplierOperator, t: float, j: int):
     """Return ``(lhs, rhs)`` with lhs the exact ball-j norm of ``e^{tA} - I``
     and rhs the rate bound ``e^{t p_j^X(A)} - 1``; lhs never exceeds rhs."""
     if t < 0:
         raise ValueError("the continuity gap is stated for t >= 0")
-    if grid is None and not isinstance(symbol, MultiplierOperator):
-        raise ValueError("a grid is required when passing a bare symbol")
-    op = as_multiplier(symbol, symbol.grid if grid is None else grid)
     j = op.grid.check_ball_index(j)
     levels, inverse = op.levels()
     # per level, so levels only outside ball j are evaluated too

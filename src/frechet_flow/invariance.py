@@ -162,9 +162,9 @@ def _decide_bounded_above_1d(poly: PolynomialSymbol) -> tuple[bool, float, tuple
     return False, math.inf, tuple(caveats)
 
 
-def sampled_sphere_maxima(poly: PolynomialSymbol, max_exponent: int = 20) -> np.ndarray:
-    """Max of Re a over the sphere of radius 2^k, k = 0..max_exponent."""
-    radii = np.ldexp(1.0, np.arange(max_exponent + 1))
+def sampled_sphere_maxima(poly: PolynomialSymbol) -> np.ndarray:
+    """Max of Re a over the sphere of radius 2^k, k = 0..20 (64 angles in 2-D)."""
+    radii = np.ldexp(1.0, np.arange(21))
     # a probe of a high degree may overflow to inf; the real part in real
     # arithmetic stays at +-inf where the complex product gives inf * 0 = nan
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,7 +266,7 @@ class WitnessSearch:
 
 
 def find_growth_witness(symbol, c: float, r_max: float = 1e4) -> WitnessSearch:
-    """Search ``1 <= |z| <= r_max`` for a point with ``Re a(z) > c |Im z|``.
+    """Search ``1 <= |z| <= r_max`` for a point with ``Re a(z) > c |Im z|``; ``r_max >= 1``.
 
     The criterion is asymptotic, so a hit only counts when it survives
     doubling the point twice along its own ray (small-radius pockets of
@@ -281,10 +281,12 @@ def find_growth_witness(symbol, c: float, r_max: float = 1e4) -> WitnessSearch:
         raise ValueError(f"the threshold c must be finite and positive, got {c!r}")
     if not math.isfinite(r_max):
         raise ValueError(f"the search radius r_max must be finite, got {r_max!r}")
+    if r_max < 1:
+        raise ValueError(f"the search radius r_max must be at least 1, got {r_max!r}")
     poly = to_polynomial(symbol)
     if poly.n != 1:
         raise ValueError("witness search is implemented for n = 1")
-    radii = np.geomspace(1.0, max(float(r_max), 2.0), 60)[:, None]
+    radii = np.geomspace(1.0, float(r_max), 60)[:, None]
     angles = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
     eta = radii * np.sin(angles)
     z = np.empty(eta.shape, dtype=np.complex128)
@@ -428,10 +430,9 @@ def l2_blowup_construction(symbol, t: float, budget: int) -> BlowupConstruction:
 # Random symbol corpus used by the cross-checks
 
 
-def random_polynomial_symbol(
-    rng: np.random.Generator, max_degree: int = 6
-) -> PolynomialSymbol:
-    degree = int(rng.integers(0, max_degree + 1))
+def random_polynomial_symbol(rng: np.random.Generator) -> PolynomialSymbol:
+    """Random 1-D symbol of degree at most 6, coefficients uniform in [-2, 2] + [-2, 2]i."""
+    degree = int(rng.integers(0, 7))
     coeffs = {}
     for k in range(degree + 1):
         re, im = rng.uniform(-2.0, 2.0, size=2)
@@ -444,20 +445,17 @@ def random_polynomial_symbol(
     return PolynomialSymbol(1, coeffs)
 
 
-def corpus_symbol(
-    rng: np.random.Generator,
-    grid_radius: float = 64.0,
-    max_degree: int = 6,
-) -> PolynomialSymbol:
+def corpus_symbol(rng: np.random.Generator) -> PolynomialSymbol:
     """Random 1-D symbol whose growth behaviour is numerically decisive.
 
-    Rejection-samples until the maximum of Re a over ``[-R, R]`` leaves a
-    clear margin on the matching side of the exact verdict, so that a
-    seminorm-growth surrogate at radius R separates the two verdicts.
+    Rejection-samples `random_polynomial_symbol` until the maximum of Re a
+    over ``[-64, 64]`` leaves a clear margin on the matching side of the
+    exact verdict, so that a seminorm-growth surrogate at radius 64
+    separates the two verdicts.
     """
-    xs = np.linspace(-grid_radius, grid_radius, 1025)
+    xs = np.linspace(-64.0, 64.0, 1025)
     while True:
-        poly = random_polynomial_symbol(rng, max_degree)
+        poly = random_polynomial_symbol(rng)
         re = real_part_coefficients(poly)
         grid_max = float(np.max(horner(re, [xs])))
         verdict = decide_l2(poly, 1.0).verdict

@@ -216,25 +216,22 @@ def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
 
 
 class ReflectionOperator:
-    """Synthetic non-local operator ``(Ru)(xi) = u(scale * xi)``.
+    """Synthetic non-local operator ``(Ru)(xi) = u(-2 xi)``.
 
-    With |scale| > 1 it pulls samples from outside a ball into it, so it
-    violates kernel preservation and serves as the canonical failure case
-    for the compatibility audit and the quotient-diagram checks.
+    The scale -2 pulls samples from outside a ball into it, so it violates
+    kernel preservation and serves as the canonical failure case for the
+    compatibility audit and the quotient-diagram checks.
     """
 
-    def __init__(self, grid: FrequencyGrid, scale: int = -2):
-        if scale == 0:
-            raise ValueError("scale must be nonzero")
+    def __init__(self, grid: FrequencyGrid):
         self.grid = grid
-        self.scale = int(scale)
         lim = grid.J * grid.inv_h
-        source = grid.axis_index * self.scale
+        source = grid.axis_index * -2
         in_range = np.abs(source) <= lim
         gather = np.clip(source + lim, 0, 2 * lim)
         self._gather = gather
         self._in_range = in_range
-        self.label = f"reflection(scale={scale})"
+        self.label = "reflection(scale=-2)"
 
     def apply(self, u: SpectralField) -> SpectralField:
         if u.grid != self.grid:
@@ -250,7 +247,7 @@ class ReflectionOperator:
         return SpectralField._adopt(self.grid, values, u.overflow)
 
     def __repr__(self):
-        return f"ReflectionOperator({self.grid!r}, scale={self.scale})"
+        return f"ReflectionOperator({self.grid!r})"
 
 
 def identity_operator(grid: FrequencyGrid) -> MultiplierOperator:
@@ -272,12 +269,13 @@ def operator_seminorm_profile(op: MultiplierOperator) -> np.ndarray:
     return np.array([operator_seminorm(op, j) for j in range(1, op.grid.J + 1)])
 
 
-def continuum_seminorm_bound(symbol, j: int, samples: int = 4096) -> float:
+def continuum_seminorm_bound(symbol, j: int) -> float:
     """The continuum bound ``sup_{|xi| <= j} |a(xi)|`` for a polynomial symbol.
 
     In one dimension the maximum of ``|a|^2`` is located by a critical-point
     search (roots of the derivative of a real polynomial); in two dimensions
-    it is sampled on rings.  The discrete operator seminorm never exceeds it.
+    it is sampled at 4096 points, 64 angles on each of 64 rings.  The
+    discrete operator seminorm never exceeds it.
     """
     poly = to_polynomial(symbol)
     if poly.n == 1:
@@ -296,7 +294,7 @@ def continuum_seminorm_bound(symbol, j: int, samples: int = 4096) -> float:
         values = poly.eval([np.array(candidates)])
     else:
         radii = np.linspace(0.0, float(j), 64)[:, None]
-        angles = np.linspace(0.0, 2 * math.pi, samples // 64, endpoint=False)
+        angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
         values = poly.eval([radii * np.cos(angles), radii * np.sin(angles)])
     return float(np.fmax.reduce(np.abs(values), axis=None, initial=0.0))
 
@@ -336,32 +334,27 @@ class CompatibilityReport:
                     int(row.bound_holds)] for row in self.rows))
 
 
-def compatibility_samples(
-    grid: FrequencyGrid, rng: np.random.Generator, extra: int = 8
-) -> list[SpectralField]:
-    """Delta fields at every node plus a few random fields."""
+def compatibility_samples(grid: FrequencyGrid, rng: np.random.Generator) -> list[SpectralField]:
+    """Delta fields at every node plus 8 random fields."""
     fields = []
     values = np.zeros(grid.shape, dtype=np.complex128)
     for index in np.ndindex(grid.shape):
         values[index] = 1.0
         fields.append(SpectralField(grid, values))  # copies, so values is reused
         values[index] = 0.0
-    fields.extend(random_field(grid, rng) for _ in range(extra))
+    fields.extend(random_field(grid, rng) for _ in range(8))
     return fields
 
 
-def check_strong_compatibility(
-    op,
-    samples: Sequence[SpectralField],
-    relative_slack: float = 1e-12,
-) -> CompatibilityReport:
+def check_strong_compatibility(op, samples: Sequence[SpectralField]) -> CompatibilityReport:
     """Audit the two strong-compatibility requirements on a sample set.
 
     Per ball j the audit checks (i) kernel preservation: samples zeroed
     inside ball j map to fields with ball-j seminorm exactly zero, and
     (ii) the bound ``p_j(Au) <= p_j^X p_j(u)`` on every sample, where
     ``p_j^X`` is exact for multipliers and otherwise the sampled supremum
-    of the ratio.  Failures carry a concrete witness field.
+    of the ratio, up to a relative slack of 1e-12.  Failures carry a
+    concrete witness field.
     """
     if not samples:
         raise ValueError("sample set must be nonempty")
@@ -391,7 +384,7 @@ def check_strong_compatibility(
         for u in samples:
             lhs = seminorm(op.apply(u), j)
             rhs = pjx * seminorm(u, j)
-            if lhs > rhs * (1.0 + relative_slack) + 1e-300:
+            if lhs > rhs * (1.0 + 1e-12) + 1e-300:
                 bound_ok = False
                 if witness is None:
                     witness = u

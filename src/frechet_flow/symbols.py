@@ -352,7 +352,8 @@ class PolynomialSymbol:
 
     ``dense`` holds the same coefficients as a read-only complex array
     indexed by ``alpha``; a symbol whose array would exceed
-    ``_EXPANSION_TERM_BUDGET`` entries is refused.
+    ``_EXPANSION_TERM_BUDGET`` entries, or with a coefficient that is not
+    finite, is refused.
     """
 
     n: int
@@ -369,6 +370,9 @@ class PolynomialSymbol:
             if c != 0:
                 cleaned[alpha] = cleaned.get(alpha, 0) + c
         coeffs = {a: c for a, c in cleaned.items() if c != 0}
+        for alpha, c in coeffs.items():
+            if not cmath.isfinite(c):
+                raise SymbolError(f"the coefficient of multi-index {alpha} is not finite: {c}")
         dense = np.zeros(_check_degrees(_degrees(coeffs, self.n)), dtype=np.complex128)
         for alpha, c in coeffs.items():
             dense[alpha] = c
@@ -662,8 +666,9 @@ class SymbolOrderReport:
         raise KeyError(alpha)
 
 
-def default_audit_points(n: int, radius: float) -> np.ndarray:
-    radii = np.geomspace(1e-2, radius, 40)
+def default_audit_points(n: int) -> np.ndarray:
+    """The order audit's sample set: 40 radii from 1e-2 to 64 (on 16 angles in 2-D) and 0."""
+    radii = np.geomspace(1e-2, 64.0, 40)
     if n == 1:
         pts = np.concatenate([[0.0], radii, -radii])
         return pts[:, None]
@@ -689,28 +694,21 @@ def _multi_indices(n: int, up_to: int):
                 yield (a1, a2)
 
 
-def audit_order(
-    poly: PolynomialSymbol,
-    m: int,
-    points: np.ndarray | None = None,
-    stability_slack: float = 0.25,
-) -> SymbolOrderReport:
+def audit_order(poly: PolynomialSymbol, m: int) -> SymbolOrderReport:
     """Sample the order-m symbol estimates and test radius stability.
 
-    Passes when every ratio supremum over the sample set grows by at most
-    ``stability_slack`` (relative) under doubling of the sample radius; a
-    claimed order below the true polynomial degree makes some ratio grow
-    linearly and fail.
+    The sample set is `default_audit_points`.  Passes when every ratio
+    supremum over it grows by at most a quarter under doubling of the
+    sample radius; a claimed order below the true polynomial degree makes
+    some ratio grow linearly and fail.
     """
-    if points is None:
-        points = default_audit_points(poly.n, 64.0)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = default_audit_points(poly.n)
     doubled = 2.0 * points
     entries = []
     for alpha in _multi_indices(poly.n, poly.order):
         sup = _ratio_sup(poly, alpha, m, points)
         sup2 = _ratio_sup(poly, alpha, m, doubled)
-        stable = sup2 <= sup * (1.0 + stability_slack) + 1e-12
+        stable = sup2 <= sup * 1.25 + 1e-12
         entries.append(OrderAuditEntry(alpha=alpha, constant=max(sup, sup2), stable=stable))
     return SymbolOrderReport(order=m, entries=tuple(entries))
 

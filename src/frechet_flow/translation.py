@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .evolution import _safe_exp, scalar_tail_log
+from .evolution import _safe_exp, choose_terms, scalar_tail_log
 from .spectral import NODE_BUDGET
 
 RATIO_CAP = 10.0
@@ -189,11 +189,9 @@ def poly_times_gaussian(coefficients) -> SmoothExpFunction:
     return SmoothExpFunction(label="poly*gaussian", table=table)
 
 
-def cinf_seminorm(phi: SmoothExpFunction, m: int, j: int, step: float = SUP_GRID_STEP) -> float:
-    """Sup of ``|f^(m)|`` over ``[-j, j]``, approximated on a step grid."""
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    count = max(2, int(round(2 * j / step)) + 1)
+def cinf_seminorm(phi: SmoothExpFunction, m: int, j: int) -> float:
+    """Sup of ``|f^(m)|`` over ``[-j, j]``, approximated on a grid of step ``SUP_GRID_STEP``."""
+    count = max(2, int(round(2 * j / SUP_GRID_STEP)) + 1)
     xs = np.linspace(-float(j), float(j), count)
     return float(np.max(np.abs(phi.table(xs, m)[m])))
 
@@ -206,7 +204,7 @@ class ExpCertificate:
     ``1 + sup |f^(m)|`` so that a plain large function is not punished:
     ``ratio(M) = max_n sup |f^(n+m)| / ((1 + sup|f^(m)|) M^n)``.
     ``minimal_m`` is the smallest integer rate keeping that ratio at or
-    below the cap; ``failed`` marks functions for which no rate up to 2^20
+    below ``RATIO_CAP``; ``failed`` marks functions for which no rate up to 2^20
     works.  ``bound_constant`` is the resulting explicit constant C with
     ``sup |f^(n+m)| <= C M^n`` on the checked orders.  The audit covers
     finitely many orders and is evidence, not a proof.
@@ -237,30 +235,23 @@ def _log_ratio(log_sups: np.ndarray, rate: float) -> float:
     return float(np.max(log_sups - n * math.log(rate)))
 
 
-def certify_membership(
-    phi: SmoothExpFunction,
-    m: int,
-    j: int,
-    max_order: int,
-    ratio_cap: float = RATIO_CAP,
-    step: float = SUP_GRID_STEP,
-) -> ExpCertificate:
+def certify_membership(phi: SmoothExpFunction, m: int, j: int, max_order: int) -> ExpCertificate:
     """Search the doubling ladder for the smallest usable growth rate.
 
-    Computes ``s_n = sup_{|x|<=j} |f^(n+m)(x)|`` for n up to ``max_order``,
-    then the smallest ladder value M with ``max_n s_n / M^n <= ratio_cap``,
-    refined to the minimal integer.  The conventional Gaussian constant
-    ``M = 2j`` is evaluated and reported alongside.  A derivative table of
-    more than ``NODE_BUDGET`` entries (samples times orders) is refused
-    before anything is allocated.
+    Computes ``s_n = sup_{|x|<=j} |f^(n+m)(x)|`` for n up to ``max_order``
+    on a grid of step ``SUP_GRID_STEP``, then the smallest ladder value M
+    with ``max_n s_n / M^n <= RATIO_CAP``, refined to the minimal integer.
+    The conventional Gaussian constant ``M = 2j`` is evaluated and reported
+    alongside.  A derivative table of more than ``NODE_BUDGET`` entries
+    (samples times orders) is refused before anything is allocated.
     """
     if max_order < 1:
         raise ValueError("the audit needs max_order >= 1")
-    count = max(2, int(round(2 * j / step)) + 1)
+    count = max(2, int(round(2 * j / SUP_GRID_STEP)) + 1)
     entries = count * (max_order + m + 1)
     if entries > NODE_BUDGET:
         raise ValueError(
-            f"the audit of [-{j}, {j}] at step {step:g} up to order {max_order + m} "
+            f"the audit of [-{j}, {j}] at step {SUP_GRID_STEP:g} up to order {max_order + m} "
             f"needs a table of {entries} entries, above the budget {NODE_BUDGET}"
         )
     xs = np.linspace(-float(j), float(j), count)
@@ -269,7 +260,7 @@ def certify_membership(
     scale = 1.0 + float(sups[0])
     with np.errstate(divide="ignore"):
         log_sups = np.where(sups > 0.0, np.log(sups), -np.inf) - math.log(scale)
-    log_cap = math.log(ratio_cap)
+    log_cap = math.log(RATIO_CAP)
 
     ladder = None
     rate = 1
@@ -376,40 +367,28 @@ def translate_detailed(
         coeff *= t / n
 
 
-def translate(
-    phi: SmoothExpFunction,
-    t: float,
-    s: float,
-    tol: float = 1e-8,
-    certificate: Optional[ExpCertificate] = None,
-) -> float:
-    return translate_detailed(phi, t, s, tol, certificate).value
+def translate(phi: SmoothExpFunction, t: float, s: float, tol: float = 1e-8) -> float:
+    return translate_detailed(phi, t, s, tol).value
 
 
-def shifted(
-    phi: SmoothExpFunction,
-    offset: float,
-    certificate: Optional[ExpCertificate] = None,
-    tol: float = 1e-12,
-) -> SmoothExpFunction:
+def shifted(phi: SmoothExpFunction, offset: float) -> SmoothExpFunction:
     """The translated function, realised through the series itself.
 
     Each derivative of the shifted function is computed as the Taylor
     translation of the corresponding derivative of ``phi``, so nesting
     `translate` over this oracle exercises the group law genuinely rather
-    than by shifting the argument.
+    than by shifting the argument.  Each is summed to one order past the
+    first whose certified tail is below ``1e-12 / 2``; an order past
+    `evolution.TERM_CAP` raises `SeriesTruncationError`.
     """
-    if certificate is None:
-        window = int(math.ceil(abs(offset))) + 3
-        certificate = certify_membership(phi, 0, window, max_order=40)
+    window = int(math.ceil(abs(offset))) + 3
+    certificate = certify_membership(phi, 0, window, max_order=40)
     if certificate.failed:
         raise CertificateError(f"{phi.label} carries no usable growth certificate")
     rate = abs(offset) * certificate.minimal_m
     ratio = max(certificate.bound_constant, 1.0)
-    log_target = math.log(0.5 * tol) - math.log(ratio)
-    terms = 1
-    while scalar_tail_log(rate, terms - 1) > log_target and terms < MAX_TERMS:
-        terms += 1
+    log_target = math.log(0.5 * 1e-12) - math.log(ratio)
+    terms = choose_terms(rate, log_target) + 1
 
     def table(x: np.ndarray, max_order: int) -> np.ndarray:
         top = max_order + terms

@@ -31,7 +31,6 @@ from frechet_flow import (
     seminorm,
     seminorm_profile,
     to_polynomial,
-    translate,
     translate_detailed,
     transport_symbol,
     uniform_continuity_gap,
@@ -190,7 +189,7 @@ def test_criterion_8_translation_group():
     worst = 0.0
     for t in (-1.0, -0.5, 0.25, 0.7, 1.0):
         for s in (-2.0, -1.1, 0.0, 0.6, 1.5, 2.0):
-            value = translate(phi, t, s, 1e-8, certificate)
+            value = translate_detailed(phi, t, s, 1e-8, certificate).value
             worst = max(worst, abs(value - phi(s + t)))
     assert worst <= 1e-7
     detail = translate_detailed(polynomial([0.0, 0.0, 0.0, 1.0]), 1.0, 1.0, 1e-10)
@@ -213,9 +212,7 @@ def test_criterion_9_quotient_diagrams():
         u = random_field(GRID, rng)
         for j in range(1, GRID.J):
             assert verify_quotient_diagrams(op, u, j).passed
-    bad = verify_quotient_diagrams(
-        ReflectionOperator(GRID, scale=-2), random_field(GRID, rng), 2
-    )
+    bad = verify_quotient_diagrams(ReflectionOperator(GRID), random_field(GRID, rng), 2)
     assert not bad.passed
     assert bad.witness is not None
     report(9, f"100 fields commute bitwise; reflection witness at {bad.witness}")

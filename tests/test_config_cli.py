@@ -559,6 +559,33 @@ def test_cli_translate_rejects_non_finite_input(tmp_path, capsys, extra, flag):
     assert flag in err[0] and "finite" in err[0]
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # the samples are refused before np.arange is asked for them
+        (["--samples", "0:5:1e-6"],
+         "--samples '0:5:1e-6' asks for 5e+06 samples, above the budget 4194304"),
+        (["--samples", "0:1:1e-320"], "--samples '0:1:1e-320' asks for inf samples"),
+        (["--function", "poly:"], "--function poly: coefficients must be finite numbers"),
+        (["--function", "poly:a"], "--function poly: coefficients must be finite numbers"),
+        (["--function", "poly:nan"], "--function poly: coefficients must be finite numbers"),
+        (["--function", "poly:1,1e400"], "--function poly: coefficients must be finite numbers"),
+    ],
+)
+def test_cli_translate_rejects_bad_input_before_the_audit(tmp_path, capsys, monkeypatch,
+                                                          extra, message):
+    from frechet_flow import translation
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the input reached the audit")
+
+    monkeypatch.setattr(translation, "certify_membership", unreachable)
+    assert main(["translate", "--t", "0.5", *extra, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_translate_refuses_an_oversized_sup_grid(tmp_path, capsys):
     assert main(["translate", "--t", "1e4", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -681,6 +708,15 @@ def test_cli_process_fails_cleanly(tmp_path, case, message):
          "threshold c must be finite and positive"),
         (["check-eprime", "--symbol", "xi^2", "--rmax", "nan"],
          "search radius r_max must be finite"),
+        # the search covers 1 <= |z| <= r_max, so a smaller r_max leaves nothing to search
+        (["check-eprime", "--diffop", "2:1", "--rmax", "0.5"],
+         "search radius r_max must be at least 1, got 0.5"),
+        # a coefficient that is not finite is refused where the polynomial is built
+        (["check-l2", "--symbol", "1e308*10*xi"],
+         "the coefficient of multi-index (1,) is not finite"),
+        (["check-l2", "--symbol", "(1e200*xi)^2"],
+         "the coefficient of multi-index (2,) is not finite"),
+        (["check-l2", "--diffop", "2:nan"], "the coefficient of multi-index (2,) is not finite"),
         (["heat-demo", "--M", "1" + "0" * 400], "2M is not a finite float"),
         # a dense coefficient array of 10^9 + 1 entries is refused before it is built
         (["check-l2", "--symbol", "xi^1000000000"], "above the budget of 20000"),

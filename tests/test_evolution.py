@@ -292,7 +292,7 @@ def test_quotient_diagrams_identity(grid, rng):
 
 
 def test_quotient_diagrams_reflection_fails_with_witness(grid, rng):
-    op = ReflectionOperator(grid, scale=-2)
+    op = ReflectionOperator(grid)
     check = verify_quotient_diagrams(op, random_field(grid, rng), 2)
     assert not check.passed
     assert check.witness is not None

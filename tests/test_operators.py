@@ -149,7 +149,7 @@ def test_identity_compatibility_seminorm_is_one(small_grid, rng):
 
 
 def test_reflection_fails_compatibility_with_witness(small_grid, rng):
-    op = ReflectionOperator(small_grid, scale=-2)
+    op = ReflectionOperator(small_grid)
     report = check_strong_compatibility(op, compatibility_samples(small_grid, rng))
     assert not report.passed
     witnesses = [row for row in report.rows if row.witness is not None]
@@ -174,7 +174,7 @@ def test_reflection_moves_mass_inward(small_grid):
     from frechet_flow import delta
 
     u = delta(small_grid, 2.0)
-    image = ReflectionOperator(small_grid, scale=-2).apply(u)
+    image = ReflectionOperator(small_grid).apply(u)
     nonzero = np.nonzero(image.values)[0]
     assert list(small_grid.axis[nonzero]) == [-1.0]
 

@@ -245,7 +245,7 @@ def test_constructor_copies_the_callers_array(grid, rng):
 def test_compatibility_samples_are_distinct_deltas(small_grid, rng):
     from frechet_flow.operators import compatibility_samples
 
-    samples = compatibility_samples(small_grid, rng, extra=2)
+    samples = compatibility_samples(small_grid, rng)
     deltas = samples[: small_grid.node_count]
     for index, u in zip(np.ndindex(small_grid.shape), deltas):
         assert np.count_nonzero(u.values) == 1 and u.values[index] == 1.0

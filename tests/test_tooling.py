@@ -1,5 +1,6 @@
 """The names the benchmark harness in ``bench/`` reaches into the package by,
-and the case matrix of ``tools/golden_outputs.py``.
+the case matrix of ``tools/golden_outputs.py``, and the package's optional
+parameters, each of which some call inside the package passes.
 
 ``bench/spans.py`` skips a wrapped name that no longer exists, so a rename
 would read as 0 calls rather than fail; these tests make it fail here.
@@ -110,3 +111,64 @@ def test_every_golden_override_parses_and_applies(name, base, left_out, override
 @pytest.mark.parametrize("name, command", GOLDEN.OTHERS, ids=[name for name, _ in GOLDEN.OTHERS])
 def test_every_golden_command_is_a_subcommand(name, command):
     assert cli.build_parser().parse_args(command).command == command[0]
+
+
+# Optional parameters that no call inside the package passes, with the reason each stays.
+UNPASSED_OPTIONS = {
+    ("SpectralField", "overflow"): "tests build flagged inputs with it",
+    ("suite_spectral", "weight_factor"): "run_verify passes it through an argument tuple",
+    ("main", "argv"): "tests and the benchmark harness drive the CLI through it",
+}
+
+
+def optional_parameters(name, function, skip):
+    """``(name, parameter, position)`` of each optional parameter of one def.
+
+    ``position`` counts the call's positional arguments (past ``skip``
+    bound ones, such as ``self``); it is None for a keyword-only parameter.
+    """
+    args = function.args.posonlyargs + function.args.args
+    first = len(args) - len(function.args.defaults)
+    for index, arg in enumerate(args[first:], start=first):
+        yield name, arg.arg, index - skip
+    for arg, default in zip(function.args.kwonlyargs, function.args.kw_defaults):
+        if default is not None:
+            yield name, arg.arg, None
+
+
+def public_optional_parameters(tree):
+    """Those of public functions, methods and constructors; a constructor goes by its class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from optional_parameters(node.name, node, 0)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        item.name == "__init__" or not item.name.startswith("_")):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    name = node.name if item.name == "__init__" else item.name
+                    yield from optional_parameters(name, item, 0 if static else 1)
+
+
+def is_passed(call, parameter, position):
+    """Whether the call passes the parameter; a starred argument counts for nothing."""
+    if any(keyword.arg == parameter for keyword in call.keywords):
+        return True
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return position is not None and not starred and len(call.args) > position
+
+
+def test_every_optional_parameter_is_passed_inside_the_package():
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "frechet_flow").glob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    options = [option for tree in trees for option in public_optional_parameters(tree)]
+    unpassed = {(name, parameter) for name, parameter, position in options
+                if not any(is_passed(call, parameter, position) for call in calls.get(name, []))}
+    assert unpassed == set(UNPASSED_OPTIONS)
