@@ -41,8 +41,6 @@ from .operators import (
     ReflectionOperator,
     check_strong_compatibility,
     continuum_seminorm_bound,
-    operator_seminorm,
-    operator_seminorm_profile,
     verify_power_bound,
 )
 from .evolution import (

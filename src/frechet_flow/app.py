@@ -193,21 +193,20 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
             del product
         methods = tuple(profiles)
 
-        backward_gain_ok = True
+        # every multiplier factor has magnitude at least e^{|t|} when the
+        # real symbol part is at most -1, so the top seminorm must gain at
+        # least that factor; recorded for backward runs
+        method = "multiplier" if "multiplier" in methods else "series"
+        gain_short = False
         for k, t in enumerate(times):
-            if t < 0:
-                # every multiplier factor has magnitude at least e^{|t|} when the
-                # real symbol part is at most -1, so the top seminorm must gain
-                # at least that factor; recorded for backward runs
-                method = "multiplier" if "multiplier" in methods else "series"
+            if t < 0 and initial_profile[-1] > 0:
                 try:
                     gain_target = math.exp(abs(t))
                 except OverflowError:  # |t| past the float range of exp
                     gain_target = math.inf
-                if initial_profile[-1] > 0:
-                    gain = profiles[method][k][-1] / initial_profile[-1]
-                    if gain < gain_target and np.all(op.levels()[0].real <= -1.0):
-                        backward_gain_ok = False
+                gain = profiles[method][k][-1] / initial_profile[-1]
+                gain_short = gain_short or gain < gain_target
+        backward_gain_ok = not (gain_short and np.all(op.levels()[0].real <= -1.0))
 
         files = []
         if out_dir is not None:

@@ -185,9 +185,6 @@ class SeriesDiagnostics:
     terms: int
     levels: tuple
 
-    def bound(self, j: int) -> float:
-        return self.levels[j - 1].bound
-
     def bounds(self) -> np.ndarray:
         return np.array([level.bound for level in self.levels])
 
@@ -238,7 +235,7 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
 
 
 def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
-    """The staged series' factor per level and its certificate, for `exp_series`.
+    """The staged series' factor per level and its certificate, for `exp_series` and `evolve`.
 
     ``profile`` is the ball profile ``(p_1(u), ..., p_J(u))`` of the field
     it is applied to, the only thing of u the certificate reads.  Returns

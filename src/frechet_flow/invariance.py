@@ -286,7 +286,9 @@ def find_growth_witness(symbol, c: float, r_max: float = 1e4) -> WitnessSearch:
     poly = to_polynomial(symbol)
     if poly.n != 1:
         raise ValueError("witness search is implemented for n = 1")
-    radii = np.geomspace(1.0, float(r_max), 60)[:, None]
+    # at r_max close to 1 the 60 steps repeat radii; each is probed once
+    # (sorted like np.unique, whose first call imports numpy.ma: 1.5 MB)
+    radii = np.array(sorted(set(np.geomspace(1.0, float(r_max), 60).tolist())))[:, None]
     angles = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
     eta = radii * np.sin(angles)
     z = np.empty(eta.shape, dtype=np.complex128)

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fieldio import write_csv
 from .spectral import (
     FrequencyGrid,
     GridError,
@@ -46,8 +45,9 @@ class MultiplierOperator:
     and evaluated by the polynomial's Horner routine (`eval_grid`); where
     an axis enters it through even powers only, of any degree, the table is
     built on the half (or quarter) grid up to ``xi_k = 0`` and mirrored.
-    An operator built by `from_values` keeps the given array,
-    which is read only when the table is built.  The per-ball quantities,
+    `power` raises its base's levels to the k-th power and keeps the base's
+    ``inverse``, so a power's table may list one value more than once (as
+    ``a`` and ``-a`` do when squared).  The per-ball quantities,
     max |a| (`seminorm`) and the range of ``Re a`` (`real_part_range`), come
     from one pass over the shells that reads the table; it runs on first use
     and its result is kept.  `apply` and `power` read the table too, and
@@ -60,24 +60,22 @@ class MultiplierOperator:
         poly = to_polynomial(symbol)
         if poly.n != grid.n:
             raise GridError(f"symbol dimension {poly.n} != grid dimension {grid.n}")
-        self._init(grid, symbol, poly, label)
+        self._init(grid, symbol, poly, label, None)
 
     @classmethod
-    def from_values(cls, grid: FrequencyGrid, values, label: str | None = None):
-        values = np.ascontiguousarray(values, dtype=np.complex128)
-        if values.shape != grid.shape:
-            raise GridError("values shape does not match grid")
+    def _from_table(cls, grid: FrequencyGrid, levels, inverse, label: str | None = None):
+        """An operator whose `levels` table is ``(levels, inverse)``, both read-only."""
         op = cls.__new__(cls)
-        op._init(grid, None, _frozen(values), label)
+        op._init(grid, None, None, label, (levels, inverse))
         return op
 
-    def _init(self, grid, symbol, source, label):
+    def _init(self, grid, symbol, poly, label, table):
         self.grid = grid
         self.symbol = symbol
         self.label = label
-        self._source = source
+        self._poly = poly
         self._extremes = None
-        self._levels = None
+        self._levels = table
 
     @property
     def values(self) -> np.ndarray:
@@ -121,18 +119,16 @@ class MultiplierOperator:
 
         Returns ``(levels, inverse)``, computed once (read-only): ``levels``
         holds the distinct values in order of first appearance in row-major
-        node order (a hash collision may list one twice, never merge two),
-        and the grid-shaped int32 ``inverse`` satisfies
+        node order (a hash collision may list one twice, and so may a
+        `power`, where two levels can share their k-th power; two values
+        are never merged), and the grid-shaped int32 ``inverse`` satisfies
         ``levels[inverse] == values`` bitwise.  A function of the symbol
         value alone, such as the flow factor ``e^{t a}``, can then be
         evaluated once per level and gathered.  The table costs 4 bytes per
         node plus 16 per level.
         """
         if self._levels is None:
-            if isinstance(self._source, PolynomialSymbol):
-                self._levels = _polynomial_levels(self._source, self.grid)
-            else:
-                self._levels = _level_table(self._source)
+            self._levels = _polynomial_levels(self._poly, self.grid)
         return self._levels
 
     def seminorm_argmax(self, j: int) -> tuple[int, ...]:
@@ -142,14 +138,19 @@ class MultiplierOperator:
         return np.unravel_index(int(np.argmax(magnitudes)), self.grid.shape)
 
     def power(self, k: int) -> "MultiplierOperator":
-        """The k-fold composition, computed by repeated nodewise products."""
+        """The k-fold composition: each level multiplied by itself k - 1 times.
+
+        The power keeps this operator's ``inverse``; its symbol on every node
+        is that of k - 1 repeated nodewise products, bitwise.
+        """
         if k < 1:
             raise ValueError("power needs k >= 1")
-        base = self.values
-        values = base.copy()
+        base, inverse = self.levels()
+        levels = base
         for _ in range(k - 1):
-            values = values * base
-        return MultiplierOperator.from_values(self.grid, values, label=f"{self.label}^{k}")
+            levels = levels * base
+        return MultiplierOperator._from_table(self.grid, _frozen(levels), inverse,
+                                              label=f"{self.label}^{k}")
 
     def __repr__(self):
         return f"MultiplierOperator({self.label or self.symbol!r}, {self.grid!r})"
@@ -250,25 +251,6 @@ class ReflectionOperator:
         return f"ReflectionOperator({self.grid!r})"
 
 
-def identity_operator(grid: FrequencyGrid) -> MultiplierOperator:
-    return MultiplierOperator.from_values(grid, np.ones(grid.shape), label="identity")
-
-
-def operator_seminorm(op, j: int) -> float:
-    """Ball-j operator seminorm; exact only for multiplier operators."""
-    if isinstance(op, MultiplierOperator):
-        return op.seminorm(j)
-    raise TypeError(
-        "operator seminorms are only computable for multipliers; "
-        "audit generic operators with check_strong_compatibility"
-    )
-
-
-def operator_seminorm_profile(op: MultiplierOperator) -> np.ndarray:
-    """All ball seminorms ``(p_1^X, ..., p_J^X)``; nondecreasing in j."""
-    return np.array([operator_seminorm(op, j) for j in range(1, op.grid.J + 1)])
-
-
 def continuum_seminorm_bound(symbol, j: int) -> float:
     """The continuum bound ``sup_{|xi| <= j} |a(xi)|`` for a polynomial symbol.
 
@@ -325,14 +307,6 @@ class CompatibilityReport:
     def passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
-    def row(self, j: int) -> CompatibilityRow:
-        return self.rows[j - 1]
-
-    def to_csv(self, path):
-        write_csv(path, ["j", "pjX", "pass_kernel", "pass_bound"],
-                  ([row.j, row.operator_seminorm, int(row.kernel_preserved),
-                    int(row.bound_holds)] for row in self.rows))
-
 
 def compatibility_samples(grid: FrequencyGrid, rng: np.random.Generator) -> list[SpectralField]:
     """Delta fields at every node plus 8 random fields."""
@@ -354,11 +328,14 @@ def check_strong_compatibility(op, samples: Sequence[SpectralField]) -> Compatib
     (ii) the bound ``p_j(Au) <= p_j^X p_j(u)`` on every sample, where
     ``p_j^X`` is exact for multipliers and otherwise the sampled supremum
     of the ratio, up to a relative slack of 1e-12.  Failures carry a
-    concrete witness field.
+    concrete witness field.  Each sample's image is formed once, and its
+    ball profile with it.
     """
     if not samples:
         raise ValueError("sample set must be nonempty")
     grid = samples[0].grid
+    exact = isinstance(op, MultiplierOperator)
+    images = [op.apply(u) for u in samples]
     rows = []
     for j in range(1, grid.J + 1):
         witness = None
@@ -370,19 +347,18 @@ def check_strong_compatibility(op, samples: Sequence[SpectralField]) -> Compatib
                 kernel_ok = False
                 witness = outside
                 break
-        exact = isinstance(op, MultiplierOperator)
         if exact:
             pjx = op.seminorm(j)
         else:
             ratios = []
-            for u in samples:
+            for u, image in zip(samples, images):
                 pj_u = seminorm(u, j)
                 if pj_u > 0:
-                    ratios.append(seminorm(op.apply(u), j) / pj_u)
+                    ratios.append(seminorm(image, j) / pj_u)
             pjx = max(ratios) if ratios else 0.0
         bound_ok = True
-        for u in samples:
-            lhs = seminorm(op.apply(u), j)
+        for u, image in zip(samples, images):
+            lhs = seminorm(image, j)
             rhs = pjx * seminorm(u, j)
             if lhs > rhs * (1.0 + 1e-12) + 1e-300:
                 bound_ok = False

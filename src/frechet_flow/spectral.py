@@ -345,10 +345,6 @@ def ones(grid: FrequencyGrid) -> SpectralField:
     return SpectralField._adopt(grid, np.ones(grid.shape, dtype=np.complex128))
 
 
-def zero(grid: FrequencyGrid) -> SpectralField:
-    return SpectralField._adopt(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-
 def gaussian_hat(grid: FrequencyGrid) -> SpectralField:
     if grid.n == 1:
         r2 = grid.axis**2

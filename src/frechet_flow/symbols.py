@@ -395,11 +395,6 @@ class PolynomialSymbol:
         alpha = tuple(alpha) if isinstance(alpha, tuple) else (alpha,)
         return self.coeffs.get(alpha, 0j)
 
-    def leading_coefficient(self) -> complex:
-        """Sum of coefficients at top order; for n = 1 the coefficient a_m."""
-        m = self.order
-        return sum(c for a, c in self.coeffs.items() if sum(a) == m) if self.coeffs else 0j
-
     def derivative(self, alpha) -> "PolynomialSymbol":
         alpha = tuple(alpha) if isinstance(alpha, tuple) else (alpha,)
         out = {}
@@ -657,13 +652,6 @@ class SymbolOrderReport:
     @property
     def passed(self) -> bool:
         return all(entry.stable for entry in self.entries)
-
-    def constant(self, alpha) -> float:
-        alpha = tuple(alpha) if isinstance(alpha, tuple) else (alpha,)
-        for entry in self.entries:
-            if entry.alpha == alpha:
-                return entry.constant
-        raise KeyError(alpha)
 
 
 def default_audit_points(n: int) -> np.ndarray:

@@ -166,29 +166,6 @@ def polynomial(coefficients) -> SmoothExpFunction:
     )
 
 
-def poly_times_gaussian(coefficients) -> SmoothExpFunction:
-    """``p(x) exp(-x^2)`` via the Leibniz rule on the two exact tables.
-
-    As for `gaussian`, the first order that is not finite at some point and
-    every later one are returned as ``inf``.
-    """
-    poly = polynomial(coefficients)
-    gauss = gaussian()
-
-    def table(x: np.ndarray, max_order: int) -> np.ndarray:
-        pt = poly.table(x, max_order)
-        gt = gauss.table(x, max_order)
-        out = np.zeros((max_order + 1, x.size))
-        # inf Gaussian orders and overflowing sums are marked inf below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(max_order + 1):
-                for k in range(n + 1):
-                    out[n] += math.comb(n, k) * pt[k] * gt[n - k]
-        return _inf_past_the_range(out)
-
-    return SmoothExpFunction(label="poly*gaussian", table=table)
-
-
 def cinf_seminorm(phi: SmoothExpFunction, m: int, j: int) -> float:
     """Sup of ``|f^(m)|`` over ``[-j, j]``, approximated on a grid of step ``SUP_GRID_STEP``."""
     count = max(2, int(round(2 * j / SUP_GRID_STEP)) + 1)

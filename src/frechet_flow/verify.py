@@ -245,16 +245,14 @@ def suite_invariance(rng) -> list[str]:
     for poly, expected in l2_table:
         if invariance.decide_l2(poly, 1.0).verdict != expected:
             failures.append(f"square-integrable verdict wrong for {poly.coeffs}")
+    wide = FrequencyGrid(1, 64, 4)
+    tail = spectral.SpectralField(wide, (1.0 / (1.0 + np.abs(wide.axis))).astype(complex))
     for _ in range(50):
         poly = invariance.corpus_symbol(rng)
         exact = invariance.decide_l2(poly, 1.0)
         sampled = invariance.decide_l2(poly, 1.0, method="sampled")
         if sampled.verdict != invariance.UNDETERMINED and sampled.verdict != exact.verdict:
             failures.append(f"sampled verdict disagrees on {poly.coeffs}")
-        wide = FrequencyGrid(1, 64, 4)
-        tail = spectral.SpectralField(
-            wide, (1.0 / (1.0 + np.abs(wide.axis))).astype(complex)
-        )
         grown = evolution.exp_multiplier(poly, 1.0, tail)
         growth = seminorm(grown, wide.J) / seminorm(tail, wide.J)
         if (growth > 1e6) != (exact.verdict == invariance.NOT_INVARIANT):

@@ -285,9 +285,7 @@ def test_quotient_diagrams_commute_bitwise_for_multipliers(grid, rng):
 
 
 def test_quotient_diagrams_identity(grid, rng):
-    from frechet_flow.operators import identity_operator
-
-    check = verify_quotient_diagrams(identity_operator(grid), random_field(grid, rng), 4)
+    check = verify_quotient_diagrams(MultiplierOperator("1", grid), random_field(grid, rng), 4)
     assert check.passed
 
 

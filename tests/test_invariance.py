@@ -251,6 +251,15 @@ def test_witness_search_is_the_point_by_point_scan(text):
     assert (search.witness.real_part, search.witness.threshold) == first[1:]
 
 
+def test_witness_search_probes_each_point_once():
+    # at r_max = 1 all 60 radii are 1; at 1 + 1e-15 there are 6 distinct ones
+    second = diffop_to_symbol({(2,): 1.0}, "partial")
+    points = [z for z, _, _ in find_growth_witness(second, 1.0, r_max=1.0).probes]
+    assert len(points) == len(set(points)) == 47
+    points = [z for z, _, _ in find_growth_witness(second, 1.0, r_max=1.0 + 1e-15).probes]
+    assert len(points) == len(set(points))
+
+
 def test_sphere_maxima_are_the_point_by_point_scan():
     poly = to_polynomial("(1+2*i)*xi^5-3*xi^2+i*xi")
     re = real_part_coefficients(poly)

@@ -13,7 +13,6 @@ from frechet_flow import (
     continuum_seminorm_bound,
     heat_symbol,
     ones,
-    operator_seminorm,
     parse_symbol,
     random_field,
     seminorm,
@@ -22,8 +21,8 @@ from frechet_flow import (
     verify_power_bound,
 )
 from frechet_flow.operators import (
+    _level_table,
     compatibility_samples,
-    identity_operator,
     sharpness_field,
 )
 from frechet_flow.symbols import PolynomialSymbol, SymbolError
@@ -68,23 +67,15 @@ def test_operator_seminorm_values(grid, heat_op):
     assert heat_op.seminorm(1) == pytest.approx(1 + 4 * PI**2, rel=REL)
     transport = MultiplierOperator(transport_symbol(), grid)
     assert transport.seminorm(2) == pytest.approx(4 * PI, rel=REL)
-    ident = identity_operator(grid)
+    ident = MultiplierOperator("1", grid)
     for j in range(1, grid.J + 1):
         assert ident.seminorm(j) == 1.0
-    assert operator_seminorm(heat_op, 1) == heat_op.seminorm(1)
 
 
 def test_operator_seminorm_is_nondecreasing(grid, heat_op):
-    from frechet_flow import operator_seminorm_profile
-
-    values = operator_seminorm_profile(heat_op)
+    values = np.array([heat_op.seminorm(j) for j in range(1, grid.J + 1)])
     assert values.shape == (grid.J,)
     assert np.all(np.diff(values) >= 0)
-
-
-def test_operator_seminorm_rejects_generic_operators(grid):
-    with pytest.raises(TypeError):
-        operator_seminorm(ReflectionOperator(grid), 1)
 
 
 def test_seminorm_bound_on_random_fields(grid, heat_op, rng):
@@ -113,7 +104,25 @@ def test_power_bound_heat_square(grid, heat_op):
 
 def test_power_bound_identity(grid):
     for k in (1, 2, 5):
-        assert verify_power_bound(identity_operator(grid), k, 3) == (1.0, 1.0)
+        assert verify_power_bound(MultiplierOperator("1", grid), k, 3) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("n, text", [
+    (1, "-(1+4*pi^2*xi^2)"), (1, "2*pi*i*xi"),
+    (2, "-(1+4*pi^2*(xi1^2+xi2^2))"), (2, "2*pi*i*xi1 + xi2^3"),
+])
+def test_a_power_is_the_repeated_nodewise_product(n, text):
+    grid = FrequencyGrid(n, 8, 32) if n == 1 else FrequencyGrid(n, 4, 16)
+    op = MultiplierOperator(text, grid)
+    values = op.values
+    expected = values
+    for k in range(1, 5):
+        power = op.power(k)
+        assert np.array_equal(bits(power.values), bits(expected))
+        assert power.levels()[1] is op.levels()[1]
+        for j in range(1, grid.J + 1):
+            assert power.seminorm(j) == np.max(np.abs(expected[grid.ball_mask(j)]))
+        expected = expected * values
 
 
 def test_power_bound_transport_cube(grid):
@@ -142,7 +151,7 @@ def test_multiplier_passes_compatibility_audit(small_grid, rng):
 
 def test_identity_compatibility_seminorm_is_one(small_grid, rng):
     report = check_strong_compatibility(
-        identity_operator(small_grid), compatibility_samples(small_grid, rng)
+        MultiplierOperator("1", small_grid), compatibility_samples(small_grid, rng)
     )
     assert report.passed
     assert all(row.operator_seminorm == 1.0 for row in report.rows)
@@ -162,6 +171,61 @@ def test_reflection_fails_compatibility_with_witness(small_grid, rng):
     assert seminorm(op.apply(w), row.j) > 0.0
 
 
+def per_ball_audit(op, samples):
+    """The compatibility audit written out ball by ball, every image formed
+    again where it is read; returns the rows and the kernel test's applies."""
+    rows, kernel_applies = [], 0
+    exact = isinstance(op, MultiplierOperator)
+    for j in range(1, samples[0].grid.J + 1):
+        witness, kernel_ok = None, True
+        for u in samples:
+            outside = mask_outside(u, j)
+            kernel_applies += 1
+            if seminorm(op.apply(outside), j) != 0.0:
+                witness, kernel_ok = outside, False
+                break
+        if exact:
+            pjx = op.seminorm(j)
+        else:
+            pjx = max([seminorm(op.apply(u), j) / seminorm(u, j)
+                       for u in samples if seminorm(u, j) > 0], default=0.0)
+        bound_ok = True
+        for u in samples:
+            if seminorm(op.apply(u), j) > pjx * seminorm(u, j) * (1.0 + 1e-12) + 1e-300:
+                bound_ok = False
+                witness = u if witness is None else witness
+                break
+        rows.append((j, pjx, exact, kernel_ok, bound_ok, witness))
+    return rows, kernel_applies
+
+
+@pytest.mark.parametrize("make", [lambda grid: MultiplierOperator(heat_symbol(), grid),
+                                  ReflectionOperator], ids=["multiplier", "reflection"])
+def test_compatibility_audit_forms_each_image_once(make, rng):
+    grid = FrequencyGrid(1, 4, 4)
+    samples = compatibility_samples(grid, rng)
+    op = make(grid)
+    expected, kernel_applies = per_ball_audit(op, samples)
+    applied = []
+    apply = op.apply
+
+    def counted(u):
+        applied.append(u)
+        return apply(u)
+
+    op.apply = counted
+    report = check_strong_compatibility(op, samples)
+    assert len(applied) == len(samples) + kernel_applies
+    assert all(image is u for image, u in zip(applied, samples))
+    for row, (j, pjx, exact, kernel_ok, bound_ok, witness) in zip(report.rows, expected):
+        assert (row.j, row.operator_seminorm, row.seminorm_is_exact, row.kernel_preserved,
+                row.bound_holds) == (j, pjx, exact, kernel_ok, bound_ok)
+        assert (row.witness is None) == (witness is None)
+        if witness is not None:
+            assert np.array_equal(bits(row.witness.values), bits(witness.values))
+    assert len(report.rows) == len(expected) == grid.J
+
+
 def test_kernel_preservation_is_exact_for_multipliers(grid, heat_op, rng):
     u = random_field(grid, rng)
     for j in (1, 4, 7):
@@ -177,16 +241,6 @@ def test_reflection_moves_mass_inward(small_grid):
     image = ReflectionOperator(small_grid).apply(u)
     nonzero = np.nonzero(image.values)[0]
     assert list(small_grid.axis[nonzero]) == [-1.0]
-
-
-def test_compatibility_report_csv_round_trip(tmp_path, small_grid, rng):
-    op = MultiplierOperator(heat_symbol(), small_grid)
-    report = check_strong_compatibility(op, compatibility_samples(small_grid, rng))
-    path = tmp_path / "report.csv"
-    report.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "j,pjX,pass_kernel,pass_bound"
-    assert len(lines) == small_grid.J + 1
 
 
 def test_continuum_bound_dominates_discrete_seminorm(grid, heat_op):
@@ -272,7 +326,7 @@ def values_on_a_grid(draw):
 @given(case=values_on_a_grid(), seed=st.integers(0, 2**32 - 1))
 def test_an_operator_from_values_reads_its_one_table(case, seed):
     grid, v = case
-    op = MultiplierOperator.from_values(grid, v)
+    op = MultiplierOperator._from_table(grid, *_level_table(v))
     assert np.array_equal(bits(op.values), bits(v))
     # |u| < 0.7 per part keeps every product part below the largest double
     u = np.random.default_rng(seed).uniform(-0.7, 0.7, grid.shape + (2,)).view(complex)[..., 0]
@@ -316,8 +370,7 @@ def test_levels_round_trip_by_bit_pattern_and_keep_signed_zeros_apart():
     grid = FrequencyGrid(1, 3, 2)
     zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
     values = np.array(zeros + [1.5, 0.0, -0.0, 1.5, 2 - 1j] + zeros, dtype=complex)
-    op = MultiplierOperator.from_values(grid, values)
-    levels, inverse = op.levels()
+    levels, inverse = _level_table(values)
     assert inverse.dtype == np.int32 and inverse.shape == grid.shape
     assert np.array_equal(bits(levels[inverse]), bits(values))
     expected_levels, expected_inverse = first_appearances(values)
@@ -362,7 +415,7 @@ def test_key_collisions_split_levels_but_never_merge_values():
     assert key(b_real, b_imag) == key(a_real, a_imag) and bits(second)[0] != a_real
     grid = FrequencyGrid(1, 2, 2)
     values = np.array([first, second] * 4 + [first], dtype=complex)
-    levels, inverse = MultiplierOperator.from_values(grid, values).levels()
+    levels, inverse = _level_table(values)
     assert np.array_equal(bits(levels[inverse]), bits(values))
     assert levels.size >= 2
 
@@ -370,8 +423,6 @@ def test_key_collisions_split_levels_but_never_merge_values():
 def test_constructor_leaves_the_level_table_unbuilt(grid):
     op = MultiplierOperator(heat_symbol(), grid)
     assert op._levels is None
-    assert MultiplierOperator.from_values(grid, op.values)._levels is None
-    assert op.power(2)._levels is None
     table = op.levels()
     assert op.levels() is table
     assert not table[0].flags.writeable and not table[1].flags.writeable

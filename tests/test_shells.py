@@ -15,7 +15,6 @@ from frechet_flow import (
     FrequencyGrid,
     MultiplierOperator,
     heat_symbol,
-    operator_seminorm_profile,
     parse_symbol,
     project,
     random_field,
@@ -27,6 +26,7 @@ from frechet_flow import (
     uniform_continuity_gap,
 )
 from frechet_flow.evolution import _stage_growth, exp_multiplier, exp_series
+from frechet_flow.operators import _level_table
 from frechet_flow.spectral import (
     OVERFLOW_EXPONENT,
     OVERFLOW_LIMIT,
@@ -193,7 +193,7 @@ def test_blocks_cover_the_shells_in_order(grid):
 
 
 def signed_zero_nan_operator(grid, rng):
-    """A `from_values` operator whose levels include +0.0, -0.0 and a NaN in shell 3."""
+    """An operator from a table whose levels include +0.0, -0.0 and a NaN in shell 3."""
     values = np.array(random_field(grid, rng).values)
     flat = values.reshape(-1)
     order, offsets = grid.shells().order, grid.shells().offsets
@@ -203,7 +203,7 @@ def signed_zero_nan_operator(grid, rng):
     flat[order[offsets[1] + 1]] = complex(-0.0, -0.0)
     flat[order[offsets[1] + 2]] = complex(-0.0, 0.0)
     flat[order[offsets[2]]] = complex(np.nan, 1.0)
-    return MultiplierOperator.from_values(grid, values)
+    return MultiplierOperator._from_table(grid, *_level_table(values))
 
 
 def traversal_operators(grid, rng):
@@ -222,11 +222,9 @@ def test_operator_profile_and_stage_growth_equal_the_masked_max(grid, rng):
     for op in traversal_operators(grid, rng):
         values = op.values
         lower, upper = op.real_part_range()
-        profile = operator_seminorm_profile(op)
         for j in range(1, grid.J + 1):
             mask = masked(grid, j)
             assert same_bits(op.seminorm(j), np.max(np.abs(values)[mask]))
-            assert same_bits(profile[j - 1], op.seminorm(j))
             assert same_bits(lower[j - 1], np.min(values.real[mask]))
             assert same_bits(upper[j - 1], np.max(values.real[mask]))
             for t in (0.0, 1e-3, 0.3, 5.0):
@@ -258,7 +256,6 @@ def test_per_ball_operator_quantities_come_from_one_pass(monkeypatch, rng):
         for j in range(1, grid.J + 1):
             op.seminorm(j)
         op.real_part_range()
-        operator_seminorm_profile(op)
         _stage_growth(op, -0.5)
         assert len(calls) == 1
 

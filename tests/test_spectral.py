@@ -22,7 +22,6 @@ from frechet_flow.spectral import (
     SpectralField,
     embed,
     mask_outside,
-    zero,
 )
 
 REL = 1e-12
@@ -86,7 +85,7 @@ def test_euclidean_ball_nodes_are_on_the_grid_2d():
 
 
 def test_seminorm_zero_field(grid):
-    assert seminorm(zero(grid), 3) == 0.0
+    assert seminorm(SpectralField(grid, np.zeros(grid.shape)), 3) == 0.0
 
 
 def test_seminorm_of_unit_field_closed_form(grid):
@@ -154,7 +153,8 @@ def test_metric_of_unit_profile_is_geometric_sum(grid):
     u = delta(grid, 0.0) * (1.0 / math.sqrt(grid.h))
     assert np.allclose(seminorm_profile(u), 1.0)
     expected = 0.5 * (1.0 - 2.0**-grid.J)
-    assert metric(u, zero(grid)) == pytest.approx(expected, rel=1e-14)
+    zero = SpectralField(grid, np.zeros(grid.shape))
+    assert metric(u, zero) == pytest.approx(expected, rel=1e-14)
 
 
 def test_metric_rejects_incompatible_grids(grid):
@@ -196,7 +196,7 @@ def test_projection_restriction_diagram_is_bitwise(grid, rng):
 
 
 def test_project_zero_field(grid):
-    q = project(zero(grid), 5)
+    q = project(SpectralField(grid, np.zeros(grid.shape)), 5)
     assert q.norm == 0.0
     assert np.all(q.values == 0)
 
@@ -270,7 +270,8 @@ def test_internal_results_are_read_only(grid, rng, tmp_path):
         exp_multiplier(op, 0.1, u), exp_multiplier(op, -1.0, u),
         saturated_product({"flow": LevelFactor(np.zeros(levels.size), np.ones(levels.size))},
                           ShellField(u, inverse), keep="flow")[0].field,
-        ones(grid), zero(grid), delta(grid), random_field(grid, rng),
+        ones(grid), SpectralField(grid, np.zeros(grid.shape)), delta(grid),
+        random_field(grid, rng),
     ]
     for field in results:
         assert field.values.dtype == np.complex128

@@ -16,7 +16,6 @@ from frechet_flow import (
     parse_symbol,
     print_symbol,
     to_polynomial,
-    transport_symbol,
 )
 from frechet_flow.symbols import SymbolError, horner, parse_diffop_coefficients
 
@@ -293,7 +292,8 @@ def test_parse_diffop_coefficient_lists():
 def test_audit_order_heat_symbol_passes_at_its_order():
     report = audit_order(heat_symbol(), 2)
     assert report.passed
-    assert report.constant((0,)) <= 4 * PI**2 + 1
+    assert report.entries[0].alpha == (0,)
+    assert report.entries[0].constant <= 4 * PI**2 + 1
 
 
 def test_audit_order_heat_symbol_fails_below_its_order():
@@ -305,7 +305,8 @@ def test_audit_order_constant_symbol():
     poly = PolynomialSymbol(1, {(0,): 3 + 4j})
     report = audit_order(poly, 0)
     assert report.passed
-    assert report.constant((0,)) == pytest.approx(5.0, rel=1e-12)
+    assert report.entries[0].alpha == (0,)
+    assert report.entries[0].constant == pytest.approx(5.0, rel=1e-12)
 
 
 def test_derivative_of_polynomial_symbol():
@@ -313,7 +314,3 @@ def test_derivative_of_polynomial_symbol():
     d2 = poly.derivative((2,))
     assert d2.coeffs == {(0,): pytest.approx(-8 * PI**2)}
     assert poly.derivative((3,)).is_zero
-
-
-def test_leading_coefficient_and_transport():
-    assert transport_symbol().leading_coefficient() == pytest.approx(2j * PI)

@@ -1,6 +1,7 @@
 """The names the benchmark harness in ``bench/`` reaches into the package by,
-the case matrix of ``tools/golden_outputs.py``, and the package's optional
-parameters, each of which some call inside the package passes.
+the case matrix of ``tools/golden_outputs.py``, the package's optional
+parameters, each of which some call inside the package passes, and its
+public names, each of which some code inside the package reads.
 
 ``bench/spans.py`` skips a wrapped name that no longer exists, so a rename
 would read as 0 calls rather than fail; these tests make it fail here.
@@ -172,3 +173,48 @@ def test_every_optional_parameter_is_passed_inside_the_package():
     unpassed = {(name, parameter) for name, parameter, position in options
                 if not any(is_passed(call, parameter, position) for call in calls.get(name, []))}
     assert unpassed == set(UNPASSED_OPTIONS)
+
+
+def public_definitions(tree):
+    """``(name, node, is_method)`` of each public top-level def and class, and
+    of each public method or property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item, True
+
+
+def test_every_public_name_is_used_inside_the_package():
+    """A method counts as used where some attribute of that name is read, a
+    function or class where a bare name or an attribute of a package module is.
+
+    The scan matches names, not types: a method sharing its name with a
+    field read elsewhere (``bound``) passes.
+    """
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "frechet_flow").glob("*.py"))}
+    names, attributes, module_attributes = {}, {}, {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                names.setdefault(node.id, set()).add(node)
+            elif isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, set()).add(node)
+                if isinstance(node.value, ast.Name) and node.value.id in trees:
+                    module_attributes.setdefault(node.attr, set()).add(node)
+    unused = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for name, node, is_method in public_definitions(tree):
+            uses = (attributes.get(node.name, set()) if is_method else
+                    names.get(node.name, set()) | module_attributes.get(node.name, set()))
+            if not uses - set(ast.walk(node)):
+                unused.append(f"{module}.{name}")
+    assert unused == []

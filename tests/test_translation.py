@@ -18,7 +18,6 @@ from frechet_flow.translation import (
     CertificateError,
     SmoothExpFunction,
     fast_growth,
-    poly_times_gaussian,
     shifted,
 )
 
@@ -89,7 +88,7 @@ def test_zero_function_sup_is_zero():
 
 def test_sup_grid_refinement_is_stable():
     # halving the sampling step moves the built-ins' sups by less than 1e-6
-    for phi in (gaussian(), polynomial(CUBIC), poly_times_gaussian([1.0, 0.5])):
+    for phi in (gaussian(), polynomial(CUBIC)):
         for m, j in ((0, 2), (1, 2), (3, 1)):
             coarse = cinf_seminorm(phi, m, j)
             xs = np.linspace(-j, j, int(round(2 * j / (0.5 * SUP_GRID_STEP))) + 1)
@@ -217,13 +216,6 @@ def test_translation_identity_over_the_window(rng):
             assert abs(value - phi(s + t)) <= 1e-7
 
 
-def test_translation_identity_for_poly_times_gaussian():
-    phi = poly_times_gaussian([1.0, 1.0])
-    cert = certify_membership(phi, 0, 3, 40)
-    for t, s in ((0.5, 0.0), (-0.4, 1.0)):
-        assert abs(translate_detailed(phi, t, s, 1e-8, cert).value - phi(s + t)) <= 1e-6
-
-
 def test_translation_group_law_via_nested_series(rng):
     phi = gaussian()
     for _ in range(20):
@@ -246,14 +238,6 @@ def test_derivative_oracle_consistent_with_finite_differences(rng):
         # second order: halving the step cuts the error by about four
         if errors[0] > 1e-12:
             assert errors[1] <= errors[0] / 2.5
-
-
-def test_poly_times_gaussian_leibniz_table():
-    phi = poly_times_gaussian([0.0, 1.0])  # x * exp(-x^2)
-    x = 0.3
-    direct = phi.derivative(1, x)
-    expected = math.exp(-x * x) * (1 - 2 * x * x)
-    assert direct == pytest.approx(expected, rel=1e-12)
 
 
 def test_translate_requires_positive_tolerance():
@@ -295,7 +279,6 @@ def test_gaussian_orders_past_the_double_range_are_inf():
     for column, x in enumerate(xs):
         reference = gaussian_recurrence(float(x), 400)
         assert table[:first, column].tolist() == reference[:first]
-    assert not np.any(np.isnan(poly_times_gaussian([1.0, 2.0]).table(xs, 400)))
 
 
 def test_translation_stops_at_an_order_past_the_double_range():

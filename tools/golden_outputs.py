@@ -21,8 +21,9 @@ Three more solves take ``--set`` overrides that replace entries of
 their file, add keys its sections leave out and add sections it leaves
 out.  One solve and one ``check-l2`` take their symbol as a
 derivative-coefficient list, ``check-l2`` and ``check-eprime`` also run on
-a complex symbol of degree 5, and a few cases fail on a missing or
-malformed symbol.  ``--bench-seeds`` adds the solve workloads of
+a complex symbol of degree 5, ``check-eprime`` runs once with its witness
+search held to radius 1, and a few cases fail on a missing or malformed
+symbol.  ``--bench-seeds`` adds the solve workloads of
 ``bench/workloads.py`` at the given seeds, with their own inputs and grids
 (up to about a million nodes).
 """
@@ -109,6 +110,8 @@ OTHERS = [
     ("check-eprime", ["check-eprime", "--diffop", "1:0,1", "--convention", "partial",
                       "--out", "out"]),
     ("check-eprime-quintic", ["check-eprime", "--symbol", QUINTIC, "--out", "out"]),
+    # every witness radius is 1, so the probes are the 47 points of one circle
+    ("check-eprime-rmax-1", ["check-eprime", "--diffop", "2:1", "--rmax", "1", "--out", "out"]),
     ("check-l2-quintic", ["check-l2", "--symbol", QUINTIC, "--t", "1.0", "--out", "out"]),
     ("translate", ["translate", "--function", "gaussian", "--t", "0.5",
                    "--samples=-2:2:0.1", "--out", "out"]),
