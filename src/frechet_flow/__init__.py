@@ -70,7 +70,6 @@ from .translation import (
     cinf_seminorm,
     gaussian,
     polynomial,
-    translate,
     translate_detailed,
 )
 

@@ -81,10 +81,11 @@ def heat_scan(ts, Ms, Rs) -> list[HeatScanRow]:
             raise ValueError(f"a weight exponent M of {len(str(abs(M)))} digits: "
                              "2M is not a finite float")
     r_max = Rs[-1]
-    count = int(math.ceil(2.0 * r_max / HEAT_SCAN_STEP))
+    count = float(np.ceil(2.0 * r_max / HEAT_SCAN_STEP))  # a float, so inf is refused too
     if count > NODE_BUDGET:
-        raise ValueError(f"radius {r_max:g} needs {count} quadrature nodes, above {NODE_BUDGET}")
-    midpoints = -r_max + (np.arange(count) + 0.5) * HEAT_SCAN_STEP
+        raise ValueError(f"radius {r_max:g} needs {count:.6g} quadrature nodes, "
+                         f"above {NODE_BUDGET}")
+    midpoints = -r_max + (np.arange(int(count)) + 0.5) * HEAT_SCAN_STEP
     abs_mid = np.abs(midpoints)
     rows = []
     for t in ts:

@@ -9,9 +9,10 @@ constant ``M = 2j`` for the Gaussian survives the audit (it does not once
 the checked order is large; the empirical minimal M is reported instead).
 
 For certified functions the exponential of d/dx acts by the Taylor series
-``sum t^n f^(n)(s) / n!`` and equals translation: `translate` evaluates the
-partial sum with a certified stopping rule and agrees with ``f(s + t)`` up
-to the requested tolerance.
+``sum t^n f^(n)(s) / n!`` and equals translation: `translate_detailed`
+audits the certificate once for an array of samples s, then sums the
+series at all of them as arrays, a block of `SAMPLE_BLOCK` samples at a
+time with a certified stopping rule per sample, to compare with ``f(s + t)``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ RATIO_CAP = 10.0
 LADDER_TOP = 1 << 20
 SUP_GRID_STEP = 1e-3
 MAX_TERMS = 500
+# samples per oracle table, so that orders 0..512 (regrown past MAX_TERMS) fit the budget
+SAMPLE_BLOCK = NODE_BUDGET // 513
 TABLE_BLOCK_ENTRIES = 1 << 15  # angle-table entries per column block
 
 # 2 pi = _TWO_PI_HEAD + _TWO_PI_TAIL + (less than 4e-22).  The head has 18
@@ -69,9 +72,10 @@ def gaussian() -> SmoothExpFunction:
     """``exp(-x^2)`` with its two-term derivative recurrence.
 
     The derivatives grow like ``sqrt(n!) 2^(n/2)``, so from some order on
-    (about 270 at x = 0) they leave the double range.  The first order that
-    is not finite at some point and every later one are returned as
-    ``inf``: a magnitude beyond the range, never a value to compute with.
+    (270 at x = 0, 269 at x = 0.5) they leave the double range.  At each
+    point the first order that is not finite and every later one are
+    returned as ``inf``: a magnitude beyond the range, never a value to
+    compute with.  So each point's column is that of its table alone.
     """
 
     def table(x: np.ndarray, max_order: int) -> np.ndarray:
@@ -89,10 +93,10 @@ def gaussian() -> SmoothExpFunction:
 
 
 def _inf_past_the_range(table: np.ndarray) -> np.ndarray:
-    """Set the first order that is not finite at every point, and all later ones, to inf."""
-    finite = np.all(np.isfinite(table), axis=1)
-    if not np.all(finite):
-        table[np.argmin(finite):] = np.inf
+    """Set each point's first order that is not finite, and all later ones, to inf."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        table[np.logical_or.accumulate(~finite, axis=0)] = np.inf
     return table
 
 
@@ -153,12 +157,9 @@ def polynomial(coefficients) -> SmoothExpFunction:
     def table(x: np.ndarray, max_order: int) -> np.ndarray:
         out = np.zeros((max_order + 1, x.size))
         current = coeffs
-        for n in range(max_order + 1):
-            if current.size:
-                out[n] = np.polynomial.polynomial.polyval(x, current)
-                current = np.polynomial.polynomial.polyder(current)
-            else:
-                break
+        for n in range(min(max_order, degree) + 1):
+            out[n] = np.polynomial.polynomial.polyval(x, current)
+            current = np.polynomial.polynomial.polyder(current)
         return out
 
     return SmoothExpFunction(
@@ -166,11 +167,22 @@ def polynomial(coefficients) -> SmoothExpFunction:
     )
 
 
+def _sup_grid(j, top_order: int) -> np.ndarray:
+    """The points of ``[-j, j]`` at step ``SUP_GRID_STEP``, refused first (counted in
+    floats, so inf too) when a table of orders 0..top_order over them passes the budget."""
+    count = max(2.0, float(np.rint(2.0 * j / SUP_GRID_STEP)) + 1.0)
+    entries = count * (top_order + 1)
+    if entries > NODE_BUDGET:
+        raise ValueError(
+            f"the audit of [-{j:.6g}, {j:.6g}] at step {SUP_GRID_STEP:g} up to order {top_order} "
+            f"needs a table of {entries:.6g} entries, above the budget {NODE_BUDGET}"
+        )
+    return np.linspace(-float(j), float(j), int(count))
+
+
 def cinf_seminorm(phi: SmoothExpFunction, m: int, j: int) -> float:
     """Sup of ``|f^(m)|`` over ``[-j, j]``, approximated on a grid of step ``SUP_GRID_STEP``."""
-    count = max(2, int(round(2 * j / SUP_GRID_STEP)) + 1)
-    xs = np.linspace(-float(j), float(j), count)
-    return float(np.max(np.abs(phi.table(xs, m)[m])))
+    return float(np.max(np.abs(phi.table(_sup_grid(j, m), m)[m])))
 
 
 @dataclass(frozen=True)
@@ -220,18 +232,13 @@ def certify_membership(phi: SmoothExpFunction, m: int, j: int, max_order: int) -
     with ``max_n s_n / M^n <= RATIO_CAP``, refined to the minimal integer.
     The conventional Gaussian constant ``M = 2j`` is evaluated and reported
     alongside.  A derivative table of more than ``NODE_BUDGET`` entries
-    (samples times orders) is refused before anything is allocated.
+    (samples times orders) is refused before anything is allocated; j may
+    be a float until then, and is an integer from there on.
     """
     if max_order < 1:
         raise ValueError("the audit needs max_order >= 1")
-    count = max(2, int(round(2 * j / SUP_GRID_STEP)) + 1)
-    entries = count * (max_order + m + 1)
-    if entries > NODE_BUDGET:
-        raise ValueError(
-            f"the audit of [-{j}, {j}] at step {SUP_GRID_STEP:g} up to order {max_order + m} "
-            f"needs a table of {entries} entries, above the budget {NODE_BUDGET}"
-        )
-    xs = np.linspace(-float(j), float(j), count)
+    xs = _sup_grid(j, max_order + m)
+    j = int(j)
     full = phi.table(xs, max_order + m)
     sups = np.max(np.abs(full[m : m + max_order + 1]), axis=1)
     scale = 1.0 + float(sups[0])
@@ -239,113 +246,106 @@ def certify_membership(phi: SmoothExpFunction, m: int, j: int, max_order: int) -
         log_sups = np.where(sups > 0.0, np.log(sups), -np.inf) - math.log(scale)
     log_cap = math.log(RATIO_CAP)
 
-    ladder = None
-    rate = 1
-    while rate <= LADDER_TOP:
-        if _log_ratio(log_sups, float(rate)) <= log_cap:
-            ladder = rate
-            break
-        rate *= 2
+    ladder = 1
+    while ladder <= LADDER_TOP and _log_ratio(log_sups, float(ladder)) > log_cap:
+        ladder *= 2
+    minimal, observed = None, math.inf
+    if ladder <= LADDER_TOP:
+        low, high = ladder // 2, ladder  # smallest integer rate in (low, high]
+        while high - low > 1:
+            mid = (low + high) // 2
+            if mid >= 1 and _log_ratio(log_sups, float(mid)) <= log_cap:
+                high = mid
+            else:
+                low = mid
+        minimal = max(1, high)
+        observed = _safe_exp(_log_ratio(log_sups, float(minimal)))
     conventional = max(1, 2 * j)
     conventional_log = _log_ratio(log_sups, float(conventional))
-    if ladder is None:
-        return ExpCertificate(
-            m=m, j=j, max_order=max_order, minimal_m=None,
-            observed_ratio=math.inf, scale=scale,
-            conventional_m=conventional,
-            conventional_ratio=_safe_exp(conventional_log),
-            conventional_passes=conventional_log <= log_cap,
-            vanishing_order=phi.vanishing_order,
-        )
-    low, high = ladder // 2, ladder  # smallest integer rate in (low, high]
-    while high - low > 1:
-        mid = (low + high) // 2
-        if mid >= 1 and _log_ratio(log_sups, float(mid)) <= log_cap:
-            high = mid
-        else:
-            low = mid
-    minimal = max(1, high)
     return ExpCertificate(
-        m=m, j=j, max_order=max_order, minimal_m=minimal,
-        observed_ratio=_safe_exp(_log_ratio(log_sups, float(minimal))),
-        scale=scale,
-        conventional_m=conventional,
+        m=m, j=j, max_order=max_order, minimal_m=minimal, observed_ratio=observed,
+        scale=scale, conventional_m=conventional,
         conventional_ratio=_safe_exp(conventional_log),
-        conventional_passes=conventional_log <= log_cap,
-        vanishing_order=phi.vanishing_order,
+        conventional_passes=conventional_log <= log_cap, vanishing_order=phi.vanishing_order,
     )
 
 
 @dataclass(frozen=True)
 class TranslationResult:
-    value: float
-    terms: int
-    tail_bound: float
+    """Sums, term counts and tail bounds per sample, and their one certificate."""
+
+    values: np.ndarray
+    terms: np.ndarray
+    tail_bounds: np.ndarray
+    certificate: ExpCertificate
+
+
+def _certified_rate(phi: SmoothExpFunction, t: float, window):
+    """The certificate on ``[-window, window]``, the rate ``|t| M`` and ``max(C, 1)``."""
+    certificate = certify_membership(phi, 0, window, max_order=40)
+    if certificate.failed:
+        raise CertificateError(f"{phi.label} carries no usable growth certificate; "
+                               "translation by the series is not certified")
+    return certificate, abs(t) * certificate.minimal_m, max(certificate.bound_constant, 1.0)
 
 
 def translate_detailed(
-    phi: SmoothExpFunction,
-    t: float,
-    s: float,
-    tol: float = 1e-8,
-    certificate: Optional[ExpCertificate] = None,
+    phi: SmoothExpFunction, t: float, samples, tol: float = 1e-8
 ) -> TranslationResult:
-    """Partial Taylor sum of ``f`` at s with certified truncation.
+    """Partial Taylor sums of ``f`` at each sample s of a 1-D array.
 
-    Terms are accumulated until both the running term magnitude and the
-    certified tail bound at rate ``|t| M`` fall below the tolerance (a tail
-    that is exactly zero — past a polynomial's degree, or at t = 0 — stops
-    immediately).  The result satisfies
-    ``|value - f(s + t)| <= tol`` up to oracle roundoff.
+    The certificate is audited once, on ``[-j, j]`` with
+    ``j = ceil(max |s| + |t|) + 1``.  At each sample, terms are added until
+    both the last term and the certified tail bound at rate ``|t| M`` are
+    at most tol / 2 in magnitude (an exactly zero tail — past a
+    polynomial's degree, or at t = 0 — stops at once).  Summed as arrays
+    over blocks of `SAMPLE_BLOCK` samples, each sample adds the same terms
+    in the same order as a one-sample loop.  The audit covers finitely many
+    orders, so a sum can miss ``f(s + t)`` by more than tol.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if certificate is None:
-        window = int(math.ceil(abs(s) + abs(t))) + 1
-        certificate = certify_membership(phi, 0, window, max_order=40)
-    if certificate.failed:
-        raise CertificateError(
-            f"{phi.label} carries no usable growth certificate; translation "
-            "by the series is not certified"
-        )
-    rate = abs(t) * certificate.minimal_m
-    ratio = max(certificate.bound_constant, 1.0)
+    samples = np.asarray(samples, dtype=float)
+    reach = float(np.max(np.abs(samples))) + abs(t)
+    certificate, rate, ratio = _certified_rate(phi, t, float(np.ceil(reach)) + 1.0)
     vanish = phi.vanishing_order
-
-    block = 64
-    derivs = phi.table(np.array([float(s)]), block)[:, 0]
-    total = 0.0
-    coeff = 1.0  # t^n / n!
-    last_term = math.inf
-    n = 0
-    while True:
-        if vanish is not None and n >= vanish:
-            return TranslationResult(value=total, terms=n, tail_bound=0.0)
-        if t == 0.0 and n >= 1:
-            return TranslationResult(value=total, terms=n, tail_bound=0.0)
-        if n >= 1:
-            log_tail = scalar_tail_log(rate, n - 1) + math.log(ratio)
-            tail = _safe_exp(log_tail)
-            if tail <= 0.5 * tol and abs(last_term) <= 0.5 * tol:
-                return TranslationResult(value=total, terms=n, tail_bound=tail)
-        if n >= derivs.size:
-            block *= 2
-            derivs = phi.table(np.array([float(s)]), block)[:, 0]
-        # an order beyond the double range (inf in the table) cannot be
-        # summed, so neither this partial sum nor any later one converges
-        if n > MAX_TERMS or not math.isfinite(derivs[n]):
-            raise CertificateError(
-                f"translation did not converge within {MAX_TERMS} terms "
-                f"(rate {rate:.3g})"
-            )
-        last_term = coeff * derivs[n]
-        total += last_term
-        n += 1
-        coeff *= t / n
-
-
-def translate(phi: SmoothExpFunction, t: float, s: float, tol: float = 1e-8) -> float:
-    return translate_detailed(phi, t, s, tol).value
+    values, tails = np.empty(samples.size), np.empty(samples.size)
+    terms = np.empty(samples.size, dtype=np.int64)
+    for start in range(0, samples.size, SAMPLE_BLOCK):
+        # the samples still summing, their sums, and their oracle table,
+        # grown to twice its orders when the sums reach its end
+        cols = np.arange(start, min(start + SAMPLE_BLOCK, samples.size))
+        total, coeff, n = np.zeros(cols.size), 1.0, 0  # coeff = t^n / n!
+        order = 64
+        derivs = phi.table(samples[cols], order)
+        while True:
+            done = None
+            if (vanish is not None and n >= vanish) or (t == 0.0 and n >= 1):
+                done, tail = np.ones(cols.size, dtype=bool), 0.0
+            elif n >= 1:
+                tail = _safe_exp(scalar_tail_log(rate, n - 1) + math.log(ratio))
+                if tail <= 0.5 * tol:
+                    done = np.abs(last) <= 0.5 * tol
+            if done is not None and done.any():
+                hit = cols[done]
+                values[hit], terms[hit], tails[hit] = total[done], n, tail
+                if done.all():
+                    break
+                keep = ~done
+                cols, total, last, derivs = cols[keep], total[keep], last[keep], derivs[:, keep]
+            if n > order:
+                order *= 2
+                derivs = phi.table(samples[cols], order)
+            # an order beyond the double range (inf in the table) cannot be
+            # summed, so neither this partial sum nor any later one converges
+            if n > MAX_TERMS or not np.isfinite(derivs[n]).all():
+                raise CertificateError(f"translation did not converge within {MAX_TERMS} "
+                                       f"terms (rate {rate:.3g})")
+            last = coeff * derivs[n]
+            total += last
+            n += 1
+            coeff *= t / n
+    return TranslationResult(values, terms, tails, certificate)
 
 
 def shifted(phi: SmoothExpFunction, offset: float) -> SmoothExpFunction:
@@ -353,17 +353,12 @@ def shifted(phi: SmoothExpFunction, offset: float) -> SmoothExpFunction:
 
     Each derivative of the shifted function is computed as the Taylor
     translation of the corresponding derivative of ``phi``, so nesting
-    `translate` over this oracle exercises the group law genuinely rather
-    than by shifting the argument.  Each is summed to one order past the
-    first whose certified tail is below ``1e-12 / 2``; an order past
+    `translate_detailed` over this oracle exercises the group law genuinely
+    rather than by shifting the argument.  Each is summed to one order past
+    the first whose certified tail is below ``1e-12 / 2``; an order past
     `evolution.TERM_CAP` raises `SeriesTruncationError`.
     """
-    window = int(math.ceil(abs(offset))) + 3
-    certificate = certify_membership(phi, 0, window, max_order=40)
-    if certificate.failed:
-        raise CertificateError(f"{phi.label} carries no usable growth certificate")
-    rate = abs(offset) * certificate.minimal_m
-    ratio = max(certificate.bound_constant, 1.0)
+    _, rate, ratio = _certified_rate(phi, offset, int(math.ceil(abs(offset))) + 3)
     log_target = math.log(0.5 * 1e-12) - math.log(ratio)
     terms = choose_terms(rate, log_target) + 1
 
@@ -372,9 +367,7 @@ def shifted(phi: SmoothExpFunction, offset: float) -> SmoothExpFunction:
         if phi.vanishing_order is not None:
             top = min(top, max(phi.vanishing_order, max_order) + 1)
         base = phi.table(x, top)
-        weights = np.array(
-            [offset**k / math.factorial(k) for k in range(top - max_order + 1)]
-        )
+        weights = np.array([offset**k / math.factorial(k) for k in range(top - max_order + 1)])
         out = np.zeros((max_order + 1, x.size))
         for n in range(max_order + 1):
             rows = base[n : n + weights.size]

@@ -282,29 +282,27 @@ def suite_translation(rng) -> list[str]:
     bad = translation.certify_membership(translation.fast_growth(), 0, 1, 40)
     if not bad.failed:
         failures.append("fast-growth oracle unexpectedly certified")
-    value = translation.translate(gauss, 0.5, 0.0, 1e-10)
+    value = translation.translate_detailed(gauss, 0.5, [0.0], 1e-10).values[0]
     if abs(value - math.exp(-0.25)) > 1e-8:
         failures.append("gaussian translation value wrong")
     cubic = translation.polynomial([0.0, 0.0, 0.0, 1.0])
-    detail = translation.translate_detailed(cubic, 1.0, 1.0, 1e-10)
-    if detail.value != 8.0 or detail.terms != 4:
+    detail = translation.translate_detailed(cubic, 1.0, [1.0], 1e-10)
+    if detail.values[0] != 8.0 or detail.terms[0] != 4:
         failures.append("cubic translation not exact in 4 terms")
     for _ in range(5):
         t, v, s = rng.uniform(-0.8, 0.8, size=3)
-        direct = translation.translate(gauss, t + v, s, 1e-9)
-        nested = translation.translate(translation.shifted(gauss, v), t, s, 1e-9)
+        direct = translation.translate_detailed(gauss, t + v, [s], 1e-9).values[0]
+        nested = translation.translate_detailed(translation.shifted(gauss, v), t, [s],
+                                                1e-9).values[0]
         if abs(direct - nested) > 1e-7:
             failures.append("translation group law fails")
             break
     for n in range(5):
         x = rng.uniform(-1.5, 1.5)
         for step in (1e-4, 5e-5):
-            fd = (gauss.derivative(n, x + step) - gauss.derivative(n, x - step)) / (
-                2 * step
-            )
-            if abs(fd - gauss.derivative(n + 1, x)) > 1e-5 * (
-                1 + abs(gauss.derivative(n + 1, x))
-            ):
+            fd = (gauss.derivative(n, x + step) - gauss.derivative(n, x - step)) / (2 * step)
+            exact = gauss.derivative(n + 1, x)
+            if abs(fd - exact) > 1e-5 * (1 + abs(exact)):
                 failures.append(f"derivative oracle inconsistent at order {n}")
     return failures
 

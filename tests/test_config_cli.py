@@ -570,6 +570,9 @@ def test_cli_translate_rejects_non_finite_input(tmp_path, capsys, extra, flag):
         (["--function", "poly:a"], "--function poly: coefficients must be finite numbers"),
         (["--function", "poly:nan"], "--function poly: coefficients must be finite numbers"),
         (["--function", "poly:1,1e400"], "--function poly: coefficients must be finite numbers"),
+        # stop + step/2 rounds to stop, so np.arange gives no sample
+        (["--samples", "1e16:1e16:1"],
+         "--samples '1e16:1e16:1' gives no samples: stop + step/2 rounds to stop"),
     ],
 )
 def test_cli_translate_rejects_bad_input_before_the_audit(tmp_path, capsys, monkeypatch,
@@ -587,10 +590,39 @@ def test_cli_translate_rejects_bad_input_before_the_audit(tmp_path, capsys, monk
 
 
 def test_cli_translate_refuses_an_oversized_sup_grid(tmp_path, capsys):
-    assert main(["translate", "--t", "1e4", "--out", str(tmp_path)]) == 2
+    assert main(["translate", "--t", "1e4", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert "budget" in err[0]
+    assert err == ["error: the audit of [-10003, 10003] at step 0.001 up to order 40 needs a "
+                   "table of 8.20246e+08 entries, above the budget 4194304"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_translate_exits_4_when_a_sample_misses_the_tolerance(tmp_path, capsys):
+    # past about 50 terms the sums miss their tolerance (the audit stops at order 40)
+    assert main(["translate", "--t", "4", "--samples=-2:2:0.5", "--out", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "translate: 1 of 9 samples miss tol = 1e-08, worst |series - direct| = 5.053e-01"]
+    assert "worst |series - direct| = 5.053e-01" in (tmp_path / "metadata.txt").read_text()
+    assert len((tmp_path / "translate.csv").read_text().splitlines()) == 10
+
+
+def test_cli_translate_counts_a_nan_error_as_a_miss(tmp_path, capsys, monkeypatch):
+    from frechet_flow import translation
+
+    summed = translation.translate_detailed
+
+    def with_nan(*args):
+        result = summed(*args)
+        result.values[0] = np.nan
+        return result
+
+    monkeypatch.setattr(translation, "translate_detailed", with_nan)
+    assert main(["translate", "--t", "0.5", "--samples=-2:2:0.5", "--out", str(tmp_path)]) == 4
+    # the worst error in the metadata skips the NaN, as the summary line does
+    assert capsys.readouterr().err.splitlines() == [
+        "translate: 1 of 9 samples miss tol = 1e-08, worst |series - direct| = 2.570e-13"]
+    assert "worst |series - direct| = 2.570e-13" in (tmp_path / "metadata.txt").read_text()
 
 
 def test_cli_seminorms(tmp_path, capsys):
@@ -734,6 +766,14 @@ def test_cli_process_fails_cleanly(tmp_path, case, message):
         (["seminorms", "--init", "delta@1e400"],
          "init delta location must be finite, got '1e400'"),
         (["solve", "--config", "."], "Is a directory: '.'"),
+        # sizes are compared in floats before any int conversion, and printed with %.6g
+        (["heat-demo", "--R", "1e308"], "radius 1e+308 needs inf quadrature nodes, above"),
+        (["heat-demo", "--R", "1e300"], "radius 1e+300 needs 1.28e+302 quadrature nodes, above"),
+        (["translate", "--t", "1e308"], "up to order 40 needs a table of inf entries, above"),
+        (["translate", "--t=-1e308"], "up to order 40 needs a table of inf entries, above"),
+        (["translate", "--t", "1e300"], "up to order 40 needs a table of 8.2e+304 entries"),
+        (["translate", "--t", "0.5", "--samples=-1e306:-1e306:1e300"],
+         "the audit of [-1e+306, 1e+306] at step 0.001 up to order 40 needs a table of inf"),
     ],
 )
 def test_cli_process_rejects_bad_flags_in_one_line(tmp_path, args, message):

@@ -1,18 +1,24 @@
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechet_flow import (
     certify_membership,
     cinf_seminorm,
     gaussian,
     polynomial,
-    translate,
     translate_detailed,
+    translation,
 )
+from frechet_flow.evolution import _safe_exp, scalar_tail_log
 from frechet_flow.translation import (
+    MAX_TERMS,
+    SAMPLE_BLOCK,
     SUP_GRID_STEP,
     TABLE_BLOCK_ENTRIES,
     CertificateError,
@@ -23,6 +29,87 @@ from frechet_flow.translation import (
 
 CUBIC = [0.0, 0.0, 0.0, 1.0]
 EPS = np.finfo(float).eps
+
+
+def translate_at(phi, t, s, tol=1e-8):
+    """The partial sum at the one sample s."""
+    return translate_detailed(phi, t, [s], tol).values[0]
+
+
+def scalar_translate(phi, t, s, tol, certificate):
+    """Reference: the one-sample loop, ``(value, terms, tail_bound)`` at s.
+
+    Its own oracle table at s alone, grown to twice its orders when the
+    sum reaches its end; each term is checked and added in Python.
+    """
+    if certificate.failed:
+        raise CertificateError(
+            f"{phi.label} carries no usable growth certificate; translation "
+            "by the series is not certified"
+        )
+    rate = abs(t) * certificate.minimal_m
+    ratio = max(certificate.bound_constant, 1.0)
+    vanish = phi.vanishing_order
+    block = 64
+    derivs = phi.table(np.array([float(s)]), block)[:, 0]
+    total = 0.0
+    coeff = 1.0  # t^n / n!
+    last_term = math.inf
+    n = 0
+    while True:
+        if vanish is not None and n >= vanish:
+            return total, n, 0.0
+        if t == 0.0 and n >= 1:
+            return total, n, 0.0
+        if n >= 1:
+            tail = _safe_exp(scalar_tail_log(rate, n - 1) + math.log(ratio))
+            if tail <= 0.5 * tol and abs(last_term) <= 0.5 * tol:
+                return total, n, tail
+        if n >= derivs.size:
+            block *= 2
+            derivs = phi.table(np.array([float(s)]), block)[:, 0]
+        if n > MAX_TERMS or not math.isfinite(derivs[n]):
+            raise CertificateError(
+                f"translation did not converge within {MAX_TERMS} terms "
+                f"(rate {rate:.3g})"
+            )
+        last_term = coeff * derivs[n]
+        total += last_term
+        n += 1
+        coeff *= t / n
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def assert_sums_like_the_scalar_loop(phi, t, samples, tol=1e-8, block=SAMPLE_BLOCK):
+    """The array path, with sample blocks of ``block``, against the
+    one-sample loop under the certificate of the window ceil(max|s| + |t|) + 1.
+
+    Returns the array path's result, or the error that both raise.
+    """
+    window = math.ceil(max(abs(s) for s in samples) + abs(t)) + 1
+    certificate = certify_membership(phi, 0, window, 40)
+    reference, errors = [], set()
+    for s in samples:
+        try:
+            reference.append(scalar_translate(phi, t, s, tol, certificate))
+        except CertificateError as error:
+            errors.add(str(error))
+    with mock.patch.object(translation, "SAMPLE_BLOCK", block):
+        if errors:
+            with pytest.raises(CertificateError) as raised:
+                translate_detailed(phi, t, samples, tol)
+            assert str(raised.value) in errors
+            return raised.value
+        result = translate_detailed(phi, t, samples, tol)
+    assert result.certificate == certificate
+    values, terms, tails = zip(*reference)
+    assert bits(result.values) == bits(values)
+    assert result.terms.tolist() == list(terms)
+    assert bits(result.tail_bounds) == bits(tails)
+    return result
 
 
 def lacunary_terms(max_order):
@@ -129,8 +216,8 @@ def test_polynomial_certificate_is_trivial():
 def test_fast_growth_certificate_fails():
     cert = certify_membership(fast_growth(), 0, 1, 40)
     assert cert.failed
-    with pytest.raises(CertificateError):
-        translate(fast_growth(), 0.5, 0.0)
+    error = assert_sums_like_the_scalar_loop(fast_growth(), 0.5, [0.0])
+    assert "no usable growth certificate" in str(error)
 
 
 def test_fast_growth_table_matches_the_per_term_loop():
@@ -186,14 +273,14 @@ def test_fast_growth_certificate_matches_the_loop(j, conventional_m, reference_r
 
 
 def test_translate_time_zero_is_one_term():
-    detail = translate_detailed(gaussian(), 0.0, 0.7, 1e-10)
-    assert detail.value == gaussian()(0.7)
-    assert detail.terms == 1
-    assert detail.tail_bound == 0.0
+    detail = translate_detailed(gaussian(), 0.0, [0.7], 1e-10)
+    assert detail.values[0] == gaussian()(0.7)
+    assert detail.terms[0] == 1
+    assert detail.tail_bounds[0] == 0.0
 
 
 def test_translate_gaussian_half_step():
-    value = translate(gaussian(), 0.5, 0.0, 1e-10)
+    value = translate_at(gaussian(), 0.5, 0.0, 1e-10)
     with mp.workdps(30):
         expected = float(mp.e ** mp.mpf("-0.25"))
     assert value == pytest.approx(expected, abs=1e-9)
@@ -201,27 +288,27 @@ def test_translate_gaussian_half_step():
 
 
 def test_translate_cubic_exact_in_four_terms():
-    detail = translate_detailed(polynomial(CUBIC), 1.0, 1.0, 1e-10)
-    assert detail.value == 8.0
-    assert detail.terms == 4
-    assert detail.tail_bound == 0.0
+    detail = translate_detailed(polynomial(CUBIC), 1.0, [1.0], 1e-10)
+    assert detail.values[0] == 8.0
+    assert detail.terms[0] == 4
+    assert detail.tail_bounds[0] == 0.0
 
 
 def test_translation_identity_over_the_window(rng):
     phi = gaussian()
-    cert = certify_membership(phi, 0, 4, 40)
+    samples = np.array([-2.0, -0.7, 0.0, 1.3, 2.0])
     for t in (-1.0, -0.3, 0.25, 1.0):
-        for s in (-2.0, -0.7, 0.0, 1.3, 2.0):
-            value = translate_detailed(phi, t, s, 1e-8, cert).value
-            assert abs(value - phi(s + t)) <= 1e-7
+        result = translate_detailed(phi, t, samples, 1e-8)
+        assert result.certificate.j == 4
+        assert np.all(np.abs(result.values - phi(samples + t)) <= 1e-7)
 
 
 def test_translation_group_law_via_nested_series(rng):
     phi = gaussian()
     for _ in range(20):
         t, v, s = rng.uniform(-0.8, 0.8, size=3)
-        direct = translate(phi, t + v, s, 1e-9)
-        nested = translate(shifted(phi, v), t, s, 1e-9)
+        direct = translate_at(phi, t + v, s, 1e-9)
+        nested = translate_at(shifted(phi, v), t, s, 1e-9)
         assert abs(direct - nested) <= 1e-7
 
 
@@ -242,7 +329,7 @@ def test_derivative_oracle_consistent_with_finite_differences(rng):
 
 def test_translate_requires_positive_tolerance():
     with pytest.raises(ValueError):
-        translate(gaussian(), 0.5, 0.0, 0.0)
+        translate_at(gaussian(), 0.5, 0.0, 0.0)
 
 
 def test_certify_membership_refuses_an_oversized_table_before_evaluating():
@@ -272,17 +359,66 @@ def gaussian_recurrence(x, max_order):
 def test_gaussian_orders_past_the_double_range_are_inf():
     xs = np.array([0.0, 0.5, 3.0])
     table = gaussian().table(xs, 400)
-    finite = np.all(np.isfinite(table), axis=1)
-    first = int(np.argmin(finite))
-    assert 250 < first < 400 and np.all(finite[:first])
-    assert np.all(table[first:] == np.inf)
+    firsts = []
     for column, x in enumerate(xs):
         reference = gaussian_recurrence(float(x), 400)
-        assert table[:first, column].tolist() == reference[:first]
+        first = len(reference)
+        assert 250 < first < 400
+        assert table[:first, column].tolist() == reference
+        assert np.all(table[first:, column] == np.inf)
+        firsts.append(first)
+    # each point leaves the double range at its own order
+    assert firsts[:2] == [270, 269]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    xs=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6),
+    order=st.integers(0, 400),
+)
+def test_each_gaussian_column_is_the_table_of_its_point_alone(xs, order):
+    table = gaussian().table(np.array(xs), order)
+    for column, x in enumerate(xs):
+        alone = gaussian().table(np.array([x]), order)[:, 0]
+        assert bits(table[:, column]) == bits(alone)
 
 
 def test_translation_stops_at_an_order_past_the_double_range():
-    # the rate 40 * 6 needs more terms than the Gaussian has finite orders
-    certificate = certify_membership(gaussian(), 0, 41, max_order=40)
-    with pytest.raises(CertificateError, match="did not converge within 500 terms"):
-        translate_detailed(gaussian(), 40.0, 0.0, certificate=certificate)
+    # the rate 40 * 6 needs more terms than the Gaussian has finite orders;
+    # the window is ceil(0 + 40) + 1 = 41
+    error = assert_sums_like_the_scalar_loop(gaussian(), 40.0, [0.0])
+    assert "did not converge within 500 terms" in str(error)
+
+
+POLY = polynomial([1.0, -2.0, 0.5, 3.0])
+
+
+@pytest.mark.parametrize(
+    "phi, t, samples, regrows",
+    [
+        (gaussian(), 0.5, np.linspace(-2.0, 2.0, 41), False),
+        (gaussian(), -2.5, np.linspace(-1.0, 1.0, 9), False),
+        (gaussian(), 0.0, [-0.7, 0.0, 1.5], False),
+        # t = 3 needs more than 64 orders, so the table is rebuilt at 128
+        (gaussian(), 3.0, np.linspace(-2.0, 2.0, 9), True),
+        (gaussian(), -4.0, np.linspace(-2.0, 2.0, 9), True),
+        (polynomial(CUBIC), 1.5, np.linspace(-2.0, 2.0, 17), False),
+        (POLY, -0.75, np.linspace(-1.0, 1.0, 9), False),
+    ],
+)
+@pytest.mark.parametrize("block", [1, 4, SAMPLE_BLOCK])
+def test_the_array_path_sums_each_sample_as_the_scalar_loop(phi, t, samples, regrows, block):
+    result = assert_sums_like_the_scalar_loop(phi, t, list(samples), block=block)
+    assert (result.terms.max() > 65) == regrows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    phi=st.sampled_from([gaussian(), polynomial(CUBIC), POLY]),
+    t=st.sampled_from([0.0, 0.5, -0.5, 2.5, -2.5, 3.0]) | st.floats(-3.0, 3.0),
+    samples=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=10),
+    block=st.integers(1, 4),
+    tol=st.sampled_from([1e-8, 1e-12]),
+)
+def test_the_array_path_equals_the_scalar_loop_bitwise(phi, t, samples, block, tol):
+    assert_sums_like_the_scalar_loop(phi, t, samples, tol, block)

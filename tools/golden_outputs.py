@@ -23,7 +23,9 @@ out.  One solve and one ``check-l2`` take their symbol as a
 derivative-coefficient list, ``check-l2`` and ``check-eprime`` also run on
 a complex symbol of degree 5, ``check-eprime`` runs once with its witness
 search held to radius 1, and a few cases fail on a missing or malformed
-symbol.  ``--bench-seeds`` adds the solve workloads of
+symbol.  ``translate`` runs the Gaussian on a range of more than one sample
+block, at t = 0 and at t = 3 (past 64 orders, and past its tolerance), and
+a cubic and a ``poly:`` function.  ``--bench-seeds`` adds the solve workloads of
 ``bench/workloads.py`` at the given seeds, with their own inputs and grids
 (up to about a million nodes).
 """
@@ -115,6 +117,16 @@ OTHERS = [
     ("check-l2-quintic", ["check-l2", "--symbol", QUINTIC, "--t", "1.0", "--out", "out"]),
     ("translate", ["translate", "--function", "gaussian", "--t", "0.5",
                    "--samples=-2:2:0.1", "--out", "out"]),
+    # 10,001 samples: more than one block of translation.SAMPLE_BLOCK
+    ("translate-two-blocks", ["translate", "--t", "0.5", "--samples=-1:1:2e-4",
+                              "--out", "out"]),
+    ("translate-time-zero", ["translate", "--t", "0", "--out", "out"]),
+    # the sums regrow their oracle tables past 64 orders and miss the tolerance
+    ("translate-regrowth", ["translate", "--t", "3", "--samples=-2:2:0.5", "--out", "out"]),
+    ("translate-cubic", ["translate", "--function", "cubic", "--t", "1.5",
+                         "--samples=-2:2:0.25", "--out", "out"]),
+    ("translate-poly", ["translate", "--function", "poly:1,-2,0.5,3", "--t=-0.75",
+                        "--samples=-1:1:0.25", "--out", "out"]),
     ("seminorms-1d", ["seminorms", "--n", "1", "--J", "8", "--inv-h", "32", "--init",
                       "gaussian-hat", "--out", "out"]),
     ("seminorms-2d", ["seminorms", "--n", "2", "--J", "4", "--inv-h", "16", "--init",
