@@ -11,7 +11,6 @@ from .spectral import (
     SpectralField,
     delta,
     gaussian_hat,
-    make_grid,
     metric,
     ones,
     project,
@@ -31,7 +30,6 @@ from .symbols import (
     evaluate,
     heat_symbol,
     parse_symbol,
-    print_symbol,
     to_polynomial,
     transport_symbol,
 )

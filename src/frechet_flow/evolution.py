@@ -1,6 +1,10 @@
 """The exponential flow ``e^{tA}`` with certified truncation diagnostics.
 
-Two independent constructions are provided and cross-checked everywhere:
+Every flow here is of a `MultiplierOperator`, the operator of a
+polynomial symbol on one grid, and every function takes that operator, so
+a caller sees each level table it builds; a field on another grid is
+refused with ``ValueError``.  Two independent constructions are provided
+and cross-checked everywhere:
 
 * `exp_multiplier` — the closed form: nodewise multiplication by
   ``e^{t a(xi)}``, exact up to the scalar exponential.  Nodes whose real
@@ -23,6 +27,9 @@ Two independent constructions are provided and cross-checked everywhere:
   neutral evolution the bound stays below the requested tolerance; for
   expanding evolution it carries the genuine exponential amplification (and
   may be infinite), which is reported honestly rather than hidden.
+  `series_factor` builds every time's certificate, t = 0 included, with
+  one per-ball loop; at t = 0 every rate is 0 and every stage growth 1,
+  so each bound is 0 and the factor is the identity.
 
 Both flow factors are functions of the symbol value alone, so both kernels
 run once per distinct symbol value (the operator's level table,
@@ -53,7 +60,6 @@ from .config import VALID_METHODS
 from .operators import MultiplierOperator
 from .spectral import (
     OVERFLOW_EXPONENT,
-    FrequencyGrid,
     LevelFactor,
     ShellField,
     SpectralField,
@@ -75,7 +81,7 @@ TERM_CAP = 512
 LN2 = math.log(2.0)
 
 
-class SeriesTruncationError(RuntimeError):
+class SeriesTruncationError(ValueError):
     """The requested tolerance needs more series terms than the cap allows."""
 
 
@@ -91,13 +97,6 @@ def scalar_tail_log(rate: float, terms: int) -> float:
         return rate
     log_term = (terms + 1) * math.log(rate) - math.lgamma(terms + 2)
     return log_term - math.log1p(-rate / (terms + 2))
-
-
-def scalar_tail(rate: float, terms: int) -> float:
-    try:
-        return math.exp(scalar_tail_log(rate, terms))
-    except OverflowError:
-        return math.inf
 
 
 def choose_terms(rate: float, log_threshold: float) -> int:
@@ -116,15 +115,12 @@ def _check_time(t) -> None:
         raise ValueError(f"time must be finite, got {t!r}")
 
 
-def as_multiplier(symbol, grid: FrequencyGrid) -> MultiplierOperator:
-    if isinstance(symbol, MultiplierOperator):
-        if symbol.grid != grid:
-            raise ValueError("operator grid does not match field grid")
-        return symbol
-    return MultiplierOperator(symbol, grid)
+def _check_grid(op: MultiplierOperator, u: SpectralField) -> None:
+    if op.grid != u.grid:
+        raise ValueError("operator grid does not match field grid")
 
 
-def exp_multiplier(symbol, t: float, u: SpectralField) -> SpectralField:
+def exp_multiplier(op: MultiplierOperator, t: float, u: SpectralField) -> SpectralField:
     """Closed-form evolution: nodewise product with ``e^{t a(xi)}``.
 
     Samples whose evolved magnitude would exceed ``e^709`` are saturated at
@@ -132,7 +128,7 @@ def exp_multiplier(symbol, t: float, u: SpectralField) -> SpectralField:
     carrying data whose bare factor exceeds that range.
     """
     _check_time(t)
-    op = as_multiplier(symbol, u.grid)
+    _check_grid(op, u)
     return _evolved(multiplier_factor(op, t), u, op)
 
 
@@ -160,7 +156,7 @@ class LevelCertificate:
     j: int
     rate: float            # |t| p_j^X(A)
     terms: int             # minimal stage truncation order for this ball
-    tail: float            # scalar stage tail bound at that order
+    tail: float            # scalar stage tail bound at that order (e^scalar_tail_log)
     stage_growth: float    # exact ball norm of one exact stage
     bound: float           # certified bound on p_j(series - exact); may be inf
     field_seminorm: float  # p_j(u)
@@ -170,8 +166,9 @@ class LevelCertificate:
 class SeriesDiagnostics:
     """Certificate attached to every `exp_series` result.
 
-    ``terms`` is the executed per-stage truncation order (chosen at the
-    worst ball, so it dominates every per-ball requirement).  Each level
+    ``terms`` is the executed per-stage truncation order and ``rate`` the
+    worst rate, both those of the top ball's certificate (the worst ball,
+    so its order dominates every per-ball requirement).  Each level
     carries the bound of the scheme had it been tuned for that ball alone;
     the executed run uses at least as many terms, so the bound is valid for
     it.  When every stage growth is at most one, each bound is below the
@@ -180,24 +177,19 @@ class SeriesDiagnostics:
 
     t: float
     tol: float
-    rate: float
     stages: int
-    terms: int
     levels: tuple
+
+    @property
+    def terms(self) -> int:
+        return self.levels[-1].terms
+
+    @property
+    def rate(self) -> float:
+        return self.levels[-1].rate
 
     def bounds(self) -> np.ndarray:
         return np.array([level.bound for level in self.levels])
-
-
-def _zero_diagnostics(t, tol, grid, profile) -> SeriesDiagnostics:
-    levels = tuple(
-        LevelCertificate(
-            j=j, rate=0.0, terms=0, tail=0.0, stage_growth=1.0, bound=0.0,
-            field_seminorm=float(profile[j - 1]),
-        )
-        for j in range(1, grid.J + 1)
-    )
-    return SeriesDiagnostics(t=t, tol=tol, rate=0.0, stages=1, terms=0, levels=levels)
 
 
 def _stage_growth(op: MultiplierOperator, t_stage: float) -> list:
@@ -218,7 +210,7 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
-def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
+def exp_series(op: MultiplierOperator, t: float, u: SpectralField, tol: float = 1e-8):
     """Evolve by the truncated, staged power series of the generator.
 
     Returns ``(field, diagnostics)``.  The truncation order is chosen so
@@ -229,7 +221,7 @@ def exp_series(symbol, t: float, u: SpectralField, tol: float = 1e-8):
     matching the closed-form path.
     """
     _check_time(t)
-    op = as_multiplier(symbol, u.grid)
+    _check_grid(op, u)
     factor, diagnostics = series_factor(op, t, seminorm_profile(u), tol)
     return _evolved(factor, u, op), diagnostics
 
@@ -239,45 +231,33 @@ def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
 
     ``profile`` is the ball profile ``(p_1(u), ..., p_J(u))`` of the field
     it is applied to, the only thing of u the certificate reads.  Returns
-    ``(factor, diagnostics)``; the factor is None (the identity) at t = 0.
+    ``(factor, diagnostics)``; the factor is None (the identity) at t = 0,
+    where the certificate takes every rate 0 and every stage growth 1
+    without reading the operator.  A nonzero rate with a p_J(u) that is
+    not finite leaves no tolerance reachable: `SeriesTruncationError`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    grid = op.grid
+    J = op.grid.J
     if t == 0.0:
-        return None, _zero_diagnostics(t, tol, grid, profile)
-
-    rates = np.abs(t) * op._profile()
-    worst = float(rates[-1])
-    s = 0 if worst <= STAGE_RATE_LIMIT else math.ceil(math.log2(worst / STAGE_RATE_LIMIT))
+        s, rates, growths = 0, [0.0] * J, [1.0] * J
+    else:
+        rates = (abs(t) * op._profile()).tolist()
+        worst = rates[-1]
+        s = 0 if worst <= STAGE_RATE_LIMIT else math.ceil(math.log2(worst / STAGE_RATE_LIMIT))
+        growths = _stage_growth(op, t / (1 << s))
     stages = 1 << s
+    if rates[-1] > 0.0 and not math.isfinite(profile[-1]):
+        raise SeriesTruncationError(
+            f"p_J(u) = {profile[-1]:g} is not finite, so no series truncation "
+            f"reaches tol = {tol:g} at t = {t:g}")
     log_threshold = math.log(tol) - math.log1p(profile[-1]) - s * LN2
-    terms = choose_terms(worst / stages, log_threshold)
 
-    # One truncated Taylor stage at t/stages, evaluated by Horner.  For a
-    # multiplier the iterated application u_n = (t'/n) A u_{n-1} acts
-    # nodewise, so the stage is the scalar polynomial of t' a(xi): it is
-    # evaluated once per distinct symbol value and gathered onto the nodes
-    # by `saturated_product`.
-    x = (t / stages) * op.levels()[0]
-    acc = np.ones_like(x)
-    for n in range(terms, 0, -1):
-        acc = 1.0 + acc * (x / n)
-
-    # Compose the stage 2^s times through the group law.  Tracking the
-    # magnitude logarithmically keeps expanding directions exact up to the
-    # saturation policy instead of overflowing.
-    magnitude = np.abs(acc)
-    with np.errstate(divide="ignore"):
-        log_magnitude = np.where(magnitude > 0.0, np.log(magnitude), -np.inf)
-    phase = np.where(magnitude > 0.0, acc / np.where(magnitude > 0.0, magnitude, 1.0), 1.0)
-    for _ in range(s):
-        phase = phase * phase
-    growths = _stage_growth(op, t / stages)
-
+    # from the top ball down, so a tolerance out of reach is reported at
+    # the worst rate, the one the executed stage uses
     levels = []
-    for j in range(1, grid.J + 1):
-        stage_rate = float(rates[j - 1]) / stages
+    for j in range(J, 0, -1):
+        stage_rate = rates[j - 1] / stages
         level_terms = choose_terms(stage_rate, log_threshold)
         log_tail = scalar_tail_log(stage_rate, level_terms)
         growth = growths[j - 1]
@@ -295,28 +275,43 @@ def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
         levels.append(
             LevelCertificate(
                 j=j,
-                rate=float(rates[j - 1]),
+                rate=rates[j - 1],
                 terms=level_terms,
-                tail=scalar_tail(stage_rate, level_terms),
+                tail=_safe_exp(log_tail),
                 stage_growth=growth,
                 bound=bound,
                 field_seminorm=pj_u,
             )
         )
-    diagnostics = SeriesDiagnostics(
-        t=t,
-        tol=tol,
-        rate=worst,
-        stages=stages,
-        terms=terms,
-        levels=tuple(levels),
-    )
+    diagnostics = SeriesDiagnostics(t=t, tol=tol, stages=stages, levels=tuple(levels[::-1]))
+    if t == 0.0:
+        return None, diagnostics
+
+    # One truncated Taylor stage at t/stages, evaluated by Horner.  For a
+    # multiplier the iterated application u_n = (t'/n) A u_{n-1} acts
+    # nodewise, so the stage is the scalar polynomial of t' a(xi): it is
+    # evaluated once per distinct symbol value and gathered onto the nodes
+    # by `saturated_product`.
+    x = (t / stages) * op.levels()[0]
+    acc = np.ones_like(x)
+    for n in range(diagnostics.terms, 0, -1):
+        acc = 1.0 + acc * (x / n)
+
+    # Compose the stage 2^s times through the group law.  Tracking the
+    # magnitude logarithmically keeps expanding directions exact up to the
+    # saturation policy instead of overflowing.
+    magnitude = np.abs(acc)
+    with np.errstate(divide="ignore"):
+        log_magnitude = np.where(magnitude > 0.0, np.log(magnitude), -np.inf)
+    phase = np.where(magnitude > 0.0, acc / np.where(magnitude > 0.0, magnitude, 1.0), 1.0)
+    for _ in range(s):
+        phase = phase * phase
     return LevelFactor(log_magnitude * stages, phase), diagnostics
 
 
-def verify_group_law(symbol, s: float, t: float, u: SpectralField) -> np.ndarray:
+def verify_group_law(op: MultiplierOperator, s: float, t: float,
+                     u: SpectralField) -> np.ndarray:
     """Seminorm profile of ``e^{sA}(e^{tA}u) - e^{(s+t)A}u`` (closed form)."""
-    op = as_multiplier(symbol, u.grid)
     composed = exp_multiplier(op, s, exp_multiplier(op, t, u))
     direct = exp_multiplier(op, s + t, u)
     return seminorm_profile(composed - direct)
@@ -339,20 +334,20 @@ def uniform_continuity_gap(op: MultiplierOperator, t: float, j: int):
     return lhs, rhs
 
 
-def generator_residual(symbol, t: float, u: SpectralField, j: int) -> float:
+def generator_residual(op: MultiplierOperator, t: float, u: SpectralField, j: int) -> float:
     """``p_j((e^{tA}u - u)/t - Au)``; first order in t as t -> 0."""
     _check_time(t)
     if t == 0.0:
         raise ValueError("the difference quotient needs t != 0")
-    op = as_multiplier(symbol, u.grid)
     evolved = exp_multiplier(op, t, u)
     quotient = (evolved - u) * (1.0 / t)
     return seminorm(quotient - op.apply(u), j)
 
 
-def generator_residual_bound(symbol, t: float, u: SpectralField, j: int) -> float:
+def generator_residual_bound(op: MultiplierOperator, t: float, u: SpectralField,
+                             j: int) -> float:
     """Closed-form bound ``((e^{|t| r} - 1)/|t| - r) p_j(u)``, r = p_j^X(A)."""
-    op = as_multiplier(symbol, u.grid)
+    _check_grid(op, u)
     r = op.seminorm(j)
     scale = (_safe_exp(abs(t) * r) - 1.0) / abs(t) - r
     return scale * seminorm(u, j)
@@ -406,7 +401,8 @@ def verify_quotient_diagrams(op, u: SpectralField, j: int) -> DiagramCheck:
     )
 
 
-def evolve(symbol, times, u0: SpectralField, method: str = "multiplier", tol: float = 1e-8):
+def evolve(op: MultiplierOperator, times, u0: SpectralField, method: str = "multiplier",
+           tol: float = 1e-8):
     """The flow factors of ``u0``'s trajectory ``t -> e^{tA} u0``, one time at a time.
 
     ``method`` is ``"multiplier"``, ``"series"`` or ``"both"``.  Every time
@@ -425,7 +421,7 @@ def evolve(symbol, times, u0: SpectralField, method: str = "multiplier", tol: fl
     times = [float(t) for t in times]
     for t in times:
         _check_time(t)
-    op = as_multiplier(symbol, u0.grid)
+    _check_grid(op, u0)
     return _trajectory(op, times, seminorm_profile(u0), method, tol)
 
 

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .spectral import OVERFLOW_EXPONENT
-from .symbols import PolynomialSymbol, horner, to_polynomial
+from .symbols import PolynomialSymbol, horner
 
 # |Re a_m| below this counts as zero in the order-1 branch; exact-zero
 # inputs (coefficients written as pure imaginary literals) bypass it.
@@ -66,7 +66,7 @@ class EprimeDecision:
     caveats: tuple = ()
 
 
-def decide_eprime(symbol) -> EprimeDecision:
+def decide_eprime(poly: PolynomialSymbol) -> EprimeDecision:
     """Decide invariance of compactly supported distributions (n = 1).
 
     Pure inspection of ``(m, a_m)``: Invariant iff m = 1 with Re a_m = 0,
@@ -77,7 +77,6 @@ def decide_eprime(symbol) -> EprimeDecision:
     records that the implemented criterion is stricter than that
     observation.
     """
-    poly = to_polynomial(symbol)
     if poly.n != 1:
         raise ValueError("the compact-support criterion is stated for n = 1")
     caveats = []
@@ -210,7 +209,7 @@ def _decide_sampled(poly: PolynomialSymbol) -> tuple[str, float, tuple]:
     return UNDETERMINED, float(np.max(maxima)), tuple(maxima)
 
 
-def decide_l2(symbol, t: float = 1.0, method: str = "auto") -> L2Decision:
+def decide_l2(poly: PolynomialSymbol, t: float = 1.0, method: str = "auto") -> L2Decision:
     """Decide invariance of square-integrable functions at time t >= 0.
 
     At t = 0 the flow is the identity.  For t > 0 the criterion is that
@@ -222,7 +221,6 @@ def decide_l2(symbol, t: float = 1.0, method: str = "auto") -> L2Decision:
         raise ValueError(f"time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("the invariance criterion is stated for t >= 0")
-    poly = to_polynomial(symbol)
     if t == 0.0:
         return L2Decision(
             verdict=INVARIANT, method="exact-1d" if poly.n == 1 else "sampled",
@@ -265,7 +263,7 @@ class WitnessSearch:
         return self.witness is not None
 
 
-def find_growth_witness(symbol, c: float, r_max: float = 1e4) -> WitnessSearch:
+def find_growth_witness(poly: PolynomialSymbol, c: float, r_max: float = 1e4) -> WitnessSearch:
     """Search ``1 <= |z| <= r_max`` for a point with ``Re a(z) > c |Im z|``; ``r_max >= 1``.
 
     The criterion is asymptotic, so a hit only counts when it survives
@@ -283,7 +281,6 @@ def find_growth_witness(symbol, c: float, r_max: float = 1e4) -> WitnessSearch:
         raise ValueError(f"the search radius r_max must be finite, got {r_max!r}")
     if r_max < 1:
         raise ValueError(f"the search radius r_max must be at least 1, got {r_max!r}")
-    poly = to_polynomial(symbol)
     if poly.n != 1:
         raise ValueError("witness search is implemented for n = 1")
     # at r_max close to 1 the 60 steps repeat radii; each is probed once
@@ -341,10 +338,10 @@ def _growth_direction(poly: PolynomialSymbol) -> float:
     return 1.0
 
 
-def l2_blowup_construction(symbol, t: float, budget: int) -> BlowupConstruction:
+def l2_blowup_construction(poly: PolynomialSymbol, t: float, budget: int) -> BlowupConstruction:
     """Assemble the disjoint-ball function certifying loss of invariance.
 
-    Requires ``decide_l2(symbol, t)`` to be NotInvariant.  Ball N is centred
+    Requires ``decide_l2(poly, t)`` to be NotInvariant.  Ball N is centred
     where ``e^{2 t Re a} = 2^N / N`` (found by bisection along the growth
     direction) with radius shrunk until the factor stays above
     ``2^N / (2N)`` on the whole ball; the piece of f there carries mass
@@ -352,7 +349,6 @@ def l2_blowup_construction(symbol, t: float, budget: int) -> BlowupConstruction:
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    poly = to_polynomial(symbol)
     if poly.n != 1:
         raise ValueError("the blow-up construction is implemented for n = 1")
     decision = decide_l2(poly, t)

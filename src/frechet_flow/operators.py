@@ -31,20 +31,20 @@ from .spectral import (
     seminorm,
     shell_reductions,
 )
-from .symbols import PolynomialSymbol, parse_symbol, to_polynomial
+from .symbols import PolynomialSymbol, SymbolError
 
 
 class MultiplierOperator:
     """Action of a symbol ``a`` as nodewise multiplication on fields.
 
-    The operator is immutable.  Its one grid-sized table is `levels`: the
-    distinct symbol values and each node's index into them, built on first
-    use, never here.  Every symbol, given as text (parsed at ``grid.n``), as
-    an expression tree or as a `PolynomialSymbol`, is expanded by
-    `to_polynomial`, which refuses one past the dense-coefficient budget,
-    and evaluated by the polynomial's Horner routine (`eval_grid`); where
-    an axis enters it through even powers only, of any degree, the table is
-    built on the half (or quarter) grid up to ``xi_k = 0`` and mirrored.
+    The operator is immutable and built from a `PolynomialSymbol` (text
+    goes through `symbols.parse_symbol` and `symbols.to_polynomial` first).
+    Its one grid-sized table is `levels`: the distinct symbol values and
+    each node's index into them, built on first use, never here, by the
+    polynomial's Horner routine (`eval_grid`); where an axis enters the
+    symbol through even powers only, of any degree, the table is built on
+    the half (or quarter) grid up to ``xi_k = 0`` and mirrored.  A symbol
+    that is not finite on the grid is refused when the table is built.
     `power` raises its base's levels to the k-th power and keeps the base's
     ``inverse``, so a power's table may list one value more than once (as
     ``a`` and ``-a`` do when squared).  The per-ball quantities,
@@ -54,24 +54,22 @@ class MultiplierOperator:
     ``values``, the symbol on every node, is gathered from it on each access.
     """
 
-    def __init__(self, symbol, grid: FrequencyGrid, label: str | None = None):
-        if isinstance(symbol, str):
-            symbol = parse_symbol(symbol, grid.n)
-        poly = to_polynomial(symbol)
+    def __init__(self, poly: PolynomialSymbol, grid: FrequencyGrid, label: str | None = None):
+        if not isinstance(poly, PolynomialSymbol):
+            raise TypeError(f"a multiplier is built from a PolynomialSymbol, not {poly!r}")
         if poly.n != grid.n:
             raise GridError(f"symbol dimension {poly.n} != grid dimension {grid.n}")
-        self._init(grid, symbol, poly, label, None)
+        self._init(grid, poly, label, None)
 
     @classmethod
     def _from_table(cls, grid: FrequencyGrid, levels, inverse, label: str | None = None):
         """An operator whose `levels` table is ``(levels, inverse)``, both read-only."""
         op = cls.__new__(cls)
-        op._init(grid, None, None, label, (levels, inverse))
+        op._init(grid, None, label, (levels, inverse))
         return op
 
-    def _init(self, grid, symbol, poly, label, table):
+    def _init(self, grid, poly, label, table):
         self.grid = grid
-        self.symbol = symbol
         self.label = label
         self._poly = poly
         self._extremes = None
@@ -153,7 +151,7 @@ class MultiplierOperator:
                                               label=f"{self.label}^{k}")
 
     def __repr__(self):
-        return f"MultiplierOperator({self.label or self.symbol!r}, {self.grid!r})"
+        return f"MultiplierOperator({self.label or self._poly!r}, {self.grid!r})"
 
 
 # Odd, so multiplication by it permutes uint64.  The key
@@ -203,12 +201,23 @@ def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
     first ``J inv_h + 1`` nodes only, up to ``xi_k = 0``, and the table's
     ``inverse`` is mirrored.  Every node's value also sits at a node of that
     corner that comes no later in row-major order, so the corner's first
-    appearances are the full grid's and ``levels`` is unchanged.
+    appearances are the full grid's and ``levels`` is unchanged.  A table
+    with a value that is not finite, one that overflows in Horner's rule or
+    the ``nan`` of the ``inf * 0`` it then forms, is refused with
+    `SymbolError`.
     """
     lim = grid.J * grid.inv_h
     even = [all(alpha[k] % 2 == 0 for alpha in poly.coeffs) for k in range(grid.n)]
     axes = [grid.axis[: lim + 1] if mirrored else grid.axis for mirrored in even]
-    levels, inverse = _level_table(np.ascontiguousarray(poly.eval_grid(*axes)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = poly.eval_grid(*axes)
+    levels, inverse = _level_table(np.ascontiguousarray(values))
+    finite = np.isfinite(levels)
+    if not finite.all():
+        raise SymbolError(
+            f"the symbol is not finite on the grid's extent [-{grid.J}, {grid.J}]^{grid.n}: "
+            f"{levels.size - np.count_nonzero(finite)} of its {levels.size} distinct values "
+            "overflow")
     for k, mirrored in enumerate(even):
         if mirrored:
             tail = np.flip(inverse, axis=k)[(slice(None),) * k + (slice(1, None),)]
@@ -251,7 +260,7 @@ class ReflectionOperator:
         return f"ReflectionOperator({self.grid!r})"
 
 
-def continuum_seminorm_bound(symbol, j: int) -> float:
+def continuum_seminorm_bound(poly: PolynomialSymbol, j: int) -> float:
     """The continuum bound ``sup_{|xi| <= j} |a(xi)|`` for a polynomial symbol.
 
     In one dimension the maximum of ``|a|^2`` is located by a critical-point
@@ -259,7 +268,6 @@ def continuum_seminorm_bound(symbol, j: int) -> float:
     it is sampled at 4096 points, 64 angles on each of 64 rings.  The
     discrete operator seminorm never exceeds it.
     """
-    poly = to_polynomial(symbol)
     if poly.n == 1:
         re, im = poly.dense.real, poly.dense.imag
         square = np.polynomial.polynomial.polymul(re, re)

@@ -164,14 +164,6 @@ class FrequencyGrid:
         return tuple(int(k) + lim for k in idx)
 
 
-def make_grid(n: int, J: int, h: float) -> FrequencyGrid:
-    """Build the grid covering ``[-J, J]^n`` with spacing h (1/h integer)."""
-    inv = 1.0 / float(h) if h > 0 else 0.0
-    if not (h > 0 and abs(inv - round(inv)) <= 1e-9 * max(1.0, inv)):
-        raise GridError(f"spacing h must satisfy 1/h integer, got h={h!r}")
-    return FrequencyGrid(n, J, int(round(inv)))
-
-
 @dataclass(frozen=True, eq=False)
 class ShellIndex:
     """Nodes of a grid grouped by shell ``j - 1 < |xi| <= j`` (shell 1 holds ``xi = 0``).

@@ -4,10 +4,15 @@ The input mini-language covers complex polynomial symbols ``a(xi)``:
 literals, ``pi``, ``i``, variables ``xi`` (1-D) or ``xi1``, ``xi2`` (2-D),
 the operators ``+ - * / ^`` and parentheses.  ``^`` binds tightest and its
 exponent must be a constant integer; division is only allowed by constant
-subexpressions.  The Fourier convention is ``e^{-2 pi i x xi}``: a classical
-derivative d/dx therefore carries the symbol ``2*pi*i*xi``, and coefficient
-lists written against plain partial derivatives are converted by the factor
-``(2 pi i)^{|alpha|}`` per order (`diffop_to_symbol`).
+subexpressions.  Text takes one path to a symbol: `parse_symbol(text, n)`
+reads it at dimension n into a `SymbolExpr` (``pi`` and ``i`` become
+numbers), and `to_polynomial` expands that tree into the `PolynomialSymbol`
+every operator is built from.  The tree keeps only what is read: `evaluate`
+reads it as the reference for the expansion.  The Fourier convention is
+``e^{-2 pi i x xi}``: a classical derivative d/dx therefore carries the
+symbol ``2*pi*i*xi``, and coefficient lists written against plain partial
+derivatives are converted by the factor ``(2 pi i)^{|alpha|}`` per order
+(`diffop_to_symbol`).
 """
 
 from __future__ import annotations
@@ -44,15 +49,6 @@ class Num:
 
 
 @dataclass(frozen=True)
-class Const:
-    name: str  # "pi" or "i"
-
-    @property
-    def value(self) -> complex:
-        return complex(math.pi) if self.name == "pi" else 1j
-
-
-@dataclass(frozen=True)
 class Var:
     axis: int  # 0-based
 
@@ -75,7 +71,7 @@ class Pow:
     exponent: int
 
 
-Node = Union[Num, Const, Var, Neg, BinOp, Pow]
+Node = Union[Num, Var, Neg, BinOp, Pow]
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,6 @@ class SymbolExpr:
 
     root: Node
     n: int
-    source: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +217,9 @@ class _Parser:
             return Num(complex(value))
         if kind == "ident":
             if value == "pi":
-                return Const("pi")
+                return Num(complex(math.pi))
             if value == "i":
-                return Const("i")
+                return Num(1j)
             axis = self._variable_axis(value)
             if axis is not None:
                 return Var(axis)
@@ -268,40 +263,7 @@ def parse_symbol(text: str, n: int = 1) -> SymbolExpr:
     if not text or not text.strip():
         raise SymbolSyntaxError("empty symbol text", 0)
     root = _Parser(_tokenize(text), n).parse()
-    return SymbolExpr(root=root, n=n, source=text)
-
-
-# ---------------------------------------------------------------------------
-# Printing (canonical form; parse -> print -> parse is a fixpoint)
-
-
-def print_symbol(expr: SymbolExpr) -> str:
-    return _print_node(expr.root, 0)
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def _print_node(node: Node, parent_prec: int) -> str:
-    if isinstance(node, Num):
-        v = node.value
-        text = repr(v.real) if v.imag == 0 else f"({v.real!r}+{v.imag!r}*i)"
-        return text
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Var):
-        return "xi" if node.axis == 0 else f"xi{node.axis + 1}"
-    if isinstance(node, Neg):
-        return f"-{_print_node(node.arg, 3)}"
-    if isinstance(node, Pow):
-        return f"{_print_node(node.base, 4)}^{node.exponent}"
-    prec = _PREC[node.op]
-    text = (
-        f"{_print_node(node.left, prec)}{node.op}{_print_node(node.right, prec + 1)}"
-    )
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+    return SymbolExpr(root=root, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +408,6 @@ def evaluate(symbol, point) -> complex:
 def _eval_node(node: Node, point) -> complex:
     if isinstance(node, Num):
         return node.value
-    if isinstance(node, Const):
-        return node.value
     if isinstance(node, Var):
         return complex(point[node.axis])
     if isinstance(node, Neg):
@@ -468,17 +428,17 @@ def _eval_node(node: Node, point) -> complex:
 
 
 def to_polynomial(symbol) -> PolynomialSymbol:
-    """Expand an expression tree into its coefficient map.
+    """Expand an expression tree into its coefficient map; a polynomial is returned as is.
 
-    Division is only accepted when the expanded divisor is a nonzero
-    constant; negative powers of variables are rejected.
+    Text is refused with `TypeError`: it goes through `parse_symbol`,
+    which fixes its dimension.  Division is only accepted when the
+    expanded divisor is a nonzero constant; negative powers of variables
+    are rejected.
     """
     if isinstance(symbol, PolynomialSymbol):
         return symbol
-    if isinstance(symbol, str):
-        symbol = parse_symbol(symbol)
     if not isinstance(symbol, SymbolExpr):
-        raise TypeError(f"not a symbol: {symbol!r}")
+        raise TypeError(f"not an expression tree or a polynomial symbol: {symbol!r}")
     coeffs = _expand(symbol.root, symbol.n)
     return PolynomialSymbol(symbol.n, coeffs)
 
@@ -487,8 +447,6 @@ def _expand(node: Node, n: int) -> dict:
     zero_index = (0,) * n
     if isinstance(node, Num):
         return {zero_index: node.value} if node.value != 0 else {}
-    if isinstance(node, Const):
-        return {zero_index: node.value}
     if isinstance(node, Var):
         alpha = tuple(1 if k == node.axis else 0 for k in range(n))
         return {alpha: 1.0 + 0j}

@@ -22,7 +22,7 @@ from frechet_flow.fieldio import (
     write_csv,
     write_field,
 )
-from frechet_flow.spectral import saturated_product
+from frechet_flow.spectral import SpectralField, saturated_product
 
 BASE_CONFIG = """\
 [grid]
@@ -672,6 +672,39 @@ def test_run_config_symbol_spec_label():
 # ---------------------------------------------------------------------------
 # whole processes: an error exits 2 with one line on stderr and nothing else
 # (the RuntimeWarning filter of the test session does not reach a child)
+
+
+@pytest.mark.parametrize("method", ["multiplier", "series", "both"])
+@pytest.mark.parametrize("times", ["0.1", "0"])
+def test_cli_solve_refuses_a_symbol_not_finite_on_the_grid(tmp_path, capsys, method, times):
+    # -xi^400 overflows past |xi| = 5.9 on [-8, 8], and Horner's rule then forms
+    # inf * 0 = nan; the suite's error::RuntimeWarning filter fails on any warning
+    path = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", path, "--set", "symbol.text=-xi^400",
+                 "--set", "grid.J=8", "--set", "grid.inv_h=4", "--set", f"evolve.times={times}",
+                 "--set", f"evolve.method={method}", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the symbol is not finite on the grid's extent [-8, 8]^1: "
+        "1 of its 25 distinct values overflow\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, code", [("multiplier", 0), ("series", 2), ("both", 2)])
+def test_cli_solve_reports_an_unreachable_series_tolerance_in_one_line(tmp_path, capsys,
+                                                                      method, code):
+    # p_J(u) overflows to inf, so the log-threshold of the truncation is -inf
+    grid = FrequencyGrid(1, 8, 4)
+    init = tmp_path / "init.fl2l"
+    write_field(init, SpectralField(grid, np.full(grid.shape, 1e308, dtype=complex)))
+    path = write_config(tmp_path, BASE_CONFIG)
+    assert main(["solve", "--config", path, "--set", "grid.J=8", "--set", "grid.inv_h=4",
+                 "--set", "evolve.times=0.5", "--set", f"evolve.method={method}",
+                 "--set", f"init.field=file:{init}", "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == ("" if code == 0 else
+        "error: p_J(u) = inf is not finite, so no series truncation reaches tol = 1e-08 "
+        "at t = 0.5\n")
 
 
 def run_process(args, cwd):

@@ -9,7 +9,6 @@ from frechet_flow import (
     FrequencyGrid,
     GridError,
     delta,
-    make_grid,
     metric,
     ones,
     project,
@@ -27,30 +26,28 @@ from frechet_flow.spectral import (
 REL = 1e-12
 
 
-def test_make_grid_node_counts():
-    assert make_grid(1, 2, 0.5).node_count == 9
-    assert make_grid(1, 8, 1 / 32).node_count == 513
-    assert make_grid(2, 2, 1.0).node_count == 25
+def test_grid_node_counts():
+    assert FrequencyGrid(1, 2, 2).node_count == 9
+    assert FrequencyGrid(1, 8, 32).node_count == 513
+    assert FrequencyGrid(2, 2, 1).node_count == 25
 
 
-def test_make_grid_matches_explicit_enumeration():
-    grid = make_grid(1, 2, 0.5)
+def test_grid_matches_explicit_enumeration():
+    grid = FrequencyGrid(1, 2, 2)
     nodes = [k * 0.5 for k in range(-4, 5)]
     assert np.allclose(grid.axis, nodes)
 
 
-def test_make_grid_rejects_non_integral_spacing():
+def test_grid_rejects_no_balls_and_three_dimensions():
     with pytest.raises(GridError):
-        make_grid(1, 2, 0.3)
+        FrequencyGrid(1, 0, 2)
     with pytest.raises(GridError):
-        make_grid(1, 0, 0.5)
-    with pytest.raises(GridError):
-        make_grid(3, 2, 0.5)
+        FrequencyGrid(3, 2, 2)
 
 
-def test_make_grid_rejects_node_budget_overflow():
+def test_grid_rejects_node_budget_overflow():
     with pytest.raises(GridError):
-        make_grid(2, 1024, 1 / 1024)
+        FrequencyGrid(2, 1024, 1024)
 
 
 def test_nearest_node_clips_far_points_and_rejects_non_finite_ones():
@@ -66,7 +63,7 @@ def test_nearest_node_clips_far_points_and_rejects_non_finite_ones():
 
 
 def test_ball_membership_includes_boundary():
-    grid = make_grid(1, 2, 0.5)
+    grid = FrequencyGrid(1, 2, 2)
     mask = grid.ball_mask(1)
     # nodes at exactly |xi| = 1 are inside (tie rule), |xi| = 1.5 outside
     assert mask[list(grid.axis).index(-1.0)]
@@ -76,7 +73,7 @@ def test_ball_membership_includes_boundary():
 
 
 def test_euclidean_ball_nodes_are_on_the_grid_2d():
-    grid = make_grid(2, 2, 1.0)
+    grid = FrequencyGrid(2, 2, 1)
     mask = grid.ball_mask(2)
     # (1, 1) has norm sqrt(2) <= 2; (2, 2) has norm > 2 and is excluded,
     # though it remains a grid node of the ambient square

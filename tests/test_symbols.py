@@ -14,7 +14,6 @@ from frechet_flow import (
     evaluate,
     heat_symbol,
     parse_symbol,
-    print_symbol,
     to_polynomial,
 )
 from frechet_flow.symbols import SymbolError, horner, parse_diffop_coefficients
@@ -74,7 +73,7 @@ def expand_stepwise(text):
     """The coefficients of a constant power as `_poly_mul` forms them, one product at a time."""
     base, exponent = text.rsplit("^", 1)
     power = {(0,): 1.0 + 0j}
-    factor = to_polynomial(base).coeffs
+    factor = to_polynomial(parse_symbol(base)).coeffs
     for _ in range(int(exponent)):
         power = {(0,): 0j + power[(0,)] * factor.get((0,), 0j)}
         if power[(0,)] == 0:
@@ -84,7 +83,7 @@ def expand_stepwise(text):
 
 @pytest.mark.parametrize("text", ["pi^2", "(1+2*i)^3", "(-0.0*i+1)^2", "0^3", "pi^0"])
 def test_constant_squares_and_cubes_keep_the_product_bits(text):
-    coeffs = to_polynomial(text).coeffs
+    coeffs = to_polynomial(parse_symbol(text)).coeffs
     expected = expand_stepwise(text)
     assert list(coeffs) == list(expected)
     for alpha, c in coeffs.items():
@@ -93,18 +92,18 @@ def test_constant_squares_and_cubes_keep_the_product_bits(text):
 
 
 def test_large_constant_powers_take_log2_products():
-    assert to_polynomial("(xi-xi)^100000000").is_zero
-    assert to_polynomial("0^100000000*xi").is_zero
-    assert to_polynomial("i^100000001*xi").coeffs == {(1,): 1j}
-    assert to_polynomial("(-1)^100000001*xi").coeffs == {(1,): -1.0}
-    assert to_polynomial("2^1000*xi").coeffs == {(1,): complex(2.0**1000)}
-    assert to_polynomial("0.5^100000000*xi").is_zero
-    assert to_polynomial("(1/2)^-1000").coeffs == {(0,): complex(2.0**1000)}
+    assert to_polynomial(parse_symbol("(xi-xi)^100000000")).is_zero
+    assert to_polynomial(parse_symbol("0^100000000*xi")).is_zero
+    assert to_polynomial(parse_symbol("i^100000001*xi")).coeffs == {(1,): 1j}
+    assert to_polynomial(parse_symbol("(-1)^100000001*xi")).coeffs == {(1,): -1.0}
+    assert to_polynomial(parse_symbol("2^1000*xi")).coeffs == {(1,): complex(2.0**1000)}
+    assert to_polynomial(parse_symbol("0.5^100000000*xi")).is_zero
+    assert to_polynomial(parse_symbol("(1/2)^-1000")).coeffs == {(0,): complex(2.0**1000)}
     for text in ("2^100000000", "2^1024", "(1/2)^-2000*xi", "(1+i)^2100"):
         with pytest.raises(SymbolError, match="a constant power overflows"):
-            to_polynomial(text)
+            to_polynomial(parse_symbol(text))
     with pytest.raises(SymbolError, match="zero raised to a negative exponent"):
-        to_polynomial("(xi-xi)^-3")
+        to_polynomial(parse_symbol("(xi-xi)^-3"))
 
 
 def test_parse_rejects_unknown_identifier():
@@ -210,7 +209,7 @@ def test_polynomials_past_the_dense_budget_are_refused():
     assert PolynomialSymbol(1, {(_EXPANSION_TERM_BUDGET - 1,): 1}).dense.size == 20000
     for symbol in (lambda: PolynomialSymbol(1, {(_EXPANSION_TERM_BUDGET,): 1}),
                    lambda: PolynomialSymbol(2, {(200, 99): 1}),  # 201 * 100 entries
-                   lambda: to_polynomial("xi^1000000000"),
+                   lambda: to_polynomial(parse_symbol("xi^1000000000")),
                    lambda: to_polynomial(parse_symbol("(xi1*xi2)^150", 2)),
                    lambda: diffop_to_symbol({(10**9,): 1.0}, convention="partial")):
         with pytest.raises(SymbolError, match="above the budget of 20000"):
@@ -240,11 +239,21 @@ def test_expansion_agrees_with_tree_on_random_points(rng):
             assert abs(tree - dense) <= 1e-10 * (1.0 + abs(tree))
 
 
-def test_print_parse_fixpoint():
-    for text in ("-(1+4*pi^2*xi^2)", "2*pi*i*xi", "(xi+1)*(xi-2)^3", "1/4*xi"):
-        printed = print_symbol(parse_symbol(text))
-        again = print_symbol(parse_symbol(printed))
-        assert printed == again
+def test_pi_and_i_parse_to_numbers():
+    from frechet_flow.symbols import BinOp, Num
+
+    assert parse_symbol("pi").root == Num(complex(PI))
+    assert parse_symbol("i").root == Num(1j)
+    assert parse_symbol("pi*i").root == BinOp("*", Num(complex(PI)), Num(1j))
+
+
+def test_to_polynomial_takes_a_tree_or_a_polynomial_not_text():
+    heat = heat_symbol()
+    assert to_polynomial(heat) is heat
+    for text in ("xi", "xi1+xi2"):
+        with pytest.raises(TypeError, match="not an expression tree or a polynomial"):
+            to_polynomial(text)
+    assert to_polynomial(parse_symbol("xi1+xi2", 2)).coeffs == {(1, 0): 1.0, (0, 1): 1.0}
 
 
 def test_to_polynomial_rejects_non_polynomial_trees():

@@ -85,9 +85,9 @@ def test_golden_case_names_are_unique():
 def test_every_golden_solve_config_parses(tmp_path):
     for seed, (name, n, J, inv_h, symbol, times, init, *options) in enumerate(
             GOLDEN.SOLVES, start=1):
-        if init == "file":
+        if init.startswith("file"):
             path = tmp_path / f"{name}.fl2l"
-            GOLDEN.write_random_field(path, n, J, inv_h, seed)
+            GOLDEN.write_init_field(path, init, n, J, inv_h, seed)
             init = f"file:{path}"
         config = config_from_text(
             GOLDEN.solve_config(n, J, inv_h, symbol, times, init, *options))

@@ -23,7 +23,10 @@ out.  One solve and one ``check-l2`` take their symbol as a
 derivative-coefficient list, ``check-l2`` and ``check-eprime`` also run on
 a complex symbol of degree 5, ``check-eprime`` runs once with its witness
 search held to radius 1, and a few cases fail on a missing or malformed
-symbol.  ``translate`` runs the Gaussian on a range of more than one sample
+symbol.  Two solves fail with exit 2 and one stderr line: ``-xi^400`` is not
+finite on its grid, and a field of 1e308 at every node has a top seminorm
+that overflows, so no series truncation reaches the tolerance.
+``translate`` runs the Gaussian on a range of more than one sample
 block, at t = 0 and at t = 3 (past 64 orders, and past its tolerance), and
 a cubic and a ``poly:`` function.  ``--bench-seeds`` adds the solve workloads of
 ``bench/workloads.py`` at the given seeds, with their own inputs and grids
@@ -56,8 +59,8 @@ QUINTIC = "(1+2*i)*xi^5-3*xi^2+i*xi"
 HEAT_DIFFOP = "2:1;0:-1"
 
 # (name, n, J, inv_h, [symbol] entries, times, init[, method[, formats]]);
-# "file" is a seeded random field, the method is "both" and the formats
-# "csv, fl2l, field-csv" unless given
+# "file" is a seeded random field and "file-1e308" a field of 1e308 at every
+# node, the method is "both" and the formats "csv, fl2l, field-csv" unless given
 SOLVES = [
     ("solve-1d-even", 1, 8, 32, "text = " + HEAT_1D, "0.001, 0.1, 1, -0.05", "gaussian-hat"),
     ("solve-1d-even-backward", 1, 4, 16, "text = " + HEAT_1D, "-0.5, -3", "ones"),
@@ -84,6 +87,10 @@ SOLVES = [
        "file", method, "csv") for method in ("multiplier", "series", "both")),
     ("solve-2d-only-time-zero", 2, 4, 16, "text = " + HEAT_2D, "0", "file", "both",
      "csv, fl2l"),
+    # 8^400 overflows, and Horner's rule then forms inf * 0 = nan at xi = 0
+    ("solve-symbol-not-finite", 1, 8, 4, "text = -xi^400", "0.1", "ones"),
+    # p_J(u) overflows to inf: the series tolerance is out of reach
+    ("solve-seminorm-overflows", 1, 8, 4, "text = " + HEAT_1D, "0.5", "file-1e308"),
 ]
 
 # (name, SOLVES case without a "file" init, lines left out of its config, --set
@@ -135,11 +142,14 @@ OTHERS = [
 ]
 
 
-def write_random_field(path, n, J, inv_h, seed):
-    """A seeded random field in the ``.fl2l`` layout, written without the package."""
+def write_init_field(path, init, n, J, inv_h, seed):
+    """A ``file`` or ``file-1e308`` init in the ``.fl2l`` layout, written without the package."""
     side = 2 * J * inv_h + 1
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((side,) * n) + 1j * rng.standard_normal((side,) * n)
+    if init == "file":
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((side,) * n) + 1j * rng.standard_normal((side,) * n)
+    else:
+        values = np.full((side,) * n, 1e308, dtype=complex)
     with open(path, "wb") as handle:
         handle.write(struct.pack("<4sIBII", b"FL2L", 1, n, J, inv_h))
         handle.write(values.astype("<c16").tobytes())
@@ -188,8 +198,8 @@ def main(argv=None) -> int:
     for seed, (name, n, J, inv_h, symbol, times, init, *options) in enumerate(SOLVES, start=1):
         case_dir = os.path.join(args.out_dir, name)
         os.makedirs(case_dir, exist_ok=True)
-        if init == "file":
-            write_random_field(os.path.join(case_dir, "init.fl2l"), n, J, inv_h, seed)
+        if init.startswith("file"):
+            write_init_field(os.path.join(case_dir, "init.fl2l"), init, n, J, inv_h, seed)
             init = "file:init.fl2l"
         with open(os.path.join(case_dir, "run.cfg"), "w") as handle:
             handle.write(solve_config(n, J, inv_h, symbol, times, init, *options))
