@@ -98,24 +98,28 @@ def _heat_summary(t: float, M: int, chunk) -> str:
 
 def cmd_check_eprime(args) -> int:
     poly = _symbol_from_args(args)
-    decision = invariance.decide_eprime(poly)
-    search = invariance.find_growth_witness(poly, args.witness_c, args.rmax)
+    witness = invariance.find_growth_witness(poly)
+    paper = invariance.decide_eprime(poly)
+    rays = [] if witness is None else [(1, witness.forward), (-1, witness.backward)]
     out_dir = _ensure_out(args)
-    write_csv(os.path.join(out_dir, "eprime_probes.csv"), ["re_z", "im_z", "re_a", "threshold"],
-              ([z.real, z.imag, value, threshold] for z, value, threshold in search.probes))
-    lead = decision.leading
-    summary = (
-        f"compact-support verdict: {decision.verdict} "
-        f"(rule {decision.rule}, m={decision.order}, a_m={lead:.6g})"
-    )
-    witness_line = (
-        f"growth witness at z={search.witness.z:.6g} on the {search.witness.branch} "
-        f"half-plane (threshold c={args.witness_c:g})"
-        if search.found
-        else f"no growth witness up to |z|={args.rmax:g} at c={args.witness_c:g} "
-        "(consistent, not proven)"
-    )
-    lines = [summary, witness_line] + [f"caveat: {c}" for c in decision.caveats]
+    write_csv(os.path.join(out_dir, "eprime_witness.csv"), ["t_sign", "theta", "order"],
+              ([sign, theta, witness.order] for sign, theta in rays))
+    exact = invariance.INVARIANT if witness is None else invariance.NOT_INVARIANT
+    lines = [
+        f"compact-support verdict: {exact} for every t != 0 (exact rule)",
+        "growth witness: none" if witness is None else
+        f"growth witness: order {witness.order}, ray arg z={witness.forward:.6g} for t > 0, "
+        f"arg z={witness.backward:.6g} for t < 0",
+        f"paper rule: {paper.verdict} "
+        f"(rule {paper.rule}, m={paper.order}, a_m={paper.leading:.6g})",
+    ]
+    if paper.verdict != exact:
+        lines.append(
+            "note: the paper rule differs from the exact rule; "
+            + ("Re(t a) grows like |t a_m| r^m along the witness rays, so e^{t a(z)} "
+               "is not of exponential type" if witness is not None else
+               "a constant symbol multiplies by the scalar e^{t a_0}, which keeps every "
+               "support"))
     _write_metadata(out_dir, "check-eprime", lines)
     for line in lines:
         print(line)
@@ -285,10 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--diffop", default=None, metavar="ALPHA:RE,IM;...")
         p.add_argument("--convention", choices=("d", "partial"), default="d")
         p.add_argument("--out", default="out")
-        if name == "check-eprime":
-            p.add_argument("--witness-c", type=float, default=1.0)
-            p.add_argument("--rmax", type=float, default=1e4)
-        else:
+        if name == "check-l2":
             p.add_argument("--t", type=float, default=1.0)
         p.set_defaults(handler=handler)
 

@@ -136,7 +136,9 @@ def multiplier_factor(op: MultiplierOperator, t: float) -> Optional[LevelFactor]
     """The closed form's factor ``e^{t a}`` per level; None (the identity) at t = 0."""
     if t == 0.0:
         return None
-    z = t * op.levels()[0]
+    # a real part that overflows reads +-inf, which the saturation policy handles
+    with np.errstate(over="ignore"):
+        z = t * op.levels()[0]
     return LevelFactor(z.real, np.exp(1j * z.imag), flags_blown=True)
 
 
@@ -233,8 +235,9 @@ def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
     it is applied to, the only thing of u the certificate reads.  Returns
     ``(factor, diagnostics)``; the factor is None (the identity) at t = 0,
     where the certificate takes every rate 0 and every stage growth 1
-    without reading the operator.  A nonzero rate with a p_J(u) that is
-    not finite leaves no tolerance reachable: `SeriesTruncationError`.
+    without reading the operator.  A worst rate ``|t| max|a|`` or, at a
+    nonzero rate, a p_J(u) that is not finite leaves no tolerance
+    reachable: `SeriesTruncationError`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -242,8 +245,13 @@ def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
     if t == 0.0:
         s, rates, growths = 0, [0.0] * J, [1.0] * J
     else:
-        rates = (abs(t) * op._profile()).tolist()
+        with np.errstate(over="ignore"):
+            rates = (abs(t) * op._profile()).tolist()
         worst = rates[-1]
+        if not math.isfinite(worst):
+            raise SeriesTruncationError(
+                f"the worst rate |t| max|a| = {worst:g} is not finite at t = {t:g}, "
+                "so no series stage count exists")
         s = 0 if worst <= STAGE_RATE_LIMIT else math.ceil(math.log2(worst / STAGE_RATE_LIMIT))
         growths = _stage_growth(op, t / (1 << s))
     stages = 1 << s

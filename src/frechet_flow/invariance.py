@@ -3,11 +3,14 @@
 Two subspaces of the ambient distribution space admit sharp criteria in
 terms of the polynomial symbol alone:
 
-* compactly supported distributions (one dimension): invariant for all
-  t >= 0 exactly when either the order m equals 1 with purely imaginary
-  leading coefficient, or m is a multiple of four with strictly negative
-  real leading part.  The complementary cases admit complex growth
-  witnesses ``Re a(z) > c |Im z|`` that this module searches for.
+* compactly supported distributions (one dimension): by
+  Paley-Wiener-Schwartz, invariant for every t != 0 exactly when the
+  degree is at most 1 and Re a_1 = 0 (constants and translations).
+  `find_growth_witness` decides this from the stored coefficients and
+  otherwise returns the rays along which ``Re(t a(z))`` outgrows every
+  exponential type.  `decide_eprime` keeps the paper's rule as stated:
+  order 1 with purely imaginary leading coefficient, or order 4k with
+  negative real leading part.
 
 * square-integrable functions: invariant at time t > 0 exactly when
   ``sup_xi e^{t Re a(xi)}`` is finite, i.e. when the real part of the
@@ -21,6 +24,7 @@ terms of the polynomial symbol alone:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,11 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .spectral import OVERFLOW_EXPONENT
-from .symbols import PolynomialSymbol, horner
-
-# |Re a_m| below this counts as zero in the order-1 branch; exact-zero
-# inputs (coefficients written as pure imaginary literals) bypass it.
-LEADING_REAL_TOLERANCE = 1e-12
+from .symbols import PolynomialSymbol, _real_critical_points, horner
 
 INVARIANT = "Invariant"
 NOT_INVARIANT = "NotInvariant"
@@ -63,67 +63,27 @@ class EprimeDecision:
     rule: str  # "m1-imaginary", "m4k-negative", "otherwise"
     order: int
     leading: complex
-    caveats: tuple = ()
 
 
 def decide_eprime(poly: PolynomialSymbol) -> EprimeDecision:
-    """Decide invariance of compactly supported distributions (n = 1).
+    """The paper's compact-support rule as stated (n = 1).
 
     Pure inspection of ``(m, a_m)``: Invariant iff m = 1 with Re a_m = 0,
-    or m = 4k with Re a_m < 0.  The zero symbol is treated as order 0 with
-    vanishing coefficient and flagged.  The order-0 branch follows the same
-    ``4k`` rule (Re a_0 < 0) even though constant symbols multiply spectra
-    by an entire scalar and preserve supports regardless of sign; a caveat
-    records that the implemented criterion is stricter than that
-    observation.
+    or m = 4k with Re a_m < 0; the zero symbol reads as m = 0 with
+    a_0 = 0.  The exact rule is `find_growth_witness`; the two differ at
+    m = 4k >= 4 with Re a_m < 0 and at constants with Re a_0 >= 0.
     """
     if poly.n != 1:
         raise ValueError("the compact-support criterion is stated for n = 1")
-    caveats = []
-    if poly.is_zero:
-        caveats.append("zero-symbol: order undefined, treated as m=0 with a_0=0")
-        return EprimeDecision(
-            verdict=NOT_INVARIANT, rule="otherwise", order=0, leading=0j,
-            caveats=tuple(caveats),
-        )
     m = poly.order
     lead = poly.coefficient((m,))
-    re_lead = lead.real
-    re_is_zero = re_lead == 0.0 or abs(re_lead) < LEADING_REAL_TOLERANCE
-    if m == 1 and re_is_zero:
-        return EprimeDecision(
-            verdict=INVARIANT, rule="m1-imaginary", order=m, leading=lead,
-            caveats=tuple(caveats),
-        )
-    if m % 4 == 0 and re_lead < 0.0:
-        if m == 0:
-            caveats.append(
-                "constant-symbol branch implemented as stated; constants "
-                "preserve supports for any sign of the real part"
-            )
-        else:
-            # along the diagonal direction (1+i)/sqrt(2) the real part of
-            # z^{4k} is negative, so a negative leading coefficient makes
-            # Re(a_m z^m) grow like +|z|^m there; the growth-witness
-            # criterion therefore contradicts this branch of the rule
-            caveats.append(
-                "order-4k branch implemented as stated; growth witnesses "
-                "along diagonal complex directions exist for every "
-                "threshold (see find_growth_witness)"
-            )
-        return EprimeDecision(
-            verdict=INVARIANT, rule="m4k-negative", order=m, leading=lead,
-            caveats=tuple(caveats),
-        )
-    if m == 0:
-        caveats.append(
-            "constant-symbol branch implemented as stated; constants "
-            "preserve supports for any sign of the real part"
-        )
-    return EprimeDecision(
-        verdict=NOT_INVARIANT, rule="otherwise", order=m, leading=lead,
-        caveats=tuple(caveats),
-    )
+    if m == 1 and lead.real == 0.0:
+        verdict, rule = INVARIANT, "m1-imaginary"
+    elif m % 4 == 0 and lead.real < 0.0:
+        verdict, rule = INVARIANT, "m4k-negative"
+    else:
+        verdict, rule = NOT_INVARIANT, "otherwise"
+    return EprimeDecision(verdict=verdict, rule=rule, order=m, leading=lead)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +108,8 @@ def _decide_bounded_above_1d(poly: PolynomialSymbol) -> tuple[bool, float, tuple
     lead = float(re[-1])
     bounded = degree % 2 == 0 and lead < 0.0
     if bounded:
-        roots = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(re))
-        candidates = [0.0] + [float(r.real) for r in roots if abs(r.imag) < 1e-9]
-        sup = max(horner(re, [np.array(candidates)]).tolist())
+        candidates = np.concatenate(([0.0], _real_critical_points(re)))
+        sup = max(horner(re, [candidates]).tolist())
         return True, sup, ()
     caveats = []
     if degree % 2 == 1:
@@ -244,68 +203,39 @@ def decide_l2(poly: PolynomialSymbol, t: float = 1.0, method: str = "auto") -> L
 
 @dataclass(frozen=True)
 class GrowthWitness:
-    z: complex
-    real_part: float
-    threshold: float  # c |Im z|
-    branch: str       # "upper" or "lower"
+    """Rays ``arg z = theta`` along which ``Re(t a(z))`` grows without bound.
 
-    def holds(self, poly: PolynomialSymbol) -> bool:
-        return poly.eval([self.z]).real > self.threshold
-
-
-@dataclass(frozen=True)
-class WitnessSearch:
-    witness: Optional[GrowthWitness]
-    probes: tuple  # (z, Re a(z), c|Im z|) rows actually inspected
-
-    @property
-    def found(self) -> bool:
-        return self.witness is not None
-
-
-def find_growth_witness(poly: PolynomialSymbol, c: float, r_max: float = 1e4) -> WitnessSearch:
-    """Search ``1 <= |z| <= r_max`` for a point with ``Re a(z) > c |Im z|``; ``r_max >= 1``.
-
-    The criterion is asymptotic, so a hit only counts when it survives
-    doubling the point twice along its own ray (small-radius pockets of
-    positive real part are not growth).  Both half-planes are scanned and
-    the branch of a hit is reported; order-1 symbols with purely imaginary
-    leading coefficient satisfy the refined bound
-    ``Re a(z) <= 2 pi |a_1| |Im z|``, so they yield witnesses for small c
-    but none once c clears that slope.  An empty search is consistency
-    evidence, not a proof.
+    ``order`` is the leading order m; along ``forward`` the growth is for
+    t > 0, along ``backward`` for t < 0.
     """
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"the threshold c must be finite and positive, got {c!r}")
-    if not math.isfinite(r_max):
-        raise ValueError(f"the search radius r_max must be finite, got {r_max!r}")
-    if r_max < 1:
-        raise ValueError(f"the search radius r_max must be at least 1, got {r_max!r}")
+
+    order: int
+    forward: float
+    backward: float
+
+
+def find_growth_witness(poly: PolynomialSymbol) -> Optional[GrowthWitness]:
+    """The exact compact-support rule: None exactly when E'(R) is invariant.
+
+    By Paley-Wiener-Schwartz, e^{t a(D)} with t != 0 keeps E'(R) iff
+    e^{t a(z)} is entire of exponential type with polynomial growth on the
+    real line, that is iff deg a <= 1 and Re a_1 = 0.  Otherwise, for
+    m >= 2 the rays ``-arg(a_m)/m`` and ``-arg(a_m)/m + pi/m`` carry
+    ``Re(t a_m z^m) = |t a_m| r^m``, which beats every ``B r + N log r``;
+    for m = 1 they are the real half-axes where ``Re(t a_1) x = |t Re a_1| r``,
+    growth that is not polynomial.  Both tests read stored floats exactly.
+    """
     if poly.n != 1:
-        raise ValueError("witness search is implemented for n = 1")
-    # at r_max close to 1 the 60 steps repeat radii; each is probed once
-    # (sorted like np.unique, whose first call imports numpy.ma: 1.5 MB)
-    radii = np.array(sorted(set(np.geomspace(1.0, float(r_max), 60).tolist())))[:, None]
-    angles = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
-    eta = radii * np.sin(angles)
-    z = np.empty(eta.shape, dtype=np.complex128)
-    z.real, z.imag = radii * np.cos(angles), eta
-    z = z[eta != 0.0]  # row-major: by radius, then by angle
-    thresholds = c * np.abs(z.imag)
-    # a probe whose value overflows compares as inf or nan; a hit counts
-    # only if it survives doubling the point twice along its ray
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = poly.eval([z]).real
-        hits = values > thresholds
-        for scale in (2, 4):
-            hits &= poly.eval([scale * z]).real > c * np.abs((scale * z).imag)
-    probes = tuple(zip(z.tolist(), values.tolist(), thresholds.tolist()))
-    best = None
-    if hits.any():
-        point, value, threshold = probes[int(np.argmax(hits))]
-        best = GrowthWitness(z=point, real_part=value, threshold=threshold,
-                             branch="upper" if point.imag > 0 else "lower")
-    return WitnessSearch(witness=best, probes=probes)
+        raise ValueError("the compact-support criterion is stated for n = 1")
+    m = poly.order
+    lead = poly.coefficient((m,))
+    if m >= 2:
+        forward = 0.0 - cmath.phase(lead) / m  # never -0.0
+        return GrowthWitness(order=m, forward=forward, backward=forward + math.pi / m)
+    if m == 1 and lead.real != 0.0:
+        forward = 0.0 if lead.real > 0.0 else math.pi
+        return GrowthWitness(order=1, forward=forward, backward=math.pi - forward)
+    return None
 
 
 # ---------------------------------------------------------------------------

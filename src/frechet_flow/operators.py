@@ -31,7 +31,7 @@ from .spectral import (
     seminorm,
     shell_reductions,
 )
-from .symbols import PolynomialSymbol, SymbolError
+from .symbols import PolynomialSymbol, SymbolError, _real_critical_points
 
 
 class MultiplierOperator:
@@ -269,18 +269,8 @@ def continuum_seminorm_bound(poly: PolynomialSymbol, j: int) -> float:
     discrete operator seminorm never exceeds it.
     """
     if poly.n == 1:
-        re, im = poly.dense.real, poly.dense.imag
-        square = np.polynomial.polynomial.polymul(re, re)
-        square = np.polynomial.polynomial.polyadd(
-            square, np.polynomial.polynomial.polymul(im, im)
-        )
-        deriv = np.polynomial.polynomial.polyder(square)
-        candidates = [-float(j), float(j), 0.0]
-        if deriv.size > 1 or deriv[0] != 0:
-            roots = np.polynomial.polynomial.polyroots(deriv)
-            for r in roots:
-                if abs(r.imag) < 1e-9 and abs(r.real) <= j:
-                    candidates.append(float(r.real))
+        points = _real_critical_points(poly.dense)
+        candidates = [-float(j), float(j), 0.0] + points[np.abs(points) <= j].tolist()
         values = poly.eval([np.array(candidates)])
     else:
         radii = np.linspace(0.0, float(j), 64)[:, None]

@@ -293,6 +293,24 @@ def horner(coefficients: np.ndarray, coords) -> np.ndarray:
     return acc
 
 
+def _real_critical_points(coefficients: np.ndarray) -> np.ndarray:
+    """Real critical points of a 1-D polynomial: of p for real coefficients, of |p|^2 for complex.
+
+    The coefficients are first scaled by the exact power of two that brings
+    the largest part below 1, so neither the derivative nor the square
+    overflows; the critical points stay where they are.  A root whose
+    imaginary part is below 1e-9 counts as real.
+    """
+    P = np.polynomial.polynomial
+    top = max(np.max(np.abs(coefficients.real)), np.max(np.abs(coefficients.imag)))
+    exponent = math.frexp(top)[1]
+    re, im = np.ldexp(coefficients.real, -exponent), np.ldexp(coefficients.imag, -exponent)
+    if np.iscomplexobj(coefficients):
+        re = P.polyadd(P.polymul(re, re), P.polymul(im, im))
+    roots = P.polyroots(P.polyder(re))
+    return roots.real[np.abs(roots.imag) < 1e-9]
+
+
 def _check_degrees(degrees) -> tuple:
     """The dense coefficient shape for these per-axis degrees, within the budget."""
     shape = tuple(d + 1 for d in degrees)
@@ -348,10 +366,6 @@ class PolynomialSymbol:
         if not self.coeffs:
             return 0
         return max(sum(alpha) for alpha in self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coefficient(self, alpha) -> complex:
         alpha = tuple(alpha) if isinstance(alpha, tuple) else (alpha,)

@@ -12,6 +12,7 @@ and the `fieldio` writers as the CLI does.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import time
@@ -258,9 +259,15 @@ def suite_invariance(rng) -> list[str]:
         if (growth > 1e6) != (exact.verdict == invariance.NOT_INVARIANT):
             failures.append(f"growth surrogate disagrees on {poly.coeffs}")
     second = symbols.diffop_to_symbol({(2,): 1.0}, "partial")
-    search = invariance.find_growth_witness(second, 10.0)
-    if not search.found or not search.witness.holds(second):
-        failures.append("no growth witness for the second-derivative symbol")
+    witness = invariance.find_growth_witness(second)
+    r = 2.0**20
+    leading = abs(second.coefficient((2,))) * r * r
+    if witness is None or witness.order != 2 or any(
+            abs(sign * second.eval([cmath.rect(r, theta)]).real / leading - 1.0) > 1e-9
+            for sign, theta in ((1.0, witness.forward), (-1.0, witness.backward))):
+        failures.append("no order-2 growth witness for the second-derivative symbol")
+    if invariance.find_growth_witness(table[0][0]) is not None:
+        failures.append("a growth witness for the translation symbol")
     blow = invariance.l2_blowup_construction(backward_heat, 0.5, 8)
     if blow.evolved_mass[-1] < blow.lower_bounds[-1] or blow.own_mass[-1] >= 1.0:
         failures.append("blow-up construction bounds violated")

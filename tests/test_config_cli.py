@@ -490,7 +490,50 @@ def test_cli_check_eprime(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "Invariant" in out
-    assert (tmp_path / "eprime_probes.csv").exists()
+    assert (tmp_path / "eprime_witness.csv").exists()
+    assert not (tmp_path / "eprime_probes.csv").exists()
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("-xi^4", ["compact-support verdict: NotInvariant for every t != 0 (exact rule)",
+               "growth witness: order 4, ray arg z=-0.785398 for t > 0, arg z=0 for t < 0",
+               "paper rule: Invariant (rule m4k-negative, m=4, a_m=-1+0j)",
+               "note: the paper rule differs from the exact rule; Re(t a) grows like "
+               "|t a_m| r^m along the witness rays, so e^{t a(z)} is not of exponential type"]),
+    ("-xi^8", ["compact-support verdict: NotInvariant for every t != 0 (exact rule)",
+               "growth witness: order 8, ray arg z=-0.392699 for t > 0, arg z=0 for t < 0",
+               "paper rule: Invariant (rule m4k-negative, m=8, a_m=-1+0j)",
+               "note: the paper rule differs from the exact rule; Re(t a) grows like "
+               "|t a_m| r^m along the witness rays, so e^{t a(z)} is not of exponential type"]),
+    ("3", ["compact-support verdict: Invariant for every t != 0 (exact rule)",
+           "growth witness: none",
+           "paper rule: NotInvariant (rule otherwise, m=0, a_m=3+0j)",
+           "note: the paper rule differs from the exact rule; a constant symbol multiplies "
+           "by the scalar e^{t a_0}, which keeps every support"]),
+    ("-2", ["compact-support verdict: Invariant for every t != 0 (exact rule)",
+            "growth witness: none",
+            "paper rule: Invariant (rule m4k-negative, m=0, a_m=-2+0j)"]),
+    ("0", ["compact-support verdict: Invariant for every t != 0 (exact rule)",
+           "growth witness: none",
+           "paper rule: NotInvariant (rule otherwise, m=0, a_m=0+0j)",
+           "note: the paper rule differs from the exact rule; a constant symbol multiplies "
+           "by the scalar e^{t a_0}, which keeps every support"]),
+    ("2*pi*i*xi", ["compact-support verdict: Invariant for every t != 0 (exact rule)",
+                   "growth witness: none",
+                   "paper rule: Invariant (rule m1-imaginary, m=1, a_m=0+6.28319j)"]),
+    ("-2*pi*xi", ["compact-support verdict: NotInvariant for every t != 0 (exact rule)",
+                  "growth witness: order 1, ray arg z=3.14159 for t > 0, arg z=0 for t < 0",
+                  "paper rule: NotInvariant (rule otherwise, m=1, a_m=-6.28319+0j)"]),
+])
+def test_cli_check_eprime_prints_the_exact_and_the_paper_rule(tmp_path, capsys, text, lines):
+    assert main(["check-eprime", f"--symbol={text}", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    assert (tmp_path / "metadata.txt").read_text().splitlines() == [
+        "command = check-eprime", *lines]
+    rows = (tmp_path / "eprime_witness.csv").read_text().splitlines()
+    # an Invariant verdict comes with no witness ray, a NotInvariant one with two
+    assert rows[0] == "t_sign,theta,order"
+    assert len(rows) == (1 if lines[1] == "growth witness: none" else 3)
 
 
 def test_cli_check_l2(tmp_path, capsys):
@@ -501,6 +544,15 @@ def test_cli_check_l2(tmp_path, capsys):
     assert code == 0
     assert "Invariant" in capsys.readouterr().out
     assert (tmp_path / "l2_probes.csv").exists()
+
+
+def test_cli_check_l2_finds_the_sup_of_large_coefficients(tmp_path, capsys):
+    # the derivative of -1e308 xi^2 overflows; the sup 2.5e307 sits at xi = 1/2
+    assert main(["check-l2", "--symbol=-1e308*xi^2+1e308*xi", "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == ("square-integrable verdict at t=1: Invariant "
+                   "(method exact-1d, sup estimate 2.5e+307)\n")
 
 
 def test_cli_check_l2_flags_one_sided_discrepancy(tmp_path, capsys):
@@ -707,6 +759,27 @@ def test_cli_solve_reports_an_unreachable_series_tolerance_in_one_line(tmp_path,
         "at t = 0.5\n")
 
 
+@pytest.mark.parametrize("symbol, J, inv_h, t, method, code", [
+    ("-(1+4*pi^2*xi^2)", 8, 32, 1e306, "multiplier", 0),
+    ("-(1+4*pi^2*xi^2)", 8, 32, 1e306, "series", 2),
+    ("-(1+4*pi^2*xi^2)", 8, 32, 1e306, "both", 2),
+    ("1.5e308*(1+i)", 2, 2, 0.1, "multiplier", 3),
+    ("1.5e308*(1+i)", 2, 2, 0.1, "series", 2),
+    ("1.5e308*(1+i)", 2, 2, 0.1, "both", 2),
+])
+def test_cli_solve_reports_a_worst_rate_that_overflows_in_one_line(tmp_path, capsys, symbol,
+                                                                   J, inv_h, t, method, code):
+    # every symbol value is finite, but |t| max|a| overflows to inf
+    path = write_config(tmp_path, BASE_CONFIG)
+    assert main(["solve", "--config", path, "--set", f"symbol.text={symbol}",
+                 "--set", f"grid.J={J}", "--set", f"grid.inv_h={inv_h}",
+                 "--set", f"evolve.times={t!r}", "--set", f"evolve.method={method}",
+                 "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == ("" if code != 2 else
+        f"error: the worst rate |t| max|a| = inf is not finite at t = {t:g}, "
+        "so no series stage count exists\n")
+
+
 def run_process(args, cwd):
     import subprocess
     import sys
@@ -767,15 +840,12 @@ def test_cli_process_fails_cleanly(tmp_path, case, message):
         (["heat-demo", "--R", "0"], "truncation radii must be finite and positive"),
         (["heat-demo", "--R=-1"], "truncation radii must be finite and positive"),
         (["heat-demo", "--R", "1e6"], "quadrature nodes, above 4194304"),
-        (["check-eprime", "--symbol", "xi^2", "--witness-c", "nan"],
-         "threshold c must be finite and positive"),
-        (["check-eprime", "--symbol", "xi^2", "--witness-c", "inf"],
-         "threshold c must be finite and positive"),
-        (["check-eprime", "--symbol", "xi^2", "--rmax", "nan"],
-         "search radius r_max must be finite"),
-        # the search covers 1 <= |z| <= r_max, so a smaller r_max leaves nothing to search
-        (["check-eprime", "--diffop", "2:1", "--rmax", "0.5"],
-         "search radius r_max must be at least 1, got 0.5"),
+        (["check-eprime"], "one of --symbol or --diffop is required"),
+        (["check-eprime", "--symbol", "xi1^2"], "unknown identifier 'xi1'"),
+        (["check-eprime", "--symbol", "1e308*10*xi"],
+         "the coefficient of multi-index (1,) is not finite"),
+        (["check-eprime", "--diffop", "2:inf"],
+         "the coefficient of multi-index (2,) is not finite"),
         # a coefficient that is not finite is refused where the polynomial is built
         (["check-l2", "--symbol", "1e308*10*xi"],
          "the coefficient of multi-index (1,) is not finite"),
@@ -823,10 +893,12 @@ def test_cli_process_rejects_bad_flags_in_one_line(tmp_path, args, message):
         # the sphere probes overflow at radius 2^20
         (["check-l2", "--symbol=-xi^70"],
          ["square-integrable verdict at t=1: Invariant (method exact-1d, sup estimate 0)"]),
-        # the witness probes overflow
+        # the witness rays are read from a_150 alone
         (["check-eprime", "--symbol=(1+i)*xi^150-xi"],
-         ["compact-support verdict: NotInvariant (rule otherwise, m=150, a_m=1+1j)",
-          "growth witness at z=0.608761+0.793353j on the upper half-plane (threshold c=1)"]),
+         ["compact-support verdict: NotInvariant for every t != 0 (exact rule)",
+          "growth witness: order 150, ray arg z=-0.00523599 for t > 0, "
+          "arg z=0.015708 for t < 0",
+          "paper rule: NotInvariant (rule otherwise, m=150, a_m=1+1j)"]),
         (["check-l2", "--symbol=(xi-xi)^100000000"],
          ["square-integrable verdict at t=1: Invariant (method exact-1d, sup estimate 0)",
           "caveat: constant real part"]),

@@ -575,6 +575,23 @@ def test_the_time_zero_certificate_reads_no_operator_value():
             == [(0.0, 0, 0.0, 1.0, 0.0)] * 2
 
 
+@pytest.mark.parametrize("text, grid, t", [
+    ("-(1+4*pi^2*xi^2)", FrequencyGrid(1, 8, 32), 1e306),
+    ("1.5e308*(1+i)", FrequencyGrid(1, 2, 2), 0.1),
+])
+def test_a_worst_rate_that_overflows_names_it_as_the_cause(text, grid, t):
+    # every symbol value is finite, but |t| max|a| overflows to inf
+    op = operator_of(text, 1, grid)
+    u = ones(grid)
+    message = (r"the worst rate \|t\| max\|a\| = inf is not finite at t = "
+               + f"{t:g}".replace("+", r"\+"))
+    with pytest.raises(SeriesTruncationError, match=message):
+        series_factor(op, t, seminorm_profile(u), 1e-8)
+    for method in ("series", "both"):
+        with pytest.raises(SeriesTruncationError, match=message):
+            list(evolve(op, [t], u, method=method))
+
+
 def test_a_field_whose_top_seminorm_overflows_names_it_as_the_cause():
     grid = FrequencyGrid(1, 8, 4)
     u = SpectralField(grid, np.full(grid.shape, 1e308, dtype=complex))

@@ -259,6 +259,19 @@ def test_continuum_bound_dominates_discrete_seminorm(grid, heat_op):
         assert bound == pytest.approx(peak, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_continuum_bound_of_large_coefficients_keeps_its_critical_points():
+    # the square of 1e200 xi^2 overflows, so the search runs on coefficients
+    # scaled by an exact power of two and evaluates the symbol as given
+    assert continuum_seminorm_bound(to_polynomial(parse_symbol("-1e200*xi^2+1e200*xi")),
+                                    1) == 2e200
+    # xi - xi^3 peaks inside ball 1, at xi = 1/sqrt(3)
+    small = continuum_seminorm_bound(to_polynomial(parse_symbol("xi-xi^3")), 1)
+    assert small == pytest.approx(2 / (3 * math.sqrt(3)), rel=1e-12)
+    assert continuum_seminorm_bound(to_polynomial(parse_symbol("2^664*(xi-xi^3)")),
+                                    1) == math.ldexp(small, 664)
+
+
 def test_grid_mismatch_raises(grid, heat_op):
     other = FrequencyGrid(1, 8, 16)
     with pytest.raises(Exception):

@@ -92,12 +92,12 @@ def test_constant_squares_and_cubes_keep_the_product_bits(text):
 
 
 def test_large_constant_powers_take_log2_products():
-    assert to_polynomial(parse_symbol("(xi-xi)^100000000")).is_zero
-    assert to_polynomial(parse_symbol("0^100000000*xi")).is_zero
+    assert to_polynomial(parse_symbol("(xi-xi)^100000000")).coeffs == {}
+    assert to_polynomial(parse_symbol("0^100000000*xi")).coeffs == {}
     assert to_polynomial(parse_symbol("i^100000001*xi")).coeffs == {(1,): 1j}
     assert to_polynomial(parse_symbol("(-1)^100000001*xi")).coeffs == {(1,): -1.0}
     assert to_polynomial(parse_symbol("2^1000*xi")).coeffs == {(1,): complex(2.0**1000)}
-    assert to_polynomial(parse_symbol("0.5^100000000*xi")).is_zero
+    assert to_polynomial(parse_symbol("0.5^100000000*xi")).coeffs == {}
     assert to_polynomial(parse_symbol("(1/2)^-1000")).coeffs == {(0,): complex(2.0**1000)}
     for text in ("2^100000000", "2^1024", "(1/2)^-2000*xi", "(1+i)^2100"):
         with pytest.raises(SymbolError, match="a constant power overflows"):
@@ -322,4 +322,4 @@ def test_derivative_of_polynomial_symbol():
     poly = heat_symbol()
     d2 = poly.derivative((2,))
     assert d2.coeffs == {(0,): pytest.approx(-8 * PI**2)}
-    assert poly.derivative((3,)).is_zero
+    assert poly.derivative((3,)).coeffs == {}

@@ -21,11 +21,13 @@ Three more solves take ``--set`` overrides that replace entries of
 their file, add keys its sections leave out and add sections it leaves
 out.  One solve and one ``check-l2`` take their symbol as a
 derivative-coefficient list, ``check-l2`` and ``check-eprime`` also run on
-a complex symbol of degree 5, ``check-eprime`` runs once with its witness
-search held to radius 1, and a few cases fail on a missing or malformed
-symbol.  Two solves fail with exit 2 and one stderr line: ``-xi^400`` is not
-finite on its grid, and a field of 1e308 at every node has a top seminorm
-that overflows, so no series truncation reaches the tolerance.
+a complex symbol of degree 5, ``check-eprime`` runs on a quartic and two
+constants, where the paper's rule and the exact rule differ, and on a
+translation, ``check-l2`` runs on coefficients of 1e308, and a few cases
+fail on a missing or malformed symbol.  Three solves fail with exit 2 and
+one stderr line: ``-xi^400`` is not finite on its grid, a field of 1e308
+at every node has a top seminorm that overflows, so no series truncation
+reaches the tolerance, and at t = 1e306 the worst rate overflows.
 ``translate`` runs the Gaussian on a range of more than one sample
 block, at t = 0 and at t = 3 (past 64 orders, and past its tolerance), and
 a cubic and a ``poly:`` function.  ``--bench-seeds`` adds the solve workloads of
@@ -91,6 +93,8 @@ SOLVES = [
     ("solve-symbol-not-finite", 1, 8, 4, "text = -xi^400", "0.1", "ones"),
     # p_J(u) overflows to inf: the series tolerance is out of reach
     ("solve-seminorm-overflows", 1, 8, 4, "text = " + HEAT_1D, "0.5", "file-1e308"),
+    # the worst rate |t| max|a| overflows to inf: no series stage count exists
+    ("solve-rate-overflows", 1, 8, 32, "text = " + HEAT_1D, "1e306", "ones"),
 ]
 
 # (name, SOLVES case without a "file" init, lines left out of its config, --set
@@ -119,8 +123,14 @@ OTHERS = [
     ("check-eprime", ["check-eprime", "--diffop", "1:0,1", "--convention", "partial",
                       "--out", "out"]),
     ("check-eprime-quintic", ["check-eprime", "--symbol", QUINTIC, "--out", "out"]),
-    # every witness radius is 1, so the probes are the 47 points of one circle
-    ("check-eprime-rmax-1", ["check-eprime", "--diffop", "2:1", "--rmax", "1", "--out", "out"]),
+    # where the paper's rule and the exact rule part (order 4k, constants), and a translation
+    ("check-eprime-quartic", ["check-eprime", "--symbol=-xi^4", "--out", "out"]),
+    ("check-eprime-constant", ["check-eprime", "--symbol", "3", "--out", "out"]),
+    ("check-eprime-zero", ["check-eprime", "--symbol", "0", "--out", "out"]),
+    ("check-eprime-translation", ["check-eprime", "--symbol", "2*pi*i*xi", "--out", "out"]),
+    # the derivative of the real part overflows; the sup 2.5e307 sits at xi = 1/2
+    ("check-l2-large-coefficients", ["check-l2", "--symbol=-1e308*xi^2+1e308*xi",
+                                     "--out", "out"]),
     ("check-l2-quintic", ["check-l2", "--symbol", QUINTIC, "--t", "1.0", "--out", "out"]),
     ("translate", ["translate", "--function", "gaussian", "--t", "0.5",
                    "--samples=-2:2:0.1", "--out", "out"]),
