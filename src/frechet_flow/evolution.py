@@ -299,11 +299,13 @@ def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
     # multiplier the iterated application u_n = (t'/n) A u_{n-1} acts
     # nodewise, so the stage is the scalar polynomial of t' a(xi): it is
     # evaluated once per distinct symbol value and gathered onto the nodes
-    # by `saturated_product`.
+    # by `saturated_product`.  numpy divides a complex by n as by n + 0j,
+    # ``(re + im 0) fl(1/n)``, so a product by ``1/n`` keeps the bits (a zero
+    # part's sign aside, which the added 1 clears) and needs no division.
     x = (t / stages) * op.levels()[0]
     acc = np.ones_like(x)
     for n in range(diagnostics.terms, 0, -1):
-        acc = 1.0 + acc * (x / n)
+        acc = 1.0 + acc * (x * (1.0 / n))
 
     # Compose the stage 2^s times through the group law.  Tracking the
     # magnitude logarithmically keeps expanding directions exact up to the

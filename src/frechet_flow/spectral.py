@@ -58,6 +58,8 @@ OVERFLOW_LIMIT = float(np.exp(OVERFLOW_EXPONENT))
 # Smallest power-of-two exponent used to scale a sum of squares; 2^1021 is
 # still finite, so shells of subnormal samples scale up exactly.
 _MIN_SCALE_EXPONENT = -1021
+# Largest exponent e whose scale 2^-e is a normal number.
+_MAX_SCALE_EXPONENT = 1022
 
 # Nodes a block of `ShellIndex.blocks` holds: whole shells up to this many
 # (a larger shell is a block alone), about 1.5 MB of samples and magnitudes.
@@ -426,11 +428,23 @@ def _scaled_sums(magnitudes: np.ndarray, offsets: np.ndarray) -> tuple:
     group's peak, and the sum is taken in units of ``4^e``, as in LAPACK
     ``dlassq``, so no square exceeds 1.  A group with an inf or NaN peak
     keeps the scale 1, and its sum, which may overflow, is never read.
+
+    ``2^-e`` is subnormal for e = 1023 and 1024 (peaks near `OVERFLOW_LIMIT`
+    and DBL_MAX), and a product with a subnormal operand is many times
+    slower, so such a group is scaled by ``2^-1022`` and then by
+    ``2^(1022 - e)`` (Anderson, *Algorithm 978: Safe Scaling in the Level 1
+    BLAS*, 2017).  The bits are those of the one product ``m 2^-e``: for a
+    magnitude m >= 1 the first product is exact, so m is rounded once; for
+    m < 1 both ways give less than ``2^-1022``, whose square is +0.
     """
     starts = offsets[:-1]
     peaks = np.maximum.reduceat(magnitudes, starts)
     exponents = np.maximum(np.frexp(peaks)[1], _MIN_SCALE_EXPONENT)
-    magnitudes *= np.repeat(np.ldexp(1.0, -exponents), np.diff(offsets))
+    counts = np.diff(offsets)
+    normal = np.minimum(exponents, _MAX_SCALE_EXPONENT)
+    magnitudes *= np.repeat(np.ldexp(1.0, -normal), counts)
+    if exponents.max() > _MAX_SCALE_EXPONENT:
+        magnitudes *= np.repeat(np.ldexp(1.0, normal - exponents), counts)
     with np.errstate(over="ignore"):
         sums = np.add.reduceat(np.square(magnitudes, out=magnitudes), starts)
     return peaks, exponents, sums
@@ -680,14 +694,16 @@ def saturated_product(factors: dict, u: ShellField, keep=None):
     differences = []
     index = grid.shells()
     for block, offsets in index.blocks(outside=True):
+        # numpy gathers through intp indices about half again as fast as int32
+        levels = u.levels[block].astype(np.intp)
         # outside ball J a flow that is not kept matters only if it can flag
-        block_values = {name: flow.apply(u, block) for name, flow in flows.items()
+        block_values = {name: flow.apply(u, block, levels) for name, flow in flows.items()
                         if offsets is not None or name == keep or not flow.representable}
         if offsets is not None:
             for name, flow in flows.items():
                 flow.parts.append(_scaled_sums(np.abs(block_values[name]), offsets))
         if kept is not None:
-            kept[index.order[block]] = block_values[keep]
+            kept[index.order[block].astype(np.intp)] = block_values[keep]
         if two_flows and offsets is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 difference = np.abs(np.subtract(*block_values.values()))
@@ -736,27 +752,36 @@ class _FlowPass:
         return (factor_log <= OVERFLOW_EXPONENT
                 and factor_log + self.log_peak <= OVERFLOW_EXPONENT - 1.0)
 
-    def apply(self, u: ShellField, block: slice) -> np.ndarray:
-        """The flow's samples on a block of ``u``."""
+    def apply(self, u: ShellField, block: slice, levels: np.ndarray) -> np.ndarray:
+        """The flow's samples on a block of ``u``, whose level index is ``levels`` (intp)."""
         samples = u.samples[block]
         if self.factor is None:
             return samples
-        levels = u.levels[block]
-        # overflowing factors and products are overwritten by `_saturate`
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = self.level_values[levels]
-            np.multiply(values, samples, out=values)
-        if not self.representable:
-            self._saturate(values, u, block, levels)
+        clamped, assembled = (None, None) if self.representable else self._saturate(
+            u, block, levels)
+        if isinstance(clamped, slice):  # every node clamps
+            values = assembled
+        else:
+            # overflowing factors and products are overwritten by the clamped values
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = self.level_values[levels]
+                np.multiply(values, samples, out=values)
+            if clamped is not None:
+                values[clamped] = assembled
         if self.check and self.finite and not self.flagged:
             self.finite = bool(np.all(np.isfinite(values)))
         return values
 
-    def _saturate(self, values, u: ShellField, block: slice, levels):
-        """Assemble, in log-magnitude/phase form, the block's nodes that are not representable."""
+    def _saturate(self, u: ShellField, block: slice, levels):
+        """The block's nodes that are not representable, assembled in log-magnitude/phase form.
+
+        Returns ``(clamped, values)``, with ``clamped`` the whole block's
+        slice when every node clamps, or ``(None, None)`` when no node of
+        the block can.
+        """
         node_log = self.factor.log_magnitude[levels]
         if self._representable(np.max(node_log)):
-            return
+            return None, None
         log_u, u_phase = (part[block] for part in u.polar())
         if self.factor.flags_blown and not self.blown:
             # log |u| > -inf exactly where |u| > 0
@@ -764,7 +789,9 @@ class _FlowPass:
         with np.errstate(invalid="ignore"):  # inf + -inf: a NaN log, clamped below
             total_log = node_log + log_u
         # NaN in either log is clamped, as `not (a <= 709 and b <= 709)` would
-        clamped = np.flatnonzero(~(np.maximum(node_log, total_log) <= OVERFLOW_EXPONENT))
+        clamped = ~(np.maximum(node_log, total_log) <= OVERFLOW_EXPONENT)
+        # a whole clamped block is read through views, not fancy indexing
+        clamped = slice(None) if clamped.all() else np.flatnonzero(clamped)
         # the clamped nodes' arrays are formed with the block's released
         del node_log
         total_log = total_log[clamped]
@@ -777,7 +804,7 @@ class _FlowPass:
         assembled[below] = np.exp(total_log[below])
         del total_log, saturated, below
         assembled = assembled * self.factor.phase[levels[clamped]]
-        values[clamped] = assembled * u_phase[clamped]
+        return clamped, assembled * u_phase[clamped]
 
     def overflow(self, u: ShellField) -> bool:
         if not (u.overflow or self.flagged or self.finite):

@@ -433,9 +433,13 @@ def exp_multiplier_on_nodes(op, t, u):
     return result.values, result.overflow or bool(np.any(blown))
 
 
-def exp_series_on_nodes(op, t, u, stages, terms):
-    """Reference staged series: Horner, log/phase split and squarings at every node."""
-    x = ((t / stages) * op.values).ravel()
+def stage_factor_by_division(values, t, stages, terms):
+    """Reference staged series factor ``(log magnitude, phase)`` of each value.
+
+    Horner's rule divides by n, as the series stage did before it took the
+    product by ``1/n``; then the log/phase split and the squarings.
+    """
+    x = (t / stages) * values
     acc = np.ones_like(x)
     for n in range(terms, 0, -1):
         acc = 1.0 + acc * (x / n)
@@ -445,7 +449,13 @@ def exp_series_on_nodes(op, t, u, stages, terms):
     phase = np.where(magnitude > 0.0, acc / np.where(magnitude > 0.0, magnitude, 1.0), 1.0)
     for _ in range(stages.bit_length() - 1):
         phase = phase * phase
-    result = one_flow(LevelFactor(log_magnitude * stages, phase), u)
+    return log_magnitude * stages, phase
+
+
+def exp_series_on_nodes(op, t, u, stages, terms):
+    """Reference staged series: Horner, log/phase split and squarings at every node."""
+    log_magnitude, phase = stage_factor_by_division(op.values.ravel(), t, stages, terms)
+    result = one_flow(LevelFactor(log_magnitude, phase), u)
     return result.values, result.overflow
 
 
@@ -473,6 +483,31 @@ def test_level_kernels_match_the_per_node_reference_bitwise(n, text, t, rng):
     expected, flagged = exp_series_on_nodes(op, t, u, diagnostics.stages, diagnostics.terms)
     assert np.array_equal(series.values.view(np.uint64), expected.view(np.uint64))
     assert series.overflow == flagged
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponent=st.floats(-8.0, 3.0), sign=st.sampled_from([1.0, -1.0]), real=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stage_horner_keeps_the_bits_of_the_division(exponent, sign, real, seed):
+    rng = np.random.default_rng(seed)
+    grid = FrequencyGrid(1, 8, 8)
+    levels = np.empty(grid.node_count, dtype=np.complex128)
+    levels.real = rng.standard_normal(levels.size) * 10.0 ** rng.uniform(-3, 3, levels.size)
+    if real:  # imaginary parts +0 and -0
+        levels.imag = np.copysign(0.0, rng.standard_normal(levels.size))
+    else:
+        levels.imag = rng.standard_normal(levels.size) * 10.0 ** rng.uniform(-3, 3, levels.size)
+    levels.setflags(write=False)
+    inverse = np.arange(grid.node_count, dtype=np.int32)
+    inverse.setflags(write=False)
+    op = MultiplierOperator._from_table(grid, levels, inverse)
+    t = sign * 10.0 ** exponent
+    profile = seminorm_profile(random_field(grid, rng))
+    factor, diagnostics = series_factor(op, t, profile, 1e-8)
+    log_magnitude, phase = stage_factor_by_division(levels, t, diagnostics.stages,
+                                                    diagnostics.terms)
+    assert np.array_equal(factor.log_magnitude.view(np.uint64), log_magnitude.view(np.uint64))
+    assert np.array_equal(factor.phase.view(np.uint64), phase.view(np.uint64))
 
 
 def test_backward_heat_reference_case_saturates():

@@ -613,9 +613,9 @@ def visited_ranges(monkeypatch):
     visited = []
     apply = spectral._FlowPass.apply
 
-    def recorded(self, u, block):
+    def recorded(self, u, block, levels):
         visited.append(block)
-        return apply(self, u, block)
+        return apply(self, u, block, levels)
 
     monkeypatch.setattr(spectral._FlowPass, "apply", recorded)
     return visited
@@ -659,3 +659,87 @@ def test_nan_and_infinite_total_logs_keep_the_reference_bits():
     result, flagged = one_flow(log_magnitude, phase, u, inverse)
     assert flagged == expected_flag and np.isnan(expected).any()
     assert same_bits(result.values, expected)
+
+
+def test_blocks_that_clamp_whole_in_part_or_not_at_all_keep_the_reference_bits(monkeypatch,
+                                                                               rng):
+    import frechet_flow.spectral as spectral
+
+    # one block per shell: shell 1 can saturate but no node of it clamps,
+    # shells 2-3 clamp whole, shells 4-5 in part and shells 6-8 cannot saturate
+    monkeypatch.setattr(spectral, "_BLOCK_NODES", 16)
+    grid = FrequencyGrid(1, 8, 8)
+    nodes = np.arange(grid.node_count)
+    shell = np.maximum(1, np.ceil(np.abs(nodes - 64) / 8))
+    log_magnitude = np.select([shell == 1, shell <= 3, (shell <= 5) & (nodes % 2 == 0)],
+                              [705.0, 800.0, 800.0], 0.0)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, grid.node_count))
+    values = np.exp(1j * rng.uniform(-np.pi, np.pi, grid.shape)) * rng.uniform(0.5, 30.0,
+                                                                               grid.shape)
+    values[64] = 30.0  # log 30 = 3.4: 705 + 3.4 passes 708 but no total passes 709
+    u = SpectralField(grid, values)
+    inverse = nodes.astype(np.int32)
+    saturate, kinds = spectral._FlowPass._saturate, []
+
+    def recorded(self, u, block, levels):
+        result = saturate(self, u, block, levels)
+        clamped = result[0]
+        kinds.append("none" if clamped is None else "whole" if isinstance(clamped, slice)
+                     else f"{clamped.size} of {block.stop - block.start}")
+        return result
+
+    monkeypatch.setattr(spectral._FlowPass, "_saturate", recorded)
+    expected, expected_flag = reference_saturated_product(log_magnitude, phase, u, inverse)
+    result, flagged = one_flow(log_magnitude, phase, u, inverse)
+    assert kinds == ["0 of 17", "whole", "whole", "8 of 16", "8 of 16", "none", "none", "none"]
+    assert flagged and expected_flag
+    assert same_bits(result.values, expected)
+
+
+def one_multiply_scaled_sums(magnitudes, offsets):
+    """`_scaled_sums` as it scaled each group by the one power ``2^-e``, even a subnormal one."""
+    starts = offsets[:-1]
+    peaks = np.maximum.reduceat(magnitudes, starts)
+    exponents = np.maximum(np.frexp(peaks)[1], -1021)
+    scaled = magnitudes * np.repeat(np.ldexp(1.0, -exponents), np.diff(offsets))
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(np.square(scaled), starts)
+    return peaks, exponents, sums
+
+
+DBL_MAX = np.finfo(float).max
+SPECIAL_MAGNITUDES = [0.0, 5e-324, 2.0**-1030, np.nextafter(2.0**-1022, 0.0), 2.0**-1022,
+                      1.0, np.nextafter(OVERFLOW_LIMIT, 0.0), OVERFLOW_LIMIT,
+                      np.nextafter(OVERFLOW_LIMIT, np.inf), 2.0**1023, DBL_MAX, np.inf, np.nan]
+FRACTIONS = st.floats(0.5, 1.0, exclude_max=True)
+# peaks from 2^-1074 to DBL_MAX, some with the frexp exponents either side of the split scale
+GROUP_PEAKS = st.one_of(
+    st.just(5e-324),
+    st.builds(math.ldexp, FRACTIONS, st.integers(-1073, 1024)),
+    st.builds(math.ldexp, FRACTIONS, st.sampled_from([-1021, 0, 1022, 1023, 1024])),
+    st.sampled_from([OVERFLOW_LIMIT, DBL_MAX]),
+)
+# a member is a ratio to its group's peak (every binade below it) or a magnitude of its own
+GROUP_MEMBERS = st.one_of(
+    st.builds(math.ldexp, FRACTIONS, st.integers(-2100, 0)).map(lambda ratio: (ratio, None)),
+    st.sampled_from(SPECIAL_MAGNITUDES).map(lambda value: (None, value)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=st.lists(st.tuples(GROUP_PEAKS, st.lists(GROUP_MEMBERS, max_size=6),
+                                 st.integers(0, 6)), min_size=1, max_size=6))
+def test_scaled_sums_keep_the_bits_of_the_one_multiply_scale(groups):
+    from frechet_flow.spectral import _scaled_sums
+
+    magnitudes, offsets = [], [0]
+    for peak, members, position in groups:
+        group = [peak * ratio if value is None else value for ratio, value in members]
+        group.insert(min(position, len(group)), peak)
+        magnitudes += group
+        offsets.append(len(magnitudes))
+    magnitudes, offsets = np.array(magnitudes), np.array(offsets)
+    expected = one_multiply_scaled_sums(magnitudes, offsets)
+    peaks, exponents, sums = _scaled_sums(magnitudes.copy(), offsets)
+    assert same_bits(peaks, expected[0]) and same_bits(sums, expected[2])
+    assert np.array_equal(exponents, expected[1])

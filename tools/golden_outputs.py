@@ -27,7 +27,9 @@ translation, ``check-l2`` runs on coefficients of 1e308, and a few cases
 fail on a missing or malformed symbol.  Three solves fail with exit 2 and
 one stderr line: ``-xi^400`` is not finite on its grid, a field of 1e308
 at every node has a top seminorm that overflows, so no series truncation
-reaches the tolerance, and at t = 1e306 the worst rate overflows.
+reaches the tolerance, and at t = 1e306 the worst rate overflows.  A
+backward heat solve on a quarter-million-node grid saturates shells at
+peaks near ``exp(709)`` and clamps whole pass blocks, some blocks in part.
 ``translate`` runs the Gaussian on a range of more than one sample
 block, at t = 0 and at t = 3 (past 64 orders, and past its tolerance), and
 a cubic and a ``poly:`` function.  ``--bench-seeds`` adds the solve workloads of
@@ -95,6 +97,10 @@ SOLVES = [
     ("solve-seminorm-overflows", 1, 8, 4, "text = " + HEAT_1D, "0.5", "file-1e308"),
     # the worst rate |t| max|a| overflows to inf: no series stage count exists
     ("solve-rate-overflows", 1, 8, 32, "text = " + HEAT_1D, "1e306", "ones"),
+    # ball 8 spans four pass blocks: at t = -2 every block after the first
+    # clamps whole, at t = -0.5 one clamps on 300 of its 64,348 nodes
+    ("solve-2d-backward-blocks-clamp", 2, 8, 32, "text = " + HEAT_2D, "-2, -0.5", "ones",
+     "both", "csv, fl2l"),
 ]
 
 # (name, SOLVES case without a "file" init, lines left out of its config, --set
