@@ -212,20 +212,19 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
         files = []
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
+            t_column = np.repeat(times, grid.J)
+            j_column = np.tile(np.arange(1, grid.J + 1), len(times))
             for name in methods:
                 suffix = "" if len(methods) == 1 else f"_{name}"
                 trajectory_path = os.path.join(out_dir, f"trajectory{suffix}.csv")
                 write_csv(trajectory_path, ["t", "j", "seminorm"],
-                          ([t, j, value] for t, profile in zip(times, profiles[name])
-                           for j, value in enumerate(profile, start=1)))
+                          [t_column, j_column, np.ravel(profiles[name])])
                 files.append(trajectory_path)
             if residual_profiles is not None:
                 residual_path = os.path.join(out_dir, "residuals.csv")
                 write_csv(residual_path, ["t", "j", "residual", "certified_bound"],
-                          ([t, j, residual, bound]
-                           for t, profile, diag in zip(times, residual_profiles, diagnostics)
-                           for j, (residual, bound) in enumerate(zip(profile, diag.bounds()),
-                                                                 start=1)))
+                          [t_column, j_column, np.ravel(residual_profiles),
+                           np.ravel([diag.bounds() for diag in diagnostics])])
                 files.append(residual_path)
             metadata_path = os.path.join(out_dir, "run_metadata.txt")
             write_metadata(metadata_path, metadata_lines(config, times, diagnostics, overflow,

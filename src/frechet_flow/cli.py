@@ -10,6 +10,7 @@ carried the overflow flag, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -68,8 +69,10 @@ def cmd_heat_demo(args) -> int:
         _check_finite(t, "--t")
     rows = app.heat_scan(args.t, args.M, args.R)
     out_dir = _ensure_out(args)
+    t, M, R, value, overflow = zip(*map(dataclasses.astuple, rows))
+    # M as Python ints, so that one past int64 is written exactly
     write_csv(os.path.join(out_dir, "heat_scan.csv"), ["t", "M", "R", "value", "overflow"],
-              ([r.t, r.M, r.R, r.value, int(r.overflow)] for r in rows))
+              [t, np.array(M, dtype=object), R, value, np.array(overflow, dtype=int)])
     lines = [_heat_summary(t, M, [r for r in rows if r.t == t and r.M == M])
              for t in args.t for M in args.M]
     _write_metadata(out_dir, "heat-demo", lines)
@@ -100,10 +103,11 @@ def cmd_check_eprime(args) -> int:
     poly = _symbol_from_args(args)
     witness = invariance.find_growth_witness(poly)
     paper = invariance.decide_eprime(poly)
-    rays = [] if witness is None else [(1, witness.forward), (-1, witness.backward)]
+    columns = [[], [], []] if witness is None else [
+        [1, -1], [witness.forward, witness.backward], [witness.order] * 2]
     out_dir = _ensure_out(args)
     write_csv(os.path.join(out_dir, "eprime_witness.csv"), ["t_sign", "theta", "order"],
-              ([sign, theta, witness.order] for sign, theta in rays))
+              columns)
     exact = invariance.INVARIANT if witness is None else invariance.NOT_INVARIANT
     lines = [
         f"compact-support verdict: {exact} for every t != 0 (exact rule)",
@@ -132,8 +136,9 @@ def cmd_check_l2(args) -> int:
     decision = invariance.decide_l2(poly, args.t)
     out_dir = _ensure_out(args)
     maxima = invariance.sampled_sphere_maxima(poly)
+    k = np.arange(maxima.size)
     write_csv(os.path.join(out_dir, "l2_probes.csv"), ["k", "radius", "max_re_a"],
-              ([k, 2.0**k, value] for k, value in enumerate(maxima)))
+              [k, np.ldexp(1.0, k), maxima])
     summary = (
         f"square-integrable verdict at t={args.t:g}: {decision.verdict} "
         f"(method {decision.method}, sup estimate {decision.sup_estimate:.6g})"
@@ -187,13 +192,6 @@ def _parse_samples(spec: str) -> np.ndarray:
     return samples
 
 
-def _rows_by_block(columns):
-    """The rows of equal-length arrays, made Python floats a sample block at a time."""
-    block = translation.SAMPLE_BLOCK
-    for start in range(0, columns[0].size, block):
-        yield from zip(*(column[start:start + block].tolist() for column in columns))
-
-
 def cmd_translate(args) -> int:
     _check_finite(args.t, "--t")
     _check_finite(args.tol, "--tol")
@@ -207,7 +205,7 @@ def cmd_translate(args) -> int:
     missed = int(np.count_nonzero(~(errors <= args.tol)))  # counts a NaN error
     out_dir = _ensure_out(args)
     write_csv(os.path.join(out_dir, "translate.csv"), ["s", "series", "direct", "error"],
-              _rows_by_block((samples, result.values, direct, errors)))
+              [samples, result.values, direct, errors])
     lines = [
         f"function = {phi.label}",
         f"t = {args.t:.17g}",
@@ -235,7 +233,7 @@ def cmd_seminorms(args) -> int:
     profile = seminorm_profile(field)
     out_dir = _ensure_out(args)
     write_csv(os.path.join(out_dir, "seminorms.csv"), ["j", "seminorm"],
-              enumerate(profile, start=1))
+              [np.arange(1, profile.size + 1), profile])
     _write_metadata(
         out_dir,
         "seminorms",

@@ -1,7 +1,10 @@
 """Output writers: binary and CSV fields, CSV tables, metadata sidecars.
 
 Every CSV file the package writes goes through `write_csv` and every
-plain-text sidecar through `write_metadata`.
+plain-text sidecar through `write_metadata`.  A CSV file has ``\r\n`` line
+ends and unquoted cells: a float column's are ``%.17g``, which reads back to
+the same value, any other column's the ``str`` of their Python values, so
+integers stay exact past int64 in an object column.
 
 Binary field layout: magic ``FL2L``, version u32 = 1, n u8, J u32, inv_h
 u32, then one little-endian f64 pair (re, im) per node in row-major order,
@@ -11,7 +14,6 @@ written gives the same bits, signed zeros and non-finite parts included.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 
@@ -23,6 +25,7 @@ MAGIC = b"FL2L"
 VERSION = 1
 _HEADER = struct.Struct("<4sIBII")
 _SAMPLE_BYTES = 16
+_CSV_BLOCK = 1 << 13  # rows per `%` call of `write_csv`
 
 
 class FieldFormatError(ValueError):
@@ -61,20 +64,19 @@ def read_field(path) -> SpectralField:
     return SpectralField._adopt(grid, values.astype(np.complex128, copy=False))
 
 
-def write_csv(path, header, rows):
-    """Write a header and rows as CSV (``\\r\\n`` line ends).
-
-    Float cells (``float`` and numpy floating scalars) are written as
-    ``%.17g``, which reads back to the same value; other cells as they are.
-    """
+def write_csv(path, header, columns):
+    """Write a header line and equal-length columns as CSV, `_CSV_BLOCK` rows per
+    `%` call; each column's dtype, as ``np.asarray`` reads it, sets its cells' format."""
+    columns = [np.asarray(column) for column in columns]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"columns of unequal lengths {[len(column) for column in columns]}")
+    row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\r\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(
-            ["%.17g" % cell if isinstance(cell, (float, np.floating)) else cell
-             for cell in row]
-            for row in rows
-        )
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [column[start:start + _CSV_BLOCK].tolist() for column in columns]
+            cells = [cell for row_cells in zip(*block) for cell in row_cells]
+            handle.write(row * len(block[0]) % tuple(cells))
 
 
 def write_metadata(path, lines):
@@ -85,9 +87,6 @@ def write_metadata(path, lines):
 
 def field_to_csv(path, field: SpectralField):
     grid = field.grid
-    write_csv(
-        path,
-        [f"xi_{k + 1}" for k in range(grid.n)] + ["re", "im"],
-        ([*point, value.real, value.imag]
-         for point, value in zip(grid.node_points(), field.values.ravel())),
-    )
+    values = field.values.ravel()
+    write_csv(path, [f"xi_{k + 1}" for k in range(grid.n)] + ["re", "im"],
+              [*grid.node_points().T, values.real, values.imag])

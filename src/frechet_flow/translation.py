@@ -157,9 +157,10 @@ def polynomial(coefficients) -> SmoothExpFunction:
     def table(x: np.ndarray, max_order: int) -> np.ndarray:
         out = np.zeros((max_order + 1, x.size))
         current = coeffs
-        for n in range(min(max_order, degree) + 1):
-            out[n] = np.polynomial.polynomial.polyval(x, current)
-            current = np.polynomial.polynomial.polyder(current)
+        with np.errstate(over="ignore", invalid="ignore"):  # the audit refuses inf and nan
+            for n in range(min(max_order, degree) + 1):
+                out[n] = np.polynomial.polynomial.polyval(x, current)
+                current = np.polynomial.polynomial.polyder(current)
         return out
 
     return SmoothExpFunction(
@@ -227,10 +228,11 @@ def _log_ratio(log_sups: np.ndarray, rate: float) -> float:
 def certify_membership(phi: SmoothExpFunction, m: int, j: int, max_order: int) -> ExpCertificate:
     """Search the doubling ladder for the smallest usable growth rate.
 
-    Computes ``s_n = sup_{|x|<=j} |f^(n+m)(x)|`` for n up to ``max_order``
-    on a grid of step ``SUP_GRID_STEP``, then the smallest ladder value M
-    with ``max_n s_n / M^n <= RATIO_CAP``, refined to the minimal integer.
-    The conventional Gaussian constant ``M = 2j`` is evaluated and reported
+    Computes ``s_n = sup_{|x|<=j} |f^(n+m)(x)|`` for n up to ``max_order`` on
+    a grid of step ``SUP_GRID_STEP``, refuses a non-finite s_0 with
+    `CertificateError`, then finds the smallest ladder value M with
+    ``max_n s_n / M^n <= RATIO_CAP``, refined to the minimal integer.  The
+    conventional Gaussian constant ``M = 2j`` is evaluated and reported
     alongside.  A derivative table of more than ``NODE_BUDGET`` entries
     (samples times orders) is refused before anything is allocated; j may
     be a float until then, and is an integer from there on.
@@ -242,6 +244,8 @@ def certify_membership(phi: SmoothExpFunction, m: int, j: int, max_order: int) -
     full = phi.table(xs, max_order + m)
     sups = np.max(np.abs(full[m : m + max_order + 1]), axis=1)
     scale = 1.0 + float(sups[0])
+    if not math.isfinite(scale):
+        raise CertificateError(f"{phi.label} is not finite on the audit window (order {m})")
     with np.errstate(divide="ignore"):
         log_sups = np.where(sups > 0.0, np.log(sups), -np.inf) - math.log(scale)
     log_cap = math.log(RATIO_CAP)

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frechet_flow import FrequencyGrid, app, random_field
 from frechet_flow.app import build_initial_field, heat_scan, run_solve
@@ -16,6 +18,7 @@ from frechet_flow.config import (
     format_config,
 )
 from frechet_flow.fieldio import (
+    _CSV_BLOCK,
     FieldFormatError,
     field_to_csv,
     read_field,
@@ -144,30 +147,90 @@ def test_binary_field_format_errors(tmp_path):
 
 
 def test_field_csv_export(tmp_path, rng):
-    grid = FrequencyGrid(1, 2, 2)
-    u = random_field(grid, rng)
-    path = tmp_path / "field.csv"
-    field_to_csv(path, u)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "xi_1,re,im"
-    assert len(lines) == grid.node_count + 1
+    for grid in (FrequencyGrid(1, 2, 2), FrequencyGrid(2, 2, 2)):
+        values = random_field(grid, rng).values.ravel().copy()
+        values[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(np.inf, -0.0),
+                      complex(-np.inf, np.inf)]
+        u = SpectralField(grid, values.reshape(grid.shape), overflow=True)
+        path = tmp_path / f"field_{grid.n}.csv"
+        field_to_csv(path, u)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == ",".join([f"xi_{k + 1}" for k in range(grid.n)] + ["re", "im"])
+        assert len(lines) == grid.node_count + 1
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        # bit for bit: every coordinate, and both parts of every sample
+        assert table.view(np.uint64).tolist() == np.column_stack(
+            [grid.node_points(), values.real, values.imag]).view(np.uint64).tolist()
+
+
+def reference_write_csv(path, header, rows):
+    """The per-cell writer: a float cell ``%.17g``, any other as the csv module writes it."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(
+            ["%.17g" % cell if isinstance(cell, (float, np.floating)) else cell
+             for cell in row]
+            for row in rows
+        )
 
 
 def test_write_csv_matches_a_formatted_csv_writer(tmp_path):
     floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 0.1,
               np.float64(-1e300), np.float64(1 / 3)]
     ints = [np.int64(-7), 0, 2**70]
-    write_csv(tmp_path / "new.csv", ["a", "b"], [floats, ints, ["text", 1.5]])
-    with open(tmp_path / "old.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["a", "b"])
-        writer.writerow([f"{x:.17g}" for x in floats])
-        writer.writerow(ints)
-        writer.writerow(["text", f"{1.5:.17g}"])
-    written = (tmp_path / "new.csv").read_bytes()
-    assert written == (tmp_path / "old.csv").read_bytes()
-    assert written.startswith(b"a,b\r\n-0,nan,inf,-inf,4.9406564584124654e-324,")
-    assert b"\r\n-7,0,1180591620717411303424\r\n" in written
+    # the floats and the integers down a column, a text and a float cell across a row
+    for name, header, columns in (("floats", ["a"], [floats]), ("ints", ["a"], [ints]),
+                                  ("mixed", ["a", "b"], [["text"], [1.5]])):
+        write_csv(tmp_path / f"{name}.csv", header, columns)
+        reference_write_csv(tmp_path / f"old_{name}.csv", header, zip(*columns))
+        assert (tmp_path / f"{name}.csv").read_bytes() == (
+            tmp_path / f"old_{name}.csv").read_bytes()
+    assert (tmp_path / "floats.csv").read_bytes().startswith(
+        b"a\r\n-0\r\nnan\r\ninf\r\n-inf\r\n4.9406564584124654e-324\r\n")
+    assert (tmp_path / "ints.csv").read_bytes() == b"a\r\n-7\r\n0\r\n1180591620717411303424\r\n"
+    assert (tmp_path / "mixed.csv").read_bytes() == b"a,b\r\ntext,1.5\r\n"
+
+
+# float64 bit patterns with every exponent: +-0 and subnormals at 0, inf and NaN at 2047
+FLOAT_BITS = st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+                       st.integers(0, 1), st.integers(0, 2047), st.integers(0, 2**52 - 1))
+WRITER_COLUMNS = st.one_of(
+    st.lists(FLOAT_BITS, min_size=1, max_size=16).map(
+        lambda bits: np.array(bits, dtype=np.uint64).view(np.float64)),
+    st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=16).map(
+        lambda ints: np.array(ints, dtype=np.int64)),
+    # integers past int64, beside small ones
+    st.lists(st.one_of(st.integers(max_value=-2**63 - 1), st.integers(min_value=2**63),
+                       st.integers(-9, 9)), min_size=1, max_size=16).map(
+        lambda ints: np.array(ints, dtype=object)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(WRITER_COLUMNS, min_size=1, max_size=4),
+       st.sampled_from([0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]))
+def test_write_csv_matches_the_per_cell_writer(tmp_path_factory, pools, count):
+    """Columns cycled from drawn cells to one row count, at the block edges."""
+    directory = tmp_path_factory.mktemp("csv")
+    columns = [np.resize(pool, count) for pool in pools]
+    header = [f"c{k}" for k in range(len(columns))]
+    write_csv(directory / "new.csv", header, columns)
+    reference_write_csv(directory / "old.csv", header, zip(*columns))
+    assert (directory / "new.csv").read_bytes() == (directory / "old.csv").read_bytes()
+
+
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError, match="unequal"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), [1, 2]])
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_a_solve_without_times_writes_a_header_only_residual_table(tmp_path):
+    config = RunConfig(symbol_text="-(1+4*pi^2*xi^2)", J=4, inv_h=8, times=(), method="both")
+    result = run_solve(config, out_dir=str(tmp_path))
+    assert result.times == ()
+    assert (tmp_path / "residuals.csv").read_bytes() == b"t,j,residual,certified_bound\r\n"
 
 
 def test_init_field_from_file(tmp_path, rng):

@@ -1,7 +1,9 @@
 """The names the benchmark harness in ``bench/`` reaches into the package by,
 the case matrix of ``tools/golden_outputs.py``, the package's optional
-parameters, each of which some call inside the package passes, and its
-public names, each of which some code inside the package reads.
+parameters, each of which some call inside the package passes, its
+public names, each of which some code inside the package reads, and its
+writers: only ``fieldio`` opens a file to write, and no module imports
+``csv``.
 
 ``bench/spans.py`` skips a wrapped name that no longer exists, so a rename
 would read as 0 calls rather than fail; these tests make it fail here.
@@ -173,6 +175,33 @@ def test_every_optional_parameter_is_passed_inside_the_package():
     unpassed = {(name, parameter) for name, parameter, position in options
                 if not any(is_passed(call, parameter, position) for call in calls.get(name, []))}
     assert unpassed == set(UNPASSED_OPTIONS)
+
+
+def open_modes(tree):
+    """The mode of each ``open`` call: the text of a constant, else None (unknown)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "open":
+            mode = next((keyword.value for keyword in node.keywords if keyword.arg == "mode"),
+                        node.args[1] if len(node.args) > 1 else ast.Constant("r"))
+            yield mode.value if isinstance(mode, ast.Constant) else None
+
+
+def test_only_fieldio_writes_files_and_no_module_imports_csv():
+    """Every file the package writes goes through one module's writers."""
+    writers, csv_importers = set(), set()
+    for path in sorted((ROOT / "src" / "frechet_flow").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if any(mode is None or set(mode) & set("wax+") for mode in open_modes(tree)):
+            writers.add(path.stem)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "csv" for alias in node.names):
+                csv_importers.add(path.stem)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "csv":
+                csv_importers.add(path.stem)
+    assert writers == {"fieldio"}
+    assert csv_importers == set()
 
 
 def public_definitions(tree):

@@ -345,6 +345,16 @@ def test_certify_membership_refuses_an_oversized_table_before_evaluating():
         certify_membership(phi, 0, 1, 2095)
 
 
+def test_a_polynomial_past_the_double_range_on_its_window_is_refused_without_warnings():
+    # f(x) = 1e308 (1 + x) overflows for x above 0.8; the suite turns a
+    # RuntimeWarning into an error
+    phi = polynomial([1e308, 1e308])
+    with pytest.raises(CertificateError, match="not finite on the audit window"):
+        translate_detailed(phi, 1.0, np.array([-2.0, 0.5, 2.0]))
+    with pytest.raises(CertificateError, match="not finite"):
+        certify_membership(phi, 0, 1, 40)
+
+
 def gaussian_recurrence(x, max_order):
     """The derivative recurrence in Python floats, up to its first overflow."""
     out = [math.exp(-x * x), -2.0 * x * math.exp(-x * x)]

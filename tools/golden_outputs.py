@@ -30,9 +30,11 @@ at every node has a top seminorm that overflows, so no series truncation
 reaches the tolerance, and at t = 1e306 the worst rate overflows.  A
 backward heat solve on a quarter-million-node grid saturates shells at
 peaks near ``exp(709)`` and clamps whole pass blocks, some blocks in part.
-``translate`` runs the Gaussian on a range of more than one sample
-block, at t = 0 and at t = 3 (past 64 orders, and past its tolerance), and
-a cubic and a ``poly:`` function.  ``--bench-seeds`` adds the solve workloads of
+``heat-demo`` also runs with an M past int64.  ``translate`` runs the
+Gaussian on a range of more than one sample block (and more than one block
+of CSV rows), at t = 0 and at t = 3 (past 64 orders, and past its
+tolerance), and a cubic and two ``poly:`` functions, one of which is not
+finite on its audit window.  ``--bench-seeds`` adds the solve workloads of
 ``bench/workloads.py`` at the given seeds, with their own inputs and grids
 (up to about a million nodes).
 """
@@ -120,6 +122,9 @@ SETS = [
 
 OTHERS = [
     ("heat-demo", ["heat-demo", "--out", "out"]),
+    # an M past int64, written as an exact integer
+    ("heat-demo-huge-M", ["heat-demo", "--M", "0", "100000000000000000000", "--R", "1", "2",
+                          "--t", "0.1", "--out", "out"]),
     ("check-l2", ["check-l2", "--symbol=" + HEAT_1D, "--t", "1.0", "--out", "out"]),
     ("check-l2-diffop", ["check-l2", "--diffop", HEAT_DIFFOP, "--convention", "partial",
                          "--t", "1.0", "--out", "out"]),
@@ -140,7 +145,8 @@ OTHERS = [
     ("check-l2-quintic", ["check-l2", "--symbol", QUINTIC, "--t", "1.0", "--out", "out"]),
     ("translate", ["translate", "--function", "gaussian", "--t", "0.5",
                    "--samples=-2:2:0.1", "--out", "out"]),
-    # 10,001 samples: more than one block of translation.SAMPLE_BLOCK
+    # 10,001 samples: more than one block of translation.SAMPLE_BLOCK, and
+    # rows of more than one block of the CSV writer
     ("translate-two-blocks", ["translate", "--t", "0.5", "--samples=-1:1:2e-4",
                               "--out", "out"]),
     ("translate-time-zero", ["translate", "--t", "0", "--out", "out"]),
@@ -150,6 +156,9 @@ OTHERS = [
                          "--samples=-2:2:0.25", "--out", "out"]),
     ("translate-poly", ["translate", "--function", "poly:1,-2,0.5,3", "--t=-0.75",
                         "--samples=-1:1:0.25", "--out", "out"]),
+    # f(4) = 5e308 overflows on the audit window [-4, 4]
+    ("translate-poly-not-finite", ["translate", "--function", "poly:1e308,1e308", "--t", "1",
+                                   "--out", "out"]),
     ("seminorms-1d", ["seminorms", "--n", "1", "--J", "8", "--inv-h", "32", "--init",
                       "gaussian-hat", "--out", "out"]),
     ("seminorms-2d", ["seminorms", "--n", "2", "--J", "4", "--inv-h", "16", "--init",
