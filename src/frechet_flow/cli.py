@@ -70,9 +70,8 @@ def cmd_heat_demo(args) -> int:
     rows = app.heat_scan(args.t, args.M, args.R)
     out_dir = _ensure_out(args)
     t, M, R, value, overflow = zip(*map(dataclasses.astuple, rows))
-    # M as Python ints, so that one past int64 is written exactly
     write_csv(os.path.join(out_dir, "heat_scan.csv"), ["t", "M", "R", "value", "overflow"],
-              [t, np.array(M, dtype=object), R, value, np.array(overflow, dtype=int)])
+              [t, M, R, value, np.array(overflow, dtype=int)])
     lines = [_heat_summary(t, M, [r for r in rows if r.t == t and r.M == M])
              for t in args.t for M in args.M]
     _write_metadata(out_dir, "heat-demo", lines)
@@ -182,13 +181,16 @@ def _parse_samples(spec: str) -> np.ndarray:
     if step <= 0 or stop < start:
         raise ConfigError(f"bad sample range {spec!r}")
     # a float count, so one that overflows to inf is refused too
-    count = (stop - start) / step + 1.0
-    if count > NODE_BUDGET:
-        raise ConfigError(f"--samples {spec!r} asks for {count:.6g} samples, "
+    steps = (stop - start) / step
+    if steps + 1.0 > NODE_BUDGET:
+        raise ConfigError(f"--samples {spec!r} asks for {steps + 1.0:.6g} samples, "
                           f"above the budget {NODE_BUDGET}")
-    samples = np.arange(start, stop + 0.5 * step, step)
-    if not samples.size:
-        raise ConfigError(f"--samples {spec!r} gives no samples: stop + step/2 rounds to stop")
+    # sample k is start + k*step, never past stop; stop itself is the last
+    # sample when the step count is within 4 ulps of a whole number
+    last = math.floor(steps + 4.0 * math.ulp(steps))
+    samples = np.minimum(start + np.arange(last + 1) * step, stop)
+    if last >= steps - 4.0 * math.ulp(steps):
+        samples[-1] = stop
     return samples
 
 

@@ -4,7 +4,7 @@ Every CSV file the package writes goes through `write_csv` and every
 plain-text sidecar through `write_metadata`.  A CSV file has ``\r\n`` line
 ends and unquoted cells: a float column's are ``%.17g``, which reads back to
 the same value, any other column's the ``str`` of their Python values, so
-integers stay exact past int64 in an object column.
+integers stay exact past int64, in an object column or a sequence of ints.
 
 Binary field layout: magic ``FL2L``, version u32 = 1, n u8, J u32, inv_h
 u32, then one little-endian f64 pair (re, im) per node in row-major order,
@@ -64,10 +64,18 @@ def read_field(path) -> SpectralField:
     return SpectralField._adopt(grid, values.astype(np.complex128, copy=False))
 
 
+def _column(column) -> np.ndarray:
+    """``np.asarray(column)``, but ints that numpy widens to floats (``[-1, 2**63]``) stay ints."""
+    array = np.asarray(column)
+    if array.dtype.kind == "f" and all(isinstance(cell, (int, np.integer)) for cell in column):
+        return np.array(column, dtype=object)
+    return array
+
+
 def write_csv(path, header, columns):
     """Write a header line and equal-length columns as CSV, `_CSV_BLOCK` rows per
-    `%` call; each column's dtype, as ``np.asarray`` reads it, sets its cells' format."""
-    columns = [np.asarray(column) for column in columns]
+    `%` call; each column's dtype, as `_column` reads it, sets its cells' format."""
+    columns = [_column(column) for column in columns]
     if len({len(column) for column in columns}) > 1:
         raise ValueError(f"columns of unequal lengths {[len(column) for column in columns]}")
     row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\r\n"

@@ -14,12 +14,12 @@ terms of the polynomial symbol alone:
 
 * square-integrable functions: invariant at time t > 0 exactly when
   ``sup_xi e^{t Re a(xi)}`` is finite, i.e. when the real part of the
-  symbol is bounded above.  In one dimension that is decided exactly from
-  the real-part polynomial; in higher dimensions it is sampled on dyadic
-  spheres with an explicit Undetermined verdict.  When the criterion
-  fails, `l2_blowup_construction` assembles the explicit disjoint-ball
-  function whose evolved mass majorises the divergent series
-  ``sum 1/(2N)`` while its own mass stays below ``sum 2^-N < 1``.
+  symbol is bounded above.  That is decided exactly, in one dimension,
+  from the real-part polynomial; a symbol in two dimensions is refused
+  rather than sampled.  When the criterion fails,
+  `l2_blowup_construction` assembles the explicit disjoint-ball function
+  whose evolved mass majorises the divergent series ``sum 1/(2N)`` while
+  its own mass stays below ``sum 2^-N < 1``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .symbols import PolynomialSymbol, _real_critical_points, horner
 
 INVARIANT = "Invariant"
 NOT_INVARIANT = "NotInvariant"
-UNDETERMINED = "Undetermined"
 
 
 def real_part_coefficients(poly: PolynomialSymbol) -> np.ndarray:
@@ -93,9 +92,8 @@ def decide_eprime(poly: PolynomialSymbol) -> EprimeDecision:
 @dataclass(frozen=True)
 class L2Decision:
     verdict: str
-    method: str  # "exact-1d" or "sampled"
+    method: str  # "exact-1d"
     sup_estimate: float
-    probes: tuple = ()
     caveats: tuple = ()
 
 
@@ -111,90 +109,42 @@ def _decide_bounded_above_1d(poly: PolynomialSymbol) -> tuple[bool, float, tuple
         candidates = np.concatenate(([0.0], _real_critical_points(re)))
         sup = max(horner(re, [candidates]).tolist())
         return True, sup, ()
-    caveats = []
-    if degree % 2 == 1:
-        caveats.append(
-            "odd-degree real part: unbounded above along one frequency "
-            "direction only; the boundedness criterion fails there"
-        )
-    return False, math.inf, tuple(caveats)
+    odd = ("odd-degree real part: unbounded above along one frequency direction only; "
+           "the boundedness criterion fails there",)
+    return False, math.inf, odd if degree % 2 == 1 else ()
 
 
 def sampled_sphere_maxima(poly: PolynomialSymbol) -> np.ndarray:
-    """Max of Re a over the sphere of radius 2^k, k = 0..20 (64 angles in 2-D)."""
+    """`check-l2`'s probes: the max of Re a on the sphere ``|xi| = 2^k``, k = 0..20 (n = 1).
+
+    The real part is evaluated in real arithmetic, so a probe that
+    overflows reads ``+-inf``, never ``nan``.
+    """
     radii = np.ldexp(1.0, np.arange(21))
-    # a probe of a high degree may overflow to inf; the real part in real
-    # arithmetic stays at +-inf where the complex product gives inf * 0 = nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        if poly.n == 1:
-            values = horner(real_part_coefficients(poly), [np.stack([radii, -radii])])
-        else:
-            angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-            cos, sin = np.cos(angles), np.sin(angles)
-            values = poly.eval([radii * cos[:, None], radii * sin[:, None]]).real
-            # a nan probe is evaluated again along its ray w: the coefficient of
-            # r^d is sum_{|alpha| = d} Re(a_alpha) w^alpha
-            ray, radius = np.nonzero(np.isnan(values))
-            coefficients = np.zeros((ray.size, sum(poly.dense.shape) - 1))
-            for a1, row in enumerate(poly.dense.real):
-                coefficients[:, a1 : a1 + row.size] += (
-                    cos[ray, None] ** a1 * row * sin[ray, None] ** np.arange(row.size))
-            values[ray, radius] = horner(coefficients, [radii[radius]])
-    return _first_max(values)
+    with np.errstate(over="ignore"):
+        right, left = horner(real_part_coefficients(poly), [np.stack([radii, -radii])])
+    return np.maximum(right, left)
 
 
-def _first_max(rows: np.ndarray) -> np.ndarray:
-    """Python's ``max`` down the rows: a later row wins only where it is greater."""
-    best = rows[0]
-    for row in rows[1:]:
-        best = np.where(row > best, row, best)
-    return best
-
-
-def _decide_sampled(poly: PolynomialSymbol) -> tuple[str, float, tuple]:
-    maxima = sampled_sphere_maxima(poly)
-    tail = maxima[10:]
-    if np.all(tail <= 0.0):
-        # Nonpositive real part at all large sampled radii: the sufficient
-        # large-|xi| sign condition holds on the probe set.
-        return INVARIANT, float(np.max(maxima)), tuple(maxima)
-    # a probe that overflows reads inf, which no flat tail ends in
-    if math.isfinite(tail[-1]) and abs(tail[-1] - tail[0]) <= 1e-9 * (1.0 + abs(tail[-1])):
-        return INVARIANT, float(np.max(maxima)), tuple(maxima)
-    # a tail that overflows whole reads inf throughout, and inf > inf is false
-    if np.all(tail[1:] >= tail[:-1]) and (tail[-1] == math.inf
-                                          or tail[-1] > max(4.0 * abs(tail[0]), 1.0)):
-        return NOT_INVARIANT, math.inf, tuple(maxima)
-    return UNDETERMINED, float(np.max(maxima)), tuple(maxima)
-
-
-def decide_l2(poly: PolynomialSymbol, t: float = 1.0, method: str = "auto") -> L2Decision:
-    """Decide invariance of square-integrable functions at time t >= 0.
+def decide_l2(poly: PolynomialSymbol, t: float = 1.0) -> L2Decision:
+    """Decide invariance of square-integrable functions at time t >= 0 (n = 1).
 
     At t = 0 the flow is the identity.  For t > 0 the criterion is that
-    the real part of the symbol is bounded above: decided exactly in one
-    dimension, sampled on dyadic spheres otherwise (``method="sampled"``
-    forces the probe path in one dimension too, for cross-validation).
+    the real part of the symbol is bounded above, decided exactly from the
+    real-part polynomial.
     """
+    if poly.n != 1:
+        raise ValueError("the square-integrable criterion is decided for n = 1")
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("the invariance criterion is stated for t >= 0")
     if t == 0.0:
-        return L2Decision(
-            verdict=INVARIANT, method="exact-1d" if poly.n == 1 else "sampled",
-            sup_estimate=1.0, caveats=("t = 0: identity flow",),
-        )
-    if poly.n == 1 and method != "sampled":
-        bounded, sup, caveats = _decide_bounded_above_1d(poly)
-        return L2Decision(
-            verdict=INVARIANT if bounded else NOT_INVARIANT,
-            method="exact-1d",
-            sup_estimate=sup,
-            caveats=caveats,
-        )
-    verdict, sup, probes = _decide_sampled(poly)
-    return L2Decision(verdict=verdict, method="sampled", sup_estimate=sup, probes=probes)
+        return L2Decision(verdict=INVARIANT, method="exact-1d", sup_estimate=1.0,
+                          caveats=("t = 0: identity flow",))
+    bounded, sup, caveats = _decide_bounded_above_1d(poly)
+    return L2Decision(verdict=INVARIANT if bounded else NOT_INVARIANT, method="exact-1d",
+                      sup_estimate=sup, caveats=caveats)
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +209,6 @@ class BlowupConstruction:
     lower_bounds: np.ndarray
 
 
-def _growth_direction(poly: PolynomialSymbol) -> float:
-    re = real_part_coefficients(poly)
-    degree = re.size - 1
-    lead = float(re[-1])
-    if degree % 2 == 1:
-        return 1.0 if lead > 0 else -1.0
-    return 1.0
-
-
 def l2_blowup_construction(poly: PolynomialSymbol, t: float, budget: int) -> BlowupConstruction:
     """Assemble the disjoint-ball function certifying loss of invariance.
 
@@ -279,16 +220,14 @@ def l2_blowup_construction(poly: PolynomialSymbol, t: float, budget: int) -> Blo
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if poly.n != 1:
-        raise ValueError("the blow-up construction is implemented for n = 1")
-    decision = decide_l2(poly, t)
+    decision = decide_l2(poly, t)  # refuses n = 2
     if decision.verdict != NOT_INVARIANT:
         raise ValueError(
             f"blow-up construction needs a NotInvariant decision, got {decision.verdict}"
         )
-    direction = _growth_direction(poly)
-
     re = real_part_coefficients(poly)
+    # Re a grows towards +inf, or towards -inf for an odd degree with a negative lead
+    direction = -1.0 if re.size % 2 == 0 and re[-1] < 0 else 1.0
 
     def log_factor(xi):
         return 2.0 * t * horner(re, [xi])

@@ -15,7 +15,6 @@ samples rather than computed (see `check_strong_compatibility`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -234,26 +233,19 @@ class ReflectionOperator:
     """
 
     def __init__(self, grid: FrequencyGrid):
+        if grid.n != 1:
+            raise GridError("the reflection operator is implemented for n = 1")
         self.grid = grid
         lim = grid.J * grid.inv_h
         source = grid.axis_index * -2
-        in_range = np.abs(source) <= lim
-        gather = np.clip(source + lim, 0, 2 * lim)
-        self._gather = gather
-        self._in_range = in_range
+        self._gather = np.clip(source + lim, 0, 2 * lim)
+        self._in_range = np.abs(source) <= lim
         self.label = "reflection(scale=-2)"
 
     def apply(self, u: SpectralField) -> SpectralField:
         if u.grid != self.grid:
             raise GridError("field grid does not match operator grid")
-        if self.grid.n == 1:
-            values = np.where(self._in_range, u.values[self._gather], 0.0)
-        else:
-            values = np.where(
-                self._in_range[:, None] & self._in_range[None, :],
-                u.values[np.ix_(self._gather, self._gather)],
-                0.0,
-            )
+        values = np.where(self._in_range, u.values[self._gather], 0.0)
         return SpectralField._adopt(self.grid, values, u.overflow)
 
     def __repr__(self):
@@ -261,22 +253,18 @@ class ReflectionOperator:
 
 
 def continuum_seminorm_bound(poly: PolynomialSymbol, j: int) -> float:
-    """The continuum bound ``sup_{|xi| <= j} |a(xi)|`` for a polynomial symbol.
+    """The continuum bound ``sup_{|xi| <= j} |a(xi)|`` for a 1-D polynomial symbol.
 
-    In one dimension the maximum of ``|a|^2`` is located by a critical-point
-    search (roots of the derivative of a real polynomial); in two dimensions
-    it is sampled at 4096 points, 64 angles on each of 64 rings.  The
-    discrete operator seminorm never exceeds it.
+    The maximum of ``|a|^2`` is located by a critical-point search (roots
+    of the derivative of a real polynomial).  The discrete operator
+    seminorm never exceeds it.
     """
-    if poly.n == 1:
-        points = _real_critical_points(poly.dense)
-        candidates = [-float(j), float(j), 0.0] + points[np.abs(points) <= j].tolist()
-        values = poly.eval([np.array(candidates)])
-    else:
-        radii = np.linspace(0.0, float(j), 64)[:, None]
-        angles = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-        values = poly.eval([radii * np.cos(angles), radii * np.sin(angles)])
-    return float(np.fmax.reduce(np.abs(values), axis=None, initial=0.0))
+    if poly.n != 1:
+        raise ValueError("the continuum seminorm bound is computed for n = 1")
+    points = _real_critical_points(poly.dense)
+    candidates = [-float(j), float(j), 0.0] + points[np.abs(points) <= j].tolist()
+    values = poly.eval([np.array(candidates)])
+    return float(np.fmax.reduce(np.abs(values), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

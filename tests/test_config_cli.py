@@ -5,12 +5,12 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frechet_flow import FrequencyGrid, app, random_field
 from frechet_flow.app import build_initial_field, heat_scan, run_solve
-from frechet_flow.cli import main
+from frechet_flow.cli import _parse_samples, main
 from frechet_flow.config import (
     ConfigError,
     RunConfig,
@@ -209,11 +209,16 @@ WRITER_COLUMNS = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(WRITER_COLUMNS, min_size=1, max_size=4),
-       st.sampled_from([0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]))
-def test_write_csv_matches_the_per_cell_writer(tmp_path_factory, pools, count):
-    """Columns cycled from drawn cells to one row count, at the block edges."""
+       st.sampled_from([0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]), st.booleans())
+# numpy reads the list [-1, 2**63] as floats
+@example([np.array([-1, 2**63], dtype=object)], 2, True)
+def test_write_csv_matches_the_per_cell_writer(tmp_path_factory, pools, count, as_lists):
+    """Columns cycled from drawn cells to one row count, at the block edges, given
+    as arrays or as lists of Python values."""
     directory = tmp_path_factory.mktemp("csv")
     columns = [np.resize(pool, count) for pool in pools]
+    if as_lists:
+        columns = [column.tolist() for column in columns]
     header = [f"c{k}" for k in range(len(columns))]
     write_csv(directory / "new.csv", header, columns)
     reference_write_csv(directory / "old.csv", header, zip(*columns))
@@ -486,6 +491,20 @@ def test_cli_solve_bad_config_exits_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["check-l2", "--symbol=" + "(" * 199 + "xi" + ")" * 199],
+    ["check-eprime", "--symbol=" + "-" * 3000 + "xi"],
+    ["solve", "--set", "symbol.text=" + "(" * 400 + "xi" + ")" * 400],
+], ids=["check-l2", "check-eprime", "solve"])
+def test_cli_deep_symbol_text_exits_2_in_one_line(tmp_path, capsys, command):
+    if command[0] == "solve":
+        command[1:1] = ["--config", write_config(tmp_path, BASE_CONFIG)]
+    assert main([*command, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: nesting deeper than 100 levels of parentheses, unary minus and exponents "
+        "(at offset 100)\n")
+
+
 def test_cli_solve_overflow_exits_3(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG)
     code = main(
@@ -685,9 +704,6 @@ def test_cli_translate_rejects_non_finite_input(tmp_path, capsys, extra, flag):
         (["--function", "poly:a"], "--function poly: coefficients must be finite numbers"),
         (["--function", "poly:nan"], "--function poly: coefficients must be finite numbers"),
         (["--function", "poly:1,1e400"], "--function poly: coefficients must be finite numbers"),
-        # stop + step/2 rounds to stop, so np.arange gives no sample
-        (["--samples", "1e16:1e16:1"],
-         "--samples '1e16:1e16:1' gives no samples: stop + step/2 rounds to stop"),
     ],
 )
 def test_cli_translate_rejects_bad_input_before_the_audit(tmp_path, capsys, monkeypatch,
@@ -702,6 +718,20 @@ def test_cli_translate_rejects_bad_input_before_the_audit(tmp_path, capsys, monk
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("-2:2:0.1", 41), ("-1:1:2e-4", 10001), ("0:1:0.3", 4), ("0:0.9:0.3", 4),
+    ("1e16:1e16:1", 1), ("-3:5:1", 9)])
+def test_samples_are_formed_one_at_a_time_and_never_pass_stop(spec, count):
+    # np.arange adds its step up: -2:2:0.1 ended at 2.0000000000000036
+    start, stop, step = map(float, spec.split(":"))
+    samples = _parse_samples(spec)
+    assert samples.size == count and samples.max() <= stop
+    assert samples[:-1].tolist() == [start + k * step for k in range(count - 1)]
+    # a step count within a few ulps of a whole number ends at stop itself
+    last = start + (count - 1) * step
+    assert samples[-1] == (stop if abs(last - stop) <= 4 * math.ulp(stop) else last)
 
 
 def test_cli_translate_refuses_an_oversized_sup_grid(tmp_path, capsys):

@@ -64,6 +64,40 @@ def test_parse_rejects_bad_exponents_at_the_caret(text, message):
     assert err.value.offset == (6 if message == "unknown identifier" else 2)
 
 
+def nested(depth):
+    return "(" * depth + "xi" + ")" * depth
+
+
+@pytest.mark.parametrize("text, offset", [
+    (nested(101), 100),
+    (nested(199), 100),
+    ("-" * 3000 + "xi", 100),
+    ("2^" * 101 + "2", 201),
+    ("(-" * 50 + "(xi" + ")" * 51, 100),
+], ids=["101-parentheses", "199-parentheses", "3000-minus-signs", "101-exponents",
+        "parentheses-and-minus-signs"])
+def test_parse_refuses_nesting_past_the_limit_at_the_offending_token(text, offset):
+    with pytest.raises(SymbolSyntaxError, match="nesting deeper than 100 levels") as err:
+        parse_symbol(text)
+    assert err.value.offset == offset
+
+
+def test_parse_accepts_nesting_up_to_the_limit():
+    assert to_polynomial(parse_symbol(nested(100))).coeffs == {(1,): 1.0}
+    assert to_polynomial(parse_symbol("-" * 100 + "xi")).coeffs == {(1,): 1.0}
+
+
+def test_long_chains_take_no_stack_frame_per_term():
+    expr = parse_symbol("+".join(["xi"] * 1201))
+    assert to_polynomial(expr).coeffs == {(1,): 1201.0}
+    assert evaluate(expr, [2.0]) == 2402.0
+    assert to_polynomial(parse_symbol("*".join(["xi"] * 1500) + "/2" * 1000)).coeffs == {
+        (1500,): 2.0**-1000}
+    assert to_polynomial(parse_symbol("xi^(" + "+".join(["1"] * 3000) + ")")).order == 3000
+    assert to_polynomial(parse_symbol("xi/(" + "-".join(["1"] * 3000) + ")")).coeffs == {
+        (1,): -1.0 / 2998}
+
+
 def test_parse_folds_constant_exponents():
     assert parse_symbol("xi^(2^2-1/2*2)").root.exponent == 3
     assert parse_symbol("xi^-(-2)").root.exponent == 2

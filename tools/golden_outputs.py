@@ -23,8 +23,10 @@ out.  One solve and one ``check-l2`` take their symbol as a
 derivative-coefficient list, ``check-l2`` and ``check-eprime`` also run on
 a complex symbol of degree 5, ``check-eprime`` runs on a quartic and two
 constants, where the paper's rule and the exact rule differ, and on a
-translation, ``check-l2`` runs on coefficients of 1e308, and a few cases
-fail on a missing or malformed symbol.  Three solves fail with exit 2 and
+translation, ``check-l2`` runs on coefficients of 1e308 and on ``xi^300``,
+whose sphere probes overflow to inf, and a few cases fail on a missing or
+malformed symbol or, with exit 2 and one stderr line, on symbol text
+nested 199 parentheses deep.  Three solves fail with exit 2 and
 one stderr line: ``-xi^400`` is not finite on its grid, a field of 1e308
 at every node has a top seminorm that overflows, so no series truncation
 reaches the tolerance, and at t = 1e306 the worst rate overflows.  A
@@ -143,6 +145,11 @@ OTHERS = [
     ("check-l2-large-coefficients", ["check-l2", "--symbol=-1e308*xi^2+1e308*xi",
                                      "--out", "out"]),
     ("check-l2-quintic", ["check-l2", "--symbol", QUINTIC, "--t", "1.0", "--out", "out"]),
+    # the probes overflow to inf from radius 2^4 on
+    ("check-l2-probes-overflow", ["check-l2", "--symbol=xi^300", "--out", "out"]),
+    # past the parser's nesting limit of 100 levels
+    ("check-l2-nested-too-deep", ["check-l2", "--symbol=" + "(" * 199 + "xi" + ")" * 199,
+                                  "--out", "out"]),
     ("translate", ["translate", "--function", "gaussian", "--t", "0.5",
                    "--samples=-2:2:0.1", "--out", "out"]),
     # 10,001 samples: more than one block of translation.SAMPLE_BLOCK, and
@@ -213,47 +220,53 @@ def set_config(base, left_out) -> str:
     return "".join(line for line in text.splitlines(True) if line.strip() not in left_out)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir")
-    parser.add_argument("--bench-seeds", type=int, nargs="*", default=[])
-    args = parser.parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
-
+def cases(out_dir, bench_seeds=()):
+    """Write each case's inputs into its directory under ``out_dir``; yield the
+    directory and the case's command-line arguments, in matrix order."""
     for seed, (name, n, J, inv_h, symbol, times, init, *options) in enumerate(SOLVES, start=1):
-        case_dir = os.path.join(args.out_dir, name)
+        case_dir = os.path.join(out_dir, name)
         os.makedirs(case_dir, exist_ok=True)
         if init.startswith("file"):
             write_init_field(os.path.join(case_dir, "init.fl2l"), init, n, J, inv_h, seed)
             init = "file:init.fl2l"
         with open(os.path.join(case_dir, "run.cfg"), "w") as handle:
             handle.write(solve_config(n, J, inv_h, symbol, times, init, *options))
-        run(case_dir, ["solve", "--config", "run.cfg"])
+        yield case_dir, ["solve", "--config", "run.cfg"]
 
     for name, base, left_out, overrides in SETS:
-        case_dir = os.path.join(args.out_dir, name)
+        case_dir = os.path.join(out_dir, name)
         os.makedirs(case_dir, exist_ok=True)
         with open(os.path.join(case_dir, "run.cfg"), "w") as handle:
             handle.write(set_config(base, left_out))
-        run(case_dir, ["solve", "--config", "run.cfg",
-                       *(arg for override in overrides for arg in ("--set", override))])
+        yield case_dir, ["solve", "--config", "run.cfg",
+                         *(arg for override in overrides for arg in ("--set", override))]
 
     for name, command in OTHERS:
-        case_dir = os.path.join(args.out_dir, name)
+        case_dir = os.path.join(out_dir, name)
         os.makedirs(case_dir, exist_ok=True)
-        run(case_dir, command)
+        yield case_dir, command
 
-    if args.bench_seeds:
+    if bench_seeds:
         sys.path[:0] = [SRC, os.path.join(ROOT, "bench")]
         from workloads import WORKLOADS, prepare
 
         for workload in WORKLOADS.values():
             if workload.command != "solve":
                 continue
-            for seed in args.bench_seeds:
-                case_dir = os.path.join(args.out_dir, f"{workload.name}-seed{seed}")
+            for seed in bench_seeds:
+                case_dir = os.path.join(out_dir, f"{workload.name}-seed{seed}")
                 prepared = prepare(workload, seed, case_dir)
-                run(case_dir, prepared.cli_args("out"))
+                yield case_dir, prepared.cli_args("out")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir")
+    parser.add_argument("--bench-seeds", type=int, nargs="*", default=[])
+    args = parser.parse_args(argv)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for case_dir, command in cases(args.out_dir, args.bench_seeds):
+        run(case_dir, command)
     return 0
 
 
