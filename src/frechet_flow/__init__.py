@@ -22,15 +22,12 @@ from .spectral import (
 )
 from .symbols import (
     PolynomialSymbol,
-    SymbolExpr,
     SymbolOrderReport,
     SymbolSyntaxError,
     audit_order,
     diffop_to_symbol,
-    evaluate,
     heat_symbol,
     parse_symbol,
-    to_polynomial,
     transport_symbol,
 )
 from .operators import (

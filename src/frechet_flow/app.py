@@ -37,7 +37,7 @@ from .spectral import (
     saturated_product,
     seminorm_profile,
 )
-from .symbols import diffop_to_symbol, parse_diffop_coefficients, parse_symbol, to_polynomial
+from .symbols import diffop_to_symbol, parse_diffop_coefficients, parse_symbol
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def heat_scan(ts, Ms, Rs) -> list[HeatScanRow]:
 
 def build_symbol(config: RunConfig):
     if config.symbol_text is not None:
-        return to_polynomial(parse_symbol(config.symbol_text, config.n))
+        return parse_symbol(config.symbol_text, config.n)
     coeffs = parse_diffop_coefficients(config.diffop)
     return diffop_to_symbol(coeffs, convention=config.convention, n=config.n)
 

@@ -131,7 +131,7 @@ def decide_l2(poly: PolynomialSymbol, t: float = 1.0) -> L2Decision:
 
     At t = 0 the flow is the identity.  For t > 0 the criterion is that
     the real part of the symbol is bounded above, decided exactly from the
-    real-part polynomial.
+    real-part polynomial.  ``sup_estimate`` is sup Re a at every t.
     """
     if poly.n != 1:
         raise ValueError("the square-integrable criterion is decided for n = 1")
@@ -139,10 +139,10 @@ def decide_l2(poly: PolynomialSymbol, t: float = 1.0) -> L2Decision:
         raise ValueError(f"time must be finite, got {t!r}")
     if t < 0:
         raise ValueError("the invariance criterion is stated for t >= 0")
-    if t == 0.0:
-        return L2Decision(verdict=INVARIANT, method="exact-1d", sup_estimate=1.0,
-                          caveats=("t = 0: identity flow",))
     bounded, sup, caveats = _decide_bounded_above_1d(poly)
+    if t == 0.0:
+        return L2Decision(verdict=INVARIANT, method="exact-1d", sup_estimate=sup,
+                          caveats=("t = 0: identity flow",))
     return L2Decision(verdict=INVARIANT if bounded else NOT_INVARIANT, method="exact-1d",
                       sup_estimate=sup, caveats=caveats)
 

@@ -37,7 +37,7 @@ class MultiplierOperator:
     """Action of a symbol ``a`` as nodewise multiplication on fields.
 
     The operator is immutable and built from a `PolynomialSymbol` (text
-    goes through `symbols.parse_symbol` and `symbols.to_polynomial` first).
+    goes through `symbols.parse_symbol`, which returns one).
     Its one grid-sized table is `levels`: the distinct symbol values and
     each node's index into them, built on first use, never here, by the
     polynomial's Horner routine (`eval_grid`); where an axis enters the

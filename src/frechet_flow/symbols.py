@@ -5,23 +5,19 @@ literals, ``pi``, ``i``, variables ``xi`` (1-D) or ``xi1``, ``xi2`` (2-D),
 the operators ``+ - * / ^`` and parentheses.  ``^`` binds tightest and its
 exponent must be a constant integer; division is only allowed by constant
 subexpressions.  Text takes one path to a symbol: `parse_symbol(text, n)`
-reads it at dimension n into a `SymbolExpr` (``pi`` and ``i`` become
-numbers), and `to_polynomial` expands that tree into the `PolynomialSymbol`
-every operator is built from.  The tree keeps only what is read: `evaluate`
-reads it as the reference for the expansion.  The Fourier convention is
-``e^{-2 pi i x xi}``: a classical derivative d/dx therefore carries the
-symbol ``2*pi*i*xi``, and coefficient lists written against plain partial
-derivatives are converted by the factor ``(2 pi i)^{|alpha|}`` per order
-(`diffop_to_symbol`).
+reads it at dimension n and folds each subexpression into its coefficient
+map as it goes, so it returns the `PolynomialSymbol` every operator is
+built from.  The Fourier convention is ``e^{-2 pi i x xi}``: a classical
+derivative d/dx therefore carries the symbol ``2*pi*i*xi``, and
+coefficient lists written against plain partial derivatives are converted
+by the factor ``(2 pi i)^{|alpha|}`` per order (`diffop_to_symbol`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -38,49 +34,6 @@ class SymbolSyntaxError(ValueError):
 
 class SymbolError(ValueError):
     """Semantically invalid symbol (non-polynomial, bad division, ...)."""
-
-
-# ---------------------------------------------------------------------------
-# Expression trees
-
-
-@dataclass(frozen=True)
-class Num:
-    value: complex
-
-
-@dataclass(frozen=True)
-class Var:
-    axis: int  # 0-based
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * /
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-Node = Union[Num, Var, Neg, BinOp, Pow]
-
-
-@dataclass(frozen=True)
-class SymbolExpr:
-    """Parsed expression tree together with its dimension."""
-
-    root: Node
-    n: int
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +90,28 @@ def _tokenize(text: str):
     return tokens
 
 
+# The faults of a constant exponent's arithmetic, as the refusal at its caret names them
+_EXPONENT_FAULTS = {
+    "division by zero": "division by zero in constant",
+    "a constant power overflows": "exponent out of range: complex exponentiation",
+    "a constant power overflows: its inverse underflows to 0":
+        "exponent out of range: 0.0 to a negative or complex power",
+    "zero raised to a negative exponent":
+        "exponent out of range: 0.0 to a negative or complex power",
+}
+
+
 class _Parser:
+    """Folds each subexpression into its coefficient map ``alpha -> c`` as it
+    reads it; ``variables`` counts the variable tokens read so far."""
+
     def __init__(self, tokens, n: int):
         self.tokens = tokens
         self.pos = 0
         self.n = n
+        self.zero = (0,) * n
         self.depth = 0
+        self.variables = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -152,15 +121,15 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def nested(self, parse, offset: int) -> Node:
+    def nested(self, parse, offset: int) -> dict:
         """``parse()`` one nesting level deeper, refused past `_NESTING_LIMIT` at ``offset``."""
         if self.depth == _NESTING_LIMIT:
             raise SymbolSyntaxError(f"nesting deeper than {_NESTING_LIMIT} levels of "
                                     "parentheses, unary minus and exponents", offset)
         self.depth += 1
-        node = parse()
+        out = parse()
         self.depth -= 1
-        return node
+        return out
 
     def expect_op(self, op: str):
         kind, value, offset = self.peek()
@@ -168,81 +137,99 @@ class _Parser:
             raise SymbolSyntaxError(f"expected {op!r}", offset)
         self.advance()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> dict:
+        out = self.expr()
         kind, value, offset = self.peek()
         if kind != "end":
             raise SymbolSyntaxError(f"unexpected trailing input {value!r}", offset)
-        return node
+        return out
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> dict:
+        out = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                node = BinOp(value, node, self.term())
+                out = _poly_add(out, self.term(), 1 if value == "+" else -1)
             else:
-                return node
+                return out
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> dict:
+        out = self.unary()
         while True:
             kind, value, offset = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.unary()
-                if value == "/" and _contains_variable(rhs):
-                    raise SymbolSyntaxError(
-                        "division by a non-constant expression", offset
-                    )
-                node = BinOp(value, node, rhs)
-            else:
-                return node
+            if kind != "op" or value not in "*/":
+                return out
+            self.advance()
+            seen = self.variables
+            rhs = self.unary()
+            if value == "*":
+                out = _poly_mul(out, rhs)
+                continue
+            if self.variables > seen:
+                raise SymbolSyntaxError("division by a non-constant expression", offset)
+            divisor = rhs.get(self.zero, 0j)
+            if divisor == 0:
+                raise SymbolError("division by zero")
+            out = {alpha: c / divisor for alpha, c in out.items()}
 
-    def unary(self) -> Node:
+    def unary(self) -> dict:
         kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.nested(self.unary, offset))
+            return {alpha: -c for alpha, c in self.nested(self.unary, offset).items()}
         return self.power()
 
-    def power(self) -> Node:
+    def power(self) -> dict:
         base = self.atom()
         kind, value, offset = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            exp_node = self.nested(self.unary, offset)  # right-associative via unary
-            if _contains_variable(exp_node):
+        if kind != "op" or value != "^":
+            return base
+        self.advance()
+        seen = self.variables
+        try:
+            folded = self.nested(self.unary, offset)  # right-associative via unary
+        except SymbolError as error:
+            if self.variables > seen:
                 raise SymbolSyntaxError("exponent must be a constant", offset)
-            try:
-                exponent = _eval_node(exp_node, ())
-            except SymbolError:
-                raise SymbolSyntaxError("division by zero in constant", offset)
-            except (ZeroDivisionError, OverflowError) as error:  # 0^-1, 10^400
-                raise SymbolSyntaxError(f"exponent out of range: {error}", offset)
-            if exponent.imag != 0 or exponent.real != int(exponent.real):
-                raise SymbolSyntaxError("non-integer exponent", offset)
-            return Pow(base, int(exponent.real))
-        return base
+            raise SymbolSyntaxError(_EXPONENT_FAULTS[str(error)], offset)
+        if self.variables > seen:
+            raise SymbolSyntaxError("exponent must be a constant", offset)
+        exponent = folded.get(self.zero, 0j)
+        if not cmath.isfinite(exponent):
+            raise SymbolSyntaxError("exponent out of range: not finite", offset)
+        if exponent.imag != 0 or exponent.real != int(exponent.real):
+            raise SymbolSyntaxError("non-integer exponent", offset)
+        exponent = int(exponent.real)
+        if not set(base) - {self.zero}:  # a constant, zero included
+            power = _constant_power(base.get(self.zero, 0j), exponent)
+            return {self.zero: power} if power != 0 else {}
+        if exponent < 0:
+            raise SymbolError("negative exponent of a non-constant expression")
+        _check_degrees([exponent * d for d in _degrees(base, self.n)])
+        out = {self.zero: 1.0 + 0j}
+        for _ in range(exponent):
+            out = _poly_mul(out, base)
+        return out
 
-    def atom(self) -> Node:
+    def atom(self) -> dict:
         kind, value, offset = self.advance()
         if kind == "num":
-            return Num(complex(value))
+            return {self.zero: complex(value)} if value != 0 else {}
         if kind == "ident":
             if value == "pi":
-                return Num(complex(math.pi))
+                return {self.zero: complex(math.pi)}
             if value == "i":
-                return Num(1j)
+                return {self.zero: 1j}
             axis = self._variable_axis(value)
             if axis is not None:
-                return Var(axis)
+                self.variables += 1
+                return {tuple(1 if k == axis else 0 for k in range(self.n)): 1.0 + 0j}
             raise SymbolSyntaxError(f"unknown identifier {value!r}", offset)
         if kind == "op" and value == "(":
-            node = self.nested(self.expr, offset)
+            out = self.nested(self.expr, offset)
             self.expect_op(")")
-            return node
+            return out
         raise SymbolSyntaxError(f"unexpected token {value!r}", offset)
 
     def _variable_axis(self, name: str):
@@ -255,41 +242,22 @@ class _Parser:
         return None
 
 
-def _chain(node: BinOp):
-    """The first operand of a left-deep chain ``((x op y) op y') ...`` and its
-    ``(op, y)`` links in order, so a walk takes no stack frame per term."""
-    links = []
-    while isinstance(node, BinOp):
-        links.append((node.op, node.right))
-        node = node.left
-    return node, links[::-1]
-
-
-def _contains_variable(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Neg):
-        return _contains_variable(node.arg)
-    if isinstance(node, Pow):
-        return _contains_variable(node.base)
-    if isinstance(node, BinOp):
-        first, links = _chain(node)
-        return _contains_variable(first) or any(_contains_variable(y) for _, y in links)
-    return False
-
-
-def parse_symbol(text: str, n: int = 1) -> SymbolExpr:
-    """Parse the mini-language into an expression tree.
+def parse_symbol(text: str, n: int = 1) -> PolynomialSymbol:
+    """Read the mini-language at dimension n into its polynomial symbol.
 
     Raises :class:`SymbolSyntaxError` with a byte offset on malformed
-    input, unknown identifiers and non-integer exponents.
+    input, unknown identifiers, variable divisors and exponents, and
+    exponents that are not finite integers; :class:`SymbolError` on a
+    division by zero, a negative power of a non-constant expression, a
+    constant power that overflows, a coefficient that is not finite and a
+    degree past the dense budget.  With several faults, the first one read
+    is named.
     """
     if n not in (1, 2):
         raise SymbolError(f"dimension must be 1 or 2, got {n}")
     if not text or not text.strip():
         raise SymbolSyntaxError("empty symbol text", 0)
-    root = _Parser(_tokenize(text), n).parse()
-    return SymbolExpr(root=root, n=n)
+    return PolynomialSymbol(n, _Parser(_tokenize(text), n).parse())
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +354,9 @@ class PolynomialSymbol:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "dense", dense)
 
+    def __hash__(self):  # the generated hash would hash the coefficient dict
+        return hash((self.n, frozenset(self.coeffs.items())))
+
     @property
     def order(self) -> int:
         """Largest |alpha| with nonzero coefficient (0 for the zero symbol)."""
@@ -433,95 +404,6 @@ class PolynomialSymbol:
                           for k, axis in enumerate(axes)])
 
 
-def evaluate(symbol, point) -> complex:
-    """Evaluate a polynomial symbol or an expression tree at a point."""
-    if isinstance(symbol, PolynomialSymbol):
-        return symbol.eval(point)
-    if isinstance(symbol, SymbolExpr):
-        point = np.atleast_1d(np.asarray(point, dtype=complex))
-        if point.size != symbol.n:
-            raise SymbolError(f"point dimension {point.size} != {symbol.n}")
-        return _eval_node(symbol.root, point)
-    raise TypeError(f"not a symbol: {symbol!r}")
-
-
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-def _eval_node(node: Node, point) -> complex:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return complex(point[node.axis])
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, point)
-    if isinstance(node, Pow):
-        return _eval_node(node.base, point) ** node.exponent
-    first, links = _chain(node)
-    value = _eval_node(first, point)
-    for op, operand in links:
-        right = _eval_node(operand, point)
-        if op == "/" and right == 0:
-            raise SymbolError("division by zero")
-        value = _ARITHMETIC[op](value, right)
-    return value
-
-
-def to_polynomial(symbol) -> PolynomialSymbol:
-    """Expand an expression tree into its coefficient map; a polynomial is returned as is.
-
-    Text is refused with `TypeError`: it goes through `parse_symbol`,
-    which fixes its dimension.  Division is only accepted when the
-    expanded divisor is a nonzero constant; negative powers of variables
-    are rejected.
-    """
-    if isinstance(symbol, PolynomialSymbol):
-        return symbol
-    if not isinstance(symbol, SymbolExpr):
-        raise TypeError(f"not an expression tree or a polynomial symbol: {symbol!r}")
-    coeffs = _expand(symbol.root, symbol.n)
-    return PolynomialSymbol(symbol.n, coeffs)
-
-
-def _expand(node: Node, n: int) -> dict:
-    zero_index = (0,) * n
-    if isinstance(node, Num):
-        return {zero_index: node.value} if node.value != 0 else {}
-    if isinstance(node, Var):
-        alpha = tuple(1 if k == node.axis else 0 for k in range(n))
-        return {alpha: 1.0 + 0j}
-    if isinstance(node, Neg):
-        return {a: -c for a, c in _expand(node.arg, n).items()}
-    if isinstance(node, Pow):
-        base = _expand(node.base, n)
-        if not set(base) - {zero_index}:  # a constant, zero included
-            power = _constant_power(base.get(zero_index, 0j), node.exponent)
-            return {zero_index: power} if power != 0 else {}
-        if node.exponent < 0:
-            raise SymbolError("negative exponent of a non-constant expression")
-        out = {zero_index: 1.0 + 0j}
-        _check_degrees([node.exponent * d for d in _degrees(base, n)])
-        for _ in range(node.exponent):
-            out = _poly_mul(out, base)
-        return out
-    first, links = _chain(node)
-    out = _expand(first, n)
-    for op, operand in links:
-        right = _expand(operand, n)
-        if op in "+-":
-            out = _poly_add(out, right, 1 if op == "+" else -1)
-        elif op == "*":
-            out = _poly_mul(out, right)
-        else:
-            if set(right) - {zero_index}:
-                raise SymbolError("division by a non-constant expression")
-            value = right.get(zero_index, 0j)
-            if value == 0:
-                raise SymbolError("division by zero")
-            out = {a: c / value for a, c in out.items()}
-    return out
-
-
 def _constant_power(value: complex, exponent: int) -> complex:
     """``value ** exponent`` for a constant; `SymbolError` if it is not finite.
 
@@ -539,6 +421,8 @@ def _constant_power(value: complex, exponent: int) -> complex:
             power = value**exponent
         except OverflowError:
             power = complex(math.inf)
+        except ZeroDivisionError:  # 1e-200^-2: the power it inverts underflows to 0
+            raise SymbolError("a constant power overflows: its inverse underflows to 0")
     else:
         power, square = 1.0 + 0j, value
         while exponent:
@@ -690,9 +574,9 @@ TRANSPORT_SYMBOL_TEXT = "2*pi*i*xi"
 
 def heat_symbol() -> PolynomialSymbol:
     """Symbol of -(1 - Laplacian) in one dimension."""
-    return to_polynomial(parse_symbol(HEAT_SYMBOL_TEXT))
+    return parse_symbol(HEAT_SYMBOL_TEXT)
 
 
 def transport_symbol() -> PolynomialSymbol:
     """Symbol of d/dx in one dimension (purely imaginary)."""
-    return to_polynomial(parse_symbol(TRANSPORT_SYMBOL_TEXT))
+    return parse_symbol(TRANSPORT_SYMBOL_TEXT)

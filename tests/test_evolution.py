@@ -23,7 +23,6 @@ from frechet_flow import (
     random_field,
     seminorm,
     seminorm_profile,
-    to_polynomial,
     transport_symbol,
     uniform_continuity_gap,
     verify_group_law,
@@ -55,7 +54,7 @@ def transport_on(grid):
 
 
 def operator_of(text, n, grid):
-    return MultiplierOperator(to_polynomial(parse_symbol(text, n)), grid)
+    return MultiplierOperator(parse_symbol(text, n), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from frechet_flow import (
     heat_symbol,
     l2_blowup_construction,
     seminorm,
-    to_polynomial,
 )
 from frechet_flow.invariance import (
     INVARIANT,
@@ -41,7 +40,7 @@ D_DX = diffop_to_symbol({(1,): 1.0}, "partial")          # symbol 2 pi i xi
 MINUS_D4 = diffop_to_symbol({(4,): -1.0}, "partial")     # symbol -16 pi^4 xi^4
 D2 = diffop_to_symbol({(2,): 1.0}, "partial")            # symbol -4 pi^2 xi^2
 I_D_DX = diffop_to_symbol({(1,): 1j}, "partial")         # symbol -2 pi xi
-BACKWARD_HEAT = to_polynomial(parse_symbol("1+4*pi^2*xi^2"))
+BACKWARD_HEAT = parse_symbol("1+4*pi^2*xi^2")
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +92,11 @@ def test_zero_symbol_is_flagged(tmp_path, capsys):
 def test_constant_symbol_branch_carries_caveat(tmp_path, capsys):
     # the paper's constant branch is its 4k rule at m = 0; constants keep
     # supports for either sign, and the note marks where the rules part
-    negative = decide_eprime(to_polynomial(parse_symbol("-2")))
+    negative = decide_eprime(parse_symbol("-2"))
     assert negative.verdict == INVARIANT
     assert not any(line.startswith("note: ")
                    for line in check_eprime_lines("-2", tmp_path, capsys))
-    positive = decide_eprime(to_polynomial(parse_symbol("2")))
+    positive = decide_eprime(parse_symbol("2"))
     assert positive.verdict == NOT_INVARIANT
     assert check_eprime_lines("2", tmp_path, capsys)[-1] == (
         "note: the paper rule differs from the exact rule; a constant symbol multiplies "
@@ -135,12 +134,19 @@ def test_backward_heat_symbol_is_not_invariant():
 
 def test_constant_symbol_is_invariant_for_each_time():
     for t in (0.0, 0.5, 3.0):
-        decision = decide_l2(to_polynomial(parse_symbol("5+3*i")), t)
+        decision = decide_l2(parse_symbol("5+3*i"), t)
         assert decision.verdict == INVARIANT
 
 
 def test_time_zero_is_identity():
     assert decide_l2(BACKWARD_HEAT, 0.0).verdict == INVARIANT
+
+
+def test_time_zero_reports_the_sup_of_the_real_part_as_other_times_do():
+    for poly, sup in ((heat_symbol(), -1.0), (BACKWARD_HEAT, math.inf)):
+        at_zero = decide_l2(poly, 0.0)
+        assert (at_zero.verdict, at_zero.caveats) == (INVARIANT, ("t = 0: identity flow",))
+        assert at_zero.sup_estimate == decide_l2(poly, 1e-300).sup_estimate == sup
 
 
 def test_i_ddx_discrepancy_is_flagged():
@@ -156,7 +162,7 @@ def test_i_ddx_discrepancy_is_flagged():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sup_of_large_coefficients_keeps_its_critical_point():
     # the derivative of -1e308 xi^2 overflows; the sup 2.5e307 sits at xi = 1/2
-    decision = decide_l2(to_polynomial(parse_symbol("-1e308*xi^2+1e308*xi")), 1.0)
+    decision = decide_l2(parse_symbol("-1e308*xi^2+1e308*xi"), 1.0)
     assert decision.verdict == INVARIANT
     assert decision.sup_estimate == pytest.approx(2.5e307, rel=1e-12)
 
@@ -165,13 +171,13 @@ def test_overflowing_probe_table_has_no_warnings_and_ends_at_inf():
     # xi^300 overflows to inf from the radius 2^4 probe on
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        maxima = sampled_sphere_maxima(to_polynomial(parse_symbol("xi^300", 1)))
+        maxima = sampled_sphere_maxima(parse_symbol("xi^300", 1))
     assert not np.isnan(maxima).any() and maxima[-1] == math.inf
 
 
 @pytest.mark.parametrize("symbol", ["xi^70", "xi^300"])
 def test_symbols_whose_probes_overflow_are_not_invariant(symbol):
-    decision = decide_l2(to_polynomial(parse_symbol(symbol, 1)))
+    decision = decide_l2(parse_symbol(symbol, 1))
     assert (decision.verdict, decision.method) == (NOT_INVARIANT, "exact-1d")
     assert decision.sup_estimate == math.inf
 
@@ -187,7 +193,7 @@ def test_non_finite_time_rejected(t):
         decide_l2(heat_symbol(), t)
 
 
-HEAT_2D = to_polynomial(parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", 2))
+HEAT_2D = parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", 2)
 
 
 @pytest.mark.parametrize("refused", [
@@ -229,16 +235,16 @@ def test_second_derivative_witness_on_imaginary_axis():
 def test_first_order_witness_is_a_real_half_axis():
     # Re(t a(x)) = -2 pi t x grows on x < 0 for t > 0, on x > 0 for t < 0
     assert find_growth_witness(I_D_DX) == GrowthWitness(order=1, forward=PI, backward=0.0)
-    assert find_growth_witness(to_polynomial(parse_symbol("xi+5*i"))) == GrowthWitness(
+    assert find_growth_witness(parse_symbol("xi+5*i")) == GrowthWitness(
         order=1, forward=0.0, backward=PI)
 
 
 def test_witness_needs_one_dimension():
     with pytest.raises(ValueError, match="n = 1"):
-        find_growth_witness(to_polynomial(parse_symbol("xi1^2", 2)))
+        find_growth_witness(parse_symbol("xi1^2", 2))
 
 
-DEGREE_AT_MOST_ONE = [to_polynomial(parse_symbol(text)) for text in (
+DEGREE_AT_MOST_ONE = [parse_symbol(text) for text in (
     "3", "-2", "0", "1-2*i", "2*pi*i*xi", "3-i*xi", "-2*pi*xi", "xi", "(1+i)*xi-2")]
 
 
@@ -278,7 +284,7 @@ def test_witness_rays_grow_like_the_leading_term(seed, picked, t):
 
 
 def test_sphere_maxima_are_the_point_by_point_scan():
-    poly = to_polynomial(parse_symbol("(1+2*i)*xi^5-3*xi^2+i*xi"))
+    poly = parse_symbol("(1+2*i)*xi^5-3*xi^2+i*xi")
     re = real_part_coefficients(poly)
 
     def real_part(x):  # the real-part Horner loop

@@ -17,7 +17,6 @@ from frechet_flow import (
     parse_symbol,
     random_field,
     seminorm,
-    to_polynomial,
     transport_symbol,
     verify_power_bound,
 )
@@ -40,7 +39,7 @@ def heat_op(grid):
 
 
 def test_apply_zero_symbol_gives_zero_field(grid, rng):
-    op = MultiplierOperator(to_polynomial(parse_symbol("0*xi")), grid)
+    op = MultiplierOperator(parse_symbol("0*xi"), grid)
     out = op.apply(random_field(grid, rng))
     assert np.all(out.values == 0)
 
@@ -115,7 +114,7 @@ def test_power_bound_identity(grid):
 ])
 def test_a_power_is_the_repeated_nodewise_product(n, text):
     grid = FrequencyGrid(n, 8, 32) if n == 1 else FrequencyGrid(n, 4, 16)
-    op = MultiplierOperator(to_polynomial(parse_symbol(text, n)), grid)
+    op = MultiplierOperator(parse_symbol(text, n), grid)
     values = op.values
     expected = values
     for k in range(1, 5):
@@ -251,7 +250,7 @@ def test_continuum_bound_dominates_discrete_seminorm(grid, heat_op):
         assert heat_op.seminorm(j) <= bound * (1 + 1e-9)
     # a symbol whose modulus peaks strictly inside ball 2 (at xi = sqrt(2),
     # value 4) but on the boundary of ball 3 (at xi = 3, value 45)
-    wiggle = to_polynomial(parse_symbol("xi^2*(4-xi^2)"))
+    wiggle = parse_symbol("xi^2*(4-xi^2)")
     op = MultiplierOperator(wiggle, grid)
     for j, peak in ((2, 4.0), (3, 45.0)):
         bound = continuum_seminorm_bound(wiggle, j)
@@ -263,12 +262,12 @@ def test_continuum_bound_dominates_discrete_seminorm(grid, heat_op):
 def test_continuum_bound_of_large_coefficients_keeps_its_critical_points():
     # the square of 1e200 xi^2 overflows, so the search runs on coefficients
     # scaled by an exact power of two and evaluates the symbol as given
-    assert continuum_seminorm_bound(to_polynomial(parse_symbol("-1e200*xi^2+1e200*xi")),
+    assert continuum_seminorm_bound(parse_symbol("-1e200*xi^2+1e200*xi"),
                                     1) == 2e200
     # xi - xi^3 peaks inside ball 1, at xi = 1/sqrt(3)
-    small = continuum_seminorm_bound(to_polynomial(parse_symbol("xi-xi^3")), 1)
+    small = continuum_seminorm_bound(parse_symbol("xi-xi^3"), 1)
     assert small == pytest.approx(2 / (3 * math.sqrt(3)), rel=1e-12)
-    assert continuum_seminorm_bound(to_polynomial(parse_symbol("2^664*(xi-xi^3)")),
+    assert continuum_seminorm_bound(parse_symbol("2^664*(xi-xi^3)"),
                                     1) == math.ldexp(small, 664)
 
 
@@ -283,7 +282,7 @@ def test_two_dimensional_multiplier(rng):
 
     grid2 = FrequencyGrid(2, 2, 4)
     op = MultiplierOperator(
-        to_polynomial(parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", n=2)), grid2
+        parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", n=2), grid2
     )
     assert op.seminorm(1) == pytest.approx(1 + 4 * PI**2, rel=REL)
     u = random_field(grid2, rng)
@@ -295,22 +294,20 @@ def test_two_dimensional_multiplier(rng):
 def test_an_operator_is_built_from_a_polynomial_only():
     grid = FrequencyGrid(2, 2, 2)
     text = "xi1+xi2"
-    op = MultiplierOperator(to_polynomial(parse_symbol(text, 2)), grid, label=text)
+    op = MultiplierOperator(parse_symbol(text, 2), grid, label=text)
     assert op.values[grid.nearest_node([1.0, 0.5])] == 1.5
     assert repr(op) == f"MultiplierOperator('xi1+xi2', {grid!r})"
-    for symbol in (text, parse_symbol(text, 2)):
-        with pytest.raises(TypeError, match="built from a PolynomialSymbol"):
-            MultiplierOperator(symbol, grid)
+    with pytest.raises(TypeError, match="built from a PolynomialSymbol"):
+        MultiplierOperator(text, grid)
 
 
 def test_an_expression_over_the_expansion_budget_is_refused():
     from frechet_flow.symbols import _EXPANSION_TERM_BUDGET
 
     # 151 * 151 terms in the product of the two expanded factors
-    expr = parse_symbol("(1+xi1)^150*(1+xi2)^150", 2)
     assert 151 * 151 > _EXPANSION_TERM_BUDGET
     with pytest.raises(SymbolError, match="term budget"):
-        to_polynomial(expr)
+        parse_symbol("(1+xi1)^150*(1+xi2)^150", 2)
 
 
 # a few values of every kind, so that arrays drawn from them repeat values
@@ -391,7 +388,7 @@ def test_levels_round_trip_by_bit_pattern_and_keep_signed_zeros_apart():
                                      (2, "-(1+4*pi^2*(xi1^2+xi2^2))"), (2, "2*pi*i*xi1")])
 def test_levels_match_the_reference_table(n, text):
     grid = FrequencyGrid(n, 4, 8)
-    op = MultiplierOperator(to_polynomial(parse_symbol(text, n)), grid)
+    op = MultiplierOperator(parse_symbol(text, n), grid)
     levels, inverse = op.levels()
     expected_levels, expected_inverse = first_appearances(op.values)
     assert np.array_equal(bits(levels), bits(expected_levels))
@@ -400,7 +397,7 @@ def test_levels_match_the_reference_table(n, text):
 
 def test_levels_of_a_symbol_without_repeated_values():
     grid = FrequencyGrid(2, 4, 8)
-    op = MultiplierOperator(to_polynomial(parse_symbol(NO_REPEAT_2D, 2)), grid)
+    op = MultiplierOperator(parse_symbol(NO_REPEAT_2D, 2), grid)
     levels, inverse = op.levels()
     assert levels.size == grid.node_count
     assert np.array_equal(inverse.ravel(), np.arange(grid.node_count))
@@ -441,7 +438,7 @@ def test_a_symbol_that_is_not_finite_on_the_grid_is_refused(n, text):
     # 8^400 overflows, and Horner's rule then forms inf * 0 = nan at xi = 0;
     # the suite's error::RuntimeWarning filter fails on any warning on the way
     grid = FrequencyGrid(n, 8, 4)
-    op = MultiplierOperator(to_polynomial(parse_symbol(text, n)), grid)
+    op = MultiplierOperator(parse_symbol(text, n), grid)
     with pytest.raises(SymbolError, match=r"not finite on the grid's extent \[-8, 8\]\^" + str(n)):
         op.levels()
     with pytest.raises(SymbolError, match="distinct values overflow"):
@@ -501,7 +498,7 @@ def test_even_axes_are_evaluated_up_to_zero_only(monkeypatch, text, corner):
         return evaluate(self, *axes)
 
     monkeypatch.setattr(PolynomialSymbol, "eval_grid", recorded)
-    MultiplierOperator(to_polynomial(parse_symbol(text, 2)), grid).levels()
+    MultiplierOperator(parse_symbol(text, 2), grid).levels()
     side = grid.shape[0]
     assert shapes == [tuple(side // 2 + 1 if half else side for half in corner)]
 
@@ -510,7 +507,7 @@ def test_even_axes_are_evaluated_up_to_zero_only(monkeypatch, text, corner):
 def test_a_polynomial_operator_keeps_no_grid_sized_complex_array(source):
     grid = FrequencyGrid(2, 8, 32)
     # the 2-D heat symbol, as text and as the coefficients of -1 + d1^2 + d2^2
-    symbol = {"polynomial": to_polynomial(parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", 2)),
+    symbol = {"polynomial": parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", 2),
               "diffop": diffop_to_symbol({(0, 0): -1.0, (2, 0): 1.0, (0, 2): 1.0},
                                          convention="partial", n=2)}[source]
     op = MultiplierOperator(symbol, grid)

@@ -21,7 +21,6 @@ from frechet_flow import (
     restrict,
     seminorm,
     seminorm_profile,
-    to_polynomial,
     transport_symbol,
     uniform_continuity_gap,
 )
@@ -208,10 +207,10 @@ def signed_zero_nan_operator(grid, rng):
 
 def traversal_operators(grid, rng):
     if grid.n == 1:
-        symbols = [heat_symbol(), transport_symbol(), to_polynomial(parse_symbol("1+xi^3"))]
+        symbols = [heat_symbol(), transport_symbol(), parse_symbol("1+xi^3")]
     else:
         # even in both axes, in xi1 only, and in neither
-        symbols = [to_polynomial(parse_symbol(text, 2)) for text in (
+        symbols = [parse_symbol(text, 2) for text in (
             HEAT_2D, "-(xi1^4+4*pi^2*xi2^2)+i*xi2^3", "1+xi1^3*xi2")]
     ops = [MultiplierOperator(symbol, grid) for symbol in symbols]
     return ops + [signed_zero_nan_operator(grid, rng)]
@@ -439,7 +438,7 @@ def test_saturating_path_equals_the_reference_bitwise(grid, rng):
 
 def test_saturating_path_on_heat_levels_equals_the_reference_bitwise(rng):
     grid = FrequencyGrid(2, 4, 8)
-    levels, inverse = MultiplierOperator(to_polynomial(parse_symbol(HEAT_2D, 2)), grid).levels()
+    levels, inverse = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid).levels()
     u = random_field(grid, rng)
     for t in (-2.0, -1.0, -0.6):
         z = t * levels
@@ -473,7 +472,7 @@ def test_polar_form_is_built_once_per_field(monkeypatch, rng):
     assert len(calls) == built
     assert source.polar() is source.polar()
     # each closed-form call puts its field in shell order anew, polar form included
-    op = MultiplierOperator(to_polynomial(parse_symbol(HEAT_2D, 2)), grid)
+    op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
     exp_multiplier(op, -2.0, u)
     assert len(calls) == 2 * built
 
@@ -513,7 +512,7 @@ def test_exp_series_profiles_its_field_once(monkeypatch, rng):
 
     grid = FrequencyGrid(2, 4, 8)
     u = random_field(grid, rng)
-    op = MultiplierOperator(to_polynomial(parse_symbol(HEAT_2D, 2)), grid)
+    op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
     calls = []
     reduce = spectral._ball_seminorms
 
@@ -592,7 +591,7 @@ def test_streamed_pass_reads_what_its_fields_give(grid, seed, kind, factor_kinds
 def test_representable_flow_with_a_nan_phase_level_is_rejected(rng):
     grid = FrequencyGrid(2, 3, 4)
     u = random_field(grid, rng)
-    levels, inverse = MultiplierOperator(to_polynomial(parse_symbol(HEAT_2D, 2)), grid).levels()
+    levels, inverse = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid).levels()
     phase = np.ones(levels.size, dtype=complex)
     phase[levels.size // 2] = complex(np.nan, 0.0)
     factor = LevelFactor(0.1 * levels.real, phase)
@@ -624,7 +623,7 @@ def visited_ranges(monkeypatch):
 def test_pass_without_kept_or_saturating_flow_stays_in_ball_J(monkeypatch, rng):
     grid = FrequencyGrid(2, 4, 8)
     u = random_field(grid, rng)
-    levels, inverse = MultiplierOperator(to_polynomial(parse_symbol(HEAT_2D, 2)), grid).levels()
+    levels, inverse = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid).levels()
     source = ShellField(u, inverse)
     ball_end = int(grid.shells().offsets[-1])
     representable = {"a": LevelFactor(0.01 * levels.real, np.ones(levels.size)), "b": None}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,18 +12,23 @@ from frechet_flow import (
     SymbolSyntaxError,
     audit_order,
     diffop_to_symbol,
-    evaluate,
     heat_symbol,
     parse_symbol,
-    to_polynomial,
 )
-from frechet_flow.symbols import SymbolError, horner, parse_diffop_coefficients
+from frechet_flow.symbols import (
+    SymbolError,
+    _constant_power,
+    _poly_add,
+    _poly_mul,
+    horner,
+    parse_diffop_coefficients,
+)
 
 PI = math.pi
 
 
 def test_parse_heat_symbol_structure():
-    poly = to_polynomial(parse_symbol("-(1+4*pi^2*xi^2)"))
+    poly = parse_symbol("-(1+4*pi^2*xi^2)")
     assert poly.order == 2
     assert poly.coefficient((0,)) == -1.0
     assert poly.coefficient((2,)) == pytest.approx(-4 * PI**2, rel=1e-15)
@@ -30,13 +36,13 @@ def test_parse_heat_symbol_structure():
 
 
 def test_parse_transport_symbol():
-    poly = to_polynomial(parse_symbol("2*pi*i*xi"))
+    poly = parse_symbol("2*pi*i*xi")
     assert poly.order == 1
     assert poly.coefficient((1,)) == pytest.approx(2j * PI, rel=1e-15)
 
 
 def test_parse_constant():
-    poly = to_polynomial(parse_symbol("3"))
+    poly = parse_symbol("3")
     assert poly.coeffs == {(0,): 3.0 + 0j}
     assert poly.order == 0
 
@@ -54,14 +60,27 @@ def test_parse_rejects_non_integer_exponent():
     ("xi^xi", "exponent must be a constant"),
     ("xi^(2+xi1)", "unknown identifier"),
     ("xi^(1/(1-1))", "division by zero in constant"),
-    ("xi^(0^-1)", "exponent out of range"),
-    ("xi^(10^400)", "exponent out of range"),
+    ("xi^(0^-1)", "exponent out of range: 0.0 to a negative or complex power"),
+    ("xi^(10^400)", "exponent out of range: complex exponentiation"),
+    # (1e-200)^2 underflows to 0, so its inverse has no finite value
+    ("xi^((1e-200)^-2)", "exponent out of range: 0.0 to a negative or complex power"),
+    # 1e308*10 overflows to inf, and inf - inf is nan
+    ("xi^(1e308*10)", "exponent out of range: not finite"),
+    ("xi^(1e308*10-1e308*10)", "exponent out of range: not finite"),
 ])
 def test_parse_rejects_bad_exponents_at_the_caret(text, message):
     with pytest.raises(SymbolSyntaxError) as err:
         parse_symbol(text)
     assert message in str(err.value)
     assert err.value.offset == (6 if message == "unknown identifier" else 2)
+
+
+def test_with_several_faults_the_first_one_read_is_named():
+    with pytest.raises(SymbolError, match="a constant power overflows"):
+        parse_symbol("2^10000*xi+")
+    with pytest.raises(SymbolSyntaxError, match="exponent must be a constant") as err:
+        parse_symbol("xi^(xi^-1)")
+    assert err.value.offset == 2
 
 
 def nested(depth):
@@ -83,31 +102,36 @@ def test_parse_refuses_nesting_past_the_limit_at_the_offending_token(text, offse
 
 
 def test_parse_accepts_nesting_up_to_the_limit():
-    assert to_polynomial(parse_symbol(nested(100))).coeffs == {(1,): 1.0}
-    assert to_polynomial(parse_symbol("-" * 100 + "xi")).coeffs == {(1,): 1.0}
+    assert parse_symbol(nested(100)).coeffs == {(1,): 1.0}
+    assert parse_symbol("-" * 100 + "xi").coeffs == {(1,): 1.0}
 
 
 def test_long_chains_take_no_stack_frame_per_term():
-    expr = parse_symbol("+".join(["xi"] * 1201))
-    assert to_polynomial(expr).coeffs == {(1,): 1201.0}
-    assert evaluate(expr, [2.0]) == 2402.0
-    assert to_polynomial(parse_symbol("*".join(["xi"] * 1500) + "/2" * 1000)).coeffs == {
+    chain = "+".join(["xi"] * 1201)
+    poly = parse_symbol(chain)
+    assert poly.coeffs == {(1,): 1201.0}
+    assert repr(poly) == "PolynomialSymbol(n=1, coeffs={(1,): (1201+0j)})"
+    assert poly == parse_symbol(chain) and hash(poly) == hash(parse_symbol(chain))
+    assert parse_symbol("*".join(["xi"] * 1500) + "/2" * 1000).coeffs == {
         (1500,): 2.0**-1000}
-    assert to_polynomial(parse_symbol("xi^(" + "+".join(["1"] * 3000) + ")")).order == 3000
-    assert to_polynomial(parse_symbol("xi/(" + "-".join(["1"] * 3000) + ")")).coeffs == {
+    assert parse_symbol("xi^(" + "+".join(["1"] * 3000) + ")").order == 3000
+    assert parse_symbol("xi/(" + "-".join(["1"] * 3000) + ")").coeffs == {
         (1,): -1.0 / 2998}
 
 
 def test_parse_folds_constant_exponents():
-    assert parse_symbol("xi^(2^2-1/2*2)").root.exponent == 3
-    assert parse_symbol("xi^-(-2)").root.exponent == 2
+    assert parse_symbol("xi^(2^2-1/2*2)").coeffs == {(3,): 1.0}
+    assert parse_symbol("xi^-(-2)").coeffs == {(2,): 1.0}
+    # an exponent's constant powers are squared out exactly, past 100 too
+    assert parse_symbol("xi^((-1)^102)").coeffs == {(1,): 1.0}
+    assert parse_symbol("xi^(i^104)").coeffs == {(1,): 1.0}
 
 
 def expand_stepwise(text):
     """The coefficients of a constant power as `_poly_mul` forms them, one product at a time."""
     base, exponent = text.rsplit("^", 1)
     power = {(0,): 1.0 + 0j}
-    factor = to_polynomial(parse_symbol(base)).coeffs
+    factor = parse_symbol(base).coeffs
     for _ in range(int(exponent)):
         power = {(0,): 0j + power[(0,)] * factor.get((0,), 0j)}
         if power[(0,)] == 0:
@@ -117,7 +141,7 @@ def expand_stepwise(text):
 
 @pytest.mark.parametrize("text", ["pi^2", "(1+2*i)^3", "(-0.0*i+1)^2", "0^3", "pi^0"])
 def test_constant_squares_and_cubes_keep_the_product_bits(text):
-    coeffs = to_polynomial(parse_symbol(text)).coeffs
+    coeffs = parse_symbol(text).coeffs
     expected = expand_stepwise(text)
     assert list(coeffs) == list(expected)
     for alpha, c in coeffs.items():
@@ -126,18 +150,18 @@ def test_constant_squares_and_cubes_keep_the_product_bits(text):
 
 
 def test_large_constant_powers_take_log2_products():
-    assert to_polynomial(parse_symbol("(xi-xi)^100000000")).coeffs == {}
-    assert to_polynomial(parse_symbol("0^100000000*xi")).coeffs == {}
-    assert to_polynomial(parse_symbol("i^100000001*xi")).coeffs == {(1,): 1j}
-    assert to_polynomial(parse_symbol("(-1)^100000001*xi")).coeffs == {(1,): -1.0}
-    assert to_polynomial(parse_symbol("2^1000*xi")).coeffs == {(1,): complex(2.0**1000)}
-    assert to_polynomial(parse_symbol("0.5^100000000*xi")).coeffs == {}
-    assert to_polynomial(parse_symbol("(1/2)^-1000")).coeffs == {(0,): complex(2.0**1000)}
-    for text in ("2^100000000", "2^1024", "(1/2)^-2000*xi", "(1+i)^2100"):
+    assert parse_symbol("(xi-xi)^100000000").coeffs == {}
+    assert parse_symbol("0^100000000*xi").coeffs == {}
+    assert parse_symbol("i^100000001*xi").coeffs == {(1,): 1j}
+    assert parse_symbol("(-1)^100000001*xi").coeffs == {(1,): -1.0}
+    assert parse_symbol("2^1000*xi").coeffs == {(1,): complex(2.0**1000)}
+    assert parse_symbol("0.5^100000000*xi").coeffs == {}
+    assert parse_symbol("(1/2)^-1000").coeffs == {(0,): complex(2.0**1000)}
+    for text in ("2^100000000", "2^1024", "(1/2)^-2000*xi", "(1+i)^2100", "(1e-200)^-2"):
         with pytest.raises(SymbolError, match="a constant power overflows"):
-            to_polynomial(parse_symbol(text))
+            parse_symbol(text)
     with pytest.raises(SymbolError, match="zero raised to a negative exponent"):
-        to_polynomial(parse_symbol("(xi-xi)^-3"))
+        parse_symbol("(xi-xi)^-3")
 
 
 def test_parse_rejects_unknown_identifier():
@@ -168,8 +192,7 @@ def test_parse_syntax_errors_carry_offsets():
 
 
 def test_two_dimensional_variables():
-    expr = parse_symbol("xi1^2+xi2^2", n=2)
-    assert evaluate(expr, [3.0, 4.0]) == pytest.approx(25.0)
+    assert parse_symbol("xi1^2+xi2^2", n=2).eval([3.0, 4.0]) == 25.0
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("xi3", n=2)
     with pytest.raises(SymbolSyntaxError):
@@ -177,10 +200,10 @@ def test_two_dimensional_variables():
 
 
 def test_unary_minus_and_precedence():
-    assert evaluate(parse_symbol("-xi^2"), [3.0]) == pytest.approx(-9.0)
-    assert evaluate(parse_symbol("2+3*4"), [0.0]) == pytest.approx(14.0)
-    assert evaluate(parse_symbol("2*xi^3"), [2.0]) == pytest.approx(16.0)
-    assert evaluate(parse_symbol("2^3^2"), [0.0]) == pytest.approx(512.0)
+    assert parse_symbol("-xi^2").coeffs == {(2,): -1.0}
+    assert parse_symbol("2+3*4").coeffs == {(0,): 14.0}
+    assert parse_symbol("2*xi^3").coeffs == {(3,): 2.0}
+    assert parse_symbol("2^3^2").coeffs == {(0,): 512.0}
 
 
 def test_eval_heat_symbol_values():
@@ -191,7 +214,7 @@ def test_eval_heat_symbol_values():
 
 
 def test_eval_takes_scalar_or_array_coordinates():
-    poly = to_polynomial(parse_symbol("xi1^2*xi2 - i*xi2^3", 2))
+    poly = parse_symbol("xi1^2*xi2 - i*xi2^3", 2)
     value = poly.eval([1.5, -2.0])
     assert type(value) is complex and value == pytest.approx(-4.5 + 8j)
     x1, x2 = np.array([[1.5], [0.5]]), np.array([-2.0, 1.0, 3.0])
@@ -243,8 +266,8 @@ def test_polynomials_past_the_dense_budget_are_refused():
     assert PolynomialSymbol(1, {(_EXPANSION_TERM_BUDGET - 1,): 1}).dense.size == 20000
     for symbol in (lambda: PolynomialSymbol(1, {(_EXPANSION_TERM_BUDGET,): 1}),
                    lambda: PolynomialSymbol(2, {(200, 99): 1}),  # 201 * 100 entries
-                   lambda: to_polynomial(parse_symbol("xi^1000000000")),
-                   lambda: to_polynomial(parse_symbol("(xi1*xi2)^150", 2)),
+                   lambda: parse_symbol("xi^1000000000"),
+                   lambda: parse_symbol("(xi1*xi2)^150", 2),
                    lambda: diffop_to_symbol({(10**9,): 1.0}, convention="partial")):
         with pytest.raises(SymbolError, match="above the budget of 20000"):
             symbol()
@@ -255,47 +278,126 @@ def test_eval_dimension_mismatch():
         heat_symbol().eval([1.0, 2.0])
 
 
-def test_expansion_agrees_with_tree_on_random_points(rng):
-    texts = [
-        "-(1+4*pi^2*xi^2)",
-        "2*pi*i*xi",
-        "(xi+1)*(xi-1)*(xi+i)",
-        "(1+xi)^4/16 - xi^2",
-        "3",
-    ]
-    for text in texts:
-        expr = parse_symbol(text)
-        poly = to_polynomial(expr)
-        for _ in range(100):
-            xi = rng.uniform(-10, 10)
-            tree = evaluate(expr, [xi])
-            dense = poly.eval([xi])
-            assert abs(tree - dense) <= 1e-10 * (1.0 + abs(tree))
+class Coefficients(dict):
+    """A coefficient map whose operators fold as the parser does, so that
+    Python's own parser can read symbol text (``^`` as ``**``) into a reference
+    for `parse_symbol`; ``zero`` is the multi-index of the constant term."""
+
+    def __init__(self, coeffs, zero):
+        super().__init__(coeffs)
+        self.zero = zero
+
+    def constant(self, what):
+        if set(self) - {self.zero}:
+            raise SymbolError(f"a non-constant {what}")
+        return self.get(self.zero, 0j)
+
+    def __add__(self, other):
+        return Coefficients(_poly_add(self, other, 1), self.zero)
+
+    def __sub__(self, other):
+        return Coefficients(_poly_add(self, other, -1), self.zero)
+
+    def __mul__(self, other):
+        return Coefficients(_poly_mul(self, other), self.zero)
+
+    def __truediv__(self, other):
+        divisor = other.constant("divisor")
+        if divisor == 0:
+            raise SymbolError("division by zero")
+        return Coefficients({alpha: c / divisor for alpha, c in self.items()}, self.zero)
+
+    def __neg__(self):
+        return Coefficients({alpha: -c for alpha, c in self.items()}, self.zero)
+
+    def __pow__(self, other):
+        exponent = other.constant("exponent")
+        if exponent.imag != 0 or exponent.real % 1 != 0:  # nan and inf included
+            raise SymbolError("not an integer exponent")
+        exponent = int(exponent.real)
+        if not set(self) - {self.zero}:
+            power = _constant_power(self.get(self.zero, 0j), exponent)
+            return Coefficients({self.zero: power} if power != 0 else {}, self.zero)
+        if exponent < 0:
+            raise SymbolError("a negative power of a non-constant expression")
+        out = Coefficients({self.zero: 1.0 + 0j}, self.zero)
+        for _ in range(exponent):
+            out = out * self
+        return out
 
 
-def test_pi_and_i_parse_to_numbers():
-    from frechet_flow.symbols import BinOp, Num
-
-    assert parse_symbol("pi").root == Num(complex(PI))
-    assert parse_symbol("i").root == Num(1j)
-    assert parse_symbol("pi*i").root == BinOp("*", Num(complex(PI)), Num(1j))
+TOKEN = re.compile(r"(?P<name>[a-z]\w*)|(?P<number>(\d+\.?\d*|\.\d+)(e[+-]?\d+)?)")
 
 
-def test_to_polynomial_takes_a_tree_or_a_polynomial_not_text():
-    heat = heat_symbol()
-    assert to_polynomial(heat) is heat
-    for text in ("xi", "xi1+xi2"):
-        with pytest.raises(TypeError, match="not an expression tree or a polynomial"):
-            to_polynomial(text)
-    assert to_polynomial(parse_symbol("xi1+xi2", 2)).coeffs == {(1, 0): 1.0, (0, 1): 1.0}
+def read_by_python(text, n):
+    """The `PolynomialSymbol` of ``text`` read by Python's parser; ValueError if refused."""
+    zero = (0,) * n
+    axes = {"xi": 0} if n == 1 else {"xi1": 0, "xi2": 1}
+    leaves = []
+
+    def leaf(match):
+        name = match.group("name")
+        if name in axes:
+            coeffs = {tuple(int(k == axes[name]) for k in range(n)): 1.0 + 0j}
+        else:
+            value = {"pi": complex(math.pi), "i": 1j}.get(name)
+            value = complex(float(match.group("number"))) if value is None else value
+            coeffs = {zero: value} if value != 0 else {}
+        leaves.append(Coefficients(coeffs, zero))
+        return f"leaves[{len(leaves) - 1}]"
+
+    python_text = TOKEN.sub(leaf, text).replace("^", "**")
+    return PolynomialSymbol(n, eval(python_text, {"leaves": leaves}))
 
 
-def test_to_polynomial_rejects_non_polynomial_trees():
-    from frechet_flow.symbols import BinOp, Num, SymbolExpr, Var
+NUMBERS = ["0", "1", "2", "3", "7", "10", "0.5", "1.5", "0.1", "2.5e-3", "1e2", "1e200"]
+# constant exponents: integers, folded integers, and some that are refused
+EXPONENTS = st.sampled_from(["0", "1", "2", "3", "-1", "-(2)", "-(-2)", "2^0", "(1+1)",
+                             "(2^2-1)", "(6/3)", "(0.5*4)", "(i^2)", "(1/2)", "(1/0)"])
 
-    bad = SymbolExpr(root=BinOp("/", Num(1.0 + 0j), Var(0)), n=1)
-    with pytest.raises(SymbolError):
-        to_polynomial(bad)
+
+@st.composite
+def grammar_texts(draw, names, depth=4):
+    """Symbol text over numbers, ``names``, ``+ - * /``, ``^`` with constant
+    exponents, unary minus and parentheses; divisors are constant texts."""
+    form = draw(st.sampled_from(["binary", "leaf", "binary", "quotient", "minus",
+                                 "parentheses", "power"])) if depth else "leaf"
+    if form == "leaf":
+        atom = draw(st.sampled_from(names) | st.sampled_from(NUMBERS))
+        return f"{atom}^{draw(EXPONENTS)}" if draw(st.booleans()) else atom
+    sub = grammar_texts(names, depth - 1)
+    if form == "binary":
+        return draw(sub) + draw(st.sampled_from("+-*")) + draw(sub)
+    if form == "quotient":
+        return draw(sub) + "/" + draw(grammar_texts(["pi", "i"], depth - 1))
+    if form == "minus":
+        return "-" + draw(sub)
+    if form == "parentheses":
+        return f"({draw(sub)})"
+    return f"({draw(sub)})^{draw(EXPONENTS)}"
+
+
+@st.composite
+def symbol_texts(draw):
+    n = draw(st.sampled_from([1, 2]))
+    return n, draw(grammar_texts((["xi"] if n == 1 else ["xi1", "xi2"]) + ["pi", "i"]))
+
+
+def exact(poly):
+    return {alpha: (c.real.hex(), c.imag.hex()) for alpha, c in poly.coeffs.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=symbol_texts())
+def test_parse_matches_python_reading_the_text_bit_for_bit(case):
+    n, text = case
+    try:
+        expected = read_by_python(text, n)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_symbol(text, n)
+        return
+    assert exact(parse_symbol(text, n)) == exact(expected)
 
 
 def test_diffop_partial_convention_order_one():

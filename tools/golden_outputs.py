@@ -24,9 +24,12 @@ derivative-coefficient list, ``check-l2`` and ``check-eprime`` also run on
 a complex symbol of degree 5, ``check-eprime`` runs on a quartic and two
 constants, where the paper's rule and the exact rule differ, and on a
 translation, ``check-l2`` runs on coefficients of 1e308 and on ``xi^300``,
-whose sphere probes overflow to inf, and a few cases fail on a missing or
-malformed symbol or, with exit 2 and one stderr line, on symbol text
-nested 199 parentheses deep.  Three solves fail with exit 2 and
+whose sphere probes overflow to inf, and at t = 0.  A few cases fail on a
+missing or malformed symbol or, with exit 2 and one stderr line, on symbol
+text nested 199 parentheses deep, on seven texts with one fault each
+(a variable divisor or exponent, also one that cancels, a division by
+zero, an overflowing coefficient, a degree past the budget) and on an
+exponent that overflows to inf.  Three solves fail with exit 2 and
 one stderr line: ``-xi^400`` is not finite on its grid, a field of 1e308
 at every node has a top seminorm that overflows, so no series truncation
 reaches the tolerance, and at t = 1e306 the worst rate overflows.  A
@@ -150,6 +153,17 @@ OTHERS = [
     # past the parser's nesting limit of 100 levels
     ("check-l2-nested-too-deep", ["check-l2", "--symbol=" + "(" * 199 + "xi" + ")" * 199,
                                   "--out", "out"]),
+    # symbol text with one fault each: the refusal's message, offset and exit code
+    *((f"check-l2-refuses-{name}", ["check-l2", "--symbol=" + text, "--out", "out"])
+      for name, text in (("divisor-xi", "1/xi"), ("divisor-cancelling-xi", "1/(xi-xi+1)"),
+                         ("exponent-cancelling-xi", "xi^(xi-xi+2)"),
+                         ("exponent-divides-by-zero", "xi^(1/(1-1))"),
+                         ("division-by-zero", "1/(1-1)"),
+                         ("coefficient-overflows", "(1e200*xi)^2"),
+                         ("degree-past-budget", "xi^20000"))),
+    # 1e308*10 overflows to inf: the exponent is not finite
+    ("check-l2-exponent-not-finite", ["check-l2", "--symbol=xi^(1e308*10)", "--out", "out"]),
+    ("check-l2-time-zero", ["check-l2", "--symbol=" + HEAT_1D, "--t", "0", "--out", "out"]),
     ("translate", ["translate", "--function", "gaussian", "--t", "0.5",
                    "--samples=-2:2:0.1", "--out", "out"]),
     # 10,001 samples: more than one block of translation.SAMPLE_BLOCK, and
