@@ -6,7 +6,6 @@ of very smooth functions."""
 from .spectral import (
     FrequencyGrid,
     GridError,
-    QuotientElement,
     ShellField,
     SpectralField,
     delta,
@@ -15,7 +14,6 @@ from .spectral import (
     ones,
     project,
     random_field,
-    restrict,
     saturated_product,
     seminorm,
     seminorm_profile,

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig, format_config, parse_init
-from .evolution import SeriesDiagnostics, evolve
+from .evolution import SeriesDiagnostics, _safe_exp, evolve
 from .fieldio import field_to_csv, read_field, write_csv, write_field, write_metadata
 from .operators import MultiplierOperator
 from .spectral import (
@@ -60,8 +60,8 @@ def heat_scan(ts, Ms, Rs) -> list[HeatScanRow]:
     rows at increasing R are nested and the values are nondecreasing in R.
     Rows whose integrand exceeds the overflow limit anywhere saturate at
     that limit and are flagged rather than returned as infinities.  Times
-    must be finite, each 2M a finite float, radii finite and positive, and
-    the quadrature nodes within ``NODE_BUDGET``.
+    must be finite, each M an integer whose 2M is a finite float, radii
+    finite and positive, and the quadrature nodes within ``NODE_BUDGET``.
     """
     ts = [float(t) for t in ts]
     if not all(map(math.isfinite, ts)):
@@ -71,6 +71,8 @@ def heat_scan(ts, Ms, Rs) -> list[HeatScanRow]:
         raise ValueError("at least one truncation radius is required")
     if not all(math.isfinite(R) and R > 0 for R in Rs):
         raise ValueError(f"truncation radii must be finite and positive, got {Rs!r}")
+    if not all(isinstance(M, (int, np.integer)) for M in Ms):
+        raise ValueError(f"weight exponents M must be integers, got {Ms!r}")
     Ms = [int(M) for M in Ms]
     for M in Ms:
         try:
@@ -201,12 +203,8 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
         gain_short = False
         for k, t in enumerate(times):
             if t < 0 and initial_profile[-1] > 0:
-                try:
-                    gain_target = math.exp(abs(t))
-                except OverflowError:  # |t| past the float range of exp
-                    gain_target = math.inf
                 gain = profiles[method][k][-1] / initial_profile[-1]
-                gain_short = gain_short or gain < gain_target
+                gain_short = gain_short or gain < _safe_exp(abs(t))
         backward_gain_ok = not (gain_short and np.all(op.levels()[0].real <= -1.0))
 
         files = []

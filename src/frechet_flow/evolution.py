@@ -63,9 +63,7 @@ from .spectral import (
     LevelFactor,
     ShellField,
     SpectralField,
-    embed,
     project,
-    restrict,
     saturated_product,
     seminorm,
     seminorm_profile,
@@ -113,6 +111,12 @@ def choose_terms(rate: float, log_threshold: float) -> int:
 def _check_time(t) -> None:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
+
+
+def _check_quotient_time(t) -> None:
+    _check_time(t)
+    if t == 0.0:
+        raise ValueError("the difference quotient needs t != 0")
 
 
 def _check_grid(op: MultiplierOperator, u: SpectralField) -> None:
@@ -330,6 +334,7 @@ def verify_group_law(op: MultiplierOperator, s: float, t: float,
 def uniform_continuity_gap(op: MultiplierOperator, t: float, j: int):
     """Return ``(lhs, rhs)`` with lhs the exact ball-j norm of ``e^{tA} - I``
     and rhs the rate bound ``e^{t p_j^X(A)} - 1``; lhs never exceeds rhs."""
+    _check_time(t)
     if t < 0:
         raise ValueError("the continuity gap is stated for t >= 0")
     j = op.grid.check_ball_index(j)
@@ -346,9 +351,7 @@ def uniform_continuity_gap(op: MultiplierOperator, t: float, j: int):
 
 def generator_residual(op: MultiplierOperator, t: float, u: SpectralField, j: int) -> float:
     """``p_j((e^{tA}u - u)/t - Au)``; first order in t as t -> 0."""
-    _check_time(t)
-    if t == 0.0:
-        raise ValueError("the difference quotient needs t != 0")
+    _check_quotient_time(t)
     evolved = exp_multiplier(op, t, u)
     quotient = (evolved - u) * (1.0 / t)
     return seminorm(quotient - op.apply(u), j)
@@ -357,6 +360,7 @@ def generator_residual(op: MultiplierOperator, t: float, u: SpectralField, j: in
 def generator_residual_bound(op: MultiplierOperator, t: float, u: SpectralField,
                              j: int) -> float:
     """Closed-form bound ``((e^{|t| r} - 1)/|t| - r) p_j(u)``, r = p_j^X(A)."""
+    _check_quotient_time(t)
     _check_grid(op, u)
     r = op.seminorm(j)
     scale = (_safe_exp(abs(t) * r) - 1.0) / abs(t) - r
@@ -365,7 +369,12 @@ def generator_residual_bound(op: MultiplierOperator, t: float, u: SpectralField,
 
 @dataclass(frozen=True)
 class DiagramCheck:
-    """Outcome of the quotient-diagram commutativity checks at level j."""
+    """Outcome of the quotient-diagram commutativity checks at level j.
+
+    ``A_j = sigma_j A`` acts on the ball-j quotient, whose element is the
+    field vanishing outside ball j, and ``pi_j = sigma_j`` restricts the
+    ball-(j + 1) quotient to it.
+    """
 
     j: int
     projection_commutes: bool   # sigma_j(Au) == A_j sigma_j(u)
@@ -380,29 +389,26 @@ class DiagramCheck:
 def verify_quotient_diagrams(op, u: SpectralField, j: int) -> DiagramCheck:
     """Check, bitwise, that the operator commutes with the quotient maps.
 
-    ``A_j`` acts on the ball-j quotient by zero-extension, application and
-    projection.  Multipliers commute exactly (both sides multiply the same
-    stored samples); operators that move mass across ball boundaries fail
-    with a concrete witness node.
+    ``A_j`` acts on the ball-j quotient by application and projection: a
+    quotient element is already the field that vanishes outside ball j.
+    Multipliers commute exactly (both sides multiply the same stored
+    samples); operators that move mass across ball boundaries fail with a
+    concrete witness node, the first differing node in row-major order.
     """
     grid = u.grid
     if not 1 <= j < grid.J:
         raise ValueError(f"diagram checks need 1 <= j < J = {grid.J}")
-    sigma_au = project(op.apply(u), j)
-    a_sigma = project(op.apply(embed(project(u, j), grid)), j)
-    proj_ok = np.array_equal(sigma_au.values, a_sigma.values)
-
-    upper = project(op.apply(embed(project(u, j + 1), grid)), j + 1)
-    restricted = restrict(upper, j)
-    restr_ok = np.array_equal(restricted.values, a_sigma.values)
+    sigma_au = project(op.apply(u), j).values
+    a_sigma = project(op.apply(project(u, j)), j).values
+    restricted = project(op.apply(project(u, j + 1)), j).values
+    proj_ok = np.array_equal(sigma_au, a_sigma)
+    restr_ok = np.array_equal(restricted, a_sigma)
 
     witness = None
-    if not proj_ok:
-        bad = np.nonzero(sigma_au.values != a_sigma.values)[0]
-        witness = tuple(float(x) for x in sigma_au.points()[bad[0]])
-    elif not restr_ok:
-        bad = np.nonzero(restricted.values != a_sigma.values)[0]
-        witness = tuple(float(x) for x in restricted.points()[bad[0]])
+    if not (proj_ok and restr_ok):
+        # both sides vanish outside ball j, so a differing node lies inside it
+        bad = np.flatnonzero((sigma_au if not proj_ok else restricted) != a_sigma)[0]
+        witness = tuple(float(x) for x in grid.node_points()[bad])
     return DiagramCheck(
         j=j,
         projection_commutes=proj_ok,

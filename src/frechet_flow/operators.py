@@ -261,6 +261,8 @@ def continuum_seminorm_bound(poly: PolynomialSymbol, j: int) -> float:
     """
     if poly.n != 1:
         raise ValueError("the continuum seminorm bound is computed for n = 1")
+    if not 0 <= j < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"radius must be finite and nonnegative, got {j!r}")
     points = _real_critical_points(poly.dense)
     candidates = [-float(j), float(j), 0.0] + points[np.abs(points) <= j].tolist()
     values = poly.eval([np.array(candidates)])

@@ -9,8 +9,8 @@ series metric ``sum 2^-j q_j / (1 + q_j)`` (truncated at j = J; the omitted
 tail is below ``2^-J``).
 
 Ball membership is decided in exact integer arithmetic on the node indices,
-so boundary nodes with ``|xi| = j`` are always included and restriction maps
-copy samples bitwise.  Every node carries its shell number, the smallest j
+so boundary nodes with ``|xi| = j`` are always included and `project`
+copies samples bitwise.  Every node carries its shell number, the smallest j
 with ``|xi| <= j``, so ball j is the union of shells 1..j.  A grid holds no
 per-node array, only its axes.  Its `ShellIndex` (built on first use, shared
 by equal grids) finds each node's shell from the integer axis a block of
@@ -144,15 +144,6 @@ class FrequencyGrid:
             return self.axis[:, None]
         g1, g2 = np.meshgrid(self.axis, self.axis, indexing="ij")
         return np.stack([g1.ravel(), g2.ravel()], axis=1)
-
-    def index_arrays(self) -> tuple[np.ndarray, ...]:
-        """Integer node index along each axis, broadcast to grid shape."""
-        if self.n == 1:
-            return (self.axis_index,)
-        return (
-            np.broadcast_to(self.axis_index[:, None], self.shape),
-            np.broadcast_to(self.axis_index[None, :], self.shape),
-        )
 
     def nearest_node(self, point) -> tuple[int, ...]:
         point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -491,76 +482,17 @@ def metric(u: SpectralField, v: SpectralField) -> float:
     return float(np.sum(weights * ratio))
 
 
-@dataclass(frozen=True)
-class QuotientElement:
-    """Restriction of a field to ball j, with its quotient norm.
+def project(u: SpectralField, j: int) -> SpectralField:
+    """Canonical projection onto the ball-j quotient ``X / ker p_j``.
 
-    ``coords`` holds the integer node indices (units of h) in row-major
-    order and ``values`` the corresponding samples; ``norm`` equals the
-    ball-j quadrature of those samples.
+    A coset has exactly one member that vanishes outside ball j, and this
+    returns it: u's samples, bit for bit, inside ball j and 0 outside, with
+    u's overflow flag.  So ``seminorm(project(u, j), i) == seminorm(u, i)``
+    for every ``i <= j``, and restriction to ball ``i <= j`` is
+    ``project(., i)``.
     """
-
-    n: int
-    inv_h: int
-    j: int
-    coords: np.ndarray
-    values: np.ndarray
-    norm: float
-
-    def __post_init__(self):
-        self.coords.setflags(write=False)
-        self.values.setflags(write=False)
-
-    def points(self) -> np.ndarray:
-        return self.coords / float(self.inv_h)
-
-
-def project(u: SpectralField, j: int) -> QuotientElement:
-    """Canonical projection onto the ball-j quotient (samples restricted)."""
-    j = u.grid.check_ball_index(j)
     mask = u.grid.ball_mask(j)
-    idx = u.grid.index_arrays()
-    coords = np.stack([axis[mask] for axis in idx], axis=1)
-    return QuotientElement(
-        n=u.grid.n,
-        inv_h=u.grid.inv_h,
-        j=j,
-        coords=coords,
-        values=u.values[mask].copy(),
-        norm=seminorm(u, j),
-    )
-
-
-def restrict(q: QuotientElement, j: int) -> QuotientElement:
-    """Restriction map from the ball-``q.j`` quotient to ball j <= q.j.
-
-    Samples are copied bitwise, so restriction composes exactly with
-    projection: ``restrict(project(u, j+1), j) == project(u, j)``.  The
-    norm is a power-of-two-scaled sum of squares, finite wherever the
-    seminorm is, and within a few ulp of ``project(u, j).norm`` (the sum
-    runs in node order rather than shell by shell).
-    """
-    if not 1 <= j <= q.j:
-        raise GridError(f"restriction needs 1 <= j <= {q.j}, got {j}")
-    inside = np.sum(q.coords**2, axis=1) <= (j * q.inv_h) ** 2
-    values = q.values[inside].copy()
-    weight = (1.0 / q.inv_h) ** q.n
-    norm = _combine_norms(*_scaled_sums(np.abs(values), np.array([0, values.size])), weight)[0]
-    return QuotientElement(
-        n=q.n, inv_h=q.inv_h, j=int(j), coords=q.coords[inside].copy(),
-        values=values, norm=norm,
-    )
-
-
-def embed(q: QuotientElement, grid: FrequencyGrid) -> SpectralField:
-    """Extend a quotient element by zero to a full-grid field."""
-    if q.n != grid.n or q.inv_h != grid.inv_h or q.j > grid.J:
-        raise GridError("quotient element does not fit the grid")
-    values = np.zeros(grid.shape, dtype=np.complex128)
-    lim = grid.J * grid.inv_h
-    pos = tuple((q.coords[:, k] + lim) for k in range(grid.n))
-    values[pos] = q.values
-    return SpectralField._adopt(grid, values)
+    return SpectralField._adopt(u.grid, np.where(mask, u.values, 0.0), u.overflow, checked=True)
 
 
 def mask_outside(u: SpectralField, j: int) -> SpectralField:

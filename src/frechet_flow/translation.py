@@ -362,6 +362,8 @@ def shifted(phi: SmoothExpFunction, offset: float) -> SmoothExpFunction:
     the first whose certified tail is below ``1e-12 / 2``; an order past
     `evolution.TERM_CAP` raises `SeriesTruncationError`.
     """
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset!r}")
     _, rate, ratio = _certified_rate(phi, offset, int(math.ceil(abs(offset))) + 3)
     log_target = math.log(0.5 * 1e-12) - math.log(ratio)
     terms = choose_terms(rate, log_target) + 1

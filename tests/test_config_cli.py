@@ -462,6 +462,16 @@ def test_heat_scan_rejects_non_finite_times(t):
         heat_scan([0.1, t], [0], [1, 2])
 
 
+@pytest.mark.parametrize("M", [0.5, 1.0, math.inf, math.nan, "1"])
+def test_heat_scan_refuses_a_weight_that_is_not_an_integer(M):
+    with pytest.raises(ValueError, match="weight exponents M must be integers"):
+        heat_scan([0.1], [0, M], [1])
+
+
+def test_heat_scan_takes_numpy_integer_weights():
+    assert heat_scan([0.1], [np.int64(1)], [1]) == heat_scan([0.1], [1], [1])
+
+
 @pytest.mark.parametrize("M", [10**400, 10**308, -(10**308)])
 def test_heat_scan_rejects_weights_whose_double_is_not_finite(M):
     with pytest.raises(ValueError, match="2M is not a finite float"):

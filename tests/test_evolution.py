@@ -395,6 +395,18 @@ def test_non_finite_times_are_rejected(grid, rng, t):
         evolve(op, [0.5, t], u, method="series")
     with pytest.raises(ValueError, match="finite"):
         generator_residual(op, t, u, 1)
+    with pytest.raises(ValueError, match="finite"):
+        generator_residual_bound(op, t, u, 1)
+    with pytest.raises(ValueError, match="finite"):
+        uniform_continuity_gap(op, t, 1)
+
+
+def test_difference_quotients_refuse_t_zero(grid, rng):
+    u = random_field(grid, rng)
+    op = MultiplierOperator(heat_symbol(), grid)
+    for call in (generator_residual, generator_residual_bound):
+        with pytest.raises(ValueError, match="the difference quotient needs t != 0"):
+            call(op, 0.0, u, 1)
 
 
 def test_flows_take_the_operator_of_the_field_grid(grid, rng):

@@ -271,6 +271,12 @@ def test_continuum_bound_of_large_coefficients_keeps_its_critical_points():
                                     1) == math.ldexp(small, 664)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -3, -0.5])
+def test_continuum_bound_refuses_a_negative_or_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+        continuum_seminorm_bound(heat_symbol(), radius)
+
+
 def test_grid_mismatch_raises(grid, heat_op):
     other = FrequencyGrid(1, 8, 16)
     with pytest.raises(Exception):

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frechet_flow import (
@@ -18,7 +18,6 @@ from frechet_flow import (
     parse_symbol,
     project,
     random_field,
-    restrict,
     seminorm,
     seminorm_profile,
     transport_symbol,
@@ -51,7 +50,8 @@ GRIDS = [
 
 def radius2_index(grid):
     """Squared integer node radius ``|k|^2``, grid-shaped."""
-    return sum(axis.astype(np.int64) ** 2 for axis in grid.index_arrays())
+    squares = grid.axis_index**2
+    return squares if grid.n == 1 else squares[:, None] + squares[None, :]
 
 
 def masked(grid, j):
@@ -148,32 +148,28 @@ def test_saturated_scale_does_not_underflow_inner_balls():
     assert p[0] == pytest.approx(1e-300 * math.sqrt(9 * grid.h), rel=1e-15)
 
 
-def test_restriction_of_projection_is_bitwise_in_2d(rng):
-    grid = FrequencyGrid(2, 5, 3)
-    u = random_field(grid, rng)
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from(GRIDS), seed=st.integers(0, 2**32 - 1),
+       base=st.sampled_from(["random", "ones"]), scale=st.sampled_from([1.0, 1e180, 1e-300]),
+       spike=st.booleans())
+# one 1e200 sample at |xi| = 1.5: an unscaled sum of squares overflows
+@example(grid=FrequencyGrid(1, 4, 4), seed=0, base="ones", scale=1.0, spike=True)
+@example(grid=FrequencyGrid(1, 8, 3), seed=1, base="random", scale=1e180, spike=False)
+@example(grid=FrequencyGrid(2, 5, 3), seed=2, base="random", scale=1e180, spike=False)
+def test_restriction_of_projection_is_the_projection_bit_for_bit(grid, seed, base, scale, spike):
+    if base == "ones":
+        values = np.ones(grid.shape, dtype=complex)
+    else:
+        values = random_field(grid, np.random.default_rng(seed)).values.copy()
+    values *= scale
+    if spike:
+        values[grid.nearest_node((1.5,) + (0.0,) * (grid.n - 1))] = 1e200
+    u = SpectralField(grid, values)
     for j in range(1, grid.J):
         direct = project(u, j)
-        via = restrict(project(u, j + 1), j)
-        assert np.array_equal(direct.values, via.values)
-        assert np.array_equal(direct.coords, via.coords)
-        assert direct.norm == seminorm(u, j)
-
-
-def test_restriction_norm_matches_the_projection_norm(rng):
-    # one 1e200 sample at |xi| = 1.5: an unscaled sum of squares overflows
-    grid = FrequencyGrid(1, 4, 4)
-    values = np.ones(grid.shape, dtype=complex)
-    values[grid.nearest_node(1.5)] = 1e200
-    fields = [SpectralField(grid, values)]
-    for g in (FrequencyGrid(1, 8, 3), FrequencyGrid(2, 5, 3)):
-        fields += [random_field(g, rng), SpectralField(g, 1e180 * random_field(g, rng).values)]
-    for u in fields:
-        for j in range(1, u.grid.J):
-            direct = project(u, j).norm
-            via = restrict(project(u, j + 1), j).norm
-            assert math.isfinite(via)
-            assert abs(via - direct) <= 4 * math.ulp(direct)
-    assert restrict(project(fields[0], 3), 2).norm == pytest.approx(5e199, rel=1e-15)
+        via = project(project(u, j + 1), j)
+        assert same_bits(via.values, direct.values)
+        assert same_bits(seminorm(via, j), seminorm(u, j))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=repr)

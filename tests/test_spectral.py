@@ -13,13 +13,11 @@ from frechet_flow import (
     ones,
     project,
     random_field,
-    restrict,
     seminorm,
     seminorm_profile,
 )
 from frechet_flow.spectral import (
     SpectralField,
-    embed,
     mask_outside,
 )
 
@@ -175,36 +173,34 @@ def test_field_values_are_immutable(grid):
         u.values[0] = 3.0
 
 
-def test_project_norm_matches_seminorm(grid, rng):
+def test_project_keeps_the_ball_and_zeroes_the_rest(grid, rng):
     u = random_field(grid, rng)
     for j in (1, 4, 8):
         q = project(u, j)
-        assert q.norm == seminorm(u, j)
-        assert q.values.size == int(grid.ball_mask(j).sum())
+        mask = grid.ball_mask(j)
+        assert isinstance(q, SpectralField) and q.grid == grid
+        assert np.array_equal(q.values[mask], u.values[mask])
+        assert np.all(q.values[~mask] == 0)
+        assert seminorm(q, j) == seminorm(u, j)
+
+
+def test_project_keeps_the_overflow_flag(grid, rng):
+    u = SpectralField(grid, random_field(grid, rng).values, overflow=True)
+    assert project(u, 3).overflow and not project(random_field(grid, rng), 3).overflow
 
 
 def test_projection_restriction_diagram_is_bitwise(grid, rng):
     u = random_field(grid, rng)
     for j in range(1, grid.J):
         direct = project(u, j)
-        via_restriction = restrict(project(u, j + 1), j)
+        via_restriction = project(project(u, j + 1), j)
         assert np.array_equal(direct.values, via_restriction.values)
-        assert np.array_equal(direct.coords, via_restriction.coords)
 
 
 def test_project_zero_field(grid):
     q = project(SpectralField(grid, np.zeros(grid.shape)), 5)
-    assert q.norm == 0.0
+    assert seminorm(q, 5) == 0.0
     assert np.all(q.values == 0)
-
-
-def test_embed_round_trip(grid, rng):
-    u = random_field(grid, rng)
-    q = project(u, 3)
-    back = embed(q, grid)
-    mask = grid.ball_mask(3)
-    assert np.array_equal(back.values[mask], u.values[mask])
-    assert np.all(back.values[~mask] == 0)
 
 
 def test_separating_family_at_grid_resolution(grid, rng):
@@ -262,7 +258,7 @@ def test_internal_results_are_read_only(grid, rng, tmp_path):
     write_field(path, u)
     results = [
         u + v, u - v, 2.0 * u, u * 3j, -u, op.apply(u), mask_outside(u, 2),
-        embed(project(u, 3), grid), read_field(path),
+        project(u, 3), read_field(path),
         exp_multiplier(op, 0.0, u), exp_series(op, 0.0, u)[0],
         exp_multiplier(op, 0.1, u), exp_multiplier(op, -1.0, u),
         saturated_product({"flow": LevelFactor(np.zeros(levels.size), np.ones(levels.size))},

@@ -312,6 +312,12 @@ def test_translation_group_law_via_nested_series(rng):
         assert abs(direct - nested) <= 1e-7
 
 
+@pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+def test_shifted_refuses_a_non_finite_offset(offset):
+    with pytest.raises(ValueError, match="offset must be finite"):
+        shifted(gaussian(), offset)
+
+
 def test_derivative_oracle_consistent_with_finite_differences(rng):
     phi = gaussian()
     for n in range(6):
