@@ -145,7 +145,7 @@ class SolveResult:
     files: list
 
 
-def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
+def run_solve(config: RunConfig, out_dir: str) -> SolveResult:
     """Execute a configured run and write its CSV and metadata files.
 
     Each time is one `saturated_product` pass of its flow factors over the
@@ -207,29 +207,28 @@ def run_solve(config: RunConfig, out_dir: Optional[str] = None) -> SolveResult:
                 gain_short = gain_short or gain < _safe_exp(abs(t))
         backward_gain_ok = not (gain_short and np.all(op.levels()[0].real <= -1.0))
 
+        os.makedirs(out_dir, exist_ok=True)
         files = []
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            t_column = np.repeat(times, grid.J)
-            j_column = np.tile(np.arange(1, grid.J + 1), len(times))
-            for name in methods:
-                suffix = "" if len(methods) == 1 else f"_{name}"
-                trajectory_path = os.path.join(out_dir, f"trajectory{suffix}.csv")
-                write_csv(trajectory_path, ["t", "j", "seminorm"],
-                          [t_column, j_column, np.ravel(profiles[name])])
-                files.append(trajectory_path)
-            if residual_profiles is not None:
-                residual_path = os.path.join(out_dir, "residuals.csv")
-                write_csv(residual_path, ["t", "j", "residual", "certified_bound"],
-                          [t_column, j_column, np.ravel(residual_profiles),
-                           np.ravel([diag.bounds() for diag in diagnostics])])
-                files.append(residual_path)
-            metadata_path = os.path.join(out_dir, "run_metadata.txt")
-            write_metadata(metadata_path, metadata_lines(config, times, diagnostics, overflow,
-                                                         residuals_certified, backward_gain_ok))
-            # the field files take their names last, once nothing else can fail
-            files += fields.commit()
-            files.append(metadata_path)
+        t_column = np.repeat(times, grid.J)
+        j_column = np.tile(np.arange(1, grid.J + 1), len(times))
+        for name in methods:
+            suffix = "" if len(methods) == 1 else f"_{name}"
+            trajectory_path = os.path.join(out_dir, f"trajectory{suffix}.csv")
+            write_csv(trajectory_path, ["t", "j", "seminorm"],
+                      [t_column, j_column, np.ravel(profiles[name])])
+            files.append(trajectory_path)
+        if residual_profiles is not None:
+            residual_path = os.path.join(out_dir, "residuals.csv")
+            write_csv(residual_path, ["t", "j", "residual", "certified_bound"],
+                      [t_column, j_column, np.ravel(residual_profiles),
+                       np.ravel([diag.bounds() for diag in diagnostics])])
+            files.append(residual_path)
+        metadata_path = os.path.join(out_dir, "run_metadata.txt")
+        write_metadata(metadata_path, metadata_lines(config, times, diagnostics, overflow,
+                                                     residuals_certified, backward_gain_ok))
+        # the field files take their names last, once nothing else can fail
+        files += fields.commit()
+        files.append(metadata_path)
     except BaseException:
         fields.discard()
         raise
@@ -261,10 +260,9 @@ class _FieldFiles:
     for it, so a failed run leaves what it found.
     """
 
-    def __init__(self, out_dir: Optional[str], formats):
+    def __init__(self, out_dir: str, formats):
         self.out_dir = out_dir
-        self.formats = [] if out_dir is None else [
-            name for name in ("fl2l", "field-csv") if name in formats]
+        self.formats = [name for name in ("fl2l", "field-csv") if name in formats]
         self.paths: list = []   # final names, in the order written
         self.created: list = []  # directories made for them, deepest first
 

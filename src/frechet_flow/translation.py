@@ -305,11 +305,17 @@ def translate_detailed(
     polynomial's degree, or at t = 0 — stops at once).  Summed as arrays
     over blocks of `SAMPLE_BLOCK` samples, each sample adds the same terms
     in the same order as a one-sample loop.  The audit covers finitely many
-    orders, so a sum can miss ``f(s + t)`` by more than tol.
+    orders, so a sum can miss ``f(s + t)`` by more than tol.  A non-finite
+    t or sample is refused with `ValueError`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     samples = np.asarray(samples, dtype=float)
+    bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if bad:
+        raise ValueError(f"samples must be finite, got {bad} non-finite of {samples.size}")
     reach = float(np.max(np.abs(samples))) + abs(t)
     certificate, rate, ratio = _certified_rate(phi, t, float(np.ceil(reach)) + 1.0)
     vanish = phi.vanishing_order

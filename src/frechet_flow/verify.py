@@ -20,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import app, invariance, operators, spectral, symbols, translation
-from . import evolution
+from . import app, evolution, invariance, operators, spectral, symbols, translation
 from .config import config_from_text, format_config
+from .fieldio import read_field, write_field
 from .spectral import FrequencyGrid, random_field, seminorm, seminorm_profile
-
-DEFAULT_SEED = 20240801
 
 
 def _grid() -> FrequencyGrid:
@@ -344,8 +342,6 @@ def suite_config(rng) -> list[str]:
             failures.append("metadata sidecar missing")
         grid = FrequencyGrid(1, 4, 8)
         field = random_field(grid, rng)
-        from .fieldio import read_field, write_field
-
         path = os.path.join(workdir, "probe.fl2l")
         write_field(path, field)
         back = read_field(path)
@@ -389,8 +385,9 @@ class VerifyReport:
         return all(result.passed for result in self.results)
 
 
-def run_verify(scopes=None, seed: int = DEFAULT_SEED, weight_factor: float = 1.0) -> VerifyReport:
-    """Run the selected suites (all by default) and collect results.
+def run_verify(scopes=None, *, seed: int, weight_factor: float = 1.0) -> VerifyReport:
+    """Run the selected suites (all by default) on data drawn from ``seed`` and
+    collect results.
 
     ``weight_factor`` multiplies the quadrature weight of the spectral
     suite's seminorms; any value other than one is an injected fault.

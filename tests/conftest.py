@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frechet_flow import FrequencyGrid
+from frechet_flow.spectral import FrequencyGrid
 
 
 @pytest.fixture

@@ -10,36 +10,27 @@ import time
 import numpy as np
 import pytest
 
-from frechet_flow import (
-    FrequencyGrid,
-    MultiplierOperator,
-    ReflectionOperator,
-    certify_membership,
-    decide_eprime,
-    decide_l2,
-    diffop_to_symbol,
+from frechet_flow.app import heat_scan
+from frechet_flow.evolution import (
     exp_multiplier,
     exp_series,
-    gaussian,
     generator_residual,
     generator_residual_bound,
-    heat_symbol,
-    l2_blowup_construction,
-    ones,
-    parse_symbol,
-    polynomial,
-    random_field,
-    seminorm,
-    seminorm_profile,
-    translate_detailed,
-    transport_symbol,
     uniform_continuity_gap,
     verify_group_law,
     verify_quotient_diagrams,
 )
-from frechet_flow.app import heat_scan
-from frechet_flow.invariance import INVARIANT, NOT_INVARIANT
-from frechet_flow.operators import sharpness_field
+from frechet_flow.invariance import (
+    INVARIANT,
+    NOT_INVARIANT,
+    decide_eprime,
+    decide_l2,
+    l2_blowup_construction,
+)
+from frechet_flow.operators import MultiplierOperator, ReflectionOperator, sharpness_field
+from frechet_flow.spectral import FrequencyGrid, ones, random_field, seminorm, seminorm_profile
+from frechet_flow.symbols import diffop_to_symbol, heat_symbol, parse_symbol, transport_symbol
+from frechet_flow.translation import certify_membership, gaussian, polynomial, translate_detailed
 
 GRID = FrequencyGrid(1, 8, 32)
 SEED = 20240801

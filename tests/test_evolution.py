@@ -7,40 +7,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frechet_flow import (
-    FrequencyGrid,
-    MultiplierOperator,
-    ReflectionOperator,
-    evolution,
+from frechet_flow import evolution
+from frechet_flow.evolution import (
+    SeriesTruncationError,
+    choose_terms,
     evolve,
     exp_multiplier,
     exp_series,
     generator_residual,
     generator_residual_bound,
-    heat_symbol,
-    ones,
-    parse_symbol,
-    random_field,
-    seminorm,
-    seminorm_profile,
-    transport_symbol,
+    scalar_tail_log,
+    series_factor,
     uniform_continuity_gap,
     verify_group_law,
     verify_quotient_diagrams,
 )
-from frechet_flow.evolution import (
-    SeriesTruncationError,
-    choose_terms,
-    scalar_tail_log,
-    series_factor,
-)
+from frechet_flow.operators import MultiplierOperator, ReflectionOperator
 from frechet_flow.spectral import (
     OVERFLOW_EXPONENT,
+    FrequencyGrid,
     LevelFactor,
     ShellField,
     SpectralField,
+    ones,
+    random_field,
     saturated_product,
+    seminorm,
+    seminorm_profile,
 )
+from frechet_flow.symbols import heat_symbol, parse_symbol, transport_symbol
 
 PI = math.pi
 

@@ -6,33 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frechet_flow import (
-    FrequencyGrid,
-    GrowthWitness,
-    MultiplierOperator,
-    ReflectionOperator,
-    SpectralField,
-    audit_order,
-    continuum_seminorm_bound,
-    decide_eprime,
-    decide_l2,
-    diffop_to_symbol,
-    exp_multiplier,
-    find_growth_witness,
-    heat_symbol,
-    l2_blowup_construction,
-    seminorm,
-)
+from frechet_flow.cli import main
+from frechet_flow.evolution import exp_multiplier
 from frechet_flow.invariance import (
     INVARIANT,
     NOT_INVARIANT,
+    GrowthWitness,
     corpus_symbol,
+    decide_eprime,
+    decide_l2,
+    find_growth_witness,
+    l2_blowup_construction,
     random_polynomial_symbol,
     real_part_coefficients,
     sampled_sphere_maxima,
 )
-from frechet_flow.cli import main
-from frechet_flow.symbols import PolynomialSymbol, parse_symbol
+from frechet_flow.operators import MultiplierOperator, ReflectionOperator, continuum_seminorm_bound
+from frechet_flow.spectral import FrequencyGrid, SpectralField, seminorm
+from frechet_flow.symbols import (
+    PolynomialSymbol,
+    audit_order,
+    diffop_to_symbol,
+    heat_symbol,
+    parse_symbol,
+)
 
 PI = math.pi
 

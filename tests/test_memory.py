@@ -4,11 +4,10 @@ import tracemalloc
 
 import numpy as np
 
-from frechet_flow import FrequencyGrid, random_field
 from frechet_flow.app import run_solve
 from frechet_flow.config import config_from_text
 from frechet_flow.fieldio import write_field
-from frechet_flow.spectral import _shell_index
+from frechet_flow.spectral import FrequencyGrid, _shell_index, random_field
 
 GRID = FrequencyGrid(2, 8, 32)
 FIELD_SIZE = 16 * GRID.node_count

@@ -5,28 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frechet_flow import (
-    FrequencyGrid,
+from frechet_flow.operators import (
     MultiplierOperator,
     ReflectionOperator,
+    _level_table,
     check_strong_compatibility,
+    compatibility_samples,
     continuum_seminorm_bound,
-    diffop_to_symbol,
-    heat_symbol,
-    ones,
-    parse_symbol,
-    random_field,
-    seminorm,
-    transport_symbol,
+    sharpness_field,
     verify_power_bound,
 )
-from frechet_flow.operators import (
-    _level_table,
-    compatibility_samples,
-    sharpness_field,
+from frechet_flow.spectral import (
+    FrequencyGrid,
+    SpectralField,
+    mask_outside,
+    ones,
+    random_field,
+    seminorm,
 )
-from frechet_flow.symbols import PolynomialSymbol, SymbolError
-from frechet_flow.spectral import SpectralField, mask_outside
+from frechet_flow.symbols import (
+    PolynomialSymbol,
+    SymbolError,
+    diffop_to_symbol,
+    heat_symbol,
+    parse_symbol,
+    transport_symbol,
+)
 
 PI = math.pi
 REL = 1e-12
@@ -236,7 +240,7 @@ def test_kernel_preservation_is_exact_for_multipliers(grid, heat_op, rng):
 
 def test_reflection_moves_mass_inward(small_grid):
     # (Ru)(xi) = u(-2 xi): a sample at xi = 2 is read at xi = -1
-    from frechet_flow import delta
+    from frechet_flow.spectral import delta
 
     u = delta(small_grid, 2.0)
     image = ReflectionOperator(small_grid).apply(u)
@@ -284,7 +288,7 @@ def test_grid_mismatch_raises(grid, heat_op):
 
 
 def test_two_dimensional_multiplier(rng):
-    from frechet_flow import parse_symbol
+    from frechet_flow.symbols import parse_symbol
 
     grid2 = FrequencyGrid(2, 2, 4)
     op = MultiplierOperator(

@@ -11,28 +11,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frechet_flow import (
-    FrequencyGrid,
-    MultiplierOperator,
-    heat_symbol,
-    parse_symbol,
-    project,
-    random_field,
-    seminorm,
-    seminorm_profile,
-    transport_symbol,
+from frechet_flow.evolution import (
+    _stage_growth,
+    exp_multiplier,
+    exp_series,
     uniform_continuity_gap,
 )
-from frechet_flow.evolution import _stage_growth, exp_multiplier, exp_series
-from frechet_flow.operators import _level_table
+from frechet_flow.operators import MultiplierOperator, _level_table
 from frechet_flow.spectral import (
     OVERFLOW_EXPONENT,
     OVERFLOW_LIMIT,
+    FrequencyGrid,
     LevelFactor,
     ShellField,
     SpectralField,
+    project,
+    random_field,
     saturated_product,
+    seminorm,
+    seminorm_profile,
 )
+from frechet_flow.symbols import heat_symbol, parse_symbol, transport_symbol
 
 HEAT_2D = "-(1+4*pi^2*(xi1^2+xi2^2))"
 

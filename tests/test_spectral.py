@@ -5,20 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frechet_flow import (
+from frechet_flow.spectral import (
     FrequencyGrid,
     GridError,
+    SpectralField,
     delta,
+    mask_outside,
     metric,
     ones,
     project,
     random_field,
     seminorm,
     seminorm_profile,
-)
-from frechet_flow.spectral import (
-    SpectralField,
-    mask_outside,
 )
 
 REL = 1e-12

@@ -6,22 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frechet_flow import (
-    FrequencyGrid,
-    PolynomialSymbol,
-    SymbolSyntaxError,
-    audit_order,
-    diffop_to_symbol,
-    heat_symbol,
-    parse_symbol,
-)
+from frechet_flow.spectral import FrequencyGrid
 from frechet_flow.symbols import (
+    PolynomialSymbol,
     SymbolError,
+    SymbolSyntaxError,
     _constant_power,
     _poly_add,
     _poly_mul,
+    audit_order,
+    diffop_to_symbol,
+    heat_symbol,
     horner,
     parse_diffop_coefficients,
+    parse_symbol,
 )
 
 PI = math.pi

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frechet_flow import (
-    certify_membership,
-    cinf_seminorm,
-    gaussian,
-    polynomial,
-    translate_detailed,
-    translation,
-)
+from frechet_flow import translation
 from frechet_flow.evolution import _safe_exp, scalar_tail_log
 from frechet_flow.translation import (
     MAX_TERMS,
@@ -23,8 +16,13 @@ from frechet_flow.translation import (
     TABLE_BLOCK_ENTRIES,
     CertificateError,
     SmoothExpFunction,
+    certify_membership,
+    cinf_seminorm,
     fast_growth,
+    gaussian,
+    polynomial,
     shifted,
+    translate_detailed,
 )
 
 CUBIC = [0.0, 0.0, 0.0, 1.0]
@@ -336,6 +334,26 @@ def test_derivative_oracle_consistent_with_finite_differences(rng):
 def test_translate_requires_positive_tolerance():
     with pytest.raises(ValueError):
         translate_at(gaussian(), 0.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "t, samples, message",
+    [
+        (math.nan, [0.0], "t must be finite, got nan"),
+        (math.inf, [0.0], "t must be finite, got inf"),
+        (-math.inf, [0.0], "t must be finite, got -inf"),
+        (1.0, [math.nan], "samples must be finite, got 1 non-finite of 1"),
+        (1.0, [0.0, math.inf, -math.inf], "samples must be finite, got 2 non-finite of 3"),
+    ],
+)
+def test_translate_refuses_a_non_finite_time_or_sample_before_the_audit(t, samples, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the input reached the audit")
+
+    with mock.patch.object(translation, "certify_membership", unreachable):
+        with pytest.raises(ValueError) as err:
+            translate_detailed(gaussian(), t, samples)
+    assert str(err.value) == message
 
 
 def test_certify_membership_refuses_an_oversized_table_before_evaluating():

@@ -113,7 +113,7 @@ def run_case(cli, case_dir, command, trace) -> int:
             sys.settrace(trace)
             try:
                 return cli.main(command)
-            except SystemExit as exit:  # argparse refusals
+            except SystemExit as exit:  # -h and --help
                 return exit.code
             finally:
                 sys.settrace(None)
