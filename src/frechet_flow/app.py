@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig, format_config, parse_init
-from .evolution import SeriesDiagnostics, _safe_exp, evolve
+from .evolution import SeriesDiagnostics, evolve, safe_exp
 from .fieldio import field_to_csv, read_field, write_csv, write_field, write_metadata
 from .operators import MultiplierOperator
 from .spectral import (
@@ -204,7 +204,7 @@ def run_solve(config: RunConfig, out_dir: str) -> SolveResult:
         for k, t in enumerate(times):
             if t < 0 and initial_profile[-1] > 0:
                 gain = profiles[method][k][-1] / initial_profile[-1]
-                gain_short = gain_short or gain < _safe_exp(abs(t))
+                gain_short = gain_short or gain < safe_exp(abs(t))
         backward_gain_ok = not (gain_short and np.all(op.levels()[0].real <= -1.0))
 
         os.makedirs(out_dir, exist_ok=True)

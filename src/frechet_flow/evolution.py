@@ -113,6 +113,14 @@ def _check_time(t) -> None:
         raise ValueError(f"time must be finite, got {t!r}")
 
 
+def check_tolerance(tol) -> None:
+    """Refuse a tolerance that is not a positive finite number."""
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol!r}")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+
+
 def _check_quotient_time(t) -> None:
     _check_time(t)
     if t == 0.0:
@@ -137,12 +145,18 @@ def exp_multiplier(op: MultiplierOperator, t: float, u: SpectralField) -> Spectr
 
 
 def multiplier_factor(op: MultiplierOperator, t: float) -> Optional[LevelFactor]:
-    """The closed form's factor ``e^{t a}`` per level; None (the identity) at t = 0."""
+    """The closed form's factor ``e^{t a}`` per level; None (the identity) at t = 0.
+
+    A real part of ``t a`` that overflows reads +-inf, which the saturation
+    policy handles; an imaginary part that overflows leaves no phase, and
+    is refused with ``ValueError``.
+    """
     if t == 0.0:
         return None
-    # a real part that overflows reads +-inf, which the saturation policy handles
     with np.errstate(over="ignore"):
         z = t * op.levels()[0]
+    if not np.isfinite(z.imag).all():
+        raise ValueError(f"t * Im a is not finite at t = {t:g}, so e^(t a) has no phase")
     return LevelFactor(z.real, np.exp(1j * z.imag), flags_blown=True)
 
 
@@ -209,7 +223,8 @@ def _stage_growth(op: MultiplierOperator, t_stage: float) -> list:
     return [math.exp(peak) if peak <= 700.0 else math.inf for peak in peaks.tolist()]
 
 
-def _safe_exp(x: float) -> float:
+def safe_exp(x: float) -> float:
+    """``e^x``, or inf where it overflows."""
     try:
         return math.exp(x)
     except OverflowError:
@@ -243,8 +258,7 @@ def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
     nonzero rate, a p_J(u) that is not finite leaves no tolerance
     reachable: `SeriesTruncationError`.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     J = op.grid.J
     if t == 0.0:
         s, rates, growths = 0, [0.0] * J, [1.0] * J
@@ -283,13 +297,13 @@ def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
             log_bound = (
                 s * LN2 + log_tail + (stages - 1) * log_growth_plus + math.log(pj_u)
             )
-            bound = _safe_exp(float(log_bound))
+            bound = safe_exp(float(log_bound))
         levels.append(
             LevelCertificate(
                 j=j,
                 rate=rates[j - 1],
                 terms=level_terms,
-                tail=_safe_exp(log_tail),
+                tail=safe_exp(log_tail),
                 stage_growth=growth,
                 bound=bound,
                 field_seminorm=pj_u,
@@ -345,7 +359,7 @@ def uniform_continuity_gap(op: MultiplierOperator, t: float, j: int):
         gap = np.abs(np.exp(np.minimum(z.real, OVERFLOW_EXPONENT) + 1j * z.imag) - 1.0)
     (peaks,) = shell_reductions(op.grid, inverse, [(np.maximum, gap)])
     lhs = float(np.max(peaks[:j]))
-    rhs = _safe_exp(t * op.seminorm(j)) - 1.0
+    rhs = safe_exp(t * op.seminorm(j)) - 1.0
     return lhs, rhs
 
 
@@ -363,7 +377,7 @@ def generator_residual_bound(op: MultiplierOperator, t: float, u: SpectralField,
     _check_quotient_time(t)
     _check_grid(op, u)
     r = op.seminorm(j)
-    scale = (_safe_exp(abs(t) * r) - 1.0) / abs(t) - r
+    scale = (safe_exp(abs(t) * r) - 1.0) / abs(t) - r
     return scale * seminorm(u, j)
 
 
@@ -422,8 +436,8 @@ def evolve(op: MultiplierOperator, times, u0: SpectralField, method: str = "mult
     """The flow factors of ``u0``'s trajectory ``t -> e^{tA} u0``, one time at a time.
 
     ``method`` is ``"multiplier"``, ``"series"`` or ``"both"``.  Every time
-    must be finite; times and method are checked here, before any kernel
-    runs.  Returns a generator of ``(t, factors, diagnostics)``:
+    must be finite; times, method and ``tol`` are checked here, before any
+    kernel runs.  Returns a generator of ``(t, factors, diagnostics)``:
     ``factors`` maps each method name to its `LevelFactor` at t
     (multiplier first; None at t = 0), and ``diagnostics`` is the series'
     `SeriesDiagnostics`, or ``None`` without the series.  The fields are
@@ -437,6 +451,7 @@ def evolve(op: MultiplierOperator, times, u0: SpectralField, method: str = "mult
     times = [float(t) for t in times]
     for t in times:
         _check_time(t)
+    check_tolerance(tol)
     _check_grid(op, u0)
     return _trajectory(op, times, seminorm_profile(u0), method, tol)
 

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .spectral import OVERFLOW_EXPONENT
-from .symbols import PolynomialSymbol, _real_critical_points, horner
+from .symbols import PolynomialSymbol, horner, real_critical_points
 
 INVARIANT = "Invariant"
 NOT_INVARIANT = "NotInvariant"
@@ -106,7 +106,7 @@ def _decide_bounded_above_1d(poly: PolynomialSymbol) -> tuple[bool, float, tuple
     lead = float(re[-1])
     bounded = degree % 2 == 0 and lead < 0.0
     if bounded:
-        candidates = np.concatenate(([0.0], _real_critical_points(re)))
+        candidates = np.concatenate(([0.0], real_critical_points(re)))
         sup = max(horner(re, [candidates]).tolist())
         return True, sup, ()
     odd = ("odd-degree real part: unbounded above along one frequency direction only; "

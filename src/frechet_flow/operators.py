@@ -24,13 +24,13 @@ from .spectral import (
     FrequencyGrid,
     GridError,
     SpectralField,
-    _frozen,
+    frozen,
     mask_outside,
     random_field,
     seminorm,
     shell_reductions,
 )
-from .symbols import PolynomialSymbol, SymbolError, _real_critical_points
+from .symbols import PolynomialSymbol, SymbolError, real_critical_points
 
 
 class MultiplierOperator:
@@ -78,7 +78,7 @@ class MultiplierOperator:
     def values(self) -> np.ndarray:
         """The symbol on every node (read-only), gathered from `levels`."""
         levels, inverse = self.levels()
-        return _frozen(levels[inverse])
+        return frozen(levels[inverse])
 
     def apply(self, u: SpectralField) -> SpectralField:
         if u.grid != self.grid:
@@ -106,9 +106,9 @@ class MultiplierOperator:
             peaks, lowest, highest = shell_reductions(
                 self.grid, inverse,
                 [(np.maximum, np.abs(levels)), (np.minimum, real), (np.maximum, real)])
-            self._extremes = (_frozen(np.maximum.accumulate(peaks)),
-                              _frozen(np.minimum.accumulate(lowest)),
-                              _frozen(np.maximum.accumulate(highest)))
+            self._extremes = (frozen(np.maximum.accumulate(peaks)),
+                              frozen(np.minimum.accumulate(lowest)),
+                              frozen(np.maximum.accumulate(highest)))
         return self._extremes
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +146,7 @@ class MultiplierOperator:
         levels = base
         for _ in range(k - 1):
             levels = levels * base
-        return MultiplierOperator._from_table(self.grid, _frozen(levels), inverse,
+        return MultiplierOperator._from_table(self.grid, frozen(levels), inverse,
                                               label=f"{self.label}^{k}")
 
     def __repr__(self):
@@ -188,7 +188,7 @@ def _level_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     label[rank] = np.arange(rank.size, dtype=np.int32)
     inverse = np.empty(order.size, dtype=np.int32)
     inverse[order] = label[group]
-    return _frozen(values.reshape(-1)[first[rank]]), _frozen(inverse.reshape(values.shape))
+    return frozen(values.reshape(-1)[first[rank]]), frozen(inverse.reshape(values.shape))
 
 
 def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
@@ -221,7 +221,7 @@ def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
         if mirrored:
             tail = np.flip(inverse, axis=k)[(slice(None),) * k + (slice(1, None),)]
             inverse = np.concatenate([inverse, tail], axis=k)
-    return levels, _frozen(inverse)
+    return levels, frozen(inverse)
 
 
 class ReflectionOperator:
@@ -263,7 +263,7 @@ def continuum_seminorm_bound(poly: PolynomialSymbol, j: int) -> float:
         raise ValueError("the continuum seminorm bound is computed for n = 1")
     if not 0 <= j < np.inf:  # NaN fails both comparisons
         raise ValueError(f"radius must be finite and nonnegative, got {j!r}")
-    points = _real_critical_points(poly.dense)
+    points = real_critical_points(poly.dense)
     candidates = [-float(j), float(j), 0.0] + points[np.abs(points) <= j].tolist()
     values = poly.eval([np.array(candidates)])
     return float(np.fmax.reduce(np.abs(values), initial=0.0))

@@ -547,8 +547,8 @@ class ShellField:
     def __init__(self, u: SpectralField, inverse):
         order = u.grid.shells().order
         self.grid = u.grid
-        self.samples = _frozen(np.ravel(u.values)[order])
-        self.levels = _frozen(np.ravel(inverse)[order])
+        self.samples = frozen(np.ravel(u.values)[order])
+        self.levels = frozen(np.ravel(inverse)[order])
         self.overflow = u.overflow
         self.peak = float(np.max([np.max(np.abs(self.samples[block]))
                                   for block, _ in u.grid.shells().blocks(outside=True)]))
@@ -572,11 +572,12 @@ class ShellField:
                 with np.errstate(divide="ignore"):
                     log_magnitude[block] = np.where(nonzero, np.log(magnitude), -np.inf)
                 phase[block] = np.where(nonzero, np.exp(1j * np.angle(samples)), 0.0)
-            self._polar = (_frozen(log_magnitude), _frozen(phase))
+            self._polar = (frozen(log_magnitude), frozen(phase))
         return self._polar
 
 
-def _frozen(values: np.ndarray) -> np.ndarray:
+def frozen(values: np.ndarray) -> np.ndarray:
+    """``values``, made read-only."""
     values.setflags(write=False)
     return values
 

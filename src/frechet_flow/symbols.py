@@ -287,7 +287,7 @@ def horner(coefficients: np.ndarray, coords) -> np.ndarray:
     return acc
 
 
-def _real_critical_points(coefficients: np.ndarray) -> np.ndarray:
+def real_critical_points(coefficients: np.ndarray) -> np.ndarray:
     """Real critical points of a 1-D polynomial: of p for real coefficients, of |p|^2 for complex.
 
     The coefficients are first scaled by the exact power of two that brings

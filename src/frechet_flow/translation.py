@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .evolution import _safe_exp, choose_terms, scalar_tail_log
+from .evolution import check_tolerance, choose_terms, safe_exp, scalar_tail_log
 from .spectral import NODE_BUDGET
 
 RATIO_CAP = 10.0
@@ -263,13 +263,13 @@ def certify_membership(phi: SmoothExpFunction, m: int, j: int, max_order: int) -
             else:
                 low = mid
         minimal = max(1, high)
-        observed = _safe_exp(_log_ratio(log_sups, float(minimal)))
+        observed = safe_exp(_log_ratio(log_sups, float(minimal)))
     conventional = max(1, 2 * j)
     conventional_log = _log_ratio(log_sups, float(conventional))
     return ExpCertificate(
         m=m, j=j, max_order=max_order, minimal_m=minimal, observed_ratio=observed,
         scale=scale, conventional_m=conventional,
-        conventional_ratio=_safe_exp(conventional_log),
+        conventional_ratio=safe_exp(conventional_log),
         conventional_passes=conventional_log <= log_cap, vanishing_order=phi.vanishing_order,
     )
 
@@ -306,13 +306,15 @@ def translate_detailed(
     over blocks of `SAMPLE_BLOCK` samples, each sample adds the same terms
     in the same order as a one-sample loop.  The audit covers finitely many
     orders, so a sum can miss ``f(s + t)`` by more than tol.  A non-finite
-    t or sample is refused with `ValueError`.
+    t or sample, an empty sample array and a tolerance that is not a
+    positive finite number are refused with `ValueError`.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise ValueError("samples must not be empty")
     bad = samples.size - np.count_nonzero(np.isfinite(samples))
     if bad:
         raise ValueError(f"samples must be finite, got {bad} non-finite of {samples.size}")
@@ -333,7 +335,7 @@ def translate_detailed(
             if (vanish is not None and n >= vanish) or (t == 0.0 and n >= 1):
                 done, tail = np.ones(cols.size, dtype=bool), 0.0
             elif n >= 1:
-                tail = _safe_exp(scalar_tail_log(rate, n - 1) + math.log(ratio))
+                tail = safe_exp(scalar_tail_log(rate, n - 1) + math.log(ratio))
                 if tail <= 0.5 * tol:
                     done = np.abs(last) <= 0.5 * tol
             if done is not None and done.any():

@@ -112,7 +112,7 @@ def suite_symbols(rng) -> list[str]:
             xi = rng.uniform(-5, 5)
             exact = closed_form(xi)
             if abs(exact - poly.eval([xi])) > 1e-10 * (1 + abs(exact)):
-                failures.append(f"expansion disagrees with tree on {text!r}")
+                failures.append(f"parsed polynomial disagrees with its closed form on {text!r}")
                 break
     if symbols.audit_order(heat, 2).passed is not True:
         failures.append("order-2 audit of the heat symbol fails")

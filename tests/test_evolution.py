@@ -16,6 +16,7 @@ from frechet_flow.evolution import (
     exp_series,
     generator_residual,
     generator_residual_bound,
+    multiplier_factor,
     scalar_tail_log,
     series_factor,
     uniform_continuity_gap,
@@ -351,6 +352,22 @@ def test_evolve_rejects_bad_input_before_any_kernel(grid, rng, kernel_calls, tim
     assert kernel_calls == []
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf, -math.inf])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused_at_the_call(grid, rng,
+                                                                           kernel_calls, tol):
+    u = random_field(grid, rng)
+    op = heat_on(grid)
+    for method in ("multiplier", "series", "both"):
+        with pytest.raises(ValueError, match="tolerance must be"):
+            evolve(op, (0.5,), u, method=method, tol=tol)
+    assert kernel_calls == []
+    for t in (0.0, 0.5):
+        with pytest.raises(ValueError, match="tolerance must be"):
+            series_factor(op, t, seminorm_profile(u), tol)
+        with pytest.raises(ValueError, match="tolerance must be"):
+            exp_series(op, t, u, tol)
+
+
 def test_evolve_both_methods_agree(grid, rng, kernel_calls):
     u = random_field(grid, rng)
     op = MultiplierOperator(heat_symbol(), grid)
@@ -631,6 +648,23 @@ def test_a_worst_rate_that_overflows_names_it_as_the_cause(text, grid, t):
     for method in ("series", "both"):
         with pytest.raises(SeriesTruncationError, match=message):
             list(evolve(op, [t], u, method=method))
+
+
+def test_a_phase_that_overflows_is_refused_naming_the_time(grid):
+    # every level is finite and purely imaginary, but t Im a overflows to inf
+    op = transport_on(grid)
+    u = ones(grid)
+    message = r"^t \* Im a is not finite at t = 1e\+308, so e\^\(t a\) has no phase$"
+    with pytest.raises(ValueError, match=message):
+        multiplier_factor(op, 1e308)
+    with pytest.raises(ValueError, match=message):
+        exp_multiplier(op, 1e308, u)
+    for method in ("multiplier", "both"):
+        with pytest.raises(ValueError, match=message):
+            list(evolve(op, [1e308], u, method=method))
+    # a real part that overflows is the saturation policy's, not refused
+    factor = multiplier_factor(heat_on(grid), 1e306)
+    assert np.isneginf(factor.log_magnitude).any() and np.all(factor.phase == 1.0)
 
 
 def test_a_field_whose_top_seminorm_overflows_names_it_as_the_cause():

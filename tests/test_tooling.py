@@ -247,3 +247,14 @@ def test_every_public_name_is_used_inside_the_package():
             if not uses - set(ast.walk(node)):
                 unused.append(f"{module}.{name}")
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name another module needs is public where it is defined."""
+    imports = [f"{path.stem}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+               for path in sorted((ROOT / "src" / "frechet_flow").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "")
+                                                        .startswith("frechet_flow"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert imports == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frechet_flow import translation
-from frechet_flow.evolution import _safe_exp, scalar_tail_log
+from frechet_flow.evolution import safe_exp, scalar_tail_log
 from frechet_flow.translation import (
     MAX_TERMS,
     SAMPLE_BLOCK,
@@ -60,7 +60,7 @@ def scalar_translate(phi, t, s, tol, certificate):
         if t == 0.0 and n >= 1:
             return total, n, 0.0
         if n >= 1:
-            tail = _safe_exp(scalar_tail_log(rate, n - 1) + math.log(ratio))
+            tail = safe_exp(scalar_tail_log(rate, n - 1) + math.log(ratio))
             if tail <= 0.5 * tol and abs(last_term) <= 0.5 * tol:
                 return total, n, tail
         if n >= derivs.size:
@@ -334,6 +334,19 @@ def test_derivative_oracle_consistent_with_finite_differences(rng):
 def test_translate_requires_positive_tolerance():
     with pytest.raises(ValueError):
         translate_at(gaussian(), 0.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_translate_refuses_a_tolerance_that_is_not_finite(tol):
+    with pytest.raises(ValueError) as err:
+        translate_at(gaussian(), 0.5, 0.0, tol)
+    assert str(err.value) == f"tolerance must be finite, got {tol!r}"
+
+
+def test_translate_refuses_an_empty_sample_array():
+    with pytest.raises(ValueError) as err:
+        translate_detailed(gaussian(), 0.5, [])
+    assert str(err.value) == "samples must not be empty"
 
 
 @pytest.mark.parametrize(

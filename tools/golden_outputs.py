@@ -1,57 +1,34 @@
 #!/usr/bin/env python3
-"""Write the outputs of a fixed matrix of CLI runs, to check byte-identity.
+"""Run a fixed matrix of CLI cases in this process; write their outputs and digests.
 
     python3 tools/golden_outputs.py OUT_DIR [--bench-seeds 1 2 3]
 
-Every run is a fresh ``python -m frechet_flow`` process on the ``src`` of
-the checkout this file sits in.  Each case gets its own directory under
-OUT_DIR with its inputs, the files the command wrote (under ``out/``), its
-standard output (``stdout.txt``, suite timings masked), its standard error
-(``stderr.txt``) and its exit code (``exit_code.txt``).  Run it on two
-checkouts and compare the two directories with ``diff -r``; a change that
-keeps every output, error text included, shows no difference.
-
-The matrix covers all seven commands, and ``solve`` with every output
-format under symbols of each parity class, on 1-D and 2-D grids: even in
-every axis, even in one axis only (also through a quartic, beside an odd
-cubic), and even in none.  Solves run each method, and a few include the
-time 0 (one has no other time and writes its field).  Three solves, one
-per method, write no field and saturate only at nodes outside ball J.
-Three more solves take ``--set`` overrides that replace entries of
-their file, add keys its sections leave out and add sections it leaves
-out.  One solve and one ``check-l2`` take their symbol as a
-derivative-coefficient list, ``check-l2`` and ``check-eprime`` also run on
-a complex symbol of degree 5, ``check-eprime`` runs on a quartic and two
-constants, where the paper's rule and the exact rule differ, and on a
-translation, ``check-l2`` runs on coefficients of 1e308 and on ``xi^300``,
-whose sphere probes overflow to inf, and at t = 0.  A few cases fail on a
-missing or malformed symbol or, with exit 2 and one stderr line, on symbol
-text nested 199 parentheses deep, on seven texts with one fault each
-(a variable divisor or exponent, also one that cancels, a division by
-zero, an overflowing coefficient, a degree past the budget) and on an
-exponent that overflows to inf.  Three solves fail with exit 2 and
-one stderr line: ``-xi^400`` is not finite on its grid, a field of 1e308
-at every node has a top seminorm that overflows, so no series truncation
-reaches the tolerance, and at t = 1e306 the worst rate overflows.  A
-backward heat solve on a quarter-million-node grid saturates shells at
-peaks near ``exp(709)`` and clamps whole pass blocks, some blocks in part.
-``heat-demo`` also runs with an M past int64.  ``translate`` runs the
-Gaussian on a range of more than one sample block (and more than one block
-of CSV rows), at t = 0 and at t = 3 (past 64 orders, and past its
-tolerance), and a cubic and two ``poly:`` functions, one of which is not
-finite on its audit window.  ``--bench-seeds`` adds the solve workloads of
-``bench/workloads.py`` at the given seeds, with their own inputs and grids
-(up to about a million nodes).
+Each case runs through ``cli.main`` of this checkout's ``src`` as a fresh
+process would run it (`run_case`), in its own directory under OUT_DIR: its
+inputs, the files it wrote (under ``out/``), ``stdout.txt`` (suite timings
+masked), ``stderr.txt`` and ``exit_code.txt``.  ``OUT_DIR/digests.json``
+holds each case's exit code, standard output and error and the SHA-256 of
+each file in its directory, with the Python and numpy versions.
+``tests/test_golden.py`` checks the matrix without ``--bench-seeds``
+against a copy of that file, ``tests/golden_digests.json``.  The comments
+in ``SOLVES``, ``SETS`` and ``OTHERS`` say what each case exercises;
+``--bench-seeds`` adds the benchmark's solve workloads at those seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
+import json
 import os
+import pathlib
+import platform
 import re
 import struct
-import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -104,6 +81,8 @@ SOLVES = [
     ("solve-seminorm-overflows", 1, 8, 4, "text = " + HEAT_1D, "0.5", "file-1e308"),
     # the worst rate |t| max|a| overflows to inf: no series stage count exists
     ("solve-rate-overflows", 1, 8, 32, "text = " + HEAT_1D, "1e306", "ones"),
+    # t * Im a overflows to inf: the closed form's phase is lost
+    ("solve-1d-transport-phase-overflows", 1, 8, 32, "text = 2*pi*i*xi", "1e308", "ones"),
     # ball 8 spans four pass blocks: at t = -2 every block after the first
     # clamps whole, at t = -0.5 one clamps on 300 of its 64,348 nodes
     ("solve-2d-backward-blocks-clamp", 2, 8, 32, "text = " + HEAT_2D, "-2, -0.5", "ones",
@@ -201,21 +180,6 @@ def write_init_field(path, init, n, J, inv_h, seed):
         handle.write(values.astype("<c16").tobytes())
 
 
-def run(case_dir, args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-m", "frechet_flow", *args], cwd=case_dir,
-                          env=env, capture_output=True, text=True)
-    stdout = re.sub(r"\(\d+\.\d+ s\)", "(s)", proc.stdout)
-    with open(os.path.join(case_dir, "stdout.txt"), "w") as handle:
-        handle.write(stdout)
-    with open(os.path.join(case_dir, "stderr.txt"), "w") as handle:
-        handle.write(proc.stderr)
-    with open(os.path.join(case_dir, "exit_code.txt"), "w") as handle:
-        handle.write(f"{proc.returncode}\n")
-    print(f"{os.path.basename(case_dir)}: exit {proc.returncode}")
-
-
 def solve_config(n, J, inv_h, symbol, times, init, method="both",
                  formats="csv, fl2l, field-csv") -> str:
     return (
@@ -273,14 +237,78 @@ def cases(out_dir, bench_seeds=()):
                 yield case_dir, prepared.cli_args("out")
 
 
+def write_stdio(case_dir, stdout, stderr, code) -> None:
+    """A run's ``stdout.txt`` (suite timings masked), ``stderr.txt`` and ``exit_code.txt``."""
+    case = pathlib.Path(case_dir)
+    (case / "stdout.txt").write_text(re.sub(r"\(\d+\.\d+ s\)", "(s)", stdout))
+    (case / "stderr.txt").write_text(stderr)
+    (case / "exit_code.txt").write_text(f"{code}\n")
+
+
+def print_warning(message, category, filename, lineno, file=None, line=None):
+    """Print to ``sys.stderr`` as a process does, also under a caller that records warnings."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_case(cli, case_dir, command) -> int:
+    """``cli.main(command)`` in ``case_dir`` as a fresh process runs it; its exit
+    code, written with its standard output and error (`write_stdio`).  Setting
+    a fresh process's warning filters clears every once-per-location registry,
+    so neither the caller's filters nor an earlier case changes what it prints.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(case_dir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+            warnings.resetwarnings()
+            for category in (ResourceWarning, ImportWarning, PendingDeprecationWarning,
+                             DeprecationWarning):
+                warnings.simplefilter("ignore", category)
+            warnings.filterwarnings("default", category=DeprecationWarning, module="__main__")
+            warnings.showwarning = print_warning
+            try:
+                code = cli.main(command)
+            except SystemExit as exit:  # -h and --help
+                code = exit.code
+    finally:
+        os.chdir(cwd)
+    write_stdio(case_dir, stdout.getvalue(), stderr.getvalue(), code)
+    return code
+
+
+def case_digest(case_dir) -> dict:
+    """A run case's exit code, standard output and error, and the SHA-256 of each of its files."""
+    case = pathlib.Path(case_dir)
+    files = {path.relative_to(case).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in sorted(case.rglob("*")) if path.is_file()}
+    return {"exit_code": int((case / "exit_code.txt").read_text()),
+            "stdout": (case / "stdout.txt").read_text(),
+            "stderr": (case / "stderr.txt").read_text(), "files": files}
+
+
+def run_matrix(cli, out_dir, bench_seeds=()) -> dict:
+    """Run every case through ``cli.main`` (`run_case`); the digests of all
+    cases, in matrix order, and the Python and numpy versions."""
+    digests = {}
+    for case_dir, command in cases(out_dir, bench_seeds):
+        code = run_case(cli, case_dir, command)
+        print(f"{os.path.basename(case_dir)}: exit {code}")
+        digests[os.path.basename(case_dir)] = case_digest(case_dir)
+    return {"python": platform.python_version(), "numpy": np.__version__, "cases": digests}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir")
     parser.add_argument("--bench-seeds", type=int, nargs="*", default=[])
     args = parser.parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
-    for case_dir, command in cases(args.out_dir, args.bench_seeds):
-        run(case_dir, command)
+    sys.path.insert(0, SRC)
+    from frechet_flow import cli
+
+    digests = run_matrix(cli, args.out_dir, args.bench_seeds)
+    pathlib.Path(args.out_dir, "digests.json").write_text(json.dumps(digests, indent=1) + "\n")
     return 0
 
 

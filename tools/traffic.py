@@ -3,18 +3,13 @@
 
     python3 tools/traffic.py OUT_DIR [--bench-seeds 1 2 3]
 
-Runs the cases of ``tools/golden_outputs.py`` (its ``SOLVES``, ``SETS`` and
-``OTHERS`` tables and, with ``--bench-seeds``, the benchmark's solve
-workloads at those seeds) through ``cli.main`` in this one process, each
-in its own directory under OUT_DIR, under a ``sys.settrace`` line tracer.
-Each case's standard output and error land in its ``stdout.txt`` and
-``stderr.txt``; its exit code is printed on this tool's standard error.
-
-It then prints, per module and function of ``src/frechet_flow``, the
-statements no case executed, docstrings excluded: the code no command
-reaches.  A statement counts as executed when a line of its header ran:
-all of a simple statement's lines, and a compound statement's lines up to
-its body, decorators included.  Consecutive unexecuted statements of one
+Runs the cases of ``tools/golden_outputs.py`` through its `run_case` in this
+one process, under a ``sys.settrace`` line tracer, each in its own directory
+under OUT_DIR.  Then prints, per module and function of ``src/frechet_flow``,
+the statements no case executed, docstrings excluded: the code no command
+reaches.  A statement counts as executed when a line of its header ran: all
+of a simple statement's lines, and a compound statement's lines up to its
+body, decorators included.  Consecutive unexecuted statements of one
 function print as one line range.
 """
 
@@ -22,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import ast
-import contextlib
 import importlib
+import itertools
 import os
 import sys
 
@@ -47,17 +42,13 @@ def line_tracer(hits):
     return trace
 
 
-def is_docstring(node) -> bool:
-    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str))
-
-
 def statements(body, scope, defines):
     """``(scope, first, last)`` of each statement's header in ``body``, nested ones
     included; ``scope`` names the enclosing function, and ``defines`` says whether
     ``body`` is that of a module, class or function, where a docstring may open it."""
     for index, node in enumerate(body):
-        if index == 0 and defines and is_docstring(node):
+        if index == 0 and defines and isinstance(node, ast.Expr) \
+                and isinstance(getattr(node.value, "value", None), str):
             continue
         inner = [getattr(node, field, []) for field in ("body", "orelse", "finalbody")]
         inner += [[handler] for handler in getattr(node, "handlers", [])]
@@ -89,36 +80,12 @@ def unexecuted(hits):
             ran = any((path, line) in hits for line in range(first, last + 1))
             scopes.setdefault(scope, []).append((first, last, ran))
         for scope, rows in scopes.items():
-            runs, missed, previous_ran = [], 0, True
-            for first, last, ran in rows:
-                if not ran:
-                    missed += 1
-                    if previous_ran:
-                        runs.append((first, last))
-                    else:
-                        runs[-1] = (runs[-1][0], last)
-                previous_ran = ran
-            if runs:
-                report[(name, scope)] = (len(rows), missed, runs)
+            missed = [list(group) for ran, group in itertools.groupby(rows, lambda row: row[2])
+                      if not ran]
+            if missed:
+                report[(name, scope)] = (len(rows), sum(map(len, missed)),
+                                         [(group[0][0], group[-1][1]) for group in missed])
     return report
-
-
-def run_case(cli, case_dir, command, trace) -> int:
-    """``cli.main(command)`` in ``case_dir`` under ``trace``; its exit code."""
-    cwd = os.getcwd()
-    os.chdir(case_dir)
-    try:
-        with open("stdout.txt", "w") as out, open("stderr.txt", "w") as err, \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            sys.settrace(trace)
-            try:
-                return cli.main(command)
-            except SystemExit as exit:  # -h and --help
-                return exit.code
-            finally:
-                sys.settrace(None)
-    finally:
-        os.chdir(cwd)
 
 
 def main(argv=None) -> int:
@@ -126,7 +93,6 @@ def main(argv=None) -> int:
     parser.add_argument("out_dir")
     parser.add_argument("--bench-seeds", type=int, nargs="*", default=[])
     args = parser.parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
     hits = set()
     trace = line_tracer(hits)
     sys.path.insert(0, golden_outputs.SRC)
@@ -135,8 +101,9 @@ def main(argv=None) -> int:
     cli = importlib.import_module("frechet_flow.cli")
     sys.settrace(None)
     for case_dir, command in golden_outputs.cases(args.out_dir, args.bench_seeds):
-        code = run_case(cli, case_dir, command, trace)
-        print(f"{os.path.basename(case_dir)}: exit {code}", file=sys.stderr)
+        sys.settrace(trace)
+        golden_outputs.run_case(cli, case_dir, command)
+        sys.settrace(None)
     for (module, scope), (count, missed, runs) in unexecuted(hits).items():
         lines = ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
         print(f"{module} {scope}: {missed} of {count} statements unexecuted, lines {lines}")
