@@ -153,11 +153,20 @@ def multiplier_factor(op: MultiplierOperator, t: float) -> Optional[LevelFactor]
     """
     if t == 0.0:
         return None
+    z = _scaled_levels(op, t)
+    return LevelFactor(z.real, np.exp(1j * z.imag), flags_blown=True)
+
+
+def _scaled_levels(op: MultiplierOperator, t: float) -> np.ndarray:
+    """``t a`` per level; a real part that overflows reads +-inf, an imaginary
+    part that overflows to +-inf leaves no phase and is refused with
+    ``ValueError``.  A NaN level, which only a raw level table can hold, is
+    passed through."""
     with np.errstate(over="ignore"):
         z = t * op.levels()[0]
-    if not np.isfinite(z.imag).all():
+    if np.isinf(z.imag).any():
         raise ValueError(f"t * Im a is not finite at t = {t:g}, so e^(t a) has no phase")
-    return LevelFactor(z.real, np.exp(1j * z.imag), flags_blown=True)
+    return z
 
 
 def _evolved(factor: Optional[LevelFactor], u: SpectralField,
@@ -347,17 +356,17 @@ def verify_group_law(op: MultiplierOperator, s: float, t: float,
 
 def uniform_continuity_gap(op: MultiplierOperator, t: float, j: int):
     """Return ``(lhs, rhs)`` with lhs the exact ball-j norm of ``e^{tA} - I``
-    and rhs the rate bound ``e^{t p_j^X(A)} - 1``; lhs never exceeds rhs."""
+    and rhs the rate bound ``e^{t p_j^X(A)} - 1``; lhs never exceeds rhs.  A t at
+    which ``t Im a`` is not finite is refused with ``ValueError``, as in
+    `multiplier_factor`."""
     _check_time(t)
     if t < 0:
         raise ValueError("the continuity gap is stated for t >= 0")
     j = op.grid.check_ball_index(j)
-    levels, inverse = op.levels()
     # per level, so levels only outside ball j are evaluated too
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = t * levels
-        gap = np.abs(np.exp(np.minimum(z.real, OVERFLOW_EXPONENT) + 1j * z.imag) - 1.0)
-    (peaks,) = shell_reductions(op.grid, inverse, [(np.maximum, gap)])
+    z = _scaled_levels(op, t)
+    gap = np.abs(np.exp(np.minimum(z.real, OVERFLOW_EXPONENT) + 1j * z.imag) - 1.0)
+    (peaks,) = shell_reductions(op.grid, op.levels()[1], [(np.maximum, gap)])
     lhs = float(np.max(peaks[:j]))
     rhs = safe_exp(t * op.seminorm(j)) - 1.0
     return lhs, rhs

@@ -662,6 +662,9 @@ def test_a_phase_that_overflows_is_refused_naming_the_time(grid):
     for method in ("multiplier", "both"):
         with pytest.raises(ValueError, match=message):
             list(evolve(op, [1e308], u, method=method))
+    # the continuity gap would read nan there
+    with pytest.raises(ValueError, match=message):
+        uniform_continuity_gap(op, 1e308, grid.J)
     # a real part that overflows is the saturation policy's, not refused
     factor = multiplier_factor(heat_on(grid), 1e306)
     assert np.isneginf(factor.log_magnitude).any() and np.all(factor.phase == 1.0)

@@ -1,13 +1,16 @@
-"""Memory held by a solve, counted in field sizes (16 bytes per node)."""
+"""Memory held by a solve, counted in field sizes (16 bytes per node), and by
+the translation audit, counted in bytes."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from frechet_flow.app import run_solve
 from frechet_flow.config import config_from_text
 from frechet_flow.fieldio import write_field
 from frechet_flow.spectral import FrequencyGrid, _shell_index, random_field
+from frechet_flow.translation import certify_membership, cinf_seminorm, gaussian
 
 GRID = FrequencyGrid(2, 8, 32)
 FIELD_SIZE = 16 * GRID.node_count
@@ -49,3 +52,18 @@ def test_solve_writing_fields_holds_one_time_at_a_time(tmp_path):
     assert one_time.overflow and eight_times.overflow
     assert len([path for path in eight_times.files if path.endswith(".fl2l")]) == 8
     assert eight_peak <= one_peak + 0.25
+
+
+@pytest.mark.parametrize("audit", [
+    # 80,001 points times orders 0..40: a whole table would take 26 MB
+    lambda: certify_membership(gaussian(), 0, 40, 40),
+    lambda: cinf_seminorm(gaussian(), 1, 40),
+], ids=["certify_membership", "cinf_seminorm"])
+def test_the_translation_audit_holds_one_column_block(audit):
+    tracemalloc.start()
+    try:
+        audit()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20

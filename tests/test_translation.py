@@ -369,17 +369,71 @@ def test_translate_refuses_a_non_finite_time_or_sample_before_the_audit(t, sampl
     assert str(err.value) == message
 
 
-def test_certify_membership_refuses_an_oversized_table_before_evaluating():
-    def table(x, max_order):
-        raise AssertionError("the oracle must not run")
+def unreachable_oracle(x, max_order):
+    raise AssertionError("the oracle must not run")
 
-    phi = SmoothExpFunction(label="unused", table=table)
+
+def test_certify_membership_refuses_an_oversized_table_before_evaluating():
+    phi = SmoothExpFunction(label="unused", table=unreachable_oracle)
     # 2001 samples on [-1, 1]: orders 0..2096 make 4,196,097 entries, above
     # the budget of 2^22 = 4,194,304; orders 0..2095 make 4,194,096
     with pytest.raises(ValueError, match="budget"):
         certify_membership(phi, 0, 1, 2096)
     with pytest.raises(AssertionError, match="must not run"):
         certify_membership(phi, 0, 1, 2095)
+
+
+@pytest.mark.parametrize("audit", [
+    lambda phi, m, j: certify_membership(phi, m, j, 40),
+    lambda phi, m, j: cinf_seminorm(phi, m, j),
+], ids=["certify_membership", "cinf_seminorm"])
+@pytest.mark.parametrize("m, j, message", [
+    (-1, 2, "the audit order m must be an integer >= 0, got -1"),
+    (1.5, 2, "the audit order m must be an integer >= 0, got 1.5"),
+    (0, -2, "the audit window j must be a finite number >= 0, got -2"),
+    (0, math.nan, "the audit window j must be a finite number >= 0, got nan"),
+    (0, math.inf, "the audit window j must be a finite number >= 0, got inf"),
+], ids=["m=-1", "m=1.5", "j=-2", "j=nan", "j=inf"])
+def test_the_audit_refuses_a_bad_order_or_window_before_any_table(audit, m, j, message):
+    phi = SmoothExpFunction(label="unused", table=unreachable_oracle)
+    with pytest.raises(ValueError) as err:
+        audit(phi, m, j)
+    assert str(err.value) == message
+
+
+def window_of(count):
+    """The window j whose sup grid has ``count`` points."""
+    j = (count - 1) * SUP_GRID_STEP / 2
+    assert translation._sup_grid(j, 0).size == count
+    return j
+
+
+STREAMED = [
+    *((name, phi, m, 40, blocks) for name, phi in (
+        ("gaussian", gaussian()), ("cubic", polynomial(CUBIC)),
+        ("poly", polynomial([1.0, -2.0, 0.5, 3.0])), ("shifted", shifted(gaussian(), 0.37)))
+      for m in (0, 1) for blocks in (2.0, 2.5, 0.5)),
+    # orders from about 270 on read inf
+    *(("gaussian", gaussian(), m, 300, None) for m in (0, 1)),
+]
+
+
+@pytest.mark.parametrize("name, phi, m, max_order, blocks", STREAMED,
+                         ids=[f"{case[0]}-m{case[2]}-K{case[3]}-{case[4]}" for case in STREAMED])
+def test_the_streamed_sups_equal_those_of_the_whole_table_bit_for_bit(
+        monkeypatch, name, phi, m, max_order, blocks):
+    # blocks 2.0: two whole column blocks; 2.5: one point past them; 0.5: within one
+    width = translation.AUDIT_BLOCK_ENTRIES // (m + max_order + 1)
+    j = 1 if blocks is None else window_of({2.0: 2 * width, 2.5: 2 * width + 1,
+                                            0.5: width // 2}[blocks])
+    xs = translation._sup_grid(j, m + max_order)
+    whole = np.max(np.abs(phi.table(xs, m + max_order)[m:]), axis=1)
+    streamed = translation._order_sups(phi, m, j, max_order)
+    assert streamed.tobytes() == whole.tobytes()
+    assert cinf_seminorm(phi, m, j) == np.max(np.abs(phi.table(xs, m)[m]))
+    certificate = certify_membership(phi, m, j, max_order)
+    monkeypatch.setattr(translation, "AUDIT_BLOCK_ENTRIES", 1 << 62)  # one block: the whole table
+    assert certify_membership(phi, m, j, max_order) == certificate
 
 
 def test_a_polynomial_past_the_double_range_on_its_window_is_refused_without_warnings():

@@ -149,6 +149,10 @@ OTHERS = [
     # rows of more than one block of the CSV writer
     ("translate-two-blocks", ["translate", "--t", "0.5", "--samples=-1:1:2e-4",
                               "--out", "out"]),
+    # the audit window is 42: 84,001 points times orders 0..40 make 3,444,041
+    # table entries, the widest audit in the matrix
+    ("translate-wide-window", ["translate", "--t", "0.5", "--samples=-40:40:0.5",
+                               "--out", "out"]),
     ("translate-time-zero", ["translate", "--t", "0", "--out", "out"]),
     # the sums regrow their oracle tables past 64 orders and miss the tolerance
     ("translate-regrowth", ["translate", "--t", "3", "--samples=-2:2:0.5", "--out", "out"]),
