@@ -20,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import safe_exp
 from .config import RunConfig, format_config, parse_init
-from .evolution import SeriesDiagnostics, evolve, safe_exp
+from .evolution import SeriesDiagnostics, evolve
 from .fieldio import field_to_csv, read_field, write_csv, write_field, write_metadata
 from .operators import MultiplierOperator
 from .spectral import (

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import app
+from .bounds import check_finite
 from .config import ConfigError, RunConfig, config_from_text
 from .fieldio import write_csv, write_metadata
 from .spectral import NODE_BUDGET, FrequencyGrid, seminorm_profile
@@ -65,7 +66,7 @@ def cmd_solve(args) -> int:
 
 def cmd_heat_demo(args) -> int:
     for t in args.t:
-        _check_finite(t, "--t")
+        check_finite(t, "--t")
     rows = app.heat_scan(args.t, args.M, args.R)
     out_dir = _ensure_out(args)
     t, M, R, value, overflow = zip(*map(dataclasses.astuple, rows))
@@ -133,7 +134,7 @@ def cmd_check_eprime(args) -> int:
 def cmd_check_l2(args) -> int:
     from . import invariance
 
-    _check_finite(args.t, "--t")
+    check_finite(args.t, "--t")
     poly = _symbol_from_args(args)
     decision = invariance.decide_l2(poly, args.t)
     out_dir = _ensure_out(args)
@@ -171,11 +172,6 @@ def _function_from_name(name: str):
     raise ConfigError(f"unknown function {name!r}; use gaussian, cubic or poly:c0,c1,...")
 
 
-def _check_finite(value: float, flag: str) -> None:
-    if not math.isfinite(value):
-        raise ConfigError(f"{flag} must be finite, got {value!r}")
-
-
 def _parse_samples(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(part) for part in spec.split(":"))
@@ -202,8 +198,8 @@ def _parse_samples(spec: str) -> np.ndarray:
 def cmd_translate(args) -> int:
     from . import translation
 
-    _check_finite(args.t, "--t")
-    _check_finite(args.tol, "--tol")
+    check_finite(args.t, "--t")
+    check_finite(args.tol, "--tol")
     phi = _function_from_name(args.function)
     samples = _parse_samples(args.samples)
     result = translation.translate_detailed(phi, args.t, samples, args.tol)

@@ -29,7 +29,8 @@ and cross-checked everywhere:
   may be infinite), which is reported honestly rather than hidden.
   `series_factor` builds every time's certificate, t = 0 included, with
   one per-ball loop; at t = 0 every rate is 0 and every stage growth 1,
-  so each bound is 0 and the factor is the identity.
+  so each bound is 0 and the factor is the identity.  The scalar tails
+  come from `bounds`, which `translation`'s Taylor sums share.
 
 Both flow factors are functions of the symbol value alone, so both kernels
 run once per distinct symbol value (the operator's level table,
@@ -56,6 +57,15 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import (
+    SeriesTruncationError,
+    check_finite,
+    check_tolerance,
+    choose_terms,
+    safe_exp,
+    safe_expm1,
+    scalar_tail_log,
+)
 from .config import VALID_METHODS
 from .operators import MultiplierOperator
 from .spectral import (
@@ -73,56 +83,11 @@ from .spectral import (
 # Scale the time step until |t| p_J^X(A) / 2^s is at most this.
 STAGE_RATE_LIMIT = 4.0
 
-# Per-stage truncation orders beyond this indicate an unusable tolerance.
-TERM_CAP = 512
-
 LN2 = math.log(2.0)
 
 
-class SeriesTruncationError(ValueError):
-    """The requested tolerance needs more series terms than the cap allows."""
-
-
-def scalar_tail_log(rate: float, terms: int) -> float:
-    """Natural log of an upper bound for ``sum_{n > terms} rate^n / n!``.
-
-    Uses the first omitted term times a geometric majorant when the term
-    ratio is below one, and the crude bound ``e^rate`` otherwise.
-    """
-    if rate <= 0.0:
-        return -math.inf
-    if terms + 2 <= rate:
-        return rate
-    log_term = (terms + 1) * math.log(rate) - math.lgamma(terms + 2)
-    return log_term - math.log1p(-rate / (terms + 2))
-
-
-def choose_terms(rate: float, log_threshold: float) -> int:
-    """Smallest truncation order, at most ``TERM_CAP``, whose tail bound is below the threshold."""
-    for terms in range(TERM_CAP + 1):
-        if scalar_tail_log(rate, terms) <= log_threshold:
-            return terms
-    raise SeriesTruncationError(
-        f"rate {rate:.3g} needs more than {TERM_CAP} terms to reach "
-        f"log-threshold {log_threshold:.3g}"
-    )
-
-
-def _check_time(t) -> None:
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-
-
-def check_tolerance(tol) -> None:
-    """Refuse a tolerance that is not a positive finite number."""
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance must be finite, got {tol!r}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-
-
 def _check_quotient_time(t) -> None:
-    _check_time(t)
+    check_finite(t, "time")
     if t == 0.0:
         raise ValueError("the difference quotient needs t != 0")
 
@@ -139,7 +104,7 @@ def exp_multiplier(op: MultiplierOperator, t: float, u: SpectralField) -> Spectr
     that magnitude (phase kept) and the result is flagged, as is any node
     carrying data whose bare factor exceeds that range.
     """
-    _check_time(t)
+    check_finite(t, "time")
     _check_grid(op, u)
     return _evolved(multiplier_factor(op, t), u, op)
 
@@ -232,14 +197,6 @@ def _stage_growth(op: MultiplierOperator, t_stage: float) -> list:
     return [math.exp(peak) if peak <= 700.0 else math.inf for peak in peaks.tolist()]
 
 
-def safe_exp(x: float) -> float:
-    """``e^x``, or inf where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def exp_series(op: MultiplierOperator, t: float, u: SpectralField, tol: float = 1e-8):
     """Evolve by the truncated, staged power series of the generator.
 
@@ -250,7 +207,7 @@ def exp_series(op: MultiplierOperator, t: float, u: SpectralField, tol: float = 
     magnitudes above ``e^709`` saturate there and flag the result, exactly
     matching the closed-form path.
     """
-    _check_time(t)
+    check_finite(t, "time")
     _check_grid(op, u)
     factor, diagnostics = series_factor(op, t, seminorm_profile(u), tol)
     return _evolved(factor, u, op), diagnostics
@@ -356,19 +313,22 @@ def verify_group_law(op: MultiplierOperator, s: float, t: float,
 
 def uniform_continuity_gap(op: MultiplierOperator, t: float, j: int):
     """Return ``(lhs, rhs)`` with lhs the exact ball-j norm of ``e^{tA} - I``
-    and rhs the rate bound ``e^{t p_j^X(A)} - 1``; lhs never exceeds rhs.  A t at
-    which ``t Im a`` is not finite is refused with ``ValueError``, as in
-    `multiplier_factor`."""
-    _check_time(t)
+    and rhs the rate bound ``e^{t p_j^X(A)} - 1``; lhs <= rhs * (1 + 2^-50).
+    Neither side cancels at small t: with ``x = min(t Re a, 709)`` and
+    ``y = t Im a``, lhs is ``hypot(expm1(x) cos y - 2 sin^2(y/2), e^x sin y)``
+    and rhs an expm1.  A t at which ``t Im a`` is not finite is refused with
+    ``ValueError``, as in `multiplier_factor`."""
+    check_finite(t, "time")
     if t < 0:
         raise ValueError("the continuity gap is stated for t >= 0")
     j = op.grid.check_ball_index(j)
     # per level, so levels only outside ball j are evaluated too
     z = _scaled_levels(op, t)
-    gap = np.abs(np.exp(np.minimum(z.real, OVERFLOW_EXPONENT) + 1j * z.imag) - 1.0)
+    x, y = np.minimum(z.real, OVERFLOW_EXPONENT), z.imag
+    gap = np.hypot(np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2, np.exp(x) * np.sin(y))
     (peaks,) = shell_reductions(op.grid, op.levels()[1], [(np.maximum, gap)])
     lhs = float(np.max(peaks[:j]))
-    rhs = safe_exp(t * op.seminorm(j)) - 1.0
+    rhs = safe_expm1(t * op.seminorm(j))
     return lhs, rhs
 
 
@@ -459,7 +419,7 @@ def evolve(op: MultiplierOperator, times, u0: SpectralField, method: str = "mult
         raise ValueError(f"unknown method {method!r}; choose from {VALID_METHODS}")
     times = [float(t) for t in times]
     for t in times:
-        _check_time(t)
+        check_finite(t, "time")
     check_tolerance(tol)
     _check_grid(op, u0)
     return _trajectory(op, times, seminorm_profile(u0), method, tol)

@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import check_finite
 from .spectral import OVERFLOW_EXPONENT
 from .symbols import PolynomialSymbol, horner, real_critical_points
 
@@ -135,8 +136,7 @@ def decide_l2(poly: PolynomialSymbol, t: float = 1.0) -> L2Decision:
     """
     if poly.n != 1:
         raise ValueError("the square-integrable criterion is decided for n = 1")
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    check_finite(t, "time")
     if t < 0:
         raise ValueError("the invariance criterion is stated for t >= 0")
     bounded, sup, caveats = _decide_bounded_above_1d(poly)

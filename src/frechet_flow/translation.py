@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .evolution import check_tolerance, choose_terms, safe_exp, scalar_tail_log
+from .bounds import check_finite, check_tolerance, choose_terms, safe_exp, scalar_tail_log
 from .spectral import NODE_BUDGET
 
 RATIO_CAP = 10.0
@@ -341,12 +341,12 @@ def translate_detailed(
     over blocks of `SAMPLE_BLOCK` samples, each sample adds the same terms
     in the same order as a one-sample loop.  The audit covers finitely many
     orders, so a sum can miss ``f(s + t)`` by more than tol.  A non-finite
-    t or sample, an empty sample array and a tolerance that is not a
-    positive finite number are refused with `ValueError`.
+    t, sample or reach ``max |s| + |t|``, an empty sample array and a
+    tolerance that is not a positive finite number are refused with
+    `ValueError`.
     """
     check_tolerance(tol)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    check_finite(t, "t")
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("samples must not be empty")
@@ -354,6 +354,7 @@ def translate_detailed(
     if bad:
         raise ValueError(f"samples must be finite, got {bad} non-finite of {samples.size}")
     reach = float(np.max(np.abs(samples))) + abs(t)
+    check_finite(reach, "max |s| + |t|")
     certificate, rate, ratio = _certified_rate(phi, t, float(np.ceil(reach)) + 1.0)
     vanish = phi.vanishing_order
     values, tails = np.empty(samples.size), np.empty(samples.size)
@@ -403,10 +404,9 @@ def shifted(phi: SmoothExpFunction, offset: float) -> SmoothExpFunction:
     `translate_detailed` over this oracle exercises the group law genuinely
     rather than by shifting the argument.  Each is summed to one order past
     the first whose certified tail is below ``1e-12 / 2``; an order past
-    `evolution.TERM_CAP` raises `SeriesTruncationError`.
+    `bounds.TERM_CAP` raises `SeriesTruncationError`.
     """
-    if not math.isfinite(offset):
-        raise ValueError(f"offset must be finite, got {offset!r}")
+    check_finite(offset, "offset")
     _, rate, ratio = _certified_rate(phi, offset, int(math.ceil(abs(offset))) + 3)
     log_target = math.log(0.5 * 1e-12) - math.log(ratio)
     terms = choose_terms(rate, log_target) + 1

@@ -1032,6 +1032,20 @@ def test_the_package_exports_nothing_and_the_cli_loads_no_unused_module(tmp_path
                 "frechet_flow.verify"} & set(loaded.split())
 
 
+TRANSLATION_MODULES = """
+import sys
+import frechet_flow.translation
+print(*sorted(name for name in sys.modules if name.startswith("frechet_flow.")))
+"""
+
+
+def test_translation_loads_the_scalar_bounds_and_not_the_evolution_stack(tmp_path):
+    done = python_process(["-c", TRANSLATION_MODULES], tmp_path)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.split() == ["frechet_flow.bounds", "frechet_flow.spectral",
+                                   "frechet_flow.translation"]
+
+
 @pytest.mark.parametrize(
     "args, lines",
     [

@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frechet_flow import evolution
+from frechet_flow.bounds import SeriesTruncationError, choose_terms, scalar_tail_log
 from frechet_flow.evolution import (
-    SeriesTruncationError,
-    choose_terms,
     evolve,
     exp_multiplier,
     exp_series,
     generator_residual,
     generator_residual_bound,
     multiplier_factor,
-    scalar_tail_log,
     series_factor,
     uniform_continuity_gap,
     verify_group_law,
@@ -36,7 +34,15 @@ from frechet_flow.spectral import (
     seminorm,
     seminorm_profile,
 )
-from frechet_flow.symbols import heat_symbol, parse_symbol, transport_symbol
+from frechet_flow.symbols import (
+    HEAT_SYMBOL_TEXT,
+    TRANSPORT_SYMBOL_TEXT,
+    heat_symbol,
+    parse_symbol,
+    transport_symbol,
+)
+
+from oracle import exact_tail, flow_error_profile
 
 PI = math.pi
 
@@ -55,12 +61,6 @@ def operator_of(text, n, grid):
 
 # ---------------------------------------------------------------------------
 # scalar tail machinery, checked against arbitrary-precision sums
-
-
-def exact_tail(rate, terms):
-    with mp.workdps(60):
-        return float(mp.exp(rate) - sum(mp.mpf(rate) ** n / mp.factorial(n)
-                                        for n in range(terms + 1)))
 
 
 def test_scalar_tail_bound_dominates_exact_tail():
@@ -137,6 +137,18 @@ def test_exp_series_matches_multiplier_within_certificates(grid, rng):
         closed = exp_multiplier(op, t, u)
         residual = seminorm_profile(series - closed)
         assert np.all(residual <= diag.bounds())
+
+
+@pytest.mark.parametrize("symbol, t", [
+    (heat_symbol, 0.01), (heat_symbol, 0.5), (transport_symbol, 0.01),
+    (transport_symbol, -0.01), (transport_symbol, 0.5), (transport_symbol, -0.5)])
+def test_exp_series_error_against_the_exact_flow_is_within_its_certificate(
+        grid, rng, symbol, t):
+    # judged against the 60-digit flow of the stored data, not the closed form
+    op = MultiplierOperator(symbol(), grid)
+    u = random_field(grid, rng)
+    series, diag = exp_series(op, t, u, 1e-8)
+    assert np.all(flow_error_profile(op, t, u, series) <= diag.bounds())
 
 
 def test_exp_series_certificates_meet_tolerance_in_decay_directions(grid, rng):
@@ -234,6 +246,21 @@ def test_uniform_continuity_gap_constant_symbol_is_tight(grid):
     for t in (0.1, 0.5):
         lhs, rhs = uniform_continuity_gap(op, t, 4)
         assert lhs == pytest.approx(rhs, rel=1e-14)
+
+
+@pytest.mark.parametrize("text", ["3", HEAT_SYMBOL_TEXT, TRANSPORT_SYMBOL_TEXT,
+                                  f"{HEAT_SYMBOL_TEXT}+{TRANSPORT_SYMBOL_TEXT}", "xi^2", "1+i"])
+def test_uniform_continuity_gap_holds_its_bound_down_to_tiny_times(grid, text):
+    # both sides are free of cancellation, so neither rounds to 0 at small t;
+    # where they are equal in exact arithmetic they differ by a few ulps
+    op = operator_of(text, 1, grid)
+    excess = []
+    for t in np.geomspace(1e-300, 10.0, 400).tolist():
+        for j in (1, 4, 8):
+            lhs, rhs = uniform_continuity_gap(op, t, j)
+            if not lhs <= rhs * (1.0 + 2.0**-50):
+                excess.append((t, j, lhs, rhs))
+    assert excess == []
 
 
 def test_generator_residual_zero_symbol(grid, rng):

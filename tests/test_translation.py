@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frechet_flow import translation
-from frechet_flow.evolution import safe_exp, scalar_tail_log
+from frechet_flow.bounds import safe_exp, scalar_tail_log
 from frechet_flow.translation import (
     MAX_TERMS,
     SAMPLE_BLOCK,
@@ -357,6 +357,9 @@ def test_translate_refuses_an_empty_sample_array():
         (-math.inf, [0.0], "t must be finite, got -inf"),
         (1.0, [math.nan], "samples must be finite, got 1 non-finite of 1"),
         (1.0, [0.0, math.inf, -math.inf], "samples must be finite, got 2 non-finite of 3"),
+        # each is finite, but the reach that sets the audit window overflows
+        (1e308, [1e308], "max |s| + |t| must be finite, got inf"),
+        (-1e308, [0.0, -1e308], "max |s| + |t| must be finite, got inf"),
     ],
 )
 def test_translate_refuses_a_non_finite_time_or_sample_before_the_audit(t, samples, message):
