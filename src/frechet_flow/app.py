@@ -151,8 +151,10 @@ def run_solve(config: RunConfig, out_dir: str) -> SolveResult:
 
     Each time is one `saturated_product` pass of its flow factors over the
     initial field, which yields every profile the run reports.  The passes
-    read the initial field in shell order (`ShellField`), built once; its
-    grid-ordered samples are released before the first pass.  A field
+    read the initial field in shell order (`ShellField`), built once, with
+    its ball profile, before `evolve` reads that profile; its grid-ordered
+    samples are released before the first pass.  A pass that writes no
+    field and cannot saturate reduces over the levels alone.  A field
     output (``fl2l``, ``field-csv``) of the last method's field is written
     as soon as its time's pass completes, so one time's field is held at a
     time.  Those files take their names as the run's last step: a run that
@@ -166,10 +168,11 @@ def run_solve(config: RunConfig, out_dir: str) -> SolveResult:
     # its shell-ordered copy are both alive
     inverse = op.levels()[1]
     u0 = build_initial_field(config, grid)
+    # the shell field forms u0's profile, which evolve and the run then read
+    source = ShellField(u0, inverse, op.level_offsets())
     times = tuple(sorted(set(float(t) for t in config.times)))
     steps = evolve(op, times, u0, config.method, config.tol)
     initial_profile = seminorm_profile(u0)
-    source = ShellField(u0, inverse)
     del u0  # the passes read the shell field only
 
     fields = _FieldFiles(out_dir, config.formats)
@@ -179,7 +182,10 @@ def run_solve(config: RunConfig, out_dir: str) -> SolveResult:
     residuals_certified = True
     overflow = False
     try:
-        for k, (_, factors, diag) in enumerate(steps):
+        # a plain loop: enumerate's result tuple would hold this time's
+        # factors while the generator forms the next time's
+        for _, factors, diag in steps:
+            k = len(diagnostics)
             keep = list(factors)[-1] if fields.formats else None
             product, _ = saturated_product(factors, source, keep=keep)
             diagnostics.append(diag)
@@ -192,9 +198,9 @@ def run_solve(config: RunConfig, out_dir: str) -> SolveResult:
                     residuals_certified = False
             if keep is not None:
                 fields.write(k, product.field)
-            # the next pass forms the next time's field while this name still
-            # holds this time's: release it first
-            del product
+            # the next time's factors and field are formed while these names
+            # still hold this time's: release them first
+            del product, factors
         methods = tuple(profiles)
 
         # every multiplier factor has magnitude at least e^{|t|} when the

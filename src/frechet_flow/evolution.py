@@ -43,10 +43,13 @@ evaluation.
 `evolve` is the one evolution loop over times: it yields each time's
 factors (and the series certificate) in turn, and `app.run_solve` forms
 each time's profiles, residual and written field from them in one
-`saturated_product` pass over the initial field's `ShellField`.  The loop
-reads only the initial field's ball profile, so it holds no field.
-`exp_multiplier` and `exp_series` are the same factors applied to one
-field, for callers that keep it; each call builds its own shell field.
+`saturated_product` pass over the initial field's `ShellField`; a pass
+that writes no field and cannot saturate reduces over the levels alone.
+The loop reads only the initial field's ball profile, which the shell
+field forms as it is built, so it holds no field.  `exp_multiplier` and
+`exp_series` are the same factors applied to one field, for callers that
+keep it; each call builds its own shell field, and a kept field's pass
+walks the nodes.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ from .spectral import (
     saturated_product,
     seminorm,
     seminorm_profile,
-    shell_reductions,
 )
 
 # Scale the time step until |t| p_J^X(A) / 2^s is at most this.
@@ -119,7 +121,8 @@ def multiplier_factor(op: MultiplierOperator, t: float) -> Optional[LevelFactor]
     if t == 0.0:
         return None
     z = _scaled_levels(op, t)
-    return LevelFactor(z.real, np.exp(1j * z.imag), flags_blown=True)
+    # a copy, so the factor does not keep z's imaginary parts alive
+    return LevelFactor(z.real.copy(), np.exp(1j * z.imag), flags_blown=True)
 
 
 def _scaled_levels(op: MultiplierOperator, t: float) -> np.ndarray:
@@ -139,7 +142,8 @@ def _evolved(factor: Optional[LevelFactor], u: SpectralField,
     """The field of one flow's factor on u; u's own samples for the identity (None)."""
     if factor is None:
         return SpectralField._adopt(u.grid, u.values, u.overflow)
-    product, _ = saturated_product({"flow": factor}, ShellField(u, op.levels()[1]), keep="flow")
+    source = ShellField(u, op.levels()[1], op.level_offsets())
+    product, _ = saturated_product({"flow": factor}, source, keep="flow")
     return product.field
 
 
@@ -286,10 +290,14 @@ def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
     # by `saturated_product`.  numpy divides a complex by n as by n + 0j,
     # ``(re + im 0) fl(1/n)``, so a product by ``1/n`` keeps the bits (a zero
     # part's sign aside, which the added 1 clears) and needs no division.
+    # Each step is ``1 + acc (x / n)``, its operands in that order, formed
+    # in one buffer, so the loop holds three level-sized arrays.
     x = (t / stages) * op.levels()[0]
-    acc = np.ones_like(x)
+    acc, term = np.ones_like(x), np.empty_like(x)
     for n in range(diagnostics.terms, 0, -1):
-        acc = 1.0 + acc * (x * (1.0 / n))
+        np.multiply(x, 1.0 / n, out=term)
+        np.multiply(acc, term, out=term)
+        acc, term = np.add(1.0, term, out=term), acc
 
     # Compose the stage 2^s times through the group law.  Tracking the
     # magnitude logarithmically keeps expanding directions exact up to the
@@ -322,12 +330,12 @@ def uniform_continuity_gap(op: MultiplierOperator, t: float, j: int):
     if t < 0:
         raise ValueError("the continuity gap is stated for t >= 0")
     j = op.grid.check_ball_index(j)
-    # per level, so levels only outside ball j are evaluated too
-    z = _scaled_levels(op, t)
+    # every level is scaled, so a time is refused as in the closed form;
+    # ball j's levels, the first level_offsets()[j], are reduced
+    z = _scaled_levels(op, t)[: op.level_offsets()[j]]
     x, y = np.minimum(z.real, OVERFLOW_EXPONENT), z.imag
     gap = np.hypot(np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2, np.exp(x) * np.sin(y))
-    (peaks,) = shell_reductions(op.grid, op.levels()[1], [(np.maximum, gap)])
-    lhs = float(np.max(peaks[:j]))
+    lhs = float(np.max(gap))
     rhs = safe_expm1(t * op.seminorm(j))
     return lhs, rhs
 
@@ -411,9 +419,12 @@ def evolve(op: MultiplierOperator, times, u0: SpectralField, method: str = "mult
     (multiplier first; None at t = 0), and ``diagnostics`` is the series'
     `SeriesDiagnostics`, or ``None`` without the series.  The fields are
     one `saturated_product` pass of the factors on ``u0``'s `ShellField`
-    (over the level index ``op.levels()[1]``), so a consumer holds one time
-    at a time.  ``u0``'s ball profile is read here, and the generator holds
-    it, not ``u0``.
+    (over the level index ``op.levels()[1]`` and its shell ranges
+    ``op.level_offsets()``), so a consumer holds one time at a time.
+    ``u0``'s ball profile is read here, and the generator holds it, not
+    ``u0``.  Where ``u0``'s shell field is built first, as `app.run_solve`
+    builds it, that profile is the one the shell field formed, so this
+    traverses no node.
     """
     if method not in VALID_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {VALID_METHODS}")

@@ -28,7 +28,7 @@ from .spectral import (
     mask_outside,
     random_field,
     seminorm,
-    shell_reductions,
+    shell_numbers,
 )
 from .symbols import PolynomialSymbol, SymbolError, real_critical_points
 
@@ -38,19 +38,21 @@ class MultiplierOperator:
 
     The operator is immutable and built from a `PolynomialSymbol` (text
     goes through `symbols.parse_symbol`, which returns one).
-    Its one grid-sized table is `levels`: the distinct symbol values and
-    each node's index into them, built on first use, never here, by the
-    polynomial's Horner routine (`eval_grid`); where an axis enters the
-    symbol through even powers only, of any degree, the table is built on
-    the half (or quarter) grid up to ``xi_k = 0`` and mirrored.  A symbol
-    that is not finite on the grid is refused when the table is built.
-    `power` raises its base's levels to the k-th power and keeps the base's
-    ``inverse``, so a power's table may list one value more than once (as
-    ``a`` and ``-a`` do when squared).  The per-ball quantities,
-    max |a| (`seminorm`) and the range of ``Re a`` (`real_part_range`), come
-    from one pass over the shells that reads the table; it runs on first use
-    and its result is kept.  `apply` and `power` read the table too, and
-    ``values``, the symbol on every node, is gathered from it on each access.
+    Its one grid-sized table is `levels`: the distinct pairs (symbol value,
+    shell), numbered shell by shell, and each node's index into them, built
+    on first use, never here, by the polynomial's Horner routine
+    (`eval_grid`); where an axis enters the symbol through even powers only,
+    of any degree, the table is built on the half (or quarter) grid up to
+    ``xi_k = 0`` and mirrored.  `level_offsets` gives each shell's range of
+    levels.  A symbol that is not finite on the grid is refused when the
+    table is built.  `power` raises its base's levels to the k-th power and
+    keeps the base's ``inverse`` and ranges, so a power's table may list one
+    value more than once in a shell (as ``a`` and ``-a`` do when squared).
+    The per-ball quantities, max |a| (`seminorm`) and the range of ``Re a``
+    (`real_part_range`), reduce each shell's range of levels, so they read
+    no node; they are computed on first use and kept.  `apply` and `power`
+    read the table too, and ``values``, the symbol on every node, is
+    gathered from it on each access.
     """
 
     def __init__(self, poly: PolynomialSymbol, grid: FrequencyGrid, label: str | None = None):
@@ -61,10 +63,12 @@ class MultiplierOperator:
         self._init(grid, poly, label, None)
 
     @classmethod
-    def _from_table(cls, grid: FrequencyGrid, levels, inverse, label: str | None = None):
-        """An operator whose `levels` table is ``(levels, inverse)``, both read-only."""
+    def _from_table(cls, grid: FrequencyGrid, levels, inverse, offsets,
+                    label: str | None = None):
+        """An operator whose table is ``(levels, inverse)`` with shell ranges ``offsets``,
+        all read-only (see `levels` and `level_offsets`)."""
         op = cls.__new__(cls)
-        op._init(grid, None, label, (levels, inverse))
+        op._init(grid, None, label, (levels, inverse, offsets))
         return op
 
     def _init(self, grid, poly, label, table):
@@ -72,7 +76,9 @@ class MultiplierOperator:
         self.label = label
         self._poly = poly
         self._extremes = None
-        self._levels = table
+        self._levels = self._offsets = None
+        if table is not None:
+            self._levels, self._offsets = table[:2], table[2]
 
     @property
     def values(self) -> np.ndarray:
@@ -99,34 +105,54 @@ class MultiplierOperator:
         return self._ball_extremes()[1:]
 
     def _ball_extremes(self) -> tuple:
-        """Per ball j: max |a|, min Re a and max Re a, from one `shell_reductions` pass, once."""
+        """Per ball j: max |a|, min Re a and max Re a, from each shell's range of levels, once.
+
+        Ball j's levels are ``levels[:level_offsets[j]]``, and every shell
+        has one, so each is a reduction per shell and a running extreme.
+        """
         if self._extremes is None:
-            levels, inverse = self.levels()
-            real = levels.real
-            peaks, lowest, highest = shell_reductions(
-                self.grid, inverse,
-                [(np.maximum, np.abs(levels)), (np.minimum, real), (np.maximum, real)])
-            self._extremes = (frozen(np.maximum.accumulate(peaks)),
-                              frozen(np.minimum.accumulate(lowest)),
-                              frozen(np.maximum.accumulate(highest)))
+            levels, offsets = self.levels()[0], self.level_offsets()
+            J = self.grid.J
+            inside, starts = levels[: offsets[J]], offsets[:J]
+            self._extremes = (
+                frozen(np.maximum.accumulate(np.maximum.reduceat(np.abs(inside), starts))),
+                frozen(np.minimum.accumulate(np.minimum.reduceat(inside.real, starts))),
+                frozen(np.maximum.accumulate(np.maximum.reduceat(inside.real, starts))))
         return self._extremes
 
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """The bitwise-distinct symbol values and each node's index into them.
+        """The distinct pairs (symbol value, shell) and each node's index into them.
 
-        Returns ``(levels, inverse)``, computed once (read-only): ``levels``
-        holds the distinct values in order of first appearance in row-major
-        node order (a hash collision may list one twice, and so may a
-        `power`, where two levels can share their k-th power; two values
-        are never merged), and the grid-shaped int32 ``inverse`` satisfies
-        ``levels[inverse] == values`` bitwise.  A function of the symbol
-        value alone, such as the flow factor ``e^{t a}``, can then be
-        evaluated once per level and gathered.  The table costs 4 bytes per
+        Returns ``(levels, inverse)``, computed once (read-only): a level is
+        a bitwise-distinct symbol value on one shell (J + 1 for the nodes
+        outside ball J), and ``levels`` holds each level's value, shell by
+        shell, and within a shell in order of first appearance in row-major
+        node order.  So one value may be listed once per shell it meets, and
+        a hash collision may list it twice within a shell, as may a
+        `power`, where two levels can share their k-th power; two values are
+        never merged.  The grid-shaped int32 ``inverse`` satisfies
+        ``levels[inverse] == values`` bitwise, and a node's level lies in
+        its shell's range (`level_offsets`).  A function of the symbol value
+        alone, such as the flow factor ``e^{t a}``, can then be evaluated
+        once per level and gathered, and a sum over the nodes of a ball of
+        such a function times a field reduces over the field's weights per
+        level (`ShellField.level_weights`).  The table costs 4 bytes per
         node plus 16 per level.
         """
         if self._levels is None:
-            self._levels = _polynomial_levels(self._poly, self.grid)
+            levels, inverse, self._offsets = _polynomial_levels(self._poly, self.grid)
+            self._levels = (levels, inverse)
         return self._levels
+
+    def level_offsets(self) -> np.ndarray:
+        """Each shell's range of `levels`: shell j's are ``offsets[j - 1]:offsets[j]``.
+
+        J + 2 offsets (read-only), from ``offsets[0] = 0`` to the number of
+        levels; shell J + 1 holds the nodes outside ball J, so ball j's
+        levels are the first ``offsets[j]``.  Built with the table.
+        """
+        self.levels()
+        return self._offsets
 
     def seminorm_argmax(self, j: int) -> tuple[int, ...]:
         """Index of a node attaining the ball-j operator seminorm."""
@@ -137,8 +163,9 @@ class MultiplierOperator:
     def power(self, k: int) -> "MultiplierOperator":
         """The k-fold composition: each level multiplied by itself k - 1 times.
 
-        The power keeps this operator's ``inverse``; its symbol on every node
-        is that of k - 1 repeated nodewise products, bitwise.
+        The power keeps this operator's ``inverse`` and `level_offsets`; its
+        symbol on every node is that of k - 1 repeated nodewise products,
+        bitwise.
         """
         if k < 1:
             raise ValueError("power needs k >= 1")
@@ -147,48 +174,61 @@ class MultiplierOperator:
         for _ in range(k - 1):
             levels = levels * base
         return MultiplierOperator._from_table(self.grid, frozen(levels), inverse,
-                                              label=f"{self.label}^{k}")
+                                              self.level_offsets(), label=f"{self.label}^{k}")
 
     def __repr__(self):
         return f"MultiplierOperator({self.label or self._poly!r}, {self.grid!r})"
 
 
 # Odd, so multiplication by it permutes uint64.  The key
-# ``real ^ rotate(imag * _KEY_MULTIPLIER, 32)`` is therefore injective
-# whenever either part of the symbol is constant (a real or an imaginary
-# symbol); the rotation keeps ``a`` and ``-a`` apart (without it their sign
-# bits cancel).
+# ``real ^ rotate(imag * _KEY_MULTIPLIER, 32) ^ shell * _SHELL_MULTIPLIER``
+# is therefore injective on one shell whenever either part of the symbol is
+# constant (a real or an imaginary symbol); the rotation keeps ``a`` and
+# ``-a`` apart (without it their sign bits cancel).
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+_SHELL_MULTIPLIER = np.uint64(0xC2B2AE3D27D4EB4F)
 _HALF_WORD = np.uint64(32)
 
 
-def _level_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(levels, inverse)`` of `MultiplierOperator.levels`.
+def _level_table(values: np.ndarray, shell: np.ndarray, J: int) -> tuple:
+    """``(levels, inverse, offsets)`` of `MultiplierOperator.levels` and `level_offsets`.
 
-    One uint64 key mixed from the real and imaginary bit patterns is sorted;
-    adjacent entries then form one level when all their bits agree.  The
-    grouping compares bits, never keys, so a key collision can only split a
-    level (every part carries the same value) and never merges two values;
-    +0.0 and -0.0 stay apart.
+    ``shell`` is the shell of each node of ``values`` (1..J + 1).  One
+    uint64 key mixed from the real and imaginary bit patterns and the shell
+    is sorted; adjacent entries then form one level when all their bits and
+    their shells agree.  The grouping compares bits and shells, never keys,
+    so a key collision can only split a level (every part carries the same
+    value on the same shell) and never merges two values; +0.0 and -0.0
+    stay apart.  The levels are numbered by shell, then by first node.
     """
     bits = values.reshape(-1).view(np.uint64).reshape(-1, 2)
     real_bits, imag_bits = bits[:, 0], bits[:, 1]
-    mixed = imag_bits * _KEY_MULTIPLIER
-    mixed = (mixed << _HALF_WORD) | (mixed >> _HALF_WORD)
-    order = np.argsort(real_bits ^ mixed)
-    real_bits, imag_bits = real_bits[order], imag_bits[order]
+    shell = shell.reshape(-1)
+    key = imag_bits * _KEY_MULTIPLIER
+    key = (key << _HALF_WORD) | (key >> _HALF_WORD)
+    key ^= real_bits
+    key ^= shell * _SHELL_MULTIPLIER
+    order = np.argsort(key)
+    del key
+    real_bits, imag_bits, shell = real_bits[order], imag_bits[order], shell[order]
     starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (real_bits[1:] != real_bits[:-1]) | (imag_bits[1:] != imag_bits[:-1])
+    starts[1:] = ((real_bits[1:] != real_bits[:-1]) | (imag_bits[1:] != imag_bits[:-1])
+                  | (shell[1:] != shell[:-1]))
+    del real_bits, imag_bits
     # every node of a level gets the level's label; the labels count the
-    # levels in order of their first node
+    # levels by shell, then in order of their first node
     group = np.cumsum(starts, dtype=np.int32) - 1
-    first = np.minimum.reduceat(order, np.flatnonzero(starts))
-    rank = np.argsort(first)
+    starts = np.flatnonzero(starts)
+    first = np.minimum.reduceat(order, starts)
+    level_shell = shell[starts]
+    rank = np.argsort((level_shell.astype(np.int64) << 32) | first)
     label = np.empty(rank.size, dtype=np.int32)
     label[rank] = np.arange(rank.size, dtype=np.int32)
     inverse = np.empty(order.size, dtype=np.int32)
     inverse[order] = label[group]
-    return frozen(values.reshape(-1)[first[rank]]), frozen(inverse.reshape(values.shape))
+    offsets = np.cumsum(np.bincount(level_shell, minlength=J + 2))
+    return (frozen(values.reshape(-1)[first[rank]]), frozen(inverse.reshape(values.shape)),
+            frozen(offsets))
 
 
 def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
@@ -198,30 +238,37 @@ def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
     exponent of ``xi_k`` is even: its Horner scheme only multiplies and
     adds, which commute with negation.  Such an axis is evaluated on its
     first ``J inv_h + 1`` nodes only, up to ``xi_k = 0``, and the table's
-    ``inverse`` is mirrored.  Every node's value also sits at a node of that
-    corner that comes no later in row-major order, so the corner's first
-    appearances are the full grid's and ``levels`` is unchanged.  A table
-    with a value that is not finite, one that overflows in Horner's rule or
-    the ``nan`` of the ``inf * 0`` it then forms, is refused with
-    `SymbolError`.
+    ``inverse`` is mirrored.  Shells are mirror-symmetric too, so every
+    node's (value, shell) also sits at a node of that corner that comes no
+    later in row-major order: the corner's first appearances are the full
+    grid's, and ``levels`` and the offsets are unchanged.  The corner's
+    shells come from its integer axes (`shell_numbers`), not from the
+    grid's shell index.  A table with a value that is not finite, one that
+    overflows in Horner's rule or the ``nan`` of the ``inf * 0`` it then
+    forms, is refused with `SymbolError`, which counts distinct values, not
+    levels.
     """
     lim = grid.J * grid.inv_h
     even = [all(alpha[k] % 2 == 0 for alpha in poly.coeffs) for k in range(grid.n)]
-    axes = [grid.axis[: lim + 1] if mirrored else grid.axis for mirrored in even]
+    index_axes = [grid.axis_index[: lim + 1] if mirrored else grid.axis_index
+                  for mirrored in even]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = poly.eval_grid(*axes)
-    levels, inverse = _level_table(np.ascontiguousarray(values))
-    finite = np.isfinite(levels)
-    if not finite.all():
+        values = poly.eval_grid(*(index / float(grid.inv_h) for index in index_axes))
+    shell = shell_numbers(grid.J, grid.inv_h, *index_axes)
+    levels, inverse, offsets = _level_table(np.ascontiguousarray(values), shell, grid.J)
+    del values, shell
+    if not np.isfinite(levels).all():
+        distinct = np.unique(levels.view(np.uint64).reshape(-1, 2), axis=0)
+        finite = np.isfinite(distinct.view(np.complex128))
         raise SymbolError(
             f"the symbol is not finite on the grid's extent [-{grid.J}, {grid.J}]^{grid.n}: "
-            f"{levels.size - np.count_nonzero(finite)} of its {levels.size} distinct values "
+            f"{finite.size - np.count_nonzero(finite)} of its {finite.size} distinct values "
             "overflow")
     for k, mirrored in enumerate(even):
         if mirrored:
             tail = np.flip(inverse, axis=k)[(slice(None),) * k + (slice(1, None),)]
             inverse = np.concatenate([inverse, tail], axis=k)
-    return levels, frozen(inverse)
+    return levels, frozen(inverse), offsets
 
 
 class ReflectionOperator:

@@ -21,7 +21,7 @@ from frechet_flow.evolution import (
     verify_group_law,
     verify_quotient_diagrams,
 )
-from frechet_flow.operators import MultiplierOperator, ReflectionOperator
+from frechet_flow.operators import MultiplierOperator, ReflectionOperator, _level_table
 from frechet_flow.spectral import (
     OVERFLOW_EXPONENT,
     FrequencyGrid,
@@ -405,8 +405,8 @@ def test_evolve_both_methods_agree(grid, rng, kernel_calls):
         times.append(t)
         assert kernel_calls[-2:] == ["multiplier_factor", "series_factor"]
         assert list(factors) == ["multiplier", "series"]
-        product, flagged = saturated_product(factors, ShellField(u, op.levels()[1]),
-                                             keep="multiplier")
+        source = ShellField(u, op.levels()[1], op.level_offsets())
+        product, flagged = saturated_product(factors, source, keep="multiplier")
         closed, (series, _) = exp_multiplier(op, t, u), exp_series(op, t, u)
         assert np.array_equal(product.field.values, closed.values) and not flagged
         assert product.residual.tolist() == seminorm_profile(series - closed).tolist()
@@ -470,7 +470,7 @@ def node_inverse(grid):
 
 def one_flow(factor, u):
     """The field of a factor given node by node."""
-    product, _ = saturated_product({"flow": factor}, ShellField(u, node_inverse(u.grid)),
+    product, _ = saturated_product({"flow": factor}, ShellField(u, node_inverse(u.grid), None),
                                    keep="flow")
     return product.field
 
@@ -541,16 +541,14 @@ def test_level_kernels_match_the_per_node_reference_bitwise(n, text, t, rng):
 def test_stage_horner_keeps_the_bits_of_the_division(exponent, sign, real, seed):
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(1, 8, 8)
-    levels = np.empty(grid.node_count, dtype=np.complex128)
-    levels.real = rng.standard_normal(levels.size) * 10.0 ** rng.uniform(-3, 3, levels.size)
+    values = np.empty(grid.node_count, dtype=np.complex128)
+    values.real = rng.standard_normal(values.size) * 10.0 ** rng.uniform(-3, 3, values.size)
     if real:  # imaginary parts +0 and -0
-        levels.imag = np.copysign(0.0, rng.standard_normal(levels.size))
+        values.imag = np.copysign(0.0, rng.standard_normal(values.size))
     else:
-        levels.imag = rng.standard_normal(levels.size) * 10.0 ** rng.uniform(-3, 3, levels.size)
-    levels.setflags(write=False)
-    inverse = np.arange(grid.node_count, dtype=np.int32)
-    inverse.setflags(write=False)
-    op = MultiplierOperator._from_table(grid, levels, inverse)
+        values.imag = rng.standard_normal(values.size) * 10.0 ** rng.uniform(-3, 3, values.size)
+    op = MultiplierOperator._from_table(grid, *_level_table(values, grid.shells().shell, grid.J))
+    levels = op.levels()[0]
     t = sign * 10.0 ** exponent
     profile = seminorm_profile(random_field(grid, rng))
     factor, diagnostics = series_factor(op, t, profile, 1e-8)

@@ -9,7 +9,9 @@ import pytest
 from frechet_flow.app import run_solve
 from frechet_flow.config import config_from_text
 from frechet_flow.fieldio import write_field
+from frechet_flow.operators import MultiplierOperator
 from frechet_flow.spectral import FrequencyGrid, _shell_index, random_field
+from frechet_flow.symbols import parse_symbol
 from frechet_flow.translation import certify_membership, cinf_seminorm, gaussian
 
 GRID = FrequencyGrid(2, 8, 32)
@@ -52,6 +54,21 @@ def test_solve_writing_fields_holds_one_time_at_a_time(tmp_path):
     assert one_time.overflow and eight_times.overflow
     assert len([path for path in eight_times.files if path.endswith(".fl2l")]) == 8
     assert eight_peak <= one_peak + 0.25
+
+
+def test_the_heat_level_table_peaks_below_one_and_a_fifth_field_sizes():
+    """The table is built on the quarter grid with its shells from the integer axes,
+    not from the grid's shell index, and mirrored."""
+    op = MultiplierOperator(parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", 2), GRID)
+    _shell_index.cache_clear()
+    tracemalloc.start()
+    try:
+        op.levels()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * FIELD_SIZE
+    assert _shell_index.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("audit", [

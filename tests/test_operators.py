@@ -125,6 +125,7 @@ def test_a_power_is_the_repeated_nodewise_product(n, text):
         power = op.power(k)
         assert np.array_equal(bits(power.values), bits(expected))
         assert power.levels()[1] is op.levels()[1]
+        assert power.level_offsets() is op.level_offsets()
         for j in range(1, grid.J + 1):
             assert power.seminorm(j) == np.max(np.abs(expected[grid.ball_mask(j)]))
         expected = expected * values
@@ -341,7 +342,7 @@ def values_on_a_grid(draw):
 @given(case=values_on_a_grid(), seed=st.integers(0, 2**32 - 1))
 def test_an_operator_from_values_reads_its_one_table(case, seed):
     grid, v = case
-    op = MultiplierOperator._from_table(grid, *_level_table(v))
+    op = MultiplierOperator._from_table(grid, *_level_table(v, grid.shells().shell, grid.J))
     assert np.array_equal(bits(op.values), bits(v))
     # |u| < 0.7 per part keeps every product part below the largest double
     u = np.random.default_rng(seed).uniform(-0.7, 0.7, grid.shape + (2,)).view(complex)[..., 0]
@@ -369,29 +370,48 @@ def bits(values):
     return np.ascontiguousarray(values, dtype=np.complex128).view(np.uint64)
 
 
-def first_appearances(values):
-    """Reference level table: one pass in node order, keyed by bit pattern."""
-    flat = np.ravel(values)
-    pairs = bits(flat).reshape(-1, 2)
-    label = {}
-    inverse = [label.setdefault((int(re), int(im)), len(label)) for re, im in pairs]
-    firsts = {}
-    for node, level in enumerate(inverse):
-        firsts.setdefault(level, node)
-    return flat[[firsts[k] for k in range(len(label))]], np.reshape(inverse, np.shape(values))
+def first_appearances(values, shell, J):
+    """Reference level table ``(levels, inverse, offsets)``: one pass in node order keyed
+    by (bit pattern, shell), then the levels numbered by shell and by first node."""
+    flat, shells = np.ravel(values), np.ravel(shell)
+    label, firsts, node_levels = {}, [], []
+    for node, ((re, im), s) in enumerate(zip(bits(flat).reshape(-1, 2), shells)):
+        key = (int(re), int(im), int(s))
+        if key not in label:
+            label[key] = len(label)
+            firsts.append(node)
+        node_levels.append(label[key])
+    order = sorted(range(len(firsts)), key=lambda level: (shells[firsts[level]], firsts[level]))
+    renumber = np.empty(len(order), dtype=int)
+    renumber[order] = np.arange(len(order))
+    offsets = np.cumsum(np.bincount(shells[[firsts[level] for level in order]].astype(int),
+                                    minlength=J + 2))
+    return (flat[[firsts[level] for level in order]],
+            renumber[node_levels].reshape(np.shape(values)), offsets)
+
+
+def assert_reference_table(levels, inverse, offsets, values, grid):
+    """The table is the reference's, bit for bit, and each shell's range holds its own
+    nodes' levels, every one of them."""
+    shell = grid.shells().shell
+    expected_levels, expected_inverse, expected_offsets = first_appearances(values, shell, grid.J)
+    assert np.array_equal(bits(levels), bits(expected_levels))
+    assert np.array_equal(inverse, expected_inverse)
+    assert np.array_equal(offsets, expected_offsets) and offsets.size == grid.J + 2
+    for j in range(1, grid.J + 2):
+        assert np.array_equal(np.unique(inverse[shell == j]), np.arange(offsets[j - 1], offsets[j]))
 
 
 def test_levels_round_trip_by_bit_pattern_and_keep_signed_zeros_apart():
     grid = FrequencyGrid(1, 3, 2)
     zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
     values = np.array(zeros + [1.5, 0.0, -0.0, 1.5, 2 - 1j] + zeros, dtype=complex)
-    levels, inverse = _level_table(values)
+    levels, inverse, offsets = _level_table(values, grid.shells().shell, grid.J)
     assert inverse.dtype == np.int32 and inverse.shape == grid.shape
     assert np.array_equal(bits(levels[inverse]), bits(values))
-    expected_levels, expected_inverse = first_appearances(values)
-    assert np.array_equal(bits(levels), bits(expected_levels))
-    assert np.array_equal(inverse, expected_inverse)
-    assert levels.size == 6  # four signed zeros, 1.5 and 2 - i
+    assert_reference_table(levels, inverse, offsets, values, grid)
+    # shell 1: 1.5, +0, -0 and 2 - i; shells 2 and 3: the four signed zeros each
+    assert offsets.tolist() == [0, 4, 8, 12, 12]
 
 
 @pytest.mark.parametrize("n, text", [(1, "-(1+4*pi^2*xi^2)"), (1, "2*pi*i*xi"),
@@ -399,10 +419,7 @@ def test_levels_round_trip_by_bit_pattern_and_keep_signed_zeros_apart():
 def test_levels_match_the_reference_table(n, text):
     grid = FrequencyGrid(n, 4, 8)
     op = MultiplierOperator(parse_symbol(text, n), grid)
-    levels, inverse = op.levels()
-    expected_levels, expected_inverse = first_appearances(op.values)
-    assert np.array_equal(bits(levels), bits(expected_levels))
-    assert np.array_equal(inverse, expected_inverse)
+    assert_reference_table(*op.levels(), op.level_offsets(), op.values, grid)
 
 
 def test_levels_of_a_symbol_without_repeated_values():
@@ -410,8 +427,26 @@ def test_levels_of_a_symbol_without_repeated_values():
     op = MultiplierOperator(parse_symbol(NO_REPEAT_2D, 2), grid)
     levels, inverse = op.levels()
     assert levels.size == grid.node_count
-    assert np.array_equal(inverse.ravel(), np.arange(grid.node_count))
-    assert np.array_equal(bits(levels), bits(op.values.ravel()))
+    # one level per node, numbered as the shell index orders the nodes
+    shells = grid.shells()
+    assert np.array_equal(inverse.ravel()[shells.order], np.arange(grid.node_count))
+    assert np.array_equal(op.level_offsets()[: grid.J + 1], shells.offsets)
+    assert np.array_equal(bits(levels[inverse]), bits(op.values))
+
+
+def test_a_radial_symbol_keeps_one_level_per_value_and_a_linear_one_splits_by_shell():
+    grid = FrequencyGrid(2, 8, 32)
+    counts = {}
+    for text in ("-(1+4*pi^2*(xi1^2+xi2^2))", "2*pi*i*xi1"):
+        op = MultiplierOperator(parse_symbol(text, 2), grid)
+        levels = op.levels()[0]
+        distinct = np.unique(bits(levels).reshape(-1, 2), axis=0).shape[0]
+        counts[text] = (distinct, levels.size)
+    # every value of the radial symbol lies in one shell; a column of xi1
+    # meets every shell from its own outwards
+    assert counts["-(1+4*pi^2*(xi1^2+xi2^2))"] == (26023, 26023)
+    distinct, levels = counts["2*pi*i*xi1"]
+    assert distinct == 2 * grid.J * grid.inv_h + 1 and levels > 4 * distinct
 
 
 def test_key_collisions_split_levels_but_never_merge_values():
@@ -421,26 +456,28 @@ def test_key_collisions_split_levels_but_never_merge_values():
         mixed = (imag_bits * int(_KEY_MULTIPLIER)) % 2**64
         return real_bits ^ ((mixed << 32 | mixed >> 32) % 2**64)
 
-    # two different values with one key, interleaved over the nodes
+    # two different values with one key, interleaved over the nodes of one shell
     first = complex(1.25, 3.0)
     a_real, a_imag = (int(w) for w in bits(first))
     b_imag = int(bits(complex(0.0, -7.5))[1])
     b_real = key(a_real, a_imag) ^ key(0, b_imag)
     second = np.array([b_real, b_imag], dtype=np.uint64).view(np.complex128)[0]
     assert key(b_real, b_imag) == key(a_real, a_imag) and bits(second)[0] != a_real
-    grid = FrequencyGrid(1, 2, 2)
+    grid = FrequencyGrid(1, 1, 4)
     values = np.array([first, second] * 4 + [first], dtype=complex)
-    levels, inverse = _level_table(values)
+    levels, inverse, offsets = _level_table(values, grid.shells().shell, grid.J)
     assert np.array_equal(bits(levels[inverse]), bits(values))
-    assert levels.size >= 2
+    assert levels.size >= 2 and offsets[1] == levels.size
 
 
 def test_constructor_leaves_the_level_table_unbuilt(grid):
     op = MultiplierOperator(heat_symbol(), grid)
-    assert op._levels is None
+    assert op._levels is None and op._offsets is None
     table = op.levels()
     assert op.levels() is table
     assert not table[0].flags.writeable and not table[1].flags.writeable
+    assert op.level_offsets() is op.level_offsets()
+    assert not op.level_offsets().flags.writeable
 
 
 @pytest.mark.parametrize("n, text", [(1, "-xi^400"), (1, "xi^400*(1+i)"), (2, "xi1^400+xi2")])
@@ -484,9 +521,7 @@ def test_polynomial_levels_are_the_full_grid_evaluation_bitwise(case):
     levels, inverse = op.levels()
     assert inverse.shape == grid.shape and inverse.dtype == np.int32
     assert np.array_equal(bits(levels[inverse]), bits(expected))
-    expected_levels, expected_inverse = first_appearances(expected)
-    assert np.array_equal(bits(levels), bits(expected_levels))
-    assert np.array_equal(inverse, expected_inverse)
+    assert_reference_table(levels, inverse, op.level_offsets(), expected, grid)
     assert np.array_equal(bits(op.values), bits(expected))
 
 

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frechet_flow.config import config_from_text
 from frechet_flow.evolution import (
     _stage_growth,
+    evolve,
     exp_multiplier,
     exp_series,
     uniform_continuity_gap,
@@ -197,7 +199,7 @@ def signed_zero_nan_operator(grid, rng):
     flat[order[offsets[1] + 1]] = complex(-0.0, -0.0)
     flat[order[offsets[1] + 2]] = complex(-0.0, 0.0)
     flat[order[offsets[2]]] = complex(np.nan, 1.0)
-    return MultiplierOperator._from_table(grid, *_level_table(values))
+    return MultiplierOperator._from_table(grid, *_level_table(values, grid.shells().shell, grid.J))
 
 
 def traversal_operators(grid, rng):
@@ -234,25 +236,27 @@ def test_operator_profile_and_stage_growth_equal_the_masked_max(grid, rng):
                 assert growth[j - 1] == (math.exp(peak) if peak <= 700.0 else math.inf)
 
 
-def test_per_ball_operator_quantities_come_from_one_pass(monkeypatch, rng):
-    import frechet_flow.operators as operators
+def test_per_ball_operator_quantities_traverse_no_node(monkeypatch, rng):
+    import frechet_flow.spectral as spectral
 
     grid = FrequencyGrid(2, 4, 8)
-    calls = []
-    reduce = operators.shell_reductions
+    ops = traversal_operators(grid, rng)
 
-    def counted(*args):
-        calls.append(args)
-        return reduce(*args)
+    def no_traversal(*args):
+        raise AssertionError("a per-ball operator quantity walked the shell index")
 
-    monkeypatch.setattr(operators, "shell_reductions", counted)
-    for op in traversal_operators(grid, rng):
-        calls.clear()
+    monkeypatch.setattr(spectral.FrequencyGrid, "shells", no_traversal)
+    # a polynomial table takes its corner's shells from the integer axes
+    ops.append(MultiplierOperator(parse_symbol(HEAT_2D, 2), grid))
+    ops[-1].levels()
+    for op in ops:
+        levels, _ = op.levels()
+        op._levels = (levels, None)  # the node index is not read either
         for j in range(1, grid.J + 1):
             op.seminorm(j)
+            uniform_continuity_gap(op, 0.3, j)
         op.real_part_range()
         _stage_growth(op, -0.5)
-        assert len(calls) == 1
 
 
 def test_seminorm_reads_the_profile_of_its_field(monkeypatch, rng):
@@ -284,7 +288,7 @@ def one_flow(log_magnitude, phase, u, inverse=None):
     ``u`` is a field and ``inverse`` its level index, or ``u`` is a
     `ShellField` and ``inverse`` is omitted.
     """
-    source = u if inverse is None else ShellField(u, inverse)
+    source = u if inverse is None else ShellField(u, inverse, None)
     product, flagged = saturated_product(
         {"flow": LevelFactor(log_magnitude, phase)}, source, keep="flow"
     )
@@ -457,7 +461,7 @@ def test_polar_form_is_built_once_per_field(monkeypatch, rng):
 
     monkeypatch.setattr(np, "angle", counted)
     log_magnitude, phase, inverse = saturating_case(grid, rng)
-    source = ShellField(u, inverse)
+    source = ShellField(u, inverse, None)
     first, _ = one_flow(log_magnitude, phase, source)
     # one angle per block of the shell index builds the polar form
     built = len(list(grid.shells().blocks(outside=True)))
@@ -477,23 +481,26 @@ def test_shell_field_is_the_gather_through_the_shell_order(rng):
     grid = FrequencyGrid(2, 3, 4)
     u = random_field(grid, rng)
     inverse = rng.integers(0, 9, size=grid.shape).astype(np.int32)
-    source = ShellField(u, inverse)
+    source = ShellField(u, inverse, None)
     order = grid.shells().order
     assert same_bits(source.samples, u.values.ravel()[order])
     assert np.array_equal(source.levels, inverse.ravel()[order])
     assert source.peak == float(np.max(np.abs(u.values)))
     assert source.grid == grid and not source.overflow
     assert not source.samples.flags.writeable and not source.levels.flags.writeable
+    # the gather forms u's profile, bit for bit the one seminorm_profile forms
+    assert u._profile is not None
+    assert same_bits(seminorm_profile(u), seminorm_profile(SpectralField(grid, u.values)))
 
 
 def test_polar_form_marks_zero_and_nan_samples():
     grid = FrequencyGrid(1, 1, 2)
     values = np.array([0.0, -0.0, 5e-324j, np.nan, -2.0], dtype=complex)
     inverse = np.zeros(grid.shape, dtype=np.int32)
-    u = ShellField(SpectralField(grid, values, overflow=True), inverse)
+    u = ShellField(SpectralField(grid, values, overflow=True), inverse, None)
     assert math.isnan(u.peak) and u.overflow
     assert ShellField(SpectralField(grid, np.where(np.isnan(values), 0.0, values)),
-                      inverse).peak == 2.0
+                      inverse, None).peak == 2.0
     # back to grid order
     log_u, phase = (part[np.argsort(grid.shells().order)] for part in u.polar())
     assert log_u[:2].tolist() == [-np.inf, -np.inf] and log_u[3] == -np.inf
@@ -566,7 +573,7 @@ def test_streamed_pass_reads_what_its_fields_give(grid, seed, kind, factor_kinds
     factors = dict(zip(["a", "b"], (random_factor(rng, grid, k) for k in factor_kinds)))
     inverse = identity_inverse(grid)
     fields = {}
-    source = ShellField(u, inverse)
+    source = ShellField(u, inverse, None)
     for name, factor in factors.items():
         product, _ = saturated_product({name: factor}, source, keep=name)
         assert product.residual is None
@@ -587,16 +594,17 @@ def test_streamed_pass_reads_what_its_fields_give(grid, seed, kind, factor_kinds
 def test_representable_flow_with_a_nan_phase_level_is_rejected(rng):
     grid = FrequencyGrid(2, 3, 4)
     u = random_field(grid, rng)
-    levels, inverse = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid).levels()
+    op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
+    levels, inverse = op.levels()
     phase = np.ones(levels.size, dtype=complex)
     phase[levels.size // 2] = complex(np.nan, 0.0)
     factor = LevelFactor(0.1 * levels.real, phase)
-    source = ShellField(u, inverse)
+    source = ShellField(u, inverse, op.level_offsets())
     for keep in (None, "flow"):
         with pytest.raises(ValueError, match="non-finite samples"):
             saturated_product({"flow": factor}, source, keep=keep)
     # a flagged field may carry the NaN
-    flagged = ShellField(SpectralField(grid, u.values, overflow=True), inverse)
+    flagged = ShellField(SpectralField(grid, u.values, overflow=True), inverse, None)
     product, _ = saturated_product({"flow": factor}, flagged, keep="flow")
     assert np.isnan(product.field.values).any()
 
@@ -620,7 +628,7 @@ def test_pass_without_kept_or_saturating_flow_stays_in_ball_J(monkeypatch, rng):
     grid = FrequencyGrid(2, 4, 8)
     u = random_field(grid, rng)
     levels, inverse = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid).levels()
-    source = ShellField(u, inverse)
+    source = ShellField(u, inverse, None)
     ball_end = int(grid.shells().offsets[-1])
     representable = {"a": LevelFactor(0.01 * levels.real, np.ones(levels.size)), "b": None}
     visited = visited_ranges(monkeypatch)
@@ -738,3 +746,203 @@ def test_scaled_sums_keep_the_bits_of_the_one_multiply_scale(groups):
     peaks, exponents, sums = _scaled_sums(magnitudes.copy(), offsets)
     assert same_bits(peaks, expected[0]) and same_bits(sums, expected[2])
     assert np.array_equal(exponents, expected[1])
+
+
+# ---------------------------------------------------------------------------
+# the pass over levels: a pass that keeps no field and cannot saturate
+
+EPS = np.finfo(float).eps
+
+LEVEL_SYMBOLS = {
+    1: {"heat": "-(1+4*pi^2*xi^2)", "transport": "2*pi*i*xi",
+        "mixed": "-(1+4*pi^2*xi^2)+2*pi*i*xi", "constant": "-2+3*i",
+        "no-repeat": "-(1+xi^2) + i*(xi + 0.37*xi^3)"},
+    2: {"heat": HEAT_2D, "transport": "2*pi*i*xi1",
+        "mixed": HEAT_2D + "+2*pi*i*(xi1+2*xi2)", "constant": "-2+3*i",
+        "no-repeat": "-(1+xi1^2+3*xi2^2) + i*(xi1 + 0.37*xi2^3)"},
+}
+LEVEL_GRIDS = [FrequencyGrid(1, 8, 4), FrequencyGrid(1, 4, 16), FrequencyGrid(1, 2, 8),
+               FrequencyGrid(2, 4, 8), FrequencyGrid(2, 3, 5)]
+
+
+def level_operator(grid, kind):
+    if kind == "power":  # a power keeps its base's inverse and shell ranges
+        return MultiplierOperator(parse_symbol(LEVEL_SYMBOLS[grid.n]["mixed"], grid.n),
+                                  grid).power(2)
+    return MultiplierOperator(parse_symbol(LEVEL_SYMBOLS[grid.n][kind], grid.n), grid)
+
+
+def shell_position(grid):
+    """Each node's place in its shell ``j - 1 < |xi| <= j``: from 0 inside to 1 at ``|xi| = j``."""
+    radius = np.sqrt(radius2_index(grid)) / grid.inv_h
+    return 1.0 - (np.ceil(radius) - radius)
+
+
+def level_field(grid, rng, kind):
+    """A field of one kind; "dynamic" falls by 170 decades across each shell."""
+    values = random_field(grid, rng).values.copy()
+    if kind == "tiny":
+        values *= 1e-300
+    elif kind == "huge":
+        values *= 1e250
+    elif kind == "zeros":
+        values[rng.random(grid.shape) < 0.5] = 0.0
+    elif kind == "dynamic":
+        values *= 10.0 ** (-170.0 * shell_position(grid))
+    return SpectralField(grid, values)
+
+
+def falling_field(grid):
+    """1 on the inner eighth of each shell and 1e-170, below 2^-537, on the rest."""
+    return SpectralField(grid, np.where(shell_position(grid) > 0.125, 1e-170, 1.0) + 0j)
+
+
+def level_and_node_passes(op, u, t, method):
+    """``(level pass, node pass, whether the first took the level path)`` of one time."""
+    ((_, factors, _),) = evolve(op, [t], u, method)
+    source = ShellField(u, op.levels()[1], op.level_offsets())
+    level, level_flagged = saturated_product(factors, source)
+    node, _ = saturated_product(factors, source, keep=list(factors)[-1])  # a kept field
+    return level, node, source._weights is not None and not level_flagged
+
+
+def level_errors(level, node):
+    """The largest profile error relative to the profile, and residual error relative
+    to the flows' profile, in units of eps."""
+    profile_error, residual_error = 0.0, 0.0
+    for name, expected in node.profiles.items():
+        got = level.profiles[name]
+        assert np.all(np.isfinite(got)) and np.all(np.diff(got) >= 0.0)
+        nonzero = expected > 0.0
+        assert np.array_equal(got > 0.0, nonzero)
+        if nonzero.any():
+            profile_error = max(profile_error, float(np.max(
+                np.abs(got - expected)[nonzero] / expected[nonzero])) / EPS)
+    if node.residual is not None:
+        scale = np.maximum(*node.profiles.values())
+        gap = np.abs(level.residual - node.residual)
+        residual_error = float(np.max(np.where(scale > 0.0, gap / np.where(
+            scale > 0.0, scale, 1.0), gap))) / EPS
+    return profile_error, residual_error
+
+
+# backward heat on shell 2 of (1, 2, 8): the factor spans e^474 inside the shell, and
+# u is 1e-170 where it is largest, so a scale per shell would lose those nodes
+@example(grid=FrequencyGrid(1, 2, 8), symbol="heat", field="dynamic", t=-4.0,
+         method="both", seed=0)
+@example(grid=FrequencyGrid(2, 4, 8), symbol="heat", field="random", t=0.01, method="both",
+         seed=1)
+@example(grid=FrequencyGrid(2, 3, 5), symbol="power", field="huge", t=-1e-3,
+         method="multiplier", seed=2)
+@settings(max_examples=80, deadline=None)
+@given(grid=st.sampled_from(LEVEL_GRIDS),
+       symbol=st.sampled_from(["heat", "transport", "mixed", "constant", "no-repeat", "power"]),
+       field=st.sampled_from(["random", "tiny", "huge", "zeros", "dynamic"]),
+       t=st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                   st.sampled_from([1.0, -1.0]), st.floats(-4.0, 0.0)),
+       method=st.sampled_from(["multiplier", "series", "both"]), seed=st.integers(0, 2**32 - 1))
+def test_level_pass_matches_the_node_pass(grid, symbol, field, t, method, seed):
+    """Profiles within 8 eps relative, the residual within 4 eps of the flows' profile."""
+    op = level_operator(grid, symbol)
+    u = level_field(grid, np.random.default_rng(seed), field)
+    if symbol == "heat" and field == "dynamic" and t < 0:
+        u = falling_field(grid)  # u falls across each shell as the backward factor rises
+    level, node, took_levels = level_and_node_passes(op, u, t, method)
+    if not took_levels:
+        assert level.profiles.keys() == node.profiles.keys()
+        return
+    assert level.field is None and not any(level.overflow.values())
+    profile_error, residual_error = level_errors(level, node)
+    assert profile_error <= 8.0 and residual_error <= 4.0
+
+
+def test_a_scale_per_level_keeps_nodes_a_shell_scale_would_lose():
+    """Shell 2 of (1, 2, 8) under backward heat at t = -4: the factor rises from e^204 at
+    |xi| = 1.125, where u is 1, to e^636 at |xi| = 2, where u is 1e-170, so the nodes
+    where u is tiny carry e^40 times the rest of the seminorm."""
+    grid = FrequencyGrid(1, 2, 8)
+    op = level_operator(grid, "heat")
+    u = falling_field(grid)
+    level, node, took_levels = level_and_node_passes(op, u, -4.0, "multiplier")
+    assert took_levels
+    assert level_errors(level, node)[0] <= 8.0
+    # the tiny samples are below 2^-537 of the shell's peak, yet decide p_2
+    without = SpectralField(grid, np.where(u.values.real < 1.0, 0.0, u.values))
+    assert node.profiles["multiplier"][1] > 1e15 * level_and_node_passes(
+        op, without, -4.0, "multiplier")[1].profiles["multiplier"][1]
+
+
+def test_level_weights_are_the_per_level_sums_of_squares(rng):
+    grid = FrequencyGrid(2, 4, 8)
+    op = level_operator(grid, "mixed")
+    u = level_field(grid, rng, "huge")
+    source = ShellField(u, op.levels()[1], op.level_offsets())
+    peaks, exponents, weights = source.level_weights()
+    assert source.level_weights()[0] is peaks
+    assert not any(part.flags.writeable for part in (peaks, exponents, weights))
+    inverse = op.levels()[1]
+    inside = grid.shells().shell <= grid.J
+    for level in rng.choice(peaks.size, size=40, replace=False):
+        magnitudes = np.abs(u.values[inside & (inverse == level)])
+        assert peaks[level] == np.max(magnitudes)
+        assert np.ldexp(0.5, exponents[level]) <= peaks[level] < np.ldexp(1.0, exponents[level])
+        expected = np.sum(np.ldexp(magnitudes, -int(exponents[level])) ** 2)
+        assert abs(weights[level] - expected) <= 4 * EPS * expected
+
+
+def test_the_level_path_is_taken_only_where_no_node_is_needed(monkeypatch, rng):
+    import frechet_flow.spectral as spectral
+
+    grid = FrequencyGrid(2, 4, 8)
+    op = level_operator(grid, "heat")
+    u = random_field(grid, rng)
+    taken = []
+    level_product = spectral._level_product
+
+    def recorded(flows, source):
+        taken.append(flows)
+        return level_product(flows, source)
+
+    monkeypatch.setattr(spectral, "_level_product", recorded)
+
+    def factors_at(t):
+        ((_, factors, _),) = evolve(op, [t], u, "both")
+        return factors
+
+    def levels_taken(factors, field=u, keep=None, offsets=op.level_offsets()):
+        taken.clear()
+        saturated_product(factors, ShellField(field, op.levels()[1], offsets), keep=keep)
+        return bool(taken)
+
+    assert levels_taken(factors_at(0.01))
+    assert levels_taken({"multiplier": factors_at(0.01)["multiplier"]})
+    # a kept flow, a flow that can saturate, a flagged input, t = 0, no shell ranges
+    assert not levels_taken(factors_at(0.01), keep="series")
+    assert not levels_taken(factors_at(-1.0))
+    assert not levels_taken(factors_at(0.01), field=SpectralField(grid, u.values, overflow=True))
+    assert not levels_taken(factors_at(0.0))
+    assert not levels_taken({"multiplier": factors_at(0.01)["multiplier"], "identity": None})
+    assert not levels_taken(factors_at(0.01), offsets=None)
+
+
+def test_a_solve_that_writes_no_field_builds_the_level_weights_once(monkeypatch, tmp_path):
+    """The weights are built once per run, by its first level pass, and each time reads them."""
+    import frechet_flow.app as app
+    import frechet_flow.spectral as spectral
+
+    built = []
+    weights = spectral.ShellField.level_weights
+
+    def recorded(self):
+        built.append(self._weights is None)
+        return weights(self)
+
+    monkeypatch.setattr(spectral.ShellField, "level_weights", recorded)
+    config = config_from_text(
+        "[grid]\nn = 2\nJ = 4\ninv_h = 8\n"
+        f"[symbol]\ntext = {HEAT_2D}\n"
+        "[evolve]\ntimes = 0.001, 0.01, 0.1\nmethod = both\n"
+        "[init]\nfield = gaussian-hat\n[output]\nformats = csv\n")
+    result = app.run_solve(config, str(tmp_path / "out"))
+    assert built == [True, False, False]
+    assert result.residuals_certified and not result.overflow

@@ -87,6 +87,15 @@ SOLVES = [
     # clamps whole, at t = -0.5 one clamps on 300 of its 64,348 nodes
     ("solve-2d-backward-blocks-clamp", 2, 8, 32, "text = " + HEAT_2D, "-2, -0.5", "ones",
      "both", "csv, fl2l"),
+    # no field is written and nothing saturates, so every pass reduces over
+    # levels: xi1's values straddle shells, 1-D blocks hold many shells, and
+    # a run of one flow has no residual
+    ("solve-2d-mixed-levels", 2, 4, 16, "text = " + HEAT_2D + "+2*pi*i*xi1", "0.01, 0.1",
+     "file", "both", "csv"),
+    ("solve-1d-heat-levels", 1, 16, 64, "text = " + HEAT_1D, "0.001, 0.05", "gaussian-hat",
+     "both", "csv"),
+    ("solve-2d-multiplier-levels", 2, 4, 16, "text = " + HEAT_2D, "0.01, 0.5", "file",
+     "multiplier", "csv"),
 ]
 
 # (name, SOLVES case without a "file" init, lines left out of its config, --set
