@@ -30,12 +30,10 @@ from .spectral import (
     OVERFLOW_EXPONENT,
     OVERFLOW_LIMIT,
     FrequencyGrid,
-    ShellField,
     SpectralField,
     delta,
     gaussian_hat,
     ones,
-    saturated_product,
     seminorm_profile,
 )
 from .symbols import diffop_to_symbol, parse_diffop_coefficients, parse_symbol
@@ -149,14 +147,15 @@ class SolveResult:
 def run_solve(config: RunConfig, out_dir: str) -> SolveResult:
     """Execute a configured run and write its CSV and metadata files.
 
-    Each time is one `saturated_product` pass of its flow factors over the
-    initial field, which yields every profile the run reports.  The passes
-    read the initial field in shell order (`ShellField`), built once, with
-    its ball profile, before `evolve` reads that profile; its grid-ordered
-    samples are released before the first pass.  A pass that writes no
-    field and cannot saturate reduces over the levels alone.  A field
-    output (``fl2l``, ``field-csv``) of the last method's field is written
-    as soon as its time's pass completes, so one time's field is held at a
+    The run consumes `evolve`, which builds the initial field's shell
+    field (`ShellField`) once, with its ball profile, and yields each
+    time's `Product`: one `saturated_product` pass of its flow factors,
+    which holds every profile the run reports.  The grid-ordered initial
+    samples are released before the first pass.  The run asks `evolve` to
+    keep the last method's field only when it writes a field output
+    (``fl2l``, ``field-csv``); a pass that keeps no field and cannot
+    saturate reduces over the levels alone.  A kept field is written as
+    soon as its time's pass completes, so one time's field is held at a
     time.  Those files take their names as the run's last step: a run that
     raises removes them, and the directories it created for them that are
     then empty.
@@ -166,16 +165,14 @@ def run_solve(config: RunConfig, out_dir: str) -> SolveResult:
     op = MultiplierOperator(symbol, grid, label=config.symbol_spec())
     # the level table's temporaries are gone before the initial field and
     # its shell-ordered copy are both alive
-    inverse = op.levels()[1]
+    op.levels()
     u0 = build_initial_field(config, grid)
-    # the shell field forms u0's profile, which evolve and the run then read
-    source = ShellField(u0, inverse, op.level_offsets())
     times = tuple(sorted(set(float(t) for t in config.times)))
-    steps = evolve(op, times, u0, config.method, config.tol)
-    initial_profile = seminorm_profile(u0)
+    fields = _FieldFiles(out_dir, config.formats)
+    steps = evolve(op, times, u0, config.method, config.tol, keep=bool(fields.formats))
+    initial_profile = seminorm_profile(u0)  # formed with u0's shell field
     del u0  # the passes read the shell field only
 
-    fields = _FieldFiles(out_dir, config.formats)
     profiles: dict = {}
     diagnostics: list = []
     residual_profiles = [] if config.method == "both" else None
@@ -183,24 +180,22 @@ def run_solve(config: RunConfig, out_dir: str) -> SolveResult:
     overflow = False
     try:
         # a plain loop: enumerate's result tuple would hold this time's
-        # factors while the generator forms the next time's
-        for _, factors, diag in steps:
+        # product while the generator forms the next time's
+        for _, product, diag in steps:
             k = len(diagnostics)
-            keep = list(factors)[-1] if fields.formats else None
-            product, _ = saturated_product(factors, source, keep=keep)
             diagnostics.append(diag)
-            for name in factors:
-                profiles.setdefault(name, []).append(product.profiles[name])
+            for name, profile in product.profiles.items():
+                profiles.setdefault(name, []).append(profile)
                 overflow = overflow or product.overflow[name]
             if product.residual is not None:
                 residual_profiles.append(product.residual)
                 if not np.all(product.residual <= diag.bounds()):
                     residuals_certified = False
-            if keep is not None:
+            if product.field is not None:
                 fields.write(k, product.field)
-            # the next time's factors and field are formed while these names
-            # still hold this time's: release them first
-            del product, factors
+            # the next time's factors and field are formed while this name
+            # still holds this time's product: release it first
+            del product
         methods = tuple(profiles)
 
         # every multiplier factor has magnitude at least e^{|t|} when the

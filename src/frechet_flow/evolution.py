@@ -40,16 +40,15 @@ gathers them onto the nodes.  Each value is the same elementwise operation
 on the same input bits, so the results are bitwise those of a per-node
 evaluation.
 
-`evolve` is the one evolution loop over times: it yields each time's
-factors (and the series certificate) in turn, and `app.run_solve` forms
-each time's profiles, residual and written field from them in one
-`saturated_product` pass over the initial field's `ShellField`; a pass
-that writes no field and cannot saturate reduces over the levels alone.
-The loop reads only the initial field's ball profile, which the shell
-field forms as it is built, so it holds no field.  `exp_multiplier` and
-`exp_series` are the same factors applied to one field, for callers that
-keep it; each call builds its own shell field, and a kept field's pass
-walks the nodes.
+`evolve` is the one path from flow factors to fields: it builds the
+initial field's `ShellField` once, which forms the field's ball profile,
+and yields each time's `Product`, one `saturated_product` pass of that
+time's factors (and the series certificate beside it).  The caller says
+whether a pass keeps a field (``keep``): a kept field's pass walks the
+nodes, and a pass that keeps none and cannot saturate reduces over the
+levels alone.  `app.run_solve` keeps a field only when it writes one.
+`exp_multiplier` and `exp_series` are one-time calls of `evolve` that keep
+the field and return it.
 """
 
 from __future__ import annotations
@@ -104,11 +103,11 @@ def exp_multiplier(op: MultiplierOperator, t: float, u: SpectralField) -> Spectr
 
     Samples whose evolved magnitude would exceed ``e^709`` are saturated at
     that magnitude (phase kept) and the result is flagged, as is any node
-    carrying data whose bare factor exceeds that range.
+    carrying data whose bare factor exceeds that range.  One time of
+    `evolve`, which builds u's shell field and keeps the field.
     """
-    check_finite(t, "time")
-    _check_grid(op, u)
-    return _evolved(multiplier_factor(op, t), u, op)
+    ((_, product, _),) = evolve(op, [t], u, keep=True)
+    return product.field
 
 
 def multiplier_factor(op: MultiplierOperator, t: float) -> Optional[LevelFactor]:
@@ -135,16 +134,6 @@ def _scaled_levels(op: MultiplierOperator, t: float) -> np.ndarray:
     if np.isinf(z.imag).any():
         raise ValueError(f"t * Im a is not finite at t = {t:g}, so e^(t a) has no phase")
     return z
-
-
-def _evolved(factor: Optional[LevelFactor], u: SpectralField,
-             op: MultiplierOperator) -> SpectralField:
-    """The field of one flow's factor on u; u's own samples for the identity (None)."""
-    if factor is None:
-        return SpectralField._adopt(u.grid, u.values, u.overflow)
-    source = ShellField(u, op.levels()[1], op.level_offsets())
-    product, _ = saturated_product({"flow": factor}, source, keep="flow")
-    return product.field
 
 
 @dataclass(frozen=True)
@@ -209,16 +198,15 @@ def exp_series(op: MultiplierOperator, t: float, u: SpectralField, tol: float = 
     ``tol / ((1 + p_J(u)) * stages)``; the diagnostics carry per-ball
     certified bounds (see the module docstring for their form).  Stage
     magnitudes above ``e^709`` saturate there and flag the result, exactly
-    matching the closed-form path.
+    matching the closed-form path.  One time of `evolve`, which builds u's
+    shell field and keeps the field.
     """
-    check_finite(t, "time")
-    _check_grid(op, u)
-    factor, diagnostics = series_factor(op, t, seminorm_profile(u), tol)
-    return _evolved(factor, u, op), diagnostics
+    ((_, product, diagnostics),) = evolve(op, [t], u, "series", tol, keep=True)
+    return product.field, diagnostics
 
 
 def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
-    """The staged series' factor per level and its certificate, for `exp_series` and `evolve`.
+    """The staged series' factor per level and its certificate, for `evolve`.
 
     ``profile`` is the ball profile ``(p_1(u), ..., p_J(u))`` of the field
     it is applied to, the only thing of u the certificate reads.  Returns
@@ -409,22 +397,24 @@ def verify_quotient_diagrams(op, u: SpectralField, j: int) -> DiagramCheck:
 
 
 def evolve(op: MultiplierOperator, times, u0: SpectralField, method: str = "multiplier",
-           tol: float = 1e-8):
-    """The flow factors of ``u0``'s trajectory ``t -> e^{tA} u0``, one time at a time.
+           tol: float = 1e-8, keep: bool = False):
+    """``u0``'s trajectory ``t -> e^{tA} u0``, one time at a time.
 
     ``method`` is ``"multiplier"``, ``"series"`` or ``"both"``.  Every time
     must be finite; times, method and ``tol`` are checked here, before any
-    kernel runs.  Returns a generator of ``(t, factors, diagnostics)``:
-    ``factors`` maps each method name to its `LevelFactor` at t
-    (multiplier first; None at t = 0), and ``diagnostics`` is the series'
-    `SeriesDiagnostics`, or ``None`` without the series.  The fields are
-    one `saturated_product` pass of the factors on ``u0``'s `ShellField`
-    (over the level index ``op.levels()[1]`` and its shell ranges
-    ``op.level_offsets()``), so a consumer holds one time at a time.
-    ``u0``'s ball profile is read here, and the generator holds it, not
-    ``u0``.  Where ``u0``'s shell field is built first, as `app.run_solve`
-    builds it, that profile is the one the shell field formed, so this
-    traverses no node.
+    kernel runs.  Then ``u0``'s `ShellField` is built (over the level index
+    ``op.levels()[1]`` and its shell ranges ``op.level_offsets()``), which
+    forms ``u0``'s ball profile; the generator holds the shell field and
+    that profile, not ``u0``, so a caller may release ``u0`` before the
+    first time.  Returns a generator of ``(t, product, diagnostics)``:
+    ``product`` is the `Product` of one `saturated_product` pass of the
+    time's flow factors (multiplier first) over the shell field, and
+    ``diagnostics`` the series' `SeriesDiagnostics`, or ``None`` without
+    the series.  With ``keep`` the pass keeps the last method's field
+    (``product.field``); without, a pass that cannot saturate reduces over
+    the levels alone.  The generator releases a time's factors and product
+    before it forms the next time's, so a consumer that does the same holds
+    one time at a time.
     """
     if method not in VALID_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {VALID_METHODS}")
@@ -433,15 +423,19 @@ def evolve(op: MultiplierOperator, times, u0: SpectralField, method: str = "mult
         check_finite(t, "time")
     check_tolerance(tol)
     _check_grid(op, u0)
-    return _trajectory(op, times, seminorm_profile(u0), method, tol)
+    source = ShellField(u0, op.levels()[1], op.level_offsets())
+    return _trajectory(op, times, source, seminorm_profile(u0), method, tol, keep)
 
 
-def _trajectory(op, times, profile, method, tol):
+def _trajectory(op, times, source, profile, method, tol, keep):
     for t in times:
+        # this rebinding releases the last time's factors before any kernel runs
         factors = {}
         diagnostics = None
         if method != "series":
             factors["multiplier"] = multiplier_factor(op, t)
         if method != "multiplier":
             factors["series"], diagnostics = series_factor(op, t, profile, tol)
-        yield t, factors, diagnostics
+        product, _ = saturated_product(factors, source, keep=list(factors)[-1] if keep else None)
+        yield t, product, diagnostics
+        del product

@@ -138,7 +138,10 @@ class FrequencyGrid:
     def ball_mask(self, j: int) -> np.ndarray:
         """Boolean mask of nodes with Euclidean norm <= j (ties included)."""
         j = self.check_ball_index(j)
-        return self.shells().shell <= j
+        index = self.shells()
+        mask = np.zeros(self.shape, dtype=bool)
+        mask.reshape(-1)[index.order[: index.offsets[j]]] = True
+        return mask
 
     def node_points(self) -> np.ndarray:
         """Node coordinates in row-major order, shape (node_count, n)."""
@@ -163,14 +166,13 @@ class FrequencyGrid:
 class ShellIndex:
     """Nodes of a grid grouped by shell ``j - 1 < |xi| <= j`` (shell 1 holds ``xi = 0``).
 
-    ``shell`` is the grid-shaped shell number of every node (J + 1 outside
-    ball J), ``order`` the flat indices of all nodes sorted by shell and
-    row-major within a shell, so the nodes outside ball J come last, and
-    shell j is ``order[offsets[j - 1]:offsets[j]]``.  No shell 1..J is
-    empty: the axis node at ``|xi| = j`` lies in shell j.
+    ``order`` holds the flat indices of all nodes sorted by shell
+    (`shell_numbers`) and row-major within a shell, so the nodes outside
+    ball J come last, and shell j is ``order[offsets[j - 1]:offsets[j]]``;
+    ball j is ``order[:offsets[j]]``.  No shell 1..J is empty: the axis
+    node at ``|xi| = j`` lies in shell j.
     """
 
-    shell: np.ndarray
     order: np.ndarray
     offsets: np.ndarray
 
@@ -199,8 +201,8 @@ class ShellIndex:
 @functools.lru_cache(maxsize=4)
 def _shell_index(n: int, J: int, inv_h: int) -> ShellIndex:
     # Keyed by the grid parameters, so no grid instance is kept alive; an
-    # entry holds one byte per node (shell) and four per node of ball J
-    # (order), about 20 MB at the node budget.
+    # entry holds four bytes per node (order), about 16 MB at the node
+    # budget.  The nodes' shell numbers are a local of the build.
     # Everything grid-sized is built a block of whole rows at a time, so no
     # grid-sized int64 array is formed.
     axis = np.arange(-J * inv_h, J * inv_h + 1, dtype=np.int64)
@@ -229,10 +231,9 @@ def _shell_index(n: int, J: int, inv_h: int) -> ShellIndex:
         shift = np.repeat(free - (np.cumsum(block_counts) - block_counts), block_counts)
         order[np.arange(by_shell.size) + shift] = by_shell + begin
         free += block_counts
-    shell.setflags(write=False)
     offsets.setflags(write=False)
     order.setflags(write=False)
-    return ShellIndex(shell=shell, order=order, offsets=offsets)
+    return ShellIndex(order=order, offsets=offsets)
 
 
 def shell_numbers(J: int, inv_h: int, *index_axes) -> np.ndarray:
@@ -539,13 +540,15 @@ class ShellField:
     the same `_scaled_sums` blocks as `seminorm_profile`, so bit for bit;
     the profile is kept with u.  ``samples`` and ``levels`` are flat and
     read-only, and ``overflow`` is u's flag.  Nothing refers to u's own
-    samples, so u may be released once this is built.
+    samples, so u may be released once this is built.  In the package
+    `evolution.evolve` builds it, once per initial field, and decides
+    whether each pass over it keeps a field.
 
     `polar` and `level_weights` are built on first use and kept: the first
     pass block that can saturate builds the polar form, the first pass over
     levels builds the weights, and every later pass on the same shell field
-    reads them.  So a caller whose passes all keep a field (`exp_multiplier`,
-    `exp_series`) never pays for the weights.
+    reads them.  So passes that all keep a field (`exp_multiplier`,
+    `exp_series`, a solve that writes fields) never pay for the weights.
     """
 
     __slots__ = ("grid", "samples", "levels", "level_offsets", "overflow", "peak", "_polar",

@@ -488,7 +488,7 @@ def diffop_to_symbol(coeffs: dict, convention: str = "d", n: int = 1) -> Polynom
 
 
 def parse_diffop_coefficients(text: str) -> dict:
-    """Parse a 1-D CLI coefficient list ``alpha:re,im;alpha:re,im;...``."""
+    """Parse a 1-D CLI coefficient list ``alpha:re,im;alpha:re;...``, each order once."""
     out = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -496,15 +496,17 @@ def parse_diffop_coefficients(text: str) -> dict:
             continue
         try:
             alpha_text, value_text = chunk.split(":")
-            parts = value_text.split(",")
-            re = float(parts[0])
-            im = float(parts[1]) if len(parts) > 1 else 0.0
+            # a third field stays in im_text, which float refuses
+            re_text, comma, im_text = value_text.partition(",")
+            value = complex(float(re_text), float(im_text) if comma else 0.0)
             alpha = int(alpha_text)
-        except (ValueError, IndexError):
+        except ValueError:
             raise SymbolError(f"malformed coefficient entry {chunk!r}")
         if alpha < 0:
             raise SymbolError(f"negative derivative order {alpha}")
-        out[(alpha,)] = complex(re, im)
+        if (alpha,) in out:
+            raise SymbolError(f"coefficient entry {chunk!r} repeats derivative order {alpha}")
+        out[(alpha,)] = value
     if not out:
         raise SymbolError("empty coefficient list")
     return out

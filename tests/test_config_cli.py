@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frechet_flow import app
+from frechet_flow import app, evolution
 from frechet_flow.app import build_initial_field, heat_scan, run_solve
 from frechet_flow.cli import _parse_samples, main
 from frechet_flow.config import ConfigError, RunConfig, config_from_text, format_config
@@ -301,7 +301,7 @@ def test_solve_releases_each_time_before_the_next(tmp_path, monkeypatch):
         alive.append((t, weakref.ref(product.field.values)))
         return product, flagged
 
-    monkeypatch.setattr(app, "saturated_product", tracked)
+    monkeypatch.setattr(evolution, "saturated_product", tracked)
     config = config_from_text(BASE_CONFIG, ["evolve.method=both", "evolve.times=0.1, 0.2, 0.3",
                                             "output.formats=csv, fl2l"])
     result = run_solve(config, out_dir=str(tmp_path))
@@ -334,7 +334,7 @@ def test_solve_releases_the_grid_ordered_initial_field(tmp_path, monkeypatch, rn
         return saturated_product(*args, **kwargs)
 
     monkeypatch.setattr(app, "build_initial_field", built)
-    monkeypatch.setattr(app, "saturated_product", tracked)
+    monkeypatch.setattr(evolution, "saturated_product", tracked)
     config = config_from_text(BASE_CONFIG, [
         f"evolve.method={method}", "evolve.times=0, 0.1, -1", f"init.field={init}",
         "output.formats=csv, fl2l"])
@@ -352,7 +352,8 @@ def fail_at(monkeypatch, step):
             raise RuntimeError(f"{step} fails")
         return saturated_product(*args, **kwargs)
 
-    monkeypatch.setattr(app, step, failing)
+    # the passes are `evolve`'s, so a pass fails through the name it calls
+    monkeypatch.setattr(evolution if step == "saturated_product" else app, step, failing)
 
 
 def paths_under(root):
@@ -508,6 +509,23 @@ def test_cli_deep_symbol_text_exits_2_in_one_line(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "error: nesting deeper than 100 levels of parentheses, unary minus and exponents "
         "(at offset 100)\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["check-eprime", "--diffop", "0:1;0:2"],
+    ["check-l2", "--diffop", "2:-1;2:-3;0:5"],
+    ["check-l2", "--diffop", "2:1,0,7"],
+    ["solve", "--set", "symbol.diffop=2:-1;2:-3"],
+    ["solve", "--set", "symbol.diffop=2:1,0,7"],
+])
+def test_cli_diffop_that_would_drop_input_exits_2_in_one_line(tmp_path, capsys, command):
+    if command[0] == "solve":
+        text = BASE_CONFIG.replace("text = -(1+4*pi^2*xi^2)", "diffop = 2:-1\nconvention = partial")
+        command[1:1] = ["--config", write_config(tmp_path, text)]
+    assert main([*command, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "coefficient entry '" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_solve_overflow_exits_3(tmp_path):

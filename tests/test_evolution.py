@@ -1,5 +1,6 @@
 import functools
 import math
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -33,6 +34,7 @@ from frechet_flow.spectral import (
     saturated_product,
     seminorm,
     seminorm_profile,
+    shell_numbers,
 )
 from frechet_flow.symbols import (
     HEAT_SYMBOL_TEXT,
@@ -398,26 +400,62 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_refused_at_the_call(grid
 def test_evolve_both_methods_agree(grid, rng, kernel_calls):
     u = random_field(grid, rng)
     op = MultiplierOperator(heat_symbol(), grid)
-    steps = evolve(op, (0.1, 0.4), u, method="both")
+    steps = evolve(op, (0.1, 0.4), u, method="both", keep=True)
     assert kernel_calls == []  # nothing runs until the first time is asked for
     times = []
-    for t, factors, diag in steps:
+    for t, product, diag in steps:
         times.append(t)
         assert kernel_calls[-2:] == ["multiplier_factor", "series_factor"]
-        assert list(factors) == ["multiplier", "series"]
-        source = ShellField(u, op.levels()[1], op.level_offsets())
-        product, flagged = saturated_product(factors, source, keep="multiplier")
+        assert list(product.profiles) == ["multiplier", "series"]
         closed, (series, _) = exp_multiplier(op, t, u), exp_series(op, t, u)
-        assert np.array_equal(product.field.values, closed.values) and not flagged
+        # the kept field is the last method's
+        assert np.array_equal(product.field.values, series.values)
+        assert not any(product.overflow.values())
+        assert product.profiles["multiplier"].tolist() == seminorm_profile(closed).tolist()
         assert product.residual.tolist() == seminorm_profile(series - closed).tolist()
         assert np.all(product.residual <= diag.bounds())
     assert times == [0.1, 0.4]
-    ((t, factors, diag),) = evolve(op, (0.1,), u)
-    assert list(factors) == ["multiplier"] and diag is None
-    ((t, factors, diag),) = evolve(op, (0.1,), u, method="series")
-    assert list(factors) == ["series"] and diag.t == 0.1
-    ((t, factors, diag),) = evolve(op, (0.0,), u, method="both")
-    assert factors == {"multiplier": None, "series": None} and diag.bounds().tolist() == [0.0] * 8
+    ((t, product, diag),) = evolve(op, (0.1,), u)
+    assert list(product.profiles) == ["multiplier"] and diag is None and product.field is None
+    ((t, product, diag),) = evolve(op, (0.1,), u, method="series")
+    assert list(product.profiles) == ["series"] and diag.t == 0.1
+    # t = 0 is the identity for both methods
+    ((t, product, diag),) = evolve(op, (0.0,), u, method="both", keep=True)
+    assert np.array_equal(product.field.values, u.values) and not product.field.overflow
+    for profile in product.profiles.values():
+        assert profile.tolist() == seminorm_profile(u).tolist()
+    assert product.residual.tolist() == [0.0] * 8 and diag.bounds().tolist() == [0.0] * 8
+
+
+@pytest.mark.parametrize("method", ["multiplier", "series", "both"])
+def test_evolve_holds_no_initial_field_and_one_time_at_a_time(grid, rng, monkeypatch, method):
+    """``u0`` is released once `evolve` returns, and a time's factors and product
+    before the next time's factors are formed."""
+    u = random_field(grid, rng)
+    op = MultiplierOperator(heat_symbol(), grid)
+    initial = weakref.ref(u.values)
+    earlier = []  # weak references to the factors and products of earlier times
+    pending = []  # weak references to this time's factors
+
+    def checked(kernel):
+        def formed(*args, **kwargs):
+            assert initial() is None, "the grid-ordered initial samples are alive"
+            assert all(ref() is None for ref in earlier), "an earlier time is alive"
+            result = kernel(*args, **kwargs)
+            factor = result[0] if isinstance(result, tuple) else result
+            pending.append(weakref.ref(factor))
+            return result
+        return formed
+
+    for name in ("multiplier_factor", "series_factor"):
+        monkeypatch.setattr(evolution, name, checked(getattr(evolution, name)))
+    steps = evolve(op, (0.1, 0.2, 0.3), u, method=method, keep=True)
+    del u
+    for t, product, diag in steps:
+        earlier.extend(pending + [weakref.ref(product), weakref.ref(product.field.values)])
+        pending.clear()
+        del product
+    assert len(earlier) == 3 * (2 + (2 if method == "both" else 1))
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
@@ -547,7 +585,8 @@ def test_stage_horner_keeps_the_bits_of_the_division(exponent, sign, real, seed)
         values.imag = np.copysign(0.0, rng.standard_normal(values.size))
     else:
         values.imag = rng.standard_normal(values.size) * 10.0 ** rng.uniform(-3, 3, values.size)
-    op = MultiplierOperator._from_table(grid, *_level_table(values, grid.shells().shell, grid.J))
+    shells = shell_numbers(grid.J, grid.inv_h, grid.axis_index)
+    op = MultiplierOperator._from_table(grid, *_level_table(values, shells, grid.J))
     levels = op.levels()[0]
     t = sign * 10.0 ** exponent
     profile = seminorm_profile(random_field(grid, rng))

@@ -28,6 +28,7 @@ from frechet_flow.symbols import (
     audit_order,
     diffop_to_symbol,
     heat_symbol,
+    horner,
     parse_symbol,
 )
 
@@ -329,6 +330,35 @@ def test_blowup_sums_increase_and_cross_two():
     crossing = int(np.argmax(blow.evolved_mass > 2.0)) + 1
     assert crossing <= 30
     assert blow.own_mass[-1] < 1.0
+
+
+@pytest.mark.parametrize("text, t, bisected", [("xi", 0.01, 7), ("-xi^3+2", 0.01, 1)])
+def test_blowup_centers_are_the_first_points_where_the_factor_reaches_its_target(
+        text, t, bisected):
+    """A center is the first point, at least 0.75 past the previous ball, where
+    ``e^{2t Re a} >= 2^N/N``: there, or where the bisection stops, so a point 1e-9
+    before a bisected center falls short of it."""
+    poly = parse_symbol(text)
+    re = real_part_coefficients(poly)
+    blow = l2_blowup_construction(poly, t, 8)
+    direction = math.copysign(1.0, blow.centers[0])
+
+    def log_factor(xi):
+        return 2.0 * t * float(horner(re, [xi]))  # the construction's own evaluation
+
+    found = 0
+    low = 0.75
+    for N, (center, radius) in enumerate(zip(blow.centers, blow.radii), start=1):
+        target = N * math.log(2.0) - math.log(N)
+        assert log_factor(center) >= target
+        if abs(center) != low:
+            assert abs(center) > low
+            assert log_factor(center - direction * 1e-9) < target
+            found += 1
+        low = abs(center) + radius + 0.75
+    assert found == bisected
+    assert np.all(blow.evolved_mass >= blow.lower_bounds)
+    assert np.all(blow.own_mass < 1.0)
 
 
 def test_blowup_balls_are_disjoint():

@@ -22,6 +22,7 @@ from frechet_flow.spectral import (
     ones,
     random_field,
     seminorm,
+    shell_numbers,
 )
 from frechet_flow.symbols import (
     PolynomialSymbol,
@@ -342,7 +343,7 @@ def values_on_a_grid(draw):
 @given(case=values_on_a_grid(), seed=st.integers(0, 2**32 - 1))
 def test_an_operator_from_values_reads_its_one_table(case, seed):
     grid, v = case
-    op = MultiplierOperator._from_table(grid, *_level_table(v, grid.shells().shell, grid.J))
+    op = MultiplierOperator._from_table(grid, *_level_table(v, node_shells(grid), grid.J))
     assert np.array_equal(bits(op.values), bits(v))
     # |u| < 0.7 per part keeps every product part below the largest double
     u = np.random.default_rng(seed).uniform(-0.7, 0.7, grid.shape + (2,)).view(complex)[..., 0]
@@ -370,6 +371,11 @@ def bits(values):
     return np.ascontiguousarray(values, dtype=np.complex128).view(np.uint64)
 
 
+def node_shells(grid):
+    """Each node's shell number, grid-shaped (J + 1 outside ball J)."""
+    return shell_numbers(grid.J, grid.inv_h, *[grid.axis_index] * grid.n)
+
+
 def first_appearances(values, shell, J):
     """Reference level table ``(levels, inverse, offsets)``: one pass in node order keyed
     by (bit pattern, shell), then the levels numbered by shell and by first node."""
@@ -393,7 +399,7 @@ def first_appearances(values, shell, J):
 def assert_reference_table(levels, inverse, offsets, values, grid):
     """The table is the reference's, bit for bit, and each shell's range holds its own
     nodes' levels, every one of them."""
-    shell = grid.shells().shell
+    shell = node_shells(grid)
     expected_levels, expected_inverse, expected_offsets = first_appearances(values, shell, grid.J)
     assert np.array_equal(bits(levels), bits(expected_levels))
     assert np.array_equal(inverse, expected_inverse)
@@ -406,7 +412,7 @@ def test_levels_round_trip_by_bit_pattern_and_keep_signed_zeros_apart():
     grid = FrequencyGrid(1, 3, 2)
     zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
     values = np.array(zeros + [1.5, 0.0, -0.0, 1.5, 2 - 1j] + zeros, dtype=complex)
-    levels, inverse, offsets = _level_table(values, grid.shells().shell, grid.J)
+    levels, inverse, offsets = _level_table(values, node_shells(grid), grid.J)
     assert inverse.dtype == np.int32 and inverse.shape == grid.shape
     assert np.array_equal(bits(levels[inverse]), bits(values))
     assert_reference_table(levels, inverse, offsets, values, grid)
@@ -465,7 +471,7 @@ def test_key_collisions_split_levels_but_never_merge_values():
     assert key(b_real, b_imag) == key(a_real, a_imag) and bits(second)[0] != a_real
     grid = FrequencyGrid(1, 1, 4)
     values = np.array([first, second] * 4 + [first], dtype=complex)
-    levels, inverse, offsets = _level_table(values, grid.shells().shell, grid.J)
+    levels, inverse, offsets = _level_table(values, node_shells(grid), grid.J)
     assert np.array_equal(bits(levels[inverse]), bits(values))
     assert levels.size >= 2 and offsets[1] == levels.size
 

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from frechet_flow.config import config_from_text
 from frechet_flow.evolution import (
     _stage_growth,
-    evolve,
     exp_multiplier,
     exp_series,
+    multiplier_factor,
+    series_factor,
     uniform_continuity_gap,
 )
 from frechet_flow.operators import MultiplierOperator, _level_table
@@ -32,6 +33,7 @@ from frechet_flow.spectral import (
     saturated_product,
     seminorm,
     seminorm_profile,
+    shell_numbers,
 )
 from frechet_flow.symbols import heat_symbol, parse_symbol, transport_symbol
 
@@ -55,6 +57,11 @@ def radius2_index(grid):
     return squares if grid.n == 1 else squares[:, None] + squares[None, :]
 
 
+def node_shells(grid):
+    """Each node's shell number, grid-shaped (J + 1 outside ball J)."""
+    return shell_numbers(grid.J, grid.inv_h, *[grid.axis_index] * grid.n)
+
+
 def masked(grid, j):
     return radius2_index(grid) <= (j * grid.inv_h) ** 2
 
@@ -72,7 +79,7 @@ def test_shell_membership_is_the_exact_ball_membership(grid):
     shells = grid.shells()
     for j in range(1, grid.J + 1):
         ball = masked(grid, j)
-        assert np.array_equal(shells.shell <= j, ball)
+        assert np.array_equal(node_shells(grid) <= j, ball)
         assert np.array_equal(grid.ball_mask(j), ball)
         members = shells.order[shells.offsets[j - 1]:shells.offsets[j]]
         inner = masked(grid, j - 1) if j > 1 else np.zeros(grid.shape, dtype=bool)
@@ -86,11 +93,11 @@ def test_boundary_nodes_belong_to_their_ball(grid):
     for j in range(1, grid.J + 1):
         k = j * grid.inv_h
         on_axis = (lim + k,) + (lim,) * (grid.n - 1)
-        assert grid.shells().shell[on_axis] == j
+        assert node_shells(grid)[on_axis] == j
         if grid.n == 2 and j % 5 == 0:
             # |xi| = j exactly at (3j/5, 4j/5)
             corner = (lim + 3 * k // 5, lim + 4 * k // 5)
-            assert grid.shells().shell[corner] == j
+            assert node_shells(grid)[corner] == j
 
 
 def test_shell_index_is_shared_by_equal_grids():
@@ -199,7 +206,7 @@ def signed_zero_nan_operator(grid, rng):
     flat[order[offsets[1] + 1]] = complex(-0.0, -0.0)
     flat[order[offsets[1] + 2]] = complex(-0.0, 0.0)
     flat[order[offsets[2]]] = complex(np.nan, 1.0)
-    return MultiplierOperator._from_table(grid, *_level_table(values, grid.shells().shell, grid.J))
+    return MultiplierOperator._from_table(grid, *_level_table(values, node_shells(grid), grid.J))
 
 
 def traversal_operators(grid, rng):
@@ -524,13 +531,17 @@ def test_exp_series_profiles_its_field_once(monkeypatch, rng):
         return reduce(field)
 
     monkeypatch.setattr(spectral, "_ball_seminorms", counted)
-    for t in (0.0, 0.01, 0.1, -0.01, -1.0):
+    # the first call's shell field forms u's profile as it gathers u, and
+    # every later call reads it
+    exp_series(op, 0.0, u)
+    first = u._profile
+    for t in (0.01, 0.1, -0.01, -1.0):
         exp_series(op, t, u)
-    assert calls == [u]
+    assert calls == [] and u._profile is first
     profile = seminorm_profile(u)
     profile[:] = 0.0  # a fresh array each time
     assert np.all(seminorm_profile(u) > 0.0)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def scaled_field(grid, rng, kind):
@@ -797,9 +808,19 @@ def falling_field(grid):
     return SpectralField(grid, np.where(shell_position(grid) > 0.125, 1e-170, 1.0) + 0j)
 
 
+def flow_factors(op, t, u, method):
+    """Each method's factor at t, multiplier first, as `evolve` forms them for its pass."""
+    factors = {}
+    if method != "series":
+        factors["multiplier"] = multiplier_factor(op, t)
+    if method != "multiplier":
+        factors["series"], _ = series_factor(op, t, seminorm_profile(u), 1e-8)
+    return factors
+
+
 def level_and_node_passes(op, u, t, method):
     """``(level pass, node pass, whether the first took the level path)`` of one time."""
-    ((_, factors, _),) = evolve(op, [t], u, method)
+    factors = flow_factors(op, t, u, method)
     source = ShellField(u, op.levels()[1], op.level_offsets())
     level, level_flagged = saturated_product(factors, source)
     node, _ = saturated_product(factors, source, keep=list(factors)[-1])  # a kept field
@@ -881,7 +902,7 @@ def test_level_weights_are_the_per_level_sums_of_squares(rng):
     assert source.level_weights()[0] is peaks
     assert not any(part.flags.writeable for part in (peaks, exponents, weights))
     inverse = op.levels()[1]
-    inside = grid.shells().shell <= grid.J
+    inside = node_shells(grid) <= grid.J
     for level in rng.choice(peaks.size, size=40, replace=False):
         magnitudes = np.abs(u.values[inside & (inverse == level)])
         assert peaks[level] == np.max(magnitudes)
@@ -906,8 +927,7 @@ def test_the_level_path_is_taken_only_where_no_node_is_needed(monkeypatch, rng):
     monkeypatch.setattr(spectral, "_level_product", recorded)
 
     def factors_at(t):
-        ((_, factors, _),) = evolve(op, [t], u, "both")
-        return factors
+        return flow_factors(op, t, u, "both")
 
     def levels_taken(factors, field=u, keep=None, offsets=op.level_offsets()):
         taken.clear()

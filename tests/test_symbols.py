@@ -432,6 +432,18 @@ def test_parse_diffop_coefficient_lists():
         parse_diffop_coefficients("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0:1;0:2", "coefficient entry '0:2' repeats derivative order 0"),
+    ("2:-1;2:-3;0:5", "coefficient entry '2:-3' repeats derivative order 2"),
+    ("1:1; 01:2", "coefficient entry '01:2' repeats derivative order 1"),
+    ("2:1,0,7", "malformed coefficient entry '2:1,0,7'"),
+    ("0:1;2:1,0,", "malformed coefficient entry '2:1,0,'"),
+])
+def test_a_coefficient_list_that_would_drop_input_is_refused(text, message):
+    with pytest.raises(SymbolError, match=f"^{re.escape(message)}$"):
+        parse_diffop_coefficients(text)
+
+
 def test_audit_order_heat_symbol_passes_at_its_order():
     report = audit_order(heat_symbol(), 2)
     assert report.passed

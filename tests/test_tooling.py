@@ -3,7 +3,8 @@ the case matrix of ``tools/golden_outputs.py``, the package's optional
 parameters, each of which some call inside the package passes, its
 public names, each of which some code inside the package reads, and its
 writers: only ``fieldio`` opens a file to write, and no module imports
-``csv``.
+``csv``.  Only ``evolution`` builds a ``ShellField`` or calls
+``saturated_product``.
 
 ``bench/spans.py`` skips a wrapped name that no longer exists, so a rename
 would read as 0 calls rather than fail; these tests make it fail here.
@@ -258,3 +259,18 @@ def test_no_module_imports_a_private_name_of_another():
                                                         .startswith("frechet_flow"))
                for alias in node.names if alias.name.startswith("_")]
     assert imports == []
+
+
+def test_only_evolution_turns_flow_factors_into_fields():
+    """`evolve` is the one place that builds a `ShellField` and runs `saturated_product`,
+    so it alone knows whether a pass keeps a field."""
+    names = {"saturated_product", "ShellField"}
+    users = set()
+    for path in sorted((ROOT / "src" / "frechet_flow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "spectral":
+                if names & {alias.name for alias in node.names}:
+                    users.add(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr in names:
+                users.add(path.stem)
+    assert users == {"evolution"}
