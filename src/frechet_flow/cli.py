@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -327,6 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (parser, *sub.choices.values()):
         p.error = _refuse
+        # argparse reads an argument that matches this as a negative number,
+        # not an option; its own pattern has no exponent, so ``-1e-3`` was
+        # read as an option
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

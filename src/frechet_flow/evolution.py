@@ -38,7 +38,13 @@ run once per distinct symbol value (the operator's level table,
 and `series_factor` build them as `LevelFactor`s, and `saturated_product`
 gathers them onto the nodes.  Each value is the same elementwise operation
 on the same input bits, so the results are bitwise those of a per-node
-evaluation.
+evaluation.  On a real table, every level finite with imaginary part +0,
+both factors are formed in float64 (`_real_levels`): the closed form is
+``t Re a`` with phase 1, and the series runs Horner in real arithmetic
+and casts its stage to complex before the log/phase split.  Complex
+Horner keeps an imaginary part of +0 there, so the bits are the same; a
+real stage that overflows, where the complex one reads NaN, is redone in
+complex.
 
 `evolve` is the one path from flow factors to fields: it builds the
 initial field's `ShellField` once, which forms the field's ball profile,
@@ -119,9 +125,28 @@ def multiplier_factor(op: MultiplierOperator, t: float) -> Optional[LevelFactor]
     """
     if t == 0.0:
         return None
+    real = _real_levels(op)
+    if real is not None:
+        # t Re a is the real part of t a, and e^(i t Im a) is 1 + 0j
+        with np.errstate(over="ignore"):
+            return LevelFactor(t * real, np.ones(real.size, np.complex128), flags_blown=True)
     z = _scaled_levels(op, t)
     # a copy, so the factor does not keep z's imaginary parts alive
     return LevelFactor(z.real.copy(), np.exp(1j * z.imag), flags_blown=True)
+
+
+def _real_levels(op: MultiplierOperator) -> Optional[np.ndarray]:
+    """The levels' real parts when every level is finite with imaginary part +0, else None.
+
+    On such a table a flow factor formed in float64 keeps the bits of the
+    complex one.  A -0 imaginary part, which only a raw level table can
+    hold, would flip the sign of a zero ``t Re a``; a NaN or inf level
+    would leave the complex phase undefined.  Both take the complex path.
+    """
+    levels = op.levels()[0]
+    if levels.imag.view(np.uint64).any() or not np.isfinite(levels.real).all():
+        return None
+    return levels.real
 
 
 def _scaled_levels(op: MultiplierOperator, t: float) -> np.ndarray:
@@ -278,14 +303,20 @@ def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
     # by `saturated_product`.  numpy divides a complex by n as by n + 0j,
     # ``(re + im 0) fl(1/n)``, so a product by ``1/n`` keeps the bits (a zero
     # part's sign aside, which the added 1 clears) and needs no division.
-    # Each step is ``1 + acc (x / n)``, its operands in that order, formed
-    # in one buffer, so the loop holds three level-sized arrays.
-    x = (t / stages) * op.levels()[0]
-    acc, term = np.ones_like(x), np.empty_like(x)
-    for n in range(diagnostics.terms, 0, -1):
-        np.multiply(x, 1.0 / n, out=term)
-        np.multiply(acc, term, out=term)
-        acc, term = np.add(1.0, term, out=term), acc
+    # On a real table (`_real_levels`) Horner runs in float64: there each
+    # added 1 leaves the complex accumulator an imaginary part of +0, so each
+    # real part is the float64 product minus a signed zero, which only a
+    # zero product's sign can feel, and the next 1 absorbs that.  A real
+    # stage that overflows reads inf where the complex one reads NaN, so it
+    # is redone in complex, which also raises the complex loop's warnings.
+    real = _real_levels(op)
+    acc = None
+    if real is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = _horner_stage((t / stages) * real, diagnostics.terms)
+        acc = acc.astype(np.complex128) if np.isfinite(acc).all() else None
+    if acc is None:
+        acc = _horner_stage((t / stages) * op.levels()[0], diagnostics.terms)
 
     # Compose the stage 2^s times through the group law.  Tracking the
     # magnitude logarithmically keeps expanding directions exact up to the
@@ -297,6 +328,20 @@ def series_factor(op: MultiplierOperator, t: float, profile, tol: float):
     for _ in range(s):
         phase = phase * phase
     return LevelFactor(log_magnitude * stages, phase), diagnostics
+
+
+def _horner_stage(x: np.ndarray, terms: int) -> np.ndarray:
+    """``sum_{n <= terms} x^n / n!`` per entry by Horner, in x's dtype.
+
+    Each step is ``1 + acc (x / n)``, its operands in that order, formed in
+    one buffer, so the loop holds three arrays of x's size.
+    """
+    acc, term = np.ones_like(x), np.empty_like(x)
+    for n in range(terms, 0, -1):
+        np.multiply(x, 1.0 / n, out=term)
+        np.multiply(acc, term, out=term)
+        acc, term = np.add(1.0, term, out=term), acc
+    return acc
 
 
 def verify_group_law(op: MultiplierOperator, s: float, t: float,

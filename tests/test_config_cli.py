@@ -681,6 +681,42 @@ def test_cli_non_finite_time_exits_2(tmp_path, capsys, command, t):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, spaced, joined", [
+    (["translate"], ["--t", "-1e-3"], ["--t=-0.001"]),
+    (["translate"], ["--t", "-2.5E-1"], ["--t=-0.25"]),
+    (["heat-demo", "--R", "1", "2"], ["--t", "0.1", "-1e-2"], ["--t", "0.1", "-0.01"]),
+    (["heat-demo", "--R", "1", "2"], ["--t", "-.5e-1", "-2."], ["--t", "-0.05", "-2"]),
+])
+def test_cli_reads_a_negative_time_in_exponent_notation_as_a_number(tmp_path, capsys, command,
+                                                                     spaced, joined):
+    # argparse's own pattern has no exponent: it read -1e-3 as an option and exited 2
+    outputs = []
+    for times in (spaced, joined):
+        out = tmp_path / str(len(outputs))
+        code = main([*command, *times, "--out", str(out)])
+        outputs.append((code, capsys.readouterr(),
+                        {path.name: path.read_bytes() for path in out.iterdir()}))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 3) and outputs[0][1].err == ""
+
+
+def test_cli_check_l2_reaches_its_refusal_of_a_negative_time_in_exponent_notation(tmp_path,
+                                                                                  capsys):
+    assert main(["check-l2", "--symbol=-xi^2", "--t", "-1e-3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: the invariance criterion is stated for t >= 0\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["translate", "--t", "-1e"], "argument --t: expected one argument"),
+    (["translate", "--t", "-e3"], "argument --t: expected one argument"),
+    (["heat-demo", "--t", "0.1", "-1e-2x"], "unrecognized arguments: -1e-2x"),
+])
+def test_cli_an_argument_that_is_no_number_stays_an_option(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_translate(tmp_path, capsys):
     code = main(
         ["translate", "--function", "gaussian", "--t", "0.5",

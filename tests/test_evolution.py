@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 import weakref
 
 import mpmath as mp
@@ -531,6 +532,11 @@ def stage_factor_by_division(values, t, stages, terms):
     acc = np.ones_like(x)
     for n in range(terms, 0, -1):
         acc = 1.0 + acc * (x / n)
+    return composed_stage(acc, stages)
+
+
+def composed_stage(acc, stages):
+    """A stage value's ``(log magnitude, phase)`` per level, composed ``stages`` times."""
     magnitude = np.abs(acc)
     with np.errstate(divide="ignore"):
         log_magnitude = np.where(magnitude > 0.0, np.log(magnitude), -np.inf)
@@ -603,6 +609,159 @@ def test_backward_heat_reference_case_saturates():
     op = MultiplierOperator(heat_symbol(), grid)
     assert exp_multiplier(op, -1.0, ones(grid)).overflow
     assert exp_series(op, -1.0, ones(grid))[0].overflow
+
+
+# ---------------------------------------------------------------------------
+# real symbols: flow factors formed in float64, bit for bit the complex ones
+
+
+def complex_multiplier_factor(levels, t):
+    """The closed form's ``(log magnitude, phase)`` per level in complex arithmetic."""
+    with np.errstate(over="ignore"):
+        z = t * levels
+    return z.real.copy(), np.exp(1j * z.imag)
+
+
+def complex_series_factor(levels, t, stages, terms):
+    """The series stage by complex Horner with products by ``1/n``, composed."""
+    x = (t / stages) * levels
+    acc = np.ones_like(x)
+    for n in range(terms, 0, -1):
+        acc = 1.0 + acc * (x * (1.0 / n))
+    return composed_stage(acc, stages)
+
+
+def assert_factor_bits(factor, expected):
+    assert factor.log_magnitude.dtype == np.float64 and factor.phase.dtype == np.complex128
+    assert np.array_equal(factor.log_magnitude.view(np.uint64), expected[0].view(np.uint64))
+    assert np.array_equal(factor.phase.view(np.uint64), expected[1].view(np.uint64))
+
+
+def warned(call):
+    """``call()`` and the messages of the warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(warning.message) for warning in caught]
+
+
+def assert_factors_keep_the_complex_bits(op, t):
+    """Both flow factors of op at t, and their warnings, those of the complex formulas."""
+    levels = op.levels()[0]
+    factor, messages = warned(lambda: multiplier_factor(op, t))
+    if t == 0.0:
+        assert factor is None and not messages
+    else:
+        expected, expected_messages = warned(lambda: complex_multiplier_factor(levels, t))
+        assert_factor_bits(factor, expected)
+        assert messages == expected_messages
+    profile = seminorm_profile(ones(op.grid))
+    if not math.isfinite(abs(t) * op.seminorm(op.grid.J)):
+        with pytest.raises(SeriesTruncationError, match="worst rate"):
+            series_factor(op, t, profile, 1e-8)
+        return
+    (factor, diagnostics), messages = warned(lambda: series_factor(op, t, profile, 1e-8))
+    if t == 0.0:
+        assert factor is None and not messages
+    else:
+        expected, expected_messages = warned(lambda: complex_series_factor(
+            levels, t, diagnostics.stages, diagnostics.terms))
+        assert_factor_bits(factor, expected)
+        assert messages == expected_messages
+
+
+REAL_SYMBOLS = [
+    (1, HEAT_SYMBOL_TEXT, (1, 8, 32)),
+    (2, "-(1+4*pi^2*(xi1^2+xi2^2))", (2, 4, 8)),
+    (2, "(xi1^2+xi2^2)^4", (2, 4, 4)),
+    (2, "-(xi1^2+xi2^2)^4", (2, 4, 4)),
+    (2, "xi1^2+xi2", (2, 4, 4)),           # a zero level
+    (2, "-(xi1^2+xi2^2)^47", (2, 2, 2)),   # a real stage that overflows
+]
+FACTOR_TIMES = [0.0, -0.0, 1e-300, -1e-300, 1e-3, 0.5, 1.0, -1e-3, -1.0, 7.5, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("n, text, shape", REAL_SYMBOLS)
+@pytest.mark.parametrize("t", FACTOR_TIMES)
+def test_real_symbol_factors_keep_the_bits_of_the_complex_formulas(n, text, shape, t):
+    op = operator_of(text, n, FrequencyGrid(*shape))
+    assert evolution._real_levels(op) is not None
+    assert_factors_keep_the_complex_bits(op, t)
+
+
+def raw_table_operator(values):
+    grid = FrequencyGrid(1, 8, 8)
+    shells = shell_numbers(grid.J, grid.inv_h, grid.axis_index)
+    return MultiplierOperator._from_table(grid, *_level_table(values, shells, grid.J))
+
+
+@pytest.mark.parametrize("imag", ["-0", "one -0", "+0"])
+@pytest.mark.parametrize("t", FACTOR_TIMES)
+def test_a_raw_table_with_signed_zero_imaginary_parts_keeps_the_complex_bits(imag, t):
+    rng = np.random.default_rng(7)
+    grid = FrequencyGrid(1, 8, 8)
+    values = np.empty(grid.node_count, dtype=np.complex128)
+    values.real = rng.standard_normal(values.size) * 10.0 ** rng.uniform(-3, 3, values.size)
+    values.real[::7], values.real[3::7] = 0.0, -0.0
+    values.imag = -0.0 if imag == "-0" else 0.0
+    if imag == "one -0":
+        values.imag[5] = -0.0
+    op = raw_table_operator(values)
+    # a -0 imaginary part would flip the sign of a zero t Re a: the complex path
+    assert (evolution._real_levels(op) is None) == (imag != "+0")
+    assert_factors_keep_the_complex_bits(op, t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t", [1e-3, -1.0, 1e300])
+def test_a_raw_table_with_a_level_that_is_not_finite_keeps_the_complex_bits(bad, t):
+    # the series refuses such a table: its worst rate is not finite
+    values = np.linspace(-3.0, 0.0, FrequencyGrid(1, 8, 8).node_count).astype(np.complex128)
+    values[4] = bad
+    op = raw_table_operator(values)
+    assert evolution._real_levels(op) is None
+    assert_factors_keep_the_complex_bits(op, t)
+
+
+@pytest.fixture
+def horner_dtypes(monkeypatch):
+    """The dtype of each series stage Horner evaluates."""
+    dtypes = []
+    stage = evolution._horner_stage
+
+    def recording(x, terms):
+        dtypes.append(str(x.dtype))
+        return stage(x, terms)
+
+    monkeypatch.setattr(evolution, "_horner_stage", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("n, text, shape, dtypes", [
+    (1, HEAT_SYMBOL_TEXT, (1, 8, 32), ["float64"]),
+    (2, "-(1+4*pi^2*(xi1^2+xi2^2))", (2, 4, 8), ["float64"]),
+    # levels outside ball J overflow the real stage: redone in complex
+    (2, "-(xi1^2+xi2^2)^47", (2, 2, 2), ["float64", "complex128"]),
+    (1, TRANSPORT_SYMBOL_TEXT, (1, 8, 32), ["complex128"]),
+    (2, "2*pi*i*xi1", (2, 3, 8), ["complex128"]),
+    (2, "-(1+xi1^2+3*xi2^2) + i*(xi1 + 0.37*xi2^3)", (2, 3, 8), ["complex128"]),
+])
+def test_real_symbols_take_the_float64_path(n, text, shape, dtypes, horner_dtypes):
+    op = operator_of(text, n, FrequencyGrid(*shape))
+    assert (evolution._real_levels(op) is not None) == (dtypes[0] == "float64")
+    warned(lambda: series_factor(op, 1.0, seminorm_profile(ones(op.grid)), 1e-8))
+    assert horner_dtypes == dtypes
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the series flags a decaying flow as overflowing: its stage count comes from ball J's "
+    "rate, so the levels outside ball J run at 16x that stage rate and their log magnitude "
+    "reaches 789,590"))
+def test_the_series_does_not_flag_a_decaying_flow_outside_ball_j():
+    grid = FrequencyGrid(2, 4, 4)
+    op = operator_of("-(xi1^2+xi2^2)^4", 2, grid)
+    ((_, product, _),) = evolve(op, [1.0], ones(grid), "both")
+    assert product.overflow == {"multiplier": False, "series": False}
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,9 @@ OTHERS = [
     ("translate-wide-window", ["translate", "--t", "0.5", "--samples=-40:40:0.5",
                                "--out", "out"]),
     ("translate-time-zero", ["translate", "--t", "0", "--out", "out"]),
+    # a negative time in exponent notation is a number, not an option
+    ("translate-negative-exponent-time", ["translate", "--t", "-1e-3", "--out", "out"]),
+    ("heat-demo-negative-exponent-time", ["heat-demo", "--t", "0.1", "-1e-2", "--out", "out"]),
     # the sums regrow their oracle tables past 64 orders and miss the tolerance
     ("translate-regrowth", ["translate", "--t", "3", "--samples=-2:2:0.5", "--out", "out"]),
     ("translate-cubic", ["translate", "--function", "cubic", "--t", "1.5",
