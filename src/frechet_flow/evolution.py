@@ -208,11 +208,14 @@ def _stage_growth(op: MultiplierOperator, t_stage: float) -> list:
     """Exact ball operator norms of the exact stage map: max |e^{t' a}| per ball.
 
     Rounding is monotone, so ``t' * max Re a`` (``t' * min Re a`` for
-    t' < 0) equals the node maximum of ``t' * Re a`` bitwise.
+    t' < 0) equals the node maximum of ``t' * Re a`` bitwise.  `series_factor`
+    chooses the stage count so that ``|t' Re a| <= |t'| p_J^X <=
+    STAGE_RATE_LIMIT``, so each exponent is at most about 4 and its
+    exponential is finite.
     """
     lower, upper = op.real_part_range()
     peaks = t_stage * (upper if t_stage >= 0 else lower)
-    return [math.exp(peak) if peak <= 700.0 else math.inf for peak in peaks.tolist()]
+    return [math.exp(peak) for peak in peaks.tolist()]
 
 
 def exp_series(op: MultiplierOperator, t: float, u: SpectralField, tol: float = 1e-8):
@@ -447,11 +450,12 @@ def evolve(op: MultiplierOperator, times, u0: SpectralField, method: str = "mult
 
     ``method`` is ``"multiplier"``, ``"series"`` or ``"both"``.  Every time
     must be finite; times, method and ``tol`` are checked here, before any
-    kernel runs.  Then ``u0``'s `ShellField` is built (over the level index
-    ``op.levels()[1]`` and its shell ranges ``op.level_offsets()``), which
-    forms ``u0``'s ball profile; the generator holds the shell field and
-    that profile, not ``u0``, so a caller may release ``u0`` before the
-    first time.  Returns a generator of ``(t, product, diagnostics)``:
+    kernel runs.  Then ``u0``'s `ShellField` is built over the operator's
+    shell-ordered level index ``op.levels()[1]``, as it is held, and its
+    shell ranges ``op.level_offsets()``; building it gathers ``u0``'s
+    samples and forms ``u0``'s ball profile.  The generator holds the shell
+    field and that profile, not ``u0``, so a caller may release ``u0``
+    before the first time.  Returns a generator of ``(t, product, diagnostics)``:
     ``product`` is the `Product` of one `saturated_product` pass of the
     time's flow factors (multiplier first) over the shell field, and
     ``diagnostics`` the series' `SeriesDiagnostics`, or ``None`` without

@@ -38,21 +38,23 @@ class MultiplierOperator:
 
     The operator is immutable and built from a `PolynomialSymbol` (text
     goes through `symbols.parse_symbol`, which returns one).
-    Its one grid-sized table is `levels`: the distinct pairs (symbol value,
-    shell), numbered shell by shell, and each node's index into them, built
-    on first use, never here, by the polynomial's Horner routine
-    (`eval_grid`); where an axis enters the symbol through even powers only,
-    of any degree, the table is built on the half (or quarter) grid up to
-    ``xi_k = 0`` and mirrored.  `level_offsets` gives each shell's range of
-    levels.  A symbol that is not finite on the grid is refused when the
-    table is built.  `power` raises its base's levels to the k-th power and
-    keeps the base's ``inverse`` and ranges, so a power's table may list one
-    value more than once in a shell (as ``a`` and ``-a`` do when squared).
-    The per-ball quantities, max |a| (`seminorm`) and the range of ``Re a``
+    Its one per-node array is the level index of `levels`: the distinct
+    pairs (symbol value, shell), numbered shell by shell, and each node's
+    index into them in shell order (`ShellIndex.order`), built on first use,
+    never here, by the polynomial's Horner routine (`eval_grid`); where an
+    axis enters the symbol through even powers only, of any degree, the
+    table is built on the half (or quarter) grid up to ``xi_k = 0`` and
+    mirrored.  `level_offsets` gives each shell's range of levels.  A symbol
+    that is not finite on the grid is refused when the table is built.
+    `power` raises its base's levels to the k-th power and keeps the base's
+    index and ranges, so a power's table may list one value more than once
+    in a shell (as ``a`` and ``-a`` do when squared).  The per-ball
+    quantities, max |a| (`seminorm`) and the range of ``Re a``
     (`real_part_range`), reduce each shell's range of levels, so they read
-    no node; they are computed on first use and kept.  `apply` and `power`
-    read the table too, and ``values``, the symbol on every node, is
-    gathered from it on each access.
+    no node; they are computed on first use and kept.  `apply` and
+    `seminorm_argmax` read ``values``, the symbol on every node in grid
+    order, which is scattered from the table on each access; no solve
+    reads it.
     """
 
     def __init__(self, poly: PolynomialSymbol, grid: FrequencyGrid, label: str | None = None):
@@ -63,12 +65,12 @@ class MultiplierOperator:
         self._init(grid, poly, label, None)
 
     @classmethod
-    def _from_table(cls, grid: FrequencyGrid, levels, inverse, offsets,
+    def _from_table(cls, grid: FrequencyGrid, levels, index, offsets,
                     label: str | None = None):
-        """An operator whose table is ``(levels, inverse)`` with shell ranges ``offsets``,
-        all read-only (see `levels` and `level_offsets`)."""
+        """An operator whose table is ``(levels, index)`` with shell ranges ``offsets``,
+        all read-only, ``index`` in shell order (see `levels` and `level_offsets`)."""
         op = cls.__new__(cls)
-        op._init(grid, None, label, (levels, inverse, offsets))
+        op._init(grid, None, label, (levels, index, offsets))
         return op
 
     def _init(self, grid, poly, label, table):
@@ -82,9 +84,11 @@ class MultiplierOperator:
 
     @property
     def values(self) -> np.ndarray:
-        """The symbol on every node (read-only), gathered from `levels`."""
-        levels, inverse = self.levels()
-        return frozen(levels[inverse])
+        """The symbol on every node (read-only), scattered from `levels` in shell order."""
+        levels, index = self.levels()
+        values = np.empty(self.grid.node_count, dtype=np.complex128)
+        values[self.grid.shells().order] = levels[index]
+        return frozen(values.reshape(self.grid.shape))
 
     def apply(self, u: SpectralField) -> SpectralField:
         if u.grid != self.grid:
@@ -123,16 +127,19 @@ class MultiplierOperator:
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct pairs (symbol value, shell) and each node's index into them.
 
-        Returns ``(levels, inverse)``, computed once (read-only): a level is
+        Returns ``(levels, index)``, computed once (read-only): a level is
         a bitwise-distinct symbol value on one shell (J + 1 for the nodes
         outside ball J), and ``levels`` holds each level's value, shell by
         shell, and within a shell in order of first appearance in row-major
         node order.  So one value may be listed once per shell it meets, and
         a hash collision may list it twice within a shell, as may a
         `power`, where two levels can share their k-th power; two values are
-        never merged.  The grid-shaped int32 ``inverse`` satisfies
-        ``levels[inverse] == values`` bitwise, and a node's level lies in
-        its shell's range (`level_offsets`).  A function of the symbol value
+        never merged.  The flat int32 ``index`` is in the order of
+        `ShellIndex.order` (ball J shell by shell, then the nodes outside
+        ball J), the order in which `ShellField` and every pass read it:
+        ``levels[index] == values.ravel()[order]`` bitwise, and the entries
+        of shell j's nodes (its range of `ShellIndex.offsets`) name levels
+        of its range of `level_offsets`.  A function of the symbol value
         alone, such as the flow factor ``e^{t a}``, can then be evaluated
         once per level and gathered, and a sum over the nodes of a ball of
         such a function times a field reduces over the field's weights per
@@ -140,8 +147,8 @@ class MultiplierOperator:
         node plus 16 per level.
         """
         if self._levels is None:
-            levels, inverse, self._offsets = _polynomial_levels(self._poly, self.grid)
-            self._levels = (levels, inverse)
+            levels, index, self._offsets = _polynomial_levels(self._poly, self.grid)
+            self._levels = (levels, index)
         return self._levels
 
     def level_offsets(self) -> np.ndarray:
@@ -163,17 +170,17 @@ class MultiplierOperator:
     def power(self, k: int) -> "MultiplierOperator":
         """The k-fold composition: each level multiplied by itself k - 1 times.
 
-        The power keeps this operator's ``inverse`` and `level_offsets`; its
-        symbol on every node is that of k - 1 repeated nodewise products,
-        bitwise.
+        k is an integer >= 1.  The power keeps this operator's level index
+        and `level_offsets`; its symbol on every node is that of k - 1
+        repeated nodewise products, bitwise.
         """
-        if k < 1:
-            raise ValueError("power needs k >= 1")
-        base, inverse = self.levels()
+        if not (isinstance(k, (int, np.integer)) and k >= 1):
+            raise ValueError(f"power needs an integer k >= 1, got {k!r}")
+        base, index = self.levels()
         levels = base
         for _ in range(k - 1):
             levels = levels * base
-        return MultiplierOperator._from_table(self.grid, frozen(levels), inverse,
+        return MultiplierOperator._from_table(self.grid, frozen(levels), index,
                                               self.level_offsets(), label=f"{self.label}^{k}")
 
     def __repr__(self):
@@ -191,9 +198,11 @@ _HALF_WORD = np.uint64(32)
 
 
 def _level_table(values: np.ndarray, shell: np.ndarray, J: int) -> tuple:
-    """``(levels, inverse, offsets)`` of `MultiplierOperator.levels` and `level_offsets`.
+    """``(levels, inverse, offsets)``: `MultiplierOperator.levels`, its index in grid order, and
+    `level_offsets`.
 
-    ``shell`` is the shell of each node of ``values`` (1..J + 1).  One
+    ``shell`` is the shell of each node of ``values`` (1..J + 1), and the
+    ``values``-shaped int32 ``inverse`` names each node's level.  One
     uint64 key mixed from the real and imaginary bit patterns and the shell
     is sorted; adjacent entries then form one level when all their bits and
     their shells agree.  The grouping compares bits and shells, never keys,
@@ -232,21 +241,26 @@ def _level_table(values: np.ndarray, shell: np.ndarray, J: int) -> tuple:
 
 
 def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
-    """`_level_table` of a polynomial symbol, built on as few nodes as its parity allows.
+    """`MultiplierOperator.levels` and `level_offsets` of a polynomial symbol, built on as few
+    nodes as its parity allows.
 
     `PolynomialSymbol.eval_grid` is bitwise even in ``xi_k`` when every
     exponent of ``xi_k`` is even: its Horner scheme only multiplies and
     adds, which commute with negation.  Such an axis is evaluated on its
-    first ``J inv_h + 1`` nodes only, up to ``xi_k = 0``, and the table's
-    ``inverse`` is mirrored.  Shells are mirror-symmetric too, so every
-    node's (value, shell) also sits at a node of that corner that comes no
-    later in row-major order: the corner's first appearances are the full
-    grid's, and ``levels`` and the offsets are unchanged.  The corner's
-    shells come from its integer axes (`shell_numbers`), not from the
-    grid's shell index.  A table with a value that is not finite, one that
-    overflows in Horner's rule or the ``nan`` of the ``inf * 0`` it then
-    forms, is refused with `SymbolError`, which counts distinct values, not
-    levels.
+    first ``J inv_h + 1`` nodes only, up to ``xi_k = 0``, and the
+    `_level_table`'s ``inverse`` is mirrored.  Shells are mirror-symmetric
+    too, so every node's (value, shell) also sits at a node of that corner
+    that comes no later in row-major order: the corner's first appearances
+    are the full grid's, and ``levels`` and the offsets are unchanged.  The
+    corner's shells come from its integer axes (`shell_numbers`).  The
+    mirrored ``inverse`` is then gathered through the grid's shell order a
+    block of `ShellIndex.blocks` at a time, and only that shell-ordered
+    index is kept.  The shell index is built between the two, after the
+    evaluation's temporaries are released and before the mirrored index
+    exists, which gives the lowest peak.  A table with a value that is not
+    finite, one that overflows in Horner's rule or the ``nan`` of the
+    ``inf * 0`` it then forms, is refused with `SymbolError`, which counts
+    distinct values, not levels.
     """
     lim = grid.J * grid.inv_h
     even = [all(alpha[k] % 2 == 0 for alpha in poly.coeffs) for k in range(grid.n)]
@@ -264,11 +278,16 @@ def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
             f"the symbol is not finite on the grid's extent [-{grid.J}, {grid.J}]^{grid.n}: "
             f"{finite.size - np.count_nonzero(finite)} of its {finite.size} distinct values "
             "overflow")
+    shells = grid.shells()
     for k, mirrored in enumerate(even):
         if mirrored:
             tail = np.flip(inverse, axis=k)[(slice(None),) * k + (slice(1, None),)]
             inverse = np.concatenate([inverse, tail], axis=k)
-    return levels, frozen(inverse), offsets
+    inverse = inverse.reshape(-1)
+    index = np.empty(inverse.size, dtype=np.int32)
+    for block, _ in shells.blocks(outside=True):
+        np.take(inverse, shells.order[block], out=index[block], mode="clip")
+    return levels, frozen(index), offsets
 
 
 class ReflectionOperator:
@@ -414,9 +433,9 @@ def check_strong_compatibility(op, samples: Sequence[SpectralField]) -> Compatib
 
 
 def verify_power_bound(op: MultiplierOperator, k: int, j: int) -> tuple[float, float]:
-    """Return (p_j^X(A^k), p_j^X(A)^k); for multipliers the two coincide."""
-    if k < 1:
-        raise ValueError("power bound needs k >= 1")
+    """Return (p_j^X(A^k), p_j^X(A)^k); for multipliers the two coincide.
+
+    ``k`` is checked by `MultiplierOperator.power`."""
     lhs = op.power(k).seminorm(j)
     rhs = op.seminorm(j) ** k
     return lhs, rhs

@@ -22,18 +22,20 @@ a time, with one reduction per shell, followed by a scan over the J shells
 ``dlassq`` combined shell by shell).  A pass never holds more than one block
 of samples beside the field.  An operator's level table is numbered shell by
 shell (`MultiplierOperator.level_offsets`), so its per-ball quantities reduce
-each shell's range of levels and traverse no node.
+each shell's range of levels and traverse no node, and its level index is
+held in shell order, the order in which every pass reads it.
 
 Every per-ball quantity is computed once per object and kept with it: a
 `SpectralField` is immutable, so its ball profile is built by the first
 `seminorm` or `seminorm_profile` and every later call reads it.
 
 `saturated_product` forms one time of a flow, or of two flows side by
-side.  Its input is a `ShellField`: the initial samples and their level
-index put in shell order once, in one pass that also forms their peak
-``max |u|`` and the field's ball profile, with, built on first use, their
-polar form ``(log |u|, unit phase)`` and their weights per level.  One
-initial field evolved to many times therefore gathers each once.  A pass
+side.  Its input is a `ShellField`: the initial samples put in shell order
+once, beside the operator's level index as it is held, in one pass that also
+forms their peak ``max |u|`` and the field's ball profile, with, built on
+first use, their polar form ``(log |u|, unit phase)`` and their weights per
+level.  One initial field evolved to many times therefore gathers its
+samples once, and its level index never.  A pass
 that keeps a field, or whose flows can saturate, walks the blocks of the
 shell index: it takes each flow's ball profile, and the profile of their
 difference, block by block, and holds a grid-sized result only for the flow
@@ -528,21 +530,22 @@ class Product:
 class ShellField:
     """A field's samples and level index in shell order: the input of `saturated_product`.
 
-    Built from ``(u, inverse, level_offsets)``.  The grid-shaped ``inverse``
-    names each node's level.  ``level_offsets`` is None, or says that the
-    levels are numbered shell by shell: shell j's levels are
+    Built from ``(u, levels, level_offsets)``: ``levels`` is the flat int32
+    level index in the order of `ShellIndex.order` (ball J shell by shell,
+    then the nodes outside ball J), read-only, with its levels numbered
+    shell by shell: shell j's levels are
     ``level_offsets[j - 1]:level_offsets[j]``, as in
-    `MultiplierOperator.level_offsets`; only then can a pass reduce over
-    levels.  One pass over the blocks of `ShellIndex.blocks` gathers the
-    samples and levels through `ShellIndex.order` (ball J shell by shell,
-    then the nodes outside ball J) and forms ``peak``, ``max |u|`` (NaN if
-    a sample is NaN), and, unless u has it already, u's ball profile, from
-    the same `_scaled_sums` blocks as `seminorm_profile`, so bit for bit;
-    the profile is kept with u.  ``samples`` and ``levels`` are flat and
+    `MultiplierOperator.levels` and `level_offsets`.  It is kept as given,
+    not copied.  One pass over the blocks of `ShellIndex.blocks` gathers
+    the samples through `ShellIndex.order` and forms ``peak``, ``max |u|``
+    (NaN if a sample is NaN), and, unless u has it already, u's ball
+    profile, from the same `_scaled_sums` blocks as `seminorm_profile`, so
+    bit for bit; the profile is kept with u.  ``samples`` is flat and
     read-only, and ``overflow`` is u's flag.  Nothing refers to u's own
     samples, so u may be released once this is built.  In the package
-    `evolution.evolve` builds it, once per initial field, and decides
-    whether each pass over it keeps a field.
+    `evolution.evolve` builds it, once per initial field, over the
+    operator's own index, and decides whether each pass over it keeps a
+    field.
 
     `polar` and `level_weights` are built on first use and kept: the first
     pass block that can saturate builds the polar form, the first pass over
@@ -554,16 +557,13 @@ class ShellField:
     __slots__ = ("grid", "samples", "levels", "level_offsets", "overflow", "peak", "_polar",
                  "_weights")
 
-    def __init__(self, u: SpectralField, inverse, level_offsets):
+    def __init__(self, u: SpectralField, levels: np.ndarray, level_offsets: np.ndarray):
         index = u.grid.shells()
-        values, inverse = np.ravel(u.values), np.ravel(inverse)
+        values = np.ravel(u.values)
         samples = np.empty(values.size, dtype=np.complex128)
-        levels = np.empty(inverse.size, dtype=inverse.dtype)
         parts, peaks = [], []
         for block, offsets in index.blocks(outside=True):
-            nodes = index.order[block]
-            np.take(values, nodes, out=samples[block], mode="clip")
-            np.take(inverse, nodes, out=levels[block], mode="clip")
+            np.take(values, index.order[block], out=samples[block], mode="clip")
             if offsets is None or u._profile is not None:
                 peaks.append(np.max(np.abs(samples[block])))
             else:
@@ -573,7 +573,7 @@ class ShellField:
             u._profile = tuple(_combine_parts(parts, u.grid.cell_volume))
         self.grid = u.grid
         self.samples = frozen(samples)
-        self.levels = frozen(levels)
+        self.levels = levels
         self.level_offsets = level_offsets
         self.overflow = u.overflow
         self.peak = float(np.max(peaks))
@@ -588,11 +588,11 @@ class ShellField:
         factor f_l on level l adds ``(|f_l| 2^e)^2 W`` to a squared
         seminorm.  The scale is per level, not per shell: all nodes of a
         level share its factor, so no node is lost to underflow beside a
-        larger one that a factor shrinks more.  Needs ``level_offsets``: a
-        block of whole shells is a contiguous range of levels, each with a
-        node in the block, so the block's magnitudes are sorted by level (a
-        radix sort where the block's levels fit 16 bits) and summed a level
-        at a time, pairwise as `_scaled_sums` sums a shell.
+        larger one that a factor shrinks more.  A block of whole shells is a
+        contiguous range of levels, each with a node in the block, so the
+        block's magnitudes are sorted by level (a radix sort where the
+        block's levels fit 16 bits) and summed a level at a time, pairwise
+        as `_scaled_sums` sums a shell.
         """
         if self._weights is None:
             offsets, index = self.level_offsets, self.grid.shells()
@@ -674,8 +674,7 @@ def saturated_product(factors: dict, u: ShellField, keep=None):
     times a finite sample is finite below the bound), one that can is
     checked block by block.
 
-    A pass that keeps no field, on an unflagged ``u`` whose levels are
-    numbered shell by shell (``u.level_offsets``), where every flow is a
+    A pass that keeps no field, on an unflagged ``u``, where every flow is a
     factor that cannot saturate and is finite, reads no node: it reduces
     each shell's range of levels of ``u``'s `ShellField.level_weights`
     (`_level_sums`), and ``flagged`` is False.  Its profiles differ from the
@@ -691,7 +690,7 @@ def saturated_product(factors: dict, u: ShellField, keep=None):
         log_peak = float(np.log(u.peak))
     flows = {name: _FlowPass(factor, log_peak, check=not u.overflow)
              for name, factor in factors.items()}
-    if keep is None and u.level_offsets is not None and not u.overflow and all(
+    if keep is None and not u.overflow and all(
             flow.factor is not None and flow.representable and flow.finite
             for flow in flows.values()):
         return _level_product(flows, u), False

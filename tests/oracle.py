@@ -35,9 +35,10 @@ def flow_error_profile(op, t, u, field):
     levels, index = op.levels()
     factors = exact_factors(levels, t)
     error = np.empty(u.values.size, dtype=complex)
+    samples, values = u.values.ravel(), field.values.ravel()
     with mp.workdps(DIGITS):
-        for node, (level, sample, value) in enumerate(
-                zip(index.ravel().tolist(), u.values.ravel().tolist(),
-                    field.values.ravel().tolist())):
-            error[node] = complex(mp.mpc(value) - factors[level] * mp.mpc(sample))
+        # the level index is in shell order: its k-th entry is node order[k]'s level
+        for node, level in zip(u.grid.shells().order.tolist(), index.tolist()):
+            error[node] = complex(mp.mpc(complex(values[node]))
+                                  - factors[level] * mp.mpc(complex(samples[node])))
     return seminorm_profile(SpectralField(u.grid, error.reshape(u.grid.shape)))

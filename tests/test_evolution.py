@@ -428,6 +428,25 @@ def test_evolve_both_methods_agree(grid, rng, kernel_calls):
     assert product.residual.tolist() == [0.0] * 8 and diag.bounds().tolist() == [0.0] * 8
 
 
+def test_evolve_reads_the_operators_level_index_without_a_copy(grid, rng, monkeypatch):
+    u = random_field(grid, rng)
+    op = MultiplierOperator(heat_symbol(), grid)
+    sources = []
+    product = evolution.saturated_product
+
+    def recorded(factors, source, keep=None):
+        sources.append(source)
+        return product(factors, source, keep=keep)
+
+    monkeypatch.setattr(evolution, "saturated_product", recorded)
+    for keep in (False, True):
+        list(evolve(op, (-0.1, 0.1), u, method="both", keep=keep))
+    assert len(sources) == 4
+    for source in sources:
+        assert source.levels is op.levels()[1]
+        assert source.level_offsets is op.level_offsets()
+
+
 @pytest.mark.parametrize("method", ["multiplier", "series", "both"])
 def test_evolve_holds_no_initial_field_and_one_time_at_a_time(grid, rng, monkeypatch, method):
     """``u0`` is released once `evolve` returns, and a time's factors and product
@@ -502,15 +521,14 @@ def test_flows_take_the_operator_of_the_field_grid(grid, rng):
 # flow factors evaluated once per distinct symbol value
 
 
-def node_inverse(grid):
-    """Level index of a factor given node by node: node k is level k."""
-    return np.arange(grid.node_count).reshape(grid.shape)
-
-
 def one_flow(factor, u):
-    """The field of a factor given node by node."""
-    product, _ = saturated_product({"flow": factor}, ShellField(u, node_inverse(u.grid), None),
-                                   keep="flow")
+    """The field of a factor given node by node in grid order: each node is its own level,
+    the levels numbered in shell order."""
+    grid, shells = u.grid, u.grid.shells()
+    source = ShellField(u, np.arange(grid.node_count, dtype=np.int32),
+                        np.append(shells.offsets, grid.node_count))
+    by_level = LevelFactor(factor.log_magnitude[shells.order], factor.phase[shells.order])
+    product, _ = saturated_product({"flow": by_level}, source, keep="flow")
     return product.field
 
 
@@ -591,8 +609,7 @@ def test_stage_horner_keeps_the_bits_of_the_division(exponent, sign, real, seed)
         values.imag = np.copysign(0.0, rng.standard_normal(values.size))
     else:
         values.imag = rng.standard_normal(values.size) * 10.0 ** rng.uniform(-3, 3, values.size)
-    shells = shell_numbers(grid.J, grid.inv_h, grid.axis_index)
-    op = MultiplierOperator._from_table(grid, *_level_table(values, shells, grid.J))
+    op = raw_table_operator(values)
     levels = op.levels()[0]
     t = sign * 10.0 ** exponent
     profile = seminorm_profile(random_field(grid, rng))
@@ -690,9 +707,11 @@ def test_real_symbol_factors_keep_the_bits_of_the_complex_formulas(n, text, shap
 
 
 def raw_table_operator(values):
+    """The operator on (1, 8, 8) whose symbol on the nodes is ``values``, from its raw table."""
     grid = FrequencyGrid(1, 8, 8)
     shells = shell_numbers(grid.J, grid.inv_h, grid.axis_index)
-    return MultiplierOperator._from_table(grid, *_level_table(values, shells, grid.J))
+    levels, inverse, offsets = _level_table(values, shells, grid.J)
+    return MultiplierOperator._from_table(grid, levels, inverse[grid.shells().order], offsets)
 
 
 @pytest.mark.parametrize("imag", ["-0", "one -0", "+0"])

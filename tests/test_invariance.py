@@ -25,7 +25,6 @@ from frechet_flow.operators import MultiplierOperator, ReflectionOperator, conti
 from frechet_flow.spectral import FrequencyGrid, SpectralField, seminorm
 from frechet_flow.symbols import (
     PolynomialSymbol,
-    audit_order,
     diffop_to_symbol,
     heat_symbol,
     horner,
@@ -200,9 +199,8 @@ HEAT_2D = parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", 2)
     lambda: sampled_sphere_maxima(HEAT_2D),
     lambda: continuum_seminorm_bound(HEAT_2D, 2),
     lambda: ReflectionOperator(FrequencyGrid(2, 2, 4)),
-    lambda: audit_order(HEAT_2D, 2),
 ], ids=["decide_l2", "decide_l2-time-zero", "sampled_sphere_maxima",
-        "continuum_seminorm_bound", "ReflectionOperator", "audit_order"])
+        "continuum_seminorm_bound", "ReflectionOperator"])
 def test_two_dimensional_calls_are_refused_in_one_line(refused):
     with pytest.raises(ValueError, match="n = 1") as error:
         refused()

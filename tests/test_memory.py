@@ -43,7 +43,7 @@ def traced_solve(tmp_path, times, formats):
 def test_solve_peaks_below_four_field_sizes(tmp_path):
     result, peak = traced_solve(tmp_path, "0.001, 0.01, 0.1, 1", "csv")
     assert result.residuals_certified
-    assert peak <= 4.0
+    assert peak <= 3.75
 
 
 def test_solve_writing_fields_holds_one_time_at_a_time(tmp_path):
@@ -57,8 +57,9 @@ def test_solve_writing_fields_holds_one_time_at_a_time(tmp_path):
 
 
 def test_the_heat_level_table_peaks_below_one_and_a_fifth_field_sizes():
-    """The table is built on the quarter grid with its shells from the integer axes,
-    not from the grid's shell index, and mirrored."""
+    """The table is built on the quarter grid with its shells from the integer axes and
+    mirrored, and its index put in shell order through the grid's shell index, which
+    is built once, between the evaluation and the mirror."""
     op = MultiplierOperator(parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", 2), GRID)
     _shell_index.cache_clear()
     tracemalloc.start()
@@ -68,7 +69,7 @@ def test_the_heat_level_table_peaks_below_one_and_a_fifth_field_sizes():
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * FIELD_SIZE
-    assert _shell_index.cache_info().currsize == 0
+    assert _shell_index.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("audit", [

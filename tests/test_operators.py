@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,14 @@ def test_a_power_is_the_repeated_nodewise_product(n, text):
         for j in range(1, grid.J + 1):
             assert power.seminorm(j) == np.max(np.abs(expected[grid.ball_mask(j)]))
         expected = expected * values
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.0, 1.5, "2", None])
+def test_a_power_that_is_not_an_integer_of_at_least_one_is_refused_in_one_line(grid, heat_op,
+                                                                               k):
+    message = f"power needs an integer k >= 1, got {k!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        heat_op.power(k)
 
 
 def test_power_bound_transport_cube(grid):
@@ -343,7 +352,7 @@ def values_on_a_grid(draw):
 @given(case=values_on_a_grid(), seed=st.integers(0, 2**32 - 1))
 def test_an_operator_from_values_reads_its_one_table(case, seed):
     grid, v = case
-    op = MultiplierOperator._from_table(grid, *_level_table(v, node_shells(grid), grid.J))
+    op = operator_from_values(grid, v)
     assert np.array_equal(bits(op.values), bits(v))
     # |u| < 0.7 per part keeps every product part below the largest double
     u = np.random.default_rng(seed).uniform(-0.7, 0.7, grid.shape + (2,)).view(complex)[..., 0]
@@ -376,6 +385,17 @@ def node_shells(grid):
     return shell_numbers(grid.J, grid.inv_h, *[grid.axis_index] * grid.n)
 
 
+def shell_ordered(values, grid):
+    """A grid-ordered array put in the order of the grid's shell index."""
+    return np.ravel(values)[grid.shells().order]
+
+
+def operator_from_values(grid, values):
+    """The operator whose symbol on the grid's nodes is ``values``, from its raw table."""
+    levels, inverse, offsets = _level_table(values, node_shells(grid), grid.J)
+    return MultiplierOperator._from_table(grid, levels, shell_ordered(inverse, grid), offsets)
+
+
 def first_appearances(values, shell, J):
     """Reference level table ``(levels, inverse, offsets)``: one pass in node order keyed
     by (bit pattern, shell), then the levels numbered by shell and by first node."""
@@ -396,16 +416,20 @@ def first_appearances(values, shell, J):
             renumber[node_levels].reshape(np.shape(values)), offsets)
 
 
-def assert_reference_table(levels, inverse, offsets, values, grid):
-    """The table is the reference's, bit for bit, and each shell's range holds its own
-    nodes' levels, every one of them."""
-    shell = node_shells(grid)
-    expected_levels, expected_inverse, expected_offsets = first_appearances(values, shell, grid.J)
+def assert_reference_table(levels, index, offsets, values, grid):
+    """The table, its index in shell order, is the reference's gathered through the shell
+    order, bit for bit, and each shell's range holds its own nodes' levels, every one of
+    them."""
+    expected_levels, expected_inverse, expected_offsets = first_appearances(
+        values, node_shells(grid), grid.J)
+    assert index.shape == (grid.node_count,) and index.dtype == np.int32
     assert np.array_equal(bits(levels), bits(expected_levels))
-    assert np.array_equal(inverse, expected_inverse)
+    assert np.array_equal(index, shell_ordered(expected_inverse, grid))
     assert np.array_equal(offsets, expected_offsets) and offsets.size == grid.J + 2
+    bounds = np.append(grid.shells().offsets, grid.node_count)
     for j in range(1, grid.J + 2):
-        assert np.array_equal(np.unique(inverse[shell == j]), np.arange(offsets[j - 1], offsets[j]))
+        assert np.array_equal(np.unique(index[bounds[j - 1]:bounds[j]]),
+                              np.arange(offsets[j - 1], offsets[j]))
 
 
 def test_levels_round_trip_by_bit_pattern_and_keep_signed_zeros_apart():
@@ -415,7 +439,7 @@ def test_levels_round_trip_by_bit_pattern_and_keep_signed_zeros_apart():
     levels, inverse, offsets = _level_table(values, node_shells(grid), grid.J)
     assert inverse.dtype == np.int32 and inverse.shape == grid.shape
     assert np.array_equal(bits(levels[inverse]), bits(values))
-    assert_reference_table(levels, inverse, offsets, values, grid)
+    assert_reference_table(levels, shell_ordered(inverse, grid), offsets, values, grid)
     # shell 1: 1.5, +0, -0 and 2 - i; shells 2 and 3: the four signed zeros each
     assert offsets.tolist() == [0, 4, 8, 12, 12]
 
@@ -431,13 +455,13 @@ def test_levels_match_the_reference_table(n, text):
 def test_levels_of_a_symbol_without_repeated_values():
     grid = FrequencyGrid(2, 4, 8)
     op = MultiplierOperator(parse_symbol(NO_REPEAT_2D, 2), grid)
-    levels, inverse = op.levels()
+    levels, index = op.levels()
     assert levels.size == grid.node_count
     # one level per node, numbered as the shell index orders the nodes
     shells = grid.shells()
-    assert np.array_equal(inverse.ravel()[shells.order], np.arange(grid.node_count))
+    assert np.array_equal(index, np.arange(grid.node_count))
     assert np.array_equal(op.level_offsets()[: grid.J + 1], shells.offsets)
-    assert np.array_equal(bits(levels[inverse]), bits(op.values))
+    assert np.array_equal(bits(levels[index]), bits(op.values.ravel()[shells.order]))
 
 
 def test_a_radial_symbol_keeps_one_level_per_value_and_a_linear_one_splits_by_shell():
@@ -524,11 +548,8 @@ def test_polynomial_levels_are_the_full_grid_evaluation_bitwise(case):
     grid, poly = case
     expected = poly.eval_grid(*(grid.axis,) * grid.n)
     op = MultiplierOperator(poly, grid)
-    levels, inverse = op.levels()
-    assert inverse.shape == grid.shape and inverse.dtype == np.int32
-    assert np.array_equal(bits(levels[inverse]), bits(expected))
-    assert_reference_table(levels, inverse, op.level_offsets(), expected, grid)
     assert np.array_equal(bits(op.values), bits(expected))
+    assert_reference_table(*op.levels(), op.level_offsets(), expected, grid)
 
 
 @pytest.mark.parametrize("text, corner", [
@@ -573,6 +594,8 @@ def test_a_polynomial_operator_keeps_no_grid_sized_complex_array(source):
             for item in value:
                 yield from arrays(item)
 
-    for name, value in vars(op).items():
-        for array in arrays(value):
-            assert not (np.iscomplexobj(array) and array.size >= grid.node_count), name
+    per_node = [array for value in vars(op).values() for array in arrays(value)
+                if array.size >= grid.node_count]
+    index = op.levels()[1]
+    assert len(per_node) == 1 and per_node[0] is index
+    assert index.shape == (grid.node_count,) and index.dtype == np.int32

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from frechet_flow.config import config_from_text
 from frechet_flow.evolution import (
+    STAGE_RATE_LIMIT,
     _stage_growth,
     exp_multiplier,
     exp_series,
@@ -206,7 +207,18 @@ def signed_zero_nan_operator(grid, rng):
     flat[order[offsets[1] + 1]] = complex(-0.0, -0.0)
     flat[order[offsets[1] + 2]] = complex(-0.0, 0.0)
     flat[order[offsets[2]]] = complex(np.nan, 1.0)
-    return MultiplierOperator._from_table(grid, *_level_table(values, node_shells(grid), grid.J))
+    return operator_from_values(grid, values)
+
+
+def operator_from_values(grid, values):
+    """The operator whose symbol on the grid's nodes is ``values``, from its raw table."""
+    levels, inverse, offsets = _level_table(values, node_shells(grid), grid.J)
+    return MultiplierOperator._from_table(grid, levels, shell_ordered(inverse, grid), offsets)
+
+
+def shell_ordered(values, grid):
+    """A grid-ordered array put in the order of the grid's shell index."""
+    return np.ravel(values)[grid.shells().order]
 
 
 def traversal_operators(grid, rng):
@@ -236,11 +248,14 @@ def test_operator_profile_and_stage_growth_equal_the_masked_max(grid, rng):
                 gap = np.hypot(np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2,
                                np.exp(x) * np.sin(y))
                 assert same_bits(uniform_continuity_gap(op, t, j)[0], np.max(gap))
+        # stage times as `series_factor` takes them, |t| max |a| <= STAGE_RATE_LIMIT
+        rate = np.nanmax(np.abs(values)[masked(grid, grid.J)])
         for t in (0.3, -0.3, 1e-3, -7.0):
+            t = min(t, STAGE_RATE_LIMIT / rate) if t > 0 else max(t, -STAGE_RATE_LIMIT / rate)
             growth = _stage_growth(op, t)
             for j in range(1, grid.J + 1):
                 peak = float(np.max((t * values.real)[masked(grid, j)]))
-                assert growth[j - 1] == (math.exp(peak) if peak <= 700.0 else math.inf)
+                assert same_bits(growth[j - 1], math.exp(peak))
 
 
 def test_per_ball_operator_quantities_traverse_no_node(monkeypatch, rng):
@@ -248,14 +263,13 @@ def test_per_ball_operator_quantities_traverse_no_node(monkeypatch, rng):
 
     grid = FrequencyGrid(2, 4, 8)
     ops = traversal_operators(grid, rng)
+    for op in ops:  # a polynomial table is put in shell order as it is built
+        op.levels()
 
     def no_traversal(*args):
         raise AssertionError("a per-ball operator quantity walked the shell index")
 
     monkeypatch.setattr(spectral.FrequencyGrid, "shells", no_traversal)
-    # a polynomial table takes its corner's shells from the integer axes
-    ops.append(MultiplierOperator(parse_symbol(HEAT_2D, 2), grid))
-    ops[-1].levels()
     for op in ops:
         levels, _ = op.levels()
         op._levels = (levels, None)  # the node index is not read either
@@ -285,17 +299,33 @@ def test_seminorm_reads_the_profile_of_its_field(monkeypatch, rng):
 
 
 def identity_inverse(grid):
-    """Level index of a factor given node by node: node k is level k."""
+    """Grid-shaped level index of a factor given node by node: node k is level k."""
     return np.arange(grid.node_count).reshape(grid.shape)
+
+
+def node_levels(grid):
+    """``(levels, level_offsets)`` of a `ShellField` in which each node is its own level,
+    the levels numbered in shell order."""
+    return np.arange(grid.node_count, dtype=np.int32), np.append(grid.shells().offsets,
+                                                                 grid.node_count)
+
+
+def node_field(u, inverse, *per_level):
+    """u's `ShellField` over `node_levels`, and each array given per level of the
+    grid-shaped ``inverse`` spread over the nodes, in shell order."""
+    nodes = shell_ordered(inverse, u.grid)
+    return [ShellField(u, *node_levels(u.grid))] + [array[nodes] for array in per_level]
 
 
 def one_flow(log_magnitude, phase, u, inverse=None):
     """`saturated_product` of one flow, keeping its field: ``(field, flagged)``.
 
-    ``u`` is a field and ``inverse`` its level index, or ``u`` is a
-    `ShellField` and ``inverse`` is omitted.
+    ``u`` is a field and ``inverse`` names each node's level of the factor
+    (grid-shaped), or ``u`` is a `ShellField` and ``inverse`` is omitted.
     """
-    source = u if inverse is None else ShellField(u, inverse, None)
+    source = u
+    if inverse is not None:
+        source, log_magnitude, phase = node_field(u, inverse, log_magnitude, phase)
     product, flagged = saturated_product(
         {"flow": LevelFactor(log_magnitude, phase)}, source, keep="flow"
     )
@@ -445,13 +475,18 @@ def test_saturating_path_equals_the_reference_bitwise(grid, rng):
 
 def test_saturating_path_on_heat_levels_equals_the_reference_bitwise(rng):
     grid = FrequencyGrid(2, 4, 8)
-    levels, inverse = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid).levels()
+    op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
+    levels, index = op.levels()
+    inverse = np.empty(grid.node_count, dtype=np.int32)
+    inverse[grid.shells().order] = index  # back to grid order
     u = random_field(grid, rng)
+    source = ShellField(u, index, op.level_offsets())
     for t in (-2.0, -1.0, -0.6):
         z = t * levels
         phase = np.exp(1j * z.imag)
-        expected, expected_flag = reference_saturated_product(z.real, phase, u, inverse)
-        result, flagged = one_flow(z.real, phase, u, inverse)
+        expected, expected_flag = reference_saturated_product(z.real, phase, u,
+                                                              inverse.reshape(grid.shape))
+        result, flagged = one_flow(z.real, phase, source)
         assert flagged and expected_flag
         assert same_bits(result.values, expected)
 
@@ -468,7 +503,7 @@ def test_polar_form_is_built_once_per_field(monkeypatch, rng):
 
     monkeypatch.setattr(np, "angle", counted)
     log_magnitude, phase, inverse = saturating_case(grid, rng)
-    source = ShellField(u, inverse, None)
+    source, log_magnitude, phase = node_field(u, inverse, log_magnitude, phase)
     first, _ = one_flow(log_magnitude, phase, source)
     # one angle per block of the shell index builds the polar form
     built = len(list(grid.shells().blocks(outside=True)))
@@ -487,11 +522,12 @@ def test_polar_form_is_built_once_per_field(monkeypatch, rng):
 def test_shell_field_is_the_gather_through_the_shell_order(rng):
     grid = FrequencyGrid(2, 3, 4)
     u = random_field(grid, rng)
-    inverse = rng.integers(0, 9, size=grid.shape).astype(np.int32)
-    source = ShellField(u, inverse, None)
+    op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
+    source = ShellField(u, op.levels()[1], op.level_offsets())
     order = grid.shells().order
     assert same_bits(source.samples, u.values.ravel()[order])
-    assert np.array_equal(source.levels, inverse.ravel()[order])
+    # the operator's level index is read as it is held, not copied
+    assert source.levels is op.levels()[1] and source.level_offsets is op.level_offsets()
     assert source.peak == float(np.max(np.abs(u.values)))
     assert source.grid == grid and not source.overflow
     assert not source.samples.flags.writeable and not source.levels.flags.writeable
@@ -503,11 +539,10 @@ def test_shell_field_is_the_gather_through_the_shell_order(rng):
 def test_polar_form_marks_zero_and_nan_samples():
     grid = FrequencyGrid(1, 1, 2)
     values = np.array([0.0, -0.0, 5e-324j, np.nan, -2.0], dtype=complex)
-    inverse = np.zeros(grid.shape, dtype=np.int32)
-    u = ShellField(SpectralField(grid, values, overflow=True), inverse, None)
+    u = ShellField(SpectralField(grid, values, overflow=True), *node_levels(grid))
     assert math.isnan(u.peak) and u.overflow
     assert ShellField(SpectralField(grid, np.where(np.isnan(values), 0.0, values)),
-                      inverse, None).peak == 2.0
+                      *node_levels(grid)).peak == 2.0
     # back to grid order
     log_u, phase = (part[np.argsort(grid.shells().order)] for part in u.polar())
     assert log_u[:2].tolist() == [-np.inf, -np.inf] and log_u[3] == -np.inf
@@ -565,7 +600,8 @@ KINDS = ["random", "subnormal", "near-overflow", "flagged"]
 
 
 def random_factor(rng, grid, kind):
-    """A factor given node by node: None (the identity), or log magnitudes that may saturate."""
+    """A factor given node by node (`node_levels`): None (the identity), or log magnitudes
+    that may saturate."""
     if kind == "identity":
         return None
     top = {"moderate": 5.0, "saturating": 2.0 * OVERFLOW_EXPONENT}[kind]
@@ -582,9 +618,8 @@ def test_streamed_pass_reads_what_its_fields_give(grid, seed, kind, factor_kinds
     rng = np.random.default_rng(seed)
     u = scaled_field(grid, rng, kind)
     factors = dict(zip(["a", "b"], (random_factor(rng, grid, k) for k in factor_kinds)))
-    inverse = identity_inverse(grid)
     fields = {}
-    source = ShellField(u, inverse, None)
+    source = ShellField(u, *node_levels(grid))
     for name, factor in factors.items():
         product, _ = saturated_product({name: factor}, source, keep=name)
         assert product.residual is None
@@ -606,16 +641,17 @@ def test_representable_flow_with_a_nan_phase_level_is_rejected(rng):
     grid = FrequencyGrid(2, 3, 4)
     u = random_field(grid, rng)
     op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
-    levels, inverse = op.levels()
+    levels, index = op.levels()
     phase = np.ones(levels.size, dtype=complex)
     phase[levels.size // 2] = complex(np.nan, 0.0)
     factor = LevelFactor(0.1 * levels.real, phase)
-    source = ShellField(u, inverse, op.level_offsets())
+    source = ShellField(u, index, op.level_offsets())
     for keep in (None, "flow"):
         with pytest.raises(ValueError, match="non-finite samples"):
             saturated_product({"flow": factor}, source, keep=keep)
     # a flagged field may carry the NaN
-    flagged = ShellField(SpectralField(grid, u.values, overflow=True), inverse, None)
+    flagged = ShellField(SpectralField(grid, u.values, overflow=True), index,
+                         op.level_offsets())
     product, _ = saturated_product({"flow": factor}, flagged, keep="flow")
     assert np.isnan(product.field.values).any()
 
@@ -638,8 +674,9 @@ def visited_ranges(monkeypatch):
 def test_pass_without_kept_or_saturating_flow_stays_in_ball_J(monkeypatch, rng):
     grid = FrequencyGrid(2, 4, 8)
     u = random_field(grid, rng)
-    levels, inverse = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid).levels()
-    source = ShellField(u, inverse, None)
+    op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
+    levels, index = op.levels()
+    source = ShellField(u, index, op.level_offsets())
     ball_end = int(grid.shells().offsets[-1])
     representable = {"a": LevelFactor(0.01 * levels.real, np.ones(levels.size)), "b": None}
     visited = visited_ranges(monkeypatch)
@@ -777,7 +814,7 @@ LEVEL_GRIDS = [FrequencyGrid(1, 8, 4), FrequencyGrid(1, 4, 16), FrequencyGrid(1,
 
 
 def level_operator(grid, kind):
-    if kind == "power":  # a power keeps its base's inverse and shell ranges
+    if kind == "power":  # a power keeps its base's level index and shell ranges
         return MultiplierOperator(parse_symbol(LEVEL_SYMBOLS[grid.n]["mixed"], grid.n),
                                   grid).power(2)
     return MultiplierOperator(parse_symbol(LEVEL_SYMBOLS[grid.n][kind], grid.n), grid)
@@ -901,10 +938,12 @@ def test_level_weights_are_the_per_level_sums_of_squares(rng):
     peaks, exponents, weights = source.level_weights()
     assert source.level_weights()[0] is peaks
     assert not any(part.flags.writeable for part in (peaks, exponents, weights))
-    inverse = op.levels()[1]
-    inside = node_shells(grid) <= grid.J
+    index, shells = op.levels()[1], grid.shells()
+    # in shell order, ball J's nodes come first
+    inside = np.arange(grid.node_count) < shells.offsets[-1]
+    samples = shell_ordered(u.values, grid)
     for level in rng.choice(peaks.size, size=40, replace=False):
-        magnitudes = np.abs(u.values[inside & (inverse == level)])
+        magnitudes = np.abs(samples[inside & (index == level)])
         assert peaks[level] == np.max(magnitudes)
         assert np.ldexp(0.5, exponents[level]) <= peaks[level] < np.ldexp(1.0, exponents[level])
         expected = np.sum(np.ldexp(magnitudes, -int(exponents[level])) ** 2)
@@ -929,20 +968,20 @@ def test_the_level_path_is_taken_only_where_no_node_is_needed(monkeypatch, rng):
     def factors_at(t):
         return flow_factors(op, t, u, "both")
 
-    def levels_taken(factors, field=u, keep=None, offsets=op.level_offsets()):
+    def levels_taken(factors, field=u, keep=None):
         taken.clear()
-        saturated_product(factors, ShellField(field, op.levels()[1], offsets), keep=keep)
+        saturated_product(factors, ShellField(field, op.levels()[1], op.level_offsets()),
+                          keep=keep)
         return bool(taken)
 
     assert levels_taken(factors_at(0.01))
     assert levels_taken({"multiplier": factors_at(0.01)["multiplier"]})
-    # a kept flow, a flow that can saturate, a flagged input, t = 0, no shell ranges
+    # a kept flow, a flow that can saturate, a flagged input, t = 0
     assert not levels_taken(factors_at(0.01), keep="series")
     assert not levels_taken(factors_at(-1.0))
     assert not levels_taken(factors_at(0.01), field=SpectralField(grid, u.values, overflow=True))
     assert not levels_taken(factors_at(0.0))
     assert not levels_taken({"multiplier": factors_at(0.01)["multiplier"], "identity": None})
-    assert not levels_taken(factors_at(0.01), offsets=None)
 
 
 def test_a_solve_that_writes_no_field_builds_the_level_weights_once(monkeypatch, tmp_path):

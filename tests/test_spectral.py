@@ -251,7 +251,7 @@ def test_internal_results_are_read_only(grid, rng, tmp_path):
 
     u, v = random_field(grid, rng), random_field(grid, rng)
     op = MultiplierOperator(heat_symbol(), grid)
-    levels, inverse = op.levels()
+    levels, index = op.levels()
     path = tmp_path / "u.fl2l"
     write_field(path, u)
     results = [
@@ -260,7 +260,7 @@ def test_internal_results_are_read_only(grid, rng, tmp_path):
         exp_multiplier(op, 0.0, u), exp_series(op, 0.0, u)[0],
         exp_multiplier(op, 0.1, u), exp_multiplier(op, -1.0, u),
         saturated_product({"flow": LevelFactor(np.zeros(levels.size), np.ones(levels.size))},
-                          ShellField(u, inverse, op.level_offsets()), keep="flow")[0].field,
+                          ShellField(u, index, op.level_offsets()), keep="flow")[0].field,
         ones(grid), SpectralField(grid, np.zeros(grid.shape)), delta(grid),
         random_field(grid, rng),
     ]

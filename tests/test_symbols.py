@@ -14,10 +14,10 @@ from frechet_flow.symbols import (
     _constant_power,
     _poly_add,
     _poly_mul,
-    audit_order,
     diffop_to_symbol,
     heat_symbol,
     horner,
+    in_symbol_class,
     parse_diffop_coefficients,
     parse_symbol,
 )
@@ -444,28 +444,28 @@ def test_a_coefficient_list_that_would_drop_input_is_refused(text, message):
         parse_diffop_coefficients(text)
 
 
-def test_audit_order_heat_symbol_passes_at_its_order():
-    report = audit_order(heat_symbol(), 2)
-    assert report.passed
-    assert report.entries[0].alpha == (0,)
-    assert report.entries[0].constant <= 4 * PI**2 + 1
+def test_the_heat_symbol_is_in_s2_and_not_in_s1():
+    assert in_symbol_class(heat_symbol(), 2)
+    assert not in_symbol_class(heat_symbol(), 1)
 
 
-def test_audit_order_heat_symbol_fails_below_its_order():
-    report = audit_order(heat_symbol(), 1)
-    assert not report.passed
+def test_a_tiny_cubic_is_not_in_s2():
+    # a sampled audit with an absolute slack passed this cubic
+    cubic = parse_symbol("1e-20*xi^3")
+    assert not in_symbol_class(cubic, 2)
+    assert in_symbol_class(cubic, 3)
 
 
-def test_audit_order_constant_symbol():
-    poly = PolynomialSymbol(1, {(0,): 3 + 4j})
-    report = audit_order(poly, 0)
-    assert report.passed
-    assert report.entries[0].alpha == (0,)
-    assert report.entries[0].constant == pytest.approx(5.0, rel=1e-12)
+def test_symbol_classes_in_two_dimensions():
+    heat = parse_symbol("-(1+4*pi^2*(xi1^2+xi2^2))", 2)
+    assert in_symbol_class(heat, 2) and not in_symbol_class(heat, 1)
+    # the order is the largest total degree, xi1 * xi2^2 here
+    mixed = parse_symbol("xi1*xi2^2 + 5*xi1^2", 2)
+    assert in_symbol_class(mixed, 3) and not in_symbol_class(mixed, 2.5)
 
 
-def test_derivative_of_polynomial_symbol():
-    poly = heat_symbol()
-    d2 = poly.derivative((2,))
-    assert d2.coeffs == {(0,): pytest.approx(-8 * PI**2)}
-    assert poly.derivative((3,)).coeffs == {}
+def test_constant_and_zero_symbols():
+    constant = PolynomialSymbol(1, {(0,): 3 + 4j})
+    assert in_symbol_class(constant, 0) and not in_symbol_class(constant, -1)
+    zero = PolynomialSymbol(2, {})
+    assert in_symbol_class(zero, 0) and in_symbol_class(zero, -7)
