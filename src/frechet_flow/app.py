@@ -147,31 +147,28 @@ class SolveResult:
 def run_solve(config: RunConfig, out_dir: str) -> SolveResult:
     """Execute a configured run and write its CSV and metadata files.
 
-    The run consumes `evolve`, which builds the initial field's shell
-    field (`ShellField`) once, with its ball profile, and yields each
-    time's `Product`: one `saturated_product` pass of its flow factors,
-    which holds every profile the run reports.  The grid-ordered initial
-    samples are released before the first pass.  The run asks `evolve` to
-    keep the last method's field only when it writes a field output
-    (``fl2l``, ``field-csv``); a pass that keeps no field and cannot
-    saturate reduces over the levels alone.  A kept field is written as
-    soon as its time's pass completes, so one time's field is held at a
-    time.  Those files take their names as the run's last step: a run that
-    raises removes them, and the directories it created for them that are
-    then empty.
+    The run consumes `evolve`, which forms the initial field's peak and
+    ball profile in one pass, and yields each time's `Product`: one
+    `saturated_product` pass of its flow factors, which holds every profile
+    the run reports.  The run asks `evolve` to keep the last method's field
+    only when it writes a field output (``fl2l``, ``field-csv``); a pass
+    that keeps no field and cannot saturate reduces over the levels alone.
+    A kept field is written as soon as its time's pass completes, so one
+    time's field is held at a time.  Those files take their names as the
+    run's last step: a run that raises removes them, and the directories it
+    created for them that are then empty.
     """
     grid = FrequencyGrid(config.n, config.J, config.inv_h)
     symbol = build_symbol(config)
     op = MultiplierOperator(symbol, grid, label=config.symbol_spec())
-    # the level table's temporaries are gone before the initial field and
-    # its shell-ordered copy are both alive
+    # the level table's temporaries are gone before the initial field exists
     op.levels()
     u0 = build_initial_field(config, grid)
     times = tuple(sorted(set(float(t) for t in config.times)))
     fields = _FieldFiles(out_dir, config.formats)
     steps = evolve(op, times, u0, config.method, config.tol, keep=bool(fields.formats))
-    initial_profile = seminorm_profile(u0)  # formed with u0's shell field
-    del u0  # the passes read the shell field only
+    initial_profile = seminorm_profile(u0)  # formed by evolve's pass over u0
+    del u0  # the generator holds it
 
     profiles: dict = {}
     diagnostics: list = []

@@ -46,15 +46,14 @@ Horner keeps an imaginary part of +0 there, so the bits are the same; a
 real stage that overflows, where the complex one reads NaN, is redone in
 complex.
 
-`evolve` is the one path from flow factors to fields: it builds the
-initial field's `ShellField` once, which forms the field's ball profile,
-and yields each time's `Product`, one `saturated_product` pass of that
-time's factors (and the series certificate beside it).  The caller says
-whether a pass keeps a field (``keep``): a kept field's pass walks the
-nodes, and a pass that keeps none and cannot saturate reduces over the
-levels alone.  `app.run_solve` keeps a field only when it writes one.
-`exp_multiplier` and `exp_series` are one-time calls of `evolve` that keep
-the field and return it.
+`evolve` is the one path from flow factors to fields: it forms the
+initial field's peak and ball profile in one pass, and yields each time's
+`Product`, one `saturated_product` pass of that time's factors (and the
+series certificate beside it).  The caller says whether a pass keeps a
+field (``keep``): a kept field's pass walks the nodes, and a pass that
+keeps none and cannot saturate reduces over the levels alone.
+`app.run_solve` keeps a field only when it writes one; `exp_multiplier`
+and `exp_series` are one-time calls of `evolve` that keep it.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ from .operators import MultiplierOperator
 from .spectral import (
     OVERFLOW_EXPONENT,
     LevelFactor,
-    ShellField,
     SpectralField,
     project,
     saturated_product,
@@ -110,7 +108,7 @@ def exp_multiplier(op: MultiplierOperator, t: float, u: SpectralField) -> Spectr
     Samples whose evolved magnitude would exceed ``e^709`` are saturated at
     that magnitude (phase kept) and the result is flagged, as is any node
     carrying data whose bare factor exceeds that range.  One time of
-    `evolve`, which builds u's shell field and keeps the field.
+    `evolve`, which keeps the field.
     """
     ((_, product, _),) = evolve(op, [t], u, keep=True)
     return product.field
@@ -226,8 +224,8 @@ def exp_series(op: MultiplierOperator, t: float, u: SpectralField, tol: float = 
     ``tol / ((1 + p_J(u)) * stages)``; the diagnostics carry per-ball
     certified bounds (see the module docstring for their form).  Stage
     magnitudes above ``e^709`` saturate there and flag the result, exactly
-    matching the closed-form path.  One time of `evolve`, which builds u's
-    shell field and keeps the field.
+    matching the closed-form path.  One time of `evolve`, which keeps the
+    field.
     """
     ((_, product, diagnostics),) = evolve(op, [t], u, "series", tol, keep=True)
     return product.field, diagnostics
@@ -425,17 +423,19 @@ def verify_quotient_diagrams(op, u: SpectralField, j: int) -> DiagramCheck:
     grid = u.grid
     if not 1 <= j < grid.J:
         raise ValueError(f"diagram checks need 1 <= j < J = {grid.J}")
-    sigma_au = project(op.apply(u), j).values
-    a_sigma = project(op.apply(project(u, j)), j).values
-    restricted = project(op.apply(project(u, j + 1)), j).values
+    sigma_au = project(op.apply(u), j).samples
+    a_sigma = project(op.apply(project(u, j)), j).samples
+    restricted = project(op.apply(project(u, j + 1)), j).samples
     proj_ok = np.array_equal(sigma_au, a_sigma)
     restr_ok = np.array_equal(restricted, a_sigma)
 
     witness = None
     if not (proj_ok and restr_ok):
-        # both sides vanish outside ball j, so a differing node lies inside it
-        bad = np.flatnonzero((sigma_au if not proj_ok else restricted) != a_sigma)[0]
-        witness = tuple(float(x) for x in grid.node_points()[bad])
+        # both sides vanish outside ball j, so a differing node lies inside it;
+        # in shell order, the first in row-major order is the least node index
+        differing = (sigma_au if not proj_ok else restricted) != a_sigma
+        bad = int(np.min(grid.shells().order[differing]))
+        witness = tuple(float(grid.axis[k]) for k in np.unravel_index(bad, grid.shape))
     return DiagramCheck(
         j=j,
         projection_commutes=proj_ok,
@@ -450,20 +450,17 @@ def evolve(op: MultiplierOperator, times, u0: SpectralField, method: str = "mult
 
     ``method`` is ``"multiplier"``, ``"series"`` or ``"both"``.  Every time
     must be finite; times, method and ``tol`` are checked here, before any
-    kernel runs.  Then ``u0``'s `ShellField` is built over the operator's
-    shell-ordered level index ``op.levels()[1]``, as it is held, and its
-    shell ranges ``op.level_offsets()``; building it gathers ``u0``'s
-    samples and forms ``u0``'s ball profile.  The generator holds the shell
-    field and that profile, not ``u0``, so a caller may release ``u0``
-    before the first time.  Returns a generator of ``(t, product, diagnostics)``:
-    ``product`` is the `Product` of one `saturated_product` pass of the
-    time's flow factors (multiplier first) over the shell field, and
-    ``diagnostics`` the series' `SeriesDiagnostics`, or ``None`` without
-    the series.  With ``keep`` the pass keeps the last method's field
-    (``product.field``); without, a pass that cannot saturate reduces over
-    the levels alone.  The generator releases a time's factors and product
-    before it forms the next time's, so a consumer that does the same holds
-    one time at a time.
+    kernel runs.  Then the operator's level table is built, if it is not
+    yet, and one pass over ``u0`` forms its peak and ball profile.  Returns
+    a generator of ``(t, product, diagnostics)``: ``product`` is the
+    `Product` of one `saturated_product` pass of the time's flow factors
+    (multiplier first) over ``u0`` and the operator's level index and
+    shell ranges, as they are held, and ``diagnostics`` the series'
+    `SeriesDiagnostics`, or ``None`` without the series.  With ``keep`` the
+    pass keeps the last method's field (``product.field``); without, a pass
+    that cannot saturate reduces over the levels alone.  The generator
+    releases a time's factors and product before it forms the next time's,
+    so a consumer that does the same holds one time at a time.
     """
     if method not in VALID_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {VALID_METHODS}")
@@ -472,11 +469,12 @@ def evolve(op: MultiplierOperator, times, u0: SpectralField, method: str = "mult
         check_finite(t, "time")
     check_tolerance(tol)
     _check_grid(op, u0)
-    source = ShellField(u0, op.levels()[1], op.level_offsets())
-    return _trajectory(op, times, source, seminorm_profile(u0), method, tol, keep)
+    index, offsets = op.levels()[1], op.level_offsets()
+    u0.peak()  # the one pass that also forms u0's profile
+    return _trajectory(op, times, u0, index, offsets, seminorm_profile(u0), method, tol, keep)
 
 
-def _trajectory(op, times, source, profile, method, tol, keep):
+def _trajectory(op, times, u0, index, offsets, profile, method, tol, keep):
     for t in times:
         # this rebinding releases the last time's factors before any kernel runs
         factors = {}
@@ -485,6 +483,7 @@ def _trajectory(op, times, source, profile, method, tol, keep):
             factors["multiplier"] = multiplier_factor(op, t)
         if method != "multiplier":
             factors["series"], diagnostics = series_factor(op, t, profile, tol)
-        product, _ = saturated_product(factors, source, keep=list(factors)[-1] if keep else None)
+        product, _ = saturated_product(factors, u0, index, offsets,
+                                       keep=list(factors)[-1] if keep else None)
         yield t, product, diagnostics
         del product

@@ -6,6 +6,10 @@ ends and unquoted cells: a float column's are ``%.17g``, which reads back to
 the same value, any other column's the ``str`` of their Python values, so
 integers stay exact past int64, in an object column or a sequence of ints.
 
+On disk a field is in grid (row-major) order, in memory in shell order;
+`write_field`, `read_field` and `field_to_csv` convert a block of rows at
+a time (`ShellIndex.rows`), so none holds a grid-ordered copy.
+
 Binary field layout: magic ``FL2L``, version u32 = 1, n u8, J u32, inv_h
 u32, then one little-endian f64 pair (re, im) per node in row-major order,
 that is one little-endian complex128 per node.  Reading back what was
@@ -36,8 +40,8 @@ def write_field(path, field: SpectralField):
     grid = field.grid
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(MAGIC, VERSION, grid.n, grid.J, grid.inv_h))
-        # the samples' own buffer, written without a copy on little-endian hosts
-        handle.write(memoryview(field.values.astype("<c16", copy=False).reshape(-1)))
+        for _, positions in grid.shells().rows():
+            handle.write(field.samples[positions].astype("<c16", copy=False))
 
 
 def read_field(path) -> SpectralField:
@@ -54,14 +58,18 @@ def read_field(path) -> SpectralField:
         expected = grid.node_count * _SAMPLE_BYTES
         found = os.fstat(handle.fileno()).st_size - _HEADER.size
         if found == expected:
-            values = np.empty(grid.shape, dtype="<c16")
-            found = handle.readinto(values.reshape(-1).view(np.uint8))
+            samples = np.empty(grid.node_count, dtype=np.complex128)
+            found = 0
+            for nodes, positions in grid.shells().rows():
+                block = np.empty(nodes.stop - nodes.start, dtype="<c16")
+                found += handle.readinto(block.view(np.uint8))
+                samples[positions] = block
     if found != expected:
         raise FieldFormatError(
             f"expected a body of {expected} bytes ({grid.node_count} samples), "
             f"found {found} bytes"
         )
-    return SpectralField._adopt(grid, values.astype(np.complex128, copy=False))
+    return SpectralField._adopt(grid, samples)
 
 
 def _column(column) -> np.ndarray:
@@ -78,13 +86,20 @@ def write_csv(path, header, columns):
     columns = [_column(column) for column in columns]
     if len({len(column) for column in columns}) > 1:
         raise ValueError(f"columns of unequal lengths {[len(column) for column in columns]}")
-    row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\r\n"
+    _write_rows(path, header, [columns])
+
+
+def _write_rows(path, header, blocks):
+    """Write a header line, then each block's equal-length numpy columns as CSV rows."""
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            block = [column[start:start + _CSV_BLOCK].tolist() for column in columns]
-            cells = [cell for row_cells in zip(*block) for cell in row_cells]
-            handle.write(row * len(block[0]) % tuple(cells))
+        for columns in blocks:
+            row = ",".join("%.17g" if column.dtype.kind == "f" else "%s"
+                           for column in columns) + "\r\n"
+            for start in range(0, len(columns[0]), _CSV_BLOCK):
+                block = [column[start:start + _CSV_BLOCK].tolist() for column in columns]
+                cells = [cell for row_cells in zip(*block) for cell in row_cells]
+                handle.write(row * len(block[0]) % tuple(cells))
 
 
 def write_metadata(path, lines):
@@ -94,7 +109,9 @@ def write_metadata(path, lines):
 
 
 def field_to_csv(path, field: SpectralField):
+    """One row per node in row-major order: its coordinates, then the sample's parts."""
     grid = field.grid
-    values = field.values.ravel()
-    write_csv(path, [f"xi_{k + 1}" for k in range(grid.n)] + ["re", "im"],
-              [*grid.node_points().T, values.real, values.imag])
+    blocks = ([*grid.coordinates(nodes), samples.real, samples.imag]
+              for nodes, positions in grid.shells().rows()
+              for samples in [field.samples[positions]])
+    _write_rows(path, [f"xi_{k + 1}" for k in range(grid.n)] + ["re", "im"], blocks)

@@ -51,10 +51,8 @@ class MultiplierOperator:
     in a shell (as ``a`` and ``-a`` do when squared).  The per-ball
     quantities, max |a| (`seminorm`) and the range of ``Re a``
     (`real_part_range`), reduce each shell's range of levels, so they read
-    no node; they are computed on first use and kept.  `apply` and
-    `seminorm_argmax` read ``values``, the symbol on every node in grid
-    order, which is scattered from the table on each access; no solve
-    reads it.
+    no node; they are computed on first use and kept.  `apply` multiplies
+    the levels, through the index, onto a field's samples in shell order.
     """
 
     def __init__(self, poly: PolynomialSymbol, grid: FrequencyGrid, label: str | None = None):
@@ -82,18 +80,11 @@ class MultiplierOperator:
         if table is not None:
             self._levels, self._offsets = table[:2], table[2]
 
-    @property
-    def values(self) -> np.ndarray:
-        """The symbol on every node (read-only), scattered from `levels` in shell order."""
-        levels, index = self.levels()
-        values = np.empty(self.grid.node_count, dtype=np.complex128)
-        values[self.grid.shells().order] = levels[index]
-        return frozen(values.reshape(self.grid.shape))
-
     def apply(self, u: SpectralField) -> SpectralField:
         if u.grid != self.grid:
             raise GridError(f"field grid {u.grid} does not match operator grid {self.grid}")
-        return SpectralField._adopt(self.grid, self.values * u.values, u.overflow)
+        levels, index = self.levels()
+        return SpectralField._adopt(self.grid, levels[index] * u.samples, u.overflow)
 
     def seminorm(self, j: int) -> float:
         """Exact discrete operator seminorm: node maximum of |a| on ball j."""
@@ -134,16 +125,15 @@ class MultiplierOperator:
         node order.  So one value may be listed once per shell it meets, and
         a hash collision may list it twice within a shell, as may a
         `power`, where two levels can share their k-th power; two values are
-        never merged.  The flat int32 ``index`` is in the order of
-        `ShellIndex.order` (ball J shell by shell, then the nodes outside
-        ball J), the order in which `ShellField` and every pass read it:
-        ``levels[index] == values.ravel()[order]`` bitwise, and the entries
-        of shell j's nodes (its range of `ShellIndex.offsets`) name levels
+        never merged.  The flat int32 ``index`` is in shell order, the order
+        of a field's samples: ``levels[index[p]]`` is the symbol at the node
+        ``ShellIndex.order[p]``, and the entries of shell j's nodes (its
+        range of `ShellIndex.offsets`) name levels
         of its range of `level_offsets`.  A function of the symbol value
         alone, such as the flow factor ``e^{t a}``, can then be evaluated
         once per level and gathered, and a sum over the nodes of a ball of
         such a function times a field reduces over the field's weights per
-        level (`ShellField.level_weights`).  The table costs 4 bytes per
+        level (`SpectralField.level_weights`).  The table costs 4 bytes per
         node plus 16 per level.
         """
         if self._levels is None:
@@ -162,10 +152,14 @@ class MultiplierOperator:
         return self._offsets
 
     def seminorm_argmax(self, j: int) -> tuple[int, ...]:
-        """Index of a node attaining the ball-j operator seminorm."""
-        mask = self.grid.ball_mask(j)
-        magnitudes = np.where(mask, np.abs(self.values), -1.0)
-        return np.unravel_index(int(np.argmax(magnitudes)), self.grid.shape)
+        """Index of a node attaining the ball-j operator seminorm, the first in row-major
+        order (the first NaN if ``|a|`` is NaN on the ball)."""
+        (levels, index), shells = self.levels(), self.grid.shells()
+        ball = int(shells.offsets[self.grid.check_ball_index(j)])
+        magnitudes = np.abs(levels)[index[:ball]]
+        peak = np.max(magnitudes)
+        ties = np.isnan(magnitudes) if np.isnan(peak) else magnitudes == peak
+        return np.unravel_index(int(np.min(shells.order[:ball][ties])), self.grid.shape)
 
     def power(self, k: int) -> "MultiplierOperator":
         """The k-fold composition: each level multiplied by itself k - 1 times.
@@ -253,11 +247,9 @@ def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
     that comes no later in row-major order: the corner's first appearances
     are the full grid's, and ``levels`` and the offsets are unchanged.  The
     corner's shells come from its integer axes (`shell_numbers`).  The
-    mirrored ``inverse`` is then gathered through the grid's shell order a
-    block of `ShellIndex.blocks` at a time, and only that shell-ordered
-    index is kept.  The shell index is built between the two, after the
-    evaluation's temporaries are released and before the mirrored index
-    exists, which gives the lowest peak.  A table with a value that is not
+    mirrored ``inverse`` is then put in shell order a block of rows at a
+    time (`ShellIndex.rows`), and only that shell-ordered index is kept.
+    A table with a value that is not
     finite, one that overflows in Horner's rule or the ``nan`` of the
     ``inf * 0`` it then forms, is refused with `SymbolError`, which counts
     distinct values, not levels.
@@ -278,15 +270,14 @@ def _polynomial_levels(poly: PolynomialSymbol, grid: FrequencyGrid):
             f"the symbol is not finite on the grid's extent [-{grid.J}, {grid.J}]^{grid.n}: "
             f"{finite.size - np.count_nonzero(finite)} of its {finite.size} distinct values "
             "overflow")
-    shells = grid.shells()
     for k, mirrored in enumerate(even):
         if mirrored:
             tail = np.flip(inverse, axis=k)[(slice(None),) * k + (slice(1, None),)]
             inverse = np.concatenate([inverse, tail], axis=k)
     inverse = inverse.reshape(-1)
     index = np.empty(inverse.size, dtype=np.int32)
-    for block, _ in shells.blocks(outside=True):
-        np.take(inverse, shells.order[block], out=index[block], mode="clip")
+    for nodes, positions in grid.shells().rows():
+        index[positions] = inverse[nodes]
     return levels, frozen(index), offsets
 
 
@@ -312,7 +303,7 @@ class ReflectionOperator:
         if u.grid != self.grid:
             raise GridError("field grid does not match operator grid")
         values = np.where(self._in_range, u.values[self._gather], 0.0)
-        return SpectralField._adopt(self.grid, values, u.overflow)
+        return SpectralField(self.grid, values, u.overflow)
 
     def __repr__(self):
         return f"ReflectionOperator({self.grid!r})"
@@ -445,4 +436,4 @@ def sharpness_field(op: MultiplierOperator, j: int) -> SpectralField:
     """Unit sample attaining ``p_j(Au) = p_j^X(A) p_j(u)`` exactly."""
     values = np.zeros(op.grid.shape, dtype=np.complex128)
     values[op.seminorm_argmax(j)] = 1.0
-    return SpectralField._adopt(op.grid, values)
+    return SpectralField(op.grid, values)

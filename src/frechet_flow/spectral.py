@@ -9,40 +9,32 @@ series metric ``sum 2^-j q_j / (1 + q_j)`` (truncated at j = J; the omitted
 tail is below ``2^-J``).
 
 Ball membership is decided in exact integer arithmetic on the node indices,
-so boundary nodes with ``|xi| = j`` are always included and `project`
-copies samples bitwise.  Every node carries its shell number, the smallest j
-with ``|xi| <= j`` (`shell_numbers`), so ball j is the union of shells 1..j.
-A grid holds no per-node array, only its axes.  Its `ShellIndex` (built on
-first use, shared by equal grids) finds each node's shell from the integer
-axis a block of rows at a time and lists the nodes of ball J sorted by
-shell.  Its `blocks` are the one traversal of the shells: every per-ball
-quantity of a field is one pass over shells 1..J, a block of whole shells at
-a time, with one reduction per shell, followed by a scan over the J shells
-(running maxima, or for the seminorms the scaled sums of squares of LAPACK
-``dlassq`` combined shell by shell).  A pass never holds more than one block
-of samples beside the field.  An operator's level table is numbered shell by
-shell (`MultiplierOperator.level_offsets`), so its per-ball quantities reduce
-each shell's range of levels and traverse no node, and its level index is
-held in shell order, the order in which every pass reads it.
+so boundary nodes with ``|xi| = j`` are always included.  A node's shell is
+the smallest j with ``|xi| <= j`` (`shell_numbers`), and shell order lists
+the nodes by shell, row-major within a shell, the nodes outside ball J
+last (`ShellIndex`, built in closed form from the rows and shared by equal
+grids).  It is the one order of a field in memory: a `SpectralField` holds
+its samples flat in shell order, so ball j is the prefix ``[:offsets[j]]``
+and the ball-j quotient element, the field that vanishes outside ball j,
+keeps that prefix and zeroes the rest (`project`).  Grid (row-major) order
+is met only at the edges: ``.fl2l`` files and field CSVs are row-major on
+disk and are converted a block of rows at a time (`ShellIndex.rows`), the
+constructor takes grid-shaped values, and ``values`` scatters them back.
 
-Every per-ball quantity is computed once per object and kept with it: a
-`SpectralField` is immutable, so its ball profile is built by the first
-`seminorm` or `seminorm_profile` and every later call reads it.
+Every per-ball quantity is one pass over the blocks of whole shells of
+`ShellIndex.blocks`, each a contiguous range of samples, with one
+reduction per shell and then a scan over the J shells (running maxima, or
+for the seminorms the scaled sums of squares of LAPACK ``dlassq``).  It is
+computed once per immutable field and kept with it, as are the field's
+peak, polar form and weights per level of an operator.
 
 `saturated_product` forms one time of a flow, or of two flows side by
-side.  Its input is a `ShellField`: the initial samples put in shell order
-once, beside the operator's level index as it is held, in one pass that also
-forms their peak ``max |u|`` and the field's ball profile, with, built on
-first use, their polar form ``(log |u|, unit phase)`` and their weights per
-level.  One initial field evolved to many times therefore gathers its
-samples once, and its level index never.  A pass
-that keeps a field, or whose flows can saturate, walks the blocks of the
-shell index: it takes each flow's ball profile, and the profile of their
-difference, block by block, and holds a grid-sized result only for the flow
-whose field is kept; the profile of a kept field comes with it.  A pass that
+side, from a field and an operator's level index, which is in shell order
+too.  A pass that keeps a field, or whose flows can saturate, walks the
+blocks and holds a grid-sized result only for the kept flow; one that
 keeps no field and cannot saturate reads no node: since ``|f u|^2`` sums to
-``|f_l|^2 sum |u|^2`` over the nodes of level l, each profile is a reduction
-over the levels of each shell of the field's weights per level.
+``|f_l|^2 sum |u|^2`` over the nodes of level l, each profile reduces the
+field's weights per level.
 """
 
 from __future__ import annotations
@@ -137,20 +129,10 @@ class FrequencyGrid:
         """The shell index of this grid, built on first use and shared by equal grids."""
         return _shell_index(self.n, self.J, self.inv_h)
 
-    def ball_mask(self, j: int) -> np.ndarray:
-        """Boolean mask of nodes with Euclidean norm <= j (ties included)."""
-        j = self.check_ball_index(j)
-        index = self.shells()
-        mask = np.zeros(self.shape, dtype=bool)
-        mask.reshape(-1)[index.order[: index.offsets[j]]] = True
-        return mask
-
-    def node_points(self) -> np.ndarray:
-        """Node coordinates in row-major order, shape (node_count, n)."""
-        if self.n == 1:
-            return self.axis[:, None]
-        g1, g2 = np.meshgrid(self.axis, self.axis, indexing="ij")
-        return np.stack([g1.ravel(), g2.ravel()], axis=1)
+    def coordinates(self, nodes: slice) -> list:
+        """Per axis, the coordinates of the nodes of a range of flat (row-major) indices."""
+        flat = np.arange(nodes.start, nodes.stop)
+        return [self.axis[k] for k in (np.divmod(flat, self.axis.size) if self.n == 2 else [flat])]
 
     def nearest_node(self, point) -> tuple[int, ...]:
         point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -168,24 +150,34 @@ class FrequencyGrid:
 class ShellIndex:
     """Nodes of a grid grouped by shell ``j - 1 < |xi| <= j`` (shell 1 holds ``xi = 0``).
 
-    ``order`` holds the flat indices of all nodes sorted by shell
-    (`shell_numbers`) and row-major within a shell, so the nodes outside
-    ball J come last, and shell j is ``order[offsets[j - 1]:offsets[j]]``;
-    ball j is ``order[:offsets[j]]``.  No shell 1..J is empty: the axis
-    node at ``|xi| = j`` lies in shell j.
+    In shell order shell j takes places ``offsets[j - 1]:offsets[j]``, ball
+    j the first ``offsets[j]`` and the nodes outside ball J the rest.  No
+    shell 1..J is empty: the axis node at ``|xi| = j`` lies in shell j.
+    ``parameters`` are the grid's ``(n, J, inv_h)``.  `rows` converts
+    between grid and shell order; the permutation itself, `order`, is built
+    only for callers that ask for it.
     """
 
-    order: np.ndarray
     offsets: np.ndarray
+    parameters: tuple
+    node_count: int
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """Each place's flat (row-major) node index, int32, read-only, built on first use."""
+        order = np.empty(self.node_count, dtype=np.int32)
+        for nodes, positions in self.rows():
+            order[positions] = np.arange(nodes.start, nodes.stop, dtype=np.int32)
+        return frozen(order)
 
     def blocks(self, outside: bool = False):
         """``(block, offsets)`` for blocks of whole shells covering shells 1..J, in order.
 
         A block holds as many whole shells as fit in `_BLOCK_NODES` nodes,
-        and at least one; ``block`` is its range of `order` as a slice (its
-        nodes are ``order[block]``), and ``offsets`` the shell boundaries in
-        that range.  With ``outside`` the nodes outside ball J follow,
-        `_BLOCK_NODES` at a time, with ``offsets`` None.
+        and at least one; ``block`` is its range of places in shell order as
+        a slice, and ``offsets`` the shell boundaries in that range.  With
+        ``outside`` the nodes outside ball J follow, `_BLOCK_NODES` at a
+        time, with ``offsets`` None.
         """
         ends = self.offsets
         first = 0
@@ -196,46 +188,78 @@ class ShellIndex:
             yield slice(int(offsets[0]), int(offsets[-1])), offsets - offsets[0]
             first = last
         if outside:
-            for start in range(int(self.offsets[-1]), self.order.size, _BLOCK_NODES):
-                yield slice(start, min(start + _BLOCK_NODES, self.order.size)), None
+            for start in range(int(self.offsets[-1]), self.node_count, _BLOCK_NODES):
+                yield slice(start, min(start + _BLOCK_NODES, self.node_count)), None
+
+    def rows(self):
+        """``(nodes, positions)`` for blocks of whole rows, in row-major order: ``nodes``
+        is a block's range of flat indices as a slice, of at most `_BLOCK_NODES` (a 1-D
+        grid's one row is cut), and ``positions`` their places in shell order, in closed
+        form (`_row_runs`): ``order[positions] == arange(nodes.start, nodes.stop)``."""
+        return _row_positions(*self.parameters, self.offsets)
+
+
+def _row_runs(n: int, J: int, inv_h: int):
+    """``(nodes, left, right)`` per block of whole rows: the block's range of flat
+    indices, and per row and shell j = 1..J + 1 the count of its nodes with ``k2 < 0``
+    and with ``k2 >= 0``.  With e_j the number of columns ``k2 >= 0`` of row k1 in ball
+    j, the exact ``isqrt((j inv_h)^2 - k1^2) + 1`` (0 where the row misses the ball,
+    and for j = 0), and ``p_j = max(e_j - 1, 0)``, shell j's nodes are the two runs
+    ``-p_j <= k2 < -p_{j-1}`` and ``e_{j-1} <= k2 < e_j``.  A 1-D grid is the row k1 = 0.
+    """
+    lim = J * inv_h
+    side = 2 * lim + 1
+    rows = np.arange(-lim, lim + 1, dtype=np.int64) if n == 2 else np.zeros(1, dtype=np.int64)
+    per_block = max(1, _BLOCK_NODES // side)
+    radii2 = (np.arange(1, J + 1, dtype=np.int64) * inv_h) ** 2
+    for first in range(0, rows.size, per_block):
+        k1 = rows[first : first + per_block, None]
+        room = radii2 - k1**2
+        root = np.sqrt(np.maximum(room, 0)).astype(np.int64)
+        # the float root is within one of the integer root; these make it exact
+        root -= root * root > room
+        root += (root + 1) * (root + 1) <= room
+        ends = np.zeros((k1.size, J + 2), dtype=np.int64)
+        ends[:, 1 : J + 1] = np.where(room >= 0, root + 1, 0)
+        ends[:, J + 1] = lim + 1
+        yield (slice(first * side, (first + k1.size) * side),
+               np.diff(np.maximum(ends - 1, 0), axis=1), np.diff(ends, axis=1))
+
+
+def _row_positions(n: int, J: int, inv_h: int, offsets: np.ndarray):
+    """`ShellIndex.rows` of the grid ``(n, J, inv_h)`` whose shell index has ``offsets``.
+
+    Shell j's nodes in a row follow its nodes in the rows before, so a
+    running count per shell places each row's runs (`_row_runs`), which in
+    row-major order are the left runs from shell J + 1 in, then the right
+    runs out.
+    """
+    free = np.array(offsets, dtype=np.int64)  # the next place of shell j is free[j - 1]
+    for nodes, left, right in _row_runs(n, J, inv_h):
+        counts = left + right
+        base = free + np.cumsum(counts, axis=0) - counts
+        free += counts.sum(axis=0)
+        lengths = np.concatenate([left[:, ::-1], right], axis=1).ravel()
+        places = np.concatenate([base[:, ::-1], base + left], axis=1).ravel()
+        starts = nodes.start + np.cumsum(lengths) - lengths
+        shift = places - starts  # a run's places minus its flat indices
+        for start in range(nodes.start, nodes.stop, _BLOCK_NODES):
+            stop = min(start + _BLOCK_NODES, nodes.stop)
+            first = int(np.searchsorted(starts, start, side="right")) - 1
+            last = int(np.searchsorted(starts, stop, side="left"))
+            taken = (np.minimum(starts[first:last] + lengths[first:last], stop)
+                     - np.maximum(starts[first:last], start))
+            yield slice(start, stop), np.repeat(shift[first:last], taken) + np.arange(start, stop)
 
 
 @functools.lru_cache(maxsize=4)
 def _shell_index(n: int, J: int, inv_h: int) -> ShellIndex:
-    # Keyed by the grid parameters, so no grid instance is kept alive; an
-    # entry holds four bytes per node (order), about 16 MB at the node
-    # budget.  The nodes' shell numbers are a local of the build.
-    # Everything grid-sized is built a block of whole rows at a time, so no
-    # grid-sized int64 array is formed.
-    axis = np.arange(-J * inv_h, J * inv_h + 1, dtype=np.int64)
-    side = axis.size
-    shell = np.empty((side,) * n, dtype=np.min_scalar_type(J + 1))
-    flat = shell.reshape(-1)
-    row_nodes = side ** (n - 1)
-    rows = max(1, _BLOCK_NODES // row_nodes)
-    blocks = [(start, min(start + rows, side)) for start in range(0, side, rows)]
-    counts = np.zeros(J + 2, dtype=np.int64)
-    for start, stop in blocks:
-        shell[start:stop] = shell_numbers(J, inv_h, axis[start:stop], *[axis] * (n - 1))
-        counts += np.bincount(shell[start:stop].reshape(-1), minlength=J + 2)
-    offsets = np.cumsum(counts[: J + 1])
-    # A counting sort by shell: each block's nodes, stably sorted by shell,
-    # go to the next free places of their shells, so a shell stays in
-    # row-major order.  NODE_BUDGET is 2^22, so every flat index fits in int32.
-    order = np.empty(flat.size, dtype=np.int32)
-    free = np.concatenate(([0], offsets))  # next place of shell j is free[j]
-    for start, stop in blocks:
-        begin = start * row_nodes
-        block = flat[begin : stop * row_nodes]
-        block_counts = np.bincount(block, minlength=J + 2)
-        by_shell = np.argsort(block, kind="stable")
-        # the sorted block's entry i goes to free[j] + (i - first entry of shell j)
-        shift = np.repeat(free - (np.cumsum(block_counts) - block_counts), block_counts)
-        order[np.arange(by_shell.size) + shift] = by_shell + begin
-        free += block_counts
-    offsets.setflags(write=False)
-    order.setflags(write=False)
-    return ShellIndex(order=order, offsets=offsets)
+    # Keyed by the grid parameters, so no grid instance is kept alive; an entry
+    # holds 4 bytes per node only once a caller asks for `ShellIndex.order`.
+    counts = sum((left + right).sum(axis=0) for _, left, right in _row_runs(n, J, inv_h))
+    offsets = frozen(np.concatenate(([0], np.cumsum(counts[:J]))))
+    return ShellIndex(offsets=offsets, parameters=(n, J, inv_h),
+                      node_count=(2 * J * inv_h + 1) ** n)
 
 
 def shell_numbers(J: int, inv_h: int, *index_axes) -> np.ndarray:
@@ -252,61 +276,138 @@ def shell_numbers(J: int, inv_h: int, *index_axes) -> np.ndarray:
 
 
 class SpectralField:
-    """Complex samples of a spectrum on a :class:`FrequencyGrid`.
+    """Complex samples of a spectrum on a :class:`FrequencyGrid`, held in shell order.
 
-    Values are immutable after construction.  ``overflow`` marks fields
-    produced by a saturated evolution; only then may samples sit at the
-    saturation magnitude.
-
-    The public constructor copies ``values``, so a caller may reuse its
-    array.  Results built inside the package from fresh arrays take
-    ownership of them without a copy (`_adopt`); every construction checks
-    the samples for non-finite values.
-
-    The ball profile ``(p_1, ..., p_J)`` behind `seminorm_profile` depends
-    only on the samples; it is built on first use (never in the
-    constructor) and kept with the field, and `seminorm_profile` returns a
-    fresh copy each time.  A field kept by `saturated_product` comes with
-    it.  The peak and polar form that a pass reads live on the `ShellField`
-    built from the field.
+    ``samples`` is flat and read-only, in shell order (see `ShellIndex`).
+    The public constructor copies grid-shaped, row-major values into shell
+    order; results built inside the package take ownership of fresh
+    shell-ordered arrays (`_adopt`).  Every construction checks the samples
+    for non-finite values.  ``values`` scatters the samples back into grid
+    order on each access, for callers on small grids; no solve reads it.
+    ``overflow`` marks fields produced by a saturated evolution; only then
+    may samples sit at the saturation magnitude.  The ball profile behind
+    `seminorm_profile`, the `peak`, the `polar` form and the `level_weights`
+    are built on first use and kept with the field; a field kept by
+    `saturated_product` comes with its profile.
     """
 
-    __slots__ = ("grid", "values", "overflow", "_profile")
+    __slots__ = ("grid", "samples", "overflow", "_profile", "_peak", "_polar", "_weights")
 
     def __init__(self, grid: FrequencyGrid, values, overflow: bool = False):
-        self._own(grid, np.array(values, dtype=np.complex128, order="C"), overflow)
-
-    @classmethod
-    def _adopt(cls, grid: FrequencyGrid, values: np.ndarray, overflow: bool = False,
-               checked: bool = False):
-        """A field owning ``values``, a complex128 array no one else writes to.
-
-        With ``checked`` the caller has already found the samples finite (or
-        the field flagged), and they are not checked again.
-        """
-        field = cls.__new__(cls)
-        field._own(grid, values, overflow, checked)
-        return field
-
-    def _own(self, grid: FrequencyGrid, values: np.ndarray, overflow: bool,
-             checked: bool = False):
+        values = np.asarray(values, dtype=np.complex128)
         if values.shape != grid.shape:
             raise GridError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        if not (overflow or checked) and not np.all(np.isfinite(values)):
+        self._own(grid, values.reshape(-1)[grid.shells().order], overflow)
+
+    @classmethod
+    def _adopt(cls, grid: FrequencyGrid, samples: np.ndarray, overflow: bool = False,
+               checked: bool = False):
+        """A field owning ``samples``, a fresh flat complex128 array in shell order; with
+        ``checked`` the caller has found them finite (or the field flagged)."""
+        field = cls.__new__(cls)
+        field._own(grid, samples, overflow, checked)
+        return field
+
+    def _own(self, grid: FrequencyGrid, samples: np.ndarray, overflow: bool,
+             checked: bool = False):
+        if not (overflow or checked) and not np.all(np.isfinite(samples)):
             raise ValueError("non-finite samples in an unflagged field")
-        values.setflags(write=False)
         self.grid = grid
-        self.values = values
+        self.samples = frozen(samples)
         self.overflow = bool(overflow)
-        self._profile = None
+        self._profile = self._peak = self._polar = self._weights = None
+
+    @property
+    def values(self) -> np.ndarray:
+        """The samples in grid (row-major) order, grid-shaped and read-only, scattered anew."""
+        values = np.empty(self.grid.node_count, dtype=np.complex128)
+        for nodes, positions in self.grid.shells().rows():
+            values[nodes] = self.samples[positions]
+        return frozen(values.reshape(self.grid.shape))
 
     def _ball_profile(self) -> tuple:
-        """``(p_1(u), ..., p_J(u))``, computed once (see `seminorm_profile`)."""
+        """``(p_1(u), ..., p_J(u))``, computed once, with the `peak`."""
         if self._profile is None:
-            self._profile = tuple(_ball_seminorms(self))
+            self.peak()
         return self._profile
+
+    def peak(self) -> float:
+        """``max |u|`` (NaN if a sample is NaN), computed once by one pass over the blocks
+        of `ShellIndex.blocks`, which forms the ball profile too unless the field has it:
+        each block's magnitudes are reduced shell by shell, and the shells then combined
+        in order."""
+        if self._peak is None:
+            parts, peaks = [], []
+            for block, offsets in self.grid.shells().blocks(outside=True):
+                magnitudes = np.abs(self.samples[block])
+                if offsets is None or self._profile is not None:
+                    peaks.append(np.max(magnitudes))
+                else:
+                    parts.append(_scaled_sums(magnitudes, offsets))
+                    peaks.append(np.max(parts[-1][0]))
+            if self._profile is None:
+                self._profile = tuple(_combine_parts(parts, self.grid.cell_volume))
+            self._peak = float(np.max(peaks))
+        return self._peak
+
+    def polar(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(log |u|, u / |u|)`` in shell order, computed once (read-only).
+
+        Where ``|u| = 0`` (or u is NaN) they are ``-inf`` and 0.  The phase
+        comes from ``angle``, so it stays exact for subnormal samples.  They
+        are formed a block at a time, with no grid-sized temporary; 24 bytes
+        per node.
+        """
+        if self._polar is None:
+            log_magnitude = np.empty(self.samples.size)
+            phase = np.empty(self.samples.size, dtype=np.complex128)
+            for block, _ in self.grid.shells().blocks(outside=True):
+                samples = self.samples[block]
+                magnitude = np.abs(samples)
+                nonzero = magnitude > 0.0
+                with np.errstate(divide="ignore"):
+                    log_magnitude[block] = np.where(nonzero, np.log(magnitude), -np.inf)
+                phase[block] = np.where(nonzero, np.exp(1j * np.angle(samples)), 0.0)
+            self._polar = (frozen(log_magnitude), frozen(phase))
+        return self._polar
+
+    def level_weights(self, index: np.ndarray,
+                      level_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per level of ball J, the `_scaled_sums` of ``|u|`` over its nodes, computed once.
+
+        ``index`` and ``level_offsets`` are an operator's level index and
+        shell ranges (`MultiplierOperator.levels`); the weights are kept for
+        the last pair asked for.  Returns ``(peak, exponent, weight)`` per
+        level (read-only): ``max |u|``, the exponent e of the scale ``2^e``
+        and ``W = sum (|u| 2^-e)^2``, so a factor f_l on level l adds
+        ``(|f_l| 2^e)^2 W`` to a squared seminorm.  The scale is per level:
+        a level's nodes share its factor, so none is lost to underflow beside
+        a larger one that a factor shrinks more.  A block of whole shells is
+        a contiguous range of levels, so its magnitudes are sorted by level
+        (a radix sort where the levels fit 16 bits) and summed a level at a
+        time, pairwise as `_scaled_sums` sums a shell.
+        """
+        cached = self._weights
+        if cached is None or cached[0] is not index or cached[1] is not level_offsets:
+            ball = int(level_offsets[self.grid.J])
+            weights = np.empty(ball), np.empty(ball, dtype=np.int16), np.empty(ball)
+            first = 0  # shells before the block
+            for block, shell_offsets in self.grid.shells().blocks():
+                last = first + shell_offsets.size - 1
+                low, high = int(level_offsets[first]), int(level_offsets[last])
+                local = index[block] - low
+                by_level = np.argsort(local.astype(np.uint16) if high - low <= 1 << 16 else local,
+                                      kind="stable")
+                starts = np.zeros(high - low + 1, dtype=np.intp)
+                np.cumsum(np.bincount(local, minlength=high - low), out=starts[1:])
+                sums = _scaled_sums(np.abs(self.samples[block])[by_level], starts)
+                for column, part in zip(weights, sums):
+                    column[low:high] = part
+                first = last
+            self._weights = (index, level_offsets, tuple(map(frozen, weights)))
+        return self._weights[2]
 
     def _check_compatible(self, other: "SpectralField"):
         if self.grid != other.grid:
@@ -317,54 +418,64 @@ class SpectralField:
     def __add__(self, other):
         self._check_compatible(other)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = self.values + other.values
-        return SpectralField._adopt(self.grid, values, self.overflow or other.overflow)
+            samples = self.samples + other.samples
+        return SpectralField._adopt(self.grid, samples, self.overflow or other.overflow)
 
     def __sub__(self, other):
         self._check_compatible(other)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = self.values - other.values
-        return SpectralField._adopt(self.grid, values, self.overflow or other.overflow)
+            samples = self.samples - other.samples
+        return SpectralField._adopt(self.grid, samples, self.overflow or other.overflow)
 
     def __mul__(self, scalar):
         with np.errstate(over="ignore", invalid="ignore"):
-            values = self.values * complex(scalar)
-        return SpectralField._adopt(self.grid, values, self.overflow)
+            samples = self.samples * complex(scalar)
+        return SpectralField._adopt(self.grid, samples, self.overflow)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpectralField._adopt(self.grid, -self.values, self.overflow)
+        return SpectralField._adopt(self.grid, -self.samples, self.overflow)
 
     def __repr__(self):
         return f"SpectralField({self.grid!r}, overflow={self.overflow})"
 
 
 def ones(grid: FrequencyGrid) -> SpectralField:
-    return SpectralField._adopt(grid, np.ones(grid.shape, dtype=np.complex128))
+    return SpectralField._adopt(grid, np.ones(grid.node_count, dtype=np.complex128))
 
 
 def gaussian_hat(grid: FrequencyGrid) -> SpectralField:
-    if grid.n == 1:
-        r2 = grid.axis**2
-    else:
-        r2 = grid.axis[:, None] ** 2 + grid.axis[None, :] ** 2
-    values = np.zeros(grid.shape, dtype=np.complex128)
-    np.exp(np.negative(r2, out=r2), out=values.real)
-    return SpectralField._adopt(grid, values)
+    """``exp(-|xi|^2)``, formed a block of rows at a time, with no grid-sized radii."""
+    samples = np.empty(grid.node_count, dtype=np.complex128)
+    for nodes, positions in grid.shells().rows():
+        xi = grid.coordinates(nodes)
+        r2 = xi[0] ** 2 if grid.n == 1 else xi[0] ** 2 + xi[1] ** 2
+        values = np.zeros(r2.size, dtype=np.complex128)
+        np.exp(np.negative(r2, out=r2), out=values.real)
+        samples[positions] = values
+    return SpectralField._adopt(grid, samples)
 
 
 def delta(grid: FrequencyGrid, at=0.0) -> SpectralField:
     """Unit sample at the node nearest to ``at``, zero elsewhere."""
-    values = np.zeros(grid.shape, dtype=np.complex128)
-    values[grid.nearest_node(at)] = 1.0
-    return SpectralField._adopt(grid, values)
+    node = int(np.ravel_multi_index(grid.nearest_node(at), grid.shape))
+    samples = np.zeros(grid.node_count, dtype=np.complex128)
+    for nodes, positions in grid.shells().rows():
+        if node < nodes.stop:
+            samples[positions[node - nodes.start]] = 1.0
+            break
+    return SpectralField._adopt(grid, samples)
 
 
 def random_field(grid: FrequencyGrid, rng: np.random.Generator) -> SpectralField:
-    re = rng.standard_normal(grid.shape)
-    im = rng.standard_normal(grid.shape)
-    return SpectralField._adopt(grid, re + 1j * im)
+    """Standard normal real and imaginary parts, drawn in grid order as ever."""
+    re = rng.standard_normal(grid.node_count)
+    im = rng.standard_normal(grid.node_count)
+    samples = np.empty(grid.node_count, dtype=np.complex128)
+    for nodes, positions in grid.shells().rows():
+        samples[positions] = re[nodes] + 1j * im[nodes]
+    return SpectralField._adopt(grid, samples)
 
 
 def seminorm(u: SpectralField, j: int) -> float:
@@ -387,19 +498,6 @@ def seminorm_profile(u: SpectralField) -> np.ndarray:
     returns a fresh array.
     """
     return np.array(u._ball_profile())
-
-
-def _ball_seminorms(u: SpectralField) -> list:
-    """``[p_1(u), ..., p_J(u)]`` from one pass over the nodes of ball J.
-
-    The nodes are gathered a block of whole shells at a time (see
-    `ShellIndex.blocks`); each block's magnitudes are reduced shell by
-    shell, and the shells are then combined in order.
-    """
-    samples, index = np.ravel(u.values), u.grid.shells()
-    parts = [_scaled_sums(np.abs(samples[index.order[block]]), offsets)
-             for block, offsets in index.blocks()]
-    return _combine_parts(parts, u.grid.cell_volume)
 
 
 def _combine_parts(parts, weight: float) -> list:
@@ -487,18 +585,22 @@ def project(u: SpectralField, j: int) -> SpectralField:
 
     A coset has exactly one member that vanishes outside ball j, and this
     returns it: u's samples, bit for bit, inside ball j and 0 outside, with
-    u's overflow flag.  So ``seminorm(project(u, j), i) == seminorm(u, i)``
+    u's overflow flag.  In shell order that keeps the prefix of ball j and
+    zeroes the rest.  So ``seminorm(project(u, j), i) == seminorm(u, i)``
     for every ``i <= j``, and restriction to ball ``i <= j`` is
     ``project(., i)``.
     """
-    mask = u.grid.ball_mask(j)
-    return SpectralField._adopt(u.grid, np.where(mask, u.values, 0.0), u.overflow, checked=True)
+    end = int(u.grid.shells().offsets[u.grid.check_ball_index(j)])
+    samples = np.zeros(u.grid.node_count, dtype=np.complex128)
+    samples[:end] = u.samples[:end]
+    return SpectralField._adopt(u.grid, samples, u.overflow, checked=True)
 
 
 def mask_outside(u: SpectralField, j: int) -> SpectralField:
-    """Zero the samples inside ball j; the result has ``seminorm(., j) == 0``."""
-    mask = u.grid.ball_mask(j)
-    return SpectralField._adopt(u.grid, np.where(mask, 0.0, u.values), u.overflow)
+    """Zero the samples inside ball j (a prefix); the result has ``seminorm(., j) == 0``."""
+    samples = u.samples.copy()
+    samples[: int(u.grid.shells().offsets[u.grid.check_ball_index(j)])] = 0.0
+    return SpectralField._adopt(u.grid, samples, u.overflow)
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,148 +629,43 @@ class Product:
     field: Optional[SpectralField]  # the kept flow's result, or None
 
 
-class ShellField:
-    """A field's samples and level index in shell order: the input of `saturated_product`.
-
-    Built from ``(u, levels, level_offsets)``: ``levels`` is the flat int32
-    level index in the order of `ShellIndex.order` (ball J shell by shell,
-    then the nodes outside ball J), read-only, with its levels numbered
-    shell by shell: shell j's levels are
-    ``level_offsets[j - 1]:level_offsets[j]``, as in
-    `MultiplierOperator.levels` and `level_offsets`.  It is kept as given,
-    not copied.  One pass over the blocks of `ShellIndex.blocks` gathers
-    the samples through `ShellIndex.order` and forms ``peak``, ``max |u|``
-    (NaN if a sample is NaN), and, unless u has it already, u's ball
-    profile, from the same `_scaled_sums` blocks as `seminorm_profile`, so
-    bit for bit; the profile is kept with u.  ``samples`` is flat and
-    read-only, and ``overflow`` is u's flag.  Nothing refers to u's own
-    samples, so u may be released once this is built.  In the package
-    `evolution.evolve` builds it, once per initial field, over the
-    operator's own index, and decides whether each pass over it keeps a
-    field.
-
-    `polar` and `level_weights` are built on first use and kept: the first
-    pass block that can saturate builds the polar form, the first pass over
-    levels builds the weights, and every later pass on the same shell field
-    reads them.  So passes that all keep a field (`exp_multiplier`,
-    `exp_series`, a solve that writes fields) never pay for the weights.
-    """
-
-    __slots__ = ("grid", "samples", "levels", "level_offsets", "overflow", "peak", "_polar",
-                 "_weights")
-
-    def __init__(self, u: SpectralField, levels: np.ndarray, level_offsets: np.ndarray):
-        index = u.grid.shells()
-        values = np.ravel(u.values)
-        samples = np.empty(values.size, dtype=np.complex128)
-        parts, peaks = [], []
-        for block, offsets in index.blocks(outside=True):
-            np.take(values, index.order[block], out=samples[block], mode="clip")
-            if offsets is None or u._profile is not None:
-                peaks.append(np.max(np.abs(samples[block])))
-            else:
-                parts.append(_scaled_sums(np.abs(samples[block]), offsets))
-                peaks.append(np.max(parts[-1][0]))
-        if u._profile is None:
-            u._profile = tuple(_combine_parts(parts, u.grid.cell_volume))
-        self.grid = u.grid
-        self.samples = frozen(samples)
-        self.levels = levels
-        self.level_offsets = level_offsets
-        self.overflow = u.overflow
-        self.peak = float(np.max(peaks))
-        self._polar = self._weights = None
-
-    def level_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per level of ball J, the `_scaled_sums` of ``|u|`` over its nodes, computed once.
-
-        Returns ``(peak, exponent, weight)`` per level (read-only): the
-        level's ``max |u|``, the exponent e of its scale ``2^e`` and its sum
-        of squares in units of ``4^e``, ``W = sum (|u| 2^-e)^2``.  Then a
-        factor f_l on level l adds ``(|f_l| 2^e)^2 W`` to a squared
-        seminorm.  The scale is per level, not per shell: all nodes of a
-        level share its factor, so no node is lost to underflow beside a
-        larger one that a factor shrinks more.  A block of whole shells is a
-        contiguous range of levels, each with a node in the block, so the
-        block's magnitudes are sorted by level (a radix sort where the
-        block's levels fit 16 bits) and summed a level at a time, pairwise
-        as `_scaled_sums` sums a shell.
-        """
-        if self._weights is None:
-            offsets, index = self.level_offsets, self.grid.shells()
-            parts = []
-            first = 0  # shells before the block
-            for block, shell_offsets in index.blocks():
-                last = first + shell_offsets.size - 1
-                low, high = int(offsets[first]), int(offsets[last])
-                local = self.levels[block] - low
-                by_level = np.argsort(local.astype(np.uint16) if high - low <= 1 << 16 else local,
-                                      kind="stable")
-                starts = np.zeros(high - low + 1, dtype=np.intp)
-                np.cumsum(np.bincount(local, minlength=high - low), out=starts[1:])
-                parts.append(_scaled_sums(np.abs(self.samples[block])[by_level], starts))
-                first = last
-            self._weights = tuple(frozen(np.concatenate(column)) for column in zip(*parts))
-        return self._weights
-
-    def polar(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(log |u|, u / |u|)`` in shell order, computed once (read-only).
-
-        Where ``|u| = 0`` (or u is NaN) they are ``-inf`` and 0.  The phase
-        comes from ``angle``, so it stays exact for subnormal samples.  They
-        are formed a block of `ShellIndex.blocks` at a time, so building them
-        holds no grid-sized temporary; 24 bytes per node.
-        """
-        if self._polar is None:
-            log_magnitude = np.empty(self.samples.size)
-            phase = np.empty(self.samples.size, dtype=np.complex128)
-            for block, _ in self.grid.shells().blocks(outside=True):
-                samples = self.samples[block]
-                magnitude = np.abs(samples)
-                nonzero = magnitude > 0.0
-                with np.errstate(divide="ignore"):
-                    log_magnitude[block] = np.where(nonzero, np.log(magnitude), -np.inf)
-                phase[block] = np.where(nonzero, np.exp(1j * np.angle(samples)), 0.0)
-            self._polar = (frozen(log_magnitude), frozen(phase))
-        return self._polar
-
-
 def frozen(values: np.ndarray) -> np.ndarray:
     """``values``, made read-only."""
     values.setflags(write=False)
     return values
 
 
-def saturated_product(factors: dict, u: ShellField, keep=None):
+def saturated_product(factors: dict, u: SpectralField, index: np.ndarray,
+                      level_offsets: np.ndarray, keep=None):
     """Multiply each flow's factor onto a field, saturating, in one pass.
 
     ``factors`` maps flow names to a `LevelFactor`, or to None for the
-    identity (t = 0, whose samples are ``u``'s, bitwise); ``u`` is the
-    field in shell order with its level index (`ShellField`).  Returns
+    identity (t = 0, whose samples are ``u``'s, bitwise); ``index`` and
+    ``level_offsets`` are the operator's level index and shell ranges
+    (`MultiplierOperator.levels`), read as they are held.  Returns
     ``(product, flagged)``: the `Product` holds each flow's ball profile
     and overflow flag, the profile of the two flows' difference when there
     are two, and the field of flow ``keep`` (its profile cached with it);
     ``flagged`` says whether a flow saturated a node.  No other grid-sized
     array is formed.
 
-    The pass walks ball J a block of whole shells at a time, each block a
-    contiguous range of ``u``'s samples and levels (`ShellIndex.blocks`),
-    and scatters only the kept flow into grid order.  Wherever the factor
-    and product magnitudes are both representable the plain product is
-    used (a factor of exactly one keeps each value, though not always the
-    sign of a zero part: numpy gives (1+0j)(-0-1j) = +0-1j), its factor
-    formed once per level.  Elsewhere the value is assembled in
-    log-magnitude/phase form and its magnitude clamped at ``exp(709)``;
-    such nodes flag the flow.  Because the clamped value depends only on
-    the product's log magnitude and phase, any two evolution paths that
-    agree on those agree exactly on saturated nodes.
+    The pass walks the blocks of `ShellIndex.blocks`, each a contiguous
+    range of ``u``'s samples and of the index, and writes the kept flow in
+    the same order.  Wherever the factor and product magnitudes are both
+    representable the plain product is used (a factor of exactly one keeps
+    each value, though not always the sign of a zero part: numpy gives
+    (1+0j)(-0-1j) = +0-1j), its factor formed once per level.  Elsewhere
+    the value is assembled from ``u``'s `SpectralField.polar` form and its
+    magnitude clamped at ``exp(709)``; such nodes flag the flow.  Because
+    the clamped value depends only on the product's log magnitude and
+    phase, any two evolution paths that agree on those agree exactly on
+    saturated nodes.
 
     Whether a flow, or one block of it, can saturate at all is decided by
-    one bound on its largest factor and ``u.peak`` (with a margin of 1 for
+    one bound on its largest factor and ``u.peak()`` (with a margin of 1 for
     the rounding of the logarithms).  The nodes outside ball J carry no
     profile, so they are visited only when a flow is kept or can saturate.
-    A block that can saturate reads `ShellField.polar`.  An unflagged flow
-    with a non-finite sample is rejected with ``ValueError``, as
+    An unflagged flow with a non-finite sample is rejected with ``ValueError``, as
     `SpectralField` rejects it, so the kept field is not checked again: a
     flow that cannot saturate is checked once per level (a finite factor
     times a finite sample is finite below the bound), one that can is
@@ -676,7 +673,7 @@ def saturated_product(factors: dict, u: ShellField, keep=None):
 
     A pass that keeps no field, on an unflagged ``u``, where every flow is a
     factor that cannot saturate and is finite, reads no node: it reduces
-    each shell's range of levels of ``u``'s `ShellField.level_weights`
+    each shell's range of levels of ``u``'s `SpectralField.level_weights`
     (`_level_sums`), and ``flagged`` is False.  Its profiles differ from the
     node pass's in rounding only, since ``|f_l| |u|`` stands for the
     rounded ``|f_l u|`` and the sums are taken in another order: by at
@@ -687,20 +684,19 @@ def saturated_product(factors: dict, u: ShellField, keep=None):
     """
     grid = u.grid
     with np.errstate(divide="ignore"):
-        log_peak = float(np.log(u.peak))
+        log_peak = float(np.log(u.peak()))
     flows = {name: _FlowPass(factor, log_peak, check=not u.overflow)
              for name, factor in factors.items()}
     if keep is None and not u.overflow and all(
             flow.factor is not None and flow.representable and flow.finite
             for flow in flows.values()):
-        return _level_product(flows, u), False
+        return _level_product(flows, u, index, level_offsets), False
     kept = None if keep is None else np.empty(grid.node_count, dtype=np.complex128)
     two_flows = len(flows) == 2
     differences = []
-    index = grid.shells()
-    for block, offsets in index.blocks(outside=True):
+    for block, offsets in grid.shells().blocks(outside=True):
         # numpy gathers through intp indices about half again as fast as int32
-        levels = u.levels[block].astype(np.intp)
+        levels = index[block].astype(np.intp)
         # outside ball J a flow that is not kept matters only if it can flag
         block_values = {name: flow.apply(u, block, levels) for name, flow in flows.items()
                         if offsets is not None or name == keep or not flow.representable}
@@ -708,7 +704,7 @@ def saturated_product(factors: dict, u: ShellField, keep=None):
             for name, flow in flows.items():
                 flow.parts.append(_scaled_sums(np.abs(block_values[name]), offsets))
         if kept is not None:
-            kept[index.order[block].astype(np.intp)] = block_values[keep]
+            kept[block] = block_values[keep]
         if two_flows and offsets is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 difference = np.abs(np.subtract(*block_values.values()))
@@ -719,7 +715,7 @@ def saturated_product(factors: dict, u: ShellField, keep=None):
     overflow = {name: flow.overflow(u) for name, flow in flows.items()}
     field = None
     if kept is not None:
-        field = SpectralField._adopt(grid, kept.reshape(grid.shape), overflow[keep], checked=True)
+        field = SpectralField._adopt(grid, kept, overflow[keep], checked=True)
         field._profile = tuple(profiles[keep].tolist())
     product = Product(
         profiles=profiles,
@@ -730,10 +726,12 @@ def saturated_product(factors: dict, u: ShellField, keep=None):
     return product, any(flow.flagged for flow in flows.values())
 
 
-def _level_product(flows: dict, u: ShellField) -> Product:
-    """The `Product` of flows that keep no field and cannot saturate, from u's level weights."""
-    grid, offsets = u.grid, u.level_offsets
-    weights = u.level_weights()
+def _level_product(flows: dict, u: SpectralField, index: np.ndarray,
+                   offsets: np.ndarray) -> Product:
+    """The `Product` of flows that keep no field and cannot saturate, from u's weights per
+    level of ``index``, whose shell ranges are ``offsets``."""
+    grid = u.grid
+    weights = u.level_weights(index, offsets)
     ball = int(offsets[grid.J])
     values = [flow.level_values[:ball] for flow in flows.values()]
 
@@ -753,8 +751,8 @@ def _level_product(flows: dict, u: ShellField) -> Product:
 def _level_sums(magnitudes, weights, offsets) -> tuple:
     """`_scaled_sums` of shells 1..J of the field ``f u``, with ``|f| = magnitudes`` per level.
 
-    ``weights`` are u's `ShellField.level_weights` and ``offsets`` its
-    J + 2 ``level_offsets``.  Per shell j, the peak is the largest ``|f_l|``
+    ``weights`` are u's `SpectralField.level_weights` over the J + 2
+    ``offsets``.  Per shell j, the peak is the largest ``|f_l|``
     times the level's peak of ``|u|``, e its scale exponent, and the sum
     ``sum_l (|f_l| 2^(e_l - e))^2 W_l`` over the shell's levels.  Each
     ``|f_l| 2^(e_l - e)`` is below 2 (below 2^53 where u is subnormal on the
@@ -799,7 +797,7 @@ class _FlowPass:
         return (factor_log <= OVERFLOW_EXPONENT
                 and factor_log + self.log_peak <= OVERFLOW_EXPONENT - 1.0)
 
-    def apply(self, u: ShellField, block: slice, levels: np.ndarray) -> np.ndarray:
+    def apply(self, u: SpectralField, block: slice, levels: np.ndarray) -> np.ndarray:
         """The flow's samples on a block of ``u``, whose level index is ``levels`` (intp)."""
         samples = u.samples[block]
         if self.factor is None:
@@ -819,13 +817,9 @@ class _FlowPass:
             self.finite = bool(np.all(np.isfinite(values)))
         return values
 
-    def _saturate(self, u: ShellField, block: slice, levels):
-        """The block's nodes that are not representable, assembled in log-magnitude/phase form.
-
-        Returns ``(clamped, values)``, with ``clamped`` the whole block's
-        slice when every node clamps, or ``(None, None)`` when no node of
-        the block can.
-        """
+    def _saturate(self, u: SpectralField, block: slice, levels):
+        """``(clamped, values)``: the block's nodes that are not representable (a slice if
+        all are, None if none can be), assembled in log-magnitude/phase form."""
         node_log = self.factor.log_magnitude[levels]
         if self._representable(np.max(node_log)):
             return None, None
@@ -853,7 +847,7 @@ class _FlowPass:
         assembled = assembled * self.factor.phase[levels[clamped]]
         return clamped, assembled * u_phase[clamped]
 
-    def overflow(self, u: ShellField) -> bool:
+    def overflow(self, u: SpectralField) -> bool:
         if not (u.overflow or self.flagged or self.finite):
             raise ValueError("non-finite samples in an unflagged field")
         return u.overflow or self.flagged or self.blown

@@ -78,7 +78,7 @@ def suite_spectral(rng, weight_factor: float = 1.0) -> list[str]:
     for j in range(1, grid.J):
         a = spectral.project(spectral.project(w, j + 1), j)
         b = spectral.project(w, j)
-        if a.values.tobytes() != b.values.tobytes():
+        if a.samples.tobytes() != b.samples.tobytes():
             failures.append(f"restriction does not commute bitwise at j={j}")
     return failures
 
@@ -152,8 +152,8 @@ def suite_operators(rng) -> list[str]:
     u = random_field(grid, rng)
     ab = heat_op.apply(transport.apply(u))
     ba = transport.apply(heat_op.apply(u))
-    scale = np.max(np.abs(ab.values))
-    if np.max(np.abs(ab.values - ba.values)) > 1e-15 * scale:
+    scale = np.max(np.abs(ab.samples))
+    if np.max(np.abs(ab.samples - ba.samples)) > 1e-15 * scale:
         failures.append("multipliers do not commute")
     samples = operators.compatibility_samples(FrequencyGrid(1, 4, 4), rng)
     ok = operators.check_strong_compatibility(
@@ -177,7 +177,7 @@ def suite_evolution(rng) -> list[str]:
     op = operators.MultiplierOperator(heat, grid)
     u = random_field(grid, rng)
     evolved, diag = evolution.exp_series(op, 0.0, u, 1e-8)
-    if not np.array_equal(evolved.values, u.values) or diag.terms != 0:
+    if not np.array_equal(evolved.samples, u.samples) or diag.terms != 0:
         failures.append("series at t=0 is not the identity")
     for t in (0.01, -0.01, 0.5, -0.5):
         series, diag = evolution.exp_series(op, t, u, 1e-8)
@@ -345,7 +345,7 @@ def suite_config(rng) -> list[str]:
         path = os.path.join(workdir, "probe.fl2l")
         write_field(path, field)
         back = read_field(path)
-        if not np.array_equal(back.values, field.values):
+        if not np.array_equal(back.samples, field.samples):
             failures.append("binary field round-trip not bitwise")
     rows = app.heat_scan([0.1, -0.1], [0, 1], [1, 2, 4, 8, 16, 32, 64])
     forward = [r for r in rows if r.t > 0 and r.M == 0]

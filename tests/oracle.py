@@ -1,4 +1,5 @@
-"""The exact flow at 60 digits, to judge the float constructions and their certificates.
+"""The exact flow at 60 digits, to judge the float constructions and their certificates,
+and the exact ball membership, to judge what the shell index reads.
 
 Every value is computed with mpmath from the stored doubles (the symbol's
 levels, the field's samples, the time), so it is the exact flow of the
@@ -11,6 +12,22 @@ import numpy as np
 from frechet_flow.spectral import SpectralField, seminorm_profile
 
 DIGITS = 60
+
+
+def ball_mask(grid, j):
+    """Grid-shaped mask of the nodes with ``|xi| <= j``, in integers: ``|k|^2 <= (j inv_h)^2``."""
+    squares = grid.axis_index**2
+    r2 = squares if grid.n == 1 else squares[:, None] + squares[None, :]
+    return r2 <= (j * grid.inv_h) ** 2
+
+
+def symbol_values(op):
+    """The operator's symbol on every node, grid-shaped: its levels through its index, put
+    back in grid order."""
+    levels, index = op.levels()
+    values = np.empty(op.grid.node_count, dtype=complex)
+    values[op.grid.shells().order] = levels[index]
+    return values.reshape(op.grid.shape)
 
 
 def exact_tail(rate, terms):
@@ -34,11 +51,10 @@ def flow_error_profile(op, t, u, field):
     """
     levels, index = op.levels()
     factors = exact_factors(levels, t)
-    error = np.empty(u.values.size, dtype=complex)
-    samples, values = u.values.ravel(), field.values.ravel()
+    error = np.empty(u.samples.size, dtype=complex)
     with mp.workdps(DIGITS):
-        # the level index is in shell order: its k-th entry is node order[k]'s level
-        for node, level in zip(u.grid.shells().order.tolist(), index.tolist()):
-            error[node] = complex(mp.mpc(complex(values[node]))
-                                  - factors[level] * mp.mpc(complex(samples[node])))
-    return seminorm_profile(SpectralField(u.grid, error.reshape(u.grid.shape)))
+        # the samples and the level index are both in shell order
+        for k, (level, sample, value) in enumerate(zip(index.tolist(), u.samples.tolist(),
+                                                        field.samples.tolist())):
+            error[k] = complex(mp.mpc(value) - factors[level] * mp.mpc(sample))
+    return seminorm_profile(SpectralField._adopt(u.grid, error))

@@ -28,9 +28,9 @@ from frechet_flow.spectral import (
     OVERFLOW_EXPONENT,
     FrequencyGrid,
     LevelFactor,
-    ShellField,
     SpectralField,
     ones,
+    project,
     random_field,
     saturated_product,
     seminorm,
@@ -45,7 +45,7 @@ from frechet_flow.symbols import (
     transport_symbol,
 )
 
-from oracle import exact_tail, flow_error_profile
+from oracle import ball_mask, exact_tail, flow_error_profile, symbol_values
 
 PI = math.pi
 
@@ -305,8 +305,8 @@ def test_group_growth_bounded_by_operator_rate(grid):
     op = MultiplierOperator(heat_symbol(), grid)
     for t in np.arange(0.1, 1.05, 0.1):
         for j in (1, 4, 8):
-            mask = grid.ball_mask(j)
-            log_growth = float(np.max((t * op.values.real)[mask]))
+            mask = ball_mask(grid, j)
+            log_growth = float(np.max((t * symbol_values(op).real)[mask]))
             assert log_growth <= t * op.seminorm(j) + 1e-12
 
 
@@ -345,10 +345,13 @@ def test_quotient_diagrams_identity(grid, rng):
 
 
 def test_quotient_diagrams_reflection_fails_with_witness(grid, rng):
-    op = ReflectionOperator(grid)
-    check = verify_quotient_diagrams(op, random_field(grid, rng), 2)
+    op, u = ReflectionOperator(grid), random_field(grid, rng)
+    check = verify_quotient_diagrams(op, u, 2)
     assert not check.passed
-    assert check.witness is not None
+    # the witness is the first differing node in row-major order
+    a_sigma = project(op.apply(project(u, 2)), 2).values
+    other = project(op.apply(u if not check.projection_commutes else project(u, 3)), 2).values
+    assert check.witness == (float(grid.axis[np.flatnonzero(other != a_sigma)[0]]),)
 
 
 # ---------------------------------------------------------------------------
@@ -431,35 +434,34 @@ def test_evolve_both_methods_agree(grid, rng, kernel_calls):
 def test_evolve_reads_the_operators_level_index_without_a_copy(grid, rng, monkeypatch):
     u = random_field(grid, rng)
     op = MultiplierOperator(heat_symbol(), grid)
-    sources = []
+    passes = []
     product = evolution.saturated_product
 
-    def recorded(factors, source, keep=None):
-        sources.append(source)
-        return product(factors, source, keep=keep)
+    def recorded(factors, field, index, offsets, keep=None):
+        passes.append((field, index, offsets))
+        return product(factors, field, index, offsets, keep=keep)
 
     monkeypatch.setattr(evolution, "saturated_product", recorded)
     for keep in (False, True):
         list(evolve(op, (-0.1, 0.1), u, method="both", keep=keep))
-    assert len(sources) == 4
-    for source in sources:
-        assert source.levels is op.levels()[1]
-        assert source.level_offsets is op.level_offsets()
+    assert len(passes) == 4
+    for field, index, offsets in passes:
+        # the field's own samples, and the operator's index and ranges as they are held
+        assert field is u
+        assert index is op.levels()[1] and offsets is op.level_offsets()
 
 
 @pytest.mark.parametrize("method", ["multiplier", "series", "both"])
-def test_evolve_holds_no_initial_field_and_one_time_at_a_time(grid, rng, monkeypatch, method):
-    """``u0`` is released once `evolve` returns, and a time's factors and product
-    before the next time's factors are formed."""
+def test_evolve_holds_one_time_at_a_time(grid, rng, monkeypatch, method):
+    """A time's factors and product are released before the next time's factors are
+    formed."""
     u = random_field(grid, rng)
     op = MultiplierOperator(heat_symbol(), grid)
-    initial = weakref.ref(u.values)
     earlier = []  # weak references to the factors and products of earlier times
     pending = []  # weak references to this time's factors
 
     def checked(kernel):
         def formed(*args, **kwargs):
-            assert initial() is None, "the grid-ordered initial samples are alive"
             assert all(ref() is None for ref in earlier), "an earlier time is alive"
             result = kernel(*args, **kwargs)
             factor = result[0] if isinstance(result, tuple) else result
@@ -472,7 +474,7 @@ def test_evolve_holds_no_initial_field_and_one_time_at_a_time(grid, rng, monkeyp
     steps = evolve(op, (0.1, 0.2, 0.3), u, method=method, keep=True)
     del u
     for t, product, diag in steps:
-        earlier.extend(pending + [weakref.ref(product), weakref.ref(product.field.values)])
+        earlier.extend(pending + [weakref.ref(product), weakref.ref(product.field.samples)])
         pending.clear()
         del product
     assert len(earlier) == 3 * (2 + (2 if method == "both" else 1))
@@ -525,16 +527,16 @@ def one_flow(factor, u):
     """The field of a factor given node by node in grid order: each node is its own level,
     the levels numbered in shell order."""
     grid, shells = u.grid, u.grid.shells()
-    source = ShellField(u, np.arange(grid.node_count, dtype=np.int32),
-                        np.append(shells.offsets, grid.node_count))
     by_level = LevelFactor(factor.log_magnitude[shells.order], factor.phase[shells.order])
-    product, _ = saturated_product({"flow": by_level}, source, keep="flow")
+    each_node = np.arange(grid.node_count, dtype=np.int32)
+    product, _ = saturated_product({"flow": by_level}, u, each_node,
+                                   np.append(shells.offsets, grid.node_count), keep="flow")
     return product.field
 
 
 def exp_multiplier_on_nodes(op, t, u):
     """Reference closed form: the factor formed at every grid node."""
-    z = (t * op.values).ravel()
+    z = (t * symbol_values(op)).ravel()
     result = one_flow(LevelFactor(z.real, np.exp(1j * z.imag)), u)
     blown = (z.real > OVERFLOW_EXPONENT).reshape(u.grid.shape) & (np.abs(u.values) > 0)
     return result.values, result.overflow or bool(np.any(blown))
@@ -566,7 +568,7 @@ def composed_stage(acc, stages):
 
 def exp_series_on_nodes(op, t, u, stages, terms):
     """Reference staged series: Horner, log/phase split and squarings at every node."""
-    log_magnitude, phase = stage_factor_by_division(op.values.ravel(), t, stages, terms)
+    log_magnitude, phase = stage_factor_by_division(symbol_values(op).ravel(), t, stages, terms)
     result = one_flow(LevelFactor(log_magnitude, phase), u)
     return result.values, result.overflow
 
@@ -926,3 +928,61 @@ def test_a_field_whose_top_seminorm_overflows_names_it_as_the_cause():
         exp_series(op, 0.5, u)
     # the closed form needs no truncation order
     assert np.isfinite(exp_multiplier(op, 0.5, u).values).all()
+
+
+# ---------------------------------------------------------------------------
+# the defect ledger: each reproduced failure of a claim, a strict xfail until its
+# ROADMAP item mends it
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: the series certificate counts truncation only, and the transport "
+    "series at t = 1e5 rounds past it (2.06e-10 against 7.69e-11 at j = 1)"))
+def test_the_transport_series_at_t_1e5_is_within_its_certificate():
+    grid = FrequencyGrid(1, 8, 32)
+    op, u = transport_on(grid), ones(grid)
+    field, diagnostics = exp_series(op, 1e5, u)
+    assert np.all(flow_error_profile(op, 1e5, u, field) <= diagnostics.bounds())
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(1e17, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1, step 3: the phase's rounding through 2^61 squarings flags the "
+        "isometric flow as overflowing"))),
+    pytest.param(1e300, marks=pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
+        "ROADMAP item 1, step 3: phase * phase overflows through 2^1000 squarings"))),
+])
+def test_the_isometric_series_is_never_flagged(t):
+    grid = FrequencyGrid(1, 8, 32)
+    field, _ = exp_series(transport_on(grid), t, ones(grid))
+    assert not field.overflow
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 6: the heat series on (1, 1000, 8) at t = 0.1 errs by 2.11e-11 at every "
+    "ball, against certified bounds from 4.24e-15"))
+def test_the_heat_series_on_a_wide_grid_is_within_its_certificate():
+    grid = FrequencyGrid(1, 1000, 8)
+    op, u = heat_on(grid), ones(grid)
+    field, diagnostics = exp_series(op, 0.1, u)
+    assert np.all(flow_error_profile(op, 0.1, u, field) <= diagnostics.bounds())
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(1e-300, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 18: (e^(|t| r) - 1)/|t| - r cancels to -319.07"))),
+    pytest.param(1e-12, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 18: (e^(|t| r) - 1)/|t| - r cancels to 2.0e-4, where its value is "
+        "about t r^2 / 2 times p_2(u)"))),
+])
+def test_the_generator_residual_bound_holds_without_cancellation(t):
+    grid = FrequencyGrid(1, 8, 32)
+    op, u = heat_on(grid), ones(grid)
+    bound, residual = generator_residual_bound(op, t, u, 2), generator_residual(op, t, u, 2)
+    assert bound >= residual >= 0.0
+    # the closed form the bound states, from the same doubles, at enough digits that
+    # e^(|t| r) - 1 - |t| r keeps 40 of them at |t| r = 1.6e-298
+    with mp.workdps(400):
+        r, t_abs = mp.mpf(op.seminorm(2)), mp.mpf(abs(t))
+        exact = ((mp.exp(t_abs * r) - 1) / t_abs - r) * mp.mpf(seminorm(u, 2))
+    assert bound == pytest.approx(float(exact), rel=1e-8)

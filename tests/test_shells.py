@@ -27,8 +27,8 @@ from frechet_flow.spectral import (
     OVERFLOW_LIMIT,
     FrequencyGrid,
     LevelFactor,
-    ShellField,
     SpectralField,
+    ones,
     project,
     random_field,
     saturated_product,
@@ -37,6 +37,8 @@ from frechet_flow.spectral import (
     shell_numbers,
 )
 from frechet_flow.symbols import heat_symbol, parse_symbol, transport_symbol
+
+from oracle import symbol_values
 
 HEAT_2D = "-(1+4*pi^2*(xi1^2+xi2^2))"
 
@@ -81,7 +83,7 @@ def test_shell_membership_is_the_exact_ball_membership(grid):
     for j in range(1, grid.J + 1):
         ball = masked(grid, j)
         assert np.array_equal(node_shells(grid) <= j, ball)
-        assert np.array_equal(grid.ball_mask(j), ball)
+        assert np.array_equal(project(ones(grid), j).values != 0, ball)
         members = shells.order[shells.offsets[j - 1]:shells.offsets[j]]
         inner = masked(grid, j - 1) if j > 1 else np.zeros(grid.shape, dtype=bool)
         assert np.array_equal(members, np.flatnonzero(ball & ~inner))
@@ -103,6 +105,65 @@ def test_boundary_nodes_belong_to_their_ball(grid):
 
 def test_shell_index_is_shared_by_equal_grids():
     assert FrequencyGrid(2, 4, 8).shells() is FrequencyGrid(2, 4, 8).shells()
+
+
+def counting_sort_shell_index(n, J, inv_h):
+    """``(order, offsets)`` of the shell index as a counting sort of the nodes' shell
+    numbers, a block of whole rows at a time: the reference of the closed-form build."""
+    axis = np.arange(-J * inv_h, J * inv_h + 1, dtype=np.int64)
+    side = axis.size
+    shell = np.empty((side,) * n, dtype=np.min_scalar_type(J + 1))
+    flat = shell.reshape(-1)
+    row_nodes = side ** (n - 1)
+    rows = max(1, (1 << 16) // row_nodes)
+    blocks = [(start, min(start + rows, side)) for start in range(0, side, rows)]
+    counts = np.zeros(J + 2, dtype=np.int64)
+    for start, stop in blocks:
+        shell[start:stop] = shell_numbers(J, inv_h, axis[start:stop], *[axis] * (n - 1))
+        counts += np.bincount(shell[start:stop].reshape(-1), minlength=J + 2)
+    offsets = np.cumsum(counts[: J + 1])
+    # each block's nodes, stably sorted by shell, go to the next free places of their
+    # shells, so a shell stays in row-major order
+    order = np.empty(flat.size, dtype=np.int32)
+    free = np.concatenate(([0], offsets))
+    for start, stop in blocks:
+        begin = start * row_nodes
+        block = flat[begin : stop * row_nodes]
+        block_counts = np.bincount(block, minlength=J + 2)
+        by_shell = np.argsort(block, kind="stable")
+        shift = np.repeat(free - (np.cumsum(block_counts) - block_counts), block_counts)
+        order[np.arange(by_shell.size) + shift] = by_shell + begin
+        free += block_counts
+    return order, offsets
+
+
+INDEX_PARAMETERS = (
+    [(n, J, inv_h) for n in (1, 2) for J in (1, 2, 3, 8) for inv_h in (1, 2, 5, 16)]
+    # the benchmark grids, the node budget and a 1-D row cut in blocks
+    + [(2, 32, 16), (2, 8, 32), (2, 16, 63), (1, 2048, 32)])
+
+
+@pytest.mark.parametrize("parameters", INDEX_PARAMETERS, ids=str)
+def test_closed_form_shell_index_is_the_counting_sort(parameters):
+    from frechet_flow.spectral import ShellIndex
+
+    order, offsets = counting_sort_shell_index(*parameters)
+    index = FrequencyGrid(*parameters).shells()
+    assert index.order.dtype == order.dtype and np.array_equal(index.order, order)
+    assert index.offsets.dtype == offsets.dtype and np.array_equal(index.offsets, offsets)
+    reference = ShellIndex(offsets=offsets, parameters=parameters, node_count=order.size)
+    for (block, shell_offsets), (expected, expected_offsets) in zip(
+            index.blocks(outside=True), reference.blocks(outside=True), strict=True):
+        assert block == expected
+        assert (shell_offsets is None) == (expected_offsets is None)
+        assert shell_offsets is None or np.array_equal(shell_offsets, expected_offsets)
+    # the row blocks cover the grid in order, each node at its place
+    covered = 0
+    for nodes, positions in index.rows():
+        assert nodes.start == covered and nodes.stop - nodes.start <= 1 << 16
+        assert np.array_equal(order[positions], np.arange(nodes.start, nodes.stop))
+        covered = nodes.stop
+    assert covered == order.size
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=repr)
@@ -235,7 +296,7 @@ def traversal_operators(grid, rng):
 @pytest.mark.parametrize("grid", GRIDS, ids=repr)
 def test_operator_profile_and_stage_growth_equal_the_masked_max(grid, rng):
     for op in traversal_operators(grid, rng):
-        values = op.values
+        values = symbol_values(op)
         lower, upper = op.real_part_range()
         for j in range(1, grid.J + 1):
             mask = masked(grid, j)
@@ -286,16 +347,16 @@ def test_seminorm_reads_the_profile_of_its_field(monkeypatch, rng):
     grid = FrequencyGrid(2, 4, 8)
     u = random_field(grid, rng)
     calls = []
-    reduce = spectral._ball_seminorms
+    combine = spectral._combine_parts
 
-    def counted(field):
-        calls.append(field)
-        return reduce(field)
+    def counted(parts, weight):
+        calls.append(parts)
+        return combine(parts, weight)
 
-    monkeypatch.setattr(spectral, "_ball_seminorms", counted)
+    monkeypatch.setattr(spectral, "_combine_parts", counted)
     seminorms = [seminorm(u, j) for j in range(1, grid.J + 1)]
     assert seminorm_profile(u).tolist() == seminorms
-    assert calls == [u]
+    assert len(calls) == 1
 
 
 def identity_inverse(grid):
@@ -304,30 +365,23 @@ def identity_inverse(grid):
 
 
 def node_levels(grid):
-    """``(levels, level_offsets)`` of a `ShellField` in which each node is its own level,
-    the levels numbered in shell order."""
+    """``(index, level_offsets)`` of a level table in which each node is its own level, the
+    levels numbered in shell order."""
     return np.arange(grid.node_count, dtype=np.int32), np.append(grid.shells().offsets,
                                                                  grid.node_count)
 
 
-def node_field(u, inverse, *per_level):
-    """u's `ShellField` over `node_levels`, and each array given per level of the
-    grid-shaped ``inverse`` spread over the nodes, in shell order."""
-    nodes = shell_ordered(inverse, u.grid)
-    return [ShellField(u, *node_levels(u.grid))] + [array[nodes] for array in per_level]
+def one_flow(log_magnitude, phase, u, inverse=None, table=None):
+    """`saturated_product` of one flow on the field u, keeping its field: ``(field, flagged)``.
 
-
-def one_flow(log_magnitude, phase, u, inverse=None):
-    """`saturated_product` of one flow, keeping its field: ``(field, flagged)``.
-
-    ``u`` is a field and ``inverse`` names each node's level of the factor
-    (grid-shaped), or ``u`` is a `ShellField` and ``inverse`` is omitted.
+    Either ``inverse`` names each node's level of the factor (grid-shaped),
+    or ``table`` is a level index in shell order and its shell ranges.
     """
-    source = u
     if inverse is not None:
-        source, log_magnitude, phase = node_field(u, inverse, log_magnitude, phase)
+        nodes = shell_ordered(inverse, u.grid)
+        log_magnitude, phase, table = log_magnitude[nodes], phase[nodes], node_levels(u.grid)
     product, flagged = saturated_product(
-        {"flow": LevelFactor(log_magnitude, phase)}, source, keep="flow"
+        {"flow": LevelFactor(log_magnitude, phase)}, u, *table, keep="flow"
     )
     return product.field, flagged
 
@@ -480,13 +534,12 @@ def test_saturating_path_on_heat_levels_equals_the_reference_bitwise(rng):
     inverse = np.empty(grid.node_count, dtype=np.int32)
     inverse[grid.shells().order] = index  # back to grid order
     u = random_field(grid, rng)
-    source = ShellField(u, index, op.level_offsets())
     for t in (-2.0, -1.0, -0.6):
         z = t * levels
         phase = np.exp(1j * z.imag)
         expected, expected_flag = reference_saturated_product(z.real, phase, u,
                                                               inverse.reshape(grid.shape))
-        result, flagged = one_flow(z.real, phase, source)
+        result, flagged = one_flow(z.real, phase, u, table=(index, op.level_offsets()))
         assert flagged and expected_flag
         assert same_bits(result.values, expected)
 
@@ -503,46 +556,43 @@ def test_polar_form_is_built_once_per_field(monkeypatch, rng):
 
     monkeypatch.setattr(np, "angle", counted)
     log_magnitude, phase, inverse = saturating_case(grid, rng)
-    source, log_magnitude, phase = node_field(u, inverse, log_magnitude, phase)
-    first, _ = one_flow(log_magnitude, phase, source)
+    first, _ = one_flow(log_magnitude, phase, u, inverse)
     # one angle per block of the shell index builds the polar form
     built = len(list(grid.shells().blocks(outside=True)))
     assert len(calls) == built
     for _ in range(3):
-        again, flagged = one_flow(log_magnitude, phase, source)
-        assert flagged and same_bits(again.values, first.values)
+        again, flagged = one_flow(log_magnitude, phase, u, inverse)
+        assert flagged and same_bits(again.samples, first.samples)
     assert len(calls) == built
-    assert source.polar() is source.polar()
-    # each closed-form call puts its field in shell order anew, polar form included
+    assert u.polar() is u.polar()
+    # a closed-form call on the same field reads the same polar form
     op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
     exp_multiplier(op, -2.0, u)
+    assert len(calls) == built
+    # a field built from the same values builds its own
+    exp_multiplier(op, -2.0, SpectralField(grid, u.values))
     assert len(calls) == 2 * built
 
 
-def test_shell_field_is_the_gather_through_the_shell_order(rng):
+def test_a_field_holds_its_samples_in_shell_order(rng):
     grid = FrequencyGrid(2, 3, 4)
-    u = random_field(grid, rng)
-    op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
-    source = ShellField(u, op.levels()[1], op.level_offsets())
-    order = grid.shells().order
-    assert same_bits(source.samples, u.values.ravel()[order])
-    # the operator's level index is read as it is held, not copied
-    assert source.levels is op.levels()[1] and source.level_offsets is op.level_offsets()
-    assert source.peak == float(np.max(np.abs(u.values)))
-    assert source.grid == grid and not source.overflow
-    assert not source.samples.flags.writeable and not source.levels.flags.writeable
-    # the gather forms u's profile, bit for bit the one seminorm_profile forms
+    values = random_field(grid, rng).values
+    u = SpectralField(grid, values)
+    assert same_bits(u.samples, values.ravel()[grid.shells().order])
+    assert same_bits(u.values, values) and u.values.shape == grid.shape
+    assert not u.samples.flags.writeable and not u.overflow
+    # the pass that forms the peak forms u's profile, bit for bit the one seminorm_profile forms
+    assert u.peak() == float(np.max(np.abs(values)))
     assert u._profile is not None
-    assert same_bits(seminorm_profile(u), seminorm_profile(SpectralField(grid, u.values)))
+    assert same_bits(seminorm_profile(u), seminorm_profile(SpectralField(grid, values)))
 
 
 def test_polar_form_marks_zero_and_nan_samples():
     grid = FrequencyGrid(1, 1, 2)
     values = np.array([0.0, -0.0, 5e-324j, np.nan, -2.0], dtype=complex)
-    u = ShellField(SpectralField(grid, values, overflow=True), *node_levels(grid))
-    assert math.isnan(u.peak) and u.overflow
-    assert ShellField(SpectralField(grid, np.where(np.isnan(values), 0.0, values)),
-                      *node_levels(grid)).peak == 2.0
+    u = SpectralField(grid, values, overflow=True)
+    assert math.isnan(u.peak()) and u.overflow
+    assert SpectralField(grid, np.where(np.isnan(values), 0.0, values)).peak() == 2.0
     # back to grid order
     log_u, phase = (part[np.argsort(grid.shells().order)] for part in u.polar())
     assert log_u[:2].tolist() == [-np.inf, -np.inf] and log_u[3] == -np.inf
@@ -558,25 +608,25 @@ def test_exp_series_profiles_its_field_once(monkeypatch, rng):
     grid = FrequencyGrid(2, 4, 8)
     u = random_field(grid, rng)
     op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
-    calls = []
-    reduce = spectral._ball_seminorms
+    passes = []  # per call of `peak`, whether it walked u
+    peak = spectral.SpectralField.peak
 
-    def counted(field):
-        calls.append(field)
-        return reduce(field)
+    def recorded(self):
+        passes.append(self._peak is None)
+        return peak(self)
 
-    monkeypatch.setattr(spectral, "_ball_seminorms", counted)
-    # the first call's shell field forms u's profile as it gathers u, and
-    # every later call reads it
+    monkeypatch.setattr(spectral.SpectralField, "peak", recorded)
+    # the first call's pass over u forms its profile with its peak, and every
+    # later call reads them
     exp_series(op, 0.0, u)
     first = u._profile
     for t in (0.01, 0.1, -0.01, -1.0):
         exp_series(op, t, u)
-    assert calls == [] and u._profile is first
+    assert passes[0] and not any(passes[1:]) and u._profile is first
     profile = seminorm_profile(u)
     profile[:] = 0.0  # a fresh array each time
     assert np.all(seminorm_profile(u) > 0.0)
-    assert calls == []
+    assert passes.count(True) == 1
 
 
 def scaled_field(grid, rng, kind):
@@ -619,12 +669,12 @@ def test_streamed_pass_reads_what_its_fields_give(grid, seed, kind, factor_kinds
     u = scaled_field(grid, rng, kind)
     factors = dict(zip(["a", "b"], (random_factor(rng, grid, k) for k in factor_kinds)))
     fields = {}
-    source = ShellField(u, *node_levels(grid))
+    table = node_levels(grid)
     for name, factor in factors.items():
-        product, _ = saturated_product({name: factor}, source, keep=name)
+        product, _ = saturated_product({name: factor}, u, *table, keep=name)
         assert product.residual is None
         fields[name] = product.field
-    product, flagged = saturated_product(factors, source, keep="b")
+    product, flagged = saturated_product(factors, u, *table, keep="b")
     assert same_bits(product.field.values, fields["b"].values)
     for name, field in fields.items():
         assert product.profiles[name].tolist() == seminorm_profile(
@@ -634,7 +684,7 @@ def test_streamed_pass_reads_what_its_fields_give(grid, seed, kind, factor_kinds
     if factors["b"] is None:
         assert same_bits(product.field.values, u.values)
     assert flagged == any(
-        saturated_product({name: factor}, source)[1] for name, factor in factors.items())
+        saturated_product({name: factor}, u, *table)[1] for name, factor in factors.items())
 
 
 def test_representable_flow_with_a_nan_phase_level_is_rejected(rng):
@@ -645,14 +695,13 @@ def test_representable_flow_with_a_nan_phase_level_is_rejected(rng):
     phase = np.ones(levels.size, dtype=complex)
     phase[levels.size // 2] = complex(np.nan, 0.0)
     factor = LevelFactor(0.1 * levels.real, phase)
-    source = ShellField(u, index, op.level_offsets())
     for keep in (None, "flow"):
         with pytest.raises(ValueError, match="non-finite samples"):
-            saturated_product({"flow": factor}, source, keep=keep)
+            saturated_product({"flow": factor}, u, index, op.level_offsets(), keep=keep)
     # a flagged field may carry the NaN
-    flagged = ShellField(SpectralField(grid, u.values, overflow=True), index,
-                         op.level_offsets())
-    product, _ = saturated_product({"flow": factor}, flagged, keep="flow")
+    flagged = SpectralField(grid, u.values, overflow=True)
+    product, _ = saturated_product({"flow": factor}, flagged, index, op.level_offsets(),
+                                   keep="flow")
     assert np.isnan(product.field.values).any()
 
 
@@ -676,17 +725,17 @@ def test_pass_without_kept_or_saturating_flow_stays_in_ball_J(monkeypatch, rng):
     u = random_field(grid, rng)
     op = MultiplierOperator(parse_symbol(HEAT_2D, 2), grid)
     levels, index = op.levels()
-    source = ShellField(u, index, op.level_offsets())
+    table = index, op.level_offsets()
     ball_end = int(grid.shells().offsets[-1])
     representable = {"a": LevelFactor(0.01 * levels.real, np.ones(levels.size)), "b": None}
     visited = visited_ranges(monkeypatch)
-    product, flagged = saturated_product(representable, source)
+    product, flagged = saturated_product(representable, u, *table)
     assert visited and max(block.stop for block in visited) <= ball_end and not flagged
     # the same pass keeping a flow, or with a flow that can saturate, covers every node
     for factors, keep in ((representable, "a"), (representable, "b"),
                           ({"a": LevelFactor(-10.0 * levels.real, np.ones(levels.size))}, None)):
         visited.clear()
-        saturated_product(factors, source, keep=keep)
+        saturated_product(factors, u, *table, keep=keep)
         assert max(block.stop for block in visited) == grid.node_count
         assert sum(block.stop - block.start for block in visited) >= grid.node_count
 
@@ -858,10 +907,10 @@ def flow_factors(op, t, u, method):
 def level_and_node_passes(op, u, t, method):
     """``(level pass, node pass, whether the first took the level path)`` of one time."""
     factors = flow_factors(op, t, u, method)
-    source = ShellField(u, op.levels()[1], op.level_offsets())
-    level, level_flagged = saturated_product(factors, source)
-    node, _ = saturated_product(factors, source, keep=list(factors)[-1])  # a kept field
-    return level, node, source._weights is not None and not level_flagged
+    table = op.levels()[1], op.level_offsets()
+    level, level_flagged = saturated_product(factors, u, *table)
+    node, _ = saturated_product(factors, u, *table, keep=list(factors)[-1])  # a kept field
+    return level, node, u._weights is not None and not level_flagged
 
 
 def level_errors(level, node):
@@ -934,9 +983,11 @@ def test_level_weights_are_the_per_level_sums_of_squares(rng):
     grid = FrequencyGrid(2, 4, 8)
     op = level_operator(grid, "mixed")
     u = level_field(grid, rng, "huge")
-    source = ShellField(u, op.levels()[1], op.level_offsets())
-    peaks, exponents, weights = source.level_weights()
-    assert source.level_weights()[0] is peaks
+    table = op.levels()[1], op.level_offsets()
+    peaks, exponents, weights = u.level_weights(*table)
+    assert u.level_weights(*table)[0] is peaks
+    # another index, or other shell ranges, build their own
+    assert u.level_weights(table[0].copy(), table[1])[0] is not peaks
     assert not any(part.flags.writeable for part in (peaks, exponents, weights))
     index, shells = op.levels()[1], grid.shells()
     # in shell order, ball J's nodes come first
@@ -959,9 +1010,9 @@ def test_the_level_path_is_taken_only_where_no_node_is_needed(monkeypatch, rng):
     taken = []
     level_product = spectral._level_product
 
-    def recorded(flows, source):
+    def recorded(flows, *args):
         taken.append(flows)
-        return level_product(flows, source)
+        return level_product(flows, *args)
 
     monkeypatch.setattr(spectral, "_level_product", recorded)
 
@@ -970,8 +1021,7 @@ def test_the_level_path_is_taken_only_where_no_node_is_needed(monkeypatch, rng):
 
     def levels_taken(factors, field=u, keep=None):
         taken.clear()
-        saturated_product(factors, ShellField(field, op.levels()[1], op.level_offsets()),
-                          keep=keep)
+        saturated_product(factors, field, op.levels()[1], op.level_offsets(), keep=keep)
         return bool(taken)
 
     assert levels_taken(factors_at(0.01))
@@ -990,13 +1040,13 @@ def test_a_solve_that_writes_no_field_builds_the_level_weights_once(monkeypatch,
     import frechet_flow.spectral as spectral
 
     built = []
-    weights = spectral.ShellField.level_weights
+    weights = spectral.SpectralField.level_weights
 
-    def recorded(self):
+    def recorded(self, *table):
         built.append(self._weights is None)
-        return weights(self)
+        return weights(self, *table)
 
-    monkeypatch.setattr(spectral.ShellField, "level_weights", recorded)
+    monkeypatch.setattr(spectral.SpectralField, "level_weights", recorded)
     config = config_from_text(
         "[grid]\nn = 2\nJ = 4\ninv_h = 8\n"
         f"[symbol]\ntext = {HEAT_2D}\n"

@@ -3,8 +3,8 @@ the case matrix of ``tools/golden_outputs.py``, the package's optional
 parameters, each of which some call inside the package passes, its
 public names, each of which some code inside the package reads, and its
 writers: only ``fieldio`` opens a file to write, and no module imports
-``csv``.  Only ``evolution`` builds a ``ShellField`` or calls
-``saturated_product``.
+``csv``.  Only ``evolution`` calls ``saturated_product``, and a solve reads
+no grid-ordered ``values`` of a field or an operator.
 
 ``bench/spans.py`` skips a wrapped name that no longer exists, so a rename
 would read as 0 calls rather than fail; these tests make it fail here.
@@ -119,7 +119,6 @@ def test_every_golden_command_is_a_subcommand(name, command):
 
 # Optional parameters that no call inside the package passes, with the reason each stays.
 UNPASSED_OPTIONS = {
-    ("SpectralField", "overflow"): "tests build flagged inputs with it",
     ("suite_spectral", "weight_factor"): "run_verify passes it through an argument tuple",
     ("main", "argv"): "tests and the benchmark harness drive the CLI through it",
 }
@@ -262,9 +261,9 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_only_evolution_turns_flow_factors_into_fields():
-    """`evolve` is the one place that builds a `ShellField` and runs `saturated_product`,
-    so it alone knows whether a pass keeps a field."""
-    names = {"saturated_product", "ShellField"}
+    """`evolve` is the one place that runs `saturated_product`, so it alone knows whether a
+    pass keeps a field."""
+    names = {"saturated_product"}
     users = set()
     for path in sorted((ROOT / "src" / "frechet_flow").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -274,3 +273,39 @@ def test_only_evolution_turns_flow_factors_into_fields():
             elif isinstance(node, ast.Attribute) and node.attr in names:
                 users.add(path.stem)
     assert users == {"evolution"}
+
+
+@pytest.mark.parametrize("times, formats", [("0.001, 0.01, 0.1", "csv"),
+                                            ("-2, -0.5", "csv, fl2l")],
+                         ids=["forward-csv", "backward-csv-fl2l"])
+def test_run_solve_reads_no_grid_ordered_values(tmp_path, monkeypatch, times, formats):
+    """A solve holds its fields in shell order from the file it reads to the files it
+    writes: it reads no field's grid-ordered ``values``, and an operator has none."""
+    import numpy as np
+
+    from frechet_flow.fieldio import write_field
+    from frechet_flow.operators import MultiplierOperator
+    from frechet_flow.spectral import FrequencyGrid, SpectralField, random_field
+
+    assert not hasattr(MultiplierOperator, "values")
+    grid = FrequencyGrid(2, 4, 8)
+    write_field(tmp_path / "init.fl2l", random_field(grid, np.random.default_rng(3)))
+    reads = []
+
+    def spy(self, scatter=SpectralField.values.fget):
+        reads.append("SpectralField")
+        return scatter(self)
+
+    monkeypatch.setattr(SpectralField, "values", property(spy))
+    config = config_from_text(
+        "[grid]\nn = 2\nJ = 4\ninv_h = 8\n"
+        "[symbol]\ntext = -(1+4*pi^2*(xi1^2+xi2^2))\n"
+        f"[evolve]\ntimes = {times}\nmethod = both\n"
+        f"[init]\nfield = file:{tmp_path / 'init.fl2l'}\n"
+        f"[output]\nformats = {formats}\n")
+    result = app.run_solve(config, str(tmp_path / "out"))
+    assert reads == []
+    assert result.residuals_certified and result.overflow == times.startswith("-")
+    # the spy sees a read
+    SpectralField(grid, np.zeros(grid.shape)).values
+    assert reads == ["SpectralField"]

@@ -5,11 +5,12 @@
 
 Runs the cases of ``tools/golden_outputs.py`` through its `run_case` in this
 one process, under a ``sys.settrace`` line tracer, each in its own directory
-under OUT_DIR.  Then prints, per module and function of ``src/frechet_flow``,
-the statements no case executed, docstrings excluded: the code no command
-reaches.  A statement counts as executed when a line of its header ran: all
-of a simple statement's lines, and a compound statement's lines up to its
-body, decorators included.  Consecutive unexecuted statements of one
+under a fresh directory ``OUT_DIR/run-*`` that the run creates, so that what
+an earlier run left in OUT_DIR changes no case.  Then prints, per module and
+function of ``src/frechet_flow``, the statements no case executed,
+docstrings excluded: the code no command reaches.  A statement counts as
+executed when a line of its header ran: all of a simple statement's lines,
+and a compound statement's lines up to its body, decorators included.  Consecutive unexecuted statements of one
 function print as one line range.
 """
 
@@ -21,6 +22,7 @@ import importlib
 import itertools
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import golden_outputs  # noqa: E402
@@ -100,7 +102,9 @@ def main(argv=None) -> int:
     sys.settrace(trace)
     cli = importlib.import_module("frechet_flow.cli")
     sys.settrace(None)
-    for case_dir, command in golden_outputs.cases(args.out_dir, args.bench_seeds):
+    os.makedirs(args.out_dir, exist_ok=True)
+    run_dir = tempfile.mkdtemp(prefix="run-", dir=args.out_dir)
+    for case_dir, command in golden_outputs.cases(run_dir, args.bench_seeds):
         sys.settrace(trace)
         golden_outputs.run_case(cli, case_dir, command)
         sys.settrace(None)
