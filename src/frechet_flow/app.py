@@ -60,7 +60,9 @@ def heat_scan(ts, Ms, Rs) -> list[HeatScanRow]:
     Rows whose integrand exceeds the overflow limit anywhere saturate at
     that limit and are flagged rather than returned as infinities.  Times
     must be finite, each M an integer whose 2M is a finite float, radii
-    finite and positive, and the quadrature nodes within ``NODE_BUDGET``.
+    finite and positive multiples of the step, so that a row does not
+    depend on the other radii, and the quadrature nodes within
+    ``NODE_BUDGET``.
     """
     ts = [float(t) for t in ts]
     if not all(map(math.isfinite, ts)):
@@ -86,6 +88,8 @@ def heat_scan(ts, Ms, Rs) -> list[HeatScanRow]:
     if count > NODE_BUDGET:
         raise ValueError(f"radius {r_max:g} needs {count:.6g} quadrature nodes, "
                          f"above {NODE_BUDGET}")
+    if not all((R / HEAT_SCAN_STEP).is_integer() for R in Rs):
+        raise ValueError(f"truncation radii must be multiples of 1/64, got {Rs!r}")
     midpoints = -r_max + (np.arange(int(count)) + 0.5) * HEAT_SCAN_STEP
     abs_mid = np.abs(midpoints)
     rows = []

@@ -93,7 +93,7 @@ def _heat_summary(t: float, M: int, chunk) -> str:
         rel = abs(last.value - chunk[-2].value) / last.value if last.value > 0 else 0.0
         text = f"converged, relative change {rel:.3e} over the last radius doubling"
     else:
-        # 0 when no quadrature node lies within the smallest radius
+        # 0 when the integrand underflows within the smallest radius (M < 0)
         ratio = last.value / first.value if first.value > 0 else math.inf
         text = f"grows by factor {ratio:.3e} from R={first.R:g} to R={last.R:g}"
     return head + text + (" (saturated)" if last.overflow else "")

@@ -38,8 +38,8 @@ run once per distinct symbol value (the operator's level table,
 and `series_factor` build them as `LevelFactor`s, and `saturated_product`
 gathers them onto the nodes.  Each value is the same elementwise operation
 on the same input bits, so the results are bitwise those of a per-node
-evaluation.  On a real table, every level finite with imaginary part +0,
-both factors are formed in float64 (`_real_levels`): the closed form is
+evaluation.  On a real table, every level with imaginary part +0, both
+factors are formed in float64 (`_real_levels`): the closed form is
 ``t Re a`` with phase 1, and the series runs Horner in real arithmetic
 and casts its stage to complex before the log/phase split.  Complex
 Horner keeps an imaginary part of +0 there, so the bits are the same; a
@@ -134,15 +134,14 @@ def multiplier_factor(op: MultiplierOperator, t: float) -> Optional[LevelFactor]
 
 
 def _real_levels(op: MultiplierOperator) -> Optional[np.ndarray]:
-    """The levels' real parts when every level is finite with imaginary part +0, else None.
+    """The levels' real parts when every level's imaginary part is +0, else None.
 
     On such a table a flow factor formed in float64 keeps the bits of the
-    complex one.  A -0 imaginary part, which only a raw level table can
-    hold, would flip the sign of a zero ``t Re a``; a NaN or inf level
-    would leave the complex phase undefined.  Both take the complex path.
+    complex one.  A level table is finite and holds no -0 imaginary part
+    (`MultiplierOperator`), so a zero imaginary part is +0.
     """
     levels = op.levels()[0]
-    if levels.imag.view(np.uint64).any() or not np.isfinite(levels.real).all():
+    if levels.imag.any():
         return None
     return levels.real
 
@@ -150,8 +149,7 @@ def _real_levels(op: MultiplierOperator) -> Optional[np.ndarray]:
 def _scaled_levels(op: MultiplierOperator, t: float) -> np.ndarray:
     """``t a`` per level; a real part that overflows reads +-inf, an imaginary
     part that overflows to +-inf leaves no phase and is refused with
-    ``ValueError``.  A NaN level, which only a raw level table can hold, is
-    passed through."""
+    ``ValueError``."""
     with np.errstate(over="ignore"):
         z = t * op.levels()[0]
     if np.isinf(z.imag).any():

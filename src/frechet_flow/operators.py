@@ -45,11 +45,9 @@ class MultiplierOperator:
     axis enters the symbol through even powers only, of any degree, the
     table is built on the half (or quarter) grid up to ``xi_k = 0`` and
     mirrored.  `level_offsets` gives each shell's range of levels.  A symbol
-    that is not finite on the grid is refused when the table is built.
-    `power` raises its base's levels to the k-th power and keeps the base's
-    index and ranges, so a power's table may list one value more than once
-    in a shell (as ``a`` and ``-a`` do when squared).  The per-ball
-    quantities, max |a| (`seminorm`) and the range of ``Re a``
+    that is not finite on the grid is refused when the table is built, so
+    every level is finite, with an imaginary part of +0 or nonzero.  The
+    per-ball quantities, max |a| (`seminorm`) and the range of ``Re a``
     (`real_part_range`), reduce each shell's range of levels, so they read
     no node; they are computed on first use and kept.  `apply` multiplies
     the levels, through the index, onto a field's samples in shell order.
@@ -60,25 +58,11 @@ class MultiplierOperator:
             raise TypeError(f"a multiplier is built from a PolynomialSymbol, not {poly!r}")
         if poly.n != grid.n:
             raise GridError(f"symbol dimension {poly.n} != grid dimension {grid.n}")
-        self._init(grid, poly, label, None)
-
-    @classmethod
-    def _from_table(cls, grid: FrequencyGrid, levels, index, offsets,
-                    label: str | None = None):
-        """An operator whose table is ``(levels, index)`` with shell ranges ``offsets``,
-        all read-only, ``index`` in shell order (see `levels` and `level_offsets`)."""
-        op = cls.__new__(cls)
-        op._init(grid, None, label, (levels, index, offsets))
-        return op
-
-    def _init(self, grid, poly, label, table):
         self.grid = grid
         self.label = label
         self._poly = poly
         self._extremes = None
         self._levels = self._offsets = None
-        if table is not None:
-            self._levels, self._offsets = table[:2], table[2]
 
     def apply(self, u: SpectralField) -> SpectralField:
         if u.grid != self.grid:
@@ -123,8 +107,7 @@ class MultiplierOperator:
         outside ball J), and ``levels`` holds each level's value, shell by
         shell, and within a shell in order of first appearance in row-major
         node order.  So one value may be listed once per shell it meets, and
-        a hash collision may list it twice within a shell, as may a
-        `power`, where two levels can share their k-th power; two values are
+        a hash collision may list it twice within a shell; two values are
         never merged.  The flat int32 ``index`` is in shell order, the order
         of a field's samples: ``levels[index[p]]`` is the symbol at the node
         ``ShellIndex.order[p]``, and the entries of shell j's nodes (its
@@ -153,29 +136,12 @@ class MultiplierOperator:
 
     def seminorm_argmax(self, j: int) -> tuple[int, ...]:
         """Index of a node attaining the ball-j operator seminorm, the first in row-major
-        order (the first NaN if ``|a|`` is NaN on the ball)."""
+        order."""
         (levels, index), shells = self.levels(), self.grid.shells()
         ball = int(shells.offsets[self.grid.check_ball_index(j)])
         magnitudes = np.abs(levels)[index[:ball]]
-        peak = np.max(magnitudes)
-        ties = np.isnan(magnitudes) if np.isnan(peak) else magnitudes == peak
+        ties = magnitudes == np.max(magnitudes)
         return np.unravel_index(int(np.min(shells.order[:ball][ties])), self.grid.shape)
-
-    def power(self, k: int) -> "MultiplierOperator":
-        """The k-fold composition: each level multiplied by itself k - 1 times.
-
-        k is an integer >= 1.  The power keeps this operator's level index
-        and `level_offsets`; its symbol on every node is that of k - 1
-        repeated nodewise products, bitwise.
-        """
-        if not (isinstance(k, (int, np.integer)) and k >= 1):
-            raise ValueError(f"power needs an integer k >= 1, got {k!r}")
-        base, index = self.levels()
-        levels = base
-        for _ in range(k - 1):
-            levels = levels * base
-        return MultiplierOperator._from_table(self.grid, frozen(levels), index,
-                                              self.level_offsets(), label=f"{self.label}^{k}")
 
     def __repr__(self):
         return f"MultiplierOperator({self.label or self._poly!r}, {self.grid!r})"
@@ -297,7 +263,6 @@ class ReflectionOperator:
         source = grid.axis_index * -2
         self._gather = np.clip(source + lim, 0, 2 * lim)
         self._in_range = np.abs(source) <= lim
-        self.label = "reflection(scale=-2)"
 
     def apply(self, u: SpectralField) -> SpectralField:
         if u.grid != self.grid:
@@ -426,10 +391,17 @@ def check_strong_compatibility(op, samples: Sequence[SpectralField]) -> Compatib
 def verify_power_bound(op: MultiplierOperator, k: int, j: int) -> tuple[float, float]:
     """Return (p_j^X(A^k), p_j^X(A)^k); for multipliers the two coincide.
 
-    ``k`` is checked by `MultiplierOperator.power`."""
-    lhs = op.power(k).seminorm(j)
-    rhs = op.seminorm(j) ** k
-    return lhs, rhs
+    The left side is max |a^k| over ball j's levels, with ``a^k`` formed
+    by k - 1 repeated nodewise products; k is an integer >= 1.
+    """
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"power needs an integer k >= 1, got {k!r}")
+    j = op.grid.check_ball_index(j)
+    base = op.levels()[0][: op.level_offsets()[j]]
+    levels = base
+    for _ in range(k - 1):
+        levels = levels * base
+    return float(np.max(np.abs(levels))), op.seminorm(j) ** k
 
 
 def sharpness_field(op: MultiplierOperator, j: int) -> SpectralField:

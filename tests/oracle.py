@@ -1,5 +1,6 @@
 """The exact flow at 60 digits, to judge the float constructions and their certificates,
-and the exact ball membership, to judge what the shell index reads.
+the exact ball membership, to judge what the shell index reads, and random symbols to
+judge them on.
 
 Every value is computed with mpmath from the stored doubles (the symbol's
 levels, the field's samples, the time), so it is the exact flow of the
@@ -10,6 +11,7 @@ import mpmath as mp
 import numpy as np
 
 from frechet_flow.spectral import SpectralField, seminorm_profile
+from frechet_flow.symbols import PolynomialSymbol
 
 DIGITS = 60
 
@@ -28,6 +30,27 @@ def symbol_values(op):
     values = np.empty(op.grid.node_count, dtype=complex)
     values[op.grid.shells().order] = levels[index]
     return values.reshape(op.grid.shape)
+
+
+def random_polynomial(rng, n, real=False):
+    """A random symbol of up to six terms, each axis of degree at most 4 and, at random,
+    entering through even powers only (the mirrored table build).  Each coefficient part
+    is a signed zero or a normal scaled by 10^[-3, 3]; every imaginary part is 0 if
+    ``real``."""
+    even = rng.random(n) < 0.5
+
+    def part():
+        draw = rng.random()
+        if draw < 0.3:
+            return 0.0 if draw < 0.15 else -0.0
+        return rng.standard_normal() * 10.0 ** rng.uniform(-3, 3)
+
+    coeffs = {}
+    for _ in range(rng.integers(1, 7)):
+        degrees = rng.integers(0, 5, n)
+        alpha = tuple(int(a - a % 2 * mirrored) for a, mirrored in zip(degrees, even))
+        coeffs[alpha] = complex(part(), 0.0 if real else part())
+    return PolynomialSymbol(n, coeffs)
 
 
 def exact_tail(rate, terms):

@@ -499,6 +499,21 @@ def test_heat_scan_rejects_weights_whose_double_is_not_finite(M):
         heat_scan([0.1], [0, M], [1, 2])
 
 
+@pytest.mark.parametrize("R", [2.001, 8.005, 1e-9, 0.01, 1 / 128])
+def test_heat_scan_refuses_a_radius_off_the_step_grid(R):
+    # the midpoint lattice starts at -max(R), so an off-grid largest radius
+    # would move every other row
+    with pytest.raises(ValueError, match=r"truncation radii must be multiples of 1/64"):
+        heat_scan([0.1], [1], [1, R])
+
+
+@pytest.mark.parametrize("t", [0.1, -0.1])
+def test_heat_scan_rows_do_not_depend_on_the_other_radii(t):
+    radii = [2**k for k in range(7)]
+    rows = heat_scan([t], [1], radii)
+    assert rows == [heat_scan([t], [1], [R])[0] for R in radii]
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -1021,6 +1036,7 @@ def test_cli_process_fails_cleanly(tmp_path, case, message):
         (["heat-demo", "--R", "0"], "truncation radii must be finite and positive"),
         (["heat-demo", "--R=-1"], "truncation radii must be finite and positive"),
         (["heat-demo", "--R", "1e6"], "quadrature nodes, above 4194304"),
+        (["heat-demo", "--R", "1", "2.001"], "truncation radii must be multiples of 1/64"),
         (["check-eprime"], "one of --symbol or --diffop is required"),
         (["check-eprime", "--symbol", "xi1^2"], "unknown identifier 'xi1'"),
         (["check-eprime", "--symbol", "1e308*10*xi"],
@@ -1152,10 +1168,10 @@ def test_cli_process_decides_high_degree_symbols_without_warnings(tmp_path, args
     "args, summary",
     [
         (["--R", "1"], "t=-0.1 M=1: value 1.663044e+03 at the single radius R=1"),
-        (["--R", "1e-9", "2", "--t", "0.1"],
-         "t=0.1 M=0: converged, relative change 1.000e+00 over the last radius doubling"),
-        (["--R", "1e-9", "2", "--t=-0.1"],
-         "t=-0.1 M=0: grows by factor inf from R=1e-09 to R=2"),
+        (["--R", "0.015625", "0.03125", "--t", "800", "--M", "48000"],
+         "t=800 M=48000: converged, relative change 1.000e+00 over the last radius doubling"),
+        (["--R", "0.015625", "266", "--t=-0.1", "--M=-50000"],
+         "t=-0.1 M=-50000: grows by factor inf from R=0.015625 to R=266"),
         (["--R", "1", "2", "--t", "1000"],
          "t=1000 M=1: converged, relative change 0.000e+00 over the last radius doubling"),
     ],

@@ -23,7 +23,7 @@ from frechet_flow.evolution import (
     verify_group_law,
     verify_quotient_diagrams,
 )
-from frechet_flow.operators import MultiplierOperator, ReflectionOperator, _level_table
+from frechet_flow.operators import MultiplierOperator, ReflectionOperator
 from frechet_flow.spectral import (
     OVERFLOW_EXPONENT,
     FrequencyGrid,
@@ -35,7 +35,6 @@ from frechet_flow.spectral import (
     saturated_product,
     seminorm,
     seminorm_profile,
-    shell_numbers,
 )
 from frechet_flow.symbols import (
     HEAT_SYMBOL_TEXT,
@@ -45,7 +44,7 @@ from frechet_flow.symbols import (
     transport_symbol,
 )
 
-from oracle import ball_mask, exact_tail, flow_error_profile, symbol_values
+from oracle import ball_mask, exact_tail, flow_error_profile, random_polynomial, symbol_values
 
 PI = math.pi
 
@@ -601,17 +600,11 @@ def test_level_kernels_match_the_per_node_reference_bitwise(n, text, t, rng):
 
 @settings(max_examples=100, deadline=None)
 @given(exponent=st.floats(-8.0, 3.0), sign=st.sampled_from([1.0, -1.0]), real=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_stage_horner_keeps_the_bits_of_the_division(exponent, sign, real, seed):
+       n=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_stage_horner_keeps_the_bits_of_the_division(exponent, sign, real, n, seed):
     rng = np.random.default_rng(seed)
-    grid = FrequencyGrid(1, 8, 8)
-    values = np.empty(grid.node_count, dtype=np.complex128)
-    values.real = rng.standard_normal(values.size) * 10.0 ** rng.uniform(-3, 3, values.size)
-    if real:  # imaginary parts +0 and -0
-        values.imag = np.copysign(0.0, rng.standard_normal(values.size))
-    else:
-        values.imag = rng.standard_normal(values.size) * 10.0 ** rng.uniform(-3, 3, values.size)
-    op = raw_table_operator(values)
+    grid = FrequencyGrid(1, 8, 8) if n == 1 else FrequencyGrid(2, 3, 4)
+    op = MultiplierOperator(random_polynomial(rng, n, real=real), grid)
     levels = op.levels()[0]
     t = sign * 10.0 ** exponent
     profile = seminorm_profile(random_field(grid, rng))
@@ -708,39 +701,14 @@ def test_real_symbol_factors_keep_the_bits_of_the_complex_formulas(n, text, shap
     assert_factors_keep_the_complex_bits(op, t)
 
 
-def raw_table_operator(values):
-    """The operator on (1, 8, 8) whose symbol on the nodes is ``values``, from its raw table."""
-    grid = FrequencyGrid(1, 8, 8)
-    shells = shell_numbers(grid.J, grid.inv_h, grid.axis_index)
-    levels, inverse, offsets = _level_table(values, shells, grid.J)
-    return MultiplierOperator._from_table(grid, levels, inverse[grid.shells().order], offsets)
-
-
-@pytest.mark.parametrize("imag", ["-0", "one -0", "+0"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("t", FACTOR_TIMES)
-def test_a_raw_table_with_signed_zero_imaginary_parts_keeps_the_complex_bits(imag, t):
-    rng = np.random.default_rng(7)
-    grid = FrequencyGrid(1, 8, 8)
-    values = np.empty(grid.node_count, dtype=np.complex128)
-    values.real = rng.standard_normal(values.size) * 10.0 ** rng.uniform(-3, 3, values.size)
-    values.real[::7], values.real[3::7] = 0.0, -0.0
-    values.imag = -0.0 if imag == "-0" else 0.0
-    if imag == "one -0":
-        values.imag[5] = -0.0
-    op = raw_table_operator(values)
-    # a -0 imaginary part would flip the sign of a zero t Re a: the complex path
-    assert (evolution._real_levels(op) is None) == (imag != "+0")
-    assert_factors_keep_the_complex_bits(op, t)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("t", [1e-3, -1.0, 1e300])
-def test_a_raw_table_with_a_level_that_is_not_finite_keeps_the_complex_bits(bad, t):
-    # the series refuses such a table: its worst rate is not finite
-    values = np.linspace(-3.0, 0.0, FrequencyGrid(1, 8, 8).node_count).astype(np.complex128)
-    values[4] = bad
-    op = raw_table_operator(values)
-    assert evolution._real_levels(op) is None
+def test_random_symbol_factors_keep_the_bits_of_the_complex_formulas(real, seed, t):
+    n = 1 + seed % 2
+    grid = FrequencyGrid(1, 8, 8) if n == 1 else FrequencyGrid(2, 3, 4)
+    op = MultiplierOperator(random_polynomial(np.random.default_rng(seed), n, real=real), grid)
+    assert (evolution._real_levels(op) is not None) == real
     assert_factors_keep_the_complex_bits(op, t)
 
 

@@ -3,8 +3,9 @@ the case matrix of ``tools/golden_outputs.py``, the package's optional
 parameters, each of which some call inside the package passes, its
 public names, each of which some code inside the package reads, and its
 writers: only ``fieldio`` opens a file to write, and no module imports
-``csv``.  Only ``evolution`` calls ``saturated_product``, and a solve reads
-no grid-ordered ``values`` of a field or an operator.
+``csv``.  Only ``evolution`` calls ``saturated_product``, only
+``SpectralField._adopt`` builds an object through ``__new__``, and a solve
+reads no grid-ordered ``values`` of a field or an operator.
 
 ``bench/spans.py`` skips a wrapped name that no longer exists, so a rename
 would read as 0 calls rather than fail; these tests make it fail here.
@@ -273,6 +274,30 @@ def test_only_evolution_turns_flow_factors_into_fields():
             elif isinstance(node, ast.Attribute) and node.attr in names:
                 users.add(path.stem)
     assert users == {"evolution"}
+
+
+def scoped_nodes(tree):
+    """Each node of a module with the dotted name of the defs and classes it sits in."""
+    stack = [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}".lstrip(".")
+            yield name, child
+            stack.append((name, child))
+
+
+def test_only_adopting_a_field_bypasses_a_constructor():
+    """An object built through ``__new__`` skips its ``__init__``: a second operator
+    constructor, such as one from a raw level table, could hold a table no symbol builds.
+    `SpectralField._adopt` alone does so, for samples its callers have formed."""
+    users = {f"{path.stem}.{scope}"
+             for path in sorted((ROOT / "src" / "frechet_flow").glob("*.py"))
+             for scope, node in scoped_nodes(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"}
+    assert users == {"spectral.SpectralField._adopt"}
 
 
 @pytest.mark.parametrize("times, formats", [("0.001, 0.01, 0.1", "csv"),
